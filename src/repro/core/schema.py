@@ -37,6 +37,8 @@ class RelationSchema:
     name: str
     attributes: tuple[str, ...]
     key: tuple[str, ...] = ()
+    #: Positions of the key attributes, derived once from ``key``.
+    _key_positions: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -52,6 +54,9 @@ class RelationSchema:
                 f"key attributes {sorted(unknown)} of relation {self.name!r} are not attributes"
             )
         object.__setattr__(self, "key", key)
+        object.__setattr__(
+            self, "_key_positions", tuple(attributes.index(attribute) for attribute in key)
+        )
 
     @property
     def arity(self) -> int:
@@ -67,12 +72,12 @@ class RelationSchema:
 
     def key_positions(self) -> tuple[int, ...]:
         """Positions of the key attributes within a tuple."""
-        return tuple(self.attribute_index(attribute) for attribute in self.key)
+        return self._key_positions
 
     def key_of(self, values: Sequence[object]) -> tuple:
         """Project a tuple onto its key attributes."""
         self.check_arity(values)
-        return tuple(values[index] for index in self.key_positions())
+        return tuple(values[index] for index in self._key_positions)
 
     def check_arity(self, values: Sequence[object]) -> tuple:
         values = tuple(values)

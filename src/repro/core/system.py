@@ -445,7 +445,9 @@ class CDSS:
         reconciler = self._reconcilers[peer_name]
         result = reconciler.reconcile(
             candidates,
-            known_transactions=self.store.antecedents_map(),
+            # The store answers ``txn_id in store`` exactly on both backends,
+            # which is all the reconciler asks of the archive.
+            known_transactions=self.store,
             provenance=engine.provenance if self.config.exchange.track_provenance else None,
             epoch=epoch,
         )

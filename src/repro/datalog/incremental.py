@@ -11,7 +11,8 @@ scratch.  This module implements:
 
   - *provenance-based* (the ORCHESTRA approach): base deletions demote the
     corresponding provenance-graph nodes, after which every derived tuple
-    that has lost all support is removed;
+    that has lost all support is removed — the graph re-evaluates only the
+    downstream cone of the demoted nodes and reports what newly died;
   - *DRed* (delete-and-rederive): over-delete everything potentially
     depending on the deleted facts, then re-derive what still has an
     alternative derivation.  Used as the non-provenance ablation baseline.
@@ -237,22 +238,23 @@ class IncrementalEngine:
     def _delete_with_provenance(
         self, removed_base: dict[str, set[tuple]]
     ) -> dict[str, set[tuple]]:
+        """Demote the removed base tuples and drop what lost all support.
+
+        Only the tuples that became unsupported through this call are
+        touched: tuples that died earlier stay in the graph but left the
+        database then.  A removed base tuple that is still derivable through
+        mappings keeps its support and stays.
+        """
         assert self._graph is not None
+        mark = self._graph.support_mark()
         for predicate, values_set in removed_base.items():
             for values in values_set:
                 self._graph.remove_base_tuple(predicate, values)
 
         deleted: dict[str, set[tuple]] = defaultdict(set)
-        for relation, values in self._graph.unsupported_tuples():
+        for relation, values in self._graph.unsupported_tuples(since=mark):
             if self._database.remove(relation, values):
                 deleted[relation].add(values)
-        # Base tuples removed above may still be derivable through mappings;
-        # only count them as deleted when they really left the database.
-        for predicate, values_set in removed_base.items():
-            for values in values_set:
-                if not self._graph.is_derivable(predicate, values):
-                    if self._database.remove(predicate, values):
-                        deleted[predicate].add(values)
         if deleted:
             self._backend.notify_removals(deleted)
         return dict(deleted)

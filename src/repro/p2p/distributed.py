@@ -563,6 +563,8 @@ class DistributedUpdateStore:
         store — independent of which replicas are currently reachable.)"""
         return txn_id in self._ids
 
+    __contains__ = contains
+
     def retrievable(self, txn_id: str) -> bool:
         """Is the transaction's data reachable on some online replica now?"""
         return any(

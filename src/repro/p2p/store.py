@@ -220,6 +220,8 @@ class UpdateStore:
     def contains(self, txn_id: str) -> bool:
         return txn_id in self._log
 
+    __contains__ = contains
+
     def published_since(
         self, epoch: int, exclude_publisher: Optional[str] = None
     ) -> list[PublishedTransaction]:

@@ -17,9 +17,12 @@ replicas are stored once.  The graph supports:
   tuple's annotation is the sum over its *acyclic* derivations, matching
   the expanded-polynomial semantics exactly, and
 * deletion propagation: after removing base tuples, finding which derived
-  tuples have lost all support.  Deletions invalidate only the circuit
-  roots of transitively affected tuples; memoized node evaluations stay
-  valid because circuit nodes are immutable.
+  tuples have lost all support.  A change touches only its *downstream
+  cone* — the tuples that transitively depend on the changed ones: their
+  circuit roots are dropped, their component ids are recomputed on demand,
+  and only they are re-evaluated to keep the set of unsupported tuples up
+  to date.  Memoized node evaluations stay valid because circuit nodes are
+  immutable.
 """
 
 from __future__ import annotations
@@ -148,11 +151,23 @@ class ProvenanceGraph:
         self._store = store if store is not None else CircuitStore()
         #: Cached circuit root per tuple; invalidated transitively on change.
         self._roots: dict[TupleKey, int] = {}
-        #: Tuples whose support changed since the last root query.
-        self._dirty: set[TupleKey] = set()
+        #: Tuples changed since the last flush.  ``True`` marks a change that
+        #: can take support away (a demoted base tuple) or a tuple never
+        #: evaluated (a new derived tuple): everything downstream is
+        #: re-evaluated.  ``False`` marks added support (a new base tuple, a
+        #: promotion, a new derivation), which can only revive tuples that
+        #: are unsupported now.
+        self._dirty: dict[TupleKey, bool] = {}
+        #: The tuples not derivable from any base tuple, as of the last
+        #: flush, each with the serial at which it entered (insertion order).
+        self._unsupported: dict[TupleKey, int] = {}
+        self._unsupported_serial = 0
         #: Strongly-connected-component id per tuple of the dependency graph
-        #: (targets depend on sources); rebuilt lazily after mutations.
-        self._scc: Optional[dict[TupleKey, int]] = None
+        #: (targets depend on sources).  Ids are assigned on demand and the
+        #: tuples holding one are closed under "depends on"; a new derivation
+        #: drops the ids downstream of its target, the only ones it can merge.
+        self._scc: dict[TupleKey, int] = {}
+        self._scc_counter = 0
         #: Cached evaluators keyed by (semiring, assignment, default).
         self._evaluators: dict[tuple, CircuitEvaluator] = {}
         #: Every rule variable ever attached to a derivation (trust questions
@@ -175,13 +190,13 @@ class ProvenanceGraph:
                 relation, key[1], is_base=True, variable=variable or self._fresh_variable(key)
             )
             self._tuples[key] = promoted
-            self._dirty.add(key)
+            self._dirty.setdefault(key, False)
             return promoted
         node = TupleNode(
             relation, key[1], is_base=True, variable=variable or self._fresh_variable(key)
         )
         self._tuples[key] = node
-        self._dirty.add(key)
+        self._dirty.setdefault(key, False)
         return node
 
     def add_derived_tuple(self, relation: str, values: tuple) -> TupleNode:
@@ -192,6 +207,8 @@ class ProvenanceGraph:
             return existing
         node = TupleNode(relation, key[1], is_base=False)
         self._tuples[key] = node
+        # Unsupported until a derivation says otherwise: must be evaluated.
+        self._dirty[key] = True
         return node
 
     def add_derivation(
@@ -224,7 +241,9 @@ class ProvenanceGraph:
             self._derivations_by_source[source_key].append(derivation)
         if rule_variable:
             self._rule_variables.add(rule_variable)
-        self._dirty.add(target_key)
+        self._dirty.setdefault(target_key, False)
+        if target_key in self._scc:
+            self._forget_components(target_key)
         return derivation
 
     def remove_base_tuple(self, relation: str, values: tuple) -> bool:
@@ -240,7 +259,7 @@ class ProvenanceGraph:
         if node is None or not node.is_base:
             return False
         self._tuples[key] = TupleNode(relation, key[1], is_base=False)
-        self._dirty.add(key)
+        self._dirty[key] = True
         return True
 
     def _fresh_variable(self, key: TupleKey) -> str:
@@ -295,41 +314,98 @@ class ProvenanceGraph:
         return self._root_for((relation, tuple(values)))
 
     def _flush_dirty(self) -> None:
-        """Drop cached roots of every tuple transitively affected by changes."""
+        """Bring roots and the unsupported set up to date with the changes.
+
+        Walks the downstream cone of the changed tuples once: every member's
+        cached root is dropped, and the members whose derivability can have
+        changed are re-evaluated.  Tuples outside the cone keep their roots
+        and their status, so a flush costs what the change touches.
+        """
         if not self._dirty:
             return
-        queue = list(self._dirty)
-        seen = set(queue)
+        dirty, self._dirty = self._dirty, {}
         roots = self._roots
-        while queue:
-            key = queue.pop()
-            roots.pop(key, None)
-            for derivation in self._derivations_by_source.get(key, ()):
-                target = derivation.target
-                if target not in seen:
-                    seen.add(target)
-                    queue.append(target)
-        self._dirty.clear()
-        self._scc = None
+        by_source = self._derivations_by_source
+        unsupported = self._unsupported
+        seen: set[TupleKey] = set()
+        recheck: list[TupleKey] = []
+        # Cones that may have lost support first, so a tuple in both kinds of
+        # cone is re-evaluated whether or not it is unsupported now.
+        for may_lose_support in (True, False):
+            queue = [
+                key for key, flag in dirty.items() if flag is may_lose_support and key not in seen
+            ]
+            seen.update(queue)
+            while queue:
+                key = queue.pop()
+                roots.pop(key, None)
+                if may_lose_support or key in unsupported:
+                    recheck.append(key)
+                for derivation in by_source.get(key, ()):
+                    target = derivation.target
+                    if target not in seen:
+                        seen.add(target)
+                        queue.append(target)
+        if not recheck:
+            return
+        if self.evaluation_mode == "expanded":
+            store = self._store
 
-    def _scc_ids(self) -> dict[TupleKey, int]:
-        """Component id per tuple of the dependency graph (iterative Tarjan).
+            def supported(root: int) -> bool:
+                return not store.to_polynomial(root).is_zero()
+        else:
+            supported = self.evaluator(BooleanSemiring(), {}, default=True).value
+        for key in recheck:
+            root = roots.get(key)
+            if root is None:
+                root = self._compile_root(key)
+            if supported(root):
+                unsupported.pop(key, None)
+            elif key not in unsupported:
+                self._unsupported_serial += 1
+                unsupported[key] = self._unsupported_serial
+
+    def _forget_components(self, key: TupleKey) -> None:
+        """Drop the component ids of ``key`` and of everything downstream.
+
+        A new derivation of ``key`` can only merge components on a cycle
+        through ``key``, and those lie in its downstream cone.  Because the
+        tuples holding an id are closed under "depends on", a tuple without
+        one has nothing with an id downstream and the walk stops there (the
+        caller skips the call for a target without an id, the common case).
+        """
+        scc = self._scc
+        del scc[key]
+        by_source = self._derivations_by_source
+        queue = [key]
+        while queue:
+            for derivation in by_source.get(queue.pop(), ()):
+                target = derivation.target
+                if scc.pop(target, None) is not None:
+                    queue.append(target)
+
+    def _assign_components(self, start: TupleKey) -> dict[TupleKey, int]:
+        """Give ``start`` and everything it depends on a component id
+        (iterative Tarjan from ``start``).
 
         Two tuples share an id exactly when each (transitively) derives the
         other; the circuit compiler uses this to decide when a cached root is
-        safe to reuse mid-expansion.
+        safe to reuse mid-expansion.  A tuple's component lies inside what it
+        reaches, and tuples that already hold an id reach only tuples that
+        hold one, so they count as finished and the walk covers just the part
+        without ids.  New ids come from a monotone counter and never collide
+        with the ones kept.
         """
-        if self._scc is not None:
-            return self._scc
+        sccs = self._scc
+        if start in sccs:
+            return sccs
         tuples = self._tuples
         by_target = self._derivations_by_target
-        sccs: dict[TupleKey, int] = {}
         index: dict[TupleKey, int] = {}
         low: dict[TupleKey, int] = {}
         on_stack: set[TupleKey] = set()
         component_stack: list[TupleKey] = []
         counter = 0
-        scc_counter = 0
 
         def successors(node: TupleKey):
             return iter(
@@ -337,48 +413,44 @@ class ProvenanceGraph:
                     source
                     for derivation in by_target.get(node, ())
                     for source in derivation.sources
-                    if source in tuples
+                    if source in tuples and source not in sccs
                 ]
             )
 
-        for start in tuples:
-            if start in index:
+        index[start] = low[start] = counter
+        counter += 1
+        component_stack.append(start)
+        on_stack.add(start)
+        work: list[tuple[TupleKey, object]] = [(start, successors(start))]
+        while work:
+            node, iterator = work[-1]
+            descended = False
+            for succ in iterator:
+                if succ not in index:
+                    index[succ] = low[succ] = counter
+                    counter += 1
+                    component_stack.append(succ)
+                    on_stack.add(succ)
+                    work.append((succ, successors(succ)))
+                    descended = True
+                    break
+                if succ in on_stack and index[succ] < low[node]:
+                    low[node] = index[succ]
+            if descended:
                 continue
-            index[start] = low[start] = counter
-            counter += 1
-            component_stack.append(start)
-            on_stack.add(start)
-            work: list[tuple[TupleKey, object]] = [(start, successors(start))]
-            while work:
-                node, iterator = work[-1]
-                descended = False
-                for succ in iterator:
-                    if succ not in index:
-                        index[succ] = low[succ] = counter
-                        counter += 1
-                        component_stack.append(succ)
-                        on_stack.add(succ)
-                        work.append((succ, successors(succ)))
-                        descended = True
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                if low[node] < low[parent]:
+                    low[parent] = low[node]
+            if low[node] == index[node]:
+                while True:
+                    member = component_stack.pop()
+                    on_stack.discard(member)
+                    sccs[member] = self._scc_counter
+                    if member == node:
                         break
-                    if succ in on_stack and index[succ] < low[node]:
-                        low[node] = index[succ]
-                if descended:
-                    continue
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    if low[node] < low[parent]:
-                        low[parent] = low[node]
-                if low[node] == index[node]:
-                    while True:
-                        member = component_stack.pop()
-                        on_stack.discard(member)
-                        sccs[member] = scc_counter
-                        if member == node:
-                            break
-                    scc_counter += 1
-        self._scc = sccs
+                self._scc_counter += 1
         return sccs
 
     def _root_for(self, key: TupleKey) -> int:
@@ -405,7 +477,7 @@ class ProvenanceGraph:
         base variable (cycle cut), which yields the sum over all acyclic
         derivations — the finite part of the least fixpoint.
         """
-        sccs = self._scc_ids()
+        sccs = self._assign_components(start)
         store = self._store
         tuples = self._tuples
         by_target = self._derivations_by_target
@@ -667,25 +739,40 @@ class ProvenanceGraph:
         evaluator = self.evaluator(boolean, assignment, default)
         return bool(evaluator.value(self._root_for(key)))
 
-    def unsupported_tuples(self) -> list[TupleKey]:
-        """Tuples that are no longer derivable from any base tuple.
+    def support_mark(self) -> int:
+        """A mark for the ``since`` of :meth:`unsupported_tuples`: tuples
+        that lose their support from now on are reported after it.
+
+        Brings the set up to date first, so a tuple that earlier insertions
+        revived has left it before the mark is taken and is reported again
+        if it dies again.
+        """
+        self._flush_dirty()
+        return self._unsupported_serial
+
+    def unsupported_tuples(self, since: int = 0) -> list[TupleKey]:
+        """Tuples that are not derivable from any base tuple, in the order
+        they became so.
 
         Used by deletion propagation: after base deletions, these are the
-        derived tuples that must be removed from the target instances.  Only
-        the circuit roots of transitively affected tuples are recompiled;
-        every other tuple answers from its cached root and the shared
-        all-trusted memo table.
+        derived tuples that must be removed from the target instances.  The
+        set is maintained, not recomputed: a call re-evaluates only the
+        downstream cone of the tuples changed since the last one.  Dead
+        tuples stay in the graph (and in this answer) until support returns;
+        ``since`` — a :meth:`support_mark` — narrows the answer to the tuples
+        that entered the set after the mark was taken, at a cost proportional
+        to their number.
         """
-        if self.evaluation_mode == "expanded":
-            return [
-                key
-                for key in self._tuples
-                if self._store.to_polynomial(self._root_for(key)).is_zero()
-            ]
-        evaluator = self.evaluator(BooleanSemiring(), {}, default=True)
-        return [
-            key for key in self._tuples if not evaluator.value(self._root_for(key))
-        ]
+        self._flush_dirty()
+        if not since:
+            return list(self._unsupported)
+        newly: list[TupleKey] = []
+        for key in reversed(self._unsupported):
+            if self._unsupported[key] <= since:
+                break
+            newly.append(key)
+        newly.reverse()
+        return newly
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         tuples, derivations = self.size()

@@ -22,14 +22,16 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+from typing import Container, Iterable, Iterator, Mapping, Optional
 
 from ..config import ReconciliationConfig
 from ..core.peer import Peer
+from ..core.schema import PeerSchema
+from ..core.updates import Update, conflicting
 from ..exchange.translation import CandidateTransaction
 from ..provenance.graph import ProvenanceGraph
 from .candidates import GroupingOutcome, TransactionGroup, antecedent_closure, build_groups
-from .conflicts import updates_conflict
+from .conflicts import ConflictKey, conflict_key
 from .decisions import Decision, ReconciliationState
 from .priorities import group_priority
 
@@ -95,7 +97,7 @@ class Reconciler:
     def reconcile(
         self,
         candidates: Iterable[CandidateTransaction],
-        known_transactions: Optional[Mapping[str, frozenset[str]]] = None,
+        known_transactions: Optional[Container[str]] = None,
         provenance: Optional[ProvenanceGraph] = None,
         epoch: int = 0,
     ) -> ReconcileResult:
@@ -103,7 +105,12 @@ class Reconciler:
 
         ``candidates`` should contain the newly translated transactions; the
         reconciler automatically re-considers candidates left undecided by
-        earlier runs.
+        earlier runs.  ``known_transactions`` answers ``txn_id in ...`` for
+        every transaction ever published (see :func:`build_groups`).
+
+        The cost follows the candidates and the undecided pool, not the
+        decision history: accepted state is consulted through a per-key
+        index, and the deferred set is maintained rather than recomputed.
         """
         result = ReconcileResult(peer=self._peer.name, epoch=epoch)
 
@@ -139,7 +146,7 @@ class Reconciler:
         for group in grouping.groups:
             group_priority(group, self._peer.trust, self._peer.schema, provenance, trusted_peers)
 
-        self._greedy_select(grouping.groups, pool, result)
+        self._greedy_select(grouping.groups, _CallMemo(pool, self._peer.schema), result)
         return result
 
     # -- phases -------------------------------------------------------------------
@@ -156,7 +163,7 @@ class Reconciler:
     def _greedy_select(
         self,
         groups: list[TransactionGroup],
-        pool: Mapping[str, CandidateTransaction],
+        memo: _CallMemo,
         result: ReconcileResult,
     ) -> None:
         # Distrusted groups (priority 0) are rejected outright, unless their
@@ -181,8 +188,8 @@ class Reconciler:
         # Transactions deferred by an earlier reconciliation stay deferred
         # until the administrator resolves their conflict (paper semantics);
         # they also transitively defer anything that depends on them.
-        deferred_ids: set[str] = set(self._state.deferred_ids())
-        accepted_groups: list[TransactionGroup] = []
+        deferred_ids = self._state.deferred_ids()
+        accepted_groups = _GroupIndex(memo)
 
         by_priority: dict[int, list[TransactionGroup]] = defaultdict(list)
         for group in viable:
@@ -194,98 +201,77 @@ class Reconciler:
             for group in level:
                 if group.txn_id in deferred_ids:
                     continue
-                if self._depends_on_deferred(group, deferred_ids, pool):
+                if deferred_ids and memo.closure(group.candidate) & deferred_ids:
                     self._defer_group(group, result, deferred_ids)
                     continue
-                if self._conflicts_with_accepted(group, accepted_groups):
+                if self._conflicts_with_accepted(group, accepted_groups, memo):
                     self._state.record_reject(group.txn_id)
                     result.rejected.append(group.txn_id)
                     continue
                 survivors.append(group)
 
-            if self._config.defer_on_ties:
-                conflict_sets = self._same_priority_conflicts(survivors)
-            else:
-                conflict_sets = []
             deferred_here: set[str] = set()
-            for conflict_set in conflict_sets:
-                ids = sorted(group.txn_id for group in conflict_set)
-                self._state.add_deferred_conflict(ids, priority)
-                result.conflicts_deferred += 1
-                for group in conflict_set:
-                    if group.txn_id not in deferred_here:
-                        self._defer_group(group, result, deferred_ids)
-                        deferred_here.add(group.txn_id)
-
-            if not self._config.defer_on_ties:
+            if self._config.defer_on_ties:
+                for conflict_set in self._same_priority_conflicts(survivors, memo):
+                    ids = sorted(group.txn_id for group in conflict_set)
+                    self._state.add_deferred_conflict(ids, priority)
+                    result.conflicts_deferred += 1
+                    for group in conflict_set:
+                        if group.txn_id not in deferred_here:
+                            self._defer_group(group, result, deferred_ids)
+                            deferred_here.add(group.txn_id)
+            else:
                 # Ablation baseline: break ties deterministically by txn id.
-                survivors = self._break_ties(survivors)
+                survivors = self._break_ties(survivors, memo, result)
 
             for group in survivors:
                 if group.txn_id in deferred_here:
                     continue
-                if self._conflicts_with_accepted(group, accepted_groups):
+                if self._conflicts_with_accepted(group, accepted_groups, memo):
                     self._state.record_reject(group.txn_id)
                     result.rejected.append(group.txn_id)
                     continue
                 self._accept_group(group, result)
-                accepted_groups.append(group)
+                accepted_groups.add(group)
 
     # -- helpers -------------------------------------------------------------------
-    def _antecedent_sensitive_conflict(
-        self, left: TransactionGroup, right: TransactionGroup
-    ) -> bool:
-        """Member-wise conflict check that ignores antecedent relationships."""
-        pool = {member.txn_id: member for member in left.members + right.members}
-        for left_member in left.members:
-            left_closure = antecedent_closure(left_member, pool)
-            for right_member in right.members:
-                if left_member.txn_id == right_member.txn_id:
-                    continue
-                right_closure = antecedent_closure(right_member, pool)
-                if (
-                    left_member.txn_id in right_closure
-                    or right_member.txn_id in left_closure
-                ):
-                    continue
-                if updates_conflict(
-                    left_member.updates, right_member.updates, self._peer.schema
-                ):
-                    return True
-        return False
-
     def _conflicts_with_accepted(
-        self, group: TransactionGroup, accepted_groups: list[TransactionGroup]
+        self, group: TransactionGroup, accepted_groups: _GroupIndex, memo: _CallMemo
     ) -> bool:
-        """Conflict against this round's accepted groups and the stored state."""
-        for accepted in accepted_groups:
-            if self._antecedent_sensitive_conflict(group, accepted):
-                return True
-        candidate_pool = {member.txn_id: member for member in group.members}
-        closure = antecedent_closure(group.candidate, candidate_pool) | group.member_ids()
-        for txn_id, updates in self._state.accepted_updates.items():
-            if txn_id in closure:
-                continue
-            for member in group.members:
-                member_closure = antecedent_closure(member, candidate_pool)
-                if txn_id in member_closure:
-                    continue
-                if updates_conflict(member.updates, list(updates), self._peer.schema):
-                    return True
+        """Conflict against this round's accepted groups and the stored state.
+
+        Only the accepted updates that share a conflict key with one of the
+        group's members are looked at, so the cost follows the group and not
+        the number of transactions ever accepted.
+        """
+        if accepted_groups.conflicts_with(group):
+            return True
+        schema = self._peer.schema
+        accepted = self._state.accepted_by_key(schema)
+        own = memo.closure(group.candidate) | group.member_ids()
+        for member in group.members:
+            for key, update in memo.keyed_updates(member):
+                relation_schema = schema.relation(update.relation)
+                for txn_id, accepted_update in accepted.get(key, ()):
+                    if txn_id not in own and conflicting(
+                        update, accepted_update, relation_schema
+                    ):
+                        return True
         return False
 
     def _same_priority_conflicts(
-        self, groups: list[TransactionGroup]
+        self, groups: list[TransactionGroup], memo: _CallMemo
     ) -> list[list[TransactionGroup]]:
         """Find connected components of mutually conflicting same-priority groups."""
         conflict_edges: dict[str, set[str]] = defaultdict(set)
         by_id = {group.txn_id: group for group in groups}
         ids = sorted(by_id)
-        for index, left_id in enumerate(ids):
-            for right_id in ids[index + 1 :]:
-                if self._antecedent_sensitive_conflict(by_id[left_id], by_id[right_id]):
-                    conflict_edges[left_id].add(right_id)
-                    conflict_edges[right_id].add(left_id)
+        earlier = _GroupIndex(memo)
+        for txn_id in ids:
+            for other_id in earlier.conflicting_ids(by_id[txn_id]):
+                conflict_edges[txn_id].add(other_id)
+                conflict_edges[other_id].add(txn_id)
+            earlier.add(by_id[txn_id])
 
         components: list[list[TransactionGroup]] = []
         seen: set[str] = set()
@@ -304,26 +290,20 @@ class Reconciler:
             components.append([by_id[member] for member in sorted(component)])
         return components
 
-    def _break_ties(self, groups: list[TransactionGroup]) -> list[TransactionGroup]:
+    def _break_ties(
+        self, groups: list[TransactionGroup], memo: _CallMemo, result: ReconcileResult
+    ) -> list[TransactionGroup]:
         """Ablation: accept the lexicographically smallest of each conflict set."""
         kept: list[TransactionGroup] = []
+        kept_index = _GroupIndex(memo)
         for group in sorted(groups, key=lambda candidate: candidate.txn_id):
-            if not any(self._antecedent_sensitive_conflict(group, other) for other in kept):
-                kept.append(group)
-            else:
+            if kept_index.conflicts_with(group):
                 self._state.record_reject(group.txn_id)
+                result.rejected.append(group.txn_id)
+            else:
+                kept.append(group)
+                kept_index.add(group)
         return kept
-
-    def _depends_on_deferred(
-        self,
-        group: TransactionGroup,
-        deferred_ids: set[str],
-        pool: Mapping[str, CandidateTransaction],
-    ) -> bool:
-        if not deferred_ids:
-            return False
-        closure = antecedent_closure(group.candidate, pool)
-        return bool(closure & deferred_ids)
 
     def _defer_group(
         self,
@@ -344,3 +324,75 @@ class Reconciler:
             self._state.record_accept(member)
             result.accepted.append(member.txn_id)
             result.applied_updates += len(member.updates)
+
+
+class _CallMemo:
+    """Per-member facts of one ``reconcile`` call, each computed at most once.
+
+    A member's antecedent closure over the call's pool is the same whichever
+    group pulled the member in: every pool transaction a formed group's
+    candidate reaches is itself a member of that group.
+    """
+
+    def __init__(self, pool: Mapping[str, CandidateTransaction], schema: PeerSchema) -> None:
+        self.pool = pool
+        self.schema = schema
+        self._closures: dict[str, set[str]] = {}
+        self._keyed: dict[str, list[tuple[ConflictKey, Update]]] = {}
+
+    def closure(self, member: CandidateTransaction) -> set[str]:
+        closure = self._closures.get(member.txn_id)
+        if closure is None:
+            closure = self._closures[member.txn_id] = antecedent_closure(member, self.pool)
+        return closure
+
+    def related(self, left: CandidateTransaction, right: CandidateTransaction) -> bool:
+        """Is one of the two (transitively) an antecedent of the other?"""
+        return left.txn_id in self.closure(right) or right.txn_id in self.closure(left)
+
+    def keyed_updates(self, member: CandidateTransaction) -> list[tuple[ConflictKey, Update]]:
+        """The member's updates on schema relations, with their conflict keys."""
+        keyed = self._keyed.get(member.txn_id)
+        if keyed is None:
+            keyed = self._keyed[member.txn_id] = [
+                (key, update)
+                for update in member.updates
+                if (key := conflict_key(update, self.schema)) is not None
+            ]
+        return keyed
+
+
+class _GroupIndex:
+    """The members' updates of a set of groups, bucketed by conflict key.
+
+    Answers the member-wise, antecedent-sensitive conflict question — two
+    members conflict when they are different transactions, neither is an
+    antecedent of the other, and two of their updates conflict — against
+    every indexed group at once, looking only at the buckets a group touches.
+    """
+
+    def __init__(self, memo: _CallMemo) -> None:
+        self._memo = memo
+        self._buckets: dict[
+            ConflictKey, list[tuple[TransactionGroup, CandidateTransaction, Update]]
+        ] = defaultdict(list)
+
+    def add(self, group: TransactionGroup) -> None:
+        for member in group.members:
+            for key, update in self._memo.keyed_updates(member):
+                self._buckets[key].append((group, member, update))
+
+    def conflicting_ids(self, group: TransactionGroup) -> Iterator[str]:
+        """Ids of the indexed groups ``group`` conflicts with (may repeat)."""
+        memo = self._memo
+        for member in group.members:
+            for key, update in memo.keyed_updates(member):
+                relation_schema = memo.schema.relation(update.relation)
+                for other_group, other, other_update in self._buckets.get(key, ()):
+                    if other.txn_id == member.txn_id or memo.related(member, other):
+                        continue
+                    if conflicting(update, other_update, relation_schema):
+                        yield other_group.txn_id
+
+    def conflicts_with(self, group: TransactionGroup) -> bool:
+        return next(self.conflicting_ids(group), None) is not None

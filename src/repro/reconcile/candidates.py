@@ -17,7 +17,7 @@ applicable transaction groups".  Concretely, for a candidate ``T``:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+from typing import Container, Iterable, Mapping, Optional
 
 from ..exchange.translation import CandidateTransaction
 from .decisions import Decision, ReconciliationState
@@ -90,7 +90,7 @@ def build_groups(
     candidates: Iterable[CandidateTransaction],
     state: ReconciliationState,
     local_peer: str,
-    known_transactions: Optional[Mapping[str, frozenset[str]]] = None,
+    known_transactions: Optional[Container[str]] = None,
 ) -> GroupingOutcome:
     """Partition candidates into applicable groups, rejects and pendings.
 
@@ -100,16 +100,19 @@ def build_groups(
         state: The peer's decision history.
         local_peer: Name of the reconciling peer; its own transactions are
             implicitly accepted.
-        known_transactions: Optional map ``txn_id -> antecedents`` covering
-            *all* transactions ever published (used to resolve antecedents
-            whose translation was empty for this peer — they are vacuously
-            satisfied once published).
+        known_transactions: Optional container answering ``txn_id in ...``
+            for *all* transactions ever published (used to resolve
+            antecedents whose translation was empty for this peer — they are
+            vacuously satisfied once published).  Only membership is asked,
+            so the update store itself serves; no per-call map of the
+            archive is needed.
 
     Returns:
         A :class:`GroupingOutcome` with one group per candidate that can be
         considered for acceptance this round.
     """
-    known_transactions = known_transactions or {}
+    if known_transactions is None:
+        known_transactions = ()
     pool: dict[str, CandidateTransaction] = {}
     for candidate in candidates:
         if state.is_decided(candidate.txn_id):
@@ -118,7 +121,7 @@ def build_groups(
 
     outcome = GroupingOutcome()
 
-    def antecedent_status(txn_id: str, origin_of_candidate: str) -> str:
+    def antecedent_status(txn_id: str) -> str:
         """Classify one antecedent: satisfied, rejected, available, or missing."""
         decision = state.decision(txn_id)
         if decision is Decision.ACCEPTED:
@@ -135,10 +138,7 @@ def build_groups(
 
     for candidate in pool.values():
         closure = antecedent_closure(candidate, pool)
-        statuses = {
-            antecedent: antecedent_status(antecedent, candidate.origin)
-            for antecedent in closure
-        }
+        statuses = {antecedent: antecedent_status(antecedent) for antecedent in closure}
         if any(status == "rejected" for status in statuses.values()):
             outcome.rejected.append(candidate)
             continue

@@ -9,11 +9,27 @@ the administrator.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from ..core.schema import PeerSchema
 from ..core.updates import Update, conflicting
 from ..exchange.translation import CandidateTransaction
+
+
+#: The bucket an update can conflict in: its relation and the key it targets.
+ConflictKey = tuple[str, tuple]
+
+
+def conflict_key(update: Update, schema: PeerSchema) -> Optional[ConflictKey]:
+    """The ``(relation, key)`` an update competes for, or ``None`` when its
+    relation lies outside ``schema`` (such updates never conflict).
+
+    :func:`~repro.core.updates.conflicting` is only ever true for two updates
+    with equal conflict keys, so bucketing by this key is an exact prefilter.
+    """
+    if not schema.has_relation(update.relation):
+        return None
+    return (update.relation, update.key_of(schema.relation(update.relation)))
 
 
 def updates_conflict(

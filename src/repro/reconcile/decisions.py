@@ -10,11 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Iterable, Mapping, Optional
 
+from ..core.schema import PeerSchema
 from ..core.updates import Update
 from ..errors import ReconciliationError
 from ..exchange.translation import CandidateTransaction
+from .conflicts import ConflictKey, conflict_key
 
 
 class Decision(str, Enum):
@@ -52,6 +54,17 @@ class ReconciliationState:
     undecided: dict[str, CandidateTransaction] = field(default_factory=dict)
     deferred_conflicts: list[DeferredConflict] = field(default_factory=list)
     _conflict_counter: int = 0
+    #: Ids whose decision is currently DEFERRED, kept by the ``record_*``
+    #: methods so each reconciliation reads them without a history scan.
+    _deferred: set[str] = field(default_factory=set, repr=False)
+    #: ``accepted_updates`` bucketed by conflict key under ``_index_schema``;
+    #: accepts not yet bucketed wait in ``_index_backlog`` (see
+    #: :meth:`accepted_by_key`).
+    _index: dict[ConflictKey, list[tuple[str, Update]]] = field(
+        default_factory=dict, repr=False
+    )
+    _index_backlog: list[str] = field(default_factory=list, repr=False)
+    _index_schema: Optional[PeerSchema] = field(default=None, repr=False)
 
     # -- decision bookkeeping ------------------------------------------------
     def decision(self, txn_id: str) -> Decision:
@@ -62,16 +75,24 @@ class ReconciliationState:
 
     def record_accept(self, candidate: CandidateTransaction) -> None:
         self.decisions[candidate.txn_id] = Decision.ACCEPTED
+        if candidate.txn_id in self.accepted_updates:
+            # Re-recording replaces the transaction's updates: rebuild the
+            # key index rather than leave the old ones bucketed.
+            self._index_schema = None
         self.accepted_updates[candidate.txn_id] = candidate.updates
+        self._index_backlog.append(candidate.txn_id)
         self.undecided.pop(candidate.txn_id, None)
+        self._deferred.discard(candidate.txn_id)
 
     def record_reject(self, txn_id: str) -> None:
         self.decisions[txn_id] = Decision.REJECTED
         self.undecided.pop(txn_id, None)
+        self._deferred.discard(txn_id)
 
     def record_defer(self, candidate: CandidateTransaction) -> None:
         self.decisions[candidate.txn_id] = Decision.DEFERRED
         self.undecided[candidate.txn_id] = candidate
+        self._deferred.add(candidate.txn_id)
 
     def record_pending(self, candidate: CandidateTransaction) -> None:
         if self.is_decided(candidate.txn_id):
@@ -94,11 +115,35 @@ class ReconciliationState:
         }
 
     def deferred_ids(self) -> set[str]:
-        return {
-            txn_id
-            for txn_id, decision in self.decisions.items()
-            if decision is Decision.DEFERRED
-        }
+        """A copy of the ids currently deferred (maintained, not scanned)."""
+        return set(self._deferred)
+
+    def accepted_by_key(
+        self, schema: PeerSchema
+    ) -> Mapping[ConflictKey, list[tuple[str, Update]]]:
+        """Accepted ``(txn_id, update)`` pairs bucketed by conflict key.
+
+        Two updates can only conflict within one bucket (see
+        :func:`~repro.reconcile.conflicts.conflict_key`), so a candidate is
+        compared with the accepted transactions that touch its keys and not
+        with the whole history.  The state itself is schema-free — accepts
+        are recorded by the reconciler and by ``resolve_conflict`` alike —
+        so ``record_accept`` only queues the id and the buckets are brought
+        up to date here, under the schema of the caller.  Updates on
+        relations outside the schema are left out, as conflict detection
+        skips them.
+        """
+        if schema is not self._index_schema:
+            self._index_schema = schema
+            self._index.clear()
+            self._index_backlog = list(self.accepted_updates)
+        for txn_id in self._index_backlog:
+            for update in self.accepted_updates[txn_id]:
+                key = conflict_key(update, schema)
+                if key is not None:
+                    self._index.setdefault(key, []).append((txn_id, update))
+        self._index_backlog.clear()
+        return self._index
 
     def all_accepted_updates(self) -> list[Update]:
         updates: list[Update] = []

@@ -1,0 +1,173 @@
+"""Differential test: the maintained unsupported set vs full re-evaluation.
+
+``ProvenanceGraph`` keeps the set of unsupported tuples up to date by
+re-evaluating only the downstream cone of what changed, and recomputes
+component ids only inside that cone.  The two reference answers here do
+neither: ``scan_unsupported`` asks every tuple of the graph afresh (the
+full scan the graph used to run on every delete), and ``merge_graphs``
+replays the graph's current state into a new graph with cold caches.  All
+three must agree after any interleaving of insertions, deletions,
+re-insertions and promotions, whenever the graph happens to be flushed.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from repro.datalog.ast import Fact
+from repro.datalog.incremental import IncrementalEngine
+from repro.datalog.parser import parse_program
+from repro.provenance.graph import ProvenanceGraph, merge_graphs
+from repro.provenance.semiring import CountingSemiring
+from repro.workloads.bioinformatics import build_figure2_network
+
+
+def scan_unsupported(graph: ProvenanceGraph) -> set:
+    """Reference oracle: evaluate every tuple of the graph."""
+    return {node.key for node in list(graph.tuples()) if not graph.is_derivable(*node.key)}
+
+
+def assert_matches_references(graph: ProvenanceGraph, context) -> None:
+    maintained = graph.unsupported_tuples()
+    assert len(maintained) == len(set(maintained)), context
+    assert set(maintained) == scan_unsupported(graph), context
+    fresh = merge_graphs([graph])
+    assert set(maintained) == set(fresh.unsupported_tuples()), context
+    # Component ids are recomputed cone by cone; a stale id would let the
+    # compiler reuse a root across a cycle and change the number of acyclic
+    # derivations (counted on the circuit, so dense graphs stay cheap).
+    if graph.evaluation_mode == "circuit":
+        ones = {variable: 1 for variable in graph.base_variables()}
+        assert graph.evaluate(CountingSemiring(), ones) == fresh.evaluate(
+            CountingSemiring(), ones
+        ), context
+
+
+#: (evaluation mode, tuple pool size, edits).  The expanded representation
+#: materialises polynomials, so it gets a sparser graph than the circuit.
+SHAPES = {"circuit": ("circuit", 7, 100), "expanded": ("expanded", 12, 40)}
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("seed", range(20))
+def test_random_graph_edits_match_full_reevaluation(seed, shape):
+    mode, pool, edits = SHAPES[shape]
+    rng = random.Random(seed)
+
+    def random_key(rng: random.Random) -> tuple:
+        return (rng.choice("ABC"), (rng.randrange(pool),))
+
+    graph = ProvenanceGraph(evaluation_mode=mode)
+    base: list[tuple] = []
+    for step in range(edits):
+        choice = rng.random()
+        if choice < 0.25:
+            # New base tuple, re-insertion of a demoted one, or promotion of
+            # a tuple so far only derived (or only a placeholder).
+            key = random_key(rng)
+            graph.add_base_tuple(*key)
+            if key not in base:
+                base.append(key)
+        elif choice < 0.65:
+            # Sources are drawn from the same small pool as targets, so
+            # cycles (A -> B -> A) and never-registered placeholder sources
+            # both turn up.
+            target = random_key(rng)
+            sources = [random_key(rng) for _ in range(rng.randint(1, 2))]
+            graph.add_derivation(f"m{rng.randrange(4)}", target, sources)
+        elif choice < 0.7:
+            graph.add_derived_tuple(*random_key(rng))
+        elif base:
+            key = base.pop(rng.randrange(len(base)))
+            mark = graph.support_mark()
+            before = set(graph.unsupported_tuples())
+            assert graph.remove_base_tuple(*key)
+            newly = graph.unsupported_tuples(since=mark)
+            assert set(newly) == set(graph.unsupported_tuples()) - before, (seed, step)
+        # Flush at irregular moments: several edits usually share one flush.
+        if rng.random() < 0.3:
+            assert_matches_references(graph, (seed, step))
+    assert_matches_references(graph, (seed, "end"))
+
+
+def test_placeholder_sources_are_unsupported_until_asserted():
+    graph = ProvenanceGraph()
+    graph.add_derivation("m", ("T", (1,)), [("S", (1,))])
+    assert set(graph.unsupported_tuples()) == {("S", (1,)), ("T", (1,))}
+    graph.add_base_tuple("S", (1,), "s")
+    assert graph.unsupported_tuples() == []
+    graph.remove_base_tuple("S", (1,))
+    assert set(graph.unsupported_tuples()) == {("S", (1,)), ("T", (1,))}
+
+
+def test_a_cycle_does_not_support_itself():
+    graph = ProvenanceGraph()
+    graph.add_base_tuple("A", (1,), "a")
+    graph.add_derivation("ab", ("B", (1,)), [("A", (1,))])
+    graph.add_derivation("ba", ("A", (1,)), [("B", (1,))])
+    assert graph.unsupported_tuples() == []
+    # A new derivation that closes a second cycle through compiled tuples.
+    graph.add_derivation("bc", ("C", (1,)), [("B", (1,))])
+    graph.add_derivation("cb", ("B", (1,)), [("C", (1,))])
+    assert graph.unsupported_tuples() == []
+    graph.remove_base_tuple("A", (1,))
+    assert set(graph.unsupported_tuples()) == {("A", (1,)), ("B", (1,)), ("C", (1,))}
+    assert_matches_references(graph, "cycle")
+
+
+def test_a_tuple_revived_and_killed_between_two_deletes_is_removed_again():
+    """Insertions do not flush the graph.  A dead tuple that an insertion
+    revives and the next deletion kills again must be reported a second
+    time, or it would stay in the database."""
+    program = parse_program("Path(x, y) :- Edge(x, y).\nPath(x, z) :- Path(x, y), Edge(y, z).")
+    engine = IncrementalEngine(program)
+    engine.apply_insertions([Fact("Edge", (1, 2)), Fact("Edge", (2, 3))])
+    assert engine.apply_deletions([Fact("Edge", (2, 3))]).deleted["Path"] == {(2, 3), (1, 3)}
+    engine.apply_insertions([Fact("Edge", (2, 3))])
+    assert (1, 3) in engine.database.relation("Path")
+    assert engine.apply_deletions([Fact("Edge", (2, 3))]).deleted["Path"] == {(2, 3), (1, 3)}
+    assert engine.database.relation("Path") == {(1, 2)}
+    assert engine.database.relation("Path") == engine.reference_database().relation("Path")
+
+
+def test_figure2_cycle_stream_matches_references():
+    """Σ1 → Σ2 → Σ1: every S tuple derives an OPS tuple that derives it back."""
+    rng = random.Random(7)
+    network = build_figure2_network()
+    cdss = network.cdss
+    live = {"Alaska": [], "Beijing": []}
+    removed = {"Alaska": [], "Beijing": []}
+    for step in range(40):
+        name = ("Alaska", "Beijing")[step % 2]
+        peer = cdss.peer(name)
+        held = live[name]
+        choice = rng.random()
+        if choice < 0.5 or not held:
+            oid, pid = 100 * (step % 2) + step, 1000 + step
+            builder = peer.new_transaction()
+            builder.insert("O", (f"org{oid}", oid))
+            builder.insert("P", (f"prot{pid}", pid))
+            builder.insert("S", (oid, pid, f"seq{step}"))
+            peer.commit(builder)
+            held.append((oid, pid, f"seq{step}"))
+        elif choice < 0.65:
+            old = held.pop(rng.randrange(len(held)))
+            held.append((old[0], old[1], f"seq{step}"))
+            peer.modify("S", old, held[-1])
+        elif choice < 0.85 or not removed[name]:
+            removed[name].append(held.pop(rng.randrange(len(held))))
+            peer.delete("S", removed[name][-1])
+        else:
+            held.append(removed[name].pop())
+            peer.insert("S", held[-1])
+        cdss.publish(name)
+        for reconciling in ("Alaska", "Beijing", "Crete", "Dresden"):
+            cdss.reconcile(reconciling)
+        if step % 4 == 3:
+            graph = cdss.engine.provenance
+            assert_matches_references(graph, step)
+            assert cdss.engine.database == cdss.engine.reference_database()
+    assert removed["Alaska"] or removed["Beijing"]
+    assert cdss.engine.provenance.unsupported_tuples()

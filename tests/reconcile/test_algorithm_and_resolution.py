@@ -129,6 +129,10 @@ class TestConflicts:
         )
         assert result.accepted == ["a"]
         assert not result.deferred
+        # The tie loser is reported, not just recorded in the state.
+        assert result.rejected == ["b"]
+        assert result.summary()["rejected"] == 1
+        assert reconciler.state.decision("b") is Decision.REJECTED
 
     def test_non_conflicting_candidates_both_accepted(self):
         peer = make_peer()
