@@ -16,6 +16,11 @@ This module provides the one shared utility the p2p layer builds on:
 * :func:`stable_hash` — a seeded 64-bit digest of any encodable value
   (BLAKE2b keyed by the seed).  Distinct seeds give independent hash
   families, which the sketches use to re-randomize between decode attempts.
+* :func:`prefix_hasher` — the same digest for many tuples that differ only
+  in their last item (ranking candidates under one ``(purpose, round,
+  peer)`` prefix), encoding and hashing the shared prefix once.
+* :func:`hash_encoded` — the digest of an encoding the caller already holds,
+  so a value that needs both its size and its digest is encoded once.
 * :func:`stable_text_hash` — the legacy SHA-256-prefix digest of a string,
   kept bit-for-bit identical to the hash the distributed store and the
   replica placement ranking always used, so shard routing and placement do
@@ -28,7 +33,7 @@ This module provides the one shared utility the p2p layer builds on:
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable
+from typing import Callable, Iterable
 
 from ..errors import TransactionError
 
@@ -107,18 +112,45 @@ def _encode_into(value: object, parts: list[bytes]) -> None:
         )
 
 
+def _keyed_state(data: bytes, seed: int) -> hashlib.blake2b:
+    return hashlib.blake2b(data, digest_size=8, key=(seed & MASK64).to_bytes(8, "big"))
+
+
+def hash_encoded(encoded: bytes, seed: int = 0) -> int:
+    """:func:`stable_hash` of the value whose :func:`canonical_encode` is
+    ``encoded`` — for callers that need the encoding anyway."""
+    return int.from_bytes(_keyed_state(encoded, seed).digest(), "big")
+
+
 def stable_hash(value: object, seed: int = 0) -> int:
     """Seeded 64-bit digest of any :func:`canonical_encode`-able value.
 
     Stable across processes and interpreter versions; different seeds give
     independent hash families.
     """
-    digest = hashlib.blake2b(
-        canonical_encode(value),
-        digest_size=8,
-        key=(seed & MASK64).to_bytes(8, "big"),
-    ).digest()
-    return int.from_bytes(digest, "big")
+    return hash_encoded(canonical_encode(value), seed)
+
+
+def prefix_hasher(prefix: tuple[object, ...], seed: int = 0) -> Callable[[object], int]:
+    """``h`` such that ``h(last) == stable_hash((*prefix, last), seed)``.
+
+    The tuple header and the prefix items are encoded and fed to the keyed
+    hash once; each call copies that state and adds only ``last``'s
+    encoding, so ranking N candidates under one prefix costs one prefix, not
+    N.  Bit-for-bit the :func:`stable_hash` value, so switching a caller
+    between the two changes no decision.
+    """
+    parts: list[bytes] = [b"t%d:" % (len(prefix) + 1)]
+    for item in prefix:
+        _encode_into(item, parts)
+    state = _keyed_state(b"".join(parts), seed)
+
+    def digest_of(last: object) -> int:
+        hasher = state.copy()
+        hasher.update(canonical_encode(last))
+        return int.from_bytes(hasher.digest(), "big")
+
+    return digest_of
 
 
 def encoded_size(value: object) -> int:

@@ -225,6 +225,10 @@ class DistributedUpdateStore:
         #: and which transaction ids were ever archived (exact duplicate
         #: detection must not depend on which replicas are reachable).
         self._shard_sequences: dict[int, set[int]] = {}
+        #: Newest epoch assigned to each shard: a read whose cursor is at or
+        #: past it has nothing to fetch from that shard.
+        self._shard_latest_epoch: dict[int, int] = {}
+        self._ranks: dict[tuple[int, str], int] = {}
         self._ids: set[str] = set()
         self._next_sequence = 0
         self._latest_epoch = 0
@@ -266,9 +270,12 @@ class DistributedUpdateStore:
     def shard_of_epoch(self, epoch: int) -> int:
         return self._ring.shard_for(self._segment_of(epoch))
 
-    @staticmethod
-    def _rank(shard: int, peer: str) -> int:
-        return _hash(f"replica:{shard}:{peer}")
+    def _rank(self, shard: int, peer: str) -> int:
+        key = (shard, peer)
+        rank = self._ranks.get(key)
+        if rank is None:
+            rank = self._ranks[key] = _hash(f"replica:{shard}:{peer}")
+        return rank
 
     def _reachable(self, replica: ShardReplica) -> bool:
         return self._network.is_online(replica.host)
@@ -490,11 +497,24 @@ class DistributedUpdateStore:
                 self._next_sequence += 1
                 self._latest_epoch = max(self._latest_epoch, epoch)
                 self._shard_sequences.setdefault(shard, set()).add(entry.sequence)
+                self._shard_latest_epoch[shard] = epoch
                 self._ids.add(transaction.txn_id)
                 archived.append(entry)
         return archived
 
     # -- quorum reads ------------------------------------------------------------
+    def _read_quorum_of(
+        self, shard: int, reachable: list[ShardReplica]
+    ) -> list[ShardReplica]:
+        """The replicas a read consults: the most complete reachable ones
+        first, so a freshly re-added (still catching-up) quorum member
+        cannot shadow a complete one; placement rank breaks ties."""
+        ordered = sorted(
+            reachable,
+            key=lambda replica: (-len(replica), self._rank(shard, replica.host)),
+        )
+        return ordered[: self._read_quorum]
+
     def _read_shard(
         self,
         shard: int,
@@ -511,15 +531,15 @@ class DistributedUpdateStore:
                 f"shard {shard} has no reachable replica "
                 f"(hosts: {sorted(replica.host for replica in replicas)})"
             )
+        # Only after the reachability check: a wholly unreachable shard must
+        # fail the read whatever the cursor, or callers would take silence
+        # from a shard they cannot see for "nothing new".
+        if epoch >= self._shard_latest_epoch.get(shard, -1):
+            return []
         with self._obs.span("store.quorum_read", shard=shard):
             self._obs.metrics.counter_add("store.quorum.reads", 1)
-            # Read the most complete replicas first so a freshly re-added
-            # (still catching-up) quorum member cannot shadow a complete one.
-            reachable.sort(
-                key=lambda replica: (-len(replica), self._rank(shard, replica.host))
-            )
             merged: dict[int, PublishedTransaction] = {}
-            for replica in reachable[: self._read_quorum]:
+            for replica in self._read_quorum_of(shard, reachable):
                 for entry in replica.log.since(epoch, exclude_publisher):
                     merged[entry.sequence] = entry
         return list(merged.values())
@@ -582,15 +602,12 @@ class DistributedUpdateStore:
     def published_by(self, publisher: str) -> list[PublishedTransaction]:
         entries: dict[int, PublishedTransaction] = {}
         for shard in sorted(self._replicas):
-            replicas = [
+            reachable = [
                 replica
                 for replica in self._replicas[shard]
                 if self._reachable(replica)
             ]
-            replicas.sort(
-                key=lambda replica: (-len(replica), self._rank(shard, replica.host))
-            )
-            for replica in replicas[: self._read_quorum]:
+            for replica in self._read_quorum_of(shard, reachable):
                 for entry in replica.log.by_publisher(publisher):
                     entries[entry.sequence] = entry
         return [entries[sequence] for sequence in sorted(entries)]

@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
+from ..core.hashing import prefix_hasher
 from ..errors import SyncError
 from .network import Network
 from .reconcile import (
@@ -37,7 +38,6 @@ from .reconcile import (
     SetReconciler,
     StoreView,
 )
-from .sketch import stable_hash
 from .store import PublishedTransaction
 
 
@@ -118,13 +118,11 @@ class GossipCoordinator:
 
     # -- scheduling --------------------------------------------------------------
     def _online_members(self) -> list[str]:
-        return sorted(self._network.online_peers() & set(self._caches))
+        return sorted(self._network.online_peers() & self._caches.keys())
 
     def _partners(self, peer: str, online: list[str]) -> list[str]:
         candidates = [ARCHIVE_NAME] + [other for other in online if other != peer]
-        candidates.sort(
-            key=lambda name: stable_hash(("gossip-partner", self._round, peer, name))
-        )
+        candidates.sort(key=prefix_hasher(("gossip-partner", self._round, peer)))
         return candidates[: self.fanout]
 
     def _session(self, peer: str, partner: str) -> SessionResult:
@@ -188,8 +186,9 @@ class GossipCoordinator:
                 population //= 2
                 budget += 4
             max_rounds = budget
+        stale = self._stale_peers(online)
         for _ in range(max_rounds):
-            if not self._stale_peers(online):
+            if not stale:
                 break
             round_info = self.run_round()
             report.rounds.append(round_info)
@@ -199,12 +198,13 @@ class GossipCoordinator:
                 # put every stale peer directly in front of the archive.
                 for peer in stale:
                     self._session(peer, ARCHIVE_NAME)
-        report.converged = not self._stale_peers(online)
+                stale = self._stale_peers(online)
+        report.converged = not stale
         report.stats = self.stats.since(before)
         if not report.converged:
             raise SyncError(
                 f"gossip anti-entropy failed to converge within {max_rounds} rounds "
-                f"(stale: {', '.join(self._stale_peers(online))})"
+                f"(stale: {', '.join(stale)})"
             )
         return report
 

@@ -40,6 +40,7 @@ partner's log tail from that watermark misses nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Iterable, Optional, Union
 
 from ..errors import SketchError
@@ -370,6 +371,10 @@ class SetReconciler:
         ("decode_failures", "sketch.decode.failures"),
         ("fallbacks", "gossip.fallbacks"),
     )
+    #: ``stats -> (sessions, unchanged_sessions, ...)`` in ``_METRIC_NAMES``
+    #: order: one tuple per reading, so a session's delta is ten subtractions
+    #: however many publishers, entries or peers exist.
+    _read_stats = staticmethod(attrgetter(*(name for name, _ in _METRIC_NAMES)))
 
     def __init__(
         self,
@@ -414,15 +419,15 @@ class SetReconciler:
     def reconcile(self, left, right) -> SessionResult:
         """Make ``left`` and ``right`` hold the same entries; returns what
         the session delivered and how it got there."""
-        before = self.stats.snapshot()
+        before = self._read_stats(self.stats)
         with self._obs.span("gossip.session", left=left.name, right=right.name):
             result = self._run_session(left, right)
-        moved = self.stats.since(before)
         metrics = self._obs.metrics
-        for stat_field, metric_name in self._METRIC_NAMES:
-            delta = getattr(moved, stat_field)
-            if delta:
-                metrics.counter_add(metric_name, delta)
+        for (_, metric_name), was, now in zip(
+            self._METRIC_NAMES, before, self._read_stats(self.stats)
+        ):
+            if now != was:
+                metrics.counter_add(metric_name, now - was)
         return result
 
     def _run_session(self, left, right) -> SessionResult:

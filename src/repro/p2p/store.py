@@ -26,8 +26,10 @@ from bisect import bisect_right, insort
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
+from ..core.hashing import canonical_encode, hash_encoded
 from ..core.transactions import Transaction
 from ..errors import PublicationError
+from .sketch import entry_payload
 
 
 @dataclass(frozen=True)
@@ -48,15 +50,13 @@ class PublishedTransaction:
 
     @property
     def digest(self) -> int:
-        """Process-stable 64-bit content digest of this archive entry, the
-        identity the reconciliation sketches operate on.  Cached: sketches
-        hash every entry once per gossip session."""
+        """Process-stable 64-bit content digest of this archive entry
+        (:func:`~repro.p2p.sketch.entry_digest`), the identity the
+        reconciliation sketches operate on.  Cached: sketches hash every
+        entry once per gossip session."""
         cached = self.__dict__.get("_digest")
         if cached is None:
-            from .sketch import entry_digest
-
-            cached = entry_digest(self)
-            object.__setattr__(self, "_digest", cached)
+            cached = self._encode_once()[0]
         return cached
 
     @property
@@ -65,11 +65,16 @@ class PublishedTransaction:
         length of its canonical encoding), cached like :attr:`digest`."""
         cached = self.__dict__.get("_wire_size")
         if cached is None:
-            from .sketch import entry_wire_size
-
-            cached = entry_wire_size(self)
-            object.__setattr__(self, "_wire_size", cached)
+            cached = self._encode_once()[1]
         return cached
+
+    def _encode_once(self) -> tuple[int, int]:
+        # Digest and size are both functions of the one canonical encoding.
+        encoded = canonical_encode(entry_payload(self))
+        summary = (hash_encoded(encoded), len(encoded))
+        object.__setattr__(self, "_digest", summary[0])
+        object.__setattr__(self, "_wire_size", summary[1])
+        return summary
 
 
 class EpochLog:

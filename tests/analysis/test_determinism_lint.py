@@ -63,6 +63,21 @@ def digest(items):
     assert [finding.code for finding in findings] == ["DET002"]
 
 
+def test_prefix_hasher_and_hash_encoded_are_sinks(tmp_path: Path) -> None:
+    findings = findings_for(
+        """
+def partners(round_index, peer, online):
+    rank = prefix_hasher(("gossip-partner", round_index, peer))
+    return [rank(name) for name in set(online)]
+
+def digest(parts):
+    return hash_encoded(b"".join(set(parts)))
+""",
+        tmp_path,
+    )
+    assert [finding.code for finding in findings] == ["DET001", "DET002"]
+
+
 def test_sorted_wrapping_clears_the_finding(tmp_path: Path) -> None:
     findings = findings_for(
         """

@@ -20,6 +20,7 @@ from repro.p2p.distributed import (
     store_from_config,
 )
 from repro.p2p.network import Network
+from repro.p2p.reconcile import StoreView
 from repro.p2p.store import UpdateStore
 
 
@@ -203,6 +204,51 @@ class TestQuorum:
         assert len(store.published_since(0)) == 1
         network.connect(hosts[0])
         assert len(store.published_since(0)) == 1
+
+
+class TestCatchUpReads:
+    """A caught-up mirror's refresh reads only the shards that can answer."""
+
+    def mirrored(self, **kwargs):
+        network, store = make_store(
+            ["A", "B", "C", "D"], shard_count=8, segment_size=1, **kwargs
+        )
+        epoch = 0
+        while store.health()["active_shards"] < 8:
+            epoch += 1
+            store.archive([txn(f"t{epoch}")], epoch=epoch, publisher="A")
+        view = StoreView(store)
+        view.refresh()
+        assert view.count == len(store)
+        return network, store, view
+
+    def test_idle_refresh_reads_at_most_the_newest_shards(self):
+        network, _, view = self.mirrored(replication_factor=2)
+        reads = lambda: network.obs.metrics.counter_value("store.quorum.reads")
+        before = reads()
+        view.refresh()
+        assert reads() - before <= 2
+
+    def test_refresh_picks_up_a_late_batch_on_an_old_shard_epoch(self):
+        _, store, view = self.mirrored(replication_factor=2)
+        store.archive([txn("late")], epoch=store.latest_epoch(), publisher="A")
+        view.refresh()
+        assert view.count == len(store)
+
+    def test_idle_refresh_still_fails_on_a_wholly_unreachable_old_shard(self):
+        """The cursor is past everything the lost shard holds, and the read
+        must fail all the same: "nothing new" from a shard nobody can see is
+        not an answer."""
+        network, store, view = self.mirrored(replication_factor=1)
+        newest = store.shard_of_epoch(store.latest_epoch())
+        (lost_host,) = next(
+            store.replica_hosts(shard)
+            for shard in range(8)
+            if store.replica_hosts(shard) != store.replica_hosts(newest)
+        )
+        network.disconnect(lost_host)
+        with pytest.raises(QuorumError):
+            view.refresh()
 
 
 class TestChurnTolerance:

@@ -1,10 +1,13 @@
 """The epidemic gossip scheduler: convergence, determinism, repair."""
 
+import random
+
 import pytest
 
 from repro.core.transactions import Transaction
 from repro.core.updates import Update
 from repro.errors import SyncError
+from repro.p2p.distributed import DistributedUpdateStore
 from repro.p2p.gossip import GossipCoordinator, GossipReport
 from repro.p2p.network import Network
 from repro.p2p.reconcile import ARCHIVE_NAME, ReconcileConfig, SessionResult
@@ -56,6 +59,27 @@ class TestScheduling:
         assert first == coordinator._partners("Alaska", online)
         assert len(first) == 2
         assert "Alaska" not in first
+
+    def test_partner_schedule_is_pinned(self):
+        """Golden schedule, recorded with the per-candidate
+        ``stable_hash(("gossip-partner", round, peer, name))`` ranking: who
+        talks to whom is an input to every gossip-mode oracle and benchmark
+        digest, so a change to the ranking must show up here first."""
+        _, _, coordinator = build(fanout=3)
+        online = [peer for peer in PEERS if peer != "Dakar"]
+        schedule = {}
+        for round_index in (1, 2, 40):
+            coordinator._round = round_index
+            for peer in ("Alaska", "Hanoi"):
+                schedule[round_index, peer] = coordinator._partners(peer, online)
+        assert schedule == {
+            (1, "Alaska"): ["Crete", "Essen", "Beijing"],
+            (1, "Hanoi"): ["Essen", "Galway", "Fiji"],
+            (2, "Alaska"): ["Essen", "Galway", "Beijing"],
+            (2, "Hanoi"): ["Crete", ARCHIVE_NAME, "Fiji"],
+            (40, "Alaska"): ["Essen", "Crete", "Galway"],
+            (40, "Hanoi"): ["Essen", "Beijing", "Fiji"],
+        }
 
     def test_partner_pool_includes_the_archive(self):
         _, _, coordinator = build(fanout=len(PEERS))
@@ -175,6 +199,53 @@ class TestRepairAndFailure:
             local = [e.digest for e in coordinator.entries_since("Crete", epoch)]
             remote = [e.digest for e in store.published_since(epoch)]
             assert local == remote
+
+
+class TestPinnedTraffic:
+    def test_seeded_churn_over_the_distributed_store_moves_pinned_traffic(self):
+        """Twelve peers, seeded on/off churn, an 8-shard replicated archive:
+        the sessions run, what they decode and what they deliver are pinned,
+        so a cheaper scheduler or store read cannot quietly change a
+        decision."""
+        rng = random.Random(17)
+        names = [f"P{index:02d}" for index in range(12)]
+        network = Network(names)
+        store = DistributedUpdateStore(
+            network, shard_count=8, replication_factor=2, segment_size=1
+        )
+        coordinator = GossipCoordinator(network, store, fanout=2)
+        for name in names:
+            coordinator.register_peer(name)
+        for epoch in range(1, 31):
+            # P00 and P01 never leave, so every shard keeps a reachable replica.
+            for name in names[2:]:
+                if rng.random() < 0.25:
+                    network.set_online(name, not network.is_online(name))
+            publisher = rng.choice(sorted(network.online_peers()))
+            batch = [
+                Transaction(
+                    f"{publisher}-e{epoch}-{index}", publisher,
+                    (Update.insert("R", (epoch, index), origin=publisher),),
+                )
+                for index in range(rng.randint(1, 3))
+            ]
+            coordinator.record_published(publisher, store.archive(batch, epoch, publisher))
+            coordinator.run_until_converged()
+            for name in sorted(network.online_peers()):
+                coordinator.catch_up(name)
+        assert coordinator.rounds_run == 37
+        assert coordinator.stats.to_dict() == {
+            "sessions": 697,
+            "unchanged_sessions": 521,
+            "converged_sessions": 176,
+            "messages": 2451,
+            "bytes": 381501,
+            "sketch_bytes": 126504,
+            "entry_bytes": 58288,
+            "entries_delivered": 580,
+            "decode_failures": 1,
+            "fallbacks": 0,
+        }
 
 
 class TestReporting:

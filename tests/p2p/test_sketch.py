@@ -5,11 +5,15 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.hashing import (
     canonical_encode,
     encoded_size,
+    hash_encoded,
     mix64,
+    prefix_hasher,
     stable_hash,
     stable_text_hash,
     xor_checksum,
@@ -43,6 +47,29 @@ class TestStableHashing:
         value = ("txn", "Alaska", (1, 2))
         assert stable_hash(value) == stable_hash(value)
         assert stable_hash(value, seed=1) != stable_hash(value, seed=2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        prefix=st.lists(
+            st.one_of(st.text(), st.integers(), st.booleans(), st.none()), max_size=4
+        ),
+        names=st.lists(st.text(), min_size=1, max_size=4),
+        seed=st.integers(min_value=-(2**70), max_value=2**70),
+    )
+    def test_prefix_hasher_equals_stable_hash_of_the_whole_tuple(self, prefix, names, seed):
+        # st.text() draws from all of Unicode, so names are mostly non-ASCII.
+        rank = prefix_hasher(tuple(prefix), seed)
+        for name in names:
+            assert rank(name) == stable_hash((*prefix, name), seed)
+
+    def test_prefix_hasher_matches_on_the_gossip_partner_prefix(self):
+        rank = prefix_hasher(("gossip-partner", 7, "Zürich"))
+        for name in ("#archive", "Ålesund", "北京", ""):
+            assert rank(name) == stable_hash(("gossip-partner", 7, "Zürich", name))
+
+    def test_hash_encoded_is_stable_hash_of_the_decoded_value(self):
+        value = ("entry", "Alaska", 3, (1, "x"))
+        assert hash_encoded(canonical_encode(value), 9) == stable_hash(value, 9)
 
     def test_canonical_encode_distinguishes_types(self):
         # 1, 1.0, True and "1" collide under builtin hash/eq rules; the
@@ -120,6 +147,20 @@ class TestDigests:
         e = entry("t1", 1, 0)
         assert e.digest == e.digest == entry_digest(e)
         assert e.wire_size == entry_wire_size(e)
+
+    def test_digest_and_wire_size_share_one_encoding(self, monkeypatch):
+        import repro.p2p.store as store_module
+
+        encodings = []
+
+        def counting_encode(value):
+            encodings.append(value)
+            return canonical_encode(value)
+
+        monkeypatch.setattr(store_module, "canonical_encode", counting_encode)
+        e = entry("t1", 1, 0)
+        assert (e.wire_size, e.digest) == (entry_wire_size(e), entry_digest(e))
+        assert len(encodings) == 1
 
 
 class TestPeerClock:

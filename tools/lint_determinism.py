@@ -17,8 +17,8 @@ Findings:
   set expression inside a sensitive function.
 
 A *sensitive function* is one whose body calls any canonical-order sink
-(``stable_hash``, ``canonical_encode``, ``stable_text_hash``, ``mix64``,
-``xor_checksum``).  A *set expression* is a syntactic set: a set literal or
+(``stable_hash``, ``prefix_hasher``, ``hash_encoded``, ``canonical_encode``,
+``stable_text_hash``, ``mix64``, ``xor_checksum``).  A *set expression* is a syntactic set: a set literal or
 comprehension, a ``set()``/``frozenset()`` call, set algebra (``&``, ``|``,
 ``-``, ``^``) over one, or ``.intersection()``/``.union()``/
 ``.difference()``/``.symmetric_difference()`` calls.  Wrapping the
@@ -43,7 +43,15 @@ from pathlib import Path
 from typing import Iterator, List, Optional, Tuple
 
 SINKS = frozenset(
-    {"stable_hash", "canonical_encode", "stable_text_hash", "mix64", "xor_checksum"}
+    {
+        "stable_hash",
+        "prefix_hasher",
+        "hash_encoded",
+        "canonical_encode",
+        "stable_text_hash",
+        "mix64",
+        "xor_checksum",
+    }
 )
 SET_METHODS = frozenset(
     {"intersection", "union", "difference", "symmetric_difference"}
