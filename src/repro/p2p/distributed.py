@@ -228,6 +228,7 @@ class DistributedUpdateStore:
         #: Newest epoch assigned to each shard: a read whose cursor is at or
         #: past it has nothing to fetch from that shard.
         self._shard_latest_epoch: dict[int, int] = {}
+        #: Memo of the pure placement hash ``_rank(shard, peer)``.
         self._ranks: dict[tuple[int, str], int] = {}
         self._ids: set[str] = set()
         self._next_sequence = 0

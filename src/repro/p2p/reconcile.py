@@ -3,9 +3,10 @@
 A *session* makes two entry sets equal while moving bytes proportional to
 their symmetric difference, not their size:
 
-1. **challenge** — both sides exchange a tiny summary (count, XOR checksum,
-   completeness watermark, per-publisher epoch clock).  Equal summaries end
-   the session after two messages: already converged.
+1. **challenge** — both sides exchange a constant-size summary (count, XOR
+   checksum, latest epoch, completeness watermark: 48 bytes with the
+   envelope, however many publishers or entries a side holds).  Equal count
+   and checksum end the session after two messages: already converged.
 2. **sketch exchange** — one side ships a sketch of its entries *above the
    shared completeness watermark* (everything below it is provably held by
    both sides and cancels for free).  IBLT sketches are subtracted and
@@ -73,11 +74,9 @@ class SessionChallenge:
     checksum: int
     latest_epoch: int
     complete_until: int
-    clock_items: tuple[tuple[str, int], ...]
 
     def byte_size(self) -> int:
-        clock_bytes = sum(len(name.encode("utf-8")) + 8 for name, _ in self.clock_items)
-        return MESSAGE_HEADER_BYTES + 32 + clock_bytes
+        return MESSAGE_HEADER_BYTES + 32  # four 64-bit slots
 
 
 @dataclass(frozen=True)
@@ -198,8 +197,9 @@ class EntryCache:
 
     Keeps the entries in canonical ``(epoch, sequence)`` order (the same
     total order every store backend serves), a digest index, an incremental
-    XOR checksum, a per-publisher epoch clock, and the completeness
-    watermark ``complete_until`` documented in the module docstring.
+    XOR checksum, a per-publisher epoch clock (inspection only — it never
+    goes on the wire), and the completeness watermark ``complete_until``
+    documented in the module docstring.
     """
 
     def __init__(self, name: str) -> None:
@@ -412,7 +412,6 @@ class SetReconciler:
             checksum=side.checksum,
             latest_epoch=side.latest_epoch(),
             complete_until=side.complete_until,
-            clock_items=side.clock().items(),
         )
 
     # -- session -----------------------------------------------------------------

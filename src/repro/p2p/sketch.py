@@ -17,8 +17,9 @@ module provides the data structures for that exchange:
   *decodes* the exact symmetric difference when it fits the table's
   capacity; overflow raises :class:`~repro.errors.SketchError` and the
   protocol grows the table and retries.
-* :class:`PeerClock` — a compact per-publisher epoch vector ("I have seen
-  publisher P through epoch e"), used in session challenges.
+* :class:`PeerClock` — a per-publisher epoch vector ("I have seen publisher
+  P through epoch e").  An inspection aid (``EntryCache.clock()``): its size
+  grows with the population, so it never travels in a session.
 * :class:`CompactClock` — a constant-size (count, checksum, latest) summary
   of an entry set.  Two equal clocks mean equal sets (64-bit-whp), which
   short-circuits sessions between already-converged peers at the cost of
@@ -97,8 +98,10 @@ def entry_wire_size(entry: "PublishedTransaction") -> int:
 
 @dataclass
 class PeerClock:
-    """Compact per-publisher epoch vector: publisher name -> highest epoch
-    at which this side holds one of that publisher's transactions."""
+    """Per-publisher epoch vector: publisher name -> highest epoch at which
+    this side holds one of that publisher's transactions.  Kept for
+    inspection and tests; sessions exchange the constant-size
+    :class:`CompactClock` summary instead."""
 
     versions: dict[str, int] = field(default_factory=dict)
 
@@ -127,9 +130,6 @@ class PeerClock:
             for publisher, epoch in other.versions.items()
             if self.versions.get(publisher, -1) < epoch
         )
-
-    def items(self) -> tuple[tuple[str, int], ...]:
-        return tuple(sorted(self.versions.items()))
 
     def byte_size(self) -> int:
         # name bytes + one varint-ish epoch slot per publisher

@@ -239,7 +239,13 @@ class TestPinnedTraffic:
             "unchanged_sessions": 521,
             "converged_sessions": 176,
             "messages": 2451,
-            "bytes": 381501,
+            # With the per-publisher vector in every challenge this read
+            # 381 501: the 2 x 697 challenges listed 10 015 publisher slots
+            # of 11 bytes each (3-byte name + 8-byte epoch) on top of their
+            # 48 constant bytes.  381 501 - 11 x 10 015 = 271 336; no other
+            # message changed (sketch_bytes and entry_bytes below are the
+            # same with or without the vector).
+            "bytes": 271336,
             "sketch_bytes": 126504,
             "entry_bytes": 58288,
             "entries_delivered": 580,

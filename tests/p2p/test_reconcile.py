@@ -123,6 +123,26 @@ class TestSessions:
         assert reconciler.stats.messages == 2
         assert reconciler.stats.unchanged_sessions == 1
 
+    @pytest.mark.parametrize("publishers", [1, 40])
+    def test_converged_session_costs_two_constant_size_messages(self, algorithm, publishers):
+        """An idle session is priced by the protocol, not the population:
+        the same 2 x 48 bytes whether the sides hold 1 publisher or 40."""
+        common = [
+            entry(f"t{index}", epoch=index + 1, sequence=index, peer=f"Publisher-{index:02d}")
+            for index in range(publishers)
+        ]
+        left, right = EntryCache("L"), EntryCache("R")
+        left.add_entries(common)
+        right.add_entries(common)
+        assert len(left.clock().versions) == publishers
+        network = Network(["L", "R"])
+        reconciler = SetReconciler(ReconcileConfig(algorithm=algorithm), network=network)
+        assert reconciler.reconcile(left, right).converged
+        assert [event.size for event in network.message_trace()] == [
+            MESSAGE_HEADER_BYTES + 32
+        ] * 2
+        assert reconciler.stats.bytes == 2 * (MESSAGE_HEADER_BYTES + 32)
+
     def test_session_makes_both_sides_equal(self, algorithm):
         left, right = self._caches(20, 3, 2)
         reconciler = SetReconciler(ReconcileConfig(algorithm=algorithm))

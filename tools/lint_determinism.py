@@ -18,10 +18,11 @@ Findings:
 
 A *sensitive function* is one whose body calls any canonical-order sink
 (``stable_hash``, ``prefix_hasher``, ``hash_encoded``, ``canonical_encode``,
-``stable_text_hash``, ``mix64``, ``xor_checksum``).  A *set expression* is a syntactic set: a set literal or
-comprehension, a ``set()``/``frozenset()`` call, set algebra (``&``, ``|``,
-``-``, ``^``) over one, or ``.intersection()``/``.union()``/
-``.difference()``/``.symmetric_difference()`` calls.  Wrapping the
+``stable_text_hash``, ``mix64``, ``xor_checksum``).  A *set expression* is a
+syntactic set: a set literal or comprehension, a ``set()``/``frozenset()``
+call, set algebra (``&``, ``|``, ``-``, ``^``) over one, or
+``.intersection()``/``.union()``/``.difference()``/
+``.symmetric_difference()`` calls.  Wrapping the
 expression in ``sorted(...)`` clears the finding; a trailing ``# det: ok``
 comment suppresses it when the order is provably irrelevant.
 
