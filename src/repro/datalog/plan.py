@@ -25,7 +25,8 @@ This module does all of that work **once per rule**:
   the whole join.
 * **Head projection closure** — the head atom compiles to a closure from
   the environment to the ground output tuple (building labelled nulls for
-  skolem terms).
+  skolem terms); a head of two or more plain variables compiles to an
+  ``operator.itemgetter`` over their slots.
 
 Plans compile to chains of continuation closures executed by
 :mod:`repro.datalog.executor`; the firing hooks (plain derivation,
@@ -39,6 +40,7 @@ mapping program share one plan), bounded by a FIFO eviction policy.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Optional
 
 from ..errors import DatalogError
@@ -533,12 +535,17 @@ class CompiledRule:
             cells[index][0] = steps[index + 1]
         run = steps[0] if steps else _terminal
 
-        project_getters = tuple(
-            _value_getter(term, slots, bound) for term in rule.head.terms
-        )
-
-        def project(env) -> tuple:
-            return tuple(getter(env) for getter in project_getters)
+        head_terms = rule.head.terms
+        project_getters = tuple(_value_getter(term, slots, bound) for term in head_terms)
+        if len(head_terms) > 1 and all(isinstance(term, Variable) for term in head_terms):
+            # A head of plain variables is a pick of env slots (compiling the
+            # getters above has checked that each is bound).  With one index
+            # itemgetter returns a scalar, not a 1-tuple; constants and skolem
+            # terms need the getters.
+            project = itemgetter(*(slots[term] for term in head_terms))
+        else:
+            def project(env) -> tuple:
+                return tuple(getter(env) for getter in project_getters)
 
         source_specs = tuple(
             (rule.body[position].predicate, position)

@@ -7,7 +7,17 @@ tuples of a firing to the tuple it derives.  Internally each tuple's
 provenance is compiled — lazily, and cached — into a hash-consed circuit
 (:mod:`repro.provenance.circuit`): sum/product/variable nodes interned by
 structural identity, so sub-derivations shared across tuples, epochs and
-replicas are stored once.  The graph supports:
+replicas are stored once.
+
+Storage is on dense integer tuple ids: ``(relation, values)`` is interned
+once through ``relation → values → id``; a tuple's relation, values, base
+variable and adjacency lists sit in id-indexed lists, and roots, dirty and
+unsupported sets and component ids are keyed by id.  A derivation is one flat
+record ``(mapping_id, target_id, *source_ids)`` in an insertion-ordered dict
+``record → rule variable`` that is also the duplicate check, so recording a
+firing hashes each participating row once.  :class:`TupleNode` and
+:class:`DerivationNode` are values the inspection methods build on demand;
+none is stored.  The graph supports:
 
 * lazily expanding a tuple's provenance into an expression or polynomial
   (budget-bounded; kept for oracles and display),
@@ -27,7 +37,6 @@ replicas are stored once.  The graph supports:
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
@@ -47,6 +56,9 @@ EVALUATION_MODES = ("circuit", "expanded")
 
 _UNREACHED = float("inf")
 
+#: Index of the first source id in a record ``(mapping_id, target_id, *source_ids)``.
+_FIRST_SOURCE = 2
+
 
 class _ExpandFrame:
     """One in-progress tuple expansion of the iterative circuit compiler."""
@@ -63,7 +75,7 @@ class _ExpandFrame:
         self.alternatives = alternatives
         self.derivations = derivations
         self.d_index = 0
-        self.s_index = 0
+        self.s_index = _FIRST_SOURCE
         #: Circuit nodes of the current derivation's matched sources; None
         #: between derivations (and after a dead branch).
         self.factors = None
@@ -142,31 +154,39 @@ class ProvenanceGraph:
                 f"unknown provenance evaluation mode {evaluation_mode!r}; "
                 f"expected one of {EVALUATION_MODES}"
             )
-        self._tuples: dict[TupleKey, TupleNode] = {}
-        self._derivations: dict[tuple, DerivationNode] = {}
-        self._derivations_by_target: dict[TupleKey, list[DerivationNode]] = defaultdict(list)
-        self._derivations_by_source: dict[TupleKey, list[DerivationNode]] = defaultdict(list)
+        #: The interning table ``relation → values → tuple id``; ids are dense
+        #: and never reused, and all other state is indexed or keyed by them.
+        self._ids: dict[str, dict[tuple, int]] = {}
+        self._relations: list[str] = []
+        self._values: list[tuple] = []
+        self._variables: list[Optional[str]] = []  # None: derived-only
+        #: ``(mapping_id, target_id, *source_ids) → rule variable``.
+        self._derivations: dict[tuple, Optional[str]] = {}
+        #: Per tuple, the records deriving it and the records using it as a
+        #: source (once each, however often a body repeats it).
+        self._by_target: list[list[tuple]] = []
+        self._by_source: list[list[tuple]] = []
         self._annotate_mappings = annotate_mappings
         self.evaluation_mode = evaluation_mode
         self._store = store if store is not None else CircuitStore()
         #: Cached circuit root per tuple; invalidated transitively on change.
-        self._roots: dict[TupleKey, int] = {}
+        self._roots: dict[int, int] = {}
         #: Tuples changed since the last flush.  ``True`` marks a change that
         #: can take support away (a demoted base tuple) or a tuple never
         #: evaluated (a new derived tuple): everything downstream is
         #: re-evaluated.  ``False`` marks added support (a new base tuple, a
         #: promotion, a new derivation), which can only revive tuples that
         #: are unsupported now.
-        self._dirty: dict[TupleKey, bool] = {}
+        self._dirty: dict[int, bool] = {}
         #: The tuples not derivable from any base tuple, as of the last
         #: flush, each with the serial at which it entered (insertion order).
-        self._unsupported: dict[TupleKey, int] = {}
+        self._unsupported: dict[int, int] = {}
         self._unsupported_serial = 0
         #: Strongly-connected-component id per tuple of the dependency graph
         #: (targets depend on sources).  Ids are assigned on demand and the
         #: tuples holding one are closed under "depends on"; a new derivation
         #: drops the ids downstream of its target, the only ones it can merge.
-        self._scc: dict[TupleKey, int] = {}
+        self._scc: dict[int, int] = {}
         self._scc_counter = 0
         #: Cached evaluators keyed by (semiring, assignment, default).
         self._evaluators: dict[tuple, CircuitEvaluator] = {}
@@ -175,41 +195,48 @@ class ProvenanceGraph:
         self._rule_variables: set[str] = set()
 
     # -- construction -----------------------------------------------------
+    def _new_tuple(self, by_values: dict, relation: str, values: tuple, variable) -> int:
+        """Give a never-seen tuple the next id (``by_values``: its relation's interning dict)."""
+        tuple_id = by_values[values] = len(self._relations)
+        self._relations.append(relation)
+        self._values.append(values)
+        self._variables.append(variable)
+        self._by_target.append([])
+        self._by_source.append([])
+        # Derived: unsupported until a derivation says otherwise.  Base: adds support.
+        self._dirty[tuple_id] = variable is None
+        return tuple_id
+
+    def _id_of(self, relation: str, values: tuple) -> Optional[int]:
+        by_values = self._ids.get(relation)
+        return None if by_values is None else by_values.get(tuple(values))
+
     def add_base_tuple(
         self, relation: str, values: tuple, variable: Optional[str] = None
     ) -> TupleNode:
         """Register a base (peer-inserted) tuple and give it a provenance variable."""
-        key = (relation, tuple(values))
-        existing = self._tuples.get(key)
-        if existing is not None:
-            if existing.is_base:
-                return existing
-            # A tuple previously known only as derived is now also asserted as
-            # base data: promote it, keeping its derivations.
-            promoted = TupleNode(
-                relation, key[1], is_base=True, variable=variable or self._fresh_variable(key)
-            )
-            self._tuples[key] = promoted
-            self._dirty.setdefault(key, False)
-            return promoted
-        node = TupleNode(
-            relation, key[1], is_base=True, variable=variable or self._fresh_variable(key)
-        )
-        self._tuples[key] = node
-        self._dirty.setdefault(key, False)
-        return node
+        values = tuple(values)
+        by_values = self._ids.setdefault(relation, {})
+        tuple_id = by_values.get(values)
+        if tuple_id is None or self._variables[tuple_id] is None:
+            variable = variable or f"{relation}({','.join(str(value) for value in values)})"
+            if tuple_id is None:
+                tuple_id = self._new_tuple(by_values, relation, values, variable)
+            else:
+                # A tuple previously known only as derived is now also asserted
+                # as base data: promote it, keeping its derivations.
+                self._variables[tuple_id] = variable
+                self._dirty.setdefault(tuple_id, False)
+        return self._tuple_node(tuple_id)
 
     def add_derived_tuple(self, relation: str, values: tuple) -> TupleNode:
         """Register a derived tuple (no variable of its own)."""
-        key = (relation, tuple(values))
-        existing = self._tuples.get(key)
-        if existing is not None:
-            return existing
-        node = TupleNode(relation, key[1], is_base=False)
-        self._tuples[key] = node
-        # Unsupported until a derivation says otherwise: must be evaluated.
-        self._dirty[key] = True
-        return node
+        values = tuple(values)
+        by_values = self._ids.setdefault(relation, {})
+        tuple_id = by_values.get(values)
+        if tuple_id is None:
+            tuple_id = self._new_tuple(by_values, relation, values, None)
+        return self._tuple_node(tuple_id)
 
     def add_derivation(
         self,
@@ -217,34 +244,43 @@ class ProvenanceGraph:
         target: tuple[str, tuple],
         sources: Iterable[tuple[str, tuple]],
         rule_variable: Optional[str] = None,
-    ) -> DerivationNode:
-        """Record that ``sources`` jointly derive ``target`` through ``mapping_id``."""
-        target_key: TupleKey = (target[0], tuple(target[1]))
-        source_keys: tuple[TupleKey, ...] = tuple(
-            (relation, tuple(values)) for relation, values in sources
-        )
-        self.add_derived_tuple(*target_key)
-        for relation, values in source_keys:
-            if (relation, values) not in self._tuples:
-                # Sources that have never been registered are treated as
-                # derived placeholders; they get no variable until someone
-                # asserts them as base data.
-                self.add_derived_tuple(relation, values)
+    ) -> None:
+        """Record that ``sources`` jointly derive ``target`` through ``mapping_id``
+        (a firing already recorded changes nothing).
+
+        The hot path of update exchange (the executors' ``recorder``): it builds
+        no node and spells the two-level lookup out, so that a firing costs one
+        hash and no call per participating row.
+        """
+        ids = self._ids
+        fields: list = [mapping_id]
+        for relation, values in (target, *sources):
+            values = tuple(values)
+            by_values = ids.setdefault(relation, {})
+            tuple_id = by_values.get(values)
+            if tuple_id is None:
+                # Never registered: a derived placeholder until asserted as base data.
+                tuple_id = self._new_tuple(by_values, relation, values, None)
+            fields.append(tuple_id)
+        record = tuple(fields)
+        if record in self._derivations:
+            return
         if self._annotate_mappings and rule_variable is None:
             rule_variable = f"m:{mapping_id}"
-        derivation = DerivationNode(mapping_id, target_key, source_keys, rule_variable)
-        if derivation.key in self._derivations:
-            return self._derivations[derivation.key]
-        self._derivations[derivation.key] = derivation
-        self._derivations_by_target[target_key].append(derivation)
-        for source_key in source_keys:
-            self._derivations_by_source[source_key].append(derivation)
+        self._derivations[record] = rule_variable
+        target_id = record[1]
+        self._by_target[target_id].append(record)
+        by_source = self._by_source
+        for source_id in record[_FIRST_SOURCE:]:
+            users = by_source[source_id]
+            # A body repeating a source finds this record on top of its list: index it once.
+            if not users or users[-1] is not record:
+                users.append(record)
         if rule_variable:
             self._rule_variables.add(rule_variable)
-        self._dirty.setdefault(target_key, False)
-        if target_key in self._scc:
-            self._forget_components(target_key)
-        return derivation
+        self._dirty.setdefault(target_id, False)
+        if target_id in self._scc:
+            self._forget_components(target_id)
 
     def remove_base_tuple(self, relation: str, values: tuple) -> bool:
         """Demote a base tuple to derived-only (it was deleted at its origin).
@@ -254,46 +290,57 @@ class ProvenanceGraph:
         :meth:`is_derivable`.
         Returns True when the tuple was a base tuple.
         """
-        key = (relation, tuple(values))
-        node = self._tuples.get(key)
-        if node is None or not node.is_base:
+        tuple_id = self._id_of(relation, values)
+        if tuple_id is None or self._variables[tuple_id] is None:
             return False
-        self._tuples[key] = TupleNode(relation, key[1], is_base=False)
-        self._dirty[key] = True
+        self._variables[tuple_id] = None
+        self._dirty[tuple_id] = True
         return True
 
-    def _fresh_variable(self, key: TupleKey) -> str:
-        relation, values = key
-        rendered = ",".join(str(value) for value in values)
-        return f"{relation}({rendered})"
+    # -- inspection (nodes are views, built when asked for) ------------------
+    def _key(self, tuple_id: int) -> TupleKey:
+        return (self._relations[tuple_id], self._values[tuple_id])
 
-    # -- inspection ----------------------------------------------------------
+    def _tuple_node(self, tuple_id: int) -> TupleNode:
+        variable = self._variables[tuple_id]
+        return TupleNode(*self._key(tuple_id), variable is not None, variable)
+
+    def _derivation_node(self, record: tuple) -> DerivationNode:
+        sources = tuple(self._key(source_id) for source_id in record[_FIRST_SOURCE:])
+        return DerivationNode(record[0], self._key(record[1]), sources, self._derivations[record])
+
+    def _derivation_nodes(self, adjacency, relation, values) -> list[DerivationNode]:
+        tuple_id = self._id_of(relation, values)
+        records = () if tuple_id is None else adjacency[tuple_id]
+        return [self._derivation_node(record) for record in records]
+
     def node(self, relation: str, values: tuple) -> Optional[TupleNode]:
-        return self._tuples.get((relation, tuple(values)))
+        tuple_id = self._id_of(relation, values)
+        return None if tuple_id is None else self._tuple_node(tuple_id)
 
     def tuples(self) -> Iterable[TupleNode]:
-        return self._tuples.values()
+        return [self._tuple_node(tuple_id) for tuple_id in range(len(self._relations))]
 
     def derivations(self) -> Iterable[DerivationNode]:
-        return self._derivations.values()
+        return [self._derivation_node(record) for record in self._derivations]
 
     def derivations_of(self, relation: str, values: tuple) -> list[DerivationNode]:
-        return list(self._derivations_by_target.get((relation, tuple(values)), ()))
+        return self._derivation_nodes(self._by_target, relation, values)
 
     def derivations_from(self, relation: str, values: tuple) -> list[DerivationNode]:
-        return list(self._derivations_by_source.get((relation, tuple(values)), ()))
+        return self._derivation_nodes(self._by_source, relation, values)
 
     def base_variables(self) -> dict[str, TupleKey]:
         """Map each provenance variable to the base tuple it annotates."""
         return {
-            node.variable: key
-            for key, node in self._tuples.items()
-            if node.is_base and node.variable
+            variable: self._key(tuple_id)
+            for tuple_id, variable in enumerate(self._variables)
+            if variable is not None
         }
 
     def size(self) -> tuple[int, int]:
         """Return ``(tuple nodes, derivation nodes)``."""
-        return (len(self._tuples), len(self._derivations))
+        return (len(self._relations), len(self._derivations))
 
     # -- circuit compilation --------------------------------------------------
     @property
@@ -311,7 +358,7 @@ class ProvenanceGraph:
 
     def root(self, relation: str, values: tuple) -> int:
         """The circuit node denoting a tuple's provenance (``ZERO`` if unknown)."""
-        return self._root_for((relation, tuple(values)))
+        return self._root_for(self._id_of(relation, values))
 
     def _flush_dirty(self) -> None:
         """Bring roots and the unsupported set up to date with the changes.
@@ -325,10 +372,10 @@ class ProvenanceGraph:
             return
         dirty, self._dirty = self._dirty, {}
         roots = self._roots
-        by_source = self._derivations_by_source
+        by_source = self._by_source
         unsupported = self._unsupported
-        seen: set[TupleKey] = set()
-        recheck: list[TupleKey] = []
+        seen: set[int] = set()
+        recheck: list[int] = []
         # Cones that may have lost support first, so a tuple in both kinds of
         # cone is re-evaluated whether or not it is unsupported now.
         for may_lose_support in (True, False):
@@ -341,8 +388,8 @@ class ProvenanceGraph:
                 roots.pop(key, None)
                 if may_lose_support or key in unsupported:
                     recheck.append(key)
-                for derivation in by_source.get(key, ()):
-                    target = derivation.target
+                for record in by_source[key]:
+                    target = record[1]
                     if target not in seen:
                         seen.add(target)
                         queue.append(target)
@@ -365,7 +412,7 @@ class ProvenanceGraph:
                 self._unsupported_serial += 1
                 unsupported[key] = self._unsupported_serial
 
-    def _forget_components(self, key: TupleKey) -> None:
+    def _forget_components(self, key: int) -> None:
         """Drop the component ids of ``key`` and of everything downstream.
 
         A new derivation of ``key`` can only merge components on a cycle
@@ -376,15 +423,15 @@ class ProvenanceGraph:
         """
         scc = self._scc
         del scc[key]
-        by_source = self._derivations_by_source
+        by_source = self._by_source
         queue = [key]
         while queue:
-            for derivation in by_source.get(queue.pop(), ()):
-                target = derivation.target
+            for record in by_source[queue.pop()]:
+                target = record[1]
                 if scc.pop(target, None) is not None:
                     queue.append(target)
 
-    def _assign_components(self, start: TupleKey) -> dict[TupleKey, int]:
+    def _assign_components(self, start: int) -> dict[int, int]:
         """Give ``start`` and everything it depends on a component id
         (iterative Tarjan from ``start``).
 
@@ -399,21 +446,20 @@ class ProvenanceGraph:
         sccs = self._scc
         if start in sccs:
             return sccs
-        tuples = self._tuples
-        by_target = self._derivations_by_target
-        index: dict[TupleKey, int] = {}
-        low: dict[TupleKey, int] = {}
-        on_stack: set[TupleKey] = set()
-        component_stack: list[TupleKey] = []
+        by_target = self._by_target
+        index: dict[int, int] = {}
+        low: dict[int, int] = {}
+        on_stack: set[int] = set()
+        component_stack: list[int] = []
         counter = 0
 
-        def successors(node: TupleKey):
+        def successors(node: int):
             return iter(
                 [
                     source
-                    for derivation in by_target.get(node, ())
-                    for source in derivation.sources
-                    if source in tuples and source not in sccs
+                    for record in by_target[node]
+                    for source in record[_FIRST_SOURCE:]
+                    if source not in sccs
                 ]
             )
 
@@ -421,7 +467,7 @@ class ProvenanceGraph:
         counter += 1
         component_stack.append(start)
         on_stack.add(start)
-        work: list[tuple[TupleKey, object]] = [(start, successors(start))]
+        work: list[tuple[int, object]] = [(start, successors(start))]
         while work:
             node, iterator = work[-1]
             descended = False
@@ -453,14 +499,16 @@ class ProvenanceGraph:
                 self._scc_counter += 1
         return sccs
 
-    def _root_for(self, key: TupleKey) -> int:
+    def _root_for(self, key: Optional[int]) -> int:
         self._flush_dirty()
+        if key is None:  # not in the graph
+            return ZERO
         cached = self._roots.get(key)
         if cached is not None:
             return cached
         return self._compile_root(key)
 
-    def _compile_root(self, start: TupleKey) -> int:
+    def _compile_root(self, start: int) -> int:
         """Compile one tuple's acyclic provenance into the circuit store.
 
         Explicit-frame depth-first expansion (no Python recursion, so
@@ -479,36 +527,33 @@ class ProvenanceGraph:
         """
         sccs = self._assign_components(start)
         store = self._store
-        tuples = self._tuples
-        by_target = self._derivations_by_target
+        variables = self._variables
+        derivations = self._derivations
+        by_target = self._by_target
         roots = self._roots
-        on_path: dict[TupleKey, int] = {}
+        on_path: dict[int, int] = {}
         path_sccs: dict = {}
         frames: list[_ExpandFrame] = []
 
-        def resolve(key: TupleKey, depth: int):
+        def resolve(key: int, depth: int):
             """Immediate ``(node, low)`` when no descent is needed, else
             ``None`` after pushing a frame for the tuple."""
             cached = roots.get(key)
             if cached is not None and sccs.get(key) not in path_sccs:
                 return (cached, _UNREACHED)
-            node = tuples.get(key)
+            variable = variables[key]
             path_depth = on_path.get(key)
             if path_depth is not None:
-                if node is not None and node.is_base and node.variable:
-                    return (store.var(node.variable), path_depth)
+                if variable is not None:
+                    return (store.var(variable), path_depth)
                 return (ZERO, path_depth)
-            if node is None:
-                return (ZERO, _UNREACHED)
             alternatives: list[int] = []
-            if node.is_base and node.variable:
-                alternatives.append(store.var(node.variable))
+            if variable is not None:
+                alternatives.append(store.var(variable))
             on_path[key] = depth
             scc_id = sccs.get(key)
             path_sccs[scc_id] = path_sccs.get(scc_id, 0) + 1
-            frames.append(
-                _ExpandFrame(key, depth, scc_id, alternatives, by_target.get(key, ()))
-            )
+            frames.append(_ExpandFrame(key, depth, scc_id, alternatives, by_target[key]))
             return None
 
         immediate = resolve(start, 0)
@@ -522,13 +567,12 @@ class ProvenanceGraph:
                 completed = None
             descended = False
             while frame.d_index < len(frame.derivations):
-                derivation = frame.derivations[frame.d_index]
+                record = frame.derivations[frame.d_index]
                 if frame.factors is None:
                     frame.factors = []
-                    frame.s_index = 0
-                sources = derivation.sources
-                if frame.s_index < len(sources):
-                    value = resolve(sources[frame.s_index], frame.depth + 1)
+                    frame.s_index = _FIRST_SOURCE
+                if frame.s_index < len(record):
+                    value = resolve(record[frame.s_index], frame.depth + 1)
                     if value is None:
                         descended = True
                         break
@@ -536,8 +580,9 @@ class ProvenanceGraph:
                     continue
                 # Every source matched: close out this derivation.
                 factors = frame.factors
-                if derivation.rule_variable:
-                    factors.append(store.var(derivation.rule_variable))
+                rule_variable = derivations[record]
+                if rule_variable:
+                    factors.append(store.var(rule_variable))
                 frame.alternatives.append(store.product_of(factors))
                 frame.factors = None
                 frame.d_index += 1
@@ -568,8 +613,7 @@ class ProvenanceGraph:
         kept for API compatibility; the circuit expansion is exact and no
         longer needs a depth bound.
         """
-        key = (relation, tuple(values))
-        return self._store.to_expression(self._root_for(key))
+        return self._store.to_expression(self.root(relation, values))
 
     #: Default bound on expanded-polynomial size.  The pre-circuit expander
     #: was (weakly) bounded by a depth cutoff; with exact expansion the
@@ -592,8 +636,7 @@ class ProvenanceGraph:
         ``max_depth`` is kept for API compatibility and no longer limits the
         (exact) expansion — the budget replaced it as the safety knob.
         """
-        key = (relation, tuple(values))
-        return self._store.to_polynomial(self._root_for(key), max_monomials=max_monomials)
+        return self._store.to_polynomial(self.root(relation, values), max_monomials=max_monomials)
 
     # -- semiring evaluation --------------------------------------------------
     def _evaluator_cache_key(self, semiring, assignment, default) -> Optional[tuple]:
@@ -643,7 +686,7 @@ class ProvenanceGraph:
         default: Optional[object] = None,
     ):
         """One tuple's annotation in ``semiring`` under ``assignment``."""
-        key = (relation, tuple(values))
+        key = self._id_of(relation, values)
         obs = self.observability
         if self.evaluation_mode == "expanded":
             if obs is not None:
@@ -667,7 +710,7 @@ class ProvenanceGraph:
             metrics.counter_add("provenance.circuit.memo_hits", 1)
         return result
 
-    def _expanded_annotation(self, key: TupleKey, semiring, assignment, default):
+    def _expanded_annotation(self, key: Optional[int], semiring, assignment, default):
         """Expanded-representation path: materialise the tuple's ``N[X]``
         polynomial and evaluate it with :meth:`Polynomial.evaluate`.
 
@@ -706,13 +749,14 @@ class ProvenanceGraph:
         compatibility; circuit evaluation always terminates, even for
         non-idempotent semirings over cyclic derivation graphs.
         """
+        keys = range(len(self._relations))
         if self.evaluation_mode == "expanded":
             return {
-                key: self._expanded_annotation(key, semiring, assignment, default)
-                for key in self._tuples
+                self._key(key): self._expanded_annotation(key, semiring, assignment, default)
+                for key in keys
             }
         evaluator = self.evaluator(semiring, assignment, default)
-        return {key: evaluator.value(self._root_for(key)) for key in self._tuples}
+        return {self._key(key): evaluator.value(self._root_for(key)) for key in keys}
 
     def is_derivable(
         self,
@@ -726,7 +770,7 @@ class ProvenanceGraph:
         variable is in the set count as support (the boolean-semiring trust
         evaluation of the paper).
         """
-        key = (relation, tuple(values))
+        key = self._id_of(relation, values)
         boolean = BooleanSemiring()
         if trusted_variables is None:
             assignment: Mapping[str, object] = {}
@@ -765,12 +809,12 @@ class ProvenanceGraph:
         """
         self._flush_dirty()
         if not since:
-            return list(self._unsupported)
+            return [self._key(key) for key in self._unsupported]
         newly: list[TupleKey] = []
         for key in reversed(self._unsupported):
             if self._unsupported[key] <= since:
                 break
-            newly.append(key)
+            newly.append(self._key(key))
         newly.reverse()
         return newly
 

@@ -33,7 +33,7 @@ from ..provenance.graph import ProvenanceGraph
 from .candidates import GroupingOutcome, TransactionGroup, antecedent_closure, build_groups
 from .conflicts import ConflictKey, conflict_key
 from .decisions import Decision, ReconciliationState
-from .priorities import group_priority
+from .priorities import group_priority, trusted_variable_set
 
 
 @dataclass
@@ -136,15 +136,21 @@ class Reconciler:
         self._reject_candidates(grouping, result)
         self._mark_pending(grouping, result)
 
-        trusted_peers = None
+        trusted_peers = trusted_variables = None
         if provenance is not None and self._peer.trust.require_trusted_provenance:
             trusted_peers = self._peer.trust.trusted_peers(
                 {candidate.origin for candidate in pool.values()} | {self._peer.name}
             )
+            if grouping.groups:
+                # One scan of the graph per call, not one per group.
+                trusted_variables = trusted_variable_set(provenance, trusted_peers)
         else:
             provenance = None
         for group in grouping.groups:
-            group_priority(group, self._peer.trust, self._peer.schema, provenance, trusted_peers)
+            group_priority(
+                group, self._peer.trust, self._peer.schema,
+                provenance, trusted_peers, trusted_variables,
+            )
 
         self._greedy_select(grouping.groups, _CallMemo(pool, self._peer.schema), result)
         return result

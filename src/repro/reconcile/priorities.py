@@ -29,11 +29,19 @@ def group_priority(
     schema: PeerSchema,
     provenance: Optional[ProvenanceGraph] = None,
     trusted_peers: Optional[set[str]] = None,
+    trusted_variables: Optional[set[str]] = None,
 ) -> int:
-    """Compute and return the priority of a group (also stored on the group)."""
+    """Compute and return the priority of a group (also stored on the group).
+
+    ``trusted_variables`` is :func:`trusted_variable_set` of ``trusted_peers``,
+    a scan of the graph's base tuples: a caller ranking many groups computes
+    it once and passes it; it is computed here when omitted.
+    """
     priority = policy.priority_for_updates(group.candidate.updates, schema)
     if priority > 0 and provenance is not None and trusted_peers is not None:
-        if not _supported_by_trusted_peers(group, provenance, trusted_peers):
+        if trusted_variables is None:
+            trusted_variables = trusted_variable_set(provenance, trusted_peers)
+        if not _supported_by_trusted_peers(group, provenance, trusted_variables):
             priority = 0
     group.priority = priority
     return priority
@@ -42,7 +50,7 @@ def group_priority(
 def _supported_by_trusted_peers(
     group: TransactionGroup,
     provenance: ProvenanceGraph,
-    trusted_peers: set[str],
+    trusted_variables: set[str],
 ) -> bool:
     """Is every inserted tuple of the candidate derivable from trusted data?
 
@@ -55,7 +63,6 @@ def _supported_by_trusted_peers(
     the same trusted set share one memoized boolean evaluator, so only the
     first question per sub-derivation pays for evaluation.
     """
-    trusted_variables = trusted_variable_set(provenance, trusted_peers)
     target = group.candidate.target_peer
     for update in group.candidate.updates:
         for values in update.inserted_tuples():
@@ -77,9 +84,10 @@ def _variable_peer(published_name: str) -> str:
 def trusted_variable_set(
     provenance: ProvenanceGraph, trusted_peers: set[str]
 ) -> set[str]:
-    """All provenance variables contributed by the given peers."""
+    """All provenance variables contributed by the given peers (one pass over
+    the graph's base tuples)."""
     return {
-        node.variable
-        for node in provenance.tuples()
-        if node.is_base and node.variable and _variable_peer(node.relation) in trusted_peers
+        variable
+        for variable, (relation, _values) in provenance.base_variables().items()
+        if _variable_peer(relation) in trusted_peers
     }

@@ -14,6 +14,7 @@ Two layers:
 """
 
 import random
+from operator import itemgetter
 
 import pytest
 
@@ -315,3 +316,35 @@ class TestCompiledMatchesInterpreted:
             assert _all_polynomials(
                 compiled_result.database, compiled_result.graph
             ) == _all_polynomials(interpreted, interpreted_graph), context
+
+
+class TestHeadProjection:
+    """All-variable heads compile to ``operator.itemgetter``; the rest keep
+    the generic closure and every head still yields a tuple."""
+
+    @staticmethod
+    def project(rule_text: str):
+        return compile_rule(parse_rule(rule_text)).plan_for(None).project
+
+    def test_variable_head_projects_slots_in_head_order(self):
+        rule = "T(z, x, x) :- R(x, y), S(y, z)."
+        assert isinstance(self.project(rule), itemgetter)
+        db = Database.from_dict({"R": [(1, 2)], "S": [(2, 3)]})
+        assert evaluate_rule_once(parse_rule(rule), db) == {(3, 1, 1)}
+
+    def test_one_column_head_still_yields_a_one_tuple(self):
+        assert not isinstance(self.project("T(x) :- R(x, y)."), itemgetter)
+        db = Database.from_dict({"R": [(1, 2), (4, 5)]})
+        assert evaluate_rule_once(parse_rule("T(x) :- R(x, y)."), db) == {(1,), (4,)}
+
+    def test_zero_column_head_yields_the_empty_tuple(self):
+        db = Database.from_dict({"R": [(1, 2)]})
+        assert evaluate_rule_once(parse_rule("T() :- R(x, y)."), db) == {()}
+
+    def test_skolem_and_constant_heads_are_unchanged(self):
+        assert not isinstance(self.project("T(x, SK_f(x, y)) :- R(x, y)."), itemgetter)
+        assert not isinstance(self.project("T(x, 'k') :- R(x, y)."), itemgetter)
+        db = Database.from_dict({"R": [(1, 2)]})
+        assert evaluate_rule_once(parse_rule("T(x, SK_f(x, y), 'k') :- R(x, y)."), db) == {
+            (1, SkolemTerm("SK_f", (1, 2)), "k")
+        }

@@ -37,7 +37,8 @@ class TestConstruction:
         graph = ProvenanceGraph()
         first = graph.add_base_tuple("R", (1,), "r")
         second = graph.add_base_tuple("R", (1,))
-        assert first is second
+        assert first == second
+        assert graph.size() == (1, 0)
 
     def test_derived_then_promoted_to_base(self):
         graph = ProvenanceGraph()
@@ -66,6 +67,15 @@ class TestConstruction:
         graph = build_join_graph()
         assert len(graph.derivations_of("OPS", ("ecoli", "lacZ", "ATG"))) == 1
         assert len(graph.derivations_from("O", ("ecoli", 1))) == 1
+
+    def test_self_join_lists_the_derivation_once_per_source(self):
+        graph = ProvenanceGraph()
+        graph.add_base_tuple("E", ("a", "a"), "e")
+        graph.add_derivation("r", ("T", ("a", "a")), [("E", ("a", "a")), ("E", ("a", "a"))])
+        (derivation,) = graph.derivations_from("E", ("a", "a"))
+        assert derivation.sources == (("E", ("a", "a")), ("E", ("a", "a")))
+        squared = Polynomial.variable("e") * Polynomial.variable("e")
+        assert graph.polynomial_for("T", ("a", "a")) == squared
 
 
 class TestExpansion:

@@ -1,10 +1,12 @@
 """Unit tests for transaction grouping and priority assignment."""
 
+from repro.core.peer import Peer
 from repro.core.schema import PeerSchema
 from repro.core.trust import TrustPolicy
 from repro.core.updates import Update
 from repro.exchange.translation import CandidateTransaction
 from repro.provenance.graph import ProvenanceGraph
+from repro.reconcile.algorithm import Reconciler
 from repro.reconcile.candidates import TransactionGroup, antecedent_closure, build_groups
 from repro.reconcile.decisions import ReconciliationState
 from repro.reconcile.priorities import group_priority, trusted_variable_set
@@ -131,3 +133,42 @@ class TestGroupPriority:
         graph.add_base_tuple("Beijing.OPS!pub", ("a", "b", "c"), "v1")
         graph.add_base_tuple("Alaska.OPS!pub", ("d", "e", "f"), "v2")
         assert trusted_variable_set(graph, {"Beijing"}) == {"v1"}
+
+
+class ScanCountingGraph(ProvenanceGraph):
+    """Counts the calls that walk every tuple of the graph."""
+
+    scans = 0
+
+    def base_variables(self):
+        self.scans += 1
+        return super().base_variables()
+
+    def tuples(self):
+        self.scans += 1
+        return super().tuples()
+
+
+def test_reconcile_scans_the_graph_once_for_many_groups():
+    """With ``require_trusted_provenance`` the trusted variables come from one
+    pass over the graph per ``reconcile`` call, whatever the number of groups."""
+    policy = TrustPolicy.trust_only("Crete", {"Beijing": 2}, others=0)
+    policy.require_trusted_provenance = True
+    graph = ScanCountingGraph()
+    batch = []
+    for index in range(12):
+        # Even transactions relay Alaska's data under Beijing's name.
+        publisher = ("Alaska", "Beijing")[index % 2]
+        row = ("E. coli", f"t{index}", "AAA")
+        graph.add_base_tuple(f"{publisher}.OPS!pub", row)
+        graph.add_derivation("M", ("Crete.OPS", row), [(f"{publisher}.OPS!pub", row)])
+        batch.append(candidate(f"t{index}"))
+    reconciler = Reconciler(Peer("Crete", SIGMA2, policy))
+
+    result = reconciler.reconcile(batch, provenance=graph)
+
+    assert graph.scans == 1
+    assert sorted(result.accepted) == sorted(f"t{index}" for index in range(1, 12, 2))
+    assert sorted(result.rejected) == sorted(f"t{index}" for index in range(0, 12, 2))
+    reconciler.reconcile([], provenance=graph)
+    assert graph.scans == 1  # nothing to rank, nothing scanned
