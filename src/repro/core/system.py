@@ -9,9 +9,14 @@ describes:
   and folds the transactions into the incremental update-exchange engine,
   which records how they translate into every other peer's schema;
 * ``reconcile(peer)`` retrieves everything published since the peer last
-  reconciled, translates it into the peer's schema, and runs the trust-based
-  reconciliation algorithm, applying the accepted transactions to the peer's
-  local instance and deferring equal-priority conflicts;
+  reconciled and considers it *as translated into the peer's schema*: the
+  transactions whose translation brings the peer something become
+  candidates for the trust-based reconciliation algorithm, which applies
+  the accepted ones to the peer's local instance and defers equal-priority
+  conflicts; the rest — the peer's own transactions and those that
+  translate to nothing there — are counted as offered and accepted by rule
+  (:meth:`CDSS._implicitly_accepted`), without being translated, decided or
+  stored;
 * ``resolve_conflict(peer, winner)`` lets the site administrator settle a
   deferred conflict, cascading accepts/rejects through dependent
   transactions.
@@ -34,13 +39,12 @@ from ..errors import ConfigurationError, MappingError, PeerError, PublicationErr
 from ..exchange.engine import ExchangeEngine
 from ..exchange.migration import migrate_instance
 from ..exchange.rules import compile_mappings
-from ..exchange.translation import CandidateTransaction, UpdateTranslator
+from ..exchange.translation import UpdateTranslator
 from ..obs import Tracer, write_chrome_trace
 from ..p2p.distributed import store_from_config
 from ..p2p.gossip import GossipCoordinator
 from ..p2p.network import Network
 from ..p2p.reconcile import ReconcileConfig
-from ..p2p.replication import ReplicationManager
 from ..p2p.store import UpdateStore
 from ..reconcile.algorithm import ReconcileResult, Reconciler
 from ..reconcile.decisions import DeferredConflict, ReconciliationState
@@ -79,6 +83,8 @@ class ReconcileOutcome:
 
     peer: str
     epoch: int
+    #: Entries past the peer's watermark that were offered to it, whether or
+    #: not they touched the peer and became candidates of ``result``.
     candidates_considered: int
     result: ReconcileResult
 
@@ -167,9 +173,6 @@ class CDSS:
             self.obs.tracer = Tracer(self.network.clock)
         factory = store_factory if store_factory is not None else store_from_config
         self.store = factory(self.network, self.config.store)
-        self.replication = ReplicationManager(
-            self.network, self.config.store.replication_factor
-        )
         store_config = self.config.store
         self.gossip: Optional[GossipCoordinator] = None
         if store_config.sync_mode == "gossip":
@@ -246,9 +249,11 @@ class CDSS:
         self.catalog.add_peer(peer)
         self.network.register(name)
         self._translators[name] = UpdateTranslator(name, schema)
-        self._reconcilers[name] = Reconciler(
-            peer, ReconciliationState(peer=name), self.config.reconciliation
+        state = ReconciliationState(
+            peer=name,
+            implicit_rule=lambda txn_id: self._implicitly_accepted(peer, txn_id),
         )
+        self._reconcilers[name] = Reconciler(peer, state, self.config.reconciliation)
         if self.gossip is not None:
             self.gossip.register_peer(name)
         self._invalidate_engine()
@@ -282,7 +287,28 @@ class CDSS:
 
     # -- engine management ---------------------------------------------------------
     def _invalidate_engine(self) -> None:
+        if self._engine is not None:
+            # The rebuilt engine may translate history differently; what each
+            # peer accepted by rule under this one becomes a stored decision.
+            processed = self._engine.processed_transactions()
+            for reconciler in self._reconcilers.values():
+                reconciler.state.store_implicit(processed)
         self._engine = None
+
+    def _implicitly_accepted(self, peer: Peer, txn_id: str) -> bool:
+        """The implicit-accept rule of ``peer``'s reconciliation state.
+
+        A transaction is accepted without a stored decision when the peer
+        has been offered it (it was exchanged and published no later than
+        the peer's reconcile watermark) and it does not touch the peer: it
+        originated there, or its delta holds nothing for the peer.
+        """
+        engine = self._engine
+        if engine is None or not engine.has_processed(txn_id):
+            return False
+        delta = engine.delta_for(txn_id)
+        offered = delta.epoch <= peer.clock.last_reconciled_epoch
+        return offered and not delta.touches(peer.name)
 
     @property
     def engine(self) -> ExchangeEngine:
@@ -376,7 +402,6 @@ class CDSS:
                 self.gossip.record_published(peer_name, entries)
 
             for entry in entries:
-                self.replication.place(entry.txn_id, peer_name)
                 delta = engine.process_transaction(entry.transaction)
                 outcome.published.append(entry.txn_id)
                 outcome.translated_changes += delta.change_count()
@@ -430,16 +455,27 @@ class CDSS:
             entries = self.gossip.entries_since(peer_name, watermark)
         else:
             entries = self.store.published_since(watermark)
+        # Everything past the watermark is *offered* (reports, downlink
+        # traffic and quiescence count it), but only what touches this peer
+        # is translated and decided; the rest is accepted by rule.
+        offered = len(entries)
+        touching = engine.touching(peer_name, watermark)
+        if offered != engine.processed_since(watermark):
+            # The archive served something other than what was exchanged:
+            # establish entry by entry what is being offered.
+            touching = []
+            for entry in entries:
+                if not engine.has_processed(entry.txn_id):
+                    raise PublicationError(
+                        f"transaction {entry.txn_id!r} is archived but was never exchanged"
+                    )
+                delta = engine.delta_for(entry.txn_id)
+                if delta.touches(peer_name):
+                    touching.append((entry.transaction, delta))
         translator = self._translators[peer_name]
-
-        candidates: list[CandidateTransaction] = []
-        for entry in entries:
-            if not engine.has_processed(entry.txn_id):
-                raise PublicationError(
-                    f"transaction {entry.txn_id!r} is archived but was never exchanged"
-                )
-            delta = engine.delta_for(entry.txn_id)
-            candidates.append(translator.translate(entry.transaction, delta))
+        candidates = [
+            translator.translate(transaction, delta) for transaction, delta in touching
+        ]
 
         epoch = self.clock.tick()
         reconciler = self._reconcilers[peer_name]
@@ -451,16 +487,15 @@ class CDSS:
             provenance=engine.provenance if self.config.exchange.track_provenance else None,
             epoch=epoch,
         )
+        reconciler.state.implicit_accepts += offered - len(candidates)
         peer.clock.record_reconciliation(self.store.latest_epoch())
         metrics = self.obs.metrics
         metrics.counter_add("sync.reconciliations", 1, label=peer_name)
-        metrics.counter_add(
-            "sync.candidates_considered", len(candidates), label=peer_name
-        )
+        metrics.counter_add("sync.candidates_considered", offered, label=peer_name)
         return ReconcileOutcome(
             peer=peer_name,
             epoch=epoch,
-            candidates_considered=len(candidates),
+            candidates_considered=offered,
             result=result,
         )
 

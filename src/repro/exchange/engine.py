@@ -6,7 +6,9 @@ in the system is processed exactly once, in publication (epoch) order.  For
 each processed transaction the engine records a :class:`TranslationDelta` —
 exactly which tuples appeared or disappeared in every peer's derived
 relations because of that transaction.  Reconciliation later converts these
-deltas into candidate transactions for the reconciling peer.
+deltas into candidate transactions for the reconciling peer; the engine
+indexes, per peer, the transactions whose delta reaches it, so a reconciling
+peer is handed what touches it instead of filtering the whole history.
 
 Provenance is recorded during evaluation (unless disabled), which lets trust
 conditions be evaluated over the origin of derived tuples and lets deletions
@@ -16,6 +18,7 @@ support).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
@@ -52,6 +55,12 @@ class TranslationDelta:
     def is_empty_for(self, peer: str) -> bool:
         return not self.inserted.get(peer) and not self.deleted.get(peer)
 
+    def touches(self, peer: str) -> bool:
+        """Does the transaction bring ``peer`` something it does not already
+        have?  Not when it originated there (already applied locally) and
+        not when nothing of it reaches the peer's relations."""
+        return peer != self.origin and not self.is_empty_for(peer)
+
     def change_count(self) -> int:
         total = sum(len(changes) for changes in self.inserted.values())
         total += sum(len(changes) for changes in self.deleted.values())
@@ -79,6 +88,15 @@ class ExchangeEngine:
         )
         self._deltas: dict[str, TranslationDelta] = {}
         self._processed_order: list[str] = []
+        # Publication epochs parallel to ``_processed_order`` (non-decreasing,
+        # as transactions arrive in publication order), for ``since`` counts.
+        self._processed_epochs: list[int] = []
+        # Per peer, the processed transactions that touch it, in processing
+        # order with a parallel epoch list: reconciliation walks only this
+        # slice of the history (see :meth:`touching`).
+        self._touching: dict[
+            str, tuple[list[int], list[tuple[Transaction, TranslationDelta]]]
+        ] = {}
         # High-water marks of the executor counters already mirrored into
         # the metrics registry (the ``exchange.*`` series); the executor's
         # ``ExecutionStats`` are cumulative, so each mirror pass adds only
@@ -159,6 +177,25 @@ class ExchangeEngine:
                 f"transaction {txn_id!r} has not been processed by the exchange engine"
             ) from None
 
+    def processed_since(self, epoch: int) -> int:
+        """How many processed transactions were published strictly after ``epoch``."""
+        return len(self._processed_epochs) - bisect_right(self._processed_epochs, epoch)
+
+    def touching(
+        self, peer: str, epoch: int
+    ) -> list[tuple[Transaction, TranslationDelta]]:
+        """The transactions published strictly after ``epoch`` that touch
+        ``peer`` (:meth:`TranslationDelta.touches`), in processing order.
+
+        Answered from a per-peer index kept by :meth:`process_transaction`,
+        so the cost follows what reaches the peer and not what was published.
+        """
+        index = self._touching.get(peer)
+        if index is None:
+            return []
+        epochs, touching = index
+        return touching[bisect_right(epochs, epoch):]
+
     def derived_tuples(self, peer: str, relation: str) -> frozenset[tuple]:
         """Everything currently derivable in ``relation`` at ``peer``."""
         return self._engine.database.relation(derived_relation(peer, relation))
@@ -220,6 +257,12 @@ class ExchangeEngine:
         )
         self._deltas[transaction.txn_id] = delta
         self._processed_order.append(transaction.txn_id)
+        self._processed_epochs.append(delta.epoch)
+        for peer in delta.affected_peers():
+            if delta.touches(peer):
+                epochs, touching = self._touching.setdefault(peer, ([], []))
+                epochs.append(delta.epoch)
+                touching.append((transaction, delta))
         metrics = self._obs.metrics
         metrics.counter_add("exchange.transactions", 1, label=origin)
         insertions = sum(len(changes) for changes in inserted.values())

@@ -9,9 +9,6 @@ disconnects.  This package provides that substrate:
 * :mod:`repro.p2p.network` — per-peer connectivity (peers are intermittently
   connected; offline peers can neither publish nor reconcile), with
   listeners, a bounded availability trace, and churn statistics,
-* :mod:`repro.p2p.replication` — replica placement of published transactions
-  onto the currently online peers, availability accounting under churn, and
-  re-replication after holders disconnect,
 * :mod:`repro.p2p.distributed` — the sharded, k-way-replicated distributed
   archive: consistent hashing of epoch-ordered log segments onto peer-hosted
   shard servers, quorum reads/writes, re-replication, and gossip-based
@@ -43,7 +40,6 @@ from .reconcile import (
     StoreView,
     cursor_transfer_bytes,
 )
-from .replication import ReplicaPlacement, ReplicationManager
 from .sketch import (
     CompactClock,
     CountingBloomSketch,
@@ -72,8 +68,6 @@ __all__ = [
     "PublishedTransaction",
     "ReconcileConfig",
     "ReconcileStats",
-    "ReplicaPlacement",
-    "ReplicationManager",
     "SessionResult",
     "SetReconciler",
     "ShardReplica",

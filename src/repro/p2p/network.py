@@ -32,7 +32,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from ..core.hashing import stable_hash
+from ..core.hashing import prefix_hasher, stable_hash
 from ..errors import NetworkError
 from ..obs import Observability
 
@@ -112,6 +112,15 @@ class LatencyModel:
     def delay(self, sender: str, receiver: str, size: int, sequence: int) -> float:
         """The simulated one-way delay of message ``sequence`` on a link."""
         digest = stable_hash(("latency", self.seed, sender, receiver, sequence))
+        return self.delay_of(digest, size)
+
+    def link_hasher(self, sender: str, receiver: str) -> Callable[[int], int]:
+        """``sequence -> digest`` for one link, exactly the digest
+        :meth:`delay` draws from, with the link's prefix hashed once."""
+        return prefix_hasher(("latency", self.seed, sender, receiver))
+
+    def delay_of(self, digest: int, size: int) -> float:
+        """The delay of a ``size``-byte message whose draw is ``digest``."""
         # Two independent uniform draws from disjoint digest bits.
         jitter_draw = (digest & 0xFFFF) / 0xFFFF
         spike_draw = ((digest >> 16) & 0xFFFF) / 0x10000
@@ -171,6 +180,8 @@ class Network:
         self.clock = VirtualClock()
         self.latency: Optional[LatencyModel] = None
         self._link_sequence: dict[tuple[str, str], int] = {}
+        # Each link's ``sequence -> digest`` function under the current model.
+        self._link_hashers: dict[tuple[str, str], Callable[[int], int]] = {}
         for peer in peers:
             self.register(peer)
 
@@ -178,6 +189,7 @@ class Network:
     def set_latency_model(self, model: Optional[LatencyModel]) -> None:
         """Attach (or clear) the deterministic link delay/bandwidth model."""
         self.latency = model
+        self._link_hashers.clear()
 
     def link_delay(self, sender: str, receiver: str, size: int) -> float:
         """The next message's simulated delay on ``sender -> receiver``.
@@ -191,7 +203,10 @@ class Network:
         link = (sender, receiver)
         sequence = self._link_sequence.get(link, 0)
         self._link_sequence[link] = sequence + 1
-        return self.latency.delay(sender, receiver, size, sequence)
+        hasher = self._link_hashers.get(link)
+        if hasher is None:
+            hasher = self._link_hashers[link] = self.latency.link_hasher(sender, receiver)
+        return self.latency.delay_of(hasher(sequence), size)
 
     def transmit(
         self, sender: str, receiver: str, kind: str, size: int, advance: bool = True

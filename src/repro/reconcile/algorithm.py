@@ -129,6 +129,9 @@ class Reconciler:
                 continue
             if not self._state.is_decided(candidate.txn_id):
                 pool[candidate.txn_id] = candidate
+        if not pool:
+            # Nothing to decide: no groups, priorities or selection.
+            return result
 
         grouping = build_groups(
             pool.values(), self._state, self._peer.name, known_transactions

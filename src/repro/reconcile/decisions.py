@@ -4,13 +4,22 @@ Each peer remembers, across reconciliations, which transactions it has
 accepted, rejected or deferred, which updates the accepted transactions
 applied (needed for conflict checks against later candidates), and which
 deferred conflicts are awaiting manual resolution.
+
+Only transactions that *touch* the peer get a stored row.  A transaction the
+peer was offered that changes nothing there — it originated at the peer, or
+its translation is empty in the peer's schema — is accepted by a *rule*
+(:attr:`ReconciliationState.implicit_rule`, supplied by the owner of the
+exchange deltas) and merely counted, so the table is bounded by what reaches
+the peer and not by what the network publishes.  Every reader of
+:meth:`~ReconciliationState.decision` sees such a transaction as
+``ACCEPTED``; a state created without a rule stores every decision.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from ..core.schema import PeerSchema
 from ..core.updates import Update
@@ -65,10 +74,38 @@ class ReconciliationState:
     )
     _index_backlog: list[str] = field(default_factory=list, repr=False)
     _index_schema: Optional[PeerSchema] = field(default=None, repr=False)
+    #: "Offered, and nothing in it for this peer": answers for a transaction
+    #: without a stored row whether it is accepted all the same.
+    implicit_rule: Optional[Callable[[str], bool]] = field(
+        default=None, repr=False, compare=False
+    )
+    #: How many transactions ``implicit_rule`` holds for.  Whoever offers
+    #: the transactions keeps the count, so :meth:`summary` need not
+    #: enumerate them.
+    implicit_accepts: int = 0
 
     # -- decision bookkeeping ------------------------------------------------
     def decision(self, txn_id: str) -> Decision:
-        return self.decisions.get(txn_id, Decision.PENDING)
+        decision = self.decisions.get(txn_id)
+        if decision is not None:
+            return decision
+        if self.implicit_rule is not None and self.implicit_rule(txn_id):
+            return Decision.ACCEPTED
+        return Decision.PENDING
+
+    def store_implicit(self, txn_ids: Iterable[str]) -> None:
+        """Turn the implicit accepts among ``txn_ids`` into stored rows.
+
+        For the moment before the rule's inputs change (the exchange engine
+        is about to be rebuilt under new mappings): what a peer has accepted
+        stays accepted, whatever the transaction translates to afterwards.
+        """
+        if self.implicit_rule is None:
+            return
+        for txn_id in txn_ids:
+            if txn_id not in self.decisions and self.implicit_rule(txn_id):
+                self.decisions[txn_id] = Decision.ACCEPTED
+                self.implicit_accepts -= 1
 
     def is_decided(self, txn_id: str) -> bool:
         return self.decision(txn_id) in (Decision.ACCEPTED, Decision.REJECTED)
@@ -101,6 +138,7 @@ class ReconciliationState:
         self.undecided[candidate.txn_id] = candidate
 
     def accepted_ids(self) -> set[str]:
+        """Ids with a stored ``ACCEPTED`` row (implicit accepts have none)."""
         return {
             txn_id
             for txn_id, decision in self.decisions.items()
@@ -186,5 +224,6 @@ class ReconciliationState:
         counts = {"accepted": 0, "rejected": 0, "deferred": 0, "pending": 0}
         for decision in self.decisions.values():
             counts[decision.value] += 1
+        counts["accepted"] += self.implicit_accepts
         counts["open_conflicts"] = len(self.open_conflicts())
         return counts

@@ -143,6 +143,23 @@ def caller(items):
     assert [finding.code for finding in findings] == ["DET001"]
 
 
+def test_a_method_handing_out_a_prefix_hasher_taints_its_callers(tmp_path: Path) -> None:
+    """The shape of ``LatencyModel.link_hasher`` / ``Network.link_delay``."""
+    findings = findings_for(
+        """
+class Model:
+    def link_hasher(self, sender, receiver):
+        return prefix_hasher(("latency", self.seed, sender, receiver))
+
+class Net:
+    def delays(self, links):
+        return [self.model.link_hasher(a, b)(0) for a, b in set(links)]
+""",
+        tmp_path,
+    )
+    assert [finding.code for finding in findings] == ["DET001"]
+
+
 def test_src_repro_is_determinism_clean() -> None:
     """Regression gate: the shipped code has no unordered iteration feeding
     canonical-order sinks (everything is sorted or order-independent)."""

@@ -123,6 +123,27 @@ class TestLatencyModel:
         assert network.clock.now == pytest.approx(first)
         assert network.message_stats()["messages"] == 3
 
+    def test_link_delays_equal_the_model_bit_for_bit_across_a_swap(self):
+        """``Network.link_delay`` hashes each link's prefix once and caches
+        the hasher; the stream must still be ``LatencyModel.delay`` exactly,
+        per link, and follow the model when it is swapped mid-stream (the
+        sequence counters carry on, the cached hashers do not)."""
+        links = [("a", "b"), ("b", "a"), ("archive", "a")]
+        network = Network(["a", "b"])
+        first, second = LatencyModel(seed=7), LatencyModel(seed=8, spike_probability=0.4)
+        network.set_latency_model(first)
+        for sequence in range(1000):
+            model = first if sequence < 600 else second
+            if sequence == 600:
+                network.set_latency_model(second)
+            for sender, receiver in links:
+                size = 64 + sequence
+                assert network.link_delay(sender, receiver, size) == model.delay(
+                    sender, receiver, size, sequence
+                )
+        network.set_latency_model(None)
+        assert network.link_delay("a", "b", 64) == 0.0
+
 
 class TestVirtualTimeEventLoop:
     def test_sleep_costs_virtual_not_wall_time(self):

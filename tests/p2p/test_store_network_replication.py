@@ -1,4 +1,4 @@
-"""Unit tests for the simulated P2P substrate: store, network, replication."""
+"""Unit tests for the simulated P2P substrate: store and network."""
 
 import random
 
@@ -8,7 +8,6 @@ from repro.core.transactions import Transaction
 from repro.core.updates import Update
 from repro.errors import NetworkError, PublicationError
 from repro.p2p.network import Network
-from repro.p2p.replication import ReplicationManager
 from repro.p2p.store import EpochLog, PublishedTransaction, UpdateStore
 
 
@@ -203,115 +202,6 @@ class TestNetwork:
         network.unsubscribe(listener)
         network.disconnect("B")
         assert len(seen) == 2
-
-
-class TestReplication:
-    def test_placement_prefers_other_peers(self):
-        network = Network(["A", "B", "C"])
-        manager = ReplicationManager(network, replication_factor=2)
-        placement = manager.place("t1", publisher="A")
-        assert len(placement.holders) == 2
-        assert "A" not in placement.holders
-
-    def test_placement_is_deterministic_and_cached(self):
-        network = Network(["A", "B", "C"])
-        manager = ReplicationManager(network, replication_factor=2)
-        first = manager.place("t1", publisher="A")
-        second = manager.place("t1", publisher="A")
-        assert first is second
-
-    def test_availability_under_churn(self):
-        network = Network(["A", "B", "C"])
-        manager = ReplicationManager(network, replication_factor=2)
-        manager.place("t1", publisher="A")
-        assert manager.available("t1")
-        for holder in manager.placement("t1").holders:
-            network.disconnect(holder)
-        assert not manager.available("t1")
-
-    def test_availability_ratio(self):
-        network = Network(["A", "B", "C"])
-        manager = ReplicationManager(network, replication_factor=1)
-        manager.place("t1", publisher="A")
-        manager.place("t2", publisher="A")
-        assert manager.availability_ratio(["t1", "t2"]) == 1.0
-        assert manager.availability_ratio([]) == 1.0
-        assert manager.availability_ratio(["unknown"]) == 0.0
-
-    def test_invalid_replication_factor(self):
-        with pytest.raises(NetworkError):
-            ReplicationManager(Network(), replication_factor=0)
-
-    def test_single_peer_network_places_on_publisher(self):
-        network = Network(["A"])
-        manager = ReplicationManager(network, replication_factor=2)
-        placement = manager.place("t1", publisher="A")
-        assert placement.holders == ("A",)
-
-    def test_placement_determinism_across_managers(self):
-        """Same membership + transaction id => same holders, independent of
-        the manager instance or the order transactions were placed in."""
-        first = ReplicationManager(Network(["A", "B", "C", "D"]), replication_factor=2)
-        second = ReplicationManager(Network(["A", "B", "C", "D"]), replication_factor=2)
-        first.place("t1", publisher="A")
-        first.place("t2", publisher="B")
-        second.place("t2", publisher="B")
-        second.place("t1", publisher="A")
-        assert first.placement("t1") == second.placement("t1")
-        assert first.placement("t2") == second.placement("t2")
-
-    def test_replication_factor_invariant_under_join(self):
-        """Peers that join after placement don't disturb it; new placements
-        use the enlarged membership, old ones keep their holders."""
-        network = Network(["A", "B", "C"])
-        manager = ReplicationManager(network, replication_factor=2)
-        before = manager.place("t1", publisher="A")
-        network.register("E")
-        assert manager.place("t1", publisher="A") is before
-        assert len(manager.place("t2", publisher="A").holders) == 2
-
-    def test_repair_restores_replication_factor_after_leave(self):
-        network = Network(["A", "B", "C", "D"])
-        manager = ReplicationManager(network, replication_factor=2)
-        placement = manager.place("t1", publisher="A")
-        lost = placement.holders[0]
-        survivor = placement.holders[1]
-        network.disconnect(lost)
-        repaired = manager.repair("t1")
-        assert len(repaired.holders) == 2
-        assert survivor in repaired.holders  # surviving copy kept (data is copied)
-        assert lost not in repaired.holders
-        assert all(network.is_online(peer) for peer in repaired.holders)
-
-    def test_repair_is_a_noop_while_holders_are_online(self):
-        network = Network(["A", "B", "C"])
-        manager = ReplicationManager(network, replication_factor=2)
-        placement = manager.place("t1", publisher="A")
-        assert manager.repair("t1") is placement
-        assert manager.repair("unknown") is None
-
-    def test_repair_all_counts_changed_placements(self):
-        network = Network(["A", "B", "C", "D"])
-        manager = ReplicationManager(network, replication_factor=2)
-        manager.place("t1", publisher="A")
-        manager.place("t2", publisher="A")
-        affected = {
-            txn_id
-            for txn_id in ("t1", "t2")
-            if "B" in manager.placement(txn_id).holders
-        }
-        network.disconnect("B")
-        assert manager.repair_all() == len(affected)
-        for txn_id in ("t1", "t2"):
-            assert "B" not in manager.placement(txn_id).holders
-
-    def test_repair_keeps_stale_placement_when_everyone_is_offline(self):
-        network = Network(["A", "B"])
-        manager = ReplicationManager(network, replication_factor=2)
-        placement = manager.place("t1", publisher="A")
-        for peer in ("A", "B"):
-            network.disconnect(peer)
-        assert manager.repair("t1") is placement  # location still known
 
 
 def published(txn_id: str, epoch: int, sequence: int, peer: str = "Alaska") -> PublishedTransaction:

@@ -77,6 +77,25 @@ class TestReconciliationState:
         assert summary["rejected"] == 1
         assert summary["deferred"] == 1
 
+    def test_implicit_rule_answers_for_transactions_without_a_row(self):
+        vacuous = {"v1", "v2", "t2"}
+        state = ReconciliationState(peer="Crete", implicit_rule=vacuous.__contains__)
+        state.implicit_accepts = 2  # kept by whoever offers: v1 and v2
+        state.record_reject("t2")
+        assert state.decision("v1") is Decision.ACCEPTED and state.is_decided("v1")
+        assert state.decision("t2") is Decision.REJECTED  # a stored row wins
+        assert state.decision("other") is Decision.PENDING
+        assert state.decisions == {"t2": Decision.REJECTED}
+        assert state.summary()["accepted"] == 2
+
+        # Writing the implied accepts out changes no answer and no count.
+        state.store_implicit(["v1", "t2", "other"])
+        assert state.decisions == {"t2": Decision.REJECTED, "v1": Decision.ACCEPTED}
+        assert state.implicit_accepts == 1 and state.summary()["accepted"] == 2
+        vacuous.clear()
+        assert state.decision("v1") is Decision.ACCEPTED
+        assert state.decision("v2") is Decision.PENDING
+
 
 class TestConflictDetection:
     def test_updates_conflict_same_key(self):
