@@ -1,10 +1,4 @@
-"""Benchmark harness (pytest-benchmark based).
-
-Run with::
-
-    PYTHONPATH=src python -m pytest benchmarks -q -s
-
-Making this directory a package lets ``bench_*`` modules share the
-``_reporting`` helpers through a relative import regardless of how pytest
-is invoked.
+"""Benchmarks.  The one instrument is :mod:`benchmarks.e2e`
+(``python -m benchmarks.e2e``; contract in ``BENCHMARK.json``); this file
+makes the directory a package so that invocation works from the repo root.
 """

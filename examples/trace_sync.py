@@ -1,7 +1,7 @@
 """Structured tracing and metrics over a synchronization run.
 
 Runs the Figure-2 bioinformatics network with the observability layer on:
-``observe trace`` in the spec (or ``StoreConfig(observability="trace")``)
+``observe trace`` in the spec (or ``ObserveConfig(mode="trace")``)
 installs a deterministic span tracer whose timestamps come from the
 network's virtual clock — the same seed always produces byte-identical
 trace JSON.  The trace nests ``sync.round`` over ``publish``/``reconcile``

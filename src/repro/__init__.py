@@ -63,7 +63,14 @@ from .api import (
     SyncRound,
     parse_network_spec,
 )
-from .config import ExchangeConfig, ReconciliationConfig, StoreConfig, SystemConfig
+from .config import (
+    ExchangeConfig,
+    ObserveConfig,
+    ReconciliationConfig,
+    StoreConfig,
+    SyncConfig,
+    SystemConfig,
+)
 from .core.catalog import Catalog
 from .core.mapping import (
     Mapping,
@@ -92,6 +99,7 @@ __all__ = [
     "Mapping",
     "NetworkBuilder",
     "NetworkSpec",
+    "ObserveConfig",
     "Peer",
     "PeerSchema",
     "PeerSpec",
@@ -104,6 +112,7 @@ __all__ = [
     "ReproError",
     "SpecError",
     "StoreConfig",
+    "SyncConfig",
     "SyncError",
     "SyncReport",
     "SyncRound",

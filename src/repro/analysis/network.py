@@ -78,27 +78,12 @@ def _mapping_span(spec: "NetworkSpec", mapping_id: str) -> "Optional[SourceSpan]
 
 def _check_structure(spec: "NetworkSpec", report: DiagnosticReport) -> None:
     """The ``NetworkSpec.validate()`` checks, collected as diagnostics."""
-    from ..api.spec import TRUST_DEFAULT, _EXECUTION_BACKENDS
+    from ..api.spec import TRUST_DEFAULT
 
     if not spec.peers:
         report.add(codes.MALFORMED_SPEC, "a network spec needs at least one peer")
-    for key, section in (("store", spec.store), ("sync", spec.sync)):
-        if section is None:
-            continue
-        try:
-            section.validate()
-        except SpecError as error:
-            report.add(
-                getattr(error, "code", None) or codes.MALFORMED_SPEC,
-                message_of(error),
-                span=getattr(error, "span", None) or spec.spans.get(key),
-            )
-    if spec.execution is not None and spec.execution not in _EXECUTION_BACKENDS:
-        report.add(
-            codes.MALFORMED_SPEC,
-            f"execution backend must be 'python' or 'sql', got {spec.execution!r}",
-            span=spec.spans.get("execution"),
-        )
+    for error in spec.section_problems():
+        report.add(error.code or codes.MALFORMED_SPEC, message_of(error), span=error.span)
 
     schemas: Dict[str, object] = {}
     for peer in spec.peers.values():
@@ -325,7 +310,7 @@ def _check_sql_compilability(spec: "NetworkSpec", report: DiagnosticReport) -> N
         program = compile_mappings(peers, list(spec.mappings))
     except ReproError:
         return  # structural errors already reported; nothing to compile
-    sql_selected = spec.execution == "sql"
+    sql_selected = spec.word("execution") == "sql"
     severity = codes.WARNING if sql_selected else codes.INFO
     consequence = (
         "; the selected sql backend will run the whole program on the "

@@ -24,11 +24,10 @@ from .query import QueryResult, run_query
 from .spec import (
     NetworkSpec,
     PeerSpec,
-    StoreSpec,
-    SyncSpec,
+    SectionSpec,
     parse_network_spec,
+    sections_of,
     spec_of,
-    sync_spec_of,
 )
 from .sync import DEFAULT_MAX_ROUNDS, SyncReport, SyncRound, sync_round, synchronize
 
@@ -40,17 +39,16 @@ __all__ = [
     "PeerBuilder",
     "PeerSpec",
     "QueryResult",
-    "StoreSpec",
+    "SectionSpec",
     "SyncReport",
     "SyncRound",
-    "SyncSpec",
     "VirtualTimeEventLoop",
     "async_synchronize",
     "build_network",
     "parse_network_spec",
     "run_query",
+    "sections_of",
     "spec_of",
     "sync_round",
-    "sync_spec_of",
     "synchronize",
 ]

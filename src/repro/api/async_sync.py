@@ -300,17 +300,17 @@ def async_synchronize(
     arguments, same report contents, same :class:`SyncError` (with the
     partial report attached) on a blown round budget — plus scheduler
     accounting in ``report.runtime``.  ``workers`` and ``queue_depth``
-    default to the system's :class:`~repro.config.StoreConfig`.
+    default to the system's :class:`~repro.config.SyncConfig`.
 
     The network's virtual clock advances by the run's *overlapped* virtual
     duration, not the serial sum of per-message delays.
     """
     names = _selected_peers(cdss, peers)
-    store_config = cdss.config.store
+    sync_config = cdss.config.sync
     if workers is None:
-        workers = store_config.sync_workers
+        workers = sync_config.workers
     if queue_depth is None:
-        queue_depth = store_config.sync_queue_depth
+        queue_depth = sync_config.queue_depth
     if workers < 1:
         raise SyncError(f"the async runtime needs workers >= 1, got {workers}")
     if queue_depth < 1:

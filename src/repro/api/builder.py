@@ -19,14 +19,13 @@ state is created — so a half-built network never leaks out.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from ..config import SystemConfig
+from ..config import SECTIONS, SystemConfig, configure
 from ..analysis import codes as _codes
 from ..core.mapping import Mapping, identity_mapping, mapping_from_tgd
 from ..errors import SpecError
-from .spec import NetworkSpec, PeerSpec, StoreSpec, SyncSpec, TRUST_DEFAULT
+from .spec import NetworkSpec, PeerSpec, TRUST_DEFAULT, make_section, malformed
 
 
 class PeerBuilder:
@@ -97,18 +96,6 @@ class PeerBuilder:
     ) -> "NetworkBuilder":
         return self._network.identity(mapping_id, source_peer, target_peer, relations)
 
-    def store(self, kind: str = "distributed", **knobs) -> "NetworkBuilder":
-        return self._network.store(kind, **knobs)
-
-    def sync(self, mode: str = "gossip", **knobs) -> "NetworkBuilder":
-        return self._network.sync(mode, **knobs)
-
-    def execution(self, backend: str = "sql") -> "NetworkBuilder":
-        return self._network.execution(backend)
-
-    def observe(self, mode: str = "metrics") -> "NetworkBuilder":
-        return self._network.observe(mode)
-
     def spec(self) -> NetworkSpec:
         return self._network.spec()
 
@@ -140,73 +127,6 @@ class NetworkBuilder:
         peer_spec = PeerSpec(name=name, schema_name=schema_name)
         self._spec.peers[name] = peer_spec
         return PeerBuilder(self, peer_spec)
-
-    def store(self, kind: str = "distributed", **knobs) -> "NetworkBuilder":
-        """Select the update-store backend (``centralized``/``distributed``).
-
-        Knobs: ``shards``, ``replication``, ``write_quorum``, ``read_quorum``,
-        ``segment_size`` — unset ones defer to
-        :class:`~repro.config.StoreConfig` defaults.
-        """
-        if self._spec.store is not None:
-            raise SpecError("the store backend is declared twice")
-        try:
-            store = StoreSpec(kind=kind, **knobs)
-        except TypeError as error:
-            raise SpecError(f"bad store declaration: {error}") from None
-        store.validate()
-        self._spec.store = store
-        return self
-
-    def sync(self, mode: str = "gossip", **knobs) -> "NetworkBuilder":
-        """Select the peer catch-up strategy (``cursor``/``gossip``).
-
-        Knobs (gossip only): ``fanout``, ``sketch`` (``iblt``/``bloom``),
-        ``capacity``, ``growth``, ``attempts`` — unset ones defer to
-        :class:`~repro.config.StoreConfig` defaults.
-        """
-        if self._spec.sync is not None:
-            raise SpecError("the sync mode is declared twice")
-        try:
-            sync = SyncSpec(mode=mode, **knobs)
-        except TypeError as error:
-            raise SpecError(f"bad sync declaration: {error}") from None
-        sync.validate()
-        self._spec.sync = sync
-        return self
-
-    def execution(self, backend: str = "sql") -> "NetworkBuilder":
-        """Select the rule execution backend (``python``/``sql``).
-
-        ``sql`` pushes compiled rule plans down into an in-memory SQLite
-        mirror as ``INSERT ... SELECT`` statements
-        (:mod:`repro.datalog.sql_executor`); ``python`` is the
-        tuple-at-a-time closure executor default.
-        """
-        if self._spec.execution is not None:
-            raise SpecError("the execution backend is declared twice")
-        if backend not in ("python", "sql"):
-            raise SpecError(
-                f"execution backend must be 'python' or 'sql', got {backend!r}"
-            )
-        self._spec.execution = backend
-        return self
-
-    def observe(self, mode: str = "metrics") -> "NetworkBuilder":
-        """Turn on the observability layer (``metrics``/``trace``).
-
-        ``metrics`` populates the shared registry and the per-sync
-        ``report.metrics`` deltas; ``trace`` additionally installs the
-        deterministic span tracer for Chrome-trace export.
-        """
-        if self._spec.observe is not None:
-            raise SpecError("the observe mode is declared twice")
-        if mode not in ("off", "metrics", "trace"):
-            raise SpecError(
-                f"observe mode must be 'off', 'metrics' or 'trace', got {mode!r}"
-            )
-        self._spec.observe = mode if mode != "off" else None
-        return self
 
     def mapping(
         self, source: Union[str, Mapping], mapping_id: Optional[str] = None
@@ -332,51 +252,10 @@ class NetworkBuilder:
         spec = self.spec()
         if strict:
             self.analyze().raise_if_errors(f"network {spec.name!r}")
-        config = self._config
-        overrides: dict = {}
-        if spec.store is not None:
-            overrides.update(
-                {
-                    config_field: value
-                    for config_field, value in (
-                        ("backend", spec.store.kind),
-                        ("shard_count", spec.store.shards),
-                        ("replication_factor", spec.store.replication),
-                        ("write_quorum", spec.store.write_quorum),
-                        ("read_quorum", spec.store.read_quorum),
-                        ("segment_size", spec.store.segment_size),
-                    )
-                    if value is not None
-                }
-            )
-        if spec.sync is not None:
-            overrides.update(
-                {
-                    config_field: value
-                    for config_field, value in (
-                        ("sync_mode", spec.sync.mode),
-                        ("gossip_fanout", spec.sync.fanout),
-                        ("sketch", spec.sync.sketch),
-                        ("sketch_capacity", spec.sync.capacity),
-                        ("sketch_growth", spec.sync.growth),
-                        ("sketch_attempts", spec.sync.attempts),
-                        ("sync_runtime", spec.sync.runtime),
-                        ("sync_workers", spec.sync.workers),
-                    )
-                    if value is not None
-                }
-            )
-        if spec.observe is not None:
-            overrides["observability"] = spec.observe
-        if overrides:
-            base = config or SystemConfig.default()
-            config = replace(base, store=replace(base.store, **overrides))
-        if spec.execution is not None:
-            base = config or SystemConfig.default()
-            config = replace(
-                base,
-                exchange=replace(base.exchange, execution_backend=spec.execution),
-            )
+        config = configure(
+            self._config or SystemConfig.default(),
+            (pair for section in spec.sections.values() for pair in section.pinned()),
+        )
         cdss = CDSS(config, store_factory=store_factory)
         cdss.name = spec.name
         for peer_spec in spec.peers.values():
@@ -388,6 +267,52 @@ class NetworkBuilder:
         for mapping in spec.mappings:
             cdss.add_mapping(mapping)
         return cdss
+
+
+def _section_method(name: str) -> Callable[..., NetworkBuilder]:
+    """The :class:`NetworkBuilder` method that declares spec section ``name``.
+
+    One is installed per row group of :data:`repro.config.SECTIONS`
+    (``store``, ``sync``, ``execution``, ``observe``), taking the section's
+    leading word and its knobs as keyword arguments — the call
+    ``.sync("gossip", fanout=2)`` is the line ``sync gossip fanout 2``.
+    The word defaults to the first one that is not the system's default.
+    """
+    head, *knobs = SECTIONS[name]
+
+    def declare(
+        self: NetworkBuilder, word: str = head.choices[1], **values: object
+    ) -> NetworkBuilder:
+        if name in self._spec.sections:
+            malformed(f"the {name} section is declared twice")
+        given = ((knob, value) for knob, value in values.items() if value is not None)
+        section = make_section(name, [word], given)
+        if section is not None:
+            section.validate()
+            self._spec.sections[name] = section
+        return self
+
+    declare.__name__ = name
+    declare.__doc__ = (
+        f"Declare ``{name} <{head.knob}>`` ({', '.join(head.choices)}); "
+        f"knobs: {', '.join(option.knob for option in knobs) or 'none'}.  "
+        "Domains and defaults are the rows of :data:`repro.config.OPTIONS`; "
+        "an unset knob defers to the config the network is built over."
+    )
+    return declare
+
+
+def _delegated(name: str) -> Callable[..., NetworkBuilder]:
+    def delegate(self: PeerBuilder, *args: object, **knobs: object) -> NetworkBuilder:
+        return getattr(self._network, name)(*args, **knobs)
+
+    delegate.__name__ = name
+    return delegate
+
+
+for _name in SECTIONS:
+    setattr(NetworkBuilder, _name, _section_method(_name))
+    setattr(PeerBuilder, _name, _delegated(_name))
 
 
 def build_network(

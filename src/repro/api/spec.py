@@ -15,23 +15,14 @@ paper itself uses::
 The format is line-oriented:
 
 * ``network <name>`` (optional) names the network;
-* ``store <kind> [<knob> <value> ...]`` (optional) selects the update-store
-  backend: ``store centralized`` or ``store distributed shards 4
-  replication 2 write_quorum 2 read_quorum 1 segment_size 8`` (every knob
-  optional);
-* ``sync <mode> [<knob> <value> ...]`` (optional) selects how reconnecting
-  peers catch up: ``sync cursor`` (the default scalar-cursor replay) or
-  ``sync gossip fanout 2 sketch iblt capacity 32 growth 4 attempts 3``
-  (epidemic anti-entropy over sketch reconciliation; every knob optional);
-* ``execution <backend>`` (optional) selects how compiled mapping rules are
-  fired: ``execution python`` (the tuple-at-a-time closure executor, the
-  default) or ``execution sql`` (set-at-a-time ``INSERT ... SELECT``
-  pushdown into an in-memory SQLite mirror);
-* ``observe <mode> [<mode> ...]`` (optional) turns on the observability
-  layer: ``observe metrics`` populates the shared metrics registry and the
-  per-sync ``report.metrics`` deltas, ``observe trace`` (or ``observe trace
-  metrics`` — trace implies metrics) additionally installs the span tracer
-  for Chrome-trace export;
+* ``store``, ``sync``, ``execution`` and ``observe`` (all optional, before the
+  first peer) set system options: ``<section> <word> [<knob> <value> ...]``,
+  e.g. ``store distributed shards 4 replication 2`` or ``sync gossip fanout 2
+  sketch iblt``.  The sections, their knobs, values and defaults are the rows
+  of :data:`repro.config.OPTIONS` (README, "System options"); a knob the
+  spec leaves out defers to the :class:`~repro.config.SystemConfig` the
+  spec is built over.  ``observe`` takes one or more levels (``observe trace
+  metrics`` — trace implies metrics);
 * ``peer <Name> [schema <SchemaName>]`` opens a peer section;
 * ``relation Rel(attr, ...) [key(attr, ...)]`` declares a relation of the
   current peer; without a ``key`` clause the whole tuple is the key;
@@ -53,9 +44,19 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Mapping as MappingType, Optional, Sequence, Union
+from typing import (
+    Callable,
+    Iterable,
+    Iterator,
+    Mapping as MappingType,
+    NoReturn,
+    Optional,
+    Sequence,
+    Union,
+)
 
 from ..analysis import codes as _codes
+from ..config import SECTIONS, Option, SystemConfig
 from ..core.mapping import Mapping, mapping_from_tgd, mapping_to_tgd
 from ..core.schema import PeerSchema
 from ..core.trust import TrustPolicy
@@ -65,39 +66,12 @@ from ..errors import SourceSpan, SpecError
 TRUST_DEFAULT = "*"
 
 _PEER_RE = re.compile(r"peer\s+(?P<name>\w+)(?:\s+schema\s+(?P<schema>\w+))?\s*$")
-_STORE_RE = re.compile(r"store\s+(?P<kind>\w+)(?P<knobs>(?:\s+\w+\s+\d+)*)\s*$")
-# Unlike store knobs, sync knobs take word values too ("sketch iblt").
-_SYNC_RE = re.compile(r"sync\s+(?P<mode>\w+)(?P<knobs>(?:\s+\w+\s+\w+)*)\s*$")
 _RELATION_RE = re.compile(
     r"relation\s+(?P<name>\w+)\s*\((?P<attrs>[^)]*)\)(?:\s*key\s*\((?P<key>[^)]*)\))?\s*$"
 )
 _TRUST_RE = re.compile(r"trust\s+(?P<peer>\*|\w+)\s+(?P<priority>\d+)\s*$")
-_EXECUTION_RE = re.compile(r"execution\s+(?P<backend>\w+)\s*$")
-_OBSERVE_RE = re.compile(r"observe(?P<tokens>(?:\s+\w+)+)\s*$")
-
-#: Backends an ``execution`` declaration accepts.
-_EXECUTION_BACKENDS = ("python", "sql")
-
-#: Modes an ``observe`` declaration accepts (matching
-#: :attr:`~repro.config.StoreConfig.observability`).
-_OBSERVE_MODES = ("off", "metrics", "trace")
-
-
-def _observe_from_tokens(tokens: Sequence[str], context: str) -> str:
-    """Collapse ``observe`` tokens to one effective mode (trace > metrics)."""
-    unknown = [token for token in tokens if token not in _OBSERVE_MODES]
-    if unknown:
-        raise SpecError(
-            f"{context}: observe mode must be one of {', '.join(_OBSERVE_MODES)}; "
-            f"got {unknown[0]!r}"
-        )
-    if "off" in tokens and len(set(tokens)) > 1:
-        raise SpecError(f"{context}: 'observe off' cannot be combined with other modes")
-    if "trace" in tokens:
-        return "trace"
-    if "metrics" in tokens:
-        return "metrics"
-    return "off"
+_KEYWORD_RE = re.compile(r"\w*")
+_WORD_RE = re.compile(r"\w+")
 
 
 @dataclass
@@ -145,133 +119,121 @@ class PeerSpec:
         return spec
 
 
-#: Knobs a ``store`` declaration accepts, in canonical rendering order.
-_STORE_KNOBS = ("shards", "replication", "write_quorum", "read_quorum", "segment_size")
+def malformed(message: str) -> NoReturn:
+    """Raise the coded error for a spec that is wrong in itself (``CDSS014``)."""
+    raise SpecError(message, code=_codes.MALFORMED_SPEC)
 
 
 @dataclass
-class StoreSpec:
-    """Declarative description of the shared update-store backend.
+class SectionSpec:
+    """One system-option section of a spec (``store``, ``sync``, ...).
 
-    Unset knobs (``None``) defer to :class:`~repro.config.StoreConfig`
-    defaults, so a spec only pins what it cares about.
+    ``values`` maps the knobs the spec pins to their values, the section's
+    leading word under its own knob name (``{"kind": "distributed",
+    "shards": 4}``).  Knobs left out defer to the
+    :class:`~repro.config.SystemConfig` the spec is built over.  Which knobs
+    exist and what they accept is :data:`repro.config.SECTIONS`.
     """
 
-    kind: str = "centralized"
-    shards: Optional[int] = None
-    replication: Optional[int] = None
-    write_quorum: Optional[int] = None
-    read_quorum: Optional[int] = None
-    segment_size: Optional[int] = None
+    name: str
+    values: dict[str, Union[int, str]]
+
+    def pinned(self) -> list[tuple[Option, Union[int, str]]]:
+        """The pinned options with their values, in table order (head first)."""
+        return [
+            (option, self.values[option.knob])
+            for option in SECTIONS[self.name]
+            if option.knob in self.values
+        ]
 
     def validate(self) -> None:
-        if self.kind not in ("centralized", "distributed"):
-            raise SpecError(
-                f"store kind must be 'centralized' or 'distributed', got {self.kind!r}"
+        if self.name not in SECTIONS:
+            malformed(f"unknown spec section {self.name!r}; expected one of {', '.join(SECTIONS)}")
+        head, *knobs = SECTIONS[self.name]
+        known = [option.knob for option in knobs]
+        unknown = [knob for knob in self.values if knob not in (head.knob, *known)]
+        if unknown:
+            malformed(
+                f"unknown {self.name} knob {unknown[0]!r}; "
+                f"expected one of {', '.join(known) or 'none'}"
             )
-        for knob in _STORE_KNOBS:
-            value = getattr(self, knob)
-            if value is not None and value < 1:
-                raise SpecError(f"store {knob} must be >= 1, got {value}")
-        # Quorums are only cross-checked against a replication factor the
-        # spec itself pins; when the knob is unset the effective factor comes
-        # from the StoreConfig the spec is merged over, which re-validates.
-        if self.replication is not None:
-            for knob in ("write_quorum", "read_quorum"):
-                value = getattr(self, knob)
-                if value is not None and value > self.replication:
-                    raise SpecError(
-                        f"store {knob} ({value}) cannot exceed the replication "
-                        f"factor ({self.replication})"
-                    )
+        kind = self.values.get(head.knob, head.default)
+        knob_of = {option.field: option.knob for option in knobs}
+        for option, value in self.pinned():
+            if option.under is not None and kind != option.under:
+                malformed(
+                    f"{self.name} {kind} takes no {option.under} knobs, "
+                    f"but {option.knob!r} is given"
+                )
+            problem = option.problem(value)
+            if problem:
+                malformed(f"{self.name} {option.knob} {problem}")
+            # A bound is judged only against a sibling the spec itself pins;
+            # when the sibling is unset its effective value comes from the
+            # config the spec is merged over, which re-validates.
+            bound_knob = knob_of.get(option.at_most or "")
+            if bound_knob in self.values and value > self.values[bound_knob]:
+                malformed(
+                    f"{self.name} {option.knob} ({value}) cannot exceed "
+                    f"{bound_knob} ({self.values[bound_knob]})"
+                )
 
-    def to_dict(self) -> dict:
-        spec: dict = {"kind": self.kind}
-        for knob in _STORE_KNOBS:
-            value = getattr(self, knob)
-            if value is not None:
-                spec[knob] = value
-        return spec
+    def to_dict(self) -> Union[dict, int, str]:
+        """The dict form: a mapping, or the bare word of a knob-less section."""
+        if len(SECTIONS[self.name]) == 1:
+            return next(iter(self.values.values()))
+        return {option.knob: value for option, value in self.pinned()}
 
     def to_text_line(self) -> str:
-        parts = [f"store {self.kind}"]
-        for knob in _STORE_KNOBS:
-            value = getattr(self, knob)
-            if value is not None:
-                parts.append(f"{knob} {value}")
+        parts = [self.name]
+        for option, value in self.pinned():
+            parts.append(str(value) if option.head else f"{option.knob} {value}")
         return " ".join(parts)
 
 
-#: Knobs a ``sync`` declaration accepts, in canonical rendering order.
-#: ``sketch`` and ``runtime`` take word values; the rest take ints.
-_SYNC_KNOBS = ("fanout", "sketch", "capacity", "growth", "attempts", "runtime", "workers")
-_SYNC_WORD_KNOBS = frozenset({"sketch", "runtime"})
-#: Knobs meaningful only in gossip mode (``sync cursor`` rejects them).
-_SYNC_GOSSIP_KNOBS = ("fanout", "sketch", "capacity", "growth", "attempts")
+def make_section(
+    name: str,
+    words: Sequence[object],
+    knobs: Iterable[tuple[str, object]],
+    fail: Callable[[str], NoReturn] = malformed,
+) -> Optional[SectionSpec]:
+    """Build a section from its leading word(s) and raw ``(knob, value)`` pairs.
 
-
-@dataclass
-class SyncSpec:
-    """Declarative description of the peer catch-up strategy and runtime.
-
-    ``sync cursor`` is the default scalar-cursor replay; ``sync gossip``
-    enables epidemic sketch reconciliation with its own knobs.  Both modes
-    additionally accept ``runtime serial|async`` and ``workers N`` to select
-    the sync scheduler (``sync cursor runtime async workers 8``).  Unset
-    knobs (``None``) defer to :class:`~repro.config.StoreConfig` defaults.
+    Shared by the text parser (whose ``fail`` adds the line and its span),
+    the dict parser and the builder.  Only what a :class:`SectionSpec`
+    cannot represent is rejected here (the rest is :meth:`SectionSpec.validate`).
+    Returns ``None`` for a section that says "absent" (the lowest level of
+    a ``levels`` option, e.g. ``observe off``).
     """
-
-    mode: str = "cursor"
-    fanout: Optional[int] = None
-    sketch: Optional[str] = None
-    capacity: Optional[int] = None
-    growth: Optional[int] = None
-    attempts: Optional[int] = None
-    runtime: Optional[str] = None
-    workers: Optional[int] = None
-
-    def validate(self) -> None:
-        if self.mode not in ("cursor", "gossip"):
-            raise SpecError(
-                f"sync mode must be 'cursor' or 'gossip', got {self.mode!r}"
+    head, *options = SECTIONS[name]
+    words = [str(word) for word in words]
+    if not head.levels:
+        if len(words) != 1:
+            fail(f"the {name} section takes exactly one {head.knob}, got {words}")
+        word = words[0]
+    else:
+        unknown = [level for level in words if level not in head.choices]
+        if unknown:
+            fail(
+                f"{name} {head.knob} must be one of {', '.join(head.choices)}; "
+                f"got {unknown[0]!r}"
             )
-        if self.runtime is not None and self.runtime not in ("serial", "async"):
-            raise SpecError(
-                f"sync runtime must be 'serial' or 'async', got {self.runtime!r}"
-            )
-        if self.workers is not None and self.workers < 1:
-            raise SpecError(f"sync workers must be >= 1, got {self.workers}")
-        if self.mode == "cursor":
-            for knob in _SYNC_GOSSIP_KNOBS:
-                if getattr(self, knob) is not None:
-                    raise SpecError(
-                        f"sync cursor takes no gossip knobs, but {knob!r} is given"
-                    )
-            return
-        if self.sketch is not None and self.sketch not in ("iblt", "bloom"):
-            raise SpecError(
-                f"sync sketch must be 'iblt' or 'bloom', got {self.sketch!r}"
-            )
-        for knob, floor in (("fanout", 1), ("capacity", 1), ("growth", 2), ("attempts", 1)):
-            value = getattr(self, knob)
-            if value is not None and value < floor:
-                raise SpecError(f"sync {knob} must be >= {floor}, got {value}")
-
-    def to_dict(self) -> dict:
-        spec: dict = {"mode": self.mode}
-        for knob in _SYNC_KNOBS:
-            value = getattr(self, knob)
-            if value is not None:
-                spec[knob] = value
-        return spec
-
-    def to_text_line(self) -> str:
-        parts = [f"sync {self.mode}"]
-        for knob in _SYNC_KNOBS:
-            value = getattr(self, knob)
-            if value is not None:
-                parts.append(f"{knob} {value}")
-        return " ".join(parts)
+        lowest = head.choices[0]
+        if lowest in words and len(set(words)) > 1:
+            fail(f"'{name} {lowest}' cannot be combined with other {head.knob}s")
+        word = max(words, key=head.choices.index, default=lowest)
+        if word == lowest:
+            return None
+    values: dict[str, Union[int, str]] = {head.knob: word}
+    integer_knobs = {option.knob for option in options if option.floor is not None}
+    for knob, raw in knobs:
+        if knob in values:
+            fail(f"{name} knob {knob!r} is given twice")
+        try:
+            values[knob] = int(raw) if knob in integer_knobs else str(raw)  # type: ignore
+        except (TypeError, ValueError):
+            values[knob] = str(raw)  # validate() reports it, with the other domain errors
+    return SectionSpec(name, values)
 
 
 @dataclass
@@ -281,21 +243,19 @@ class NetworkSpec:
     name: str = "network"
     peers: dict[str, PeerSpec] = field(default_factory=dict)
     mappings: list[Mapping] = field(default_factory=list)
-    #: Optional update-store backend selection (centralized vs distributed).
-    store: Optional[StoreSpec] = None
-    #: Optional peer catch-up strategy (cursor replay vs sketch gossip).
-    sync: Optional[SyncSpec] = None
-    #: Optional rule execution backend ("python" closure executor vs "sql"
-    #: pushdown); ``None`` defers to :class:`~repro.config.ExchangeConfig`.
-    execution: Optional[str] = None
-    #: Optional observability mode ("metrics" or "trace"); ``None`` defers
-    #: to :class:`~repro.config.StoreConfig` (off by default).
-    observe: Optional[str] = None
+    #: The system-option sections the spec declares, by section name.
+    sections: dict[str, SectionSpec] = field(default_factory=dict)
     #: Source locations of top-level declarations, when parsed from text:
-    #: ``"network"``, ``"store"``, ``"sync"``, ``"execution"``, ``"observe"``.
+    #: ``"network"`` and the section names.
     spans: dict[str, SourceSpan] = field(
         default_factory=dict, compare=False, repr=False
     )
+
+    def word(self, section: str) -> Optional[str]:
+        """The leading word of a declared section (``"sql"`` for ``execution
+        sql``), ``None`` when the spec leaves the section to the config."""
+        declared = self.sections.get(section)
+        return None if declared is None else str(declared.values[SECTIONS[section][0].knob])
 
     # -- validation ----------------------------------------------------------
     def validate(self) -> None:
@@ -309,23 +269,8 @@ class NetworkSpec:
             raise SpecError(
                 "a network spec needs at least one peer", code=_codes.MALFORMED_SPEC
             )
-        if self.store is not None:
-            self._validate_section(self.store, "store")
-        if self.sync is not None:
-            self._validate_section(self.sync, "sync")
-        if self.execution is not None and self.execution not in _EXECUTION_BACKENDS:
-            raise SpecError(
-                f"execution backend must be 'python' or 'sql', got {self.execution!r}",
-                code=_codes.MALFORMED_SPEC,
-                span=self.spans.get("execution"),
-            )
-        if self.observe is not None and self.observe not in _OBSERVE_MODES:
-            raise SpecError(
-                f"observe mode must be one of {', '.join(_OBSERVE_MODES)}, "
-                f"got {self.observe!r}",
-                code=_codes.MALFORMED_SPEC,
-                span=self.spans.get("observe"),
-            )
+        for error in self.section_problems():
+            raise error
         for peer in self.peers.values():
             if not peer.relations:
                 raise SpecError(
@@ -372,16 +317,15 @@ class NetworkSpec:
                 self.peers[mapping.target_peer].schema(),
             )
 
-    def _validate_section(self, section, key: str) -> None:
-        """Run a section's own validation, tagging errors with code + span."""
-        try:
-            section.validate()
-        except SpecError as error:
-            if error.code is None:
-                error.code = _codes.MALFORMED_SPEC
-            if error.span is None:
-                error.span = self.spans.get(key)
-            raise
+    def section_problems(self) -> Iterator[SpecError]:
+        """One located error per malformed section, not raised: what
+        :meth:`validate` raises first and the analyzer reports in full."""
+        for section in self.sections.values():
+            try:
+                section.validate()
+            except SpecError as error:
+                error.span = error.span or self.spans.get(section.name)
+                yield error
 
     # -- serialization -------------------------------------------------------
     def to_dict(self) -> dict:
@@ -390,26 +334,16 @@ class NetworkSpec:
             "peers": {name: peer.to_dict() for name, peer in self.peers.items()},
             "mappings": [mapping_to_tgd(mapping) for mapping in self.mappings],
         }
-        if self.store is not None:
-            data["store"] = self.store.to_dict()
-        if self.sync is not None:
-            data["sync"] = self.sync.to_dict()
-        if self.execution is not None:
-            data["execution"] = self.execution
-        if self.observe is not None:
-            data["observe"] = self.observe
+        for name in SECTIONS:
+            if name in self.sections:
+                data[name] = self.sections[name].to_dict()
         return data
 
     def to_text(self) -> str:
         lines = [f"network {self.name}"]
-        if self.store is not None:
-            lines.append(self.store.to_text_line())
-        if self.sync is not None:
-            lines.append(self.sync.to_text_line())
-        if self.execution is not None:
-            lines.append(f"execution {self.execution}")
-        if self.observe is not None:
-            lines.append(f"observe {self.observe}")
+        lines.extend(
+            self.sections[name].to_text_line() for name in SECTIONS if name in self.sections
+        )
         for peer in self.peers.values():
             header = f"peer {peer.name}"
             if peer.schema_name:
@@ -451,10 +385,6 @@ def _parse_text_spec(text: str) -> NetworkSpec:
     pending_mapping: list[str] = []
     pending_start = 0
 
-    def line_span(number: int, raw: str) -> SourceSpan:
-        indent = len(raw) - len(raw.lstrip())
-        return SourceSpan(number, indent + 1)
-
     def finish_mapping() -> None:
         if pending_mapping:
             raise SpecError(
@@ -484,129 +414,80 @@ def _parse_text_spec(text: str) -> NetworkSpec:
                 pending_mapping = []
             continue
 
-        if line.startswith("network "):
-            spec.name = line.split(None, 1)[1].strip()
-            spec.spans["network"] = line_span(number, raw)
-            continue
+        span = SourceSpan(number, len(raw) - len(raw.lstrip()) + 1)
 
-        if line.startswith("store"):
+        def fail(message: str, number: int = number, span: SourceSpan = span) -> NoReturn:
+            raise SpecError(f"line {number}: {message}", code=_codes.MALFORMED_SPEC, span=span)
+
+        def bad_declaration(what: str, statement: str = raw.strip()) -> NoReturn:
+            fail(f"malformed {what} declaration {statement!r}")
+
+        # Statements dispatch on their first word, so "storefront" or
+        # "peers B" is an unrecognised statement, not a malformed section.
+        keyword = _KEYWORD_RE.match(line).group()  # type: ignore[union-attr]
+        tokens = line[len(keyword):].split()
+
+        if keyword == "network" and tokens:
+            spec.name = line[len(keyword):].strip()
+            spec.spans["network"] = span
+
+        elif keyword in SECTIONS:
             if current is not None:
-                raise SpecError(
-                    f"line {number}: the store declaration belongs at the top "
-                    "of the spec, before any peer section"
+                fail(
+                    f"the {keyword} declaration belongs at the top of the spec, "
+                    "before any peer section"
                 )
-            if spec.store is not None:
-                raise SpecError(f"line {number}: the store is declared twice")
-            match = _STORE_RE.match(line)
-            if match is None:
-                raise SpecError(f"line {number}: malformed store declaration {raw.strip()!r}")
-            spec.store = _store_from_knobs(
-                match.group("kind"), match.group("knobs").split(), f"line {number}"
-            )
-            spec.spans["store"] = line_span(number, raw)
-            continue
+            if keyword in spec.sections:
+                fail(f"the {keyword} section is declared twice")
+            leading = len(tokens) if SECTIONS[keyword][0].levels else 1
+            words, knobs = tokens[:leading], tokens[leading:]
+            if not words or len(knobs) % 2 or not all(map(_WORD_RE.fullmatch, tokens)):
+                bad_declaration(keyword)
+            section = make_section(keyword, words, zip(knobs[::2], knobs[1::2]), fail)
+            if section is not None:
+                spec.sections[keyword] = section
+            spec.spans[keyword] = span
 
-        if line.startswith("sync"):
-            if current is not None:
-                raise SpecError(
-                    f"line {number}: the sync declaration belongs at the top "
-                    "of the spec, before any peer section"
-                )
-            if spec.sync is not None:
-                raise SpecError(f"line {number}: the sync mode is declared twice")
-            match = _SYNC_RE.match(line)
-            if match is None:
-                raise SpecError(f"line {number}: malformed sync declaration {raw.strip()!r}")
-            spec.sync = _sync_from_knobs(
-                match.group("mode"), match.group("knobs").split(), f"line {number}"
-            )
-            spec.spans["sync"] = line_span(number, raw)
-            continue
-
-        if line.startswith("execution"):
-            if current is not None:
-                raise SpecError(
-                    f"line {number}: the execution declaration belongs at the "
-                    "top of the spec, before any peer section"
-                )
-            if spec.execution is not None:
-                raise SpecError(f"line {number}: the execution backend is declared twice")
-            match = _EXECUTION_RE.match(line)
-            if match is None:
-                raise SpecError(
-                    f"line {number}: malformed execution declaration {raw.strip()!r}"
-                )
-            spec.execution = match.group("backend")
-            spec.spans["execution"] = line_span(number, raw)
-            continue
-
-        if line.startswith("observe"):
-            if current is not None:
-                raise SpecError(
-                    f"line {number}: the observe declaration belongs at the "
-                    "top of the spec, before any peer section"
-                )
-            if spec.observe is not None:
-                raise SpecError(f"line {number}: the observe mode is declared twice")
-            match = _OBSERVE_RE.match(line)
-            if match is None:
-                raise SpecError(
-                    f"line {number}: malformed observe declaration {raw.strip()!r}"
-                )
-            spec.observe = _observe_from_tokens(
-                match.group("tokens").split(), f"line {number}"
-            )
-            if spec.observe == "off":
-                spec.observe = None  # "observe off" is the absent default.
-            spec.spans["observe"] = line_span(number, raw)
-            continue
-
-        if line.startswith("peer"):
+        elif keyword == "peer":
             match = _PEER_RE.match(line)
             if match is None:
-                raise SpecError(f"line {number}: malformed peer declaration {raw.strip()!r}")
+                bad_declaration("peer")
             name = match.group("name")
             if name in spec.peers:
-                raise SpecError(f"line {number}: peer {name!r} is declared twice")
+                fail(f"peer {name!r} is declared twice")
             current = PeerSpec(name=name, schema_name=match.group("schema"))
-            current.spans["peer"] = line_span(number, raw)
+            current.spans["peer"] = span
             spec.peers[name] = current
-            continue
 
-        if line.startswith("relation"):
+        elif keyword == "relation":
             if current is None:
-                raise SpecError(f"line {number}: relation declared outside a peer section")
+                fail("relation declared outside a peer section")
             match = _RELATION_RE.match(line)
             if match is None:
-                raise SpecError(f"line {number}: malformed relation declaration {raw.strip()!r}")
+                bad_declaration("relation")
             relation = match.group("name")
             if relation in current.relations:
-                raise SpecError(
-                    f"line {number}: relation {relation!r} of peer "
-                    f"{current.name!r} is declared twice"
-                )
+                fail(f"relation {relation!r} of peer {current.name!r} is declared twice")
             attributes = [attr.strip() for attr in match.group("attrs").split(",") if attr.strip()]
             current.relations[relation] = attributes
-            current.spans[f"relation:{relation}"] = line_span(number, raw)
+            current.spans[f"relation:{relation}"] = span
             key_text = match.group("key")
             if key_text is not None:
                 current.keys[relation] = [
                     attr.strip() for attr in key_text.split(",") if attr.strip()
                 ]
-                current.spans[f"key:{relation}"] = line_span(number, raw)
-            continue
+                current.spans[f"key:{relation}"] = span
 
-        if line.startswith("trust"):
+        elif keyword == "trust":
             if current is None:
-                raise SpecError(f"line {number}: trust declared outside a peer section")
+                fail("trust declared outside a peer section")
             match = _TRUST_RE.match(line)
             if match is None:
-                raise SpecError(f"line {number}: malformed trust declaration {raw.strip()!r}")
+                bad_declaration("trust")
             current.trust[match.group("peer")] = int(match.group("priority"))
-            current.spans[f"trust:{match.group('peer')}"] = line_span(number, raw)
-            continue
+            current.spans[f"trust:{match.group('peer')}"] = span
 
-        if line.startswith("mapping"):
+        elif keyword == "mapping":
             # Blank out the "mapping" keyword (and anything before it) so the
             # remaining text keeps the raw line's exact columns for spans.
             stripped = _strip_comment(raw)
@@ -617,13 +498,9 @@ def _parse_text_spec(text: str) -> NetworkSpec:
             else:
                 pending_mapping = [masked]
                 pending_start = number
-            continue
 
-        raise SpecError(
-            f"line {number}: unrecognised spec statement {raw.strip()!r}",
-            code=_codes.MALFORMED_SPEC,
-            span=line_span(number, raw),
-        )
+        else:
+            fail(f"unrecognised spec statement {raw.strip()!r}")
 
     finish_mapping()
     return spec
@@ -646,99 +523,25 @@ def _mapping_from_lines(
         ) from error
 
 
-def _store_from_knobs(kind: str, tokens: Sequence[str], context: str) -> StoreSpec:
-    """Build a :class:`StoreSpec` from ``knob value`` token pairs."""
-    store = StoreSpec(kind=kind)
-    for position in range(0, len(tokens), 2):
-        knob = tokens[position]
-        if knob not in _STORE_KNOBS:
-            raise SpecError(
-                f"{context}: unknown store knob {knob!r}; expected one of "
-                + ", ".join(_STORE_KNOBS)
-            )
-        if getattr(store, knob) is not None:
-            raise SpecError(f"{context}: store knob {knob!r} is given twice")
-        setattr(store, knob, int(tokens[position + 1]))
-    return store
-
-
-def _sync_from_knobs(mode: str, tokens: Sequence[str], context: str) -> SyncSpec:
-    """Build a :class:`SyncSpec` from ``knob value`` token pairs."""
-    sync = SyncSpec(mode=mode)
-    for position in range(0, len(tokens), 2):
-        knob = tokens[position]
-        if knob not in _SYNC_KNOBS:
-            raise SpecError(
-                f"{context}: unknown sync knob {knob!r}; expected one of "
-                + ", ".join(_SYNC_KNOBS)
-            )
-        if getattr(sync, knob) is not None:
-            raise SpecError(f"{context}: sync knob {knob!r} is given twice")
-        value = tokens[position + 1]
-        if knob in _SYNC_WORD_KNOBS:
-            setattr(sync, knob, value)
-        else:
-            try:
-                setattr(sync, knob, int(value))
-            except ValueError:
-                raise SpecError(
-                    f"{context}: sync knob {knob!r} needs an integer, got {value!r}"
-                ) from None
-    return sync
-
-
 def _parse_dict_spec(data: MappingType) -> NetworkSpec:
     spec = NetworkSpec(name=str(data.get("name", "network")))
-    store_entry = data.get("store")
-    if store_entry is not None:
-        if not isinstance(store_entry, MappingType):
-            raise SpecError(
-                f"the 'store' entry must be a mapping, got {type(store_entry).__name__}"
+    for name, (head, *knobs) in SECTIONS.items():
+        entry = data.get(name)
+        if entry is None:
+            continue
+        if not knobs:  # a bare word, or several levels as a list or one string
+            words = entry if isinstance(entry, (list, tuple)) else str(entry).split()
+            section = make_section(name, words, ())
+        elif isinstance(entry, MappingType):
+            section = make_section(
+                name,
+                [entry.get(head.knob, head.default)],
+                ((k, v) for k, v in entry.items() if k != head.knob and v is not None),
             )
-        unknown = set(store_entry) - {"kind", *_STORE_KNOBS}
-        if unknown:
-            raise SpecError(f"unknown store entries: {sorted(unknown)}")
-        spec.store = StoreSpec(
-            kind=str(store_entry.get("kind", "centralized")),
-            **{
-                knob: int(store_entry[knob])
-                for knob in _STORE_KNOBS
-                if store_entry.get(knob) is not None
-            },
-        )
-    sync_entry = data.get("sync")
-    if sync_entry is not None:
-        if not isinstance(sync_entry, MappingType):
-            raise SpecError(
-                f"the 'sync' entry must be a mapping, got {type(sync_entry).__name__}"
-            )
-        unknown = set(sync_entry) - {"mode", *_SYNC_KNOBS}
-        if unknown:
-            raise SpecError(f"unknown sync entries: {sorted(unknown)}")
-        spec.sync = SyncSpec(
-            mode=str(sync_entry.get("mode", "cursor")),
-            **{
-                knob: (
-                    str(sync_entry[knob])
-                    if knob in _SYNC_WORD_KNOBS
-                    else int(sync_entry[knob])
-                )
-                for knob in _SYNC_KNOBS
-                if sync_entry.get(knob) is not None
-            },
-        )
-    execution_entry = data.get("execution")
-    if execution_entry is not None:
-        spec.execution = str(execution_entry)
-    observe_entry = data.get("observe")
-    if observe_entry is not None:
-        tokens = (
-            [str(token) for token in observe_entry]
-            if isinstance(observe_entry, (list, tuple))
-            else str(observe_entry).split()
-        )
-        mode = _observe_from_tokens(tokens, "the 'observe' entry")
-        spec.observe = mode if mode != "off" else None
+        else:
+            malformed(f"the {name!r} entry must be a mapping, got {type(entry).__name__}")
+        if section is not None:
+            spec.sections[name] = section
     peers = data.get("peers")
     if not isinstance(peers, MappingType) or not peers:
         raise SpecError("dict specs need a non-empty 'peers' mapping")
@@ -798,11 +601,9 @@ def spec_of(cdss) -> NetworkSpec:
     :class:`SpecError` because arbitrary Python predicates have no textual
     form.
     """
-    spec = NetworkSpec(name=getattr(cdss, "name", None) or "network")
-    spec.store = store_spec_of(cdss.store)
-    spec.sync = sync_spec_of(cdss)
-    spec.execution = execution_spec_of(cdss)
-    spec.observe = observe_spec_of(cdss)
+    spec = NetworkSpec(
+        name=getattr(cdss, "name", None) or "network", sections=sections_of(cdss.config)
+    )
     for peer in cdss.catalog.peers():
         policy = peer.trust
         if policy.conditions:
@@ -830,73 +631,23 @@ def spec_of(cdss) -> NetworkSpec:
     return spec
 
 
-def execution_spec_of(cdss) -> Optional[str]:
-    """The ``execution`` directive describing a running system's backend.
+def sections_of(config: SystemConfig) -> dict[str, SectionSpec]:
+    """The sections that describe ``config``: every spec-settable option that
+    is off its default, so building them over the default configuration
+    gives ``config`` back and an all-default system has no section lines.
 
-    The python default maps to ``None`` (no ``execution`` line), so specs
-    that never mentioned a backend round-trip unchanged.
+    A knob that only one head word accepts (``sketch`` under ``sync gossip``)
+    is left out under any other head, where the grammar has no place for it.
     """
-    backend = cdss.config.exchange.execution_backend
-    return backend if backend != "python" else None
-
-
-def observe_spec_of(cdss) -> Optional[str]:
-    """The ``observe`` directive describing a running system's observability.
-
-    The off default maps to ``None`` (no ``observe`` line), so specs that
-    never mentioned observability round-trip unchanged.
-    """
-    mode = cdss.config.store.observability
-    return mode if mode != "off" else None
-
-
-def store_spec_of(store) -> Optional[StoreSpec]:
-    """The :class:`StoreSpec` describing a running store.
-
-    The centralized default maps to ``None`` (no ``store`` line), so specs
-    that never mentioned a store round-trip unchanged; a distributed store
-    is recovered with all its knobs pinned.
-    """
-    from ..p2p.distributed import DistributedUpdateStore
-
-    if isinstance(store, DistributedUpdateStore):
-        return StoreSpec(
-            kind="distributed",
-            shards=store.shard_count,
-            replication=store.replication_factor,
-            write_quorum=store.write_quorum,
-            read_quorum=store.read_quorum,
-            segment_size=store.segment_size,
+    sections = {}
+    for name, (head, *knobs) in SECTIONS.items():
+        kind = head.get(config)
+        values = {head.knob: kind}
+        values.update(
+            (option.knob, option.get(config))
+            for option in knobs
+            if option.get(config) != option.default and option.under in (None, kind)
         )
-    return None
-
-
-def sync_spec_of(cdss) -> Optional[SyncSpec]:
-    """The :class:`SyncSpec` describing a running system's catch-up mode.
-
-    The all-default configuration (cursor mode, serial runtime) maps to
-    ``None`` (no ``sync`` line), so specs that never mentioned sync
-    round-trip unchanged; gossip mode is recovered with all its knobs
-    pinned, and the async runtime pins ``runtime``/``workers`` in either
-    mode.
-    """
-    store_config = cdss.config.store
-    runtime = None
-    workers = None
-    if store_config.sync_runtime == "async":
-        runtime = store_config.sync_runtime
-        workers = store_config.sync_workers
-    if store_config.sync_mode != "gossip":
-        if runtime is None:
-            return None
-        return SyncSpec(mode="cursor", runtime=runtime, workers=workers)
-    return SyncSpec(
-        mode="gossip",
-        fanout=store_config.gossip_fanout,
-        sketch=store_config.sketch,
-        capacity=store_config.sketch_capacity,
-        growth=store_config.sketch_growth,
-        attempts=store_config.sketch_attempts,
-        runtime=runtime,
-        workers=workers,
-    )
+        if len(values) > 1 or kind != head.default:
+            sections[name] = SectionSpec(name, values)
+    return sections

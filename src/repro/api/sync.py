@@ -12,7 +12,7 @@ Centralizing the loop here gives later performance work (batching,
 async publication, sharded reconciliation) a single seam to optimize
 without touching user code.
 
-When the system runs in gossip sync mode (``StoreConfig.sync_mode ==
+When the system runs in gossip sync mode (``SyncConfig.mode ==
 "gossip"``), each round inserts an epidemic anti-entropy phase between the
 publish and reconcile passes: freshly published entries spread peer-to-peer
 via sketch reconciliation sessions (:mod:`repro.p2p.gossip`) so the
@@ -41,7 +41,7 @@ def metrics_enabled(cdss) -> bool:
     if obs.tracer is not None:
         return True
     config = getattr(cdss, "config", None)
-    return config is not None and config.store.observability != "off"
+    return config is not None and config.observe.mode != "off"
 
 
 @dataclass
@@ -105,7 +105,7 @@ class SyncReport:
     runtime: Optional[dict] = None
     #: Per-run view of the shared metrics registry (:mod:`repro.obs`):
     #: counters moved during this sync plus current gauges, under stable
-    #: dotted names.  ``None`` unless ``StoreConfig.observability`` is
+    #: dotted names.  ``None`` unless ``config.observe.mode`` is
     #: ``"metrics"``/``"trace"`` or a tracer was installed via
     #: ``cdss.sync(trace=...)``.
     metrics: Optional[dict] = None
@@ -345,11 +345,11 @@ def finalize_report(
         report.store_health = health()
     gossip = getattr(cdss, "gossip", None)
     if gossip is not None:
-        store_config = cdss.config.store
+        sync_config = cdss.config.sync
         report.gossip = {
             "mode": "gossip",
-            "sketch": store_config.sketch,
-            "fanout": store_config.gossip_fanout,
+            "sketch": sync_config.sketch,
+            "fanout": sync_config.gossip_fanout,
         }
         report.gossip.update(
             gossip.summary(since=gossip_before, rounds_before=gossip_rounds_before)

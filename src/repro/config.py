@@ -1,31 +1,120 @@
-"""Configuration dataclasses for the CDSS engines.
+"""Configuration dataclasses for the CDSS engines, and the one option table.
 
-The defaults reproduce the behaviour described in the paper; benchmarks and
-ablations override individual knobs (for example, disabling incremental
-maintenance or provenance tracking).
+The defaults reproduce the behaviour described in the paper.  Every field is
+declared once, through :func:`_option`, with its value domain and — when a
+network spec can set it — its spec spelling.  :data:`OPTIONS` collects those
+declarations into the table everything else is derived from: config
+validation (here), the spec language's sections (:mod:`repro.api.spec`), the
+builder methods, the analyzer's structure check, the simulator's mode flags
+and the README's "System options" table.  Removing an option is removing
+its field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import dataclasses
+from dataclasses import dataclass, field, fields
+from typing import Any, Iterable, Optional
 
 from .errors import ConfigurationError
 
 
 @dataclass(frozen=True)
-class ExchangeConfig:
+class Option:
+    """One system option: its config field, spec spelling and value domain.
+
+    Attributes:
+        default: The field's default; ``None`` means the value may be unset.
+        section: The spec section that sets it (``store``, ``sync``, ...);
+            empty for a config-only field, which has no spec spelling.
+        knob: Its name inside the section (and in the section's dict form).
+        head: It is the section's leading word (``store <kind>``), not a
+            ``knob value`` pair.
+        choices: The words it accepts (word-valued options).
+        floor: The smallest integer it accepts (integer-valued options).
+            Options with neither ``choices`` nor ``floor`` are plain flags.
+        at_most: A sibling field whose value bounds this one from above
+            (a quorum cannot exceed the replication factor).
+        under: The value of the section's head under which alone the knob
+            may be given (``fanout`` only under ``sync gossip``).
+        levels: ``choices`` are cumulative levels, each implying the ones
+            before it, not alternatives: a spec may list several (the
+            highest wins) and the lowest alone means "section absent".
+        group, field: The :class:`SystemConfig` attribute and the field on
+            it, filled in when :data:`OPTIONS` is collected.
+    """
+
+    default: Any
+    section: str = ""
+    knob: str = ""
+    head: bool = False
+    choices: tuple[str, ...] = ()
+    floor: Optional[int] = None
+    at_most: Optional[str] = None
+    under: Optional[str] = None
+    levels: bool = False
+    group: str = ""
+    field: str = ""
+
+    @property
+    def flag(self) -> str:
+        """The one word naming the option on a command line or as a builder
+        argument: the section for its head, the knob otherwise."""
+        return self.section if self.head else self.knob
+
+    def problem(self, value: object) -> Optional[str]:
+        """Why ``value`` lies outside the option's domain (``None``: it does not)."""
+        if value is None and self.default is None:
+            return None
+        if self.choices:
+            if value not in self.choices:
+                words = [repr(choice) for choice in self.choices]
+                return f"must be {', '.join(words[:-1])} or {words[-1]}, got {value!r}"
+        elif self.floor is not None:
+            if not isinstance(value, int) or isinstance(value, bool):
+                return f"needs an integer, got {value!r}"
+            if value < self.floor:
+                return f"must be >= {self.floor}, got {value}"
+        return None
+
+    def get(self, config: "SystemConfig") -> Any:
+        return getattr(getattr(config, self.group), self.field)
+
+
+def _option(default: Any, spelling: str = "", **domain: Any) -> Any:
+    """Declare a config field.  ``spelling`` is how a spec writes it:
+    ``"store <kind>"`` for a section's head, ``"store shards"`` for a knob,
+    empty for a config-only field."""
+    section, _, knob = spelling.partition(" ")
+    option = Option(default, section, knob.strip("<>"), head=knob.startswith("<"), **domain)
+    return field(default=default, metadata={"option": option})
+
+
+class _OptionGroup:
+    """Base of the config groups: every field is checked against its domain."""
+
+    def __post_init__(self) -> None:
+        for entry in fields(self):  # type: ignore[arg-type]
+            option: Option = entry.metadata["option"]
+            value = getattr(self, entry.name)
+            problem = option.problem(value)
+            if problem:
+                raise ConfigurationError(f"{entry.name} {problem}")
+            if option.at_most is not None and value is not None:
+                bound = getattr(self, option.at_most)
+                if value > bound:
+                    raise ConfigurationError(
+                        f"{entry.name} ({value}) cannot exceed {option.at_most} ({bound})"
+                    )
+
+
+@dataclass(frozen=True)
+class ExchangeConfig(_OptionGroup):
     """Configuration for the update exchange engine.
 
     Attributes:
-        incremental: Use delta rules / DRed instead of full recomputation.
         track_provenance: Maintain provenance for derived tuples.
-        provenance_mode: How stored provenance is evaluated — ``"circuit"``
-            (the hash-consed DAG with memoized semiring evaluation, the
-            default) or ``"expanded"`` (per-tuple polynomial expansion, the
-            slow ablation representation the DAG replaces).
         max_iterations: Safety bound on semi-naive iterations (0 = unbounded).
-        skolem_prefix: Prefix used for labelled nulls created by existential
-            variables in mappings.
         execution_backend: How compiled rule plans are fired — ``"python"``
             (the tuple-at-a-time closure executor, the default) or ``"sql"``
             (set-at-a-time ``INSERT ... SELECT`` pushdown into an in-memory
@@ -33,30 +122,15 @@ class ExchangeConfig:
             backends produce identical databases and provenance polynomials.
     """
 
-    incremental: bool = True
-    track_provenance: bool = True
-    provenance_mode: str = "circuit"
-    max_iterations: int = 0
-    skolem_prefix: str = "SK"
-    execution_backend: str = "python"
-
-    def __post_init__(self) -> None:
-        if self.max_iterations < 0:
-            raise ConfigurationError("max_iterations must be >= 0")
-        if not self.skolem_prefix:
-            raise ConfigurationError("skolem_prefix must be non-empty")
-        if self.provenance_mode not in ("circuit", "expanded"):
-            raise ConfigurationError(
-                f"provenance_mode must be 'circuit' or 'expanded', got {self.provenance_mode!r}"
-            )
-        if self.execution_backend not in ("python", "sql"):
-            raise ConfigurationError(
-                f"execution backend must be 'python' or 'sql', got {self.execution_backend!r}"
-            )
+    track_provenance: bool = _option(True)
+    max_iterations: int = _option(0, floor=0)
+    execution_backend: str = _option(
+        "python", "execution <backend>", choices=("python", "sql")
+    )
 
 
 @dataclass(frozen=True)
-class ReconciliationConfig:
+class ReconciliationConfig(_OptionGroup):
     """Configuration for the reconciliation algorithm.
 
     Attributes:
@@ -67,32 +141,24 @@ class ReconciliationConfig:
         defer_on_ties: Defer mutually conflicting groups of equal priority to
             the administrator (paper behaviour).  When ``False`` ties are
             broken deterministically by transaction id (baseline ablation).
-        strict_antecedents: Reject candidates whose antecedents were rejected
-            (paper behaviour).  ``False`` applies candidates whose antecedent
-            data happens to already be present.
     """
 
-    default_priority: int = 0
-    defer_on_ties: bool = True
-    strict_antecedents: bool = True
-
-    def __post_init__(self) -> None:
-        if self.default_priority < 0:
-            raise ConfigurationError("default_priority must be >= 0")
+    default_priority: int = _option(0, floor=0)
+    defer_on_ties: bool = _option(True)
 
 
 @dataclass(frozen=True)
-class StoreConfig:
+class StoreConfig(_OptionGroup):
     """Configuration of the peer-to-peer update store.
 
     Attributes:
         backend: ``"centralized"`` (single in-memory archive, the default) or
             ``"distributed"`` (sharded, replicated archive hosted on the
             peers themselves; see :mod:`repro.p2p.distributed`).
+        shard_count: Number of shards of the distributed archive.
         replication_factor: Number of replicas of each shard (distributed
             backend) or replica slots per transaction in the overlay
             accounting (centralized backend).
-        shard_count: Number of shards of the distributed archive.
         write_quorum: Acks required for a non-degraded write; ``None`` means
             a majority of the replication factor.
         read_quorum: Replicas consulted per shard on reads.
@@ -100,8 +166,30 @@ class StoreConfig:
         require_online_to_publish: Publishing requires the peer to be online.
         require_online_to_reconcile: Reconciling requires the peer to be
             online (it must reach the archive).
-        sync_mode: How peers catch up on published transactions —
-            ``"cursor"`` (each peer replays its log tail straight from the
+    """
+
+    backend: str = _option(
+        "centralized", "store <kind>", choices=("centralized", "distributed")
+    )
+    shard_count: int = _option(4, "store shards", floor=1)
+    replication_factor: int = _option(2, "store replication", floor=1)
+    write_quorum: Optional[int] = _option(
+        None, "store write_quorum", floor=1, at_most="replication_factor"
+    )
+    read_quorum: int = _option(
+        1, "store read_quorum", floor=1, at_most="replication_factor"
+    )
+    segment_size: int = _option(8, "store segment_size", floor=1)
+    require_online_to_publish: bool = _option(True)
+    require_online_to_reconcile: bool = _option(True)
+
+
+@dataclass(frozen=True)
+class SyncConfig(_OptionGroup):
+    """How peers catch up on published transactions, and who schedules it.
+
+    Attributes:
+        mode: ``"cursor"`` (each peer replays its log tail straight from the
             archive, the default) or ``"gossip"`` (fanout-f epidemic
             anti-entropy over set-reconciliation sketches; see
             :mod:`repro.p2p.gossip`).
@@ -113,106 +201,97 @@ class StoreConfig:
         sketch_capacity: Initial sketch capacity in difference elements.
         sketch_growth: Capacity multiplier applied on each decode failure.
         sketch_attempts: Sketch attempts before falling back to cursor replay.
-        sync_runtime: How ``cdss.sync()`` schedules the network —
-            ``"serial"`` (the strict round-robin loop, the default) or
-            ``"async"`` (the pipelined asyncio runtime of
-            :mod:`repro.api.async_sync`: independent peers publish and
-            reconcile concurrently on a virtual clock, publish fan-out
-            overlaps reconciliation, and bounded per-peer queues apply
-            backpressure).  Both runtimes produce identical reports.
-        sync_workers: Admission-control limit of the async runtime — the
-            number of peer transfers allowed in flight at once.
-        sync_queue_depth: Bound on each peer's delivery queue (async
-            runtime); a full queue blocks its producers (backpressure)
-            instead of growing without bound.
-        observability: What the shared :mod:`repro.obs` layer records —
-            ``"off"`` (metrics registry only, reports unchanged — the
+        runtime: How ``cdss.sync()`` schedules the network — ``"serial"``
+            (the strict round-robin loop, the default) or ``"async"`` (the
+            pipelined asyncio runtime of :mod:`repro.api.async_sync`:
+            independent peers publish and reconcile concurrently on a
+            virtual clock, publish fan-out overlaps reconciliation, and
+            bounded per-peer queues apply backpressure).  Both runtimes
+            produce identical reports.
+        workers: Admission-control limit of the async runtime — the number
+            of peer transfers allowed in flight at once.
+        queue_depth: Bound on each peer's delivery queue (async runtime); a
+            full queue blocks its producers (backpressure) instead of
+            growing without bound.
+    """
+
+    mode: str = _option("cursor", "sync <mode>", choices=("cursor", "gossip"))
+    gossip_fanout: int = _option(2, "sync fanout", floor=1, under="gossip")
+    sketch: str = _option("iblt", "sync sketch", choices=("iblt", "bloom"), under="gossip")
+    sketch_capacity: int = _option(32, "sync capacity", floor=1, under="gossip")
+    sketch_growth: int = _option(4, "sync growth", floor=2, under="gossip")
+    sketch_attempts: int = _option(3, "sync attempts", floor=1, under="gossip")
+    runtime: str = _option("serial", "sync runtime", choices=("serial", "async"))
+    workers: int = _option(8, "sync workers", floor=1)
+    queue_depth: int = _option(4, floor=1)
+
+
+@dataclass(frozen=True)
+class ObserveConfig(_OptionGroup):
+    """What the shared :mod:`repro.obs` layer records.
+
+    Attributes:
+        mode: ``"off"`` (metrics registry only, reports unchanged — the
             default), ``"metrics"`` (additionally attach the flat metrics
             snapshot to ``SyncReport.metrics``), or ``"trace"`` (metrics
             plus a deterministic span tracer stamped from the virtual
             clock, exportable as Chrome-trace JSON).
     """
 
-    backend: str = "centralized"
-    replication_factor: int = 2
-    shard_count: int = 4
-    write_quorum: int | None = None
-    read_quorum: int = 1
-    segment_size: int = 8
-    require_online_to_publish: bool = True
-    require_online_to_reconcile: bool = True
-    sync_mode: str = "cursor"
-    gossip_fanout: int = 2
-    sketch: str = "iblt"
-    sketch_capacity: int = 32
-    sketch_growth: int = 4
-    sketch_attempts: int = 3
-    sync_runtime: str = "serial"
-    sync_workers: int = 8
-    sync_queue_depth: int = 4
-    observability: str = "off"
-
-    def __post_init__(self) -> None:
-        if self.backend not in ("centralized", "distributed"):
-            raise ConfigurationError(
-                f"store backend must be 'centralized' or 'distributed', got {self.backend!r}"
-            )
-        if self.replication_factor < 1:
-            raise ConfigurationError("replication_factor must be >= 1")
-        if self.shard_count < 1:
-            raise ConfigurationError("shard_count must be >= 1")
-        if self.segment_size < 1:
-            raise ConfigurationError("segment_size must be >= 1")
-        if not 1 <= self.read_quorum <= self.replication_factor:
-            raise ConfigurationError(
-                "read_quorum must lie in [1, replication_factor]"
-            )
-        if self.write_quorum is not None and not (
-            1 <= self.write_quorum <= self.replication_factor
-        ):
-            raise ConfigurationError(
-                "write_quorum must be None (majority) or in [1, replication_factor]"
-            )
-        if self.sync_mode not in ("cursor", "gossip"):
-            raise ConfigurationError(
-                f"sync_mode must be 'cursor' or 'gossip', got {self.sync_mode!r}"
-            )
-        if self.sketch not in ("iblt", "bloom"):
-            raise ConfigurationError(
-                f"sketch must be 'iblt' or 'bloom', got {self.sketch!r}"
-            )
-        if self.gossip_fanout < 1:
-            raise ConfigurationError("gossip_fanout must be >= 1")
-        if self.sketch_capacity < 1:
-            raise ConfigurationError("sketch_capacity must be >= 1")
-        if self.sketch_growth < 2:
-            raise ConfigurationError("sketch_growth must be >= 2")
-        if self.sketch_attempts < 1:
-            raise ConfigurationError("sketch_attempts must be >= 1")
-        if self.sync_runtime not in ("serial", "async"):
-            raise ConfigurationError(
-                f"sync_runtime must be 'serial' or 'async', got {self.sync_runtime!r}"
-            )
-        if self.sync_workers < 1:
-            raise ConfigurationError("sync_workers must be >= 1")
-        if self.sync_queue_depth < 1:
-            raise ConfigurationError("sync_queue_depth must be >= 1")
-        if self.observability not in ("off", "metrics", "trace"):
-            raise ConfigurationError(
-                "observability must be 'off', 'metrics', or 'trace', "
-                f"got {self.observability!r}"
-            )
+    mode: str = _option(
+        "off", "observe <mode>", choices=("off", "metrics", "trace"), levels=True
+    )
 
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """Top-level configuration for a :class:`repro.core.system.CDSS`."""
+    """Top-level configuration for a :class:`repro.core.system.CDSS`.
 
+    A spec section and the group it sets share a name (``store``, ``sync``,
+    ``observe``); ``execution`` sets :attr:`ExchangeConfig.execution_backend`.
+    The groups are declared in the order a spec renders their sections.
+    """
+
+    store: StoreConfig = field(default_factory=StoreConfig)
+    sync: SyncConfig = field(default_factory=SyncConfig)
     exchange: ExchangeConfig = field(default_factory=ExchangeConfig)
     reconciliation: ReconciliationConfig = field(default_factory=ReconciliationConfig)
-    store: StoreConfig = field(default_factory=StoreConfig)
+    observe: ObserveConfig = field(default_factory=ObserveConfig)
 
     @staticmethod
     def default() -> "SystemConfig":
         """Return the configuration used throughout the paper's scenarios."""
         return SystemConfig()
+
+
+#: Every system option, in declaration order.
+OPTIONS: tuple[Option, ...] = tuple(
+    dataclasses.replace(entry.metadata["option"], group=group.name, field=entry.name)
+    for group in fields(SystemConfig)
+    for entry in fields(group.default_factory)  # type: ignore[arg-type]
+)
+
+#: The spec sections, each with its options (head first), in render order.
+#: Options in no section are config-only: no spec, builder or CLI spelling.
+SECTIONS: dict[str, tuple[Option, ...]] = {
+    name: tuple(option for option in OPTIONS if option.section == name)
+    for name in dict.fromkeys(option.section for option in OPTIONS if option.section)
+}
+
+
+def configure(config: SystemConfig, settings: Iterable[tuple[Option, Any]]) -> SystemConfig:
+    """``config`` with every ``(option, value)`` of ``settings`` applied.
+
+    Each group is replaced once, with all its new values together, so a
+    quorum and the replication factor that bounds it are judged as a pair.
+    """
+    changed: dict[str, dict[str, Any]] = {}
+    for option, value in settings:
+        changed.setdefault(option.group, {})[option.field] = value
+    return dataclasses.replace(
+        config,
+        **{
+            group: dataclasses.replace(getattr(config, group), **values)
+            for group, values in changed.items()
+        },
+    )

@@ -169,23 +169,23 @@ class CDSS:
         # it (traffic counters land there even before the CDSS exists) and
         # every other layer shares the same registry/tracer slots.
         self.obs = self.network.obs
-        if self.config.store.observability == "trace":
+        if self.config.observe.mode == "trace":
             self.obs.tracer = Tracer(self.network.clock)
         factory = store_factory if store_factory is not None else store_from_config
         self.store = factory(self.network, self.config.store)
-        store_config = self.config.store
+        sync_config = self.config.sync
         self.gossip: Optional[GossipCoordinator] = None
-        if store_config.sync_mode == "gossip":
+        if sync_config.mode == "gossip":
             self.gossip = GossipCoordinator(
                 self.network,
                 self.store,
                 config=ReconcileConfig(
-                    algorithm=store_config.sketch,
-                    capacity=store_config.sketch_capacity,
-                    growth=store_config.sketch_growth,
-                    max_attempts=store_config.sketch_attempts,
+                    algorithm=sync_config.sketch,
+                    capacity=sync_config.sketch_capacity,
+                    growth=sync_config.sketch_growth,
+                    max_attempts=sync_config.sketch_attempts,
                 ),
-                fanout=store_config.gossip_fanout,
+                fanout=sync_config.gossip_fanout,
                 observability=self.obs,
             )
         self._engine: Optional[ExchangeEngine] = None
@@ -518,7 +518,7 @@ class CDSS:
         ``runtime`` selects the scheduler for this call — ``"serial"`` (the
         round-robin loop) or ``"async"`` (the pipelined runtime of
         :mod:`repro.api.async_sync`) — overriding
-        :attr:`~repro.config.StoreConfig.sync_runtime`.  Both produce
+        :attr:`~repro.config.SyncConfig.runtime`.  Both produce
         identical reports; they differ in how simulated network traffic
         occupies the virtual clock.
 
@@ -527,7 +527,7 @@ class CDSS:
         the system's shared observability holder (keeping an existing
         one), a :class:`~repro.obs.Tracer` instance installs that tracer,
         and ``False`` removes the current tracer.  Whenever a tracer is
-        active — or ``StoreConfig.observability`` is not ``"off"`` — the
+        active — or ``config.observe.mode`` is not ``"off"`` — the
         returned report carries the per-run metrics view in
         ``report.metrics``.
         """
@@ -546,7 +546,7 @@ class CDSS:
                     f"trace must be True, False, or a Tracer, got {trace!r}"
                 )
 
-        selected = runtime if runtime is not None else self.config.store.sync_runtime
+        selected = runtime if runtime is not None else self.config.sync.runtime
         if selected not in ("serial", "async"):
             raise ConfigurationError(
                 f"sync runtime must be 'serial' or 'async', got {selected!r}"
@@ -612,7 +612,7 @@ class CDSS:
         if tracer is None:
             raise ConfigurationError(
                 "no tracer is active; sync(trace=True) or "
-                "StoreConfig(observability='trace') first"
+                "'observe trace' in the spec first"
             )
         write_chrome_trace(tracer, path)
 

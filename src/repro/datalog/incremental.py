@@ -74,7 +74,6 @@ class IncrementalEngine:
         database: Optional[Database] = None,
         track_provenance: bool = True,
         variable_namer=default_variable_namer,
-        provenance_mode: str = "circuit",
         execution_backend: str | ExecutionBackend = "python",
         observability=None,
     ) -> None:
@@ -95,9 +94,8 @@ class IncrementalEngine:
         self._compiled_key: tuple = tuple(program.rules)
         self._track_provenance = track_provenance
         self._variable_namer = variable_namer
-        self._provenance_mode = provenance_mode
         self._graph: Optional[ProvenanceGraph] = (
-            ProvenanceGraph(evaluation_mode=provenance_mode) if track_provenance else None
+            ProvenanceGraph() if track_provenance else None
         )
         if self._graph is not None and observability is not None:
             self._graph.observability = observability
@@ -312,10 +310,7 @@ class IncrementalEngine:
         if self._graph is not None:
             # Reuse the circuit store: sub-derivations interned by earlier
             # epochs are shared with the rebuilt graph instead of re-stored.
-            self._graph = ProvenanceGraph(
-                store=self._graph.circuit,
-                evaluation_mode=self._provenance_mode,
-            )
+            self._graph = ProvenanceGraph(store=self._graph.circuit)
             if self._observability is not None:
                 self._graph.observability = self._observability
             result = evaluate_with_provenance(

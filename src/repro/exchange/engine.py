@@ -82,7 +82,6 @@ class ExchangeEngine:
         self._engine = IncrementalEngine(
             program,
             track_provenance=self._config.track_provenance,
-            provenance_mode=self._config.provenance_mode,
             execution_backend=self._config.execution_backend,
             observability=self._obs,
         )
@@ -241,12 +240,6 @@ class ExchangeEngine:
             if insert_facts:
                 result = self._engine.apply_insertions(insert_facts)
                 self._collect(result.inserted, inserted)
-            if not self._config.incremental:
-                # Ablation baseline (ABL-INCREMENTAL): rebuild the derived
-                # state from the base facts after every transaction instead
-                # of relying on the propagated deltas.  The deltas reported
-                # above are unchanged — only the maintenance cost differs.
-                self._engine.recompute()
 
         delta = TranslationDelta(
             txn_id=transaction.txn_id,

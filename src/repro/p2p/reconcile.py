@@ -344,7 +344,7 @@ class StoreView:
 
 @dataclass(frozen=True)
 class ReconcileConfig:
-    """Knobs of the sketch protocol (mirrored from ``StoreConfig``)."""
+    """Knobs of the sketch protocol (mirrored from ``SyncConfig``)."""
 
     algorithm: str = "iblt"           # "iblt" | "bloom"
     capacity: int = 32                # initial sketch capacity (diff elements)

@@ -49,11 +49,6 @@ from .semiring import BooleanSemiring
 #: A tuple node is identified by its relation name and its ground values.
 TupleKey = tuple[str, tuple]
 
-#: Evaluation representations: ``"circuit"`` evaluates the hash-consed DAG
-#: with memo tables; ``"expanded"`` evaluates fully expanded polynomials per
-#: tuple (the slow ablation representation the DAG replaces).
-EVALUATION_MODES = ("circuit", "expanded")
-
 _UNREACHED = float("inf")
 
 #: Index of the first source id in a record ``(mapping_id, target_id, *source_ids)``.
@@ -131,8 +126,6 @@ class ProvenanceGraph:
             sharing one store across graphs (e.g. across epochs or replicas
             of the same network) maximises structural sharing.  A fresh store
             is created when omitted.
-        evaluation_mode: ``"circuit"`` (default) or ``"expanded"``; see
-            :data:`EVALUATION_MODES`.
     """
 
     #: Bound on cached per-(semiring, assignment) evaluators (FIFO evicted).
@@ -147,13 +140,7 @@ class ProvenanceGraph:
         self,
         annotate_mappings: bool = False,
         store: Optional[CircuitStore] = None,
-        evaluation_mode: str = "circuit",
     ) -> None:
-        if evaluation_mode not in EVALUATION_MODES:
-            raise ProvenanceError(
-                f"unknown provenance evaluation mode {evaluation_mode!r}; "
-                f"expected one of {EVALUATION_MODES}"
-            )
         #: The interning table ``relation → values → tuple id``; ids are dense
         #: and never reused, and all other state is indexed or keyed by them.
         self._ids: dict[str, dict[tuple, int]] = {}
@@ -167,7 +154,6 @@ class ProvenanceGraph:
         self._by_target: list[list[tuple]] = []
         self._by_source: list[list[tuple]] = []
         self._annotate_mappings = annotate_mappings
-        self.evaluation_mode = evaluation_mode
         self._store = store if store is not None else CircuitStore()
         #: Cached circuit root per tuple; invalidated transitively on change.
         self._roots: dict[int, int] = {}
@@ -395,13 +381,7 @@ class ProvenanceGraph:
                         queue.append(target)
         if not recheck:
             return
-        if self.evaluation_mode == "expanded":
-            store = self._store
-
-            def supported(root: int) -> bool:
-                return not store.to_polynomial(root).is_zero()
-        else:
-            supported = self.evaluator(BooleanSemiring(), {}, default=True).value
+        supported = self.evaluator(BooleanSemiring(), {}, default=True).value
         for key in recheck:
             root = roots.get(key)
             if root is None:
@@ -688,15 +668,6 @@ class ProvenanceGraph:
         """One tuple's annotation in ``semiring`` under ``assignment``."""
         key = self._id_of(relation, values)
         obs = self.observability
-        if self.evaluation_mode == "expanded":
-            if obs is not None:
-                with obs.span("circuit.evaluate", mode="expanded", relation=relation):
-                    result = self._expanded_annotation(
-                        key, semiring, assignment or {}, default
-                    )
-                obs.metrics.counter_add("provenance.circuit.evaluations", 1)
-                return result
-            return self._expanded_annotation(key, semiring, assignment or {}, default)
         evaluator = self.evaluator(semiring, assignment, default)
         if obs is None:
             return evaluator.value(self._root_for(key))
@@ -709,26 +680,6 @@ class ProvenanceGraph:
         if evaluator.hits > hits_before:
             metrics.counter_add("provenance.circuit.memo_hits", 1)
         return result
-
-    def _expanded_annotation(self, key: Optional[int], semiring, assignment, default):
-        """Expanded-representation path: materialise the tuple's ``N[X]``
-        polynomial and evaluate it with :meth:`Polynomial.evaluate`.
-
-        This is the ablation representation the DAG replaces: per-tuple
-        expanded polynomials, paying their (potentially combinatorial) size
-        on every question instead of sharing memoized node evaluations.  For
-        a *fully independent* cross-check of circuit compilation itself, use
-        :func:`reference_polynomial`, which re-walks the derivation
-        hyper-graph without touching the circuit (the simulation's
-        dag-vs-expanded oracle does).
-        """
-        polynomial = self._store.to_polynomial(self._root_for(key))
-        fallback = semiring.one() if default is None else default
-        completed = {
-            variable: assignment.get(variable, fallback)
-            for variable in polynomial.variables()
-        }
-        return polynomial.evaluate(semiring, completed)
 
     def evaluate(
         self,
@@ -750,11 +701,6 @@ class ProvenanceGraph:
         non-idempotent semirings over cyclic derivation graphs.
         """
         keys = range(len(self._relations))
-        if self.evaluation_mode == "expanded":
-            return {
-                self._key(key): self._expanded_annotation(key, semiring, assignment, default)
-                for key in keys
-            }
         evaluator = self.evaluator(semiring, assignment, default)
         return {self._key(key): evaluator.value(self._root_for(key)) for key in keys}
 
@@ -778,8 +724,6 @@ class ProvenanceGraph:
         else:
             assignment = MembershipAssignment(trusted_variables, self._rule_variables)
             default = False
-        if self.evaluation_mode == "expanded":
-            return bool(self._expanded_annotation(key, boolean, assignment, default))
         evaluator = self.evaluator(boolean, assignment, default)
         return bool(evaluator.value(self._root_for(key)))
 

@@ -15,29 +15,26 @@ workload over several replicas, and asserts after every epoch that
 * ``cdss.sync()`` matches a hand-rolled publish/reconcile loop,
 * memory-backed peers match SQLite-backed peers,
 * the sharded, replicated distributed update store produces reconcile
-  outcomes and instances identical to the centralized archive
-  (``--store-centralized``/``--store-distributed`` choose which backend the
-  primary replica runs; the mirror runs the other), and
+  outcomes and instances identical to the centralized archive,
 * every archived transaction stays k-way replicated under churn, so losing
-  up to k-1 replicas of a shard never loses published data, and
+  up to k-1 replicas of a shard never loses published data,
 * gossip sketch reconciliation produces reconcile outcomes and instances
-  identical to scalar-cursor catch-up (``--sync-cursor``/``--sync-gossip``
-  choose which mode the primary replica runs; the mirror runs the other), and
-* with ``--runtime async``, the pipelined asyncio sync scheduler produces
-  reconcile outcomes, open conflicts, and instances identical to the serial
-  round-robin loop (a serial mirror on the same backend and sync mode
-  checks it — the concurrent-vs-serial oracle), and
+  identical to scalar-cursor catch-up,
+* the pipelined asyncio sync scheduler produces reconcile outcomes, open
+  conflicts, and instances identical to the serial round-robin loop (only
+  an async primary spawns this mirror), and
 * the SQL pushdown execution backend derives instances and provenance
-  polynomials identical to the Python closure executor
-  (``--execution python``/``--execution sql`` choose which backend the
-  primary replica runs; a mirror engine runs the other — the sql-vs-python
-  oracle).
+  polynomials identical to the Python closure executor.
+
+Each mode flag (``--store``, ``--sync``, ``--sketch``, ``--runtime``,
+``--execution``: one per word-valued row of :data:`repro.config.OPTIONS`)
+chooses the word the *primary* replica runs; the mirror that checks the
+option runs the other word (:data:`repro.workloads.simulation.MIRRORS`).
 
 Exit status is 0 when every oracle holds for every seed, 1 otherwise; each
 mismatch prints the failing seed, the (minimal) epoch at which it first
 became observable, and the exact ``--seeds 1 --seed-base S ...`` invocation
-(including the campaign's config flags, which feed the same RNG stream)
-that reproduces it.
+(including the campaign's mode flags) that reproduces it.
 
 The nightly CI job runs this with a date-derived ``--seed-base`` so every
 night covers a fresh region of the seed space.
@@ -50,7 +47,12 @@ import sys
 from typing import Optional, Sequence
 
 from .errors import ConfigurationError
-from .workloads.simulation import SimulationConfig, run_simulation
+from .workloads.simulation import (
+    MODE_OPTIONS,
+    SimulationConfig,
+    run_simulation,
+    simulated_system,
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -78,59 +80,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--transactions", type=int, default=6,
         help="upper bound on transactions per epoch (default: 6, min: 1)",
     )
-    provenance = parser.add_mutually_exclusive_group()
-    provenance.add_argument(
-        "--provenance-dag", dest="provenance_mode", action="store_const",
-        const="circuit", default="circuit",
-        help="evaluate provenance on the hash-consed DAG store (default)",
-    )
-    provenance.add_argument(
-        "--provenance-expanded", dest="provenance_mode", action="store_const",
-        const="expanded",
-        help="evaluate provenance via per-tuple expanded polynomials "
-             "(the slow ablation representation the DAG replaces)",
-    )
-    store = parser.add_mutually_exclusive_group()
-    store.add_argument(
-        "--store-centralized", dest="store_backend", action="store_const",
-        const="centralized", default="centralized",
-        help="primary replica archives into the centralized update store "
-             "(default); a distributed-store mirror checks it",
-    )
-    store.add_argument(
-        "--store-distributed", dest="store_backend", action="store_const",
-        const="distributed",
-        help="primary replica archives into the sharded, replicated "
-             "distributed update store; a centralized mirror checks it",
-    )
-    sync = parser.add_mutually_exclusive_group()
-    sync.add_argument(
-        "--sync-cursor", dest="sync_mode", action="store_const",
-        const="cursor", default="cursor",
-        help="primary replica catches peers up via scalar-cursor replay "
-             "(default); a gossip-sync mirror checks it",
-    )
-    sync.add_argument(
-        "--sync-gossip", dest="sync_mode", action="store_const",
-        const="gossip",
-        help="primary replica catches peers up via epidemic sketch "
-             "reconciliation; a cursor-sync mirror checks it",
-    )
-    parser.add_argument(
-        "--sketch", choices=("iblt", "bloom"), default="iblt",
-        help="sketch algorithm of the gossip-sync replica (default: iblt)",
-    )
-    parser.add_argument(
-        "--runtime", choices=("serial", "async"), default="serial",
-        help="sync scheduler of the primary replica (default: serial); "
-             "'async' adds a serial mirror backing the concurrent-vs-serial "
-             "oracle",
-    )
-    parser.add_argument(
-        "--execution", choices=("python", "sql"), default="python",
-        help="rule execution backend of the primary replica (default: "
-             "python); a mirror engine on the other backend checks it",
-    )
+    for flag, option in MODE_OPTIONS.items():
+        parser.add_argument(
+            f"--{flag}", choices=option.choices, default=option.default,
+            help=f"{option.group}.{option.field} of the primary replica "
+                 f"(default: {option.default}); the mirror that checks it "
+                 "runs the other",
+        )
     parser.add_argument(
         "--quiet", action="store_true",
         help="only print failures and the final summary",
@@ -143,43 +99,32 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.seeds < 1:
         print("--seeds must be at least 1", file=sys.stderr)
         return 2
+    modes = {flag: getattr(args, flag) for flag in MODE_OPTIONS}
     try:
         config = SimulationConfig(
             epochs=args.epochs,
             max_peers=args.max_peers,
             transactions_per_epoch=(min(2, args.transactions), args.transactions),
-            provenance_mode=args.provenance_mode,
-            store_backend=args.store_backend,
-            sync_mode=args.sync_mode,
-            sync_sketch=args.sketch,
-            sync_runtime=args.runtime,
-            execution_backend=args.execution,
+            system=simulated_system(**modes),
         )
     except ConfigurationError as error:
         print(f"invalid configuration: {error}", file=sys.stderr)
         return 2
 
+    # A reproduction names every mode the campaign moved off its default.
+    mode_flags = "".join(
+        f" --{flag} {word}"
+        for flag, word in modes.items()
+        if word != MODE_OPTIONS[flag].default
+    )
     failed = 0
     transactions = 0
     checks = 0
     for seed in range(args.seed_base, args.seed_base + args.seeds):
-        # The config feeds the shared RNG stream, so a reproduction must use
-        # the same flags, not just the seed.
-        mode_flag = (
-            " --provenance-expanded" if args.provenance_mode == "expanded" else ""
-        )
-        store_flag = (
-            " --store-distributed" if args.store_backend == "distributed" else ""
-        )
-        sync_flag = " --sync-gossip" if args.sync_mode == "gossip" else ""
-        sketch_flag = f" --sketch {args.sketch}" if args.sketch != "iblt" else ""
-        runtime_flag = " --runtime async" if args.runtime == "async" else ""
-        execution_flag = " --execution sql" if args.execution == "sql" else ""
         repro = (
             f"--seeds 1 --seed-base {seed} --epochs {args.epochs} "
             f"--max-peers {args.max_peers} --transactions {args.transactions}"
-            f"{mode_flag}{store_flag}{sync_flag}{sketch_flag}{runtime_flag}"
-            f"{execution_flag}"
+            f"{mode_flags}"
         )
         try:
             result = run_simulation(seed, config)

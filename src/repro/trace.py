@@ -29,11 +29,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .config import StoreConfig, SystemConfig
+from .config import ObserveConfig, StoreConfig, SyncConfig, SystemConfig
 from .obs import chrome_trace, trace_json, validate_chrome_trace, validate_metric_keys
 
 #: Generator/latency seed shared by every ``--figure2`` invocation.
@@ -86,15 +85,10 @@ def run_figure2(seed: int = DEFAULT_SEED):
     from .p2p.network import LatencyModel
     from .workloads.bioinformatics import BioDataGenerator, build_figure2_network
 
-    config = SystemConfig.default()
-    config = replace(
-        config,
-        store=replace(
-            config.store,
-            backend="distributed",
-            sync_mode="gossip",
-            observability="trace",
-        ),
+    config = SystemConfig(
+        store=StoreConfig(backend="distributed"),
+        sync=SyncConfig(mode="gossip"),
+        observe=ObserveConfig(mode="trace"),
     )
     network = build_figure2_network(config)
     cdss = network.cdss
@@ -116,8 +110,7 @@ def run_spec(source: str, seed: int = DEFAULT_SEED):
     from .api.builder import build_network
     from .p2p.network import LatencyModel
 
-    config = SystemConfig.default()
-    config = replace(config, store=replace(config.store, observability="trace"))
+    config = SystemConfig(observe=ObserveConfig(mode="trace"))
     cdss = build_network(source, config=config)
     cdss.network.set_latency_model(LatencyModel(seed=seed))
     cdss.sync(trace=True)

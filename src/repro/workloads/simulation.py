@@ -43,6 +43,10 @@ that single scenario into a *scenario engine*:
      round, under the same churn schedule — sketch decode failures and
      cursor fallbacks may cost bytes, never correctness.
 
+The oracles that compare the primary replica with another one (3, 4, 5, 7,
+and ``async-vs-serial`` for an async primary) are the rows of
+:data:`MIRRORS`; the primary's modes are :data:`MODE_OPTIONS`.
+
 Because the oracles run after every epoch, the epoch reported by a failing
 oracle is already minimal: it is the first epoch at which the divergence is
 observable for that seed.
@@ -56,18 +60,42 @@ campaigns.  A 25-seed slice runs in the test suite
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterable, Optional, Sequence
 
 from ..api.builder import NetworkBuilder
-from ..api.spec import NetworkSpec, parse_network_spec
-from ..config import ExchangeConfig, StoreConfig, SystemConfig
+from ..api.spec import NetworkSpec, parse_network_spec, sections_of
+from ..config import OPTIONS, ExchangeConfig, Option, StoreConfig, SystemConfig, configure
 from ..core.system import CDSS
 from ..datalog.ast import Atom, Variable
 from ..core.mapping import Mapping
 from ..errors import ConfigurationError, ReproError
 from ..exchange.engine import ExchangeEngine
 from ..storage.sqlite_backend import SQLiteInstance
+
+#: The modes a simulation can be run in, by the one word that names each on
+#: the command line (``--store distributed``): every option that chooses
+#: between alternative implementations.  A mirror replica flips one of them.
+MODE_OPTIONS: dict[str, Option] = {
+    option.flag: option for option in OPTIONS if option.choices and not option.levels
+}
+
+
+def simulated_system(**modes: str) -> SystemConfig:
+    """The primary replica's configuration for the given mode words
+    (``store="distributed", sketch="bloom"``), over the simulator's base: the
+    system defaults with a three-shard archive.
+    """
+    unknown = sorted(set(modes) - set(MODE_OPTIONS))
+    if unknown:
+        raise ConfigurationError(
+            f"unknown simulation mode {unknown[0]!r}; expected one of {', '.join(MODE_OPTIONS)}"
+        )
+    return configure(
+        SystemConfig(store=StoreConfig(shard_count=3)),
+        ((MODE_OPTIONS[flag], word) for flag, word in modes.items()),
+    )
+
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -111,11 +139,6 @@ class SimulationConfig:
     #: key columns use a halved domain so same-key conflicts actually occur.
     domain_size: int = 6
     max_sync_rounds: int = 30
-    #: Provenance representation of the primary replica's exchange engine:
-    #: ``"circuit"`` (hash-consed DAG, default) or ``"expanded"`` (per-tuple
-    #: polynomial expansion, the ablation the DAG replaces).  The nightly
-    #: fuzz job runs both.
-    provenance_mode: str = "circuit"
     #: Per-epoch sample bound for the dag-vs-expanded oracle (0 disables);
     #: the oracle compares DAG evaluation with expanded-polynomial evaluation
     #: for sampled derived tuples under several semirings.
@@ -124,43 +147,10 @@ class SimulationConfig:
     #: whose expansion exceeds it are skipped (the DAG is the whole point
     #: for those).
     provenance_oracle_max_monomials: int = 4096
-    #: Update-store backend of the primary replica: ``"centralized"`` (the
-    #: single in-memory archive) or ``"distributed"`` (sharded + replicated
-    #: across the peers).  The nightly fuzz job runs both.
-    store_backend: str = "centralized"
-    #: Shards / replication factor of whichever replica runs the distributed
-    #: store (see ``distributed_oracle``).
-    store_shards: int = 3
-    store_replication: int = 2
-    #: Maintain a mirror replica on the *other* store backend and assert
-    #: per-epoch that its reconcile outcomes, final instances, and replica
-    #: redundancy match the primary (the distributed-vs-centralized oracle).
-    distributed_oracle: bool = True
-    #: Catch-up strategy of the primary replica: ``"cursor"`` (scalar-cursor
-    #: replay from the archive) or ``"gossip"`` (epidemic sketch
-    #: reconciliation).  The nightly fuzz job runs both.
-    sync_mode: str = "cursor"
-    #: Sketch algorithm of whichever replica runs gossip sync
-    #: (see ``sketch_oracle``): ``"iblt"`` or ``"bloom"``.
-    sync_sketch: str = "iblt"
-    #: Maintain a mirror replica on the *other* sync mode (same store
-    #: backend) and assert per-epoch that its reconcile outcomes and final
-    #: instances match the primary (the sketch-vs-cursor oracle).
-    sketch_oracle: bool = True
-    #: Sync scheduler of the primary replica: ``"serial"`` (the round-robin
-    #: loop) or ``"async"`` (the pipelined runtime of
-    #: :mod:`repro.api.async_sync`).  An async primary automatically gains a
-    #: serial mirror replica on the same backend and sync mode, backing the
-    #: concurrent-vs-serial oracle: identical final instances, reconcile
-    #: decisions, and open conflicts on identical seeds.
-    sync_runtime: str = "serial"
-    #: Rule execution backend of the primary replica's exchange engine:
-    #: ``"python"`` (tuple-at-a-time closure executor) or ``"sql"``
-    #: (set-at-a-time SQLite pushdown).  A mirror engine always runs on the
-    #: *other* backend, backing the sql-vs-python oracle: identical derived
-    #: instances and provenance polynomials per epoch.  The nightly fuzz job
-    #: runs both orientations.
-    execution_backend: str = "python"
+    #: Configuration of the primary replica (see :func:`simulated_system`).
+    #: Each flipping row of :data:`MIRRORS` runs the same configuration with
+    #: one of its :data:`MODE_OPTIONS` on the other word.
+    system: SystemConfig = simulated_system()
 
     def __post_init__(self) -> None:
         if self.epochs < 1:
@@ -194,37 +184,10 @@ class SimulationConfig:
             raise ConfigurationError("domain_size must be at least 2")
         if self.max_sync_rounds < 1:
             raise ConfigurationError("max_sync_rounds must be at least 1")
-        if self.provenance_mode not in ("circuit", "expanded"):
-            raise ConfigurationError(
-                f"provenance_mode must be 'circuit' or 'expanded', got {self.provenance_mode!r}"
-            )
         if self.provenance_oracle_samples < 0:
             raise ConfigurationError("provenance_oracle_samples must be >= 0")
         if self.provenance_oracle_max_monomials < 1:
             raise ConfigurationError("provenance_oracle_max_monomials must be >= 1")
-        if self.store_backend not in ("centralized", "distributed"):
-            raise ConfigurationError(
-                f"store_backend must be 'centralized' or 'distributed', "
-                f"got {self.store_backend!r}"
-            )
-        if self.store_shards < 1 or self.store_replication < 1:
-            raise ConfigurationError("store_shards and store_replication must be >= 1")
-        if self.sync_mode not in ("cursor", "gossip"):
-            raise ConfigurationError(
-                f"sync_mode must be 'cursor' or 'gossip', got {self.sync_mode!r}"
-            )
-        if self.sync_sketch not in ("iblt", "bloom"):
-            raise ConfigurationError(
-                f"sync_sketch must be 'iblt' or 'bloom', got {self.sync_sketch!r}"
-            )
-        if self.sync_runtime not in ("serial", "async"):
-            raise ConfigurationError(
-                f"sync_runtime must be 'serial' or 'async', got {self.sync_runtime!r}"
-            )
-        if self.execution_backend not in ("python", "sql"):
-            raise ConfigurationError(
-                f"execution_backend must be 'python' or 'sql', got {self.execution_backend!r}"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -688,6 +651,79 @@ class CampaignResult:
         }
 
 
+def _manual_exchange_loop(cdss: CDSS, *, max_rounds: int) -> None:
+    """The hand-rolled publish/reconcile loop ``sync()`` must match."""
+    names = cdss.catalog.peer_names()
+    for _ in range(max_rounds):
+        published = 0
+        candidates = 0
+        skipped: list[str] = []
+        for name in names:
+            if cdss.network.is_online(name):
+                published += len(cdss.publish(name).published)
+            else:
+                skipped.append(name)
+        for name in names:
+            if name not in skipped:
+                candidates += cdss.reconcile(name).candidates_considered
+        if published == 0 and candidates == 0:
+            return
+    raise ReproError(f"manual exchange loop did not quiesce within {max_rounds} rounds")
+
+
+@dataclass(frozen=True)
+class Mirror:
+    """One replica fed the primary's transactions and compared with it after
+    every epoch: peer instances always, sync reports where the row says so.
+
+    Attributes:
+        name: The replica's key in :attr:`SimulationRun.mirrors`.
+        oracle: The name its mismatches are reported under.
+        flips: The :data:`MODE_OPTIONS` word on which the replica runs the
+            primary's configuration with the *other* choice, so that option
+            is the only variable.  Empty: the replica isolates something
+            that is not an option and runs the default system.
+        only_when: Spawn the replica only when the primary runs this word
+            of the flipped option.  An async primary gains a serial mirror;
+            serial campaigns keep their oracle count (and cost).
+        rounds: Also compare the sync reports round for round (published
+            ids, translated changes, per-peer accept/reject/defer
+            decisions).  Traffic accounting lives outside the round dicts,
+            so quorum reads, sketch decode failures, cursor fallbacks and
+            overlapped transfers may cost bytes and time, never an outcome.
+        open_conflicts: Also compare the reports' open conflicts.
+        storage_factory: ``peer name -> local instance`` (default: in memory).
+        drive: What runs the replica's exchange each epoch, called as
+            ``drive(replica, max_rounds=...)``; returns its sync report, if
+            it makes one.
+    """
+
+    name: str
+    oracle: str
+    flips: str = ""
+    only_when: Optional[str] = None
+    rounds: bool = False
+    open_conflicts: bool = False
+    storage_factory: Optional[Callable[[str], object]] = None
+    drive: Callable[..., object] = CDSS.sync
+
+
+MIRRORS = (
+    Mirror("manual", "sync-vs-manual", drive=_manual_exchange_loop),
+    Mirror("sqlite", "memory-vs-sqlite", storage_factory=lambda name: SQLiteInstance()),
+    Mirror("storecheck", "distributed-vs-centralized", flips="store", rounds=True),
+    Mirror("synccheck", "sketch-vs-cursor", flips="sync", rounds=True),
+    Mirror(
+        "runtimecheck", "async-vs-serial", flips="runtime", only_when="async",
+        rounds=True, open_conflicts=True,
+    ),
+)
+
+
+def _other_word(option: Option, word: str) -> str:
+    return next(choice for choice in option.choices if choice != word)
+
+
 class SimulationRun:
     """One generated network, its replicas, and the per-epoch oracle loop."""
 
@@ -706,69 +742,21 @@ class SimulationRun:
         #: isolated from the workload stream so sampling config cannot
         #: perturb the generated networks or transactions.
         self._oracle_rng = random.Random(f"{seed}-dag-oracle")
-        self.primary = CDSS.from_spec(
-            self.spec,
-            config=SystemConfig(
-                exchange=ExchangeConfig(
-                    provenance_mode=self.config.provenance_mode,
-                    execution_backend=self.config.execution_backend,
-                ),
-                store=self._store_config(
-                    self.config.store_backend,
-                    self.config.sync_mode,
-                    self.config.sync_runtime,
-                ),
-            ),
-        )
+        self.primary = CDSS.from_spec(self.spec, config=self.config.system)
         self._check_spec_roundtrip()
         self._check_analyzer_clean()
-        self.manual = CDSS.from_spec(self.spec)
-        self.sqlite = CDSS.from_spec(
-            self.spec, storage_factory=lambda name: SQLiteInstance()
-        )
-        #: Mirror replica on the *other* store backend: with a centralized
-        #: primary this is the distributed-store replica (and vice versa),
-        #: backing the distributed-vs-centralized oracle.
-        self.storecheck: Optional[CDSS] = None
-        if self.config.distributed_oracle:
-            other = (
-                "centralized"
-                if self.config.store_backend == "distributed"
-                else "distributed"
-            )
-            # Same sync mode as the primary, so the store backends are the
-            # only variable the distributed-vs-centralized oracle compares.
-            self.storecheck = CDSS.from_spec(
-                self.spec,
-                config=SystemConfig(
-                    store=self._store_config(other, self.config.sync_mode)
-                ),
-            )
-        #: Mirror replica on the *other* sync mode (same store backend):
-        #: with a cursor primary this is the gossip replica (and vice
-        #: versa), backing the sketch-vs-cursor oracle.
-        self.synccheck: Optional[CDSS] = None
-        if self.config.sketch_oracle:
-            other_sync = "gossip" if self.config.sync_mode == "cursor" else "cursor"
-            self.synccheck = CDSS.from_spec(
-                self.spec,
-                config=SystemConfig(
-                    store=self._store_config(self.config.store_backend, other_sync)
-                ),
-            )
-        #: Serial mirror replica (same backend, same sync mode) of an async
-        #: primary, backing the concurrent-vs-serial oracle.  Only spawned
-        #: when the primary runs the async scheduler, so serial configs keep
-        #: their oracle count (and cost) unchanged.
-        self.runtimecheck: Optional[CDSS] = None
-        if self.config.sync_runtime == "async":
-            self.runtimecheck = CDSS.from_spec(
-                self.spec,
-                config=SystemConfig(
-                    store=self._store_config(
-                        self.config.store_backend, self.config.sync_mode, "serial"
-                    )
-                ),
+        #: The spawned rows of :data:`MIRRORS`, by name, in table order.
+        self.mirrors: dict[str, CDSS] = {}
+        for mirror in MIRRORS:
+            system = SystemConfig()
+            if mirror.flips:
+                option = MODE_OPTIONS[mirror.flips]
+                word = option.get(self.config.system)
+                if mirror.only_when not in (None, word):
+                    continue
+                system = configure(self.config.system, [(option, _other_word(option, word))])
+            self.mirrors[mirror.name] = CDSS.from_spec(
+                self.spec, config=system, storage_factory=mirror.storage_factory
             )
         self._last_reports: dict[str, object] = {}
         #: DRed mirror: same program, provenance disabled, fed the primary's
@@ -780,31 +768,24 @@ class SimulationRun:
         #: Execution-backend mirror: the same program on the *other* rule
         #: execution backend, fed the primary's archived transaction stream
         #: (the sql-vs-python oracle).
-        other_backend = "sql" if self.config.execution_backend == "python" else "python"
+        exchange = self.config.system.exchange
         self.execcheck = ExchangeEngine(
             self.primary.engine.program,
-            ExchangeConfig(execution_backend=other_backend),
+            replace(
+                exchange,
+                execution_backend=_other_word(
+                    MODE_OPTIONS["execution"], exchange.execution_backend
+                ),
+            ),
         )
         self._execcheck_fed = 0
 
     # -- oracle helpers -----------------------------------------------------
-    def _store_config(
-        self, backend: str, sync_mode: str = "cursor", runtime: str = "serial"
-    ) -> StoreConfig:
-        return StoreConfig(
-            backend=backend,
-            shard_count=self.config.store_shards,
-            replication_factor=self.config.store_replication,
-            sync_mode=sync_mode,
-            sketch=self.config.sync_sketch,
-            sync_runtime=runtime,
-        )
-
-    def _distributed_replica(self) -> Optional[CDSS]:
+    def _distributed_replica(self) -> CDSS:
         """Whichever replica runs the distributed store (primary or mirror)."""
-        if self.config.store_backend == "distributed":
+        if self.config.system.store.backend == "distributed":
             return self.primary
-        return self.storecheck
+        return self.mirrors["storecheck"]
 
     def _fail(self, epoch: int, oracle: str, detail: str) -> None:
         self.failures.append(OracleFailure(self.seed, epoch, oracle, detail))
@@ -818,25 +799,13 @@ class SimulationRun:
         # Full system round-trip: the spec recovered from the *built* CDSS
         # must match the generated one.  The recovered form names each
         # schema explicitly, which for generated peers defaults to the peer
-        # name, and pins the store section when the primary's archive is
-        # distributed (the generated spec leaves the backend to the config).
+        # name, and has a section for whatever the primary's configuration
+        # sets off its default (the generated spec leaves that to the config).
         expected = self.spec.to_dict()
         for name, entry in expected["peers"].items():
             entry.setdefault("schema", name)
-        from ..api.spec import execution_spec_of, store_spec_of, sync_spec_of
-
-        recovered_store = store_spec_of(self.primary.store)
-        if recovered_store is not None:
-            expected["store"] = recovered_store.to_dict()
-        # Likewise for the sync section when the primary gossips (the
-        # generated spec leaves the catch-up strategy to the config).
-        recovered_sync = sync_spec_of(self.primary)
-        if recovered_sync is not None:
-            expected["sync"] = recovered_sync.to_dict()
-        # And for the execution directive when the primary runs SQL pushdown.
-        recovered_execution = execution_spec_of(self.primary)
-        if recovered_execution is not None:
-            expected["execution"] = recovered_execution
+        for name, section in sections_of(self.primary.config).items():
+            expected[name] = section.to_dict()
         if self.primary.to_spec().to_dict() != expected:
             self._fail(0, "spec-roundtrip", "from_spec -> to_spec does not round-trip")
 
@@ -892,7 +861,7 @@ class SimulationRun:
         for entry in entries[self._execcheck_fed:]:
             self.execcheck.process_transaction(entry.transaction)
         self._execcheck_fed = len(entries)
-        primary_label = self.config.execution_backend
+        primary_label = self.primary.config.exchange.execution_backend
         mirror_label = self.execcheck.config.execution_backend
         diff = _diff_relation_maps(
             _database_relations(self.primary.engine.database),
@@ -937,167 +906,46 @@ class SimulationRun:
                 )
                 return
 
-    def _check_sync_vs_manual(self, epoch: int, primary_snapshot=None) -> None:
-        self.oracle_checks += 1
-        primary_snapshot = primary_snapshot or _snapshot_all(self.primary)
-        diff = _diff_snapshots(
-            primary_snapshot, _snapshot_all(self.manual), "sync", "manual"
-        )
-        if diff:
-            self._fail(epoch, "sync-vs-manual", diff)
-
-    def _check_memory_vs_sqlite(self, epoch: int, primary_snapshot=None) -> None:
-        self.oracle_checks += 1
-        primary_snapshot = primary_snapshot or _snapshot_all(self.primary)
-        diff = _diff_snapshots(
-            primary_snapshot, _snapshot_all(self.sqlite), "memory", "sqlite"
-        )
-        if diff:
-            self._fail(epoch, "memory-vs-sqlite", diff)
-
-    def _check_distributed_vs_centralized(
-        self,
-        epoch: int,
-        primary_report=None,
-        storecheck_report=None,
-        primary_snapshot=None,
-    ) -> None:
-        """Distributed-store and centralized-store runs must be identical.
-
-        Round for round, the two replicas' sync reports (published ids,
-        translated changes, per-peer accept/reject/defer decisions) and the
-        resulting peer instances must match exactly — sharding, quorum reads
-        and re-replication may never change a reconcile outcome.
-        """
-        if self.storecheck is None:
+    def check_mirror(self, mirror: Mirror, epoch: int, primary_snapshot=None) -> None:
+        """One row of :data:`MIRRORS`: the replica must be indistinguishable
+        from the primary in whatever the row compares."""
+        replica = self.mirrors.get(mirror.name)
+        if replica is None:
             return
         self.oracle_checks += 1
-        primary_report = primary_report or self._last_reports.get("primary")
-        storecheck_report = storecheck_report or self._last_reports.get("storecheck")
-        if primary_report is not None and storecheck_report is not None:
+        primary_report = self._last_reports.get("primary")
+        mirror_report = self._last_reports.get(mirror.name)
+        if mirror.rounds and primary_report is not None and mirror_report is not None:
             left = [round_.to_dict() for round_ in primary_report.rounds]
-            right = [round_.to_dict() for round_ in storecheck_report.rounds]
+            right = [round_.to_dict() for round_ in mirror_report.rounds]
             if left != right:
                 for index, (a, b) in enumerate(zip(left, right)):
                     if a != b:
                         detail = f"sync round {index + 1} diverges: {a} != {b}"
                         break
                 else:
-                    detail = (
-                        f"round counts diverge: {len(left)} vs {len(right)} rounds"
-                    )
-                self._fail(epoch, "distributed-vs-centralized", detail)
+                    detail = f"round counts diverge: {len(left)} vs {len(right)} rounds"
+                self._fail(epoch, mirror.oracle, detail)
                 return
-        primary_snapshot = primary_snapshot or _snapshot_all(self.primary)
-        diff = _diff_snapshots(
-            primary_snapshot,
-            _snapshot_all(self.storecheck),
-            self.config.store_backend,
-            "mirror-store",
-        )
-        if diff:
-            self._fail(epoch, "distributed-vs-centralized", diff)
-
-    def _check_sketch_vs_cursor(
-        self,
-        epoch: int,
-        primary_report=None,
-        synccheck_report=None,
-        primary_snapshot=None,
-    ) -> None:
-        """Gossip-sketch and cursor-replay catch-up must be indistinguishable.
-
-        Round for round, the two replicas' sync reports (published ids,
-        translated changes, per-peer accept/reject/defer decisions) and the
-        resulting peer instances must match exactly — sketch decode
-        failures and cursor fallbacks may cost bytes and messages, never
-        reconcile outcomes.  Gossip traffic accounting deliberately lives in
-        :attr:`~repro.api.sync.SyncReport.gossip`, not the round dicts, so
-        this comparison stays byte-for-byte.
-        """
-        if self.synccheck is None:
-            return
-        self.oracle_checks += 1
-        primary_report = primary_report or self._last_reports.get("primary")
-        synccheck_report = synccheck_report or self._last_reports.get("synccheck")
-        if primary_report is not None and synccheck_report is not None:
-            left = [round_.to_dict() for round_ in primary_report.rounds]
-            right = [round_.to_dict() for round_ in synccheck_report.rounds]
-            if left != right:
-                for index, (a, b) in enumerate(zip(left, right)):
-                    if a != b:
-                        detail = f"sync round {index + 1} diverges: {a} != {b}"
-                        break
-                else:
-                    detail = (
-                        f"round counts diverge: {len(left)} vs {len(right)} rounds"
-                    )
-                self._fail(epoch, "sketch-vs-cursor", detail)
-                return
-        primary_snapshot = primary_snapshot or _snapshot_all(self.primary)
-        diff = _diff_snapshots(
-            primary_snapshot,
-            _snapshot_all(self.synccheck),
-            self.config.sync_mode,
-            "mirror-sync",
-        )
-        if diff:
-            self._fail(epoch, "sketch-vs-cursor", diff)
-
-    def _check_async_vs_serial(
-        self,
-        epoch: int,
-        primary_report=None,
-        runtimecheck_report=None,
-        primary_snapshot=None,
-    ) -> None:
-        """The async scheduler must be invisible to sync semantics.
-
-        Round for round, the pipelined runtime's sync reports (published
-        ids, per-peer accept/reject/defer decisions), its open conflicts,
-        and the resulting peer instances must match a serial replica run on
-        the same seed — overlapped transfers, admission control, and
-        backpressure may only change *when* simulated traffic moves, never
-        what any peer decides.
-        """
-        if self.runtimecheck is None:
-            return
-        self.oracle_checks += 1
-        primary_report = primary_report or self._last_reports.get("primary")
-        runtimecheck_report = runtimecheck_report or self._last_reports.get(
-            "runtimecheck"
-        )
-        if primary_report is not None and runtimecheck_report is not None:
-            left = [round_.to_dict() for round_ in primary_report.rounds]
-            right = [round_.to_dict() for round_ in runtimecheck_report.rounds]
-            if left != right:
-                for index, (a, b) in enumerate(zip(left, right)):
-                    if a != b:
-                        detail = f"sync round {index + 1} diverges: {a} != {b}"
-                        break
-                else:
-                    detail = (
-                        f"round counts diverge: {len(left)} vs {len(right)} rounds"
-                    )
-                self._fail(epoch, "async-vs-serial", detail)
-                return
-            if primary_report.open_conflicts != runtimecheck_report.open_conflicts:
+            if (
+                mirror.open_conflicts
+                and primary_report.open_conflicts != mirror_report.open_conflicts
+            ):
                 self._fail(
                     epoch,
-                    "async-vs-serial",
+                    mirror.oracle,
                     f"open conflicts diverge: {primary_report.open_conflicts} "
-                    f"!= {runtimecheck_report.open_conflicts}",
+                    f"!= {mirror_report.open_conflicts}",
                 )
                 return
-        primary_snapshot = primary_snapshot or _snapshot_all(self.primary)
         diff = _diff_snapshots(
-            primary_snapshot,
-            _snapshot_all(self.runtimecheck),
-            "async",
-            "mirror-serial",
+            primary_snapshot or _snapshot_all(self.primary),
+            _snapshot_all(replica),
+            "primary",
+            mirror.name,
         )
         if diff:
-            self._fail(epoch, "async-vs-serial", diff)
+            self._fail(epoch, mirror.oracle, diff)
 
     def _check_replica_durability(self, epoch: int) -> None:
         """Every archived transaction must survive losing k-1 shard replicas.
@@ -1109,11 +957,8 @@ class SimulationRun:
         ``replication_factor - 1`` of them still leaves a copy — and a full
         quorum read must return every transaction ever archived.
         """
-        replica = self._distributed_replica()
-        if replica is None:
-            return
         self.oracle_checks += 1
-        store = replica.store
+        store = self._distributed_replica().store
         store.anti_entropy()
         under = store.under_replicated()
         if under:
@@ -1180,9 +1025,6 @@ class SimulationRun:
             except ProvenanceError:
                 continue  # expansion over budget: exactly what the DAG avoids
             for semiring, assignment in semirings:
-                # Evaluate the circuit explicitly (root + memoized evaluator)
-                # rather than through graph.annotation, which in expanded
-                # mode would route both sides through the same expansion.
                 dag_value = graph.evaluator(semiring, assignment).value(
                     graph.root(relation, values)
                 )
@@ -1202,14 +1044,7 @@ class SimulationRun:
 
     # -- driving ------------------------------------------------------------
     def _replicas(self) -> tuple[CDSS, ...]:
-        replicas = [self.primary, self.manual, self.sqlite]
-        if self.storecheck is not None:
-            replicas.append(self.storecheck)
-        if self.synccheck is not None:
-            replicas.append(self.synccheck)
-        if self.runtimecheck is not None:
-            replicas.append(self.runtimecheck)
-        return tuple(replicas)
+        return (self.primary, *self.mirrors.values())
 
     def _commit_everywhere(self, command: WorkloadCommand) -> None:
         for cdss in self._replicas():
@@ -1223,27 +1058,6 @@ class SimulationRun:
                 builder.insert(command.relation, command.values)
             peer.commit(builder)
 
-    def _manual_exchange_loop(self) -> None:
-        """The hand-rolled publish/reconcile loop ``sync()`` must match."""
-        names = self.manual.catalog.peer_names()
-        for _ in range(self.config.max_sync_rounds):
-            published = 0
-            candidates = 0
-            skipped: list[str] = []
-            for name in names:
-                if self.manual.network.is_online(name):
-                    published += len(self.manual.publish(name).published)
-                else:
-                    skipped.append(name)
-            for name in names:
-                if name not in skipped:
-                    candidates += self.manual.reconcile(name).candidates_considered
-            if published == 0 and candidates == 0:
-                return
-        raise ReproError(
-            f"manual exchange loop did not quiesce within {self.config.max_sync_rounds} rounds"
-        )
-
     def run_epoch(self, epoch: int, last_epoch: bool) -> None:
         commands = self.workload.epoch_commands()
         for command in commands:
@@ -1256,30 +1070,13 @@ class SimulationRun:
             for cdss in replicas:
                 cdss.set_online(offline, False)
 
-        primary_report = self.primary.sync(max_rounds=self.config.max_sync_rounds)
-        self.sqlite.sync(max_rounds=self.config.max_sync_rounds)
-        storecheck_report = None
-        if self.storecheck is not None:
-            storecheck_report = self.storecheck.sync(
-                max_rounds=self.config.max_sync_rounds
-            )
-        synccheck_report = None
-        if self.synccheck is not None:
-            synccheck_report = self.synccheck.sync(
-                max_rounds=self.config.max_sync_rounds
-            )
-        runtimecheck_report = None
-        if self.runtimecheck is not None:
-            runtimecheck_report = self.runtimecheck.sync(
-                max_rounds=self.config.max_sync_rounds
-            )
-        self._manual_exchange_loop()
-        self._last_reports = {
-            "primary": primary_report,
-            "storecheck": storecheck_report,
-            "synccheck": synccheck_report,
-            "runtimecheck": runtimecheck_report,
-        }
+        max_rounds = self.config.max_sync_rounds
+        self._last_reports = {"primary": self.primary.sync(max_rounds=max_rounds)}
+        for mirror in MIRRORS:
+            if mirror.name in self.mirrors:
+                self._last_reports[mirror.name] = mirror.drive(
+                    self.mirrors[mirror.name], max_rounds=max_rounds
+                )
 
         if offline is not None:
             for cdss in replicas:
@@ -1290,17 +1087,8 @@ class SimulationRun:
         self._check_sql_vs_python(epoch)
         self._check_dag_vs_expanded(epoch)
         primary_snapshot = _snapshot_all(self.primary)
-        self._check_sync_vs_manual(epoch, primary_snapshot)
-        self._check_memory_vs_sqlite(epoch, primary_snapshot)
-        self._check_distributed_vs_centralized(
-            epoch, primary_report, storecheck_report, primary_snapshot
-        )
-        self._check_sketch_vs_cursor(
-            epoch, primary_report, synccheck_report, primary_snapshot
-        )
-        self._check_async_vs_serial(
-            epoch, primary_report, runtimecheck_report, primary_snapshot
-        )
+        for mirror in MIRRORS:
+            self.check_mirror(mirror, epoch, primary_snapshot)
         self._check_replica_durability(epoch)
         self.epochs_run = epoch
 

@@ -7,6 +7,8 @@ import pytest
 from repro.analysis import analyze_network_spec, analyze_system
 from repro.analysis import codes
 from repro.api.builder import NetworkBuilder, build_network
+from repro.api.spec import SectionSpec, parse_network_spec
+from repro.config import SECTIONS
 from repro.errors import SpecError
 
 TWO_PEER = """
@@ -146,6 +148,19 @@ mapping [BACK] @A.R(x, x) :- @B.S(x).
     fallbacks = report.by_code(codes.SQL_FALLBACK)
     if fallbacks:  # only the severity claim must hold under sql execution
         assert all(d.severity == codes.WARNING for d in fallbacks)
+
+
+@pytest.mark.parametrize("section", SECTIONS)
+def test_analyzer_and_validate_run_the_same_section_check(section: str) -> None:
+    """A word outside a section's choice set is one CDSS014 for the analyzer
+    and the error ``validate()`` raises — for ``observe`` as for the rest."""
+    spec = parse_network_spec(TWO_PEER)
+    spec.sections[section] = SectionSpec(section, {SECTIONS[section][0].knob: "bogus"})
+    (diagnostic,) = analyze_network_spec(spec).by_code(codes.MALFORMED_SPEC)
+    with pytest.raises(SpecError) as info:
+        spec.validate()
+    assert info.value.code == codes.MALFORMED_SPEC
+    assert diagnostic.message in str(info.value)
 
 
 def test_structural_errors_suppress_downstream_analyses() -> None:

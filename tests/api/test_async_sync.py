@@ -10,7 +10,7 @@ skips the gossip anti-entropy phase.
 
 import json
 import time
-from dataclasses import replace
+from typing import Optional
 
 import pytest
 
@@ -20,9 +20,9 @@ from repro.api.async_sync import (
     VirtualTimeEventLoop,
     async_synchronize,
 )
-from repro.api.spec import SyncSpec, parse_network_spec, sync_spec_of
+from repro.api.spec import SectionSpec, parse_network_spec, sections_of
 from repro.api.sync import SyncReport, SyncRound
-from repro.config import StoreConfig, SystemConfig
+from repro.config import StoreConfig, SyncConfig, SystemConfig
 from repro.core.mapping import join_mapping
 from repro.core.schema import PeerSchema
 from repro.core.system import CDSS
@@ -37,13 +37,16 @@ def build_system(
     runtime: str = "serial",
     backend: str = "centralized",
     sync_mode: str = "cursor",
-    **store_knobs,
+    store_knobs: Optional[dict] = None,
+    **sync_knobs,
 ) -> CDSS:
     """A three-peer chain Alice -> Bob -> Carol with full trust."""
-    store = StoreConfig(
-        backend=backend, sync_mode=sync_mode, sync_runtime=runtime, **store_knobs
+    cdss = CDSS(
+        SystemConfig(
+            store=StoreConfig(backend=backend, **(store_knobs or {})),
+            sync=SyncConfig(mode=sync_mode, runtime=runtime, **sync_knobs),
+        )
     )
-    cdss = CDSS(replace(SystemConfig.default(), store=store))
     priorities = {"Alice": 10, "Bob": 9, "Carol": 8}
     for name in PEERS:
         cdss.add_peer(
@@ -234,8 +237,8 @@ class TestAsyncMatchesSerial:
         cdss.peer("Alice").insert("R", (1, "x"))
         report = cdss.sync()
         accounting = report.runtime
-        assert accounting["workers"] == cdss.config.store.sync_workers
-        assert accounting["queue_depth"] == cdss.config.store.sync_queue_depth
+        assert accounting["workers"] == cdss.config.sync.workers
+        assert accounting["queue_depth"] == cdss.config.sync.queue_depth
         assert accounting["transfers"] > 0
         assert accounting["virtual_seconds"] > 0.0
         assert 1 <= accounting["max_in_flight"] <= accounting["workers"]
@@ -252,7 +255,7 @@ class TestAsyncMatchesSerial:
 
 class TestAdmissionControl:
     def test_worker_semaphore_caps_in_flight_transfers(self):
-        cdss = build_system("async", sync_workers=2)
+        cdss = build_system("async", workers=2)
         cdss.network.set_latency_model(LatencyModel(seed=7))
         for name in PEERS:
             cdss.peer(name).insert("R", (hash(name) % 89, name.lower()))
@@ -296,8 +299,8 @@ class TestAdmissionControl:
 
     def test_backpressure_stalls_surface_in_the_report(self):
         cdss = build_system(
-            "async", "distributed", sync_workers=16, sync_queue_depth=1,
-            replication_factor=3, shard_count=1,
+            "async", "distributed", workers=16, queue_depth=1,
+            store_knobs={"replication_factor": 3, "shard_count": 1},
         )
         cdss.network.set_latency_model(LatencyModel(seed=7))
         for name in PEERS:
@@ -308,12 +311,9 @@ class TestAdmissionControl:
         assert report.runtime["max_queue_depth_seen"] <= 1
 
     def test_worker_and_depth_floors_are_validated(self):
-        with pytest.raises(ConfigurationError):
-            StoreConfig(sync_runtime="turbo")
-        with pytest.raises(ConfigurationError):
-            StoreConfig(sync_workers=0)
-        with pytest.raises(ConfigurationError):
-            StoreConfig(sync_queue_depth=0)
+        for bad in ({"runtime": "turbo"}, {"workers": 0}, {"queue_depth": 0}):
+            with pytest.raises(ConfigurationError):
+                SyncConfig(**bad)
         cdss = build_system()
         with pytest.raises(SyncError):
             async_synchronize(cdss, workers=0)
@@ -329,23 +329,22 @@ class TestSpecRoundTrip:
             "peer P\n"
             "  relation R(a, b) key(a)\n"
         )
-        assert spec.sync.mode == "cursor"
-        assert spec.sync.runtime == "async" and spec.sync.workers == 4
-        assert "runtime async workers 4" in spec.sync.to_text_line()
+        sync = spec.sections["sync"]
+        assert sync.values == {"mode": "cursor", "runtime": "async", "workers": 4}
+        assert "runtime async workers 4" in sync.to_text_line()
 
     def test_gossip_line_combines_with_runtime(self):
-        sync = SyncSpec(mode="gossip", fanout=3, runtime="async", workers=2)
+        sync = SectionSpec(
+            "sync", {"mode": "gossip", "workers": 2, "runtime": "async", "fanout": 3}
+        )
         sync.validate()
         line = sync.to_text_line()
         assert line == "sync gossip fanout 3 runtime async workers 2"
 
     def test_cursor_still_rejects_gossip_knobs(self):
-        with pytest.raises(SpecError):
-            SyncSpec(mode="cursor", fanout=2).validate()
-        with pytest.raises(SpecError):
-            SyncSpec(mode="cursor", runtime="turbo").validate()
-        with pytest.raises(SpecError):
-            SyncSpec(mode="cursor", workers=0).validate()
+        for bad in ({"fanout": 2}, {"runtime": "turbo"}, {"workers": 0}):
+            with pytest.raises(SpecError):
+                SectionSpec("sync", {"mode": "cursor", **bad}).validate()
 
     def test_builder_wires_runtime_into_store_config(self):
         from repro.api import NetworkBuilder
@@ -354,22 +353,21 @@ class TestSpecRoundTrip:
         builder.peer("P").relation("R", "a", "b", key=["a"])
         builder.sync("cursor", runtime="async", workers=3)
         cdss = builder.build()
-        assert cdss.config.store.sync_runtime == "async"
-        assert cdss.config.store.sync_workers == 3
+        assert cdss.config.sync.runtime == "async"
+        assert cdss.config.sync.workers == 3
 
-    def test_sync_spec_of_pins_async_runtime(self):
+    def test_recovered_sync_section_names_the_async_runtime(self):
         serial = build_system("serial")
-        assert sync_spec_of(serial) is None
-        on_async = build_system("async", sync_workers=5)
-        recovered = sync_spec_of(on_async)
-        assert recovered.mode == "cursor"
-        assert recovered.runtime == "async" and recovered.workers == 5
+        assert "sync" not in sections_of(serial.config)
+        on_async = build_system("async", workers=5)
+        recovered = sections_of(on_async.config)["sync"]
+        assert recovered.values == {"mode": "cursor", "runtime": "async", "workers": 5}
         gossip = build_system("async", sync_mode="gossip")
-        recovered = sync_spec_of(gossip)
-        assert recovered.mode == "gossip" and recovered.runtime == "async"
+        recovered = sections_of(gossip.config)["sync"]
+        assert recovered.values == {"mode": "gossip", "runtime": "async"}
         # And the full system spec round-trips through text.
         text = on_async.to_spec().to_text()
-        assert parse_network_spec(text).sync.runtime == "async"
+        assert parse_network_spec(text).sections["sync"].values["runtime"] == "async"
 
 
 class TestSyncErrorReport:

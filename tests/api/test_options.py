@@ -1,0 +1,124 @@
+"""One case per row of the option table (:data:`repro.config.OPTIONS`),
+driven through every spelling derived from it: spec text and dict, builder
+method, ``to_spec()``, config construction, the simulator's command line."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+from repro import CDSS, NetworkBuilder, SpecError
+from repro.api.spec import parse_network_spec
+from repro.config import OPTIONS, SECTIONS, SystemConfig, configure
+from repro.errors import ConfigurationError
+from repro.simulate import build_parser
+from repro.workloads.simulation import MODE_OPTIONS
+
+PEER = "peer P\n  relation R(a, b) key(a)\n"
+SPEC_ROWS = [option for option in OPTIONS if option.section]
+
+
+def values_for(option):
+    """A valid value off the row's default, and one outside its domain."""
+    if option.choices:
+        return next(word for word in option.choices if word != option.default), "bogus"
+    return (option.default or option.floor) + 1, option.floor - 1
+
+
+def section_line(option, value):
+    """The spec line setting ``option`` and the same as a builder call."""
+    head = SECTIONS[option.section][0]
+    if option.head:
+        return f"{option.section} {value}", (value,), {}
+    word = option.under or head.default
+    return f"{option.section} {word} {option.knob} {value}", (word,), {option.knob: value}
+
+
+@pytest.mark.parametrize("option", SPEC_ROWS, ids=lambda option: f"{option.section}-{option.knob}")
+class TestSpecRow:
+    def test_every_spelling_sets_the_config_field(self, option):
+        value, _ = values_for(option)
+        line, args, knobs = section_line(option, value)
+        text = f"network n\n{line}\n{PEER}"
+        cdss = CDSS.from_spec(text)
+        assert option.get(cdss.config) == value
+        assert cdss.config == configure(
+            SystemConfig(), parse_network_spec(text).sections[option.section].pinned()
+        )
+        # The recovered spec, the dict form and the builder call say the same.
+        assert line in cdss.to_spec().to_text()
+        assert CDSS.from_spec(cdss.to_spec().to_text()).config == cdss.config
+        assert CDSS.from_spec(parse_network_spec(text).to_dict()).config == cdss.config
+        builder = NetworkBuilder("n").peer("P").relation("R", "a", "b", key=["a"])
+        assert getattr(builder, option.section)(*args, **knobs).build().config == cdss.config
+
+    def test_a_value_outside_the_domain_is_rejected(self, option):
+        _, bad = values_for(option)
+        line, args, knobs = section_line(option, bad)
+        with pytest.raises(SpecError) as caught:
+            parse_network_spec(f"network n\n{line}\n{PEER}")
+        assert caught.value.code == "CDSS014"
+        assert (caught.value.span.line, caught.value.span.column) == (2, 1)
+        with pytest.raises(SpecError) as caught:
+            getattr(NetworkBuilder("n"), option.section)(*args, **knobs)
+        assert caught.value.code == "CDSS014"
+        with pytest.raises(ConfigurationError, match=option.field):
+            configure(SystemConfig(), [(option, bad)])
+
+
+@pytest.mark.parametrize("flag", MODE_OPTIONS)
+def test_simulator_flag_is_generated_from_the_row(flag):
+    option = MODE_OPTIONS[flag]
+    value, bad = values_for(option)
+    assert getattr(build_parser().parse_args([f"--{flag}", value]), flag) == value
+    assert getattr(build_parser().parse_args([]), flag) == option.default
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([f"--{flag}", bad])
+
+
+def test_every_config_field_is_a_row_and_config_only_ones_are_known():
+    """A new field must say whether a spec can set it: it is either in a
+    section or added to this list on purpose."""
+    assert len(OPTIONS) == 23
+    assert {f"{option.group}.{option.field}" for option in OPTIONS if not option.section} == {
+        "store.require_online_to_publish",
+        "store.require_online_to_reconcile",
+        "sync.queue_depth",
+        "exchange.track_provenance",
+        "exchange.max_iterations",
+        "reconciliation.default_priority",
+        "reconciliation.defer_on_ties",
+    }
+    assert list(SECTIONS) == ["store", "sync", "execution", "observe"]
+    assert list(MODE_OPTIONS) == ["store", "sync", "sketch", "runtime", "execution"]
+
+
+def options_table() -> str:
+    """The README's "System options" table, rendered from the rows."""
+    lines = ["| section | knob | config field | values | default |", "|---|---|---|---|---|"]
+    for option in OPTIONS:
+        if option.choices:
+            values = (" < " if option.levels else ", ").join(option.choices)
+        elif option.floor is not None:
+            values = f"integer ≥ {option.floor}"
+        else:
+            values = "true, false"
+        if option.at_most:
+            values += f", ≤ `{option.at_most}`"
+        if option.under:
+            values += f" (only under `{option.section} {option.under}`)"
+        knob = f"`<{option.knob}>`" if option.head else f"`{option.knob}`" if option.knob else "—"
+        default = "unset" if option.default is None else str(option.default).lower()
+        lines.append(
+            f"| {option.section or '— (config only)'} | {knob} "
+            f"| `{option.group}.{option.field}` | {values} | {default} |"
+        )
+    return "\n".join(lines)
+
+
+def test_readme_option_table_is_the_rendered_rows():
+    readme = (Path(__file__).parents[2] / "README.md").read_text()
+    block = re.search(r"<!-- options:begin -->\n(.*?)\n<!-- options:end -->", readme, re.S)
+    assert block is not None and block.group(1) == options_table(), (
+        "README 'System options' is stale; paste this between the markers:\n" + options_table()
+    )

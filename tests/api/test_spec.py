@@ -72,11 +72,19 @@ class TestTextParsing:
             ("peer A\n  trust B two", "malformed trust"),
             ("peer A\n  relation R(a)\nmapping [M] @B.R(x) :- @A.R(x).", "unknown"),
             ("peer A\n  relation R(a)\nmapping [M] @A.R(x) :- @A.R(x)", "missing its closing period"),
+            # Statements dispatch on their first word, not on a prefix.
+            ("storefront", "unrecognised"),
+            ("syncx 1", "unrecognised"),
+            ("peers B", "unrecognised"),
+            ("sync gossip fanuot 2\npeer A\n  relation R(a)", "unknown sync knob"),
+            ("store distributed shards 4 shards 8", "given twice"),
         ],
     )
     def test_malformed_specs_raise_spec_errors(self, text, fragment):
-        with pytest.raises(SpecError, match=fragment):
+        with pytest.raises(SpecError, match=fragment) as caught:
             parse_network_spec(text)
+        # Whatever leaves the text parser has a diagnostic code and a place.
+        assert caught.value.code is not None and caught.value.span is not None
 
     def test_unknown_trust_peer_rejected(self):
         with pytest.raises(SpecError, match="unknown peer 'Ghost'"):
@@ -117,6 +125,16 @@ class TestDictSpecs:
     def test_dict_spec_needs_peers(self):
         with pytest.raises(SpecError, match="peers"):
             parse_network_spec({"mappings": []})
+
+    @pytest.mark.parametrize(
+        "section", [{"store": {"kind": "distributed", "shards": "x"}},
+                    {"sync": {"mode": "gossip", "fanout": "x"}},
+                    {"store": "distributed"}, {"execution": ["sql", "python"]}],
+    )
+    def test_malformed_section_entries_are_coded_spec_errors(self, section):
+        with pytest.raises(SpecError) as caught:
+            CDSS.from_spec({"peers": {"P": {"relations": {"R": ["a"]}}}, **section})
+        assert caught.value.code == "CDSS014"
 
     def test_unsupported_source_type(self):
         with pytest.raises(SpecError, match="cannot parse"):
@@ -203,12 +221,10 @@ class TestStoreSection:
 
     def test_parses_store_declaration(self):
         spec = parse_network_spec(self.DISTRIBUTED_SPEC)
-        assert spec.store is not None
-        assert spec.store.kind == "distributed"
-        assert spec.store.shards == 4
-        assert spec.store.replication == 2
-        assert spec.store.write_quorum == 2
-        assert spec.store.read_quorum is None  # unset knobs defer to config
+        # Unset knobs (read_quorum, segment_size) defer to the config.
+        assert spec.sections["store"].values == {
+            "kind": "distributed", "shards": 4, "replication": 2, "write_quorum": 2
+        }
 
     def test_store_round_trips_through_text_and_dict(self):
         spec = parse_network_spec(self.DISTRIBUTED_SPEC)
@@ -224,7 +240,7 @@ class TestStoreSection:
                 "store": {"kind": "distributed", "shards": 2},
             }
         )
-        assert spec.store.kind == "distributed" and spec.store.shards == 2
+        assert spec.sections["store"].values == {"kind": "distributed", "shards": 2}
 
     def test_from_spec_builds_a_distributed_store(self):
         from repro.p2p.distributed import DistributedUpdateStore
@@ -236,32 +252,23 @@ class TestStoreSection:
 
     def test_to_spec_recovers_store_section(self):
         cdss = CDSS.from_spec(self.DISTRIBUTED_SPEC)
-        recovered = cdss.to_spec()
-        assert recovered.store is not None
-        assert recovered.store.kind == "distributed"
-        assert recovered.store.shards == 4
+        # Exactly what is off its default: 4 shards x 2 replicas is the default.
+        assert cdss.to_spec().sections["store"].values == {
+            "kind": "distributed", "write_quorum": 2
+        }
         # A centralized system has no store line at all.
-        assert CDSS.from_spec(TWO_PEER_SPEC).to_spec().store is None
+        assert "store" not in CDSS.from_spec(TWO_PEER_SPEC).to_spec().sections
 
     def test_store_validation(self):
-        with pytest.raises(SpecError):
-            parse_network_spec(
-                TWO_PEER_SPEC.replace("network two-peer", "network two-peer\nstore clustered")
-            )
-        with pytest.raises(SpecError):
-            parse_network_spec(
-                TWO_PEER_SPEC.replace(
-                    "network two-peer",
-                    "network two-peer\nstore distributed replication 2 read_quorum 3",
+        for lines in (
+            "store clustered",
+            "store distributed replication 2 read_quorum 3",
+            "store distributed shards 4\nstore centralized",
+        ):
+            with pytest.raises(SpecError):
+                parse_network_spec(
+                    TWO_PEER_SPEC.replace("network two-peer", f"network two-peer\n{lines}")
                 )
-            )
-        with pytest.raises(SpecError):
-            parse_network_spec(
-                TWO_PEER_SPEC.replace(
-                    "network two-peer",
-                    "network two-peer\nstore distributed shards 4\nstore centralized",
-                )
-            )
 
     def test_store_must_precede_peer_sections(self):
         with pytest.raises(SpecError):

@@ -9,25 +9,18 @@ from repro.errors import ConfigurationError
 class TestExchangeConfig:
     def test_defaults(self):
         config = ExchangeConfig()
-        assert config.incremental
         assert config.track_provenance
         assert config.max_iterations == 0
-        assert config.skolem_prefix == "SK"
 
     def test_negative_iterations_rejected(self):
         with pytest.raises(ConfigurationError):
             ExchangeConfig(max_iterations=-1)
-
-    def test_empty_prefix_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ExchangeConfig(skolem_prefix="")
 
 
 class TestReconciliationConfig:
     def test_defaults(self):
         config = ReconciliationConfig()
         assert config.defer_on_ties
-        assert config.strict_antecedents
         assert config.default_priority == 0
 
     def test_negative_priority_rejected(self):
@@ -57,7 +50,7 @@ class TestSystemConfig:
     def test_configs_are_frozen(self):
         config = SystemConfig.default()
         with pytest.raises(Exception):
-            config.exchange.incremental = False
+            config.exchange.track_provenance = False
 
 
 class TestErrorHierarchy:

@@ -116,27 +116,11 @@ class TestExchangeEngine:
         engine.process_transaction(alaska_insert_txn())
         assert engine.provenance is None
 
-    def test_non_incremental_mode_produces_same_deltas(self):
-        """ABL-INCREMENTAL: recompute-per-transaction mode is semantically identical."""
+    def test_recompute_after_every_transaction_changes_nothing(self):
+        """From-scratch recomputation of the derived state agrees with the
+        incrementally maintained one after an insert and after a modify."""
         incremental = build_engine()
-        non_incremental = ExchangeEngine(
-            compile_mappings(
-                [("Alaska", SIGMA1), ("Crete", SIGMA2)],
-                [
-                    join_mapping(
-                        "M_AC", "Alaska", "Crete",
-                        "OPS(org, prot, seq)",
-                        ["O(org, oid)", "P(prot, pid)", "S(oid, pid, seq)"],
-                    ),
-                    split_mapping(
-                        "M_CA", "Crete", "Alaska",
-                        ["O(org, oid)", "P(prot, pid)", "S(oid, pid, seq)"],
-                        "OPS(org, prot, seq)",
-                    ),
-                ],
-            ),
-            ExchangeConfig(incremental=False),
-        )
+        recomputing = build_engine()
         transactions = [
             alaska_insert_txn("A1"),
             Transaction(
@@ -148,16 +132,11 @@ class TestExchangeEngine:
         ]
         for transaction in transactions:
             left = incremental.process_transaction(transaction)
-            right = non_incremental.process_transaction(
-                Transaction(transaction.txn_id, transaction.peer, transaction.updates,
-                            transaction.antecedents)
-            )
-            assert {k: sorted(v, key=repr) for k, v in left.inserted.items()} == {
-                k: sorted(v, key=repr) for k, v in right.inserted.items()
-            }
-        assert incremental.derived_tuples("Crete", "OPS") == non_incremental.derived_tuples(
-            "Crete", "OPS"
-        )
+            right = recomputing.process_transaction(transaction)
+            recomputing.recompute()
+            assert left.inserted == right.inserted and left.deleted == right.deleted
+            assert incremental.database == recomputing.database
+        assert recomputing.derived_tuples("Crete", "OPS") == {("ecoli", "lacZ", "GGG")}
 
     def test_delta_is_empty_for_unaffected_peer(self):
         engine = build_engine()

@@ -17,7 +17,6 @@ import random
 import pytest
 
 from repro import CDSS
-from repro.config import StoreConfig, SystemConfig
 from repro.core.mapping import join_mapping
 from repro.core.system import ReconcileOutcome
 from repro.errors import PublicationError
@@ -28,6 +27,7 @@ from repro.workloads.simulation import (
     RandomWorkload,
     SimulationConfig,
     generate_network,
+    simulated_system,
 )
 
 
@@ -354,13 +354,11 @@ def test_what_was_vacuous_stays_accepted_when_the_engine_is_rebuilt():
 # -- simulator seeds -----------------------------------------------------------------
 
 #: The store/sync combinations the seeds cycle through.
-STORES = [
-    StoreConfig(),
-    StoreConfig(backend="distributed", shard_count=3, replication_factor=2),
-    StoreConfig(sync_mode="gossip"),
-    StoreConfig(
-        backend="distributed", shard_count=3, replication_factor=2, sync_mode="gossip"
-    ),
+SYSTEMS = [
+    simulated_system(),
+    simulated_system(store="distributed"),
+    simulated_system(sync="gossip"),
+    simulated_system(store="distributed", sync="gossip"),
 ]
 
 
@@ -370,7 +368,7 @@ def test_simulated_networks_agree_with_offering_everything(seed):
     rng = random.Random(seed)
     spec = generate_network(rng, config)
     workload = RandomWorkload(spec, config, rng)
-    system = SystemConfig(store=STORES[seed % len(STORES)])
+    system = SYSTEMS[seed % len(SYSTEMS)]
     pair = Pair(lambda: CDSS.from_spec(spec, config=system))
 
     for epoch in range(1, config.epochs + 1):

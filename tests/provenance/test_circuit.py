@@ -169,20 +169,6 @@ class TestGraphCircuit:
         fresh = merge_graphs([graph])
         assert set(fresh.unsupported_tuples()) == unsupported
 
-    def test_expanded_mode_agrees_with_circuit(self):
-        circuit_graph = self.build_diamond()
-        expanded_graph = self.build_diamond()
-        expanded_graph.evaluation_mode = "expanded"
-        assignment = {"a": 1.0, "b": 4.0}
-        for relation in ("A", "B", "M", "T"):
-            assert circuit_graph.annotation(
-                relation, (1,), TropicalSemiring(), assignment
-            ) == expanded_graph.annotation(relation, (1,), TropicalSemiring(), assignment)
-        assert circuit_graph.is_derivable("T", (1,), {"b"})
-        assert expanded_graph.is_derivable("T", (1,), {"b"})
-        assert not circuit_graph.is_derivable("M", (1,), {"b"})
-        assert not expanded_graph.is_derivable("M", (1,), {"b"})
-
     def test_deep_derivation_chain_compiles_iteratively(self):
         # 5000 copy-mapping hops: the explicit-frame compiler must not hit
         # Python's recursion limit on a cold-cache query of the deepest tuple.

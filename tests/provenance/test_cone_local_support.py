@@ -8,6 +8,9 @@ full scan the graph used to run on every delete), and ``merge_graphs``
 replays the graph's current state into a new graph with cold caches.  All
 three must agree after any interleaving of insertions, deletions,
 re-insertions and promotions, whenever the graph happens to be flushed.
+On graphs sparse enough to expand, ``reference_polynomial`` is a fourth
+answer that never touches the circuit: a tuple is supported exactly when
+its expanded polynomial is not zero.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import pytest
 from repro.datalog.ast import Fact
 from repro.datalog.incremental import IncrementalEngine
 from repro.datalog.parser import parse_program
-from repro.provenance.graph import ProvenanceGraph, merge_graphs
+from repro.provenance.graph import ProvenanceGraph, merge_graphs, reference_polynomial
 from repro.provenance.semiring import CountingSemiring
 from repro.workloads.bioinformatics import build_figure2_network
 
@@ -29,7 +32,7 @@ def scan_unsupported(graph: ProvenanceGraph) -> set:
     return {node.key for node in list(graph.tuples()) if not graph.is_derivable(*node.key)}
 
 
-def assert_matches_references(graph: ProvenanceGraph, context) -> None:
+def assert_matches_references(graph: ProvenanceGraph, context, expand: bool = False) -> None:
     maintained = graph.unsupported_tuples()
     assert len(maintained) == len(set(maintained)), context
     assert set(maintained) == scan_unsupported(graph), context
@@ -38,28 +41,33 @@ def assert_matches_references(graph: ProvenanceGraph, context) -> None:
     # Component ids are recomputed cone by cone; a stale id would let the
     # compiler reuse a root across a cycle and change the number of acyclic
     # derivations (counted on the circuit, so dense graphs stay cheap).
-    if graph.evaluation_mode == "circuit":
-        ones = {variable: 1 for variable in graph.base_variables()}
-        assert graph.evaluate(CountingSemiring(), ones) == fresh.evaluate(
-            CountingSemiring(), ones
-        ), context
+    ones = {variable: 1 for variable in graph.base_variables()}
+    assert graph.evaluate(CountingSemiring(), ones) == fresh.evaluate(
+        CountingSemiring(), ones
+    ), context
+    if expand:
+        assert set(maintained) == {
+            node.key
+            for node in graph.tuples()
+            if reference_polynomial(graph, *node.key).is_zero()
+        }, context
 
 
-#: (evaluation mode, tuple pool size, edits).  The expanded representation
-#: materialises polynomials, so it gets a sparser graph than the circuit.
-SHAPES = {"circuit": ("circuit", 7, 100), "expanded": ("expanded", 12, 40)}
+#: (tuple pool size, edits, also check against expanded polynomials).
+#: Expansion materialises every acyclic derivation, so it gets a sparser graph.
+SHAPES = {"circuit": (7, 100, False), "expanded": (12, 40, True)}
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 @pytest.mark.parametrize("seed", range(20))
 def test_random_graph_edits_match_full_reevaluation(seed, shape):
-    mode, pool, edits = SHAPES[shape]
+    pool, edits, expand = SHAPES[shape]
     rng = random.Random(seed)
 
     def random_key(rng: random.Random) -> tuple:
         return (rng.choice("ABC"), (rng.randrange(pool),))
 
-    graph = ProvenanceGraph(evaluation_mode=mode)
+    graph = ProvenanceGraph()
     base: list[tuple] = []
     for step in range(edits):
         choice = rng.random()
@@ -88,8 +96,8 @@ def test_random_graph_edits_match_full_reevaluation(seed, shape):
             assert set(newly) == set(graph.unsupported_tuples()) - before, (seed, step)
         # Flush at irregular moments: several edits usually share one flush.
         if rng.random() < 0.3:
-            assert_matches_references(graph, (seed, step))
-    assert_matches_references(graph, (seed, "end"))
+            assert_matches_references(graph, (seed, step), expand)
+    assert_matches_references(graph, (seed, "end"), expand)
 
 
 def test_placeholder_sources_are_unsupported_until_asserted():

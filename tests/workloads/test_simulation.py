@@ -18,18 +18,33 @@ from repro.api.spec import parse_network_spec
 from repro.errors import ConfigurationError
 from repro.simulate import main as simulate_main
 from repro.workloads.simulation import (
+    MIRRORS,
+    MODE_OPTIONS,
     SimulationConfig,
     SimulationRun,
     generate_network,
     run_campaign,
     run_simulation,
+    simulated_system,
 )
 
 #: The tier-1 fuzz slice: 25 seeds, every oracle, every epoch.
 SLICE_SEEDS = list(range(1, 26))
 
-#: Small-but-representative slice configuration (2-4 peers, 3 epochs).
-SLICE_CONFIG = SimulationConfig(epochs=3, transactions_per_epoch=(2, 5))
+
+
+def slice_config(offline=SimulationConfig.offline_probability, **modes):
+    """The small-but-representative slice (2-4 peers, 3 epochs) with the
+    primary replica in the given modes (``store="distributed"``, ...)."""
+    return SimulationConfig(
+        epochs=3,
+        transactions_per_epoch=(2, 5),
+        system=simulated_system(**modes),
+        offline_probability=offline,
+    )
+
+
+SLICE_CONFIG = slice_config()
 
 
 class TestGeneratedNetworks:
@@ -87,31 +102,28 @@ class TestSimulationConfig:
         with pytest.raises(ConfigurationError):
             SimulationConfig(min_peers=1)
 
-    def test_provenance_mode_is_validated(self):
-        with pytest.raises(ConfigurationError):
-            SimulationConfig(provenance_mode="polynomial-soup")
-        assert SimulationConfig(provenance_mode="expanded").provenance_mode == "expanded"
-
     def test_transactions_range_is_validated(self):
         with pytest.raises(ConfigurationError):
             SimulationConfig(transactions_per_epoch=(6, 2))
 
     def test_sync_mode_is_validated(self):
-        with pytest.raises(ConfigurationError):
-            SimulationConfig(sync_mode="telepathy")
-        with pytest.raises(ConfigurationError):
-            SimulationConfig(sync_sketch="minhash")
-        assert SimulationConfig(sync_mode="gossip", sync_sketch="bloom").sync_mode == "gossip"
+        for bad in ({"sync": "telepathy"}, {"sketch": "minhash"}):
+            with pytest.raises(ConfigurationError):
+                simulated_system(**bad)
+        system = simulated_system(sync="gossip", sketch="bloom")
+        assert (system.sync.mode, system.sync.sketch) == ("gossip", "bloom")
 
     def test_sync_runtime_is_validated(self):
         with pytest.raises(ConfigurationError):
-            SimulationConfig(sync_runtime="threads")
-        assert SimulationConfig(sync_runtime="async").sync_runtime == "async"
+            simulated_system(runtime="threads")
+        assert simulated_system(runtime="async").sync.runtime == "async"
 
     def test_execution_backend_is_validated(self):
         with pytest.raises(ConfigurationError):
-            SimulationConfig(execution_backend="prolog")
-        assert SimulationConfig(execution_backend="sql").execution_backend == "sql"
+            simulated_system(execution="prolog")
+        with pytest.raises(ConfigurationError, match="unknown simulation mode"):
+            simulated_system(observe="trace")  # a level, not a mode a mirror flips
+        assert simulated_system(execution="sql").exchange.execution_backend == "sql"
 
 
 @pytest.mark.parametrize("seed", SLICE_SEEDS)
@@ -127,13 +139,7 @@ def test_differential_oracles_hold(seed):
 @pytest.mark.parametrize("seed", [2, 9, 23])
 def test_differential_oracles_hold_with_distributed_primary(seed):
     """The whole oracle suite also passes with a distributed-store primary."""
-    config = SimulationConfig(
-        epochs=3,
-        transactions_per_epoch=(2, 5),
-        store_backend="distributed",
-        offline_probability=0.5,
-    )
-    result = run_simulation(seed, config)
+    result = run_simulation(seed, slice_config(offline=0.5, store="distributed"))
     assert result.ok, "\n".join(failure.describe() for failure in result.failures)
 
 
@@ -141,14 +147,7 @@ def test_differential_oracles_hold_with_distributed_primary(seed):
 def test_sketch_vs_cursor_oracle_holds_with_gossip_primary_iblt(seed):
     """25 seeds with an IBLT-gossip primary: reconcile outcomes and
     instances match the cursor-sync mirror under churn."""
-    config = SimulationConfig(
-        epochs=3,
-        transactions_per_epoch=(2, 5),
-        sync_mode="gossip",
-        sync_sketch="iblt",
-        offline_probability=0.4,
-    )
-    result = run_simulation(seed, config)
+    result = run_simulation(seed, slice_config(offline=0.4, sync="gossip", sketch="iblt"))
     assert result.ok, "\n".join(failure.describe() for failure in result.failures)
     assert result.oracle_checks == 2 + 9 * result.epochs_run
 
@@ -157,12 +156,7 @@ def test_sketch_vs_cursor_oracle_holds_with_gossip_primary_iblt(seed):
 def test_sql_vs_python_oracle_holds_with_sql_primary(seed):
     """With an SQL-pushdown primary the python mirror checks it (the
     reverse orientation of the default slice's sql-vs-python oracle)."""
-    config = SimulationConfig(
-        epochs=3,
-        transactions_per_epoch=(2, 5),
-        execution_backend="sql",
-    )
-    result = run_simulation(seed, config)
+    result = run_simulation(seed, slice_config(execution="sql"))
     assert result.ok, "\n".join(failure.describe() for failure in result.failures)
     assert result.oracle_checks == 2 + 9 * result.epochs_run
 
@@ -170,28 +164,14 @@ def test_sql_vs_python_oracle_holds_with_sql_primary(seed):
 @pytest.mark.parametrize("seed", SLICE_SEEDS)
 def test_sketch_vs_cursor_oracle_holds_with_gossip_primary_bloom(seed):
     """The same 25-seed slice with the counting-Bloom sketch algorithm."""
-    config = SimulationConfig(
-        epochs=3,
-        transactions_per_epoch=(2, 5),
-        sync_mode="gossip",
-        sync_sketch="bloom",
-        offline_probability=0.4,
-    )
-    result = run_simulation(seed, config)
+    result = run_simulation(seed, slice_config(offline=0.4, sync="gossip", sketch="bloom"))
     assert result.ok, "\n".join(failure.describe() for failure in result.failures)
 
 
 @pytest.mark.parametrize("seed", [6, 14])
 def test_sketch_vs_cursor_oracle_holds_on_distributed_store(seed):
     """Gossip sync against the sharded distributed archive, under churn."""
-    config = SimulationConfig(
-        epochs=3,
-        transactions_per_epoch=(2, 5),
-        sync_mode="gossip",
-        store_backend="distributed",
-        offline_probability=0.5,
-    )
-    result = run_simulation(seed, config)
+    result = run_simulation(seed, slice_config(offline=0.5, sync="gossip", store="distributed"))
     assert result.ok, "\n".join(failure.describe() for failure in result.failures)
 
 
@@ -202,12 +182,7 @@ ASYNC_SLICE = [
     for seed, (backend, mode) in zip(
         SLICE_SEEDS,
         itertools.cycle(
-            [
-                ("centralized", "cursor"),
-                ("centralized", "gossip"),
-                ("distributed", "cursor"),
-                ("distributed", "gossip"),
-            ]
+            itertools.product(MODE_OPTIONS["store"].choices, MODE_OPTIONS["sync"].choices)
         ),
     )
 ]
@@ -218,14 +193,7 @@ def test_async_vs_serial_oracle_holds(seed, backend, mode):
     """25 seeds with an async-runtime primary: reconcile outcomes, open
     conflicts, and instances match the serial mirror across every
     store-backend × sync-mode combination, under churn."""
-    config = SimulationConfig(
-        epochs=3,
-        transactions_per_epoch=(2, 5),
-        store_backend=backend,
-        sync_mode=mode,
-        sync_runtime="async",
-        offline_probability=0.4,
-    )
+    config = slice_config(offline=0.4, store=backend, sync=mode, runtime="async")
     result = run_simulation(seed, config)
     assert result.ok, "\n".join(failure.describe() for failure in result.failures)
     # spec round-trip + analyzer-clean + 10 oracles per epoch (the serial
@@ -250,31 +218,80 @@ def test_campaign_aggregates_results():
 class TestOracleSensitivity:
     """Injected divergences must be caught and pinned to seed + epoch."""
 
-    def _run_one_epoch(self, seed=4):
-        run = SimulationRun(seed, SLICE_CONFIG)
+    def _run_one_epoch(self, seed=4, **modes):
+        run = SimulationRun(seed, slice_config(**modes))
         run.run_epoch(1, last_epoch=False)
         assert not run.failures
         return run
 
-    def test_memory_vs_sqlite_detects_divergence(self):
-        run = self._run_one_epoch()
-        peer = run.sqlite.peer(run.sqlite.catalog.peer_names()[0])
+    def _run_with(self, name):
+        """One clean epoch of a run that spawns the named row of MIRRORS."""
+        mirror = next(row for row in MIRRORS if row.name == name)
+        modes = {mirror.flips: mirror.only_when} if mirror.only_when else {}
+        return mirror, self._run_one_epoch(**modes)
+
+    def _only_failure(self, run, mirror):
+        """Re-check every mirror: exactly the tampered one's oracle fails."""
+        for row in MIRRORS:
+            run.check_mirror(row, epoch=2)
+        (failure,) = run.failures
+        assert failure.oracle == mirror.oracle
+        assert failure.seed == 4 and failure.epoch == 2
+        assert "seed 4" in failure.describe() and "epoch 2" in failure.describe()
+        return failure.detail
+
+    def _corrupt_instance(self, name):
+        mirror, run = self._run_with(name)
+        peer = run.mirrors[name].peer(run.primary.catalog.peer_names()[0])
         relation = next(iter(peer.schema)).name
         peer.instance.insert(relation, tuple("z" for _ in range(peer.schema.arity(relation))))
-        run._check_memory_vs_sqlite(epoch=2)
-        failure = run.failures[-1]
-        assert failure.oracle == "memory-vs-sqlite"
-        assert failure.seed == 4 and failure.epoch == 2
-        assert "only in sqlite" in failure.detail
-        assert "seed 4" in failure.describe() and "epoch 2" in failure.describe()
+        assert f"only in {name}" in self._only_failure(run, mirror)
+
+    def _tamper_with_rounds(self, name):
+        mirror, run = self._run_with(name)
+        assert mirror.rounds
+        run._last_reports[name].rounds[0].published = []
+        assert "sync round 1 diverges" in self._only_failure(run, mirror)
+
+    def test_memory_vs_sqlite_detects_divergence(self):
+        self._corrupt_instance("sqlite")
 
     def test_sync_vs_manual_detects_divergence(self):
-        run = self._run_one_epoch()
-        peer = run.manual.peer(run.manual.catalog.peer_names()[0])
-        relation = next(iter(peer.schema)).name
-        peer.instance.insert(relation, tuple("y" for _ in range(peer.schema.arity(relation))))
-        run._check_sync_vs_manual(epoch=2)
-        assert run.failures[-1].oracle == "sync-vs-manual"
+        self._corrupt_instance("manual")
+
+    def test_distributed_vs_centralized_detects_divergence(self):
+        self._corrupt_instance("storecheck")
+
+    def test_distributed_vs_centralized_detects_report_divergence(self):
+        self._tamper_with_rounds("storecheck")
+
+    def test_sketch_vs_cursor_detects_divergence(self):
+        self._corrupt_instance("synccheck")
+
+    def test_sketch_vs_cursor_detects_report_divergence(self):
+        self._tamper_with_rounds("synccheck")
+
+    def test_async_vs_serial_detects_divergence(self):
+        self._corrupt_instance("runtimecheck")
+
+    def test_async_vs_serial_detects_report_divergence(self):
+        self._tamper_with_rounds("runtimecheck")
+
+    @pytest.mark.parametrize("name", [row.name for row in MIRRORS if row.open_conflicts])
+    def test_open_conflicts_divergence_is_detected(self, name):
+        mirror, run = self._run_with(name)
+        run._last_reports[name].open_conflicts = {"Peer0": 99}
+        assert "open conflicts diverge" in self._only_failure(run, mirror)
+
+    def test_every_mirror_has_its_sensitivity_cases(self):
+        """A new row of MIRRORS needs its cases above, by the oracle's name."""
+        for row in MIRRORS:
+            stem = f"test_{row.oracle.replace('-', '_')}_detects"
+            assert hasattr(self, f"{stem}_divergence"), row
+            assert hasattr(self, f"{stem}_report_divergence") == row.rounds, row
+
+    def test_serial_runs_spawn_no_runtimecheck_replica(self):
+        assert "runtimecheck" not in self._run_one_epoch().mirrors
 
     def test_incremental_vs_recompute_detects_divergence(self):
         run = self._run_one_epoch()
@@ -304,77 +321,6 @@ class TestOracleSensitivity:
         assert failure.oracle == "sql-vs-python"
         assert "only in sql" in failure.detail
 
-    def test_distributed_vs_centralized_detects_divergence(self):
-        run = self._run_one_epoch()
-        peer = run.storecheck.peer(run.storecheck.catalog.peer_names()[0])
-        relation = next(iter(peer.schema)).name
-        peer.instance.insert(relation, tuple("w" for _ in range(peer.schema.arity(relation))))
-        run._check_distributed_vs_centralized(epoch=2)
-        failure = run.failures[-1]
-        assert failure.oracle == "distributed-vs-centralized"
-        assert "only in mirror-store" in failure.detail
-
-    def test_distributed_vs_centralized_detects_report_divergence(self):
-        run = self._run_one_epoch()
-        report = run._last_reports["storecheck"]
-        report.rounds[0].published = []
-        run._check_distributed_vs_centralized(epoch=2)
-        failure = run.failures[-1]
-        assert failure.oracle == "distributed-vs-centralized"
-        assert "sync round 1 diverges" in failure.detail
-
-    def test_sketch_vs_cursor_detects_divergence(self):
-        run = self._run_one_epoch()
-        peer = run.synccheck.peer(run.synccheck.catalog.peer_names()[0])
-        relation = next(iter(peer.schema)).name
-        peer.instance.insert(relation, tuple("v" for _ in range(peer.schema.arity(relation))))
-        run._check_sketch_vs_cursor(epoch=2)
-        failure = run.failures[-1]
-        assert failure.oracle == "sketch-vs-cursor"
-        assert "only in mirror-sync" in failure.detail
-
-    def test_sketch_vs_cursor_detects_report_divergence(self):
-        run = self._run_one_epoch()
-        report = run._last_reports["synccheck"]
-        report.rounds[0].published = []
-        run._check_sketch_vs_cursor(epoch=2)
-        failure = run.failures[-1]
-        assert failure.oracle == "sketch-vs-cursor"
-        assert "sync round 1 diverges" in failure.detail
-
-    def test_async_vs_serial_detects_divergence(self):
-        config = SimulationConfig(
-            epochs=3, transactions_per_epoch=(2, 5), sync_runtime="async"
-        )
-        run = SimulationRun(4, config)
-        run.run_epoch(1, last_epoch=False)
-        assert not run.failures
-        peer = run.runtimecheck.peer(run.runtimecheck.catalog.peer_names()[0])
-        relation = next(iter(peer.schema)).name
-        peer.instance.insert(relation, tuple("u" for _ in range(peer.schema.arity(relation))))
-        run._check_async_vs_serial(epoch=2)
-        failure = run.failures[-1]
-        assert failure.oracle == "async-vs-serial"
-        assert "only in mirror-serial" in failure.detail
-
-    def test_async_vs_serial_detects_report_divergence(self):
-        config = SimulationConfig(
-            epochs=3, transactions_per_epoch=(2, 5), sync_runtime="async"
-        )
-        run = SimulationRun(4, config)
-        run.run_epoch(1, last_epoch=False)
-        assert not run.failures
-        report = run._last_reports["runtimecheck"]
-        report.rounds[0].published = []
-        run._check_async_vs_serial(epoch=2)
-        failure = run.failures[-1]
-        assert failure.oracle == "async-vs-serial"
-        assert "sync round 1 diverges" in failure.detail
-
-    def test_serial_runs_spawn_no_runtimecheck_replica(self):
-        run = self._run_one_epoch()
-        assert run.runtimecheck is None
-
     def test_replica_durability_detects_lost_copies(self):
         run = self._run_one_epoch()
         store = run._distributed_replica().store
@@ -391,6 +337,29 @@ class TestOracleSensitivity:
 
 
 class TestCli:
+    def _campaign_runs_on(self, flag, *words, rejected):
+        for word in words:
+            argv = ["--seeds", "1", "--epochs", "2", f"--{flag}", word, "--quiet"]
+            assert simulate_main(argv) == 0
+        with pytest.raises(SystemExit):
+            simulate_main([f"--{flag}", rejected])
+
+    def _crash_names(self, capsys, monkeypatch, *flags):
+        """A crashing seed's reproduction line repeats the mode flags, and
+        the run was configured with them."""
+        import repro.simulate as cli
+
+        def boom(seed, config):
+            assert config.system == simulated_system(
+                **{flag.lstrip("-"): word for flag, word in zip(flags[::2], flags[1::2])}
+            )
+            raise RuntimeError("engine exploded")
+
+        monkeypatch.setattr(cli, "run_simulation", boom)
+        assert cli.main(["--seeds", "1", *flags]) == 1
+        err = capsys.readouterr().err
+        assert "engine exploded" in err and " ".join(flags) in err
+
     def test_cli_runs_a_small_campaign(self, capsys):
         assert simulate_main(["--seeds", "2", "--seed-base", "31", "--epochs", "2"]) == 0
         out = capsys.readouterr().out
@@ -413,113 +382,34 @@ class TestCli:
         assert simulate_main(["--seeds", "1", "--transactions", "1", "--epochs", "2"]) == 0
 
     def test_cli_store_backend_flags(self, capsys):
-        assert simulate_main(
-            ["--seeds", "1", "--epochs", "2", "--store-distributed", "--quiet"]
-        ) == 0
-        assert simulate_main(
-            ["--seeds", "1", "--epochs", "2", "--store-centralized", "--quiet"]
-        ) == 0
+        self._campaign_runs_on("store", "distributed", "centralized", rejected="clustered")
         with pytest.raises(SystemExit):
-            simulate_main(["--store-centralized", "--store-distributed"])
+            simulate_main(["--store-distributed"])  # the pre-table spelling is gone
 
     def test_cli_repro_line_names_distributed_store(self, capsys, monkeypatch):
-        import repro.simulate as cli
-
-        def boom(seed, config):
-            assert config.store_backend == "distributed"
-            raise RuntimeError("store exploded")
-
-        monkeypatch.setattr(cli, "run_simulation", boom)
-        assert cli.main(["--seeds", "1", "--store-distributed"]) == 1
-        assert "--store-distributed" in capsys.readouterr().err
+        self._crash_names(capsys, monkeypatch, "--store", "distributed")
 
     def test_cli_sync_mode_flags(self, capsys):
+        self._campaign_runs_on("sync", "gossip", "cursor", rejected="telepathy")
+        self._campaign_runs_on("sketch", "bloom", rejected="minhash")
         assert simulate_main(
-            ["--seeds", "1", "--epochs", "2", "--sync-gossip", "--quiet"]
+            ["--seeds", "1", "--epochs", "2", "--sync", "gossip", "--sketch", "bloom", "--quiet"]
         ) == 0
-        assert simulate_main(
-            ["--seeds", "1", "--epochs", "2", "--sync-gossip", "--sketch", "bloom", "--quiet"]
-        ) == 0
-        assert simulate_main(
-            ["--seeds", "1", "--epochs", "2", "--sync-cursor", "--quiet"]
-        ) == 0
-        with pytest.raises(SystemExit):
-            simulate_main(["--sync-cursor", "--sync-gossip"])
 
     def test_cli_repro_line_names_gossip_sync(self, capsys, monkeypatch):
-        import repro.simulate as cli
-
-        def boom(seed, config):
-            assert config.sync_mode == "gossip" and config.sync_sketch == "bloom"
-            raise RuntimeError("sketch exploded")
-
-        monkeypatch.setattr(cli, "run_simulation", boom)
-        assert cli.main(["--seeds", "1", "--sync-gossip", "--sketch", "bloom"]) == 1
-        err = capsys.readouterr().err
-        assert "--sync-gossip" in err and "--sketch bloom" in err
+        self._crash_names(capsys, monkeypatch, "--sync", "gossip", "--sketch", "bloom")
 
     def test_cli_runtime_flags(self, capsys):
-        assert simulate_main(
-            ["--seeds", "1", "--epochs", "2", "--runtime", "async", "--quiet"]
-        ) == 0
-        assert simulate_main(
-            ["--seeds", "1", "--epochs", "2", "--runtime", "serial", "--quiet"]
-        ) == 0
-        with pytest.raises(SystemExit):
-            simulate_main(["--runtime", "threads"])
+        self._campaign_runs_on("runtime", "async", "serial", rejected="threads")
 
     def test_cli_repro_line_names_async_runtime(self, capsys, monkeypatch):
-        import repro.simulate as cli
-
-        def boom(seed, config):
-            assert config.sync_runtime == "async"
-            raise RuntimeError("scheduler exploded")
-
-        monkeypatch.setattr(cli, "run_simulation", boom)
-        assert cli.main(["--seeds", "1", "--runtime", "async"]) == 1
-        assert "--runtime async" in capsys.readouterr().err
+        self._crash_names(capsys, monkeypatch, "--runtime", "async")
 
     def test_cli_execution_backend_flags(self, capsys):
-        assert simulate_main(
-            ["--seeds", "1", "--epochs", "2", "--execution", "sql", "--quiet"]
-        ) == 0
-        assert simulate_main(
-            ["--seeds", "1", "--epochs", "2", "--execution", "python", "--quiet"]
-        ) == 0
-        with pytest.raises(SystemExit):
-            simulate_main(["--execution", "prolog"])
+        self._campaign_runs_on("execution", "sql", "python", rejected="prolog")
 
     def test_cli_repro_line_names_sql_execution(self, capsys, monkeypatch):
-        import repro.simulate as cli
-
-        def boom(seed, config):
-            assert config.execution_backend == "sql"
-            raise RuntimeError("pushdown exploded")
-
-        monkeypatch.setattr(cli, "run_simulation", boom)
-        assert cli.main(["--seeds", "1", "--execution", "sql"]) == 1
-        assert "--execution sql" in capsys.readouterr().err
-
-    def test_cli_provenance_representation_flags(self, capsys):
-        assert simulate_main(
-            ["--seeds", "1", "--epochs", "2", "--provenance-expanded", "--quiet"]
-        ) == 0
-        assert simulate_main(
-            ["--seeds", "1", "--epochs", "2", "--provenance-dag", "--quiet"]
-        ) == 0
-        with pytest.raises(SystemExit):
-            simulate_main(["--provenance-dag", "--provenance-expanded"])
-
-    def test_cli_repro_line_names_expanded_mode(self, capsys, monkeypatch):
-        import repro.simulate as cli
-
-        def boom(seed, config):
-            assert config.provenance_mode == "expanded"
-            raise RuntimeError("engine exploded")
-
-        monkeypatch.setattr(cli, "run_simulation", boom)
-        assert cli.main(["--seeds", "1", "--provenance-expanded"]) == 1
-        assert "--provenance-expanded" in capsys.readouterr().err
+        self._crash_names(capsys, monkeypatch, "--execution", "sql")
 
     def test_cli_attributes_crashes_to_their_seed(self, capsys, monkeypatch):
         import repro.simulate as cli
