@@ -46,6 +46,7 @@ from .sync import (
     SyncRound,
     _selected_peers,
     finalize_report,
+    metrics_enabled,
 )
 
 
@@ -209,8 +210,9 @@ class AsyncSyncRuntime:
             # nothing to spread, and reconcile's catch-up covers stragglers.
             gossip.run_until_converged()
 
+        offline = set(publish.skipped_offline)
         for name in self._names:
-            if name not in publish.skipped_offline:
+            if name not in offline:
                 outcome = cdss.reconcile(name)
                 round_.reconciled.append(outcome)
                 if simulate_traffic and outcome.candidates_considered:
@@ -319,7 +321,7 @@ def async_synchronize(
     gossip = getattr(cdss, "gossip", None)
     gossip_before = gossip.stats.snapshot() if gossip is not None else None
     gossip_rounds_before = gossip.rounds_run if gossip is not None else 0
-    metrics_before = cdss.obs.metrics.snapshot()
+    metrics_before = cdss.obs.metrics.snapshot() if metrics_enabled(cdss) else None
 
     loop = VirtualTimeEventLoop()
     runtime = AsyncSyncRuntime(cdss, names, workers, queue_depth)

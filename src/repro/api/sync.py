@@ -250,7 +250,11 @@ def _account_reconcile_traffic(cdss, outcome) -> None:
 
 def sync_round(cdss, peers: Optional[Sequence[str]] = None, index: int = 1) -> SyncRound:
     """Run one publish-then-reconcile pass over the selected (online) peers."""
-    names = _selected_peers(cdss, peers)
+    return _run_round(cdss, _selected_peers(cdss, peers), index)
+
+
+def _run_round(cdss, names: list[str], index: int) -> SyncRound:
+    """:func:`sync_round` over peer names that are already validated."""
     round_ = SyncRound(index=index)
     obs = getattr(cdss, "obs", None)
     with obs.span("sync.round", index=index) if obs is not None else _NO_SPAN:
@@ -269,8 +273,9 @@ def sync_round(cdss, peers: Optional[Sequence[str]] = None, index: int = 1) -> S
             # instead of burning a full sketch exchange per partner just to
             # confirm emptiness.
             gossip.run_until_converged()
+        offline = set(publish.skipped_offline)
         for name in names:
-            if name not in publish.skipped_offline:
+            if name not in offline:
                 outcome = cdss.reconcile(name)
                 round_.reconciled.append(outcome)
                 _account_reconcile_traffic(cdss, outcome)
@@ -304,10 +309,9 @@ def synchronize(
     gossip = getattr(cdss, "gossip", None)
     gossip_before = gossip.stats.snapshot() if gossip is not None else None
     gossip_rounds_before = gossip.rounds_run if gossip is not None else 0
-    obs = getattr(cdss, "obs", None)
-    metrics_before = obs.metrics.snapshot() if obs is not None else None
+    metrics_before = cdss.obs.metrics.snapshot() if metrics_enabled(cdss) else None
     for index in range(1, max_rounds + 1):
-        round_ = sync_round(cdss, names, index=index)
+        round_ = _run_round(cdss, names, index)
         report.rounds.append(round_)
         if round_.is_quiescent():
             report.converged = True

@@ -479,14 +479,19 @@ class CDSS:
 
         epoch = self.clock.tick()
         reconciler = self._reconcilers[peer_name]
-        result = reconciler.reconcile(
-            candidates,
-            # The store answers ``txn_id in store`` exactly on both backends,
-            # which is all the reconciler asks of the archive.
-            known_transactions=self.store,
-            provenance=engine.provenance if self.config.exchange.track_provenance else None,
-            epoch=epoch,
-        )
+        if candidates or reconciler.state.undecided:
+            result = reconciler.reconcile(
+                candidates,
+                # The store answers ``txn_id in store`` exactly on both
+                # backends, which is all the reconciler asks of the archive.
+                known_transactions=self.store,
+                provenance=engine.provenance if self.config.exchange.track_provenance else None,
+                epoch=epoch,
+            )
+        else:
+            # Idle: nothing new touches the peer and nothing awaits a
+            # decision, so the reconciler would return exactly this.
+            result = ReconcileResult(peer=peer_name, epoch=epoch)
         reconciler.state.implicit_accepts += offered - len(candidates)
         peer.clock.record_reconciliation(self.store.latest_epoch())
         metrics = self.obs.metrics

@@ -36,7 +36,14 @@ from typing import Callable, Optional, Protocol, Sequence, runtime_checkable
 
 from ..errors import ConfigurationError, DatalogError
 from ..obs import NULL_SPAN
-from .plan import UNBOUND, CompiledProgram, CompiledRule
+from .plan import (
+    UNBOUND,
+    CompiledProgram,
+    CompiledRule,
+    DispatchEntry,
+    delta_dispatch,
+    triggered,
+)
 
 #: ``recorder(label, (head_predicate, head_values), sources)`` — invoked once
 #: per satisfying substitution, with ``sources`` the matched positive body
@@ -139,14 +146,20 @@ def run_stratum(
     stats: Optional[ExecutionStats] = None,
     max_iterations: int = 0,
     tracer=None,
+    dispatch: Optional[dict[str, tuple[DispatchEntry, ...]]] = None,
 ) -> dict[str, set[tuple]]:
     """Semi-naive fixpoint of one stratum; mutates ``database`` in place.
 
-    Returns the tuples newly derived in this stratum, per predicate.  With
-    a ``tracer`` every rule application is wrapped in a ``rule.fire`` span;
-    the disabled path pays exactly one ``is None`` check per firing.
+    Returns the tuples newly derived in this stratum, per predicate.  The
+    first round applies every rule; each later round fires only the
+    ``(rule, position)`` pairs of ``dispatch`` (the stratum's
+    :func:`~repro.datalog.plan.delta_dispatch` index, built here when not
+    given) whose predicate the previous round derived.  With a ``tracer``
+    every rule application is wrapped in a ``rule.fire`` span; the disabled
+    path pays exactly one ``is None`` check per firing.
     """
-    idb = {compiled.rule.head.predicate for compiled in stratum}
+    if dispatch is None:
+        dispatch = delta_dispatch(stratum)
     all_new: dict[str, set[tuple]] = defaultdict(set)
 
     # First round: naive application of every rule.
@@ -173,28 +186,24 @@ def run_stratum(
         if stats is not None:
             stats.rounds += 1
         next_delta: dict[str, set[tuple]] = defaultdict(set)
-        for compiled in stratum:
+        # The delta holds only this stratum's heads, so occurrences of
+        # lower-strata predicates (fully applied above) never trigger.
+        for _, position, compiled in triggered(dispatch, delta):
             head = compiled.rule.head.predicate
-            body = compiled.rule.body
-            for position in compiled.positive_positions:
-                if body[position].predicate not in idb:
-                    continue  # Non-recursive occurrence: fully applied above.
-                if body[position].predicate not in delta:
-                    continue
-                if tracer is None:
-                    derived = fire_rule(
-                        compiled, database, delta, position,
-                        recorder=recorder, stats=stats,
-                    )
-                else:
-                    derived = _traced_fire(
-                        tracer, compiled, database, delta, position,
-                        recorder=recorder, stats=stats,
-                    )
-                for values in derived:
-                    if database.add(head, values):
-                        next_delta[head].add(values)
-                        all_new[head].add(values)
+            if tracer is None:
+                derived = fire_rule(
+                    compiled, database, delta, position,
+                    recorder=recorder, stats=stats,
+                )
+            else:
+                derived = _traced_fire(
+                    tracer, compiled, database, delta, position,
+                    recorder=recorder, stats=stats,
+                )
+            for values in derived:
+                if database.add(head, values):
+                    next_delta[head].add(values)
+                    all_new[head].add(values)
         delta = next_delta
         iterations += 1
     if stats is not None:
@@ -229,6 +238,7 @@ def run_program(
             derived = run_stratum(
                 stratum, database, recorder=recorder, stats=stats,
                 max_iterations=max_iterations, tracer=tracer,
+                dispatch=compiled.dispatch[index],
             )
         for predicate, values in derived.items():
             all_new.setdefault(predicate, set()).update(values)
@@ -275,6 +285,8 @@ class ExecutionBackend(Protocol):
         ``delta`` maps predicates to tuples that were just added to
         ``database`` (they are already present).  Mutates ``database`` with
         every consequence and returns the newly derived tuples per predicate.
+        A round fires only the pairs :attr:`CompiledProgram.dispatch` maps
+        its delta predicates to.
         """
         ...
 
@@ -327,11 +339,20 @@ class PythonExecutionBackend:
         recorder: Optional[Recorder] = None,
         stats: Optional[ExecutionStats] = None,
     ) -> dict[str, set[tuple]]:
+        """Semi-naive propagation of ``delta`` through every stratum.
+
+        Each round fires exactly the ``(rule, position)`` pairs of the
+        stratum's :attr:`CompiledProgram.dispatch` index whose predicate is
+        in the round's delta, in ``(rule, position)`` order, so a
+        transaction that reaches one rule of a large stratum fires that rule
+        and visits no other.
+        """
         tracer = self._tracer()
         inserted: dict[str, set[tuple]] = defaultdict(set)
         # Derivations of earlier strata join the delta seen by later strata.
         accumulated = {predicate: set(values) for predicate, values in delta.items()}
         for index, stratum in enumerate(compiled.strata):
+            dispatch = compiled.dispatch[index]
             span = (
                 tracer.span("exchange.stratum", index=index, rules=len(stratum))
                 if tracer is not None
@@ -345,27 +366,23 @@ class PythonExecutionBackend:
                     if stats is not None:
                         stats.rounds += 1
                     next_delta: dict[str, set[tuple]] = defaultdict(set)
-                    for rule in stratum:
+                    for _, position, rule in triggered(dispatch, current):
                         head = rule.rule.head.predicate
-                        body = rule.rule.body
-                        for position in rule.positive_positions:
-                            if body[position].predicate not in current:
-                                continue
-                            if tracer is None:
-                                derived = fire_rule(
-                                    rule, database, current, position,
-                                    recorder=recorder, stats=stats,
-                                )
-                            else:
-                                derived = _traced_fire(
-                                    tracer, rule, database, current, position,
-                                    recorder=recorder, stats=stats,
-                                )
-                            for values in derived:
-                                if database.add(head, values):
-                                    next_delta[head].add(values)
-                                    inserted[head].add(values)
-                                    accumulated.setdefault(head, set()).add(values)
+                        if tracer is None:
+                            derived = fire_rule(
+                                rule, database, current, position,
+                                recorder=recorder, stats=stats,
+                            )
+                        else:
+                            derived = _traced_fire(
+                                tracer, rule, database, current, position,
+                                recorder=recorder, stats=stats,
+                            )
+                        for values in derived:
+                            if database.add(head, values):
+                                next_delta[head].add(values)
+                                inserted[head].add(values)
+                                accumulated.setdefault(head, set()).add(values)
                     current = next_delta
         if stats is not None:
             for values in inserted.values():

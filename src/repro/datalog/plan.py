@@ -40,8 +40,9 @@ mapping program share one plan), bounded by a FIFO eviction policy.
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import itemgetter
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 from ..errors import DatalogError
 from .ast import (
@@ -570,10 +571,50 @@ class CompiledRule:
         return frozenset(demanded)
 
 
-class CompiledProgram:
-    """A program compiled once: strata of compiled rules plus demanded indexes."""
+#: One semi-naive firing: ``(rank of the rule in its stratum, delta body
+#: position, compiled rule)``.
+DispatchEntry = tuple[int, int, CompiledRule]
+_RANK_POSITION = itemgetter(0, 1)
 
-    __slots__ = ("program", "strata", "demanded_indexes")
+
+def delta_dispatch(stratum: Sequence[CompiledRule]) -> dict[str, tuple[DispatchEntry, ...]]:
+    """Map each positive body predicate of ``stratum`` to the firings a delta
+    over it triggers, in ``(rank, position)`` order."""
+    dispatch: dict[str, list[DispatchEntry]] = {}
+    for rank, compiled in enumerate(stratum):
+        body = compiled.rule.body
+        for position in compiled.positive_positions:
+            dispatch.setdefault(body[position].predicate, []).append(
+                (rank, position, compiled)
+            )
+    return {predicate: tuple(entries) for predicate, entries in dispatch.items()}
+
+
+def triggered(
+    dispatch: dict[str, tuple[DispatchEntry, ...]], predicates: Iterable[str]
+) -> Sequence[DispatchEntry]:
+    """The firings a delta over ``predicates`` triggers, in ``(rank,
+    position)`` order — the order a scan of the stratum's rules and their
+    positive positions would visit them, so intra-round insertions and the
+    recorded derivations come out the same."""
+    hits = [dispatch[predicate] for predicate in predicates if predicate in dispatch]
+    if len(hits) == 1:
+        return hits[0]
+    if not hits:
+        return ()
+    return sorted(chain.from_iterable(hits), key=_RANK_POSITION)
+
+
+class CompiledProgram:
+    """A program compiled once: strata of compiled rules plus demanded indexes.
+
+    ``dispatch`` holds one :func:`delta_dispatch` index per stratum, built
+    here once, so a semi-naive round looks up the ``(rule, position)`` pairs
+    its delta predicates trigger instead of scanning every rule of the
+    stratum: a round costs what its delta can fire, not the stratum's size.
+    """
+
+    __slots__ = ("program", "strata", "demanded_indexes", "dispatch")
 
     def __init__(self, program: Program) -> None:
         program.validate()
@@ -592,6 +633,9 @@ class CompiledProgram:
             for compiled in stratum:
                 demanded |= compiled.demanded_indexes
         self.demanded_indexes = frozenset(demanded)
+        self.dispatch: tuple[dict[str, tuple[DispatchEntry, ...]], ...] = tuple(
+            delta_dispatch(stratum) for stratum in self.strata
+        )
 
     @property
     def rules(self) -> tuple[CompiledRule, ...]:

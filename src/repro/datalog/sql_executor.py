@@ -76,7 +76,7 @@ from .executor import (
     PythonExecutionBackend,
     Recorder,
 )
-from .plan import CompiledProgram, CompiledRule
+from .plan import CompiledProgram, CompiledRule, triggered
 
 _SLUG_RE = re.compile(r"[^0-9a-z]+")
 
@@ -1020,6 +1020,30 @@ class SQLExecutionBackend:
             if stats is not None:
                 stats.rules_fired += len(rows)
 
+    def _fire_triggered(
+        self,
+        stratum: list[_RuleSQL],
+        dispatch: dict,
+        current: set[str],
+        recorder: Optional[Recorder],
+        stats: Optional[ExecutionStats],
+        pending: Optional[dict[tuple[str, int], list]],
+    ) -> set[tuple[str, int]]:
+        """Run the delta statement of each ``(rule, position)`` pair a delta
+        over ``current`` triggers; returns the head keys they wrote to.
+
+        In direct mode (``pending`` given) the rows each statement inserted
+        are collected there per head key for :meth:`_promote`.
+        """
+        touched: set[tuple[str, int]] = set()
+        for rank, position, _ in triggered(dispatch, current):
+            entry = stratum[rank]
+            rows = self._execute_statement(entry, entry.deltas[position], recorder, stats)
+            if pending is not None and rows:
+                pending.setdefault(entry.head_key, []).extend(rows)
+            touched.add(entry.head_key)
+        return touched
+
     def _promote(
         self,
         program: _ProgramSQL,
@@ -1099,8 +1123,8 @@ class SQLExecutionBackend:
             self._program_key = program_key
             direct = recorder is None
             for index, stratum in enumerate(program.strata):
+                dispatch = compiled.dispatch[index]
                 with self._span(tracer, index, stratum):
-                    idb = {entry.head_predicate for entry in stratum}
                     head_keys = {entry.head_key for entry in stratum}
                     pending = {} if direct else None
                     for entry in stratum:
@@ -1121,18 +1145,10 @@ class SQLExecutionBackend:
                             )
                         if stats is not None:
                             stats.rounds += 1
-                        touched: set[tuple[str, int]] = set()
                         pending = {} if direct else None
-                        for entry in stratum:
-                            body = entry.rule.body
-                            for position, statement in entry.deltas.items():
-                                predicate = body[position].predicate
-                                if predicate not in idb or predicate not in current:
-                                    continue
-                                rows = self._execute_statement(entry, statement, recorder, stats)
-                                if direct and rows:
-                                    pending.setdefault(entry.head_key, []).extend(rows)
-                                touched.add(entry.head_key)
+                        touched = self._fire_triggered(
+                            stratum, dispatch, current, recorder, stats, pending
+                        )
                         new_rows = self._promote(program, touched, database, pending)
                         current = set()
                         for (predicate, _), values in new_rows.items():
@@ -1153,6 +1169,13 @@ class SQLExecutionBackend:
         recorder: Optional[Recorder] = None,
         stats: Optional[ExecutionStats] = None,
     ) -> dict[str, set[tuple]]:
+        """Semi-naive propagation of ``delta`` inside the warm mirror.
+
+        A stratum runs only when :attr:`CompiledProgram.dispatch` maps a
+        predicate of the accumulated delta to one of its ``(rule, position)``
+        pairs, and each round executes the delta statements of exactly the
+        pairs its delta triggers, in ``(rule, position)`` order.
+        """
         program_key, program = self._program_for(compiled)
         if isinstance(program, _Fallback):
             self._db_ref = None
@@ -1173,14 +1196,11 @@ class SQLExecutionBackend:
 
             accumulated = {predicate: set(values) for predicate, values in delta.items()}
             for index, stratum in enumerate(program.strata):
+                dispatch = compiled.dispatch[index]
+                current = {predicate for predicate, values in accumulated.items() if values}
                 # Skip strata no delta predicate can fire — the common case for
                 # the small per-transaction deltas of the exchange engine.
-                stratum_reads = {
-                    entry.rule.body[position].predicate
-                    for entry in stratum
-                    for position in entry.deltas
-                }
-                if not (stratum_reads & {p for p, v in accumulated.items() if v}):
+                if not any(predicate in dispatch for predicate in current):
                     continue
                 with self._span(tracer, index, stratum):
                     if staged:
@@ -1188,21 +1208,13 @@ class SQLExecutionBackend:
                         staged = False
                     else:
                         self._stage_delta_tables(program, accumulated, database=database)
-                    current = {predicate for predicate, values in accumulated.items() if values}
                     while current:
                         if stats is not None:
                             stats.rounds += 1
-                        touched: set[tuple[str, int]] = set()
                         pending = {} if direct else None
-                        for entry in stratum:
-                            body = entry.rule.body
-                            for position, statement in entry.deltas.items():
-                                if body[position].predicate not in current:
-                                    continue
-                                rows = self._execute_statement(entry, statement, recorder, stats)
-                                if direct and rows:
-                                    pending.setdefault(entry.head_key, []).extend(rows)
-                                touched.add(entry.head_key)
+                        touched = self._fire_triggered(
+                            stratum, dispatch, current, recorder, stats, pending
+                        )
                         if not touched:
                             break
                         new_rows = self._promote(program, touched, database, pending)

@@ -190,8 +190,8 @@ class ExchangeEngine:
         so the cost follows what reaches the peer and not what was published.
         """
         index = self._touching.get(peer)
-        if index is None:
-            return []
+        if index is None or index[0][-1] <= epoch:
+            return []  # Idle past ``epoch``: answered without a search.
         epochs, touching = index
         return touching[bisect_right(epochs, epoch):]
 

@@ -118,6 +118,44 @@ class TestSync:
         with pytest.raises(PeerError, match="Ghost"):
             two_peer_system.sync(peers=["Ghost"])
 
+    def test_sync_round_still_rejects_an_unknown_peer(self, two_peer_system):
+        with pytest.raises(PeerError, match="Ghost"):
+            two_peer_system.sync_round(["Source", "Ghost"])
+
+    @pytest.mark.parametrize("runtime", ["serial", "async"])
+    def test_wide_network_half_offline_validates_names_once(self, runtime, monkeypatch):
+        names = [f"P{index:03d}" for index in range(300)]
+        lines = ["network wide"]
+        for name in names:
+            lines += [f"peer {name}", "  relation R(a, b) key(a)", "  trust * 5"]
+        for name in names[1:10]:
+            lines.append(f"mapping [M_{name}] @P000.R(a, b) :- @{name}.R(a, b).")
+        cdss = CDSS.from_spec("\n".join(lines))
+        online, offline = names[0::2], names[1::2]
+        for name in offline:
+            cdss.set_online(name, False)
+        for index, name in enumerate(names[:20]):
+            cdss.peer(name).insert("R", (index, name))
+
+        validated: list[str] = []
+        has_peer = cdss.catalog.has_peer
+        monkeypatch.setattr(
+            cdss.catalog, "has_peer", lambda name: validated.append(name) or has_peer(name)
+        )
+        report = cdss.sync(runtime=runtime)
+        assert validated == names  # once per sync, not once more per round
+
+        assert report.converged and report.round_count == 2
+        assert report.skipped_offline == offline
+        for round_ in report.rounds:
+            assert round_.skipped_offline == offline
+            assert [outcome.peer for outcome in round_.published] == online
+            assert [outcome.peer for outcome in round_.reconciled] == online
+        assert report.published_transactions == 10
+        assert report.rounds[0].candidates_considered == 10 * len(online)
+        assert report.accepted("P000") == [f"{name}-T1" for name in online[1:5]]
+        assert cdss.peer("P000").tuples("R") == {(index, names[index]) for index in range(0, 10, 2)}
+
     def test_sync_round_is_one_pass(self, two_peer_system):
         two_peer_system.peer("Source").insert("R", (1, "x"))
         round_ = two_peer_system.sync_round()

@@ -15,6 +15,7 @@ import pytest
 from repro import CDSS
 from repro.errors import PublicationError
 from repro.exchange.translation import UpdateTranslator
+from repro.reconcile.algorithm import Reconciler
 from repro.reconcile.decisions import Decision
 
 SPOKES = [f"S{index}" for index in range(8)]
@@ -76,6 +77,35 @@ def test_a_star_translates_and_stores_only_what_touches_each_peer(monkeypatch):
         assert state.decision(published[other][0]) is Decision.ACCEPTED  # vacuous here
         assert state.is_decided(published[other][-1])
         assert state.decision("never-published") is Decision.PENDING
+
+
+def test_an_idle_peer_is_not_handed_to_the_reconciler(monkeypatch):
+    """A spoke has nothing to translate or decide: it reconciles every
+    round (reports, watermark and counters say so) without a
+    ``Reconciler.reconcile`` call.  Hub decides once per sync, in the round
+    that offers it the new transactions."""
+    cdss = build_star()
+    decided_at: list[str] = []
+    reconcile = Reconciler.reconcile
+
+    def counted(self, *args, **kwargs):
+        decided_at.append(self.peer.name)
+        return reconcile(self, *args, **kwargs)
+
+    monkeypatch.setattr(Reconciler, "reconcile", counted)
+    for round_index in range(ROUNDS):
+        decided_at.clear()
+        for key, spoke in enumerate(SPOKES):
+            cdss.peer(spoke).insert("R", (round_index * len(SPOKES) + key, spoke))
+        report = cdss.sync()
+        assert report.round_count == 2
+        assert all(len(round_.reconciled) == len(SPOKES) + 1 for round_ in report.rounds)
+        assert decided_at.count("Hub") <= 1 and set(decided_at) <= {"Hub"}
+        latest = cdss.store.latest_epoch()
+        for spoke in SPOKES:
+            assert cdss.peer(spoke).clock.last_reconciled_epoch == latest
+    assert cdss.metrics_snapshot()["sync.reconciliations"] == 2 * ROUNDS * (len(SPOKES) + 1)
+    assert len(cdss.peer("Hub").tuples("R")) == ROUNDS * len(SPOKES)
 
 
 def test_a_transaction_is_pending_until_it_has_been_offered():

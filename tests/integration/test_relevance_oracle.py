@@ -20,7 +20,9 @@ from repro import CDSS
 from repro.core.mapping import join_mapping
 from repro.core.system import ReconcileOutcome
 from repro.errors import PublicationError
+from repro.p2p.network import LatencyModel
 from repro.p2p.store import UpdateStore
+from repro.reconcile.algorithm import Reconciler
 from repro.reconcile.decisions import Decision
 from repro.workloads.bioinformatics import build_figure2_network
 from repro.workloads.simulation import (
@@ -77,11 +79,18 @@ def offer_everything(cdss: CDSS) -> CDSS:
 
 
 class Pair:
-    """The same network twice: relevance-filtered, and offering everything."""
+    """The same network twice: relevance-filtered, and offering everything.
+
+    Both run under one seeded latency model, so the reconcile downlinks and
+    gossip sessions they send land on the virtual clock and in the message
+    trace, which must agree as well.
+    """
 
     def __init__(self, build) -> None:
         self.filtered: CDSS = build()
         self.oracle: CDSS = offer_everything(build())
+        for cdss in (self.filtered, self.oracle):
+            cdss.network.set_latency_model(LatencyModel(seed=11))
         self.txn_ids: list[str] = []
 
     def both(self, action):
@@ -116,6 +125,10 @@ class Pair:
             # difference is exactly what the rule answers.
             assert ours.decisions.items() <= theirs.decisions.items(), name
             assert len(theirs.decisions) - len(ours.decisions) == ours.implicit_accepts
+        # What the two paths did on the wire and told the metrics registry.
+        assert self.filtered.metrics_snapshot() == self.oracle.metrics_snapshot()
+        assert self.filtered.network.clock.now == self.oracle.network.clock.now
+        assert self.filtered.network.message_trace() == self.oracle.network.message_trace()
 
     def sync(self, **kwargs) -> dict:
         report = self.both(lambda cdss: cdss.sync(**kwargs))
@@ -279,6 +292,55 @@ def test_resolving_a_conflict_releases_a_dependent_with_a_vacuous_antecedent():
     pair.sync()
 
 
+def test_a_spoke_holding_a_deferred_conflict_is_still_reconciled(monkeypatch):
+    """A spoke with nothing new past its watermark skips the reconciler,
+    unless it holds undecided transactions: S0, fed by S1 and S2, defers
+    their equal-priority conflict and keeps re-considering it while only S3
+    publishes, until the administrator resolves it."""
+
+    def build() -> CDSS:
+        lines = ["network star"]
+        for name in ("Hub", "S0", "S1", "S2", "S3"):
+            lines += [f"peer {name}", "  relation R(a, b) key(a)", "  trust * 5"]
+        for spoke in ("S0", "S1", "S2", "S3"):
+            lines.append(f"mapping [M_{spoke}] @Hub.R(a, b) :- @{spoke}.R(a, b).")
+        lines.append("mapping [M_S1_S0] @S0.R(a, b) :- @S1.R(a, b).")
+        lines.append("mapping [M_S2_S0] @S0.R(a, b) :- @S2.R(a, b).")
+        return CDSS.from_spec("\n".join(lines))
+
+    pair = Pair(build)
+    calls = {"S0": 0, "S3": 0}
+    reconcile = Reconciler.reconcile
+
+    def counted(self, *args, **kwargs):
+        for name in calls:
+            if self.state is pair.filtered.reconciliation_state(name):
+                calls[name] += 1
+        return reconcile(self, *args, **kwargs)
+
+    monkeypatch.setattr(Reconciler, "reconcile", counted)
+    left = pair.commit("S1", lambda builder: builder.insert("R", (1, "left")))
+    right = pair.commit("S2", lambda builder: builder.insert("R", (1, "right")))
+    pair.sync()
+    state = pair.filtered.reconciliation_state("S0")
+    assert [conflict.txn_ids for conflict in state.open_conflicts()] == [{left, right}]
+
+    for key in (2, 3):
+        calls.update(S0=0, S3=0)
+        pair.commit("S3", lambda builder: builder.insert("R", (key, "bystander")))
+        report = pair.sync()
+        assert report["open_conflicts"]["S0"] == 1
+        assert calls == {"S0": 2, "S3": 0}  # both rounds, over the undecided pair
+
+    resolution = pair.both(lambda cdss: cdss.resolve_conflict("S0", left))
+    assert resolution["accepted"] == [left] and resolution["rejected"] == [right]
+    pair.assert_same_state()
+    assert pair.filtered.peer("S0").tuples("R") == {(1, "left")}
+    calls.update(S0=0)
+    pair.sync()
+    assert calls["S0"] == 0  # nothing left undecided: idle again
+
+
 def test_a_read_that_misses_an_entry_offers_what_the_store_served():
     """When the store serves fewer entries than were exchanged, ``reconcile``
     offers what it was served, entry by entry, as the old loop did: the
@@ -337,7 +399,8 @@ def test_what_was_vacuous_stays_accepted_when_the_engine_is_rebuilt():
 
     for cdss in (pair.filtered, pair.oracle):
         cdss.add_mapping(join_mapping("M_AC", "A", "C", "R(a, b)", ["R(a, b)"]))
-    assert not pair.filtered.engine.delta_for(early).is_empty_for("C")  # no longer vacuous
+    for cdss in (pair.filtered, pair.oracle):  # both replay the archive now
+        assert not cdss.engine.delta_for(early).is_empty_for("C")  # no longer vacuous
     assert state.decision(early) is Decision.ACCEPTED
     assert state.decisions == {early: Decision.ACCEPTED} and state.implicit_accepts == 0
     assert state.summary() == before

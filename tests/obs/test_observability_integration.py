@@ -12,12 +12,14 @@
 
 import time
 
+import pytest
+
 from repro.api.builder import NetworkBuilder
 from repro.datalog.evaluation import Database
 from repro.datalog.executor import PythonExecutionBackend
 from repro.datalog.parser import parse_program
 from repro.datalog.plan import compile_program
-from repro.obs import NULL_SPAN, Observability, validate_metric_keys
+from repro.obs import NULL_SPAN, MetricsRegistry, Observability, validate_metric_keys
 from repro.p2p.network import LatencyModel
 from repro.trace import run_figure2
 
@@ -129,6 +131,28 @@ class TestReportMetrics:
         # (smaller) movement, not the cumulative registry.
         follow_up = cdss.sync()
         assert follow_up.metrics["sync.rounds"] == 1
+
+    @pytest.mark.parametrize("runtime", ["serial", "async"])
+    def test_registry_is_copied_only_when_reported(self, runtime, monkeypatch):
+        copies = []
+        snapshot = MetricsRegistry.snapshot
+
+        def counted(self):
+            copies.append(self)
+            return snapshot(self)
+
+        monkeypatch.setattr(MetricsRegistry, "snapshot", counted)
+        quiet = _pair(observe=None)
+        quiet.peer("Source").insert("R", (1, "a"))
+        assert quiet.sync(runtime=runtime).metrics is None
+        assert copies == []
+
+        observed = _pair()
+        observed.peer("Source").insert("R", (1, "a"))
+        before = observed.metrics_snapshot()
+        report = observed.sync(runtime=runtime)
+        assert report.metrics == observed.obs.metrics.since(before)
+        assert report.metrics["sync.reconciliations"] == 4  # two peers, two rounds
 
     def test_sync_trace_true_installs_tracer(self):
         cdss = _pair(observe=None)

@@ -8,7 +8,10 @@ compare the contract lines the benchmark prints.  For every end-to-end metric
 of ``BENCHMARK.json`` it reports each side's median and quartiles, the median
 of the per-pair ratios ``change / parent`` and in how many pairs the change
 read better; a gain is claimed on at least nine wins in ten and a median
-difference beyond the parent's interquartile range.
+difference beyond the parent's interquartile range.  It fails closed: when
+any run of a workload failed the benchmark's own checks (exit status 1,
+``correct: false`` or failed operations) it prints no ratios for that
+workload, names the side, and exits 1.
 
 Usage::
 
@@ -40,16 +43,19 @@ def git(*arguments: str, cwd: Optional[Path] = None) -> str:
     return done.stdout.strip()
 
 
-def clone(repository: Path, ref: str, into: Path) -> str:
-    """Check ``ref`` out into a fresh clone; returns the commit it names."""
-    commit = git("rev-parse", "--verify", f"{ref}^{{commit}}", cwd=repository)
-    git("clone", "--quiet", "--no-checkout", str(repository), str(into))
+def clone(ref: str, into: Path) -> str:
+    """Check ``ref`` of the current repository out into a fresh clone;
+    returns the commit it names."""
+    repository = git("rev-parse", "--show-toplevel")
+    commit = git("rev-parse", "--verify", f"{ref}^{{commit}}", cwd=Path(repository))
+    git("clone", "--quiet", "--no-checkout", repository, str(into))
     git("checkout", "--quiet", "--detach", commit, cwd=into)
     return commit
 
 
 def run_benchmark(checkout: Path, workload: str) -> dict:
-    """One benchmark invocation; returns the contract line it printed."""
+    """One benchmark invocation; returns the contract line it printed, with
+    the benchmark's exit status under ``exit_code`` (1: a check failed)."""
     done = subprocess.run(
         [sys.executable, "benchmarks/e2e/__main__.py", "--workload", workload],
         cwd=checkout, capture_output=True, text=True,
@@ -60,7 +66,12 @@ def run_benchmark(checkout: Path, workload: str) -> dict:
             f"ab_pairs: the benchmark in {checkout} exited {done.returncode} "
             f"without a contract line\n{done.stderr}"
         )
-    return json.loads(lines[-1])
+    return {**json.loads(lines[-1]), "exit_code": done.returncode}
+
+
+def failed_checks(run: dict) -> bool:
+    """Did this run fail one of the benchmark's own correctness checks?"""
+    return run["exit_code"] != 0 or not run["correct"] or run["failed"] > 0
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -72,9 +83,6 @@ def quartiles(values: list[float]) -> list[float]:
 
 def report(workload: str, metrics: list[dict], runs: dict[str, list[dict]]) -> None:
     pairs = len(runs["parent"])
-    failed = {
-        side: sum(not run["correct"] or run["failed"] > 0 for run in runs[side]) for side in SIDES
-    }
     print(f"\n== {workload}: {pairs} alternating pairs (ratio = change / parent) ==")
     print(
         f"   {'metric':<16}{'better':<8}{'parent q1 / median / q3':<34}"
@@ -99,8 +107,6 @@ def report(workload: str, metrics: list[dict], runs: dict[str, list[dict]]) -> N
             f"   {name:<16}{metric['better']:<8}{columns[0]:<34}{columns[1]:<34}"
             f"{statistics.median(ratios):>11.3f}x  {wins}/{pairs}"
         )
-    if any(failed.values()):
-        print(f"   runs with failed checks: parent {failed['parent']}, change {failed['change']}")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -116,11 +122,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
 
-    repository = Path(git("rev-parse", "--show-toplevel"))
+    status = 0
     with tempfile.TemporaryDirectory(prefix="ab_pairs-") as scratch:
         checkouts = {side: Path(scratch) / side for side in SIDES}
         for side in SIDES:
-            commit = clone(repository, getattr(args, side), checkouts[side])
+            commit = clone(getattr(args, side), checkouts[side])
             print(f"{side}: {commit[:12]} ({getattr(args, side)})")
         contract = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
         for workload in args.workload:
@@ -130,8 +136,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
                     runs[side].append(run_benchmark(checkouts[side], workload))
                 print(f"   {workload}: pair {pair + 1}/{args.pairs} done", file=sys.stderr)
-            report(workload, contract["end_to_end"], runs)
-    return 0
+            # A run that failed its checks measured a wrong answer: no ratios.
+            failed = [
+                f"ab_pairs: {side} failed its checks on {workload} in "
+                f"{sum(map(failed_checks, runs[side]))} of {args.pairs} runs"
+                for side in SIDES
+                if any(map(failed_checks, runs[side]))
+            ]
+            if failed:
+                print("\n".join(failed), file=sys.stderr)
+                status = 1
+            else:
+                report(workload, contract["end_to_end"], runs)
+    return status
 
 
 if __name__ == "__main__":
