@@ -8,9 +8,8 @@ This package is the primary surface for building and driving networks:
   build-time validation;
 * :mod:`repro.api.sync` — one-call :func:`synchronize` orchestration
   (``cdss.sync()``) returning a structured :class:`SyncReport`;
-* :mod:`repro.api.async_sync` — the pipelined :func:`async_synchronize`
-  runtime (``cdss.sync(runtime="async")``): overlapped virtual-time
-  transfers with bounded-queue admission control, identical reports;
+* :mod:`repro.api.pipeline` — :meth:`SyncReport.pipelined`, the finished
+  sync's traffic replayed as overlapped transfers under admission control;
 * :mod:`repro.api.query` — ad-hoc datalog queries over a peer's instance
   (``cdss.query()``), optionally provenance-annotated.
 
@@ -18,7 +17,6 @@ The imperative facade (``add_peer``/``add_mapping``/``publish``/``reconcile``)
 remains fully supported underneath; everything here composes it.
 """
 
-from .async_sync import AsyncSyncRuntime, VirtualTimeEventLoop, async_synchronize
 from .builder import NetworkBuilder, PeerBuilder, build_network
 from .query import QueryResult, run_query
 from .spec import (
@@ -32,7 +30,6 @@ from .spec import (
 from .sync import DEFAULT_MAX_ROUNDS, SyncReport, SyncRound, sync_round, synchronize
 
 __all__ = [
-    "AsyncSyncRuntime",
     "DEFAULT_MAX_ROUNDS",
     "NetworkBuilder",
     "NetworkSpec",
@@ -42,8 +39,6 @@ __all__ = [
     "SectionSpec",
     "SyncReport",
     "SyncRound",
-    "VirtualTimeEventLoop",
-    "async_synchronize",
     "build_network",
     "parse_network_spec",
     "run_query",

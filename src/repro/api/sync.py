@@ -8,10 +8,6 @@ and reported, never silently dropped; deferred conflicts do not block
 quiescence (they await the administrator) but are surfaced per peer in the
 returned :class:`SyncReport`.
 
-Centralizing the loop here gives later performance work (batching,
-async publication, sharded reconciliation) a single seam to optimize
-without touching user code.
-
 When the system runs in gossip sync mode (``SyncConfig.mode ==
 "gossip"``), each round inserts an epidemic anti-entropy phase between the
 publish and reconcile passes: freshly published entries spread peer-to-peer
@@ -19,6 +15,12 @@ via sketch reconciliation sessions (:mod:`repro.p2p.gossip`) so the
 reconcile pass answers "what did I miss" from each peer's local cache.
 :attr:`SyncReport.gossip` then carries the phase's traffic accounting —
 rounds, sessions, messages, bytes, decode failures, fallbacks.
+
+With a latency model attached to the network, the loop prices each publish
+uplink and reconcile downlink on the virtual clock, one after another, and
+records them as :class:`Transfer` rows of the round.
+:meth:`SyncReport.pipelined` replays those rows as overlapped traffic under
+admission control (:mod:`repro.api.pipeline`).
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ from typing import Optional, Sequence
 
 from ..errors import PeerError, SyncError
 from ..obs import NULL_SPAN as _NO_SPAN
+from ..p2p.network import LatencyModel
+from .pipeline import pipelined
 
 #: Rounds after which :func:`synchronize` gives up and raises SyncError.
 DEFAULT_MAX_ROUNDS = 25
@@ -45,6 +49,22 @@ def metrics_enabled(cdss) -> bool:
 
 
 @dataclass
+class Transfer:
+    """One message the round priced on the virtual clock.
+
+    A publish uplink also names the replica hosts of its epoch's shard, as
+    they stood at round end (empty on the centralized store): the hosts its
+    publication fans out to in the pipelined schedule.
+    """
+
+    sender: str
+    receiver: str
+    kind: str
+    size: int
+    fanout: tuple[str, ...] = ()
+
+
+@dataclass
 class SyncRound:
     """One publish-then-reconcile pass over the selected peers."""
 
@@ -52,6 +72,9 @@ class SyncRound:
     published: list = field(default_factory=list)  # list[PublishOutcome]
     reconciled: list = field(default_factory=list)  # list[ReconcileOutcome]
     skipped_offline: list[str] = field(default_factory=list)
+    #: Priced transfers, uplinks then downlinks (empty without a latency
+    #: model); not part of :meth:`to_dict`.
+    transfers: list[Transfer] = field(default_factory=list, repr=False)
 
     @property
     def published_transactions(self) -> int:
@@ -98,17 +121,16 @@ class SyncReport:
     #: epidemic rounds run, sessions, messages, bytes (split into sketch and
     #: entry bytes), entries delivered, decode failures, cursor fallbacks.
     gossip: Optional[dict] = None
-    #: Scheduler accounting filled in by the async runtime
-    #: (:mod:`repro.api.async_sync`): mode, workers, queue depth, virtual
-    #: seconds on the network clock, backpressure stalls, peak in-flight
-    #: transfers.  ``None`` when the serial loop ran the sync.
-    runtime: Optional[dict] = None
     #: Per-run view of the shared metrics registry (:mod:`repro.obs`):
     #: counters moved during this sync plus current gauges, under stable
     #: dotted names.  ``None`` unless ``config.observe.mode`` is
     #: ``"metrics"``/``"trace"`` or a tracer was installed via
     #: ``cdss.sync(trace=...)``.
     metrics: Optional[dict] = None
+    #: The network's latency model and its per-link sequence counters when
+    #: the sync began: what :meth:`pipelined` redraws delays from.
+    latency: Optional[LatencyModel] = field(default=None, repr=False)
+    link_sequences: dict = field(default_factory=dict, repr=False)
 
     # -- aggregate views ------------------------------------------------------
     @property
@@ -176,6 +198,10 @@ class SyncReport:
             "open_conflicts": self.open_conflicts.get(peer, 0),
         }
 
+    #: ``report.pipelined(workers=8, queue_depth=4)``: this sync's traffic
+    #: replayed as a pipeline (:func:`repro.api.pipeline.pipelined`).
+    pipelined = pipelined
+
     def to_dict(self) -> dict:
         data = {
             "peers": list(self.peers),
@@ -192,8 +218,6 @@ class SyncReport:
             data["store_health"] = self.store_health
         if self.gossip is not None:
             data["gossip"] = dict(self.gossip)
-        if self.runtime is not None:
-            data["runtime"] = dict(self.runtime)
         if self.metrics is not None:
             data["metrics"] = dict(self.metrics)
         return data
@@ -210,42 +234,45 @@ def _selected_peers(cdss, peers: Optional[Sequence[str]]) -> list[str]:
 
 
 #: Nominal wire size of one transaction, used by the latency model to price
-#: publish uplinks and reconcile downlinks (both runtimes use the same rate).
+#: publish uplinks and reconcile downlinks.
 TXN_WIRE_BYTES = 512
 
 
-def _account_publish_traffic(cdss, round_: SyncRound) -> None:
-    """Charge the round's publish uplinks to the network's latency model.
+def _price(cdss, round_: SyncRound, transfer: Transfer) -> None:
+    """Charge one transfer to the network's latency model and record it.
 
     The serial loop transmits sequentially, so each transfer advances the
-    virtual clock by its full delay — the baseline the async runtime's
-    overlapped transfers are measured against.
+    virtual clock by its full delay.  Without a latency model nothing moves.
     """
-    network = getattr(cdss, "network", None)
-    if network is None or network.latency is None:
-        return
+    if cdss.network.latency is not None:
+        cdss.network.transmit(transfer.sender, transfer.receiver, transfer.kind, transfer.size)
+        round_.transfers.append(transfer)
+
+
+def _account_publish_traffic(cdss, round_: SyncRound) -> None:
+    """The round's publish uplinks, one per non-empty publication."""
     for outcome in round_.published:
         if outcome.published:
-            network.transmit(
-                outcome.peer,
-                "archive",
-                "publish-uplink",
-                TXN_WIRE_BYTES * len(outcome.published),
-            )
+            size = TXN_WIRE_BYTES * len(outcome.published)
+            _price(cdss, round_, Transfer(outcome.peer, "archive", "publish-uplink", size))
 
 
-def _account_reconcile_traffic(cdss, outcome) -> None:
-    """Charge one peer's reconcile downlink to the network's latency model."""
-    network = getattr(cdss, "network", None)
-    if network is None or network.latency is None:
-        return
+def _account_reconcile_traffic(cdss, round_: SyncRound, outcome) -> None:
+    """One peer's reconcile downlink."""
     if outcome.candidates_considered:
-        network.transmit(
-            "archive",
-            outcome.peer,
-            "entries-downlink",
-            TXN_WIRE_BYTES * outcome.candidates_considered,
-        )
+        size = TXN_WIRE_BYTES * outcome.candidates_considered
+        _price(cdss, round_, Transfer("archive", outcome.peer, "entries-downlink", size))
+
+
+def _resolve_fanouts(store, round_: SyncRound) -> None:
+    """Name each uplink's replica hosts as they stand at round end."""
+    shard_of_epoch = getattr(store, "shard_of_epoch", None)
+    if shard_of_epoch is None:
+        return
+    # Uplinks lead the list, one per non-empty publication, in order.
+    publications = (outcome for outcome in round_.published if outcome.published)
+    for transfer, outcome in zip(round_.transfers, publications):
+        transfer.fanout = tuple(store.replica_hosts(shard_of_epoch(outcome.epoch)))
 
 
 def sync_round(cdss, peers: Optional[Sequence[str]] = None, index: int = 1) -> SyncRound:
@@ -278,7 +305,9 @@ def _run_round(cdss, names: list[str], index: int) -> SyncRound:
             if name not in offline:
                 outcome = cdss.reconcile(name)
                 round_.reconciled.append(outcome)
-                _account_reconcile_traffic(cdss, outcome)
+                _account_reconcile_traffic(cdss, round_, outcome)
+        if round_.transfers:
+            _resolve_fanouts(cdss.store, round_)
     if obs is not None:
         obs.metrics.counter_add("sync.rounds", 1)
     return round_
@@ -305,7 +334,9 @@ def synchronize(
         decisions and conflicts left open for the administrator.
     """
     names = _selected_peers(cdss, peers)
-    report = SyncReport(peers=names)
+    report = SyncReport(
+        peers=names, latency=cdss.network.latency, link_sequences=cdss.network.link_sequences()
+    )
     gossip = getattr(cdss, "gossip", None)
     gossip_before = gossip.stats.snapshot() if gossip is not None else None
     gossip_rounds_before = gossip.rounds_run if gossip is not None else 0
@@ -317,9 +348,7 @@ def synchronize(
             report.converged = True
             break
     else:
-        finalize_report(
-            cdss, report, gossip_before, gossip_rounds_before, metrics_before
-        )
+        finalize_report(cdss, report, gossip_before, gossip_rounds_before, metrics_before)
         raise SyncError(
             f"synchronization did not reach quiescence within {max_rounds} rounds",
             report=report,
@@ -329,17 +358,13 @@ def synchronize(
 
 
 def finalize_report(
-    cdss,
-    report: SyncReport,
-    gossip_before=None,
-    gossip_rounds_before: int = 0,
-    metrics_before=None,
+    cdss, report: SyncReport, gossip_before, gossip_rounds_before: int, metrics_before
 ) -> SyncReport:
     """Fill in the post-loop sections of a report (conflicts, health, gossip).
 
     Shared by the convergent and non-convergent exits of :func:`synchronize`
     (the latter attaches the finalized partial report to the raised
-    :class:`SyncError`) and by the async runtime.
+    :class:`SyncError`).
     """
     report.open_conflicts = {
         name: len(cdss.open_conflicts(name)) for name in report.peers

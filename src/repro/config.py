@@ -201,18 +201,6 @@ class SyncConfig(_OptionGroup):
         sketch_capacity: Initial sketch capacity in difference elements.
         sketch_growth: Capacity multiplier applied on each decode failure.
         sketch_attempts: Sketch attempts before falling back to cursor replay.
-        runtime: How ``cdss.sync()`` schedules the network — ``"serial"``
-            (the strict round-robin loop, the default) or ``"async"`` (the
-            pipelined asyncio runtime of :mod:`repro.api.async_sync`:
-            independent peers publish and reconcile concurrently on a
-            virtual clock, publish fan-out overlaps reconciliation, and
-            bounded per-peer queues apply backpressure).  Both runtimes
-            produce identical reports.
-        workers: Admission-control limit of the async runtime — the number
-            of peer transfers allowed in flight at once.
-        queue_depth: Bound on each peer's delivery queue (async runtime); a
-            full queue blocks its producers (backpressure) instead of
-            growing without bound.
     """
 
     mode: str = _option("cursor", "sync <mode>", choices=("cursor", "gossip"))
@@ -221,9 +209,6 @@ class SyncConfig(_OptionGroup):
     sketch_capacity: int = _option(32, "sync capacity", floor=1, under="gossip")
     sketch_growth: int = _option(4, "sync growth", floor=2, under="gossip")
     sketch_attempts: int = _option(3, "sync attempts", floor=1, under="gossip")
-    runtime: str = _option("serial", "sync runtime", choices=("serial", "async"))
-    workers: int = _option(8, "sync workers", floor=1)
-    queue_depth: int = _option(4, floor=1)
 
 
 @dataclass(frozen=True)

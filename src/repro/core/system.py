@@ -509,7 +509,6 @@ class CDSS:
         self,
         peers: Optional[Sequence[str]] = None,
         max_rounds: Optional[int] = None,
-        runtime: Optional[str] = None,
         trace=None,
     ):
         """Publish and reconcile across the network until quiescence.
@@ -519,13 +518,6 @@ class CDSS:
         a structured :class:`~repro.api.sync.SyncReport` (per-peer outcomes,
         translated-change counts, skipped offline peers, open conflicts).
         Restrict participation with ``peers``.
-
-        ``runtime`` selects the scheduler for this call — ``"serial"`` (the
-        round-robin loop) or ``"async"`` (the pipelined runtime of
-        :mod:`repro.api.async_sync`) — overriding
-        :attr:`~repro.config.SyncConfig.runtime`.  Both produce
-        identical reports; they differ in how simulated network traffic
-        occupies the virtual clock.
 
         ``trace`` controls span tracing for this and later calls:
         ``True`` installs a deterministic :class:`~repro.obs.Tracer` on
@@ -551,17 +543,7 @@ class CDSS:
                     f"trace must be True, False, or a Tracer, got {trace!r}"
                 )
 
-        selected = runtime if runtime is not None else self.config.sync.runtime
-        if selected not in ("serial", "async"):
-            raise ConfigurationError(
-                f"sync runtime must be 'serial' or 'async', got {selected!r}"
-            )
-        rounds = max_rounds if max_rounds is not None else DEFAULT_MAX_ROUNDS
-        if selected == "async":
-            from ..api.async_sync import async_synchronize
-
-            return async_synchronize(self, peers, rounds)
-        return synchronize(self, peers, rounds)
+        return synchronize(self, peers, DEFAULT_MAX_ROUNDS if max_rounds is None else max_rounds)
 
     def sync_round(self, peers: Optional[Sequence[str]] = None):
         """Run exactly one publish-then-reconcile pass (no quiescence loop)."""

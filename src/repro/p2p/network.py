@@ -19,11 +19,10 @@ sent through :meth:`Network.transmit` is assigned a deterministic per-link
 delay (propagation + jitter + bandwidth-proportional transfer + seeded
 congestion spikes that reorder messages on a link).  Delays advance the
 network's :class:`VirtualClock` — *simulated* time, never wall-clock, so
-runs stay byte-reproducible.  Serial callers let :meth:`transmit` advance
-the clock directly (messages occupy the timeline one after another); the
-async sync runtime (:mod:`repro.api.async_sync`) computes delays with
-``advance=False`` and awaits them on its virtual-time event loop instead,
-so independent transfers overlap.
+runs stay byte-reproducible.  Messages occupy the timeline one after
+another; :meth:`repro.api.sync.SyncReport.pipelined` replays a sync's
+transfers as overlapped traffic from the per-link counters
+(:meth:`Network.link_sequences`) without touching the network.
 """
 
 from __future__ import annotations
@@ -55,12 +54,6 @@ class VirtualClock:
         if seconds < 0:
             raise NetworkError("the virtual clock cannot move backwards")
         self._now += seconds
-        return self._now
-
-    def advance_to(self, instant: float) -> float:
-        """Move forward to ``instant`` if it is in the future (never back)."""
-        if instant > self._now:
-            self._now = instant
         return self._now
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -208,21 +201,17 @@ class Network:
             hasher = self._link_hashers[link] = self.latency.link_hasher(sender, receiver)
         return self.latency.delay_of(hasher(sequence), size)
 
-    def transmit(
-        self, sender: str, receiver: str, kind: str, size: int, advance: bool = True
-    ) -> float:
-        """Record one message and return its simulated delay.
+    def link_sequences(self) -> dict[tuple[str, str], int]:
+        """Each link's next sequence number (a copy; absent links are at 0)."""
+        return dict(self._link_sequence)
 
-        With ``advance=True`` (serial callers) the virtual clock moves
-        forward by the delay immediately: consecutive messages occupy the
-        simulated timeline one after another, which is exactly the serial
-        round-robin cost model.  The async runtime passes ``advance=False``
-        and awaits the returned delay on its virtual-time event loop so
-        independent transfers overlap.
-        """
+    def transmit(self, sender: str, receiver: str, kind: str, size: int) -> float:
+        """Record one message, advance the virtual clock by its simulated
+        delay, and return the delay: consecutive messages occupy the
+        timeline one after another."""
         self.record_message(sender, receiver, kind, size)
         delay = self.link_delay(sender, receiver, size)
-        if advance and delay:
+        if delay:
             self.clock.advance(delay)
         return delay
 

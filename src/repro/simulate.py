@@ -19,17 +19,14 @@ workload over several replicas, and asserts after every epoch that
 * every archived transaction stays k-way replicated under churn, so losing
   up to k-1 replicas of a shard never loses published data,
 * gossip sketch reconciliation produces reconcile outcomes and instances
-  identical to scalar-cursor catch-up,
-* the pipelined asyncio sync scheduler produces reconcile outcomes, open
-  conflicts, and instances identical to the serial round-robin loop (only
-  an async primary spawns this mirror), and
+  identical to scalar-cursor catch-up, and
 * the SQL pushdown execution backend derives instances and provenance
   polynomials identical to the Python closure executor.
 
-Each mode flag (``--store``, ``--sync``, ``--sketch``, ``--runtime``,
-``--execution``: one per word-valued row of :data:`repro.config.OPTIONS`)
-chooses the word the *primary* replica runs; the mirror that checks the
-option runs the other word (:data:`repro.workloads.simulation.MIRRORS`).
+Each mode flag (``--store``, ``--sync``, ``--sketch``, ``--execution``: one
+per word-valued row of :data:`repro.config.OPTIONS`) chooses the word the
+*primary* replica runs; the mirror that checks the option runs the other
+word (:data:`repro.workloads.simulation.MIRRORS`).
 
 Exit status is 0 when every oracle holds for every seed, 1 otherwise; each
 mismatch prints the failing seed, the (minimal) epoch at which it first

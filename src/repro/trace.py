@@ -19,9 +19,11 @@ Spec paths are built with ``CDSS.from_spec`` (tracing force-installed) and
 synchronized once; with no workload data the trace shows the control-flow
 skeleton only.
 
-Every timestamp comes from the network's virtual clock, so the same seed
-always produces byte-identical output — the determinism test diffs two
-runs of this module's entry points directly.
+The summary sets the serial virtual time beside the pipelined schedule of
+the same syncs (``SyncReport.pipelined`` at its defaults).  Every timestamp
+comes from the network's virtual clock, so the same seed always produces
+byte-identical output — the determinism test diffs two runs of this
+module's entry points directly.
 """
 
 from __future__ import annotations
@@ -75,16 +77,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run_figure2(seed: int = DEFAULT_SEED):
+def run_figure2(seed: int = DEFAULT_SEED, reports: Optional[list] = None):
     """Drive the Figure-2 network under full tracing; returns the CDSS.
 
     Distributed store + gossip catch-up put every span family on the
     trace; the seeded generator and latency model make the run (and so
-    the exported JSON) a pure function of ``seed``.
+    the exported JSON) a pure function of ``seed``.  Each sync report is
+    appended to ``reports`` when given.
     """
     from .p2p.network import LatencyModel
     from .workloads.bioinformatics import BioDataGenerator, build_figure2_network
 
+    reports = [] if reports is None else reports
     config = SystemConfig(
         store=StoreConfig(backend="distributed"),
         sync=SyncConfig(mode="gossip"),
@@ -99,22 +103,35 @@ def run_figure2(seed: int = DEFAULT_SEED):
     generator.load_sigma2(network.dresden, pairs=3)
     cdss.import_existing_data(network.alaska.name)
     cdss.import_existing_data(network.dresden.name)
-    cdss.sync()
+    reports.append(cdss.sync())
     generator.insertion_transactions(network.beijing, count=2, start_index=50)
-    cdss.sync()
+    reports.append(cdss.sync())
     return cdss
 
 
-def run_spec(source: str, seed: int = DEFAULT_SEED):
-    """Build a spec'd network, force tracing on, and synchronize once."""
+def run_spec(source: str, seed: int = DEFAULT_SEED, reports: Optional[list] = None):
+    """Build a spec'd network, force tracing on, and synchronize once
+    (appending the report to ``reports`` when given)."""
     from .api.builder import build_network
     from .p2p.network import LatencyModel
 
     config = SystemConfig(observe=ObserveConfig(mode="trace"))
     cdss = build_network(source, config=config)
     cdss.network.set_latency_model(LatencyModel(seed=seed))
-    cdss.sync(trace=True)
+    reports = [] if reports is None else reports
+    reports.append(cdss.sync(trace=True))
     return cdss
+
+
+def virtual_time_summary(cdss, reports) -> str:
+    """The serial clock beside the pipelined schedule of the same syncs."""
+    runs = [report.pipelined() for report in reports]
+    seconds = sum(run["virtual_seconds"] for run in runs)
+    stalls = sum(run["backpressure_stalls"] for run in runs)
+    return (
+        f"virtual time: serial {cdss.network.clock.now:.6f} s, pipelined {seconds:.6f} s "
+        f"({stalls} stall(s) at workers 8, queue depth 4)"
+    )
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -129,10 +146,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"{path}: no such file", file=sys.stderr)
             return 2
 
+    reports: list = []
     if args.figure2:
-        cdss = run_figure2(args.seed)
+        cdss = run_figure2(args.seed, reports)
     else:
-        cdss = run_spec(args.paths[0].read_text(encoding="utf-8"), args.seed)
+        cdss = run_spec(args.paths[0].read_text(encoding="utf-8"), args.seed, reports)
 
     tracer = cdss.obs.tracer
     payload = chrome_trace(tracer)
@@ -153,6 +171,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         destination = args.out if args.out is not None else "(not written; pass --out)"
         print(f"{len(events)} span(s) across {len(names)} span name(s): {', '.join(names)}")
         print(f"trace: {destination}")
+        if cdss.network.latency is not None:
+            print(virtual_time_summary(cdss, reports))
     return 0
 
 

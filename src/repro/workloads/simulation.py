@@ -43,9 +43,8 @@ that single scenario into a *scenario engine*:
      round, under the same churn schedule — sketch decode failures and
      cursor fallbacks may cost bytes, never correctness.
 
-The oracles that compare the primary replica with another one (3, 4, 5, 7,
-and ``async-vs-serial`` for an async primary) are the rows of
-:data:`MIRRORS`; the primary's modes are :data:`MODE_OPTIONS`.
+The oracles that compare the primary replica with another one (3, 4, 5, 7)
+are the rows of :data:`MIRRORS`; the primary's modes are :data:`MODE_OPTIONS`.
 
 Because the oracles run after every epoch, the epoch reported by a failing
 oracle is already minimal: it is the first epoch at which the divergence is
@@ -683,15 +682,11 @@ class Mirror:
             primary's configuration with the *other* choice, so that option
             is the only variable.  Empty: the replica isolates something
             that is not an option and runs the default system.
-        only_when: Spawn the replica only when the primary runs this word
-            of the flipped option.  An async primary gains a serial mirror;
-            serial campaigns keep their oracle count (and cost).
         rounds: Also compare the sync reports round for round (published
             ids, translated changes, per-peer accept/reject/defer
             decisions).  Traffic accounting lives outside the round dicts,
-            so quorum reads, sketch decode failures, cursor fallbacks and
-            overlapped transfers may cost bytes and time, never an outcome.
-        open_conflicts: Also compare the reports' open conflicts.
+            so quorum reads, sketch decode failures and cursor fallbacks
+            may cost bytes and time, never an outcome.
         storage_factory: ``peer name -> local instance`` (default: in memory).
         drive: What runs the replica's exchange each epoch, called as
             ``drive(replica, max_rounds=...)``; returns its sync report, if
@@ -701,9 +696,7 @@ class Mirror:
     name: str
     oracle: str
     flips: str = ""
-    only_when: Optional[str] = None
     rounds: bool = False
-    open_conflicts: bool = False
     storage_factory: Optional[Callable[[str], object]] = None
     drive: Callable[..., object] = CDSS.sync
 
@@ -713,10 +706,6 @@ MIRRORS = (
     Mirror("sqlite", "memory-vs-sqlite", storage_factory=lambda name: SQLiteInstance()),
     Mirror("storecheck", "distributed-vs-centralized", flips="store", rounds=True),
     Mirror("synccheck", "sketch-vs-cursor", flips="sync", rounds=True),
-    Mirror(
-        "runtimecheck", "async-vs-serial", flips="runtime", only_when="async",
-        rounds=True, open_conflicts=True,
-    ),
 )
 
 
@@ -752,8 +741,6 @@ class SimulationRun:
             if mirror.flips:
                 option = MODE_OPTIONS[mirror.flips]
                 word = option.get(self.config.system)
-                if mirror.only_when not in (None, word):
-                    continue
                 system = configure(self.config.system, [(option, _other_word(option, word))])
             self.mirrors[mirror.name] = CDSS.from_spec(
                 self.spec, config=system, storage_factory=mirror.storage_factory
@@ -909,9 +896,7 @@ class SimulationRun:
     def check_mirror(self, mirror: Mirror, epoch: int, primary_snapshot=None) -> None:
         """One row of :data:`MIRRORS`: the replica must be indistinguishable
         from the primary in whatever the row compares."""
-        replica = self.mirrors.get(mirror.name)
-        if replica is None:
-            return
+        replica = self.mirrors[mirror.name]
         self.oracle_checks += 1
         primary_report = self._last_reports.get("primary")
         mirror_report = self._last_reports.get(mirror.name)
@@ -926,17 +911,6 @@ class SimulationRun:
                 else:
                     detail = f"round counts diverge: {len(left)} vs {len(right)} rounds"
                 self._fail(epoch, mirror.oracle, detail)
-                return
-            if (
-                mirror.open_conflicts
-                and primary_report.open_conflicts != mirror_report.open_conflicts
-            ):
-                self._fail(
-                    epoch,
-                    mirror.oracle,
-                    f"open conflicts diverge: {primary_report.open_conflicts} "
-                    f"!= {mirror_report.open_conflicts}",
-                )
                 return
         diff = _diff_snapshots(
             primary_snapshot or _snapshot_all(self.primary),
@@ -1073,10 +1047,9 @@ class SimulationRun:
         max_rounds = self.config.max_sync_rounds
         self._last_reports = {"primary": self.primary.sync(max_rounds=max_rounds)}
         for mirror in MIRRORS:
-            if mirror.name in self.mirrors:
-                self._last_reports[mirror.name] = mirror.drive(
-                    self.mirrors[mirror.name], max_rounds=max_rounds
-                )
+            self._last_reports[mirror.name] = mirror.drive(
+                self.mirrors[mirror.name], max_rounds=max_rounds
+            )
 
         if offline is not None:
             for cdss in replicas:

@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 from repro import CDSS, NetworkBuilder, SpecError
-from repro.api.spec import parse_network_spec
-from repro.config import OPTIONS, SECTIONS, SystemConfig, configure
+from repro.api.spec import SectionSpec, parse_network_spec
+from repro.config import OPTIONS, SECTIONS, SyncConfig, SystemConfig, configure
 from repro.errors import ConfigurationError
 from repro.simulate import build_parser
 from repro.workloads.simulation import MODE_OPTIONS
@@ -76,21 +76,46 @@ def test_simulator_flag_is_generated_from_the_row(flag):
         build_parser().parse_args([f"--{flag}", bad])
 
 
+@pytest.mark.parametrize("knob, value", [("runtime", "async"), ("workers", 8)])
+@pytest.mark.parametrize("mode", ["cursor", "gossip"])
+def test_the_deleted_scheduler_knobs_fail_closed(mode, knob, value):
+    """The sync scheduler options are gone; a spec or builder call that
+    still names one is a coded spec error, never a silent default."""
+    with pytest.raises(SpecError, match=f"unknown sync knob '{knob}'") as caught:
+        parse_network_spec(f"network n\nsync {mode} {knob} {value}\n{PEER}")
+    assert caught.value.code == "CDSS014"
+    assert (caught.value.span.line, caught.value.span.column) == (2, 1)
+    data = {"sync": {"mode": mode, knob: value}, "peers": {"P": {"relations": {"R": ["a", "b"]}}}}
+    with pytest.raises(SpecError, match=f"unknown sync knob '{knob}'") as caught:
+        parse_network_spec(data)
+    assert caught.value.code == "CDSS014"
+    with pytest.raises(SpecError, match=f"unknown sync knob '{knob}'") as caught:
+        NetworkBuilder("n").sync(mode, **{knob: value})
+    assert caught.value.code == "CDSS014"
+    with pytest.raises(TypeError):
+        SyncConfig(**{knob: value})
+
+
+def test_cursor_still_rejects_gossip_knobs():
+    for bad in ({"fanout": 2}, {"sketch": "bloom"}, {"attempts": 2}):
+        with pytest.raises(SpecError):
+            SectionSpec("sync", {"mode": "cursor", **bad}).validate()
+
+
 def test_every_config_field_is_a_row_and_config_only_ones_are_known():
     """A new field must say whether a spec can set it: it is either in a
     section or added to this list on purpose."""
-    assert len(OPTIONS) == 23
+    assert len(OPTIONS) == 20
     assert {f"{option.group}.{option.field}" for option in OPTIONS if not option.section} == {
         "store.require_online_to_publish",
         "store.require_online_to_reconcile",
-        "sync.queue_depth",
         "exchange.track_provenance",
         "exchange.max_iterations",
         "reconciliation.default_priority",
         "reconciliation.defer_on_ties",
     }
     assert list(SECTIONS) == ["store", "sync", "execution", "observe"]
-    assert list(MODE_OPTIONS) == ["store", "sync", "sketch", "runtime", "execution"]
+    assert list(MODE_OPTIONS) == ["store", "sync", "sketch", "execution"]
 
 
 def options_table() -> str:

@@ -3,14 +3,20 @@
 Includes the seed-equivalence check the redesign promises: building the
 Figure-2 network from its textual spec and running a single ``sync()``
 reproduces exactly the peer snapshots of the hand-wired network driven by
-manual publish/reconcile loops.
+manual publish/reconcile loops.  Also covers the seeded latency model and
+virtual clock the loop prices traffic on, ``SyncError`` carrying the partial
+report, order-preserving ``SyncReport`` dedup, and the quiescent round
+skipping the gossip anti-entropy phase.
 """
 
 import pytest
 
 from repro import CDSS, PeerSchema, SyncError, TrustPolicy
+from repro.api.sync import SyncReport, SyncRound
+from repro.config import SyncConfig, SystemConfig
 from repro.core.mapping import identity_mapping, join_mapping, split_mapping
-from repro.errors import PeerError, UnknownRelationError
+from repro.errors import NetworkError, PeerError, UnknownRelationError
+from repro.p2p.network import LatencyModel, Network, VirtualClock
 from repro.workloads.bioinformatics import (
     BioDataGenerator,
     FIGURE2_SPEC,
@@ -122,8 +128,7 @@ class TestSync:
         with pytest.raises(PeerError, match="Ghost"):
             two_peer_system.sync_round(["Source", "Ghost"])
 
-    @pytest.mark.parametrize("runtime", ["serial", "async"])
-    def test_wide_network_half_offline_validates_names_once(self, runtime, monkeypatch):
+    def test_wide_network_half_offline_validates_names_once(self, monkeypatch):
         names = [f"P{index:03d}" for index in range(300)]
         lines = ["network wide"]
         for name in names:
@@ -142,7 +147,7 @@ class TestSync:
         monkeypatch.setattr(
             cdss.catalog, "has_peer", lambda name: validated.append(name) or has_peer(name)
         )
-        report = cdss.sync(runtime=runtime)
+        report = cdss.sync()
         assert validated == names  # once per sync, not once more per round
 
         assert report.converged and report.round_count == 2
@@ -185,6 +190,216 @@ class TestSync:
         again = cdss.sync()
         assert again.round_count == 1
         assert again.open_conflicts["Dresden"] == 1
+
+
+PEERS = ("Alice", "Bob", "Carol")
+
+
+def build_chain(sync_mode: str = "cursor") -> CDSS:
+    """A three-peer chain Alice -> Bob -> Carol with full trust."""
+    cdss = CDSS(SystemConfig(sync=SyncConfig(mode=sync_mode)))
+    priorities = {"Alice": 10, "Bob": 9, "Carol": 8}
+    for name in PEERS:
+        cdss.add_peer(
+            name,
+            PeerSchema.build(name[0], {"R": ["a", "b"]}, {"R": ["a"]}),
+            TrustPolicy.trust_only(name, priorities),
+        )
+    cdss.add_mapping(join_mapping("M_AB", "Alice", "Bob", "R(a, b)", ["R(a, b)"]))
+    cdss.add_mapping(join_mapping("M_BC", "Bob", "Carol", "R(a, b)", ["R(a, b)"]))
+    return cdss
+
+
+class TestVirtualClock:
+    def test_advances_and_never_rewinds(self):
+        clock = VirtualClock()
+        assert clock.now == 0.0
+        assert clock.advance(1.5) == 1.5
+        assert clock.advance(0.0) == 1.5
+        with pytest.raises(NetworkError):
+            clock.advance(-0.1)
+
+
+class TestLatencyModel:
+    def test_delays_are_deterministic_and_seeded(self):
+        model = LatencyModel(seed=3)
+        again = LatencyModel(seed=3)
+        other = LatencyModel(seed=4)
+        draws = [model.delay("a", "b", 100, i) for i in range(32)]
+        assert draws == [again.delay("a", "b", 100, i) for i in range(32)]
+        assert draws != [other.delay("a", "b", 100, i) for i in range(32)]
+
+    def test_delay_components(self):
+        # No jitter, no spikes: delay is exactly base + size/bandwidth.
+        model = LatencyModel(base_delay=0.01, jitter=0.0, bandwidth=1000.0,
+                             spike_probability=0.0)
+        assert model.delay("a", "b", 500, 0) == pytest.approx(0.01 + 0.5)
+        # Certain spikes add spike_factor * base.
+        spiky = LatencyModel(base_delay=0.01, jitter=0.0, bandwidth=1e9,
+                             spike_probability=1.0, spike_factor=4.0)
+        assert spiky.delay("a", "b", 0, 0) == pytest.approx(0.01 * 5)
+
+    def test_spikes_reorder_messages_on_a_link(self):
+        # With spikes on, some later message must arrive before an earlier
+        # one: send i at virtual time i*eps, arrival = send + delay.
+        model = LatencyModel(seed=1, spike_probability=0.3)
+        arrivals = [i * 1e-6 + model.delay("a", "b", 64, i) for i in range(64)]
+        assert arrivals != sorted(arrivals)
+
+    def test_validation(self):
+        with pytest.raises(NetworkError):
+            LatencyModel(base_delay=-1.0)
+        with pytest.raises(NetworkError):
+            LatencyModel(base_delay=0.001, jitter=0.002)
+        with pytest.raises(NetworkError):
+            LatencyModel(bandwidth=0.0)
+        with pytest.raises(NetworkError):
+            LatencyModel(spike_probability=1.5)
+
+    def test_network_transmit_advances_serial_clock(self):
+        network = Network(["a", "b"])
+        assert network.transmit("a", "b", "test", 10) == 0.0  # no model: free
+        network.set_latency_model(LatencyModel(seed=0))
+        first = network.transmit("a", "b", "test", 10)
+        assert first > 0.0
+        assert network.clock.now == pytest.approx(first)
+        second = network.transmit("a", "b", "test", 10)
+        assert network.clock.now == pytest.approx(first + second)
+        assert network.link_sequences() == {("a", "b"): 2}
+        assert network.message_stats()["messages"] == 3
+
+    def test_link_delays_equal_the_model_bit_for_bit_across_a_swap(self):
+        """``Network.link_delay`` hashes each link's prefix once and caches
+        the hasher; the stream must still be ``LatencyModel.delay`` exactly,
+        per link, and follow the model when it is swapped mid-stream (the
+        sequence counters carry on, the cached hashers do not)."""
+        links = [("a", "b"), ("b", "a"), ("archive", "a")]
+        network = Network(["a", "b"])
+        first, second = LatencyModel(seed=7), LatencyModel(seed=8, spike_probability=0.4)
+        network.set_latency_model(first)
+        for sequence in range(1000):
+            model = first if sequence < 600 else second
+            if sequence == 600:
+                network.set_latency_model(second)
+            for sender, receiver in links:
+                size = 64 + sequence
+                assert network.link_delay(sender, receiver, size) == model.delay(
+                    sender, receiver, size, sequence
+                )
+        network.set_latency_model(None)
+        assert network.link_delay("a", "b", 64) == 0.0
+
+
+class TestSyncErrorReport:
+    def test_partial_report_is_attached_at_max_rounds(self):
+        cdss = build_chain()
+        cdss.peer("Alice").insert("R", (1, "x"))
+        with pytest.raises(SyncError) as excinfo:
+            cdss.sync(max_rounds=1)  # publish round can never be quiescent
+        report = excinfo.value.report
+        assert isinstance(report, SyncReport)
+        assert not report.converged
+        assert report.round_count == 1
+        assert report.published_transactions == 1
+        # The partial report is finalized: conflicts and decisions are
+        # queryable exactly as on the success path.
+        assert set(report.open_conflicts) == set(PEERS)
+        assert report.to_dict()["converged"] is False
+
+    def test_no_peers_error_has_no_report(self):
+        cdss = CDSS()
+        with pytest.raises(SyncError) as excinfo:
+            cdss.sync()
+        assert excinfo.value.report is None
+
+
+class TestReportDeduplication:
+    def _many_round_report(self, rounds=200):
+        """A report whose every round repeats decisions and offline peers."""
+
+        class FakeOutcome:
+            def __init__(self, index):
+                self.peer = "P"
+                self.accepted = [f"t{index}", "t-dup", f"t{index}"]
+                self.rejected = []
+                self.deferred = []
+                self.pending = []
+
+            def to_dict(self):
+                return {}
+
+        report = SyncReport(peers=["P", "Q"])
+        for index in range(rounds):
+            round_ = SyncRound(index=index + 1)
+            round_.reconciled = [FakeOutcome(index % 50)]
+            round_.skipped_offline = ["Q", "P" if index % 2 else "Q"]
+            report.rounds.append(round_)
+        return report
+
+    def test_decisions_dedup_preserves_first_seen_order(self):
+        report = self._many_round_report()
+        accepted = report.accepted("P")
+        assert accepted == ["t0", "t-dup"] + [f"t{i}" for i in range(1, 50)]
+        assert len(accepted) == len(set(accepted))
+
+    def test_skipped_offline_dedup_preserves_first_seen_order(self):
+        report = self._many_round_report()
+        assert report.skipped_offline == ["Q", "P"]
+
+    def test_real_sync_decisions_have_no_duplicates(self):
+        cdss = build_chain()
+        cdss.peer("Alice").insert("R", (1, "x"))
+        cdss.peer("Alice").insert("R", (2, "y"))
+        report = cdss.sync()
+        for peer in PEERS:
+            for kind in (report.accepted, report.rejected, report.deferred):
+                ids = kind(peer)
+                assert len(ids) == len(set(ids))
+
+
+class TestGossipPhaseSkip:
+    def test_quiescent_final_round_moves_no_gossip_bytes(self):
+        cdss = build_chain(sync_mode="gossip")
+        cdss.peer("Alice").insert("R", (1, "x"))
+        report = cdss.sync()
+        assert report.converged
+        rounds_after_sync = cdss.gossip.rounds_run
+        # A fully quiescent extra round: nothing published, so the gossip
+        # anti-entropy phase is skipped outright — no epidemic round runs
+        # and the only traffic is reconcile's cheap per-peer catch-up.
+        before = cdss.network.message_stats()
+        round_ = cdss.sync_round()
+        after = cdss.network.message_stats()
+        assert round_.is_quiescent()
+        assert cdss.gossip.rounds_run == rounds_after_sync
+        gossip_delta = after["bytes"] - before["bytes"]
+        messages_delta = after["messages"] - before["messages"]
+        # Exactly one catch-up session (two challenge messages) per online
+        # peer; a gossip fan-out would have moved strictly more.
+        assert messages_delta == 2 * len(PEERS)
+        assert gossip_delta == sum(
+            event.size
+            for event in cdss.network.message_trace()[-messages_delta:]
+            if event.kind.startswith("challenge")
+        )
+
+    def test_stale_reconnected_peer_still_catches_up(self):
+        cdss = build_chain(sync_mode="gossip")
+        cdss.peer("Alice").insert("R", (1, "x"))
+        cdss.sync()
+        cdss.set_online("Carol", False)
+        cdss.peer("Alice").insert("R", (2, "y"))
+        report = cdss.sync()
+        assert report.skipped_offline == ["Carol"]
+        cdss.set_online("Carol", True)
+        rounds_before = cdss.gossip.rounds_run
+        report = cdss.sync()
+        assert report.converged
+        # Nothing was published, so no epidemic round ran; Carol still got
+        # the missed entries via reconcile's direct archive catch-up.
+        assert cdss.gossip.rounds_run == rounds_before
+        carol = cdss.peer("Carol").instance.snapshot().get("R", frozenset())
+        assert len(carol) == 2
 
 
 class TestQuery:

@@ -1,8 +1,9 @@
 """End-to-end observability: parity views, determinism, overhead guard.
 
 * Satellite parity: the legacy accessors (`Network.message_stats`,
-  `ExchangeEngine.statistics`, async `report.runtime`) are thin views over
-  the shared metrics registry and must agree with it exactly.
+  `ExchangeEngine.statistics`) are thin views over the shared metrics
+  registry and must agree with it exactly, and `report.pipelined()` replays
+  exactly the traffic the registry counted.
 * Determinism: two same-seed Figure-2 runs produce byte-identical Chrome
   trace JSON and identical metrics snapshots.
 * Overhead: with no tracer installed, the instrumented executor path stays
@@ -86,30 +87,19 @@ class TestEngineStatisticsParity:
         )
 
 
-class TestAsyncRuntimeParity:
+class TestPipelinedParity:
     def test_accounting_agrees_with_registry(self):
         cdss = _pair()
         cdss.network.set_latency_model(LatencyModel(seed=3))
         cdss.peer("Source").insert("R", (1, "a"))
-        report = cdss.sync(runtime="async")
-        runtime = report.runtime
-        metrics = cdss.obs.metrics
-        assert runtime["transfers"] == int(
-            metrics.counter_value("sync.runtime.transfers")
-        )
-        assert runtime["transfers"] > 0
-        assert runtime["backpressure_stalls"] == int(
-            metrics.counter_value("sync.runtime.backpressure_stalls")
-        )
-        assert runtime["max_in_flight"] == metrics.gauge_value(
-            "sync.runtime.max_in_flight"
-        )
-        assert runtime["max_queue_depth_seen"] == metrics.gauge_value(
-            "sync.runtime.max_queue_depth"
-        )
-        assert runtime["virtual_seconds"] == metrics.gauge_value(
-            "sync.runtime.virtual_seconds"
-        )
+        before = cdss.metrics_snapshot()
+        report = cdss.sync()
+        pipelined = report.pipelined(workers=1)
+        # Centralized cursor sync: every priced message is one transfer.
+        assert pipelined["transfers"] == report.metrics["net.messages.sent"] > 0
+        assert report.metrics == cdss.obs.metrics.since(before)
+        assert pipelined["virtual_seconds"] == pytest.approx(cdss.network.clock.now)
+        assert not any(name.startswith("sync.runtime") for name in cdss.metrics_snapshot())
 
 
 class TestReportMetrics:
@@ -132,8 +122,7 @@ class TestReportMetrics:
         follow_up = cdss.sync()
         assert follow_up.metrics["sync.rounds"] == 1
 
-    @pytest.mark.parametrize("runtime", ["serial", "async"])
-    def test_registry_is_copied_only_when_reported(self, runtime, monkeypatch):
+    def test_registry_is_copied_only_when_reported(self, monkeypatch):
         copies = []
         snapshot = MetricsRegistry.snapshot
 
@@ -144,13 +133,13 @@ class TestReportMetrics:
         monkeypatch.setattr(MetricsRegistry, "snapshot", counted)
         quiet = _pair(observe=None)
         quiet.peer("Source").insert("R", (1, "a"))
-        assert quiet.sync(runtime=runtime).metrics is None
+        assert quiet.sync().metrics is None
         assert copies == []
 
         observed = _pair()
         observed.peer("Source").insert("R", (1, "a"))
         before = observed.metrics_snapshot()
-        report = observed.sync(runtime=runtime)
+        report = observed.sync()
         assert report.metrics == observed.obs.metrics.since(before)
         assert report.metrics["sync.reconciliations"] == 4  # two peers, two rounds
 
@@ -164,6 +153,14 @@ class TestReportMetrics:
         assert "sync.round" in names and "publish" in names
         cdss.sync(trace=False)
         assert cdss.obs.tracer is None
+
+    def test_cli_sets_the_pipelined_schedule_beside_the_serial_clock(self, capsys):
+        from repro.trace import main
+
+        assert main(["--figure2", "--seed", "5"]) == 0
+        summary = capsys.readouterr().out.splitlines()[-1]
+        assert summary.startswith("virtual time: serial ")
+        assert ", pipelined " in summary and "at workers 8, queue depth 4" in summary
 
     def test_snapshot_keys_pass_lint(self):
         cdss = run_figure2(seed=5)

@@ -3,14 +3,11 @@
 The parametrized slice runs 25 seeded random networks through all the
 differential oracles (incremental-vs-recompute, provenance-vs-DRed,
 sql-vs-python, dag-vs-expanded, sync-vs-manual, memory-vs-SQLite,
-distributed-vs-centralized, sketch-vs-cursor, async-vs-serial,
-replica-durability); the
+distributed-vs-centralized, sketch-vs-cursor, replica-durability); the
 remaining tests pin down the generator's guarantees (round-tripping,
 determinism, validation) and the oracles' sensitivity (a deliberately
 injected divergence is reported with its seed and first failing epoch).
 """
-
-import itertools
 
 import pytest
 
@@ -19,7 +16,6 @@ from repro.errors import ConfigurationError
 from repro.simulate import main as simulate_main
 from repro.workloads.simulation import (
     MIRRORS,
-    MODE_OPTIONS,
     SimulationConfig,
     SimulationRun,
     generate_network,
@@ -113,11 +109,6 @@ class TestSimulationConfig:
         system = simulated_system(sync="gossip", sketch="bloom")
         assert (system.sync.mode, system.sync.sketch) == ("gossip", "bloom")
 
-    def test_sync_runtime_is_validated(self):
-        with pytest.raises(ConfigurationError):
-            simulated_system(runtime="threads")
-        assert simulated_system(runtime="async").sync.runtime == "async"
-
     def test_execution_backend_is_validated(self):
         with pytest.raises(ConfigurationError):
             simulated_system(execution="prolog")
@@ -175,32 +166,6 @@ def test_sketch_vs_cursor_oracle_holds_on_distributed_store(seed):
     assert result.ok, "\n".join(failure.describe() for failure in result.failures)
 
 
-#: The async 25-seed slice cycles through every store-backend × sync-mode
-#: combination, so all four corners run the concurrent-vs-serial oracle.
-ASYNC_SLICE = [
-    (seed, backend, mode)
-    for seed, (backend, mode) in zip(
-        SLICE_SEEDS,
-        itertools.cycle(
-            itertools.product(MODE_OPTIONS["store"].choices, MODE_OPTIONS["sync"].choices)
-        ),
-    )
-]
-
-
-@pytest.mark.parametrize("seed,backend,mode", ASYNC_SLICE)
-def test_async_vs_serial_oracle_holds(seed, backend, mode):
-    """25 seeds with an async-runtime primary: reconcile outcomes, open
-    conflicts, and instances match the serial mirror across every
-    store-backend × sync-mode combination, under churn."""
-    config = slice_config(offline=0.4, store=backend, sync=mode, runtime="async")
-    result = run_simulation(seed, config)
-    assert result.ok, "\n".join(failure.describe() for failure in result.failures)
-    # spec round-trip + analyzer-clean + 10 oracles per epoch (the serial
-    # nine plus the concurrent-vs-serial check the async primary switches on).
-    assert result.oracle_checks == 2 + 10 * result.epochs_run
-
-
 def test_simulation_is_deterministic():
     first = run_simulation(11, SLICE_CONFIG)
     second = run_simulation(11, SLICE_CONFIG)
@@ -225,10 +190,8 @@ class TestOracleSensitivity:
         return run
 
     def _run_with(self, name):
-        """One clean epoch of a run that spawns the named row of MIRRORS."""
-        mirror = next(row for row in MIRRORS if row.name == name)
-        modes = {mirror.flips: mirror.only_when} if mirror.only_when else {}
-        return mirror, self._run_one_epoch(**modes)
+        """One clean epoch of a run, with the named row of MIRRORS."""
+        return next(row for row in MIRRORS if row.name == name), self._run_one_epoch()
 
     def _only_failure(self, run, mirror):
         """Re-check every mirror: exactly the tampered one's oracle fails."""
@@ -271,27 +234,12 @@ class TestOracleSensitivity:
     def test_sketch_vs_cursor_detects_report_divergence(self):
         self._tamper_with_rounds("synccheck")
 
-    def test_async_vs_serial_detects_divergence(self):
-        self._corrupt_instance("runtimecheck")
-
-    def test_async_vs_serial_detects_report_divergence(self):
-        self._tamper_with_rounds("runtimecheck")
-
-    @pytest.mark.parametrize("name", [row.name for row in MIRRORS if row.open_conflicts])
-    def test_open_conflicts_divergence_is_detected(self, name):
-        mirror, run = self._run_with(name)
-        run._last_reports[name].open_conflicts = {"Peer0": 99}
-        assert "open conflicts diverge" in self._only_failure(run, mirror)
-
     def test_every_mirror_has_its_sensitivity_cases(self):
         """A new row of MIRRORS needs its cases above, by the oracle's name."""
         for row in MIRRORS:
             stem = f"test_{row.oracle.replace('-', '_')}_detects"
             assert hasattr(self, f"{stem}_divergence"), row
             assert hasattr(self, f"{stem}_report_divergence") == row.rounds, row
-
-    def test_serial_runs_spawn_no_runtimecheck_replica(self):
-        assert "runtimecheck" not in self._run_one_epoch().mirrors
 
     def test_incremental_vs_recompute_detects_divergence(self):
         run = self._run_one_epoch()
@@ -398,12 +346,6 @@ class TestCli:
 
     def test_cli_repro_line_names_gossip_sync(self, capsys, monkeypatch):
         self._crash_names(capsys, monkeypatch, "--sync", "gossip", "--sketch", "bloom")
-
-    def test_cli_runtime_flags(self, capsys):
-        self._campaign_runs_on("runtime", "async", "serial", rejected="threads")
-
-    def test_cli_repro_line_names_async_runtime(self, capsys, monkeypatch):
-        self._crash_names(capsys, monkeypatch, "--runtime", "async")
 
     def test_cli_execution_backend_flags(self, capsys):
         self._campaign_runs_on("execution", "sql", "python", rejected="prolog")
