@@ -17,8 +17,8 @@ This module provides the one shared utility the p2p layer builds on:
   (BLAKE2b keyed by the seed).  Distinct seeds give independent hash
   families, which the sketches use to re-randomize between decode attempts.
 * :func:`prefix_hasher` — the same digest for many tuples that differ only
-  in their last item (ranking candidates under one ``(purpose, round,
-  peer)`` prefix), encoding and hashing the shared prefix once.
+  in their last item (a link's latency draws under one ``(purpose, seed,
+  sender, receiver)`` prefix), encoding and hashing the shared prefix once.
 * :func:`hash_encoded` — the digest of an encoding the caller already holds,
   so a value that needs both its size and its digest is encoded once.
 * :func:`stable_text_hash` — the legacy SHA-256-prefix digest of a string,

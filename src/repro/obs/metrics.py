@@ -15,7 +15,7 @@ them byte-for-byte across same-seed runs.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 #: Stable metric-name shape: at least two dotted lowercase components.
 METRIC_NAME_RE = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)+$")
@@ -95,6 +95,22 @@ class MetricsRegistry:
         if label is not None:
             key = f"{name}[{label}]"
             counters[key] = counters.get(key, 0) + value
+
+    def counters_add(self, keys: Sequence[str], values: Sequence[float]) -> None:
+        """Add ``values[i]`` to the counter under ``keys[i]``.
+
+        A key is a bare name or a prebuilt labelled key (``name[label]``),
+        so a hot path that adds to the same series over and over builds its
+        keys once; labelled keys are *not* rolled into their total here —
+        pass the bare name as its own key.
+        """
+        counters = self._counters
+        for key, value in zip(keys, values):
+            try:
+                counters[key] += value
+            except KeyError:
+                _check_name(key.partition("[")[0])
+                counters[key] = value
 
     def gauge_set(
         self, name: str, value: float, label: Optional[str] = None

@@ -240,6 +240,7 @@ class DistributedUpdateStore:
         #: take part in a round, and health() reports each replica's age.
         self._anti_entropy_clock = 0
         self._entries_transferred = 0
+        self._generation = 0
         self._obs = network.obs
         network.subscribe(self._on_connectivity)
 
@@ -263,6 +264,14 @@ class DistributedUpdateStore:
     @property
     def segment_size(self) -> int:
         return self._segment_size
+
+    @property
+    def generation(self) -> int:
+        """Bumped by every archive and by everything that can change what a
+        read serves: a connectivity change (which replicas are reachable)
+        and the re-replication, pruning and anti-entropy it triggers.  Equal
+        generations mean a repeated read returns the same entries."""
+        return self._generation
 
     # -- placement ---------------------------------------------------------------
     def _segment_of(self, epoch: int) -> int:
@@ -307,6 +316,7 @@ class DistributedUpdateStore:
 
     # -- churn handling ----------------------------------------------------------
     def _on_connectivity(self, event: ConnectivityEvent) -> None:
+        self._generation += 1
         if event.online:
             self._handle_reconnect(event.peer)
         else:
@@ -442,6 +452,7 @@ class DistributedUpdateStore:
     def anti_entropy(self) -> int:
         """Run a gossip round over every shard; returns entries transferred."""
         self._anti_entropy_rounds += 1
+        self._generation += 1
         return sum(
             self._anti_entropy_shard(shard) for shard in sorted(self._replicas)
         )
@@ -464,6 +475,9 @@ class DistributedUpdateStore:
         segment = self._segment_of(epoch)
         shard = self._ring.shard_for(segment)
         metrics = self._obs.metrics
+        # Before any replica is touched: a batch that fails part-way with a
+        # QuorumError has still changed what reads serve.
+        self._generation += 1
         with self._obs.span(
             "store.quorum_write", shard=shard, epoch=epoch, publisher=publisher
         ):

@@ -8,10 +8,16 @@ online peer runs a reconciliation session (:mod:`repro.p2p.reconcile`) with
 archive itself.  Entries spread peer-to-peer in O(log N) rounds, the store
 serves only its share of sessions, and each session moves O(diff) bytes.
 
-Partner choice hashes ``(round, peer, candidate)`` with the process-stable
-hash, so a run is reproducible across processes and store backends — the
-differential oracles rely on gossip making *identical* decisions whether
-the archive underneath is centralized or distributed.
+Partner choice costs O(fanout) hashing, not O(N): one process-stable hash
+of ``(round, peer)`` seeds a chain of ``mix64`` draws, and each draw pops
+one candidate from the sorted pool (the archive plus every other online
+peer).  A run is therefore reproducible across processes and store
+backends — the differential oracles rely on gossip making *identical*
+decisions whether the archive underneath is centralized or distributed.
+
+The archive side of a session is a mirror refreshed once per store
+generation (:meth:`StoreView.refresh`), so a phase that archives nothing
+and sees no churn re-reads the store once, not once per catch-up.
 
 Convergence is detected by comparing each online peer's compact clock with
 the archive's.  Epidemic spread converges with overwhelming probability,
@@ -26,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from ..core.hashing import prefix_hasher
+from ..core.hashing import mix64, stable_hash
 from ..errors import SyncError
 from .network import Network
 from .reconcile import (
@@ -121,9 +127,15 @@ class GossipCoordinator:
         return sorted(self._network.online_peers() & self._caches.keys())
 
     def _partners(self, peer: str, online: list[str]) -> list[str]:
-        candidates = [ARCHIVE_NAME] + [other for other in online if other != peer]
-        candidates.sort(key=prefix_hasher(("gossip-partner", self._round, peer)))
-        return candidates[: self.fanout]
+        # One keyed hash per (round, peer); each draw removes its pick from
+        # the sorted pool, so the partners are distinct.
+        pool = sorted([ARCHIVE_NAME, *(other for other in online if other != peer)])
+        draw = stable_hash(("gossip-partner", self._round, peer))
+        partners = []
+        for _ in range(min(self.fanout, len(pool))):
+            draw = mix64(draw)
+            partners.append(pool.pop(draw % len(pool)))
+        return partners
 
     def _session(self, peer: str, partner: str) -> SessionResult:
         target = self._store_view if partner == ARCHIVE_NAME else self._caches[partner]

@@ -38,6 +38,12 @@ from ..obs import Observability
 #: Default bound on the in-memory connectivity trace.
 DEFAULT_TRACE_LIMIT = 4096
 
+#: The per-participant traffic series, in the order of a participant's
+#: cached labelled keys (``Network._traffic_keys``).
+_TRAFFIC_SERIES = (
+    "net.messages.sent", "net.bytes.sent", "net.messages.received", "net.bytes.received",
+)
+
 
 class VirtualClock:
     """Monotonic simulated time, advanced explicitly — never by wall-clock."""
@@ -165,7 +171,11 @@ class Network:
         # counters live on the shared metrics registry (``net.*`` series,
         # labelled per participant) and keep counting past the cap.
         self._message_step = 0
-        self._message_trace: deque[MessageEvent] = deque(maxlen=trace_limit)
+        # ``(step, sender, receiver, kind, size)`` rows; message_trace()
+        # builds the MessageEvents only when someone reads them.
+        self._message_trace: deque[tuple[int, str, str, str, int]] = deque(maxlen=trace_limit)
+        #: participant -> its labelled ``_TRAFFIC_SERIES`` keys, built once.
+        self._traffic_keys: dict[str, tuple[str, ...]] = {}
         self.obs = Observability()
         # Simulated time: a latency model (None = instantaneous links) and
         # the virtual clock its delays advance.  Per-link sequence counters
@@ -305,18 +315,27 @@ class Network:
         if size < 0:
             raise NetworkError("message size cannot be negative")
         self._message_step += 1
-        self._message_trace.append(
-            MessageEvent(self._message_step, sender, receiver, kind, size)
+        self._message_trace.append((self._message_step, sender, receiver, kind, size))
+        keys = self._traffic_keys
+        sent = keys.get(sender) or self._new_traffic_keys(sender)
+        received = keys.get(receiver) or self._new_traffic_keys(receiver)
+        self.obs.metrics.counters_add(
+            (
+                "net.messages.sent", sent[0], "net.bytes.sent", sent[1],
+                "net.messages.received", received[2], "net.bytes.received", received[3],
+            ),
+            (1, 1, size, size, 1, 1, size, size),
         )
-        metrics = self.obs.metrics
-        metrics.counter_add("net.messages.sent", 1, label=sender)
-        metrics.counter_add("net.bytes.sent", size, label=sender)
-        metrics.counter_add("net.messages.received", 1, label=receiver)
-        metrics.counter_add("net.bytes.received", size, label=receiver)
+
+    def _new_traffic_keys(self, name: str) -> tuple[str, ...]:
+        keys = self._traffic_keys[name] = tuple(
+            f"{series}[{name}]" for series in _TRAFFIC_SERIES
+        )
+        return keys
 
     def message_trace(self) -> list[MessageEvent]:
         """The most recent messages (bounded by ``trace_limit``)."""
-        return list(self._message_trace)
+        return [MessageEvent(*row) for row in self._message_trace]
 
     def message_stats(self) -> dict:
         """Aggregate per-peer message/byte counters.

@@ -284,20 +284,32 @@ class StoreView:
     entry reaches it through ``archive()`` at publication — so
     :meth:`add_entries` ignores its input, and the view is complete through
     the store's latest epoch by definition.
+
+    A refresh re-reads the store only when its ``generation`` moved since the
+    last refresh that succeeded: nothing was archived and no replica became
+    reachable or unreachable, so a read would return what the mirror holds.
+    A failed read records nothing, so while a shard stays unreachable every
+    refresh re-reads and raises — silence from a shard nobody can see is not
+    "nothing new".
     """
 
     def __init__(self, store, name: str = ARCHIVE_NAME) -> None:
         self._store = store
         self._cache = EntryCache(name)
+        self._generation: Optional[int] = None
         self.name = name
 
     def refresh(self) -> None:
+        generation = self._store.generation
+        if generation == self._generation:
+            return
         # Re-pull from one epoch below the mirror's latest: a second batch
         # archived at the same epoch would otherwise be missed.  add_entries
         # dedupes the refetched overlap by digest.
         fresh = self._store.published_since(self._cache.latest_epoch() - 1)
         self._cache.add_entries(fresh)
         self._cache.mark_complete(self._store.latest_epoch())
+        self._generation = generation
 
     # -- EntryCache protocol, delegated to the mirror ----------------------------
     @property

@@ -239,6 +239,11 @@ class IBLTSketch:
     :meth:`decode` peels the remainder into the two one-sided difference
     sets, raising :class:`SketchError` when the difference exceeded what the
     table can peel.
+
+    Only touched cells are stored (``{index: [count, key, check]}``; an
+    absent cell is all zeros), so building, subtracting and decoding cost in
+    proportion to the elements, not the capacity.  The wire size is still
+    the full table's: a dense table of ``_size`` cells is what travels.
     """
 
     PROBES = 3
@@ -255,9 +260,8 @@ class IBLTSketch:
         else:
             size = max(self.PROBES, int(capacity * self.CELLS_PER_ELEMENT + 0.5))
             size += (-size) % self.PROBES  # equal partition per probe
-        self._counts = [0] * size
-        self._keys = [0] * size
-        self._checks = [0] * size
+        self._size = size
+        self._cells: dict[int, list[int]] = {}
 
     def _check_of(self, key: int) -> int:
         return mix64(key ^ self.seed ^ 0xC2B2AE3D27D4EB4F) & 0xFFFFFFFF
@@ -270,7 +274,7 @@ class IBLTSketch:
         # loads two keys land on the *same* cell set often enough to stall
         # the peeling decoder.  Partitioning keeps cells distinct by
         # construction and probe choices independent.
-        span = len(self._counts) // self.PROBES
+        span = self._size // self.PROBES
         return [
             index * span
             + mix64(key ^ self.seed ^ ((index + 1) * 0x9E3779B97F4A7C15 & MASK64)) % span
@@ -279,10 +283,15 @@ class IBLTSketch:
 
     def _apply(self, key: int, delta: int) -> None:
         check = self._check_of(key)
+        cells = self._cells
         for index in self._probes(key):
-            self._counts[index] += delta
-            self._keys[index] ^= key
-            self._checks[index] ^= check
+            cell = cells.get(index)
+            if cell is None:
+                cells[index] = [delta, key, check]
+            else:
+                cell[0] += delta
+                cell[1] ^= key
+                cell[2] ^= check
 
     def add(self, key: int) -> None:
         self._apply(key & MASK64, +1)
@@ -293,12 +302,20 @@ class IBLTSketch:
     def subtract(self, other: "IBLTSketch") -> "IBLTSketch":
         """Cell-wise difference ``self - other``; both tables must share
         size and seed (i.e. come from the same session attempt)."""
-        if len(self._counts) != len(other._counts) or self.seed != other.seed:
+        if self._size != other._size or self.seed != other.seed:
             raise SketchError("cannot subtract sketches of different shapes or seeds")
-        result = IBLTSketch(self.capacity, seed=self.seed, _cells=len(self._counts))
-        result._counts = [a - b for a, b in zip(self._counts, other._counts)]
-        result._keys = [a ^ b for a, b in zip(self._keys, other._keys)]
-        result._checks = [a ^ b for a, b in zip(self._checks, other._checks)]
+        result = IBLTSketch(self.capacity, seed=self.seed, _cells=self._size)
+        cells = result._cells
+        for index, (count, key, check) in self._cells.items():
+            cells[index] = [count, key, check]
+        for index, (count, key, check) in other._cells.items():
+            cell = cells.get(index)
+            if cell is None:
+                cells[index] = [-count, key, check]
+            else:
+                cell[0] -= count
+                cell[1] ^= key
+                cell[2] ^= check
         return result
 
     def decode(self) -> tuple[set[int], set[int]]:
@@ -309,40 +326,46 @@ class IBLTSketch:
         than capacity, or a check-hash collision) — the caller grows the
         table and retries, then falls back to cursor replay.
         """
-        counts = list(self._counts)
-        keys = list(self._keys)
-        checks = list(self._checks)
+        cells = {index: list(cell) for index, cell in self._cells.items()}
+        check_of = self._check_of
         only_left: set[int] = set()
         only_right: set[int] = set()
 
-        def pure(index: int) -> bool:
-            return counts[index] in (1, -1) and checks[index] == self._check_of(keys[index])
+        def pure(cell: list[int]) -> bool:
+            return cell[0] in (1, -1) and cell[2] == check_of(cell[1])
 
-        frontier = [index for index in range(len(counts)) if pure(index)]
+        # Ascending touched indices: the pop order of a dense scan, since an
+        # untouched cell is never pure.
+        frontier = [index for index in sorted(cells) if pure(cells[index])]
         while frontier:
-            index = frontier.pop()
-            if not pure(index):
+            cell = cells[frontier.pop()]
+            if not pure(cell):
                 continue
-            key = keys[index]
-            side = only_left if counts[index] == 1 else only_right
-            delta = -counts[index]
+            count, key, _ = cell
+            side = only_left if count == 1 else only_right
             side.add(key)
-            check = self._check_of(key)
-            for cell in self._probes(key):
-                counts[cell] += delta
-                keys[cell] ^= key
-                checks[cell] ^= check
-                if pure(cell):
-                    frontier.append(cell)
-        if any(counts) or any(keys) or any(checks):
+            check = check_of(key)
+            for index in self._probes(key):
+                probed = cells.get(index)
+                if probed is None:
+                    # Only a check-hash collision peels a key whose probes
+                    # were never touched; the cell it leaves behind is what
+                    # makes the stall below fire.
+                    probed = cells[index] = [0, 0, 0]
+                probed[0] -= count
+                probed[1] ^= key
+                probed[2] ^= check
+                if pure(probed):
+                    frontier.append(index)
+        if any(any(cell) for cell in cells.values()):
             raise SketchError(
                 f"iblt decode stalled (capacity {self.capacity}, "
-                f"{sum(1 for c in counts if c)} undrained cells)"
+                f"{sum(1 for cell in cells.values() if cell[0])} undrained cells)"
             )
         return only_left, only_right
 
     def byte_size(self) -> int:
-        return len(self._counts) * self.CELL_BYTES
+        return self._size * self.CELL_BYTES
 
 
 # re-exported for convenience: the reconcile layer treats this module as the

@@ -174,10 +174,19 @@ def validate_publication_batch(
 
 
 class UpdateStore:
-    """Append-only, epoch-ordered archive of published transactions."""
+    """Append-only, epoch-ordered archive of published transactions.
+
+    ``generation`` counts the archives: a reader that saw generation g has
+    seen everything the store can serve until it moves.
+    """
 
     def __init__(self) -> None:
         self._log = EpochLog()
+        self._generation = 0
+
+    @property
+    def generation(self) -> int:
+        return self._generation
 
     # -- publication ------------------------------------------------------------
     def archive(
@@ -193,6 +202,7 @@ class UpdateStore:
             batch, epoch, publisher, self._log.latest_epoch(),
             lambda txn_id: txn_id in self._log,
         )
+        self._generation += 1
         archived = []
         for transaction in batch:
             stamped = transaction.with_epoch(epoch)

@@ -60,6 +60,24 @@ class TestCounters:
         assert snapshot["net.messages.sent"] == 1
         assert snapshot["net.messages.sent[A]"] == 1
 
+    def test_batched_adds_match_labelled_counter_adds(self):
+        batched, single = MetricsRegistry(), MetricsRegistry()
+        for size in (3, 5):
+            batched.counters_add(
+                ("net.bytes.sent", "net.bytes.sent[A]", "net.messages.sent"),
+                (size, size, 1),
+            )
+            single.counter_add("net.bytes.sent", size, label="A")
+            single.counter_add("net.messages.sent", 1)
+        assert batched.snapshot() == single.snapshot()
+
+    def test_batched_adds_check_the_base_name(self):
+        registry = MetricsRegistry()
+        with pytest.raises(ValueError):
+            registry.counters_add(("Bad.name[A]",), (1,))
+        registry.counters_add(("net.bytes.sent[weird name]",), (1,))
+        assert registry.counter_value("net.bytes.sent", label="weird name") == 1
+
 
 class TestGaugesAndHistograms:
     def test_gauge_set_overwrites_gauge_max_keeps_peak(self):

@@ -19,6 +19,7 @@ from repro.p2p.distributed import (
     DistributedUpdateStore,
     store_from_config,
 )
+from repro.p2p.gossip import GossipCoordinator
 from repro.p2p.network import Network
 from repro.p2p.reconcile import StoreView
 from repro.p2p.store import UpdateStore
@@ -240,6 +241,12 @@ class TestCatchUpReads:
         must fail all the same: "nothing new" from a shard nobody can see is
         not an answer."""
         network, store, view = self.mirrored(replication_factor=1)
+        self.lose_an_old_shard(network, store)
+        with pytest.raises(QuorumError):
+            view.refresh()
+
+    def lose_an_old_shard(self, network, store) -> str:
+        """Disconnect the only host of a shard the newest epoch is not on."""
         newest = store.shard_of_epoch(store.latest_epoch())
         (lost_host,) = next(
             store.replica_hosts(shard)
@@ -247,8 +254,63 @@ class TestCatchUpReads:
             if store.replica_hosts(shard) != store.replica_hosts(newest)
         )
         network.disconnect(lost_host)
-        with pytest.raises(QuorumError):
-            view.refresh()
+        return lost_host
+
+    def test_every_refresh_fails_while_a_shard_is_unreachable(self):
+        """A failed read records no generation, so the next refresh at the
+        same generation reads again and fails again, not just the first."""
+        network, store, view = self.mirrored(replication_factor=1)
+        self.lose_an_old_shard(network, store)
+        for _ in range(3):
+            with pytest.raises(QuorumError):
+                view.refresh()
+
+    def test_every_gossip_catch_up_and_phase_fails_while_a_shard_is_unreachable(self):
+        network, store = make_store(
+            ["A", "B", "C", "D"], shard_count=8, segment_size=1, replication_factor=1
+        )
+        coordinator = GossipCoordinator(network, store, fanout=2)
+        for name in "ABCD":
+            coordinator.register_peer(name)
+        epoch = 0
+        while store.health()["active_shards"] < 8:
+            epoch += 1
+            store.archive([txn(f"t{epoch}")], epoch=epoch, publisher="A")
+        coordinator.run_until_converged()
+        lost_host = self.lose_an_old_shard(network, store)
+        online = sorted(set("ABCD") - {lost_host})
+        for _ in range(2):
+            for name in online:
+                with pytest.raises(QuorumError):
+                    coordinator.catch_up(name)
+            with pytest.raises(QuorumError):
+                coordinator.run_until_converged()
+
+    def test_an_idle_refresh_reads_nothing_until_the_generation_moves(self, monkeypatch):
+        network, store, view = self.mirrored(replication_factor=2)
+        reads = []
+        real = store.published_since
+        monkeypatch.setattr(
+            store, "published_since", lambda *args: reads.append(args) or real(*args)
+        )
+        view.refresh()
+        assert reads == []
+        generation = store.generation
+        network.set_online("D", False)  # reachability changed: a real re-read
+        assert store.generation > generation
+        view.refresh()
+        assert len(reads) == 1
+        view.refresh()
+        assert len(reads) == 1
+        store.archive([txn("late")], epoch=store.latest_epoch(), publisher="A")
+        view.refresh()
+        assert len(reads) == 2 and view.count == len(store)
+
+    def test_anti_entropy_moves_the_generation(self):
+        _, store = make_store(["A", "B"], shard_count=1, segment_size=1)
+        generation = store.generation
+        store.anti_entropy()
+        assert store.generation > generation
 
 
 class TestChurnTolerance:

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.hashing import (
+    MASK64,
     canonical_encode,
     encoded_size,
     hash_encoded,
@@ -31,6 +32,8 @@ from repro.p2p.sketch import (
     transaction_digest,
 )
 from repro.p2p.store import PublishedTransaction
+
+from dense_iblt import DenseIBLTSketch, project
 
 
 def entry(txn_id: str, epoch: int, sequence: int, peer: str = "Alaska") -> PublishedTransaction:
@@ -332,3 +335,72 @@ class TestIBLTSketch:
     def test_capacity_is_validated(self):
         with pytest.raises(SketchError):
             IBLTSketch(0)
+
+
+def _decode_outcome(sketch):
+    try:
+        return "decoded", sketch.decode()
+    except SketchError as error:
+        return "stalled", str(error)
+
+
+digests = st.one_of(st.integers(0, 63), st.integers(0, MASK64))
+
+
+class TestSparseMatchesDense:
+    """The sparse IBLT against the dense list-backed table it replaced
+    (``tests/p2p/dense_iblt.py``): same cells, same decodes, same errors,
+    same wire size — including differences past capacity."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        shared=st.sets(digests, max_size=30),
+        left_only=st.sets(digests, max_size=30),
+        right_only=st.sets(digests, max_size=30),
+        capacity=st.integers(1, 40),
+        seed=st.integers(0, MASK64),
+    )
+    @example(shared=set(), left_only=set(range(100, 160)), right_only=set(), capacity=4, seed=0)
+    @example(shared={1, 2, 3}, left_only=set(), right_only=set(), capacity=1, seed=7)
+    def test_sparse_and_dense_agree(self, shared, left_only, right_only, capacity, seed):
+        tables = {}
+        for name, cls in (("sparse", IBLTSketch), ("dense", DenseIBLTSketch)):
+            left, right = cls(capacity, seed=seed), cls(capacity, seed=seed)
+            for key in shared | left_only:
+                left.add(key)
+            for key in shared | right_only:
+                right.add(key)
+            tables[name] = (left, right, left.subtract(right))
+        for sparse, dense in zip(tables["sparse"], tables["dense"]):
+            assert project(sparse) == dense.cells()
+            assert sparse.byte_size() == dense.byte_size()
+        assert _decode_outcome(tables["sparse"][2]) == _decode_outcome(tables["dense"][2])
+
+    def test_a_forged_pure_cell_stalls_both_the_same_way(self):
+        """A cell that looks pure but holds a key never added (what a
+        check-hash collision produces) peels into cells nobody touched;
+        both tables must report the same stall."""
+        outcomes = []
+        for cls in (IBLTSketch, DenseIBLTSketch):
+            sketch = cls(8, seed=3)
+            sketch.add(stable_hash("real"))
+            forged = stable_hash("forged")
+            index = next(
+                cell for cell in range(12) if cell not in sketch._probes(forged)
+                and cell not in sketch._probes(stable_hash("real"))
+            )
+            fields = (1, forged, sketch._check_of(forged))
+            if cls is IBLTSketch:
+                sketch._cells[index] = list(fields)
+            else:
+                sketch._counts[index], sketch._keys[index], sketch._checks[index] = fields
+            outcomes.append(_decode_outcome(sketch))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == "stalled"
+
+    def test_the_sparse_table_holds_only_touched_cells(self):
+        sketch = IBLTSketch(1000, seed=1)
+        for key in range(5):
+            sketch.add(stable_hash(key))
+        assert len(sketch._cells) <= 5 * sketch.PROBES
+        assert sketch.byte_size() == DenseIBLTSketch(1000, seed=1).byte_size()

@@ -7,6 +7,8 @@ import pytest
 from repro.core.transactions import Transaction
 from repro.core.updates import Update
 from repro.errors import NetworkError, PublicationError
+from repro.obs import MetricsRegistry, validate_metric_keys
+from repro.p2p.gossip import GossipCoordinator
 from repro.p2p.network import Network
 from repro.p2p.store import EpochLog, PublishedTransaction, UpdateStore
 
@@ -316,3 +318,42 @@ class TestMessageAccounting:
             network.record_message("A", "B", "entries", 5)
         assert network.churn_stats()["trace_retained"] == 2
         assert network.message_stats()["trace_retained"] == 3
+
+    def test_a_seeded_gossip_run_accounts_like_per_series_adds(self):
+        """After a seeded gossip run: totals are the sums of the per-peer
+        rows, the label-key cache holds one entry per participant name (no
+        pair keys), and the registry has exactly the series — and values —
+        four ``counter_add(name, value, label=...)`` calls per message
+        would have left."""
+        rng = random.Random(5)
+        names = [f"P{index}" for index in range(6)]
+        network = Network(names, trace_limit=None)
+        store = UpdateStore()
+        coordinator = GossipCoordinator(network, store, fanout=2)
+        for name in names:
+            coordinator.register_peer(name)
+        for epoch in range(1, 9):
+            network.set_online(names[rng.randrange(1, 6)], rng.random() < 0.5)
+            store.archive([txn(f"g{epoch}", "P0")], epoch=epoch, publisher="P0")
+            coordinator.run_until_converged()
+
+        stats = network.message_stats()
+        rows = stats["per_peer"].values()
+        assert stats["messages"] == sum(row["sent"] for row in rows)
+        assert stats["messages"] == sum(row["received"] for row in rows)
+        assert stats["bytes"] == sum(row["bytes_sent"] for row in rows)
+        assert stats["bytes"] == sum(row["bytes_received"] for row in rows)
+
+        assert set(network._traffic_keys) == set(stats["per_peer"])
+        assert all(isinstance(name, str) for name in network._traffic_keys)
+
+        replayed = MetricsRegistry()
+        for event in network.message_trace():
+            replayed.counter_add("net.messages.sent", 1, label=event.sender)
+            replayed.counter_add("net.bytes.sent", event.size, label=event.sender)
+            replayed.counter_add("net.messages.received", 1, label=event.receiver)
+            replayed.counter_add("net.bytes.received", event.size, label=event.receiver)
+        snapshot = network.obs.metrics.snapshot()
+        traffic = {key: value for key, value in snapshot.items() if key.startswith("net.")}
+        assert traffic == replayed.snapshot()
+        assert validate_metric_keys(snapshot) == []
