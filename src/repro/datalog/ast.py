@@ -46,7 +46,7 @@ class Constant:
         return repr(self.value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SkolemTerm:
     """A skolem function application ``SK_f(t1, ..., tn)``.
 
@@ -54,13 +54,28 @@ class SkolemTerm:
     values, in which case the term acts as a *labelled null*: two labelled
     nulls are equal exactly when they were produced by the same skolem
     function applied to the same arguments.
+
+    Labelled nulls are hashed every time a tuple holding one is interned or
+    probed, so the hash is computed once, in the constructor.  Every term
+    must therefore be built through the constructor: pickling and copying
+    go through :meth:`__reduce__`, which rebuilds the term (and its hash, in
+    the unpickling process's hash seed) from its fields.
     """
 
     function: str
     arguments: tuple = ()
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "arguments", tuple(self.arguments))
+        arguments = tuple(self.arguments)
+        object.__setattr__(self, "arguments", arguments)
+        object.__setattr__(self, "_hash", hash((self.function, arguments)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (SkolemTerm, (self.function, self.arguments))
 
     @property
     def is_ground(self) -> bool:

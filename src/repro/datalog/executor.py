@@ -8,12 +8,16 @@ What differs between them is only the *firing hook*:
 
 * plain derivation collects the projected head tuples;
 * delta-seminaive execution substitutes a delta relation for one body atom
-  (``delta_position``) so a rule only re-fires on new tuples;
-* provenance recording additionally reports, for every satisfying
-  substitution, the matched body rows (in body order) to a recorder such as
-  :meth:`repro.provenance.graph.ProvenanceGraph.add_derivation`, which
-  records the firing as a derivation hyper-edge and later compiles it into
-  the hash-consed provenance circuit (:mod:`repro.provenance.circuit`)
+  (``delta_position``) so a rule only re-fires on new tuples, and each
+  combination of new rows fires once (the plans are exact, see
+  :mod:`repro.datalog.plan`);
+* provenance recording is set-at-a-time: each rule application that fires
+  makes one ``recorder(label, (head_predicate, *source_predicates),
+  firings)`` call, each firing ``(head_values, *source_rows)`` — the head
+  and the matched positive body rows in body order.  The recorder is
+  :meth:`repro.provenance.graph.ProvenanceGraph.add_derivations`, which
+  interns the whole batch as derivation hyper-edges and later compiles them
+  into the hash-consed provenance circuit (:mod:`repro.provenance.circuit`)
   instead of multiplying out polynomials per derived tuple.
 
 The semi-naive fixpoint loop itself (:func:`run_stratum` /
@@ -37,7 +41,6 @@ from typing import Callable, Optional, Protocol, Sequence, runtime_checkable
 from ..errors import ConfigurationError, DatalogError
 from ..obs import NULL_SPAN
 from .plan import (
-    UNBOUND,
     CompiledProgram,
     CompiledRule,
     DispatchEntry,
@@ -45,10 +48,11 @@ from .plan import (
     triggered,
 )
 
-#: ``recorder(label, (head_predicate, head_values), sources)`` — invoked once
-#: per satisfying substitution, with ``sources`` the matched positive body
-#: rows as ``(predicate, values)`` pairs in original body order.
-Recorder = Callable[[str, tuple[str, tuple], list[tuple[str, tuple]]], object]
+#: ``recorder(label, (head_predicate, *source_predicates), firings)`` —
+#: invoked once per rule application that fires, with ``firings`` the list of
+#: its firings, each ``(head_values, *source_rows)``: the derived head tuple
+#: and the matched positive body rows in original body order.
+Recorder = Callable[[str, tuple[str, ...], list[tuple]], object]
 
 
 class ExecutionStats:
@@ -86,37 +90,21 @@ def fire_rule(
     """Apply one compiled rule and return the set of derivable head tuples.
 
     With ``delta``/``delta_position`` the atom at that body position matches
-    the delta relation instead of the database (semi-naive firing).  With a
-    ``recorder`` every satisfying substitution is reported as a derivation
-    before its head tuple joins the result set.
+    the delta relation instead of the database, and the positive atoms
+    before it match their relation minus the delta (semi-naive firing: each
+    combination of delta rows fires at its first delta position only).  With
+    a ``recorder`` the application's firings are reported in one call
+    before the heads are returned.  ``stats.rules_fired`` counts firings.
     """
     plan = compiled.plan_for(delta_position if delta is not None else None)
-    env = [UNBOUND] * compiled.num_slots
-    regs: list = [None] * compiled.reg_count
-    derived: set[tuple] = set()
-    project = plan.project
-    fired = 0
-
     if recorder is None:
-        def emit(env, regs):
-            nonlocal fired
-            fired += 1
-            derived.add(project(env))
+        heads = plan.heads(database, delta)
+        fired, derived = len(heads), set(heads)
     else:
-        rule = compiled.rule
-        label = rule.label or f"rule:{rule.head.predicate}"
-        head_predicate = rule.head.predicate
-        source_specs = plan.source_specs
-
-        def emit(env, regs):
-            nonlocal fired
-            fired += 1
-            head_values = project(env)
-            sources = [(predicate, regs[reg]) for predicate, reg in source_specs]
-            recorder(label, (head_predicate, head_values), sources)
-            derived.add(head_values)
-
-    plan.run(database, delta, env, regs, emit)
+        firings = plan.firings(database, delta)
+        if firings:
+            recorder(compiled.label, compiled.signature, firings)
+        fired, derived = len(firings), {firing[0] for firing in firings}
     if stats is not None:
         stats.rules_fired += fired
     return derived
@@ -172,10 +160,10 @@ def run_stratum(
             derived = _traced_fire(
                 tracer, compiled, database, recorder=recorder, stats=stats
             )
-        for values in derived:
-            if database.add(head, values):
-                delta[head].add(values)
-                all_new[head].add(values)
+        fresh = database.add_many(head, derived)
+        if fresh:
+            delta[head].update(fresh)
+            all_new[head].update(fresh)
 
     iterations = 1
     while delta:
@@ -200,10 +188,10 @@ def run_stratum(
                     tracer, compiled, database, delta, position,
                     recorder=recorder, stats=stats,
                 )
-            for values in derived:
-                if database.add(head, values):
-                    next_delta[head].add(values)
-                    all_new[head].add(values)
+            fresh = database.add_many(head, derived)
+            if fresh:
+                next_delta[head].update(fresh)
+                all_new[head].update(fresh)
         delta = next_delta
         iterations += 1
     if stats is not None:
@@ -249,10 +237,11 @@ def run_program(
 class ExecutionBackend(Protocol):
     """Strategy protocol behind :func:`run_program` and delta propagation.
 
-    Both backends share the firing-hook contract: every derivation is (or is
-    equivalent to) one ``recorder(label, head, sources)`` call, head tuples
-    land in the ``database`` via :meth:`Database.add`, and counters accumulate
-    in :class:`ExecutionStats`.  The two backends reach the same fixpoint and
+    Both backends share the firing-hook contract: every derivation reaches
+    the recorder as one firing of a ``recorder(label, predicates, firings)``
+    batch, head tuples land in the ``database`` via :meth:`Database.add` or
+    :meth:`Database.add_many`, and counters accumulate in
+    :class:`ExecutionStats`.  The two backends reach the same fixpoint and
     record the same derivation *set*, but their per-round firing counts may
     differ (the SQL backend stages each round strictly while the closure
     executor sees intra-round insertions), so differential tests compare
@@ -378,11 +367,11 @@ class PythonExecutionBackend:
                                 tracer, rule, database, current, position,
                                 recorder=recorder, stats=stats,
                             )
-                        for values in derived:
-                            if database.add(head, values):
-                                next_delta[head].add(values)
-                                inserted[head].add(values)
-                                accumulated.setdefault(head, set()).add(values)
+                        fresh = database.add_many(head, derived)
+                        if fresh:
+                            next_delta[head].update(fresh)
+                            inserted[head].update(fresh)
+                            accumulated.setdefault(head, set()).update(fresh)
                     current = next_delta
         if stats is not None:
             for values in inserted.values():
@@ -397,7 +386,7 @@ class PythonExecutionBackend:
         lines = []
         for rule in compiled.rules:
             plan = rule.plan_for(None)
-            lines.append(f"{rule.rule}  --  " + " -> ".join(plan.description))
+            lines.append(f"{rule.rule}  --  {plan.kind}: " + " -> ".join(plan.description))
         return lines
 
 

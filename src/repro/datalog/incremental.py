@@ -209,7 +209,7 @@ class IncrementalEngine:
         self, delta: dict[str, set[tuple]], inserted: dict[str, set[tuple]]
     ) -> None:
         """Semi-naive propagation of a batch of new tuples across all strata."""
-        recorder = self._graph.add_derivation if self._graph is not None else None
+        recorder = self._graph.add_derivations if self._graph is not None else None
         derived = self._backend.propagate(
             self.compiled, self._database, delta, recorder=recorder, stats=self._stats
         )

@@ -389,13 +389,23 @@ def parse_fact(text: str) -> Fact:
         raise parser._error("trailing input after fact")
     values = []
     for term in atom.terms:
-        if isinstance(term, Constant):
-            values.append(term.value)
-        elif isinstance(term, SkolemTerm) and term.is_ground:
-            values.append(term)
+        if isinstance(term, Constant) or (isinstance(term, SkolemTerm) and term.is_ground):
+            values.append(_ground_value(term))
         else:
             raise DatalogParseError(f"fact {text!r} contains non-ground term {term!r}")
     return Fact(atom.predicate, tuple(values))
+
+
+def _ground_value(term):
+    """The value a ground term denotes: a constant's value, or the labelled
+    null a skolem term over ground arguments builds (equal to the same null
+    built anywhere else)."""
+    if isinstance(term, Constant):
+        return term.value
+    if isinstance(term, SkolemTerm):
+        arguments = tuple(_ground_value(argument) for argument in term.arguments)
+        return SkolemTerm(term.function, arguments)
+    return term
 
 
 def _iter_statements(text: str) -> Iterator[tuple[str, int]]:

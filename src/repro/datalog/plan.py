@@ -27,11 +27,25 @@ This module does all of that work **once per rule**:
   the environment to the ground output tuple (building labelled nulls for
   skolem terms); a head of two or more plain variables compiles to an
   ``operator.itemgetter`` over their slots.
+* **Copy plans** — a rule ``H(x̄) :- B(ȳ)`` with one positive body atom over
+  distinct plain variables and a head of plain variables (the mappings'
+  identity copies and the publication rules) skips the closure chain: it
+  fires as one comprehension over the delta or relation rows, handing the
+  row itself or an ``itemgetter`` pick of it over, with an arity check.
+* **Exact delta plans** — the delta plan for body position *i* reads the
+  relation *minus the current delta* at every positive position *j < i*
+  (ΔRᵢ ⋈ R_old for j < i, ΔRᵢ ⋈ R_new for j > i, as in pydbsp's
+  delta-lifted join), so a combination whose rows arrive in one delta fires
+  once, at its first delta position, instead of once per delta position.
+  Only repeats are left out, so the derivations, the order they are first
+  recorded in and the graph's tuple ids are those of full-relation delta
+  plans.  A rule whose head predicate is also in its body keeps full
+  relations (see :meth:`CompiledRule._build_plan`).
 
-Plans compile to chains of continuation closures executed by
-:mod:`repro.datalog.executor`; the firing hooks (plain derivation,
-delta-substitution, provenance recording) are supplied at execution time,
-which is what lets all three evaluators share this single backbone.
+Join plans compile to chains of continuation closures; every plan exposes
+``heads`` and ``firings``, which :mod:`repro.datalog.executor` calls with
+the database and delta of a rule application, so plain derivation,
+delta-substitution and provenance recording share this single backbone.
 
 Compiled rules and programs are cached by *structural identity* (rules are
 frozen dataclasses, so two independently compiled copies of the same
@@ -271,6 +285,11 @@ def _compile_atom_match(
 # ---------------------------------------------------------------------------
 # Step continuations
 # ---------------------------------------------------------------------------
+#
+# Each ``_make_*_step`` compiles one literal in plan order (so the bound
+# variable set and the description evolve forward) and returns a *linker*:
+# ``link(next_step) -> step``.  The plan links the steps back to front, so
+# every step calls its successor directly.
 
 def _terminal(database, delta, env, regs, emit) -> None:
     emit(env, regs)
@@ -281,68 +300,86 @@ def _make_atom_step(
     slots: dict[Variable, int],
     bound: set[Variable],
     reg: int,
-    use_delta: bool,
-    next_step,
+    mode: str,
     describe: list[str],
 ):
-    """Compile one positive body atom into a candidate-enumeration step."""
+    """Compile one positive body atom into a candidate-enumeration step.
+
+    ``mode`` says which rows the atom reads: ``"delta"`` the current delta,
+    ``"full"`` the whole relation, ``"old"`` the relation minus the current
+    delta (the atoms before the delta atom of an exact delta plan).
+    Returns ``(link, probe)`` with ``probe`` the ``(predicate, position)``
+    index the step probes, if any.
+    """
     predicate = atom.predicate
 
     probe_position: Optional[int] = None
     probe_getter = None
-    if not use_delta:
+    if mode != "delta":
         for position, term in enumerate(atom.terms):
             if _term_is_ground(term, bound):
                 probe_position = position
                 probe_getter = _value_getter(term, slots, bound)
                 break
 
-    match, fresh = _compile_atom_match(atom, slots, bound, probe_position)
-    reset = fresh  # slots this step binds; statically unbound before it
+    match, reset = _compile_atom_match(atom, slots, bound, probe_position)
+    # ``reset``: the slots this step binds; statically unbound before it.
 
-    if use_delta:
+    if mode == "delta":
         describe.append(f"delta {predicate}")
 
-        def step(database, delta, env, regs, emit):
-            for row in delta.get(predicate, _EMPTY):
-                if match(row, env):
-                    regs[reg] = row
-                    next_step(database, delta, env, regs, emit)
-                for slot in reset:
-                    env[slot] = UNBOUND
+        def rows_of(database, delta, env):
+            return delta.get(predicate, _EMPTY)
 
     elif probe_position is not None:
         describe.append(f"probe {predicate}[{probe_position}]")
         position = probe_position
         getter = probe_getter
 
-        def step(database, delta, env, regs, emit):
-            for row in database.probe(predicate, position, getter(env)):
-                if match(row, env):
-                    regs[reg] = row
-                    next_step(database, delta, env, regs, emit)
-                for slot in reset:
-                    env[slot] = UNBOUND
+        def rows_of(database, delta, env):
+            return database.probe(predicate, position, getter(env))
 
     else:
         describe.append(f"scan {predicate}")
 
-        def step(database, delta, env, regs, emit):
-            for row in database.rows(predicate):
-                if match(row, env):
-                    regs[reg] = row
-                    next_step(database, delta, env, regs, emit)
-                for slot in reset:
-                    env[slot] = UNBOUND
+        def rows_of(database, delta, env):
+            return database.rows(predicate)
 
-    return step, (predicate, probe_position) if probe_position is not None else None
+    if mode == "old":
+        describe[-1] += " \\ delta"
+
+        def link(next_step):
+            def step(database, delta, env, regs, emit):
+                skip = delta.get(predicate)
+                for row in rows_of(database, delta, env):
+                    if skip and row in skip:
+                        continue
+                    if match(row, env):
+                        regs[reg] = row
+                        next_step(database, delta, env, regs, emit)
+                    for slot in reset:
+                        env[slot] = UNBOUND
+            return step
+
+    else:
+
+        def link(next_step):
+            def step(database, delta, env, regs, emit):
+                for row in rows_of(database, delta, env):
+                    if match(row, env):
+                        regs[reg] = row
+                        next_step(database, delta, env, regs, emit)
+                    for slot in reset:
+                        env[slot] = UNBOUND
+            return step
+
+    return link, (predicate, probe_position) if probe_position is not None else None
 
 
 def _make_comparison_step(
     comparison: Comparison,
     slots: dict[Variable, int],
     bound: set[Variable],
-    next_step,
     describe: list[str],
 ):
     left = _value_getter(comparison.left, slots, bound)
@@ -350,29 +387,32 @@ def _make_comparison_step(
     evaluate = comparison.evaluate
     describe.append(f"compare {comparison.op}")
 
-    def step(database, delta, env, regs, emit):
-        if evaluate(left(env), right(env)):
-            next_step(database, delta, env, regs, emit)
+    def link(next_step):
+        def step(database, delta, env, regs, emit):
+            if evaluate(left(env), right(env)):
+                next_step(database, delta, env, regs, emit)
+        return step
 
-    return step
+    return link
 
 
 def _make_negation_step(
     atom: Atom,
     slots: dict[Variable, int],
     bound: set[Variable],
-    next_step,
     describe: list[str],
 ):
     getters = tuple(_value_getter(term, slots, bound) for term in atom.terms)
     predicate = atom.predicate
     describe.append(f"negation {predicate}")
 
-    def step(database, delta, env, regs, emit):
-        if not database.contains(predicate, tuple(g(env) for g in getters)):
-            next_step(database, delta, env, regs, emit)
+    def link(next_step):
+        def step(database, delta, env, regs, emit):
+            if not database.contains(predicate, tuple(g(env) for g in getters)):
+                next_step(database, delta, env, regs, emit)
+        return step
 
-    return step
+    return link
 
 
 # ---------------------------------------------------------------------------
@@ -446,32 +486,148 @@ def _order_literals(
 # ---------------------------------------------------------------------------
 
 class RulePlan:
-    """One executable ordering of a rule body plus its head projection.
+    """One executable plan of a rule for one delta position (or none).
 
-    ``run(database, delta, env, regs, emit)`` enumerates every satisfying
-    environment; ``project(env)`` instantiates the head;
-    ``source_specs`` names the ``(predicate, register)`` pairs whose matched
-    rows justify a firing (in original body order, for provenance).
+    ``heads(database, delta)`` lists the head tuple of every firing, in
+    firing order (a head derived twice is listed twice);
+    ``firings(database, delta)`` lists every firing as ``(head, *source
+    rows)``, the matched positive body rows in body order, for provenance.
+    ``kind`` is ``"copy"`` for a copy plan and ``"join"`` for a closure plan;
+    ``project`` is the head projection (``env -> head`` for a join plan,
+    ``row -> head`` for a copy plan, ``None`` for an identity copy).
     """
 
-    __slots__ = ("run", "project", "source_specs", "probes", "description")
+    __slots__ = ("kind", "heads", "firings", "project", "probes", "description")
 
-    def __init__(self, run, project, source_specs, probes, description) -> None:
-        self.run = run
+    def __init__(self, kind, heads, firings, project, probes, description) -> None:
+        self.kind = kind
+        self.heads = heads
+        self.firings = firings
         self.project = project
-        self.source_specs = source_specs
         self.probes = probes
         self.description = description
 
 
-class CompiledRule:
-    """A rule compiled once: a plain plan plus one delta plan per positive atom."""
+def _copy_columns(rule: Rule) -> Optional[tuple[int, ...]]:
+    """The head as column positions of the body atom, for a copy rule.
 
-    __slots__ = ("rule", "num_slots", "reg_count", "positive_positions", "_plans")
+    A copy rule ``H(x̄) :- B(ȳ)`` has one positive body atom over distinct
+    plain variables and a head of plain variables (each bound by the atom,
+    by rule safety); anything else returns ``None`` and keeps a join plan.
+    """
+    if len(rule.body) != 1:
+        return None
+    atom = rule.body[0]
+    if not isinstance(atom, Atom) or atom.negated:
+        return None
+    terms = atom.terms
+    if len(set(terms)) != len(terms) or not all(
+        isinstance(term, Variable) for term in (*terms, *rule.head.terms)
+    ):
+        return None
+    column = {variable: index for index, variable in enumerate(terms)}
+    return tuple(column[variable] for variable in rule.head.terms)
+
+
+def _copy_plan(atom: Atom, columns: tuple[int, ...], use_delta: bool) -> RulePlan:
+    """A copy rule fired as one comprehension over the delta or relation rows.
+
+    The head is the row itself (identity), an ``itemgetter`` pick of its
+    columns (permutation or projection), or a one-column/empty tuple; rows
+    of another arity match nothing, as in a join plan.
+    """
+    predicate = atom.predicate
+    arity = len(atom.terms)
+    if use_delta:
+        def rows_of(database, delta):
+            return delta.get(predicate, _EMPTY)
+    else:
+        def rows_of(database, delta):
+            return database.rows(predicate)
+
+    if columns == tuple(range(arity)):
+        project = None
+
+        def heads(database, delta):
+            return [row for row in rows_of(database, delta) if len(row) == arity]
+
+        def firings(database, delta):
+            return [(row, row) for row in rows_of(database, delta) if len(row) == arity]
+
+    else:
+        if len(columns) > 1:
+            project = itemgetter(*columns)
+        elif columns:
+            column = columns[0]
+            project = lambda row: (row[column],)
+        else:
+            project = lambda row: ()
+
+        def heads(database, delta):
+            return [project(row) for row in rows_of(database, delta) if len(row) == arity]
+
+        def firings(database, delta):
+            return [
+                (project(row), row) for row in rows_of(database, delta) if len(row) == arity
+            ]
+
+    description = (f"{'delta' if use_delta else 'scan'} {predicate}",)
+    return RulePlan("copy", heads, firings, project, frozenset(), description)
+
+
+def _join_plan(run, project, num_slots: int, reg_count: int, sources: tuple[int, ...]):
+    """``(heads, firings)`` of a closure plan: ``run`` enumerates every
+    satisfying environment and the per-call ``emit`` collects it."""
+
+    def heads(database, delta):
+        found: list = []
+        append = found.append
+
+        def emit(env, regs):
+            append(project(env))
+
+        run(database, delta, [UNBOUND] * num_slots, [None] * reg_count, emit)
+        return found
+
+    pick = itemgetter(*sources) if len(sources) > 1 else None
+    source = sources[0] if len(sources) == 1 else None
+
+    def firings(database, delta):
+        found: list = []
+        append = found.append
+        if pick is not None:
+            def emit(env, regs):
+                append((project(env), *pick(regs)))
+        elif source is not None:
+            def emit(env, regs):
+                append((project(env), regs[source]))
+        else:
+            def emit(env, regs):
+                append((project(env),))
+
+        run(database, delta, [UNBOUND] * num_slots, [None] * reg_count, emit)
+        return found
+
+    return heads, firings
+
+
+class CompiledRule:
+    """A rule compiled once: a plain plan plus one delta plan per positive atom.
+
+    ``label`` names the rule in provenance and ``signature`` is
+    ``(head predicate, *positive body predicates)``, the relations of each
+    firing a plan's ``firings`` lists.
+    """
+
+    __slots__ = (
+        "rule", "label", "signature", "num_slots", "reg_count",
+        "positive_positions", "_plans",
+    )
 
     def __init__(self, rule: Rule) -> None:
         rule.validate()
         self.rule = rule
+        self.label = rule.label or f"rule:{rule.head.predicate}"
         variables: set[Variable] = set()
         variables.update(rule.head.variables())
         for literal in rule.body:
@@ -487,54 +643,68 @@ class CompiledRule:
             for position, literal in enumerate(rule.body)
             if isinstance(literal, Atom) and not literal.negated
         )
-        self._plans: dict[Optional[int], RulePlan] = {
-            None: self._build_plan(slots, None)
-        }
+        self.signature = (
+            rule.head.predicate,
+            *(rule.body[position].predicate for position in self.positive_positions),
+        )
+        columns = _copy_columns(rule)
+        if columns is not None:
+            self._plans: dict[Optional[int], RulePlan] = {
+                None: _copy_plan(rule.body[0], columns, False),
+                0: _copy_plan(rule.body[0], columns, True),
+            }
+            return
+        self._plans = {None: self._build_plan(slots, None)}
         for position in self.positive_positions:
             self._plans[position] = self._build_plan(slots, position)
 
     def _build_plan(
         self, slots: dict[Variable, int], delta_position: Optional[int]
     ) -> RulePlan:
+        """The closure plan for one delta position (``None``: the plain plan).
+
+        A delta plan is exact: atoms before the delta position read their
+        relation minus the current delta, so a combination whose rows all
+        arrived in one delta fires once, at its first delta position
+        (ΔRᵢ ⋈ R_old for j < i, pydbsp's delta-lifted join).  The executor
+        inserts a rule's heads between the firings of its positions, so a
+        rule whose head predicate is also in its body keeps full relations:
+        skipping would defer some combinations to the next round instead of
+        dropping duplicates, changing the order derivations are recorded in.
+        """
         rule = self.rule
         ordered = _order_literals(rule, delta_position)
+        recursive = self.signature[0] in self.signature[1:]
         bound: set[Variable] = set()
         probes: set[tuple[str, int]] = set()
         description: list[str] = []
 
-        # Build steps in plan order, each wired to a one-cell forwarder that
-        # is patched to the next step afterwards (so descriptions and the
-        # bound-variable set both evolve forward).
-        steps: list = []
-        cells: list[list] = []
-
-        def make_forwarder(cell: list):
-            def forward(database, delta, env, regs, emit):
-                cell[0](database, delta, env, regs, emit)
-            return forward
-
+        links: list = []
         for position, literal, use_delta in ordered:
-            cell = [_terminal]
-            cells.append(cell)
-            nxt = make_forwarder(cell)
             if isinstance(literal, Comparison):
-                steps.append(
-                    _make_comparison_step(literal, slots, bound, nxt, description)
-                )
+                links.append(_make_comparison_step(literal, slots, bound, description))
             elif literal.negated:
-                steps.append(
-                    _make_negation_step(literal, slots, bound, nxt, description)
-                )
+                links.append(_make_negation_step(literal, slots, bound, description))
             else:
-                step, probe = _make_atom_step(
-                    literal, slots, bound, position, use_delta, nxt, description
+                if use_delta:
+                    mode = "delta"
+                elif (
+                    delta_position is not None
+                    and position < delta_position
+                    and not recursive
+                ):
+                    mode = "old"
+                else:
+                    mode = "full"
+                link, probe = _make_atom_step(
+                    literal, slots, bound, position, mode, description
                 )
                 if probe is not None:
                     probes.add(probe)
-                steps.append(step)
-        for index in range(len(steps) - 1):
-            cells[index][0] = steps[index + 1]
-        run = steps[0] if steps else _terminal
+                links.append(link)
+        run = _terminal
+        for link in reversed(links):
+            run = link(run)
 
         head_terms = rule.head.terms
         project_getters = tuple(_value_getter(term, slots, bound) for term in head_terms)
@@ -548,11 +718,12 @@ class CompiledRule:
             def project(env) -> tuple:
                 return tuple(getter(env) for getter in project_getters)
 
-        source_specs = tuple(
-            (rule.body[position].predicate, position)
-            for position in self.positive_positions
+        heads, firings = _join_plan(
+            run, project, self.num_slots, self.reg_count, self.positive_positions
         )
-        return RulePlan(run, project, source_specs, frozenset(probes), tuple(description))
+        return RulePlan(
+            "join", heads, firings, project, frozenset(probes), tuple(description)
+        )
 
     def plan_for(self, delta_position: Optional[int] = None) -> RulePlan:
         try:

@@ -116,7 +116,7 @@ def evaluate_with_provenance(
         run_program(
             compiled,
             working,
-            recorder=provenance_graph.add_derivation,
+            recorder=provenance_graph.add_derivations,
             stats=stats,
             max_iterations=max_iterations,
         )
@@ -124,7 +124,7 @@ def evaluate_with_provenance(
         backend.run_program(
             compiled,
             working,
-            recorder=provenance_graph.add_derivation,
+            recorder=provenance_graph.add_derivations,
             stats=stats,
             max_iterations=max_iterations,
         )

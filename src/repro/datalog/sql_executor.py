@@ -40,7 +40,8 @@ whole semi-naive iteration *inside* SQLite:
 
 Provenance recording rides along: with a recorder attached, the statements
 additionally SELECT the matched body rows of every firing, and the backend
-streams the cursor in batches through the ordinary recorder hook — the same
+streams the cursor through the ordinary recorder hook, one call per fetched
+batch of firings — the same
 derivation *set* the Python executor records (each derivation fires in the
 round where its newest body tuple is in the delta; the graph deduplicates),
 so databases and provenance polynomials are identical across backends.
@@ -187,8 +188,8 @@ def _to_sql(value: object):
 def _parse_skolem(blob: bytes, start: int = 0) -> SkolemTerm:
     # Hot path: every *new* skolem blob a promotion returns is parsed
     # exactly once (then memoised), so this loop is written for speed —
-    # inlined tag dispatch and a dataclass construction that skips
-    # ``__init__``/``__post_init__`` (the arguments are already a tuple).
+    # inlined tag dispatch.  The term itself goes through the constructor,
+    # which computes the hash labelled nulls carry.
     payloads = []
     append = payloads.append
     find = blob.find
@@ -208,10 +209,7 @@ def _parse_skolem(blob: bytes, start: int = 0) -> SkolemTerm:
             arguments.append(int(payload[1:]))
         else:
             arguments.append(_from_blob(payload))
-    term = SkolemTerm.__new__(SkolemTerm)
-    object.__setattr__(term, "function", payloads[0][1:].decode("utf-8"))
-    object.__setattr__(term, "arguments", tuple(arguments))
-    return term
+    return SkolemTerm(payloads[0][1:].decode("utf-8"), tuple(arguments))
 
 
 def _from_blob(cell: bytes) -> object:
@@ -1000,23 +998,27 @@ class SQLExecutionBackend:
             return rows
         cursor = self._connection.execute(statement.select_sql, params)
         head_arity = entry.head_arity
+        # One recorder call per fetched batch: the firings are the decoded
+        # ``(head, *source rows)`` column slices of each result row.
+        slices = [slice(0, head_arity)]
+        offset = head_arity
+        for _, arity in entry.source_layout:
+            slices.append(slice(offset, offset + arity))
+            offset += arity
+        signature = (entry.head_predicate, *(predicate for predicate, _ in entry.source_layout))
+        decode = self._decode_row
         while True:
             rows = cursor.fetchmany(_RECORDER_BATCH)
             if not rows:
                 break
-            head_batch = []
-            for row in rows:
-                head_values = self._decode_row(row[:head_arity])
-                sources = []
-                offset = head_arity
-                for predicate, arity in entry.source_layout:
-                    sources.append(
-                        (predicate, self._decode_row(row[offset:offset + arity]))
-                    )
-                    offset += arity
-                recorder(entry.label, (entry.head_predicate, head_values), sources)
-                head_batch.append(row[:head_arity])
-            self._connection.executemany(entry.stage_insert_sql, head_batch)
+            recorder(
+                entry.label,
+                signature,
+                [tuple([decode(row[part]) for part in slices]) for row in rows],
+            )
+            self._connection.executemany(
+                entry.stage_insert_sql, [row[:head_arity] for row in rows]
+            )
             if stats is not None:
                 stats.rules_fired += len(rows)
 

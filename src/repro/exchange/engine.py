@@ -19,7 +19,7 @@ support).
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import defaultdict
+from collections.abc import Collection, Iterator, Mapping
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -34,26 +34,78 @@ from ..provenance.graph import ProvenanceGraph
 from .rules import derived_relation, published_relation, split_derived, is_published_relation
 
 
+class PeerChanges(Mapping):
+    """One side of a :class:`TranslationDelta`: ``peer → [(relation, values)]``.
+
+    The engine adds each relation's change set unsorted.  A peer's list —
+    every relation's tuples in ``repr`` order, relations in the order they
+    were added — is built the first time that peer is read, and the
+    unsorted chunks are then dropped, so peers nobody reads (every peer of a
+    publish-only run) are never sorted.  Iterating peers and counting
+    changes never sort.
+    """
+
+    __slots__ = ("_chunks", "_lists", "_sizes")
+
+    def __init__(self) -> None:
+        #: Per peer, the ``(relation, rows)`` chunks not yet sorted.
+        self._chunks: dict[str, list[tuple[str, Collection[tuple]]]] = {}
+        #: Per peer, its sorted list once read.
+        self._lists: dict[str, list[tuple[str, tuple]]] = {}
+        #: Per peer, its number of changes; also the peers' order.
+        self._sizes: dict[str, int] = {}
+
+    def add(self, peer: str, relation: str, rows: Collection[tuple]) -> None:
+        """Record that ``rows`` of ``relation`` changed at ``peer``."""
+        if rows:
+            self._chunks.setdefault(peer, []).append((relation, rows))
+            self._sizes[peer] = self._sizes.get(peer, 0) + len(rows)
+
+    def count(self, peer: Optional[str] = None) -> int:
+        """Changes at ``peer`` (all peers when omitted), without sorting."""
+        if peer is None:
+            return sum(self._sizes.values())
+        return self._sizes.get(peer, 0)
+
+    def __getitem__(self, peer: str) -> list[tuple[str, tuple]]:
+        changes = self._lists.get(peer)
+        if changes is None:
+            chunks = self._chunks.pop(peer)  # KeyError: the peer has no changes
+            changes = self._lists[peer] = [
+                (relation, values)
+                for relation, rows in chunks
+                for values in sorted(rows, key=repr)
+            ]
+        return changes
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._sizes)
+
+    def __len__(self) -> int:
+        return len(self._sizes)
+
+
 @dataclass
 class TranslationDelta:
     """The effect of one published transaction on every peer's derived relations.
 
     ``inserted``/``deleted`` map a peer name to the list of
     ``(relation, tuple)`` pairs that appeared/disappeared in that peer's
-    schema when the transaction was folded into the published state.
+    schema when the transaction was folded into the published state
+    (:class:`PeerChanges`, sorted per peer when first read).
     """
 
     txn_id: str
     origin: str
     epoch: int
-    inserted: dict[str, list[tuple[str, tuple]]] = field(default_factory=dict)
-    deleted: dict[str, list[tuple[str, tuple]]] = field(default_factory=dict)
+    inserted: PeerChanges = field(default_factory=PeerChanges)
+    deleted: PeerChanges = field(default_factory=PeerChanges)
 
     def affected_peers(self) -> set[str]:
         return set(self.inserted) | set(self.deleted)
 
     def is_empty_for(self, peer: str) -> bool:
-        return not self.inserted.get(peer) and not self.deleted.get(peer)
+        return not self.inserted.count(peer) and not self.deleted.count(peer)
 
     def touches(self, peer: str) -> bool:
         """Does the transaction bring ``peer`` something it does not already
@@ -62,9 +114,7 @@ class TranslationDelta:
         return peer != self.origin and not self.is_empty_for(peer)
 
     def change_count(self) -> int:
-        total = sum(len(changes) for changes in self.inserted.values())
-        total += sum(len(changes) for changes in self.deleted.values())
-        return total
+        return self.inserted.count() + self.deleted.count()
 
 
 class ExchangeEngine:
@@ -228,8 +278,8 @@ class ExchangeEngine:
                 delete_facts.append(Fact(relation, update.old_values or ()))
                 insert_facts.append(Fact(relation, update.values))
 
-        inserted: dict[str, list[tuple[str, tuple]]] = defaultdict(list)
-        deleted: dict[str, list[tuple[str, tuple]]] = defaultdict(list)
+        inserted = PeerChanges()
+        deleted = PeerChanges()
 
         with self._obs.span(
             "exchange.txn", txn=transaction.txn_id, origin=origin
@@ -245,8 +295,8 @@ class ExchangeEngine:
             txn_id=transaction.txn_id,
             origin=origin,
             epoch=transaction.epoch,
-            inserted=dict(inserted),
-            deleted=dict(deleted),
+            inserted=inserted,
+            deleted=deleted,
         )
         self._deltas[transaction.txn_id] = delta
         self._processed_order.append(transaction.txn_id)
@@ -258,8 +308,8 @@ class ExchangeEngine:
                 touching.append((transaction, delta))
         metrics = self._obs.metrics
         metrics.counter_add("exchange.transactions", 1, label=origin)
-        insertions = sum(len(changes) for changes in inserted.values())
-        deletions = sum(len(changes) for changes in deleted.values())
+        insertions = inserted.count()
+        deletions = deleted.count()
         if insertions:
             metrics.counter_add("exchange.delta.insertions", insertions)
         if deletions:
@@ -273,17 +323,13 @@ class ExchangeEngine:
         return [self.process_transaction(transaction) for transaction in transactions]
 
     @staticmethod
-    def _collect(
-        changes: dict[str, set[tuple]],
-        accumulator: dict[str, list[tuple[str, tuple]]],
-    ) -> None:
+    def _collect(changes: dict[str, set[tuple]], accumulator: PeerChanges) -> None:
         """Group engine-level changes (qualified names) by target peer."""
         for qualified, tuples in changes.items():
             if is_published_relation(qualified):
                 continue
             peer, relation = split_derived(qualified)
-            for values in sorted(tuples, key=repr):
-                accumulator[peer].append((relation, values))
+            accumulator.add(peer, relation, tuples)
 
     # -- full recomputation (ablation baseline) -----------------------------------
     def recompute(self) -> None:

@@ -11,13 +11,18 @@ replicas are stored once.
 
 Storage is on dense integer tuple ids: ``(relation, values)`` is interned
 once through ``relation → values → id``; a tuple's relation, values, base
-variable and adjacency lists sit in id-indexed lists, and roots, dirty and
+variable and adjacency entries sit in id-indexed lists, and roots, dirty and
 unsupported sets and component ids are keyed by id.  A derivation is one flat
 record ``(mapping_id, target_id, *source_ids)`` in an insertion-ordered dict
-``record → rule variable`` that is also the duplicate check, so recording a
-firing hashes each participating row once.  :class:`TupleNode` and
-:class:`DerivationNode` are values the inspection methods build on demand;
-none is stored.  The graph supports:
+``record → rule variable`` that is also the duplicate check.  Recording is
+batched: the executors hand :meth:`ProvenanceGraph.add_derivations` every
+firing of one rule application at once, the relations' interning dicts are
+looked up once per batch, and a firing hashes each participating row once.
+A tuple's adjacency entry is the shared ``()`` until it has records, a tuple
+of up to eight records, and a list beyond, so the graph's many small entries
+are tuples, which the garbage collector can stop tracking, not lists.
+:class:`TupleNode` and :class:`DerivationNode` are values the inspection
+methods build on demand; none is stored.  The graph supports:
 
 * lazily expanding a tuple's provenance into an expression or polynomial
   (budget-bounded; kept for oracles and display),
@@ -38,7 +43,7 @@ none is stored.  The graph supports:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 from ..errors import ProvenanceError
 from .circuit import ZERO, CircuitEvaluator, CircuitStore, MembershipAssignment
@@ -53,6 +58,27 @@ _UNREACHED = float("inf")
 
 #: Index of the first source id in a record ``(mapping_id, target_id, *source_ids)``.
 _FIRST_SOURCE = 2
+
+#: Adjacency entries stay tuples up to this many records, then become lists.
+_TUPLE_ADJACENCY = 8
+
+
+def _adjoin(adjacency: list, tuple_id: int, record: tuple) -> None:
+    """Append ``record`` to one tuple's adjacency entry.
+
+    Most tuples have one or two derivations and users, so an entry starts as
+    the shared ``()`` and grows as a tuple (which the garbage collector can
+    untrack, unlike a list); past ``_TUPLE_ADJACENCY`` records it turns into
+    a list once and is appended to in place, so a hub tuple with many users
+    still builds in linear time.
+    """
+    records = adjacency[tuple_id]
+    if type(records) is list:
+        records.append(record)
+    elif len(records) < _TUPLE_ADJACENCY:
+        adjacency[tuple_id] = records + (record,)
+    else:
+        adjacency[tuple_id] = [*records, record]
 
 
 class _ExpandFrame:
@@ -150,9 +176,10 @@ class ProvenanceGraph:
         #: ``(mapping_id, target_id, *source_ids) → rule variable``.
         self._derivations: dict[tuple, Optional[str]] = {}
         #: Per tuple, the records deriving it and the records using it as a
-        #: source (once each, however often a body repeats it).
-        self._by_target: list[list[tuple]] = []
-        self._by_source: list[list[tuple]] = []
+        #: source (once each, however often a body repeats it): a tuple of up
+        #: to ``_TUPLE_ADJACENCY`` records, a list beyond (see :func:`_adjoin`).
+        self._by_target: list[Sequence[tuple]] = []
+        self._by_source: list[Sequence[tuple]] = []
         self._annotate_mappings = annotate_mappings
         self._store = store if store is not None else CircuitStore()
         #: Cached circuit root per tuple; invalidated transitively on change.
@@ -187,8 +214,8 @@ class ProvenanceGraph:
         self._relations.append(relation)
         self._values.append(values)
         self._variables.append(variable)
-        self._by_target.append([])
-        self._by_source.append([])
+        self._by_target.append(())
+        self._by_source.append(())
         # Derived: unsupported until a derivation says otherwise.  Base: adds support.
         self._dirty[tuple_id] = variable is None
         return tuple_id
@@ -232,41 +259,91 @@ class ProvenanceGraph:
         rule_variable: Optional[str] = None,
     ) -> None:
         """Record that ``sources`` jointly derive ``target`` through ``mapping_id``
-        (a firing already recorded changes nothing).
+        (a firing already recorded changes nothing): a one-firing
+        :meth:`add_derivations`."""
+        pairs = (target, *sources)
+        self.add_derivations(
+            mapping_id,
+            tuple(relation for relation, _ in pairs),
+            [tuple(tuple(values) for _, values in pairs)],
+            rule_variable,
+        )
 
-        The hot path of update exchange (the executors' ``recorder``): it builds
-        no node and spells the two-level lookup out, so that a firing costs one
-        hash and no call per participating row.
+    def add_derivations(
+        self,
+        mapping_id: str,
+        predicates: tuple[str, ...],
+        firings: Iterable[tuple],
+        rule_variable: Optional[str] = None,
+    ) -> None:
+        """Record a batch of firings of one rule (the executors' ``recorder``).
+
+        ``predicates`` is ``(target relation, *source relations)`` and each
+        firing is ``(target values, *source values)`` in the same order, all
+        tuples; a firing already recorded changes nothing.  This is the only
+        interning loop of the graph and the hot path of update exchange: the
+        relations' interning dicts are looked up once per batch, and a firing
+        costs one hash per participating row plus one for its record.
         """
         ids = self._ids
-        fields: list = [mapping_id]
-        for relation, values in (target, *sources):
-            values = tuple(values)
-            by_values = ids.setdefault(relation, {})
-            tuple_id = by_values.get(values)
-            if tuple_id is None:
-                # Never registered: a derived placeholder until asserted as base data.
-                tuple_id = self._new_tuple(by_values, relation, values, None)
-            fields.append(tuple_id)
-        record = tuple(fields)
-        if record in self._derivations:
-            return
+        columns = tuple((ids.setdefault(relation, {}), relation) for relation in predicates)
         if self._annotate_mappings and rule_variable is None:
             rule_variable = f"m:{mapping_id}"
-        self._derivations[record] = rule_variable
-        target_id = record[1]
-        self._by_target[target_id].append(record)
+        # A row never registered becomes a derived placeholder (until
+        # asserted as base data), numbered in firing order, target first.
+        new_tuple = self._new_tuple
+
+        def records():
+            if len(columns) == 2:
+                # A copy rule's ``(head, row)`` firings: no per-column loop.
+                (targets, target_relation), (sources, source_relation) = columns
+                for target, source in firings:
+                    target_id = targets.get(target)
+                    if target_id is None:
+                        target_id = new_tuple(targets, target_relation, target, None)
+                    source_id = sources.get(source)
+                    if source_id is None:
+                        source_id = new_tuple(sources, source_relation, source, None)
+                    yield (mapping_id, target_id, source_id)
+                return
+            for firing in firings:
+                fields = [mapping_id]
+                for (by_values, relation), values in zip(columns, firing):
+                    tuple_id = by_values.get(values)
+                    if tuple_id is None:
+                        tuple_id = new_tuple(by_values, relation, values, None)
+                    fields.append(tuple_id)
+                yield tuple(fields)
+
+        by_target = self._by_target
         by_source = self._by_source
-        for source_id in record[_FIRST_SOURCE:]:
-            users = by_source[source_id]
-            # A body repeating a source finds this record on top of its list: index it once.
-            if not users or users[-1] is not record:
-                users.append(record)
-        if rule_variable:
+        dirty = self._dirty
+        derivations = self._derivations
+        scc = self._scc
+        recorded = False
+        for record in records():
+            if record in derivations:
+                continue
+            derivations[record] = rule_variable
+            recorded = True
+            target_id = record[1]
+            if by_target[target_id]:
+                _adjoin(by_target, target_id, record)
+            else:
+                by_target[target_id] = (record,)
+            for source_id in record[_FIRST_SOURCE:]:
+                users = by_source[source_id]
+                if not users:
+                    by_source[source_id] = (record,)
+                # A body repeating a source finds this record on top: index it once.
+                elif users[-1] is not record:
+                    _adjoin(by_source, source_id, record)
+            if target_id not in dirty:
+                dirty[target_id] = False
+            if target_id in scc:
+                self._forget_components(target_id)
+        if recorded and rule_variable:
             self._rule_variables.add(rule_variable)
-        self._dirty.setdefault(target_id, False)
-        if target_id in self._scc:
-            self._forget_components(target_id)
 
     def remove_base_tuple(self, relation: str, values: tuple) -> bool:
         """Demote a base tuple to derived-only (it was deleted at its origin).

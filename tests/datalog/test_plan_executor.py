@@ -67,15 +67,20 @@ class TestPlanCompilation:
         )
 
     def test_delta_atom_leads_its_plan(self):
+        """Re-recorded when delta plans became exact: R sits before the delta
+        position, so its probe reads R minus the current delta (``\\ delta``)
+        and a combination whose R and S rows arrived together fires once, in
+        the plan for R."""
         rule = parse_rule("T(x, z) :- R(x, y), S(y, z), x < y.")
         compiled = compile_rule(rule)
         # Body position 1 is S(y, z): the delta binds y and z, R is probed
         # on its y column, and the guard fires once x is bound.
         assert compiled.plan_for(1).description == (
             "delta S",
-            "probe R[1]",
+            "probe R[1] \\ delta",
             "compare <",
         )
+        assert compiled.plan_for(0).description == ("delta R", "compare <", "probe S[0]")
 
     def test_greedy_ordering_prefers_shared_variables(self):
         # Body order would join R x U as a cross product before S connects

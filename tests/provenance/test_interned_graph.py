@@ -163,7 +163,7 @@ def test_a_firing_hashes_each_participating_row_once():
 def test_retained_bytes_per_derivation_on_a_chain():
     """60k tuples, each derived from the one before: the graph keeps at most
     600 B per derivation (the dict-of-nodes representation kept about 860 B,
-    this one about 440 B, on CPython 3.11).  The rows are the caller's."""
+    this one about 360 B, on CPython 3.11).  The rows are the caller's."""
     length = 60_000
     rows = [(index,) for index in range(length + 1)]
     gc.collect()
