@@ -2,7 +2,7 @@
 
 The analyzer inspects a network description — chase termination (weak
 acyclicity of the skolemized mapping graph), rule safety, trust-policy
-lints, topology, and SQL-backend compilability — and reports findings with
+lints and topology — and reports findings with
 stable ``CDSS0xx`` codes and source positions, exactly like a compiler.
 
 This example first analyzes a deliberately problematic network (a mapping

@@ -13,8 +13,10 @@ source spans:
   mapping ids (``CDSS004``–``CDSS007``),
 * network shape — isolated peers, redundant mappings (``CDSS008``/``009``),
 * trust-policy lints — shadowed, unsatisfiable, and mutually-distrusting
-  rows (``CDSS010``–``012``), and
-* SQL-backend compilability prediction (``CDSS013``).
+  rows (``CDSS010``–``012``).
+
+``CDSS013`` (a rule the removed SQL execution backend could not compile) is
+retired; its number is never reused.
 
 Entry points: ``python -m repro.lint`` (CLI), :func:`analyze_network_spec`,
 :func:`analyze_program`, ``cdss.analyze()``, and
@@ -48,7 +50,6 @@ __all__ = [
 
 _LAZY = {
     "analyze_program": ("program", "analyze_program"),
-    "sql_fallback_reasons": ("program", "sql_fallback_reasons"),
     "analyze_network_spec": ("network", "analyze_network_spec"),
     "analyze_system": ("network", "analyze_system"),
     "weak_acyclicity_violations": ("chase", "weak_acyclicity_violations"),

@@ -55,11 +55,10 @@ UNSATISFIABLE_TRUST = "CDSS011"
 #: the other (priority 0 both ways): every exchanged update is rejected,
 #: which livelocks reconciliation between them.
 MUTUAL_DISTRUST = "CDSS012"
-#: A rule cannot be compiled by the SQL execution backend and will fall
-#: back to the Python executor.
-SQL_FALLBACK = "CDSS013"
+# CDSS013 is retired (a rule the removed SQL execution backend could not
+# compile); the number is never reused.
 #: The spec document itself is malformed: unparsable clause, unknown
-#: directive, bad key/store/sync/execution declaration.
+#: directive, bad key/store/sync/observe declaration.
 MALFORMED_SPEC = "CDSS014"
 
 
@@ -164,19 +163,11 @@ REGISTRY: Dict[str, CodeInfo] = {
             "each other priority 0; every exchanged update is rejected.",
         ),
         CodeInfo(
-            SQL_FALLBACK,
-            INFO,
-            "sql fallback",
-            "The rule cannot be compiled to SQL and will run on the Python "
-            "executor (a whole-program fallback when the sql backend is "
-            "selected).",
-        ),
-        CodeInfo(
             MALFORMED_SPEC,
             ERROR,
             "malformed spec",
             "The spec document is structurally invalid: unparsable clause, "
-            "unknown directive, or a bad key/store/sync/execution "
+            "unknown directive, or a bad key/store/sync/observe "
             "declaration.",
         ),
     )

@@ -12,8 +12,7 @@
 * network shape — isolated peers and redundant mappings (``CDSS008``,
   ``CDSS009``),
 * trust-policy lints — shadowed rows, unsatisfiable rows, mutual-distrust
-  cycles (``CDSS010``–``CDSS012``), and
-* SQL compilability of the compiled exchange program (``CDSS013``).
+  cycles (``CDSS010``–``CDSS012``).
 
 :func:`analyze_system` runs the same analyses against a live
 :class:`~repro.core.system.CDSS` (backing ``cdss.analyze()``).
@@ -59,7 +58,6 @@ def analyze_network_spec(
     _check_chase_termination(spec, report)
     _check_topology(spec, report)
     _check_trust(spec, report)
-    _check_sql_compilability(spec, report)
     return _finish(report.sort(), source_name)
 
 
@@ -300,43 +298,13 @@ def _check_trust(spec: "NetworkSpec", report: DiagnosticReport) -> None:
             )
 
 
-def _check_sql_compilability(spec: "NetworkSpec", report: DiagnosticReport) -> None:
-    """Predict which compiled exchange rules the SQL backend punts (CDSS013)."""
-    from ..exchange.rules import compile_mappings
-    from .program import sql_fallback_reasons
-
-    try:
-        peers = [(peer.name, peer.schema()) for peer in spec.peers.values()]
-        program = compile_mappings(peers, list(spec.mappings))
-    except ReproError:
-        return  # structural errors already reported; nothing to compile
-    sql_selected = spec.word("execution") == "sql"
-    severity = codes.WARNING if sql_selected else codes.INFO
-    consequence = (
-        "; the selected sql backend will run the whole program on the "
-        "Python executor"
-        if sql_selected
-        else ""
-    )
-    for rule, reason in sql_fallback_reasons(program):
-        label = rule.label or rule.head.predicate
-        report.add(
-            codes.SQL_FALLBACK,
-            f"rule {label!r} cannot be compiled to SQL ({reason}){consequence}",
-            severity=severity,
-            span=rule.span or _mapping_span(spec, label),
-            subject=label,
-        )
-
-
 def analyze_system(cdss: object) -> DiagnosticReport:
     """Analyze a live :class:`~repro.core.system.CDSS` (``cdss.analyze()``).
 
     When the system's trust policies are table-based the full network
     analysis runs on the extracted spec; systems carrying Python trust
     predicates fall back to the program-level analyses (safety,
-    stratification, arity, SQL compilability) over the compiled exchange
-    program.
+    stratification, arity) over the compiled exchange program.
     """
     from ..api.spec import spec_of
 
@@ -349,5 +317,4 @@ def analyze_system(cdss: object) -> DiagnosticReport:
 
     from .program import analyze_program
 
-    sql_selected = cdss.config.exchange.execution_backend == "sql"
-    return analyze_program(cdss.engine.program, sql_selected=sql_selected)
+    return analyze_program(cdss.engine.program)

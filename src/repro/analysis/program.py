@@ -6,10 +6,7 @@ Works on :class:`~repro.datalog.ast.Program` objects (typically parsed with
 * rule safety / range restriction (``CDSS001``),
 * stratifiability — negation through recursion (``CDSS002``), with the
   witnessing predicate cycle named instead of a bare boolean,
-* arity consistency of each predicate across the program (``CDSS004``),
-* SQL-backend compilability prediction (``CDSS013``): which rules the
-  :class:`~repro.datalog.sql_executor.SQLExecutionBackend` would punt back
-  to the Python executor, and why.
+* arity consistency of each predicate across the program (``CDSS004``).
 """
 
 from __future__ import annotations
@@ -105,53 +102,9 @@ def check_arities(program: Program, report: DiagnosticReport) -> None:
                 visit(literal, rule)
 
 
-def sql_fallback_reasons(program: Program) -> List[Tuple[Rule, str]]:
-    """``(rule, reason)`` for every rule the SQL backend cannot compile."""
-    from ..datalog.sql_executor import rule_fallback_reason
-
-    fallbacks: List[Tuple[Rule, str]] = []
-    for rule in program.rules:
-        try:
-            reason = rule_fallback_reason(rule)
-        except UnsafeRuleError:
-            continue  # already a CDSS001; compiling it is moot
-        except Exception as error:  # uncompilable for a deeper reason
-            reason = str(error)
-        if reason is not None:
-            fallbacks.append((rule, reason))
-    return fallbacks
-
-
-def check_sql_compilability(
-    program: Program, report: DiagnosticReport, *, sql_selected: bool = False
-) -> None:
-    """Report rules the SQL backend would punt to Python as ``CDSS013``.
-
-    The finding is informational by default and a warning when the sql
-    backend is actually selected (one such rule makes the whole program run
-    on the Python executor).
-    """
-    severity = codes.WARNING if sql_selected else codes.INFO
-    consequence = (
-        "; the sql backend will run the whole program on the Python executor"
-        if sql_selected
-        else ""
-    )
-    for rule, reason in sql_fallback_reasons(program):
-        report.add(
-            codes.SQL_FALLBACK,
-            f"rule {_rule_subject(rule)!r} cannot be compiled to SQL "
-            f"({reason}){consequence}",
-            severity=severity,
-            span=rule.span,
-            subject=_rule_subject(rule),
-        )
-
-
 def analyze_program(
     program: Program,
     *,
-    sql_selected: bool = False,
     source: Optional[str] = None,
 ) -> DiagnosticReport:
     """Run every program-level analysis and return the combined report."""
@@ -159,7 +112,6 @@ def analyze_program(
     check_safety(program, report)
     check_stratification(program, report)
     check_arities(program, report)
-    check_sql_compilability(program, report, sql_selected=sql_selected)
     report.sort()
     if source is not None:
         report = report.with_source(source)

@@ -273,7 +273,7 @@ def _section_method(name: str) -> Callable[..., NetworkBuilder]:
     """The :class:`NetworkBuilder` method that declares spec section ``name``.
 
     One is installed per row group of :data:`repro.config.SECTIONS`
-    (``store``, ``sync``, ``execution``, ``observe``), taking the section's
+    (``store``, ``sync``, ``observe``), taking the section's
     leading word and its knobs as keyword arguments — the call
     ``.sync("gossip", fanout=2)`` is the line ``sync gossip fanout 2``.
     The word defaults to the first one that is not the system's default.

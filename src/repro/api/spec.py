@@ -15,8 +15,8 @@ paper itself uses::
 The format is line-oriented:
 
 * ``network <name>`` (optional) names the network;
-* ``store``, ``sync``, ``execution`` and ``observe`` (all optional, before the
-  first peer) set system options: ``<section> <word> [<knob> <value> ...]``,
+* ``store``, ``sync`` and ``observe`` (all optional, before the first
+  peer) set system options: ``<section> <word> [<knob> <value> ...]``,
   e.g. ``store distributed shards 4 replication 2`` or ``sync gossip fanout 2
   sketch iblt``.  The sections, their knobs, values and defaults are the rows
   of :data:`repro.config.OPTIONS` (README, "System options"); a knob the
@@ -252,8 +252,8 @@ class NetworkSpec:
     )
 
     def word(self, section: str) -> Optional[str]:
-        """The leading word of a declared section (``"sql"`` for ``execution
-        sql``), ``None`` when the spec leaves the section to the config."""
+        """The leading word of a declared section (``"gossip"`` for ``sync
+        gossip``), ``None`` when the spec leaves the section to the config."""
         declared = self.sections.get(section)
         return None if declared is None else str(declared.values[SECTIONS[section][0].knob])
 
@@ -524,6 +524,9 @@ def _mapping_from_lines(
 
 
 def _parse_dict_spec(data: MappingType) -> NetworkSpec:
+    unknown = [key for key in data if key not in ("name", "peers", "mappings", *SECTIONS)]
+    if unknown:
+        malformed(f"unrecognised spec entry {unknown[0]!r}")
     spec = NetworkSpec(name=str(data.get("name", "network")))
     for name, (head, *knobs) in SECTIONS.items():
         entry = data.get(name)

@@ -75,6 +75,8 @@ class Option:
                 return f"needs an integer, got {value!r}"
             if value < self.floor:
                 return f"must be >= {self.floor}, got {value}"
+        elif not isinstance(value, bool):
+            return f"needs a boolean, got {value!r}"
         return None
 
     def get(self, config: "SystemConfig") -> Any:
@@ -115,18 +117,10 @@ class ExchangeConfig(_OptionGroup):
     Attributes:
         track_provenance: Maintain provenance for derived tuples.
         max_iterations: Safety bound on semi-naive iterations (0 = unbounded).
-        execution_backend: How compiled rule plans are fired — ``"python"``
-            (the tuple-at-a-time closure executor, the default) or ``"sql"``
-            (set-at-a-time ``INSERT ... SELECT`` pushdown into an in-memory
-            SQLite mirror; see :mod:`repro.datalog.sql_executor`).  Both
-            backends produce identical databases and provenance polynomials.
     """
 
     track_provenance: bool = _option(True)
     max_iterations: int = _option(0, floor=0)
-    execution_backend: str = _option(
-        "python", "execution <backend>", choices=("python", "sql")
-    )
 
 
 @dataclass(frozen=True)
@@ -233,8 +227,7 @@ class SystemConfig:
     """Top-level configuration for a :class:`repro.core.system.CDSS`.
 
     A spec section and the group it sets share a name (``store``, ``sync``,
-    ``observe``); ``execution`` sets :attr:`ExchangeConfig.execution_backend`.
-    The groups are declared in the order a spec renders their sections.
+    ``observe``).  The groups are declared in the order a spec renders their sections.
     """
 
     store: StoreConfig = field(default_factory=StoreConfig)

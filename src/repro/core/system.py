@@ -328,37 +328,17 @@ class CDSS:
         return self._engine
 
     def explain(self) -> str:
-        """The mapping program's execution plan, rendered per backend.
-
-        On the ``sql`` backend this is the generated ``INSERT ... SELECT``
-        statement of every rule plan (plain and per-position delta); on the
-        ``python`` backend it is the compiled join-plan pipeline of each
-        rule.  Falls back to the python rendering when the SQL compiler
-        cannot express the program.
-        """
-        backend = self.engine.backend
-        lines = list(backend.explain(self.engine.compiled_program))
-        predictions = self._fallback_predictions()
-        if predictions:
-            lines.append("")
-            lines.append("-- static analysis: rules the SQL backend cannot compile --")
-            lines.extend(predictions)
-        return "\n".join(lines)
-
-    def _fallback_predictions(self) -> list[str]:
-        from ..analysis.program import sql_fallback_reasons
-
-        return [
-            f"{rule.label or rule.head.predicate}: {reason}"
-            for rule, reason in sql_fallback_reasons(self.engine.program)
-        ]
+        """The mapping program's execution plan: the compiled join-plan
+        pipeline of each rule, one line per rule."""
+        engine = self.engine
+        return "\n".join(engine.backend.explain(engine.compiled_program))
 
     def analyze(self):
         """Run the static analyzer against this system.
 
         Returns a :class:`~repro.analysis.diagnostics.DiagnosticReport`
         covering chase termination, rule safety, stratifiability, trust
-        lints, topology, and SQL compilability — without executing anything.
+        lints and topology — without executing anything.
         """
         from ..analysis import analyze_system
 

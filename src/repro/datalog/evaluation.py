@@ -234,7 +234,6 @@ def evaluate_program(
     max_iterations: int = 0,
     copy: bool = True,
     stats: Optional[ExecutionStats] = None,
-    backend=None,
 ) -> Database:
     """Evaluate ``program`` over ``database`` and return the resulting database.
 
@@ -242,18 +241,11 @@ def evaluate_program(
     supported through stratification; an unstratifiable program raises
     :class:`~repro.errors.StratificationError`.  The program is compiled
     once (cached across calls by structural identity) and executed through
-    the shared engine in :mod:`repro.datalog.executor` — or through an
-    explicit :class:`~repro.datalog.executor.ExecutionBackend` strategy
-    (for example the SQL pushdown backend) when ``backend`` is given.
+    the closure executor in :mod:`repro.datalog.executor`.
     """
     compiled = compile_program(program)
     working = database.copy() if copy else database
-    if backend is None:
-        run_program(compiled, working, stats=stats, max_iterations=max_iterations)
-    else:
-        backend.run_program(
-            compiled, working, stats=stats, max_iterations=max_iterations
-        )
+    run_program(compiled, working, stats=stats, max_iterations=max_iterations)
     return working
 
 

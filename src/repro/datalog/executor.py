@@ -24,21 +24,17 @@ The semi-naive fixpoint loop itself (:func:`run_stratum` /
 :func:`run_program`) is likewise shared, so the firing semantics of a whole
 evaluation is chosen by passing (or omitting) a ``recorder``.
 
-The loop is also where execution *strategies* plug in: an
-:class:`ExecutionBackend` owns the fixpoint iteration, so the tuple-at-a-time
-closure executor in this module (:class:`PythonExecutionBackend`) and the
-set-at-a-time SQL pushdown backend
-(:class:`repro.datalog.sql_executor.SQLExecutionBackend`) are interchangeable
-behind the same firing-hook contract and :class:`ExecutionStats` counters.
-Pick one with :func:`create_backend`.
+:class:`PythonExecutionBackend` is the closure executor the incremental
+engine holds: a stateless wrapper over :func:`run_program` plus the
+delta-propagation loop, with its counters in :class:`ExecutionStats`.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Callable, Optional, Protocol, Sequence, runtime_checkable
+from typing import Callable, Optional, Sequence
 
-from ..errors import ConfigurationError, DatalogError
+from ..errors import DatalogError
 from ..obs import NULL_SPAN
 from .plan import (
     CompiledProgram,
@@ -233,71 +229,13 @@ def run_program(
     return all_new
 
 
-@runtime_checkable
-class ExecutionBackend(Protocol):
-    """Strategy protocol behind :func:`run_program` and delta propagation.
-
-    Both backends share the firing-hook contract: every derivation reaches
-    the recorder as one firing of a ``recorder(label, predicates, firings)``
-    batch, head tuples land in the ``database`` via :meth:`Database.add` or
-    :meth:`Database.add_many`, and counters accumulate in
-    :class:`ExecutionStats`.  The two backends reach the same fixpoint and
-    record the same derivation *set*, but their per-round firing counts may
-    differ (the SQL backend stages each round strictly while the closure
-    executor sees intra-round insertions), so differential tests compare
-    databases and provenance — never raw stats.
-    """
-
-    name: str
-
-    def run_program(
-        self,
-        compiled: CompiledProgram,
-        database,
-        recorder: Optional[Recorder] = None,
-        stats: Optional[ExecutionStats] = None,
-        max_iterations: int = 0,
-    ) -> dict[str, set[tuple]]:
-        """Evaluate ``compiled`` to fixpoint, mutating ``database`` in place."""
-        ...
-
-    def propagate(
-        self,
-        compiled: CompiledProgram,
-        database,
-        delta: dict[str, set[tuple]],
-        recorder: Optional[Recorder] = None,
-        stats: Optional[ExecutionStats] = None,
-    ) -> dict[str, set[tuple]]:
-        """Semi-naive propagation of newly inserted tuples across all strata.
-
-        ``delta`` maps predicates to tuples that were just added to
-        ``database`` (they are already present).  Mutates ``database`` with
-        every consequence and returns the newly derived tuples per predicate.
-        A round fires only the pairs :attr:`CompiledProgram.dispatch` maps
-        its delta predicates to.
-        """
-        ...
-
-    def notify_removals(self, deleted: dict[str, set[tuple]]) -> None:
-        """Tuples were removed from the maintained database behind our back.
-
-        Stateful backends (the SQL mirror) use this to stay in sync with
-        deletion paths that bypass :meth:`run_program`/:meth:`propagate`;
-        the stateless Python backend ignores it.
-        """
-        ...
-
-
 class PythonExecutionBackend:
-    """The tuple-at-a-time closure executor (the default strategy).
+    """The closure executor behind :class:`~repro.datalog.incremental.IncrementalEngine`.
 
     A thin, stateless wrapper over this module's :func:`run_program` plus the
-    delta-propagation loop historically owned by
-    :class:`repro.datalog.incremental.IncrementalEngine`.
+    semi-naive delta-propagation loop.
     """
 
-    name = "python"
     # Installed (as an instance attribute) by IncrementalEngine when the
     # owning system carries an Observability holder; backends stay usable
     # standalone with tracing and metrics simply absent.
@@ -378,9 +316,6 @@ class PythonExecutionBackend:
                 stats.tuples_derived += len(values)
         return dict(inserted)
 
-    def notify_removals(self, deleted: dict[str, set[tuple]]) -> None:
-        pass
-
     def explain(self, compiled: CompiledProgram) -> list[str]:
         """Human-readable join-plan dump, one line per compiled rule."""
         lines = []
@@ -389,20 +324,3 @@ class PythonExecutionBackend:
             lines.append(f"{rule.rule}  --  {plan.kind}: " + " -> ".join(plan.description))
         return lines
 
-
-def create_backend(name: str) -> ExecutionBackend:
-    """Instantiate an execution backend by name (``"python"`` or ``"sql"``).
-
-    Backends may be stateful (the SQL backend keeps a persistent SQLite
-    mirror of the database it maintains), so every call returns a fresh
-    instance.
-    """
-    if name == "python":
-        return PythonExecutionBackend()
-    if name == "sql":
-        from .sql_executor import SQLExecutionBackend
-
-        return SQLExecutionBackend()
-    raise ConfigurationError(
-        f"execution backend must be 'python' or 'sql', got {name!r}"
-    )

@@ -17,11 +17,11 @@ scratch.  This module implements:
     depending on the deleted facts, then re-derive what still has an
     alternative derivation.  Used as the non-provenance ablation baseline.
 
-Both paths fire rules through the shared compiled executor
-(:mod:`repro.datalog.executor`): the program is compiled to join plans once
-at engine construction (cached by structural identity, so every engine over
-the same mapping program shares the plans), and provenance recording is just
-a different firing hook on the same plans.
+Both paths fire rules through the closure executor
+(:class:`~repro.datalog.executor.PythonExecutionBackend`): the program is
+compiled to join plans once at engine construction (cached by structural
+identity, so every engine over the same mapping program shares the plans),
+and provenance recording is just a different firing hook on the same plans.
 """
 
 from __future__ import annotations
@@ -34,12 +34,13 @@ from ..errors import DatalogError
 from ..provenance.graph import ProvenanceGraph
 from .ast import Fact, Program
 from .evaluation import Database, evaluate_program
-from .executor import ExecutionBackend, ExecutionStats, create_backend
+from .executor import ExecutionStats, PythonExecutionBackend
 from .plan import CompiledProgram, compile_program, evict_program
 from .provenance_eval import (
     ProvenanceDatabase,
     default_variable_namer,
     evaluate_with_provenance,
+    record_base_tuples,
 )
 
 
@@ -65,7 +66,9 @@ class IncrementalEngine:
     The engine owns a :class:`Database` holding base and derived tuples, an
     optional :class:`ProvenanceGraph`, and the program whose fixpoint is being
     maintained.  ``apply_insertions``/``apply_deletions`` update the database
-    in place and report exactly which derived tuples changed.
+    in place and report exactly which derived tuples changed.  ``backend``
+    substitutes the executor object (tests pass instrumented subclasses of
+    :class:`PythonExecutionBackend`).
     """
 
     def __init__(
@@ -74,19 +77,15 @@ class IncrementalEngine:
         database: Optional[Database] = None,
         track_provenance: bool = True,
         variable_namer=default_variable_namer,
-        execution_backend: str | ExecutionBackend = "python",
+        backend: Optional[PythonExecutionBackend] = None,
         observability=None,
     ) -> None:
         self._program = program
-        self._backend: ExecutionBackend = (
-            create_backend(execution_backend)
-            if isinstance(execution_backend, str)
-            else execution_backend
-        )
-        # Backends carry the shared observability holder as an instance
-        # attribute (rather than widening the protocol's call signatures);
-        # they re-read ``observability.tracer`` at fire time, so tracers
-        # installed after construction are picked up.
+        self._backend = backend if backend is not None else PythonExecutionBackend()
+        # The backend carries the shared observability holder as an instance
+        # attribute (rather than widening its call signatures); it re-reads
+        # ``observability.tracer`` at fire time, so tracers installed after
+        # construction are picked up.
         if observability is not None:
             self._backend.observability = observability
         self._observability = observability
@@ -100,7 +99,7 @@ class IncrementalEngine:
         if self._graph is not None and observability is not None:
             self._graph.observability = observability
         self._database = Database()
-        self._ensure_demanded_indexes()
+        self._database.ensure_indexes(self._compiled.demanded_indexes)
         self._base = Database()
         self._stats = ExecutionStats()
         if database is not None:
@@ -149,19 +148,8 @@ class IncrementalEngine:
             evict_program(self._compiled_key)
             self._compiled = compile_program(self._program)
             self._compiled_key = key
-            self._ensure_demanded_indexes()
-        return self._compiled
-
-    def _ensure_demanded_indexes(self) -> None:
-        """Pre-build plan-demanded column indexes for probing backends only.
-
-        Set-at-a-time backends (SQL pushdown) join inside their own engine
-        and never probe the database's hash indexes; pre-building would tax
-        every ``add`` for nothing.  :meth:`Database.probe` still builds any
-        index lazily, so a fallback to the Python executor stays correct.
-        """
-        if getattr(self._backend, "uses_database_indexes", True):
             self._database.ensure_indexes(self._compiled.demanded_indexes)
+        return self._compiled
 
     @property
     def stats(self) -> ExecutionStats:
@@ -169,8 +157,8 @@ class IncrementalEngine:
         return self._stats
 
     @property
-    def backend(self) -> ExecutionBackend:
-        """The execution strategy firing this engine's compiled plans."""
+    def backend(self) -> PythonExecutionBackend:
+        """The executor firing this engine's compiled plans."""
         return self._backend
 
     def provenance(self) -> ProvenanceDatabase:
@@ -253,8 +241,6 @@ class IncrementalEngine:
         for relation, values in self._graph.unsupported_tuples(since=mark):
             if self._database.remove(relation, values):
                 deleted[relation].add(values)
-        if deleted:
-            self._backend.notify_removals(deleted)
         return dict(deleted)
 
     def _delete_with_dred(
@@ -269,10 +255,7 @@ class IncrementalEngine:
                 self._database.remove(predicate, values)
 
         before = self._database.copy()
-        recomputed = evaluate_program(
-            self._program, self._base, copy=True, stats=self._stats,
-            backend=self._backend,
-        )
+        recomputed = self._fixpoint()
         deleted: dict[str, set[tuple]] = defaultdict(set)
         for predicate in before.predicates():
             for values in before.relation(predicate):
@@ -292,8 +275,8 @@ class IncrementalEngine:
         the returned database equals :attr:`database` after any sequence of
         ``apply_insertions``/``apply_deletions`` calls.  Provenance-tracking
         engines recompute through :func:`evaluate_with_provenance` (on a
-        throwaway graph) so the oracle exercises the same evaluation path
-        that :meth:`recompute` uses.
+        throwaway graph), independent of this engine's backend object, so
+        the oracle exercises the same recording hook :meth:`recompute` uses.
         """
         if self._graph is not None:
             return evaluate_with_provenance(
@@ -313,21 +296,25 @@ class IncrementalEngine:
             self._graph = ProvenanceGraph(store=self._graph.circuit)
             if self._observability is not None:
                 self._graph.observability = self._observability
-            result = evaluate_with_provenance(
-                self._program,
-                self._base,
-                graph=self._graph,
-                variable_namer=self._variable_namer,
-                stats=self._stats,
-                backend=self._backend,
-            )
-            self._database = result.database
-        else:
-            self._database = evaluate_program(
-                self._program, self._base, copy=True, stats=self._stats,
-                backend=self._backend,
-            )
+        self._database = self._fixpoint(self._graph)
         return self._database
+
+    def _fixpoint(self, graph: Optional[ProvenanceGraph] = None) -> Database:
+        """Evaluate the program from scratch over a copy of the base facts.
+
+        Fires through this engine's backend (so tracing and instrumented
+        backends see the rules) and, given a ``graph``, records the base
+        tuples and every derivation into it.
+        """
+        working = self._base.copy()
+        recorder = None
+        if graph is not None:
+            record_base_tuples(graph, working, self._variable_namer)
+            recorder = graph.add_derivations
+        self._backend.run_program(
+            self.compiled, working, recorder=recorder, stats=self._stats
+        )
+        return working
 
 
 def full_recompute(program: Program, base: Database) -> Database:

@@ -67,7 +67,7 @@ class ProvenanceDatabase:
         return self.graph.is_derivable(relation, values, trusted_variables)
 
 
-def _record_base_tuples(
+def record_base_tuples(
     graph: ProvenanceGraph,
     database: Database,
     namer,
@@ -87,7 +87,6 @@ def evaluate_with_provenance(
     variable_namer=default_variable_namer,
     max_iterations: int = 0,
     stats: Optional[ExecutionStats] = None,
-    backend=None,
 ) -> ProvenanceDatabase:
     """Evaluate ``program`` over ``database`` recording provenance.
 
@@ -100,9 +99,6 @@ def evaluate_with_provenance(
             provenance variable of each base tuple.
         max_iterations: Optional safety bound on fixpoint rounds per stratum.
         stats: Optional :class:`ExecutionStats` accumulating firing counters.
-        backend: Optional :class:`~repro.datalog.executor.ExecutionBackend`
-            strategy (for example the SQL pushdown backend); the recorder
-            hook rides along either way.
 
     Returns:
         A :class:`ProvenanceDatabase` with the full derived database and the
@@ -111,23 +107,14 @@ def evaluate_with_provenance(
     compiled = compile_program(program)
     working = database.copy()
     provenance_graph = graph if graph is not None else ProvenanceGraph()
-    _record_base_tuples(provenance_graph, working, variable_namer)
-    if backend is None:
-        run_program(
-            compiled,
-            working,
-            recorder=provenance_graph.add_derivations,
-            stats=stats,
-            max_iterations=max_iterations,
-        )
-    else:
-        backend.run_program(
-            compiled,
-            working,
-            recorder=provenance_graph.add_derivations,
-            stats=stats,
-            max_iterations=max_iterations,
-        )
+    record_base_tuples(provenance_graph, working, variable_namer)
+    run_program(
+        compiled,
+        working,
+        recorder=provenance_graph.add_derivations,
+        stats=stats,
+        max_iterations=max_iterations,
+    )
     return ProvenanceDatabase(working, provenance_graph)
 
 

@@ -132,7 +132,6 @@ class ExchangeEngine:
         self._engine = IncrementalEngine(
             program,
             track_provenance=self._config.track_provenance,
-            execution_backend=self._config.execution_backend,
             observability=self._obs,
         )
         self._deltas: dict[str, TranslationDelta] = {}
@@ -194,7 +193,7 @@ class ExchangeEngine:
 
     @property
     def backend(self):
-        """The execution strategy firing the compiled plans (python or sql)."""
+        """The closure executor firing the compiled plans."""
         return self._engine.backend
 
     @property
@@ -339,10 +338,9 @@ class ExchangeEngine:
     def _mirror_execution_stats(self) -> None:
         """Fold executor-counter movement into the ``exchange.*`` metrics.
 
-        Both execution backends account into the same cumulative
-        :class:`~repro.datalog.executor.ExecutionStats`, so this single
-        mirror covers the Python closure executor and the SQL pushdown
-        alike — the registry is where their counts are compared.
+        The executor accounts into one cumulative
+        :class:`~repro.datalog.executor.ExecutionStats`; this mirrors the
+        movement since the last call into the metrics registry.
         """
         stats = self._engine.stats
         metrics = self._obs.metrics

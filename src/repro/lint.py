@@ -9,8 +9,7 @@ Lints network specs and datalog programs without running anything::
 ``.dl``/``.datalog`` files are parsed as datalog programs (with
 ``validate=False`` so every problem is reported, not just the first) and run
 through the program analyses: safety (``CDSS001``), stratifiability
-(``CDSS002``), arity consistency (``CDSS004``) and SQL compilability
-(``CDSS013``).  Everything else is treated as a network spec and gets the
+(``CDSS002``) and arity consistency (``CDSS004``).  Everything else is treated as a network spec and gets the
 full network analysis on top: chase termination (``CDSS003``), schema and
 mapping structure (``CDSS004``–``CDSS007``), topology (``CDSS008``/``009``),
 and trust lints (``CDSS010``–``012``).

@@ -19,11 +19,9 @@ workload over several replicas, and asserts after every epoch that
 * every archived transaction stays k-way replicated under churn, so losing
   up to k-1 replicas of a shard never loses published data,
 * gossip sketch reconciliation produces reconcile outcomes and instances
-  identical to scalar-cursor catch-up, and
-* the SQL pushdown execution backend derives instances and provenance
-  polynomials identical to the Python closure executor.
+  identical to scalar-cursor catch-up.
 
-Each mode flag (``--store``, ``--sync``, ``--sketch``, ``--execution``: one
+Each mode flag (``--store``, ``--sync``, ``--sketch``: one
 per word-valued row of :data:`repro.config.OPTIONS`) chooses the word the
 *primary* replica runs; the mirror that checks the option runs the other
 word (:data:`repro.workloads.simulation.MIRRORS`).

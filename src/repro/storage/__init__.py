@@ -7,7 +7,7 @@ provides two interchangeable backends behind one protocol:
 * :class:`~repro.storage.memory.MemoryInstance` — an in-memory instance used
   by the simulators, tests and benchmarks, and
 * :class:`~repro.storage.sqlite_backend.SQLiteInstance` — an embedded SQLite
-  instance (stdlib ``sqlite3``) demonstrating durable storage with the same
+  instance (standard-library SQLite) demonstrating durable storage with the same
   interface.
 
 :mod:`repro.storage.update_log` persists the per-peer transaction log that

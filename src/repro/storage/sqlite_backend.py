@@ -44,16 +44,14 @@ def encode_cell(value: object) -> str:
     values compare equal in Python if and only if their encoded texts are
     byte-identical.  Python collapses ``1 == True == 1.0`` (sets and dict
     keys treat them as one value), so booleans and integral floats are
-    canonicalised to plain ints before serialisation.  This is what lets the
-    SQL pushdown executor (:mod:`repro.datalog.sql_executor`) join and
-    compare encoded TEXT columns directly and reach exactly the fixpoint the
-    Python executor reaches.
+    canonicalised to plain ints before serialisation.  This is what lets a
+    SQLite-backed instance key and compare encoded TEXT columns directly and
+    hold exactly the rows an in-memory instance holds.
 
-    The common scalar cases are assembled directly (the SQL executor encodes
-    and decodes every cell crossing the SQLite boundary, and ``json.dumps``
-    dominated its profile); the fast paths produce byte-identical output to
-    the ``json.dumps`` slow path, which remains for skolems, floats, and
-    strings needing escapes.
+    The common scalar cases are assembled directly (every cell crossing the
+    SQLite boundary is encoded, and ``json.dumps`` dominated the profile);
+    the fast paths produce byte-identical output to the ``json.dumps`` slow
+    path, which remains for skolems, floats, and strings needing escapes.
     """
     kind = type(value)
     if kind is int:

@@ -59,7 +59,7 @@ campaigns.  A 25-seed slice runs in the test suite
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
 from ..api.builder import NetworkBuilder
@@ -752,20 +752,6 @@ class SimulationRun:
             self.primary.engine.program, ExchangeConfig(track_provenance=False)
         )
         self._mirror_fed = 0
-        #: Execution-backend mirror: the same program on the *other* rule
-        #: execution backend, fed the primary's archived transaction stream
-        #: (the sql-vs-python oracle).
-        exchange = self.config.system.exchange
-        self.execcheck = ExchangeEngine(
-            self.primary.engine.program,
-            replace(
-                exchange,
-                execution_backend=_other_word(
-                    MODE_OPTIONS["execution"], exchange.execution_backend
-                ),
-            ),
-        )
-        self._execcheck_fed = 0
 
     # -- oracle helpers -----------------------------------------------------
     def _distributed_replica(self) -> CDSS:
@@ -839,59 +825,6 @@ class SimulationRun:
         )
         if diff:
             self._fail(epoch, "provenance-vs-dred", diff)
-
-    def _check_sql_vs_python(self, epoch: int) -> None:
-        """Same program on the other execution backend: identical instances
-        and provenance polynomials (sampled)."""
-        self.oracle_checks += 1
-        entries = self.primary.store.all_entries()
-        for entry in entries[self._execcheck_fed:]:
-            self.execcheck.process_transaction(entry.transaction)
-        self._execcheck_fed = len(entries)
-        primary_label = self.primary.config.exchange.execution_backend
-        mirror_label = self.execcheck.config.execution_backend
-        diff = _diff_relation_maps(
-            _database_relations(self.primary.engine.database),
-            _database_relations(self.execcheck.database),
-            primary_label, mirror_label,
-        )
-        if diff:
-            self._fail(epoch, "sql-vs-python", diff)
-            return
-        graph = self.primary.engine.provenance
-        mirror_graph = self.execcheck.provenance
-        if (
-            graph is None
-            or mirror_graph is None
-            or self.config.provenance_oracle_samples == 0
-        ):
-            return
-        from ..errors import ProvenanceError
-
-        derived = sorted(
-            (node.key for node in graph.tuples() if not node.is_base), key=repr
-        )
-        sample_size = min(len(derived), self.config.provenance_oracle_samples)
-        for relation, values in self._oracle_rng.sample(derived, sample_size):
-            try:
-                primary_polynomial = graph.polynomial_for(
-                    relation, values,
-                    max_monomials=self.config.provenance_oracle_max_monomials,
-                )
-                mirror_polynomial = mirror_graph.polynomial_for(
-                    relation, values,
-                    max_monomials=self.config.provenance_oracle_max_monomials,
-                )
-            except ProvenanceError:
-                continue  # expansion over budget on either side
-            if primary_polynomial != mirror_polynomial:
-                self._fail(
-                    epoch,
-                    "sql-vs-python",
-                    f"{relation}{values!r}: {primary_label}={primary_polynomial!r} "
-                    f"{mirror_label}={mirror_polynomial!r}",
-                )
-                return
 
     def check_mirror(self, mirror: Mirror, epoch: int, primary_snapshot=None) -> None:
         """One row of :data:`MIRRORS`: the replica must be indistinguishable
@@ -1057,7 +990,6 @@ class SimulationRun:
 
         self._check_incremental_vs_recompute(epoch)
         self._check_provenance_vs_dred(epoch)
-        self._check_sql_vs_python(epoch)
         self._check_dag_vs_expanded(epoch)
         primary_snapshot = _snapshot_all(self.primary)
         for mirror in MIRRORS:

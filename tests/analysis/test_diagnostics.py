@@ -9,11 +9,13 @@ from repro.analysis.diagnostics import Diagnostic, DiagnosticReport, message_of
 from repro.errors import SourceSpan, SpecError
 
 
-def test_registry_covers_all_fourteen_codes_with_severities() -> None:
-    assert len(codes.REGISTRY) == 14
+def test_registry_covers_thirteen_codes_with_severities() -> None:
+    assert len(codes.REGISTRY) == 13
+    # CDSS013 is retired: later codes keep their numbers, it is never reused.
+    assert "CDSS013" not in codes.REGISTRY
+    assert codes.MALFORMED_SPEC == "CDSS014"
     assert codes.severity_of(codes.UNSAFE_RULE) == codes.ERROR
     assert codes.severity_of(codes.ISOLATED_PEER) == codes.WARNING
-    assert codes.severity_of(codes.SQL_FALLBACK) == codes.INFO
     for code, info in codes.REGISTRY.items():
         assert info.code == code
         assert info.severity in (codes.ERROR, codes.WARNING, codes.INFO)
@@ -48,7 +50,7 @@ def test_diagnostic_to_dict_round_trips_span_fields() -> None:
 
 def test_report_sorts_by_location_then_severity() -> None:
     report = DiagnosticReport()
-    report.add(codes.SQL_FALLBACK, "later", span=SourceSpan(9, 1))
+    report.add(codes.ISOLATED_PEER, "later", severity=codes.INFO, span=SourceSpan(9, 1))
     report.add(codes.UNSAFE_RULE, "earlier", span=SourceSpan(2, 1))
     report.add(codes.ISOLATED_PEER, "same line warning", span=SourceSpan(2, 1))
     report.sort()
@@ -77,7 +79,7 @@ def test_report_raise_if_errors_carries_first_error_code() -> None:
 
 def test_report_raise_if_errors_is_noop_without_errors() -> None:
     report = DiagnosticReport()
-    report.add(codes.SQL_FALLBACK, "info only")
+    report.add(codes.ISOLATED_PEER, "info only", severity=codes.INFO)
     report.raise_if_errors("test network")
 
 

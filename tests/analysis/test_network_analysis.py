@@ -133,23 +133,6 @@ peer A
     assert not analyze_network_spec(spec).by_code(codes.ISOLATED_PEER)
 
 
-def test_sql_fallback_upgrades_to_warning_under_sql_execution() -> None:
-    spec = """
-network sqlnet
-execution sql
-peer A
-  relation R(x, y)
-peer B
-  relation S(x)
-mapping [SPLIT] @B.S(e) :- @A.R(x, y).
-mapping [BACK] @A.R(x, x) :- @B.S(x).
-"""
-    report = analyze_network_spec(spec)
-    fallbacks = report.by_code(codes.SQL_FALLBACK)
-    if fallbacks:  # only the severity claim must hold under sql execution
-        assert all(d.severity == codes.WARNING for d in fallbacks)
-
-
 @pytest.mark.parametrize("section", SECTIONS)
 def test_analyzer_and_validate_run_the_same_section_check(section: str) -> None:
     """A word outside a section's choice set is one CDSS014 for the analyzer

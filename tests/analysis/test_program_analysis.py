@@ -71,30 +71,6 @@ def test_arity_mismatch_reports_both_locations() -> None:
     assert "line 2" in diagnostic.message
 
 
-def test_sql_fallback_is_info_by_default_and_warning_when_selected() -> None:
-    program = parse_program("derived(x) :- base(sk_f(x)).", validate=False)
-    relaxed = analyze_program(program)
-    [info] = relaxed.by_code(codes.SQL_FALLBACK)
-    assert info.severity == codes.INFO
-
-    strict = analyze_program(program, sql_selected=True)
-    [warning] = strict.by_code(codes.SQL_FALLBACK)
-    assert warning.severity == codes.WARNING
-    assert "Python executor" in warning.message
-
-
-def test_sql_fallback_names_the_reason() -> None:
-    report = analyze("flag() :- base(x).")
-    [diagnostic] = report.by_code(codes.SQL_FALLBACK)
-    assert "arity-0" in diagnostic.message
-
-
-def test_unsafe_rules_do_not_double_report_as_sql_fallback() -> None:
-    report = analyze("p(x, y) :- q(x).")
-    assert report.by_code(codes.UNSAFE_RULE)
-    assert not report.by_code(codes.SQL_FALLBACK)
-
-
 def test_source_is_attached_when_given() -> None:
     program = parse_program("p(x, y) :- q(x).", validate=False)
     report = analyze_program(program, source="rules.dl")

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from repro import CDSS, NetworkBuilder, SpecError
+from repro.analysis import analyze_network_spec
 from repro.api.spec import SectionSpec, parse_network_spec
 from repro.config import OPTIONS, SECTIONS, SyncConfig, SystemConfig, configure
 from repro.errors import ConfigurationError
@@ -15,6 +16,7 @@ from repro.simulate import build_parser
 from repro.workloads.simulation import MODE_OPTIONS
 
 PEER = "peer P\n  relation R(a, b) key(a)\n"
+PEERS = {"P": {"relations": {"R": ["a", "b"]}, "keys": {"R": ["a"]}}}
 SPEC_ROWS = [option for option in OPTIONS if option.section]
 
 
@@ -32,6 +34,15 @@ def section_line(option, value):
         return f"{option.section} {value}", (value,), {}
     word = option.under or head.default
     return f"{option.section} {word} {option.knob} {value}", (word,), {option.knob: value}
+
+
+def section_entry(option, value):
+    """The dict-spec entry setting ``option``: a mapping, or the bare word
+    of a section whose head is its only row."""
+    head, *knobs = SECTIONS[option.section]
+    if option.head:
+        return {option.knob: value} if knobs else value
+    return {head.knob: option.under or head.default, option.knob: value}
 
 
 @pytest.mark.parametrize("option", SPEC_ROWS, ids=lambda option: f"{option.section}-{option.knob}")
@@ -65,6 +76,25 @@ class TestSpecRow:
         with pytest.raises(ConfigurationError, match=option.field):
             configure(SystemConfig(), [(option, bad)])
 
+    def test_the_dict_form_rejects_it_too(self, option):
+        value, bad = values_for(option)
+        line, _, _ = section_line(option, value)
+        good = {"name": "n", option.section: section_entry(option, value), "peers": PEERS}
+        assert CDSS.from_spec(good).config == CDSS.from_spec(f"network n\n{line}\n{PEER}").config
+        with pytest.raises(SpecError) as caught:
+            parse_network_spec({**good, option.section: section_entry(option, bad)})
+        assert caught.value.code == "CDSS014"
+
+    def test_the_analyzer_reports_it_at_its_line_without_raising(self, option):
+        _, bad = values_for(option)
+        line, _, _ = section_line(option, bad)
+        text = f"network n\n{line}\n{PEER}"
+        (diagnostic,) = analyze_network_spec(text).by_code("CDSS014")
+        assert diagnostic.span is not None and diagnostic.span.line == 2
+        with pytest.raises(SpecError) as caught:
+            parse_network_spec(text)
+        assert diagnostic.message in str(caught.value)
+
 
 @pytest.mark.parametrize("flag", MODE_OPTIONS)
 def test_simulator_flag_is_generated_from_the_row(flag):
@@ -96,6 +126,61 @@ def test_the_deleted_scheduler_knobs_fail_closed(mode, knob, value):
         SyncConfig(**{knob: value})
 
 
+@pytest.mark.parametrize("word", ["python", "sql"])
+def test_the_deleted_execution_section_fails_closed(word):
+    """There is one executor: an ``execution`` line is an unknown statement."""
+    with pytest.raises(SpecError) as caught:
+        parse_network_spec(f"network n\nexecution {word}\n{PEER}")
+    assert caught.value.code == "CDSS014"
+    assert caught.value.span.line == 2
+    assert not hasattr(NetworkBuilder, "execution")
+
+
+@pytest.mark.parametrize("key", ["execution", "peer"])
+def test_a_dict_spec_with_an_unknown_entry_fails_closed(key):
+    """A dict spec's unknown top-level key is the dict form of an unknown
+    statement: rejected, not ignored (``peer`` is the misspelt ``peers``)."""
+    with pytest.raises(SpecError, match=f"unrecognised spec entry '{key}'") as caught:
+        parse_network_spec({"name": "n", key: "sql", "peers": PEERS})
+    assert caught.value.code == "CDSS014"
+
+
+def wrong_values(option):
+    """Values of the wrong type or outside the domain of ``option``."""
+    if option.choices:
+        return (option.choices[0].upper(), 1, True, None)
+    if option.floor is not None:
+        unset = () if option.default is None else (None,)
+        return (True, str(option.floor), float(option.floor), option.floor - 1, *unset)
+    return ("no", 0, 1, None)
+
+
+@pytest.mark.parametrize("option", OPTIONS, ids=lambda option: f"{option.group}-{option.field}")
+def test_building_a_group_checks_every_row(option):
+    """Constructing a config group directly, not only through ``configure``,
+    checks each field against its row and names the field it rejects."""
+    group = type(getattr(SystemConfig(), option.group))
+    assert getattr(group(**{option.field: option.default}), option.field) == option.default
+    for bad in wrong_values(option):
+        with pytest.raises(ConfigurationError, match=f"^{option.field} "):
+            group(**{option.field: bad})
+
+
+@pytest.mark.parametrize(
+    "option",
+    [option for option in OPTIONS if not option.choices and option.floor is None],
+    ids=lambda option: f"{option.group}-{option.field}",
+)
+def test_a_flag_needs_a_boolean(option):
+    """Flags take ``True``/``False`` only: a truthy ``"no"`` or an ``int``
+    would otherwise pass and switch the flag the wrong way or silently."""
+    for bad in ("no", 0, 1, None):
+        with pytest.raises(ConfigurationError, match=re.escape(f"needs a boolean, got {bad!r}")):
+            configure(SystemConfig(), [(option, bad)])
+    for good in (True, False):
+        assert option.get(configure(SystemConfig(), [(option, good)])) is good
+
+
 def test_cursor_still_rejects_gossip_knobs():
     for bad in ({"fanout": 2}, {"sketch": "bloom"}, {"attempts": 2}):
         with pytest.raises(SpecError):
@@ -105,7 +190,7 @@ def test_cursor_still_rejects_gossip_knobs():
 def test_every_config_field_is_a_row_and_config_only_ones_are_known():
     """A new field must say whether a spec can set it: it is either in a
     section or added to this list on purpose."""
-    assert len(OPTIONS) == 20
+    assert len(OPTIONS) == 19
     assert {f"{option.group}.{option.field}" for option in OPTIONS if not option.section} == {
         "store.require_online_to_publish",
         "store.require_online_to_reconcile",
@@ -114,8 +199,8 @@ def test_every_config_field_is_a_row_and_config_only_ones_are_known():
         "reconciliation.default_priority",
         "reconciliation.defer_on_ties",
     }
-    assert list(SECTIONS) == ["store", "sync", "execution", "observe"]
-    assert list(MODE_OPTIONS) == ["store", "sync", "sketch", "execution"]
+    assert list(SECTIONS) == ["store", "sync", "observe"]
+    assert list(MODE_OPTIONS) == ["store", "sync", "sketch"]
 
 
 def options_table() -> str:

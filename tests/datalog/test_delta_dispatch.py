@@ -3,13 +3,13 @@
 ``CompiledProgram.dispatch`` maps each body predicate to the ``(rule rank,
 delta position, rule)`` pairs a delta over it triggers.  The loops it
 replaced scanned every rule of a stratum and every positive position of each
-rule in every round; they live on here as the reference backends
-:class:`ScanPythonBackend` and :class:`ScanSQLBackend`.  Every scenario runs
-on the reference and on the real backend, recording ``(rule label, delta
-position)`` per firing, and the firing sequences, the order of the recorded
-derivations and the databases must be identical.
+rule in every round; they live on here as the reference backend
+:class:`ScanPythonBackend`.  Every scenario runs on the reference and on the
+real backend, recording ``(rule label, delta position)`` per firing, and the
+firing sequences, the order of the recorded derivations and the databases
+must be identical.
 
-The Python reference also keeps the delta plans as they were before they
+The reference also keeps the delta plans as they were before they
 became exact (:func:`full_delta_fire`): every atom but the delta atom reads
 its whole relation, so a combination whose rows arrived in one delta fires
 at each of its delta positions.  The exact plans leave out only those
@@ -35,7 +35,6 @@ from repro.datalog.executor import ExecutionStats, PythonExecutionBackend
 from repro.datalog.incremental import IncrementalEngine
 from repro.datalog.parser import parse_program
 from repro.datalog.plan import compile_program, compile_rule, delta_dispatch, triggered
-from repro.datalog.sql_executor import SQLExecutionBackend
 from repro.exchange.rules import published_relation
 from repro.workloads.bioinformatics import build_figure2_network
 from repro.workloads.simulation import RandomWorkload, SimulationConfig, generate_network
@@ -147,39 +146,10 @@ class ScanPythonBackend(PythonExecutionBackend):
         return dict(inserted)
 
 
-class ScanSQLBackend(SQLExecutionBackend):
-    """The SQL backend with its rounds scanning every rule of the stratum
-    (and the scanning Python executor behind its fallback)."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._python = ScanPythonBackend()
-
-    def _fire_triggered(self, stratum, dispatch, current, recorder, stats, pending):
-        touched = set()
-        for entry in stratum:
-            body = entry.rule.body
-            for position, statement in entry.deltas.items():
-                if body[position].predicate not in current:
-                    continue
-                rows = self._execute_statement(entry, statement, recorder, stats)
-                if pending is not None and rows:
-                    pending.setdefault(entry.head_key, []).extend(rows)
-                touched.add(entry.head_key)
-        return touched
-
-
-#: ``(reference, real)`` backend factories per execution strategy.
-BACKENDS = {
-    "python": (ScanPythonBackend, PythonExecutionBackend),
-    "sql": (ScanSQLBackend, SQLExecutionBackend),
-}
-
-
 @pytest.fixture
 def firings(monkeypatch) -> list[tuple[str, object]]:
-    """``(rule label, delta position)`` of every firing, on either backend
-    (``None`` is a plain, non-delta application)."""
+    """``(rule label, delta position)`` of every firing (``None`` is a
+    plain, non-delta application)."""
     log: list[tuple[str, object]] = []
     fire_rule = executor.fire_rule
 
@@ -188,25 +158,13 @@ def firings(monkeypatch) -> list[tuple[str, object]]:
         log.append((rule.label or rule.head.predicate, delta_position))
         return fire_rule(compiled, database, delta, delta_position, **kwargs)
 
-    execute = SQLExecutionBackend._execute_statement
-
-    def executed(self, entry, statement, recorder, stats):
-        position = next(
-            (position for position, delta in entry.deltas.items() if delta is statement), None
-        )
-        log.append((entry.label, position))
-        return execute(self, entry, statement, recorder, stats)
-
     monkeypatch.setattr(executor, "fire_rule", recorded)
-    monkeypatch.setattr(SQLExecutionBackend, "_execute_statement", executed)
     return log
 
 
 def _run(backend, program, batches, firings, track_provenance):
     """Apply ``(deletes, inserts)`` batches; returns what must not differ."""
-    engine = IncrementalEngine(
-        program, track_provenance=track_provenance, execution_backend=backend
-    )
+    engine = IncrementalEngine(program, track_provenance=track_provenance, backend=backend)
     firings.clear()
     for deletes, inserts in batches:
         engine.apply_deletions(deletes)
@@ -222,11 +180,10 @@ def _run(backend, program, batches, firings, track_provenance):
     return list(firings), derivations, database, tuple_ids
 
 
-def assert_dispatch_matches_scan(kind, program, batches, firings, fires=True):
-    reference, real = BACKENDS[kind]
+def assert_dispatch_matches_scan(program, batches, firings, fires=True):
     for track_provenance in (True, False):
-        expected = _run(reference(), program, batches, firings, track_provenance)
-        actual = _run(real(), program, batches, firings, track_provenance)
+        expected = _run(ScanPythonBackend(), program, batches, firings, track_provenance)
+        actual = _run(PythonExecutionBackend(), program, batches, firings, track_provenance)
         assert expected[0] or not fires, "the scenario fires nothing"
         assert actual[0] == expected[0], "firing sequences differ"
         assert actual[1] == expected[1], "derivation order differs"
@@ -295,20 +252,17 @@ def _star():
     return _star_program(), batches
 
 
-@pytest.mark.parametrize("kind", sorted(BACKENDS))
 @pytest.mark.parametrize("seed", range(1, 9))
-def test_generated_networks_fire_as_the_scan_did(kind, seed, firings):
-    assert_dispatch_matches_scan(kind, *_generated(seed), firings)
+def test_generated_networks_fire_as_the_scan_did(seed, firings):
+    assert_dispatch_matches_scan(*_generated(seed), firings)
 
 
-@pytest.mark.parametrize("kind", sorted(BACKENDS))
-def test_figure2_deletion_wave_and_reinsert_fire_as_the_scan_did(kind, firings):
-    assert_dispatch_matches_scan(kind, *_figure2(), firings)
+def test_figure2_deletion_wave_and_reinsert_fire_as_the_scan_did(firings):
+    assert_dispatch_matches_scan(*_figure2(), firings)
 
 
-@pytest.mark.parametrize("kind", sorted(BACKENDS))
-def test_star_fires_as_the_scan_did(kind, firings):
-    assert_dispatch_matches_scan(kind, *_star(), firings)
+def test_star_fires_as_the_scan_did(firings):
+    assert_dispatch_matches_scan(*_star(), firings)
 
 
 def test_a_rule_deriving_its_own_body_keeps_full_relations(firings):
@@ -322,7 +276,7 @@ def test_a_rule_deriving_its_own_body_keeps_full_relations(firings):
         "delta A", "probe C[1]", "scan B",
     )
     batches = [([], [Fact("A", (0, 0)), Fact("B", (0, 0)), Fact("C", (1, 1))])]
-    assert_dispatch_matches_scan("python", program, batches, firings)
+    assert_dispatch_matches_scan(program, batches, firings)
 
 
 # -- random programs: exact delta plans against the full-relation oracle -----------
@@ -383,7 +337,7 @@ def test_exact_delta_plans_record_what_full_delta_plans_recorded(rules, batches)
 
     executor.fire_rule = recorded
     try:
-        assert_dispatch_matches_scan("python", Program(rules), batches, firings, fires=False)
+        assert_dispatch_matches_scan(Program(rules), batches, firings, fires=False)
     finally:
         executor.fire_rule = original
 
@@ -404,23 +358,18 @@ class CountedStratum(list):
             yield rule
 
 
-@pytest.mark.parametrize("kind", sorted(BACKENDS))
-def test_one_spoke_transaction_visits_only_the_rules_it_triggers(kind, firings, monkeypatch):
+def test_one_spoke_transaction_visits_only_the_rules_it_triggers(firings, monkeypatch):
     """The star's strata hold 201 rules; a spoke's insert triggers one rule
     per round, and no round walks the rest (the scan walked all 201)."""
     program = _star_program()
     compiled = compile_program(program)
     assert sum(len(stratum) for stratum in compiled.strata) == 201
-    backend = BACKENDS[kind][1]()
-    engine = IncrementalEngine(program, execution_backend=backend)
-    spoke_fact = Fact(published_relation("S000", "R"), (0, "warm"))
-    engine.apply_insertions([spoke_fact])  # warm the SQL mirror and its cache
+    engine = IncrementalEngine(program)
+    engine.apply_insertions([Fact(published_relation("S000", "R"), (0, "warm"))])
 
-    # The strata the rounds walk: the compiled rules, or their SQL statements.
-    owner = compiled if kind == "python" else backend._program_for(compiled)[1]
     visits: list = []
     monkeypatch.setattr(
-        owner, "strata", [CountedStratum(stratum, visits) for stratum in owner.strata]
+        compiled, "strata", [CountedStratum(stratum, visits) for stratum in compiled.strata]
     )
     rounds_before = engine.stats.rounds
     firings.clear()

@@ -2,8 +2,8 @@
 
 ``SkolemTerm`` computes its hash once, in the constructor, so a term built
 around the constructor would carry no hash.  Each construction site — the
-parser, plan head projection, ``labelled_null``, the SQLite storage round
-trip and the SQL executor's blob decoding — must hand back terms that are
+parser, plan head projection, ``labelled_null``, an incremental engine run
+and the SQLite storage round trip — must hand back terms that are
 equal, hash equal and interchangeable as dict keys; pickling rebuilds the
 term through the constructor, so an unpickled term carries the hash of the
 process that unpickled it.
@@ -22,7 +22,6 @@ from repro.datalog.ast import Fact, SkolemTerm
 from repro.datalog.evaluation import Database, evaluate_rule_once
 from repro.datalog.incremental import IncrementalEngine
 from repro.datalog.parser import parse_fact, parse_program, parse_rule
-from repro.datalog.sql_executor import SQLExecutionBackend, _from_blob, _to_sql
 from repro.storage.sqlite_backend import SQLiteInstance
 
 SOURCE = Path(__file__).resolve().parents[2] / "src"
@@ -41,18 +40,15 @@ def _built_every_way() -> dict[str, object]:
         storage.create_relation("N", 1)
         storage.insert("N", (_expected(),))
         ((stored,),) = list(storage.scan("N"))
-    engine = IncrementalEngine(
-        parse_program("T(SK_f(x, y)) :- R(x, y)."), execution_backend=SQLExecutionBackend()
-    )
+    engine = IncrementalEngine(parse_program("T(SK_f(x, y)) :- R(x, y)."))
     engine.apply_insertions([Fact("R", (7, "seven"))])
-    ((pushed_down,),) = engine.database.relation("T")
+    ((derived,),) = engine.database.relation("T")
     return {
         "parser": parsed,
         "plan projection": projected[0],
         "labelled_null": labelled_null("SK_f", 7, "seven"),
         "sqlite storage": stored,
-        "sql executor run": pushed_down,
-        "sql blob decode": _from_blob(_to_sql(_expected())),
+        "incremental engine run": derived,
     }
 
 
@@ -69,7 +65,10 @@ def test_every_construction_site_builds_an_equal_hashed_term():
 def test_nested_terms_decode_with_their_hash():
     inner = SkolemTerm("SK_g", ("x",))
     outer = SkolemTerm("SK_f", (inner, 2**70, None, 1.5))
-    decoded = _from_blob(_to_sql(outer))
+    with SQLiteInstance(":memory:") as storage:
+        storage.create_relation("N", 1)
+        storage.insert("N", (outer,))
+        ((decoded,),) = list(storage.scan("N"))
     assert decoded == outer and hash(decoded) == hash(outer)
     assert hash(decoded.arguments[0]) == hash(inner)
 

@@ -10,7 +10,8 @@ Two layers:
   compiled executor over randomly generated CDSS networks from
   :mod:`repro.workloads.simulation`, asserting identical databases and
   identical provenance polynomials across plain, incremental, and
-  provenance evaluation.
+  provenance evaluation, plus hand-written edge-case programs checked the
+  same way and against their expected relation.
 """
 
 import random
@@ -253,8 +254,77 @@ def _all_polynomials(database, graph, max_depth=24):
     }
 
 
+#: ``name -> (program, base relations, predicate, expected relation)``: the
+#: value semantics a compiled plan must keep, each checked against the
+#: interpreted evaluator as well as its expected relation.
+EDGE_CASES = {
+    # 1 == True in Python, so R(1) joins S(True).
+    "numeric lookalikes": (
+        "T(x) :- R(x), S(x).", {"R": [(1,)], "S": [(True,)]}, "T", {(1,)},
+    ),
+    # Mixed-type and None pairs compare False (Python raises TypeError);
+    # numbers compare across int/float, strings lexicographically.
+    "mixed-type ordering": (
+        "T(x, y) :- R(x, y), x < y.",
+        {"R": [(1, 2), (2, 1), ("a", "b"), (1, "z"), (None, 5), (1.5, 2)]},
+        "T",
+        {(1, 2), ("a", "b"), (1.5, 2)},
+    ),
+    "negation": (
+        "T(x) :- R(x), not S(x).", {"R": [(1,), (2,), (3,)], "S": [(2,)]}, "T", {(1,), (3,)},
+    ),
+    "skolem head": (
+        "T(x, SK_id(x)) :- R(x).",
+        {"R": [("a",), ("b",)]},
+        "T",
+        {("a", SkolemTerm("SK_id", ("a",))), ("b", SkolemTerm("SK_id", ("b",)))},
+    ),
+    "skolem in a negated atom": (
+        "T(x) :- R(x), not S(SK_id(x)).",
+        {"R": [("a",), ("b",)], "S": [(SkolemTerm("SK_id", ("a",)),)]},
+        "T",
+        {("b",)},
+    ),
+    "repeated variable": (
+        "A(x) :- B(x, x).", {"B": [(1, 1), (1, 2), (3, 3)]}, "A", {(1,), (3,)},
+    ),
+    "recursive closure": (
+        "path(x, y) :- edge(x, y).\npath(x, z) :- path(x, y), edge(y, z).",
+        {"edge": [(1, 2), (2, 3), (3, 4)]},
+        "path",
+        {(1, 2), (2, 3), (3, 4), (1, 3), (2, 4), (1, 4)},
+    ),
+    # A labelled null in a positive body atom matches only the equal null.
+    "skolem in a positive body atom": (
+        "A(x) :- B(x, SK_id(x)).",
+        {"B": [("a", SkolemTerm("SK_id", ("a",))), ("b", "not-a-null"), ("c", SkolemTerm("SK_id", ("b",)))]},
+        "A",
+        {("a",)},
+    ),
+    "arity-zero head": ("T() :- R(x).", {"R": [(1,), (2,)]}, "T", {()}),
+    # A derived labelled null deduplicates against the same one inserted.
+    "derived null meets an inserted one": (
+        "T(x, SK_id(x)) :- R(x).",
+        {"R": [("a",), ("b",)], "T": [("a", SkolemTerm("SK_id", ("a",)))]},
+        "T",
+        {("a", SkolemTerm("SK_id", ("a",))), ("b", SkolemTerm("SK_id", ("b",)))},
+    ),
+    "string constant in the body": (
+        "T(y) :- R('key', y).", {"R": [("key", 1), ("other", 2), ("key", 3)]}, "T", {(1,), (3,)},
+    ),
+    # A constant 1 matches 1.0 and True, never the string "1".
+    "numeric constant lookalikes": (
+        "T(y) :- R(1, y).",
+        {"R": [(True, "a"), (1.0, "b"), ("1", "c"), (2, "d")]},
+        "T",
+        {("a",), ("b",)},
+    ),
+}
+
+
 class TestCompiledMatchesInterpreted:
-    """Differential properties over randomly generated CDSS networks."""
+    """Differential properties over randomly generated CDSS networks and the
+    rows of :data:`EDGE_CASES`."""
 
     CONFIG = SimulationConfig(
         epochs=3, max_peers=4, transactions_per_epoch=(2, 6)
@@ -277,20 +347,28 @@ class TestCompiledMatchesInterpreted:
             batches.append((deletes, inserts))
         return batches
 
-    @pytest.mark.parametrize("seed", range(1, 9))
-    def test_plain_incremental_and_provenance_agree(self, seed):
-        rng = random.Random(seed)
+    def _case(self, case):
+        """``(program, per-epoch batches, (predicate, expected relation) or
+        None)``: the generated network of a seed, or a row of EDGE_CASES."""
+        if case in EDGE_CASES:
+            text, relations, predicate, expected = EDGE_CASES[case]
+            facts = [Fact(name, row) for name, rows in relations.items() for row in rows]
+            return parse_program(text), [([], facts)], (predicate, frozenset(expected))
+        rng = random.Random(case)
         spec = generate_network(rng, self.CONFIG)
         workload = RandomWorkload(spec, self.CONFIG, rng)
         program = CDSS.from_spec(spec).engine.program
+        return program, self._epoch_fact_batches(spec, workload), None
+
+    @pytest.mark.parametrize("case", [*range(1, 9), *EDGE_CASES])
+    def test_plain_incremental_and_provenance_agree(self, case):
+        program, batches, expected = self._case(case)
 
         with_provenance = IncrementalEngine(program, track_provenance=True)
         without_provenance = IncrementalEngine(program, track_provenance=False)
         base = Database()
 
-        for epoch, (deletes, inserts) in enumerate(
-            self._epoch_fact_batches(spec, workload), start=1
-        ):
+        for epoch, (deletes, inserts) in enumerate(batches, start=1):
             for engine in (with_provenance, without_provenance):
                 engine.apply_deletions(deletes)
                 engine.apply_insertions(inserts)
@@ -299,8 +377,11 @@ class TestCompiledMatchesInterpreted:
             for fact in inserts:
                 base.add(fact.predicate, fact.values)
 
-            context = f"seed {seed} epoch {epoch}"
+            context = f"case {case!r} epoch {epoch}"
             reference = interpreted_fixpoint(program, base)
+            if expected is not None:
+                predicate, relation = expected
+                assert reference.relation(predicate) == relation, context
             compiled_plain = evaluate_program(program, base)
             assert _relation_map(compiled_plain) == _relation_map(reference), context
 

@@ -2,8 +2,8 @@
 
 The parametrized slice runs 25 seeded random networks through all the
 differential oracles (incremental-vs-recompute, provenance-vs-DRed,
-sql-vs-python, dag-vs-expanded, sync-vs-manual, memory-vs-SQLite,
-distributed-vs-centralized, sketch-vs-cursor, replica-durability); the
+dag-vs-expanded, sync-vs-manual, memory-vs-SQLite, distributed-vs-centralized,
+sketch-vs-cursor, replica-durability); the
 remaining tests pin down the generator's guarantees (round-tripping,
 determinism, validation) and the oracles' sensitivity (a deliberately
 injected divergence is reported with its seed and first failing epoch).
@@ -108,23 +108,20 @@ class TestSimulationConfig:
                 simulated_system(**bad)
         system = simulated_system(sync="gossip", sketch="bloom")
         assert (system.sync.mode, system.sync.sketch) == ("gossip", "bloom")
-
-    def test_execution_backend_is_validated(self):
-        with pytest.raises(ConfigurationError):
-            simulated_system(execution="prolog")
-        with pytest.raises(ConfigurationError, match="unknown simulation mode"):
-            simulated_system(observe="trace")  # a level, not a mode a mirror flips
-        assert simulated_system(execution="sql").exchange.execution_backend == "sql"
+        for unknown in ({"observe": "trace"}, {"execution": "sql"}):
+            # A level is not a mode a mirror flips; there is one executor.
+            with pytest.raises(ConfigurationError, match="unknown simulation mode"):
+                simulated_system(**unknown)
 
 
 @pytest.mark.parametrize("seed", SLICE_SEEDS)
 def test_differential_oracles_hold(seed):
-    """≥25 seeded random networks pass all nine differential oracles."""
+    """≥25 seeded random networks pass all eight differential oracles."""
     result = run_simulation(seed, SLICE_CONFIG)
     assert result.ok, "\n".join(failure.describe() for failure in result.failures)
     assert result.transactions > 0
-    # spec round-trip + analyzer-clean + 9 oracles per epoch actually ran.
-    assert result.oracle_checks == 2 + 9 * result.epochs_run
+    # spec round-trip + analyzer-clean + 8 oracles per epoch actually ran.
+    assert result.oracle_checks == 2 + 8 * result.epochs_run
 
 
 @pytest.mark.parametrize("seed", [2, 9, 23])
@@ -140,16 +137,7 @@ def test_sketch_vs_cursor_oracle_holds_with_gossip_primary_iblt(seed):
     instances match the cursor-sync mirror under churn."""
     result = run_simulation(seed, slice_config(offline=0.4, sync="gossip", sketch="iblt"))
     assert result.ok, "\n".join(failure.describe() for failure in result.failures)
-    assert result.oracle_checks == 2 + 9 * result.epochs_run
-
-
-@pytest.mark.parametrize("seed", [3, 11, 19])
-def test_sql_vs_python_oracle_holds_with_sql_primary(seed):
-    """With an SQL-pushdown primary the python mirror checks it (the
-    reverse orientation of the default slice's sql-vs-python oracle)."""
-    result = run_simulation(seed, slice_config(execution="sql"))
-    assert result.ok, "\n".join(failure.describe() for failure in result.failures)
-    assert result.oracle_checks == 2 + 9 * result.epochs_run
+    assert result.oracle_checks == 2 + 8 * result.epochs_run
 
 
 @pytest.mark.parametrize("seed", SLICE_SEEDS)
@@ -259,16 +247,6 @@ class TestOracleSensitivity:
         assert run.failures[-1].oracle == "provenance-vs-dred"
         assert "only in provenance" in run.failures[-1].detail
 
-    def test_sql_vs_python_detects_divergence(self):
-        run = self._run_one_epoch()
-        database = run.execcheck.database
-        predicate = next(iter(database.predicates()))
-        database.add(predicate, tuple("t" for _ in range(len(next(iter(database.relation(predicate)))))))
-        run._check_sql_vs_python(epoch=2)
-        failure = run.failures[-1]
-        assert failure.oracle == "sql-vs-python"
-        assert "only in sql" in failure.detail
-
     def test_replica_durability_detects_lost_copies(self):
         run = self._run_one_epoch()
         store = run._distributed_replica().store
@@ -347,11 +325,9 @@ class TestCli:
     def test_cli_repro_line_names_gossip_sync(self, capsys, monkeypatch):
         self._crash_names(capsys, monkeypatch, "--sync", "gossip", "--sketch", "bloom")
 
-    def test_cli_execution_backend_flags(self, capsys):
-        self._campaign_runs_on("execution", "sql", "python", rejected="prolog")
-
-    def test_cli_repro_line_names_sql_execution(self, capsys, monkeypatch):
-        self._crash_names(capsys, monkeypatch, "--execution", "sql")
+    def test_cli_has_no_execution_flag(self, capsys):
+        with pytest.raises(SystemExit):
+            simulate_main(["--execution", "sql"])
 
     def test_cli_attributes_crashes_to_their_seed(self, capsys, monkeypatch):
         import repro.simulate as cli
