@@ -11,28 +11,40 @@ serves only its share of sessions, and each session moves O(diff) bytes.
 Partner choice costs O(fanout) hashing, not O(N): one process-stable hash
 of ``(round, peer)`` seeds a chain of ``mix64`` draws, and each draw pops
 one candidate from the sorted pool (the archive plus every other online
-peer).  A run is therefore reproducible across processes and store
-backends — the differential oracles rely on gossip making *identical*
-decisions whether the archive underneath is centralized or distributed.
+peer).  The sorted pool and the hash state keyed by the round are built
+once per round, so a peer's draw hashes only its own name.  A run is
+therefore reproducible across processes and store backends — the
+differential oracles rely on gossip making *identical* decisions whether
+the archive underneath is centralized or distributed.
 
 The archive side of a session is a mirror refreshed once per store
 generation (:meth:`StoreView.refresh`), so a phase that archives nothing
 and sees no churn re-reads the store once, not once per catch-up.
+
+The generation also certifies caches.  A phase that ends converged has
+proven every online peer's cache equal to the mirror, and so has a
+converged catch-up session; the coordinator records the generation of that
+proof per peer.  While nothing is archived and no replica comes or goes,
+:meth:`GossipCoordinator.catch_up` of a certified peer could only confirm
+equality, so it sends nothing.  Any archive or reachability change bumps
+the generation and voids every certificate.
 
 Convergence is detected by comparing each online peer's compact clock with
 the archive's.  Epidemic spread converges with overwhelming probability,
 but the scheduler does not gamble: any round that delivers nothing while
 stale peers remain forces those peers through a direct session with the
 archive, so :meth:`GossipCoordinator.run_until_converged` terminates within
-its round budget deterministically.
+its round budget deterministically.  Those repair sessions are counted in
+the row of the round that needed them, so the rows of a
+:class:`GossipReport` add up to its totals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
-from ..core.hashing import mix64, stable_hash
+from ..core.hashing import mix64, prefix_hasher
 from ..errors import SyncError
 from .network import Network
 from .reconcile import (
@@ -92,6 +104,13 @@ class GossipCoordinator:
         )
         self._caches: dict[str, EntryCache] = {}
         self._round = 0
+        #: peer -> ``(store generation, cache count)`` at which its cache was
+        #: last proven equal to the archive mirror.  Caches only grow, so an
+        #: unchanged count means an unchanged cache.
+        self._certified: dict[str, tuple[int, int]] = {}
+        #: ``(round, online, sorted pool, partner hasher)`` of the round the
+        #: last draw was made in.
+        self._draw: Optional[tuple[int, list[str], list[str], Callable[[object], int]]] = None
 
     # -- membership and feeds ----------------------------------------------------
     def register_peer(self, name: str) -> None:
@@ -128,9 +147,20 @@ class GossipCoordinator:
 
     def _partners(self, peer: str, online: list[str]) -> list[str]:
         # One keyed hash per (round, peer); each draw removes its pick from
-        # the sorted pool, so the partners are distinct.
-        pool = sorted([ARCHIVE_NAME, *(other for other in online if other != peer)])
-        draw = stable_hash(("gossip-partner", self._round, peer))
+        # the sorted pool, so the partners are distinct.  The sorted pool
+        # and the hash state keyed by the round are built once per round.
+        if self._draw is None or self._draw[0] != self._round or self._draw[1] is not online:
+            self._draw = (
+                self._round,
+                online,
+                sorted([ARCHIVE_NAME, *online]),
+                prefix_hasher(("gossip-partner", self._round)),
+            )
+        _, _, everyone, hasher = self._draw
+        pool = list(everyone)
+        if peer in online:
+            pool.remove(peer)
+        draw = hasher(peer)
         partners = []
         for _ in range(min(self.fanout, len(pool))):
             draw = mix64(draw)
@@ -151,29 +181,25 @@ class GossipCoordinator:
 
     def run_round(self) -> dict:
         """One epidemic round: every online peer sessions with ``fanout``
-        deterministically chosen partners.  Returns the round's counters."""
+        deterministically chosen partners.  Returns the round's counters:
+        every :class:`ReconcileStats` field, plus ``repair_sessions`` (the
+        direct archive sessions :meth:`run_until_converged` folds in)."""
         self._round += 1
         self._store_view.refresh()
         online = self._online_members()
         before = self.stats.snapshot()
-        delivered = 0
         with self._obs.span(
             "gossip.round", index=self._round, participants=len(online)
         ):
             for peer in online:
                 for partner in self._partners(peer, online):
-                    delivered += self._session(peer, partner).delivered
+                    self._session(peer, partner)
         self._obs.metrics.counter_add("gossip.rounds", 1)
-        delta = self.stats.since(before)
         return {
             "round": self._round,
             "participants": len(online),
-            "sessions": delta.sessions,
-            "messages": delta.messages,
-            "bytes": delta.bytes,
-            "entries_delivered": delta.entries_delivered,
-            "decode_failures": delta.decode_failures,
-            "fallbacks": delta.fallbacks,
+            **self.stats.since(before).to_dict(),
+            "repair_sessions": 0,
         }
 
     def run_until_converged(self, max_rounds: Optional[int] = None) -> GossipReport:
@@ -181,8 +207,10 @@ class GossipCoordinator:
 
         The budget defaults to comfortably above the O(log N) epidemic
         expectation; a zero-progress round triggers direct archive sessions
-        for the remaining stale peers, so the budget is never the thing
-        correctness hangs on.
+        for the remaining stale peers (counted in that round's row), so the
+        budget is never the thing correctness hangs on.  A phase that ends
+        converged certifies every online peer at the mirror's generation
+        (see :meth:`catch_up`).
         """
         self._store_view.refresh()
         online = self._online_members()
@@ -208,8 +236,12 @@ class GossipCoordinator:
             if stale and round_info["entries_delivered"] == 0:
                 # Deterministic repair: rumor-mongering made no progress, so
                 # put every stale peer directly in front of the archive.
+                before_repair = self.stats.snapshot()
                 for peer in stale:
                     self._session(peer, ARCHIVE_NAME)
+                for name, value in self.stats.since(before_repair).to_dict().items():
+                    round_info[name] += value
+                round_info["repair_sessions"] = len(stale)
                 stale = self._stale_peers(online)
         report.converged = not stale
         report.stats = self.stats.since(before)
@@ -218,14 +250,39 @@ class GossipCoordinator:
                 f"gossip anti-entropy failed to converge within {max_rounds} rounds "
                 f"(stale: {', '.join(stale)})"
             )
+        for peer in online:
+            self._certify(peer)
         return report
 
     # -- catch-up for the reconcile path ----------------------------------------
+    def _certify(self, peer: str) -> None:
+        """Record that ``peer``'s cache now equals the archive mirror."""
+        self._certified[peer] = (self._store_view.generation, self._caches[peer].count)
+
     def catch_up(self, peer: str) -> SessionResult:
-        """Bring one peer's cache fully up to date with the archive (a cheap
-        two-message challenge when gossip already converged it)."""
-        self._store_view.refresh()
-        return self._reconciler.reconcile(self._caches[peer], self._store_view)
+        """Bring one peer's cache fully up to date with the archive.
+
+        A peer whose cache was proven equal to the mirror (by a converged
+        phase or catch-up) at the store generation the refreshed mirror is
+        at, and that has gained nothing since, needs no session: nothing
+        was archived and no replica came or went, so a challenge exchange
+        could only confirm equality.  Its cache is marked complete through
+        the mirror's watermark, as that unchanged session would have done,
+        and a converged zero-delivery result is returned with nothing sent.
+        Any other peer runs a real session, which certifies it when it
+        converges.  The mirror is refreshed first either way, so an
+        unreachable shard still raises.
+        """
+        view = self._store_view
+        view.refresh()
+        cache = self._caches[peer]
+        if self._certified.get(peer) == (view.generation, cache.count):
+            cache.mark_complete(view.complete_until)
+            return SessionResult(True, 0, 0, 0, False)
+        result = self._reconciler.reconcile(cache, view)
+        if result.converged:
+            self._certify(peer)
+        return result
 
     def entries_since(self, peer: str, epoch: int) -> list[PublishedTransaction]:
         """The peer-local answer to ``store.published_since`` — identical to

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from ..core.hashing import prefix_hasher, stable_hash
 from ..errors import NetworkError
@@ -310,22 +310,51 @@ class Network:
 
         Senders/receivers need not be registered peers: the reconciliation
         layer also accounts traffic to the durable archive (``#archive``),
-        which is a store, not a peer.
+        which is a store, not a peer.  The one-row case of
+        :meth:`record_messages`.
         """
-        if size < 0:
-            raise NetworkError("message size cannot be negative")
-        self._message_step += 1
-        self._message_trace.append((self._message_step, sender, receiver, kind, size))
+        self.record_messages(((sender, receiver, kind, size),))
+
+    def record_messages(self, rows: Sequence[tuple[str, str, str, int]]) -> None:
+        """Record ``(sender, receiver, kind, size)`` messages in order.
+
+        Each row gets the next step number in :meth:`message_trace`, exactly
+        as one :meth:`record_message` per row would; the ``net.*`` counters
+        are summed per ``(sender, receiver)`` link first and added with one
+        registry call per link, so a reconciliation session that sends a
+        dozen messages between the same two participants pays for two
+        links, not a dozen rows.  A negative size rejects the whole batch
+        before anything is recorded.
+        """
+        for row in rows:
+            if row[3] < 0:
+                raise NetworkError("message size cannot be negative")
+        step = self._message_step
+        append = self._message_trace.append
+        links: dict[tuple[str, str], list[int]] = {}
+        for sender, receiver, kind, size in rows:
+            step += 1
+            append((step, sender, receiver, kind, size))
+            link = (sender, receiver)
+            if link in links:
+                totals = links[link]
+                totals[0] += 1
+                totals[1] += size
+            else:
+                links[link] = [1, size]
+        self._message_step = step
         keys = self._traffic_keys
-        sent = keys.get(sender) or self._new_traffic_keys(sender)
-        received = keys.get(receiver) or self._new_traffic_keys(receiver)
-        self.obs.metrics.counters_add(
-            (
-                "net.messages.sent", sent[0], "net.bytes.sent", sent[1],
-                "net.messages.received", received[2], "net.bytes.received", received[3],
-            ),
-            (1, 1, size, size, 1, 1, size, size),
-        )
+        counters_add = self.obs.metrics.counters_add
+        for (sender, receiver), (messages, size) in links.items():
+            sent = keys.get(sender) or self._new_traffic_keys(sender)
+            received = keys.get(receiver) or self._new_traffic_keys(receiver)
+            counters_add(
+                (
+                    "net.messages.sent", sent[0], "net.bytes.sent", sent[1],
+                    "net.messages.received", received[2], "net.bytes.received", received[3],
+                ),
+                (messages, messages, size, size, messages, messages, size, size),
+            )
 
     def _new_traffic_keys(self, name: str) -> tuple[str, ...]:
         keys = self._traffic_keys[name] = tuple(

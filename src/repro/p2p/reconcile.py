@@ -27,7 +27,17 @@ Every message is an explicit dataclass with a ``byte_size()``, and every
 send is accounted in :class:`ReconcileStats` (and, when a
 :class:`~repro.p2p.network.Network` is attached, in its per-peer
 ``message_stats()``), so benchmarks report bytes moved rather than just
-wall-clock latency.
+wall-clock latency.  A session collects its ``(sender, receiver, kind,
+size)`` rows and flushes them once when it ends: one network call, one
+registry call for the moved ``gossip.*``/``sketch.*`` series.  The trace
+rows, their step numbers and every counter are what one call per message
+would have left.
+
+Hashing is paid once per shape, not once per session: a
+:class:`SetReconciler` memoizes each attempt's seed per ``(attempt,
+capacity)`` and, for IBLT sketches, each digest's check and probe cells per
+``(seed, size)`` table shape.  The same few hundred digests enter tables of
+the same few shapes again and again.
 
 Completeness watermarks make the fallback sound: ``complete_until`` is the
 epoch up to which a side provably holds *every* archived entry.  It starts
@@ -311,6 +321,12 @@ class StoreView:
         self._cache.mark_complete(self._store.latest_epoch())
         self._generation = generation
 
+    @property
+    def generation(self) -> Optional[int]:
+        """The store generation the mirror was last refreshed at (``None``
+        before the first successful refresh)."""
+        return self._generation
+
     # -- EntryCache protocol, delegated to the mirror ----------------------------
     @property
     def count(self) -> int:
@@ -383,6 +399,7 @@ class SetReconciler:
         ("decode_failures", "sketch.decode.failures"),
         ("fallbacks", "gossip.fallbacks"),
     )
+    _METRIC_KEYS = tuple(metric for _, metric in _METRIC_NAMES)
     #: ``stats -> (sessions, unchanged_sessions, ...)`` in ``_METRIC_NAMES``
     #: order: one tuple per reading, so a session's delta is ten subtractions
     #: however many publishers, entries or peers exist.
@@ -404,18 +421,42 @@ class SetReconciler:
         else:
             self._obs = Observability()
         self.stats = stats if stats is not None else ReconcileStats()
+        #: The running session's ``(sender, receiver, kind, size)`` rows,
+        #: accounted in one flush when the session ends.
+        self._outbox: list[tuple[str, str, str, int]] = []
+        #: ``(attempt, capacity) -> seed``: a handful of distinct values.
+        self._seeds: dict[tuple[int, int], int] = {}
+        #: The IBLT ``{(seed, size): {digest: (check, cells)}}`` memo shared
+        #: by every table this reconciler builds.
+        self._iblt_positions: dict[tuple[int, int], dict] = {}
 
     # -- transport ---------------------------------------------------------------
     def _send(self, sender: str, receiver: str, message) -> None:
-        size = message.byte_size()
-        self.stats.messages += 1
-        self.stats.bytes += size
-        if message.kind == "sketch":
-            self.stats.sketch_bytes += size
-        elif message.kind == "batch":
-            self.stats.entry_bytes += size
+        self._outbox.append((sender, receiver, message.kind, message.byte_size()))
+
+    def _flush(self) -> None:
+        """Account the session's messages in the stats and, with one call,
+        in the network's trace and ``net.*`` series."""
+        rows = self._outbox
+        self._outbox = []
+        stats = self.stats
+        stats.messages += len(rows)
+        for _, _, kind, size in rows:
+            stats.bytes += size
+            if kind == "sketch":
+                stats.sketch_bytes += size
+            elif kind == "batch":
+                stats.entry_bytes += size
         if self._network is not None:
-            self._network.record_message(sender, receiver, message.kind, size)
+            self._network.record_messages(rows)
+
+    def _seed(self, attempt: int, capacity: int) -> int:
+        seed = self._seeds.get((attempt, capacity))
+        if seed is None:
+            seed = self._seeds[attempt, capacity] = stable_hash(
+                ("reconcile-attempt", attempt, capacity)
+            )
+        return seed
 
     def _challenge(self, side) -> SessionChallenge:
         return SessionChallenge(
@@ -432,13 +473,17 @@ class SetReconciler:
         the session delivered and how it got there."""
         before = self._read_stats(self.stats)
         with self._obs.span("gossip.session", left=left.name, right=right.name):
-            result = self._run_session(left, right)
-        metrics = self._obs.metrics
-        for (_, metric_name), was, now in zip(
-            self._METRIC_NAMES, before, self._read_stats(self.stats)
-        ):
+            try:
+                result = self._run_session(left, right)
+            finally:
+                self._flush()
+        keys = []
+        values = []
+        for key, was, now in zip(self._METRIC_KEYS, before, self._read_stats(self.stats)):
             if now != was:
-                metrics.counter_add(metric_name, now - was)
+                keys.append(key)
+                values.append(now - was)
+        self._obs.metrics.counters_add(keys, values)
         return result
 
     def _run_session(self, left, right) -> SessionResult:
@@ -463,7 +508,7 @@ class SetReconciler:
         watermark = min(left.complete_until, right.complete_until)
         for attempt in range(self._config.max_attempts):
             capacity = base_capacity * (self._config.growth ** attempt)
-            seed = stable_hash(("reconcile-attempt", attempt, capacity))
+            seed = self._seed(attempt, capacity)
             if self._config.algorithm == "iblt":
                 got_left, got_right, converged = self._iblt_attempt(
                     left, right, watermark, capacity, attempt, seed
@@ -498,14 +543,14 @@ class SetReconciler:
     def _iblt_attempt(
         self, left, right, watermark: int, capacity: int, attempt: int, seed: int
     ) -> tuple[int, int, bool]:
-        sketch_left = IBLTSketch(capacity, seed=seed)
+        sketch_left = IBLTSketch(capacity, seed=seed, positions=self._iblt_positions)
         for digest in left.digests_since(watermark):
             sketch_left.add(digest)
         self._send(
             left.name, right.name,
             SketchMessage(left.name, "iblt", capacity, attempt, sketch_left),
         )
-        sketch_right = IBLTSketch(capacity, seed=seed)
+        sketch_right = IBLTSketch(capacity, seed=seed, positions=self._iblt_positions)
         for digest in right.digests_since(watermark):
             sketch_right.add(digest)
         with self._obs.span(

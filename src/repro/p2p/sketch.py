@@ -231,6 +231,10 @@ class CountingBloomSketch:
 
 # -- invertible Bloom lookup table ---------------------------------------------------
 
+#: A key's ``(check, probe cells)`` in one table shape.
+_Position = tuple[int, tuple[int, ...]]
+
+
 class IBLTSketch:
     """Invertible Bloom lookup table over 64-bit digests.
 
@@ -244,13 +248,27 @@ class IBLTSketch:
     absent cell is all zeros), so building, subtracting and decoding cost in
     proportion to the elements, not the capacity.  The wire size is still
     the full table's: a dense table of ``_size`` cells is what travels.
+
+    A key's check and probe cells depend only on the key and the table's
+    shape ``(seed, size)``.  ``positions`` is a ``{shape: {key: (check,
+    cells)}}`` memo the caller may share across tables (the reconciler
+    keeps one for all its sessions), so a digest that enters tables of the
+    same shape again and again is hashed once; without one, each table
+    memoizes its own keys.  The memo is a pure function cache: the cells
+    are exactly those :meth:`_check_of` and :meth:`_probes` give.
     """
 
     PROBES = 3
     CELLS_PER_ELEMENT = 1.5
     CELL_BYTES = 14  # 2-byte signed count + 8-byte key XOR + 4-byte check XOR
 
-    def __init__(self, capacity: int, seed: int = 0, _cells: Optional[int] = None) -> None:
+    def __init__(
+        self,
+        capacity: int,
+        seed: int = 0,
+        _cells: Optional[int] = None,
+        positions: Optional[dict[tuple[int, int], dict[int, _Position]]] = None,
+    ) -> None:
         if capacity < 1:
             raise SketchError("iblt capacity must be positive")
         self.capacity = capacity
@@ -262,6 +280,10 @@ class IBLTSketch:
             size += (-size) % self.PROBES  # equal partition per probe
         self._size = size
         self._cells: dict[int, list[int]] = {}
+        #: key -> (check, probe cells) for this table's shape.
+        self._positions: dict[int, _Position] = (
+            {} if positions is None else positions.setdefault((self.seed, size), {})
+        )
 
     def _check_of(self, key: int) -> int:
         return mix64(key ^ self.seed ^ 0xC2B2AE3D27D4EB4F) & 0xFFFFFFFF
@@ -281,10 +303,16 @@ class IBLTSketch:
             for index in range(self.PROBES)
         ]
 
+    def _position(self, key: int) -> _Position:
+        position = self._positions.get(key)
+        if position is None:
+            position = self._positions[key] = (self._check_of(key), tuple(self._probes(key)))
+        return position
+
     def _apply(self, key: int, delta: int) -> None:
-        check = self._check_of(key)
+        check, probes = self._position(key)
         cells = self._cells
-        for index in self._probes(key):
+        for index in probes:
             cell = cells.get(index)
             if cell is None:
                 cells[index] = [delta, key, check]
@@ -305,6 +333,7 @@ class IBLTSketch:
         if self._size != other._size or self.seed != other.seed:
             raise SketchError("cannot subtract sketches of different shapes or seeds")
         result = IBLTSketch(self.capacity, seed=self.seed, _cells=self._size)
+        result._positions = self._positions
         cells = result._cells
         for index, (count, key, check) in self._cells.items():
             cells[index] = [count, key, check]
@@ -328,11 +357,17 @@ class IBLTSketch:
         """
         cells = {index: list(cell) for index, cell in self._cells.items()}
         check_of = self._check_of
+        known = self._positions.get
         only_left: set[int] = set()
         only_right: set[int] = set()
 
         def pure(cell: list[int]) -> bool:
-            return cell[0] in (1, -1) and cell[2] == check_of(cell[1])
+            if cell[0] not in (1, -1):
+                return False
+            # A cell's key is usually a digest some table of this shape
+            # already holds; a XOR of several is checked without memoizing.
+            position = known(cell[1])
+            return cell[2] == (check_of(cell[1]) if position is None else position[0])
 
         # Ascending touched indices: the pop order of a dense scan, since an
         # untouched cell is never pure.
@@ -344,8 +379,8 @@ class IBLTSketch:
             count, key, _ = cell
             side = only_left if count == 1 else only_right
             side.add(key)
-            check = check_of(key)
-            for index in self._probes(key):
+            check, probes = self._position(key)
+            for index in probes:
                 probed = cells.get(index)
                 if probed is None:
                     # Only a check-hash collision peels a key whose probes
@@ -357,7 +392,7 @@ class IBLTSketch:
                 probed[2] ^= check
                 if pure(probed):
                     frontier.append(index)
-        if any(any(cell) for cell in cells.values()):
+        if any(map(any, cells.values())):
             raise SketchError(
                 f"iblt decode stalled (capacity {self.capacity}, "
                 f"{sum(1 for cell in cells.values() if cell[0])} undrained cells)"

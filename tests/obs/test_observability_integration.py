@@ -11,7 +11,10 @@
   the assertion leaves headroom for scheduler noise).
 """
 
+import cProfile
+import pstats
 import time
+from pathlib import Path
 
 import pytest
 
@@ -219,6 +222,50 @@ class TestDisabledOverhead:
         # span; nothing is allocated per call.
         assert obs.span("anything", a=1) is NULL_SPAN
         assert backend._tracer() is None
+
+    @staticmethod
+    def _calls(backend, compiled, base, entry):
+        """``{(module, function): ncalls}`` of one run, counted by cProfile."""
+        database = base.copy()
+        database.ensure_indexes(compiled.demanded_indexes)
+        if entry == "propagate":
+            backend.run_program(compiled, database)
+        profile = cProfile.Profile()
+        profile.enable()
+        if entry == "propagate":
+            backend.propagate(compiled, database, {"edge": {(-1, 0)}})
+        else:
+            backend.run_program(compiled, database)
+        profile.disable()
+        return {
+            (Path(filename).stem, name): calls
+            for (filename, _, name), (_, calls, *_) in pstats.Stats(profile).stats.items()
+        }
+
+    @pytest.mark.parametrize("entry", ["run_program", "propagate"])
+    def test_disabled_tracer_overhead_in_calls(self, entry):
+        """The deterministic twin of the wall-clock budget below: with an
+        ``Observability`` installed and no tracer, a run makes exactly the
+        calls of the uninstrumented backend plus one ``active_tracer``
+        lookup -- no registry call per rule application, no tracer call."""
+        compiled, base = self._workload()
+        bare = PythonExecutionBackend()
+        observed = PythonExecutionBackend()
+        observed.observability = Observability()  # registry, no tracer
+        for backend in (bare, observed):  # warm the plan caches
+            self._calls(backend, compiled, base, entry)
+        bare_calls = self._calls(bare, compiled, base, entry)
+        observed_calls = self._calls(observed, compiled, base, entry)
+        added = {
+            function: observed_calls.get(function, 0) - bare_calls.get(function, 0)
+            for function in bare_calls.keys() | observed_calls.keys()
+        }
+        assert {function: count for function, count in added.items() if count} == {
+            ("tracer", "active_tracer"): 1
+        }
+        assert bare_calls[("executor", "fire_rule")] >= 1  # rules did apply
+        observed_modules = {module for module, _ in observed_calls}
+        assert "metrics" not in observed_modules
 
     def test_disabled_tracer_overhead_within_budget(self):
         compiled, base = self._workload()

@@ -47,6 +47,50 @@ def assert_matches_archive(coordinator: GossipCoordinator, store: UpdateStore, p
         assert got == expected, f"{peer} diverges from the archive"
 
 
+class SessionEveryCatchUp(GossipCoordinator):
+    """Oracle: ``catch_up`` without the certificate, a session every time."""
+
+    def catch_up(self, peer):
+        self._store_view.refresh()
+        return self._reconciler.reconcile(self._caches[peer], self._store_view)
+
+
+def seeded_churn(coordinator_class=GossipCoordinator):
+    """Twelve peers, seeded on/off churn, an 8-shard replicated archive; a
+    converge and a catch-up of every online peer after each publication.
+    Returns the coordinator and how many catch-ups ran no session."""
+    rng = random.Random(17)
+    names = [f"P{index:02d}" for index in range(12)]
+    network = Network(names)
+    store = DistributedUpdateStore(
+        network, shard_count=8, replication_factor=2, segment_size=1
+    )
+    coordinator = coordinator_class(network, store, fanout=2)
+    for name in names:
+        coordinator.register_peer(name)
+    sessionless = 0
+    for epoch in range(1, 31):
+        # P00 and P01 never leave, so every shard keeps a reachable replica.
+        for name in names[2:]:
+            if rng.random() < 0.25:
+                network.set_online(name, not network.is_online(name))
+        publisher = rng.choice(sorted(network.online_peers()))
+        batch = [
+            Transaction(
+                f"{publisher}-e{epoch}-{index}", publisher,
+                (Update.insert("R", (epoch, index), origin=publisher),),
+            )
+            for index in range(rng.randint(1, 3))
+        ]
+        coordinator.record_published(publisher, store.archive(batch, epoch, publisher))
+        coordinator.run_until_converged()
+        for name in sorted(network.online_peers()):
+            sessions = coordinator.stats.sessions
+            coordinator.catch_up(name)
+            sessionless += coordinator.stats.sessions == sessions
+    return coordinator, sessionless
+
+
 class TestScheduling:
     def test_fanout_must_be_positive(self):
         with pytest.raises(SyncError):
@@ -103,21 +147,32 @@ class TestScheduling:
 
     @pytest.mark.parametrize("population", [2, 8, 64])
     def test_a_draw_makes_one_keyed_hash_whatever_the_pool(self, population, monkeypatch):
+        # The round's prefix is keyed once; each peer's draw then costs one
+        # hash of its own name, ``stable_hash(("gossip-partner", round,
+        # peer))`` bit for bit.
         import repro.p2p.gossip as gossip_module
 
+        prefixes = []
         calls = []
-        real = gossip_module.stable_hash
+        real = gossip_module.prefix_hasher
 
-        def counting(value, seed=0):
-            calls.append(value)
-            return real(value, seed)
+        def counting(prefix, seed=0):
+            prefixes.append(prefix)
+            hasher = real(prefix, seed)
 
-        monkeypatch.setattr(gossip_module, "stable_hash", counting)
+            def draw(last):
+                calls.append((*prefix, last))
+                return hasher(last)
+
+            return draw
+
+        monkeypatch.setattr(gossip_module, "prefix_hasher", counting)
         names = [f"P{index:03d}" for index in range(population)]
         _, _, coordinator = build(peers=names, fanout=3)
         coordinator._round = 5
         for peer in names:
             coordinator._partners(peer, names)
+        assert prefixes == [("gossip-partner", 5)]
         assert calls == [("gossip-partner", 5, peer) for peer in names]
 
     def test_centralized_and_distributed_stores_draw_the_same_schedule(self):
@@ -239,6 +294,23 @@ class TestRepairAndFailure:
         assert report.round_count == 1
         assert_matches_archive(coordinator, store, PEERS[:4])
 
+    def test_repair_sessions_are_counted_in_their_round_row(self):
+        """The rigged case above: the round's own sessions deliver nothing,
+        the four repairs deliver everything.  The row carries both, so the
+        rows add up to the phase's totals for every counter."""
+        _, store, coordinator = build(peers=PEERS[:4], fanout=1)
+        archive_batch(store, 6)
+        coordinator._partners = lambda peer, online: [
+            other for other in online if other != peer
+        ][:1]
+        report = coordinator.run_until_converged()
+        (row,) = report.rounds
+        assert row["repair_sessions"] == 4
+        assert row["sessions"] == 8
+        assert row["entries_delivered"] == 24 == report.stats.entries_delivered
+        for name, total in report.stats.to_dict().items():
+            assert sum(r[name] for r in report.rounds) == total, name
+
     def test_unconverged_budget_raises_sync_error(self):
         _, store, coordinator = build(peers=PEERS[:2])
         archive_batch(store, 3)
@@ -258,7 +330,12 @@ class TestRepairAndFailure:
         result = coordinator.catch_up("Beijing")
         delta = coordinator.stats.since(before)
         assert result.converged and result.delivered == 0
-        assert delta.messages == 2  # challenge both ways, nothing else
+        # Re-recorded for the certified catch-up.  This read 2 messages, the
+        # challenge both ways of an unchanged session.  The converged phase
+        # certified Beijing at the store's generation and nothing was
+        # archived since, so no session runs and nothing is sent.
+        assert delta.messages == 0
+        assert delta.sessions == 0
 
     def test_entries_since_matches_store_cursor_after_catch_up(self):
         _, store, coordinator = build()
@@ -277,32 +354,7 @@ class TestPinnedTraffic:
         the sessions run, what they decode and what they deliver are pinned,
         so a cheaper scheduler or store read cannot quietly change a
         decision."""
-        rng = random.Random(17)
-        names = [f"P{index:02d}" for index in range(12)]
-        network = Network(names)
-        store = DistributedUpdateStore(
-            network, shard_count=8, replication_factor=2, segment_size=1
-        )
-        coordinator = GossipCoordinator(network, store, fanout=2)
-        for name in names:
-            coordinator.register_peer(name)
-        for epoch in range(1, 31):
-            # P00 and P01 never leave, so every shard keeps a reachable replica.
-            for name in names[2:]:
-                if rng.random() < 0.25:
-                    network.set_online(name, not network.is_online(name))
-            publisher = rng.choice(sorted(network.online_peers()))
-            batch = [
-                Transaction(
-                    f"{publisher}-e{epoch}-{index}", publisher,
-                    (Update.insert("R", (epoch, index), origin=publisher),),
-                )
-                for index in range(rng.randint(1, 3))
-            ]
-            coordinator.record_published(publisher, store.archive(batch, epoch, publisher))
-            coordinator.run_until_converged()
-            for name in sorted(network.online_peers()):
-                coordinator.catch_up(name)
+        coordinator, _ = seeded_churn()
         # Re-recorded for the O(fanout) partner draw (see
         # test_partner_schedule_is_pinned).  The ranked draw read 37 rounds,
         # 697 sessions (521 unchanged), 2 451 messages and 271 336 bytes; the
@@ -315,13 +367,20 @@ class TestPinnedTraffic:
         # swapped, and only what the right side lacks is requested by digest.
         # (Before that, the per-publisher vector in every challenge made the
         # ranked draw's bytes 381 501.)
+        # Re-recorded for the certified catch-up: 671 sessions (495
+        # unchanged), 2 399 messages and 268 920 bytes became 476 (300),
+        # 2 009 and 250 200.  Each of the 195 catch-ups after a converged
+        # phase found its peer certified at the store's generation and sent
+        # nothing, so exactly 195 unchanged sessions, 390 challenge messages
+        # and 195 * 96 bytes are gone; everything that moves data is equal
+        # (test_certified_catch_up_differs_only_by_skipped_challenges).
         assert coordinator.rounds_run == 36
         assert coordinator.stats.to_dict() == {
-            "sessions": 671,
-            "unchanged_sessions": 495,
+            "sessions": 476,
+            "unchanged_sessions": 300,
             "converged_sessions": 176,
-            "messages": 2399,
-            "bytes": 268920,
+            "messages": 2009,
+            "bytes": 250200,
             "sketch_bytes": 126504,
             "entry_bytes": 58288,
             "entries_delivered": 580,
@@ -330,16 +389,94 @@ class TestPinnedTraffic:
         }
 
 
+class TestCertifiedCatchUp:
+    def test_certified_catch_up_differs_only_by_skipped_challenges(self):
+        """The seeded churn run against an oracle whose catch-up always
+        runs its session: the same caches, watermarks, deliveries, sketch
+        and entry bytes, decode failures and fallbacks.  The certified run
+        differs only by the two 48-byte challenges of each skipped
+        catch-up, which were unchanged sessions in the oracle."""
+        certified, skipped = seeded_churn()
+        oracle, oracle_skipped = seeded_churn(SessionEveryCatchUp)
+        assert skipped > 0 and oracle_skipped == 0
+        for name in sorted(oracle._caches):
+            mine, theirs = certified.cache(name), oracle.cache(name)
+            assert [e.digest for e in mine.entries()] == [e.digest for e in theirs.entries()]
+            assert mine.complete_until == theirs.complete_until
+        assert certified._store_view.complete_until == oracle._store_view.complete_until
+        assert certified.rounds_run == oracle.rounds_run
+        got, want = certified.stats.to_dict(), oracle.stats.to_dict()
+        for name in (
+            "converged_sessions", "sketch_bytes", "entry_bytes",
+            "entries_delivered", "decode_failures", "fallbacks",
+        ):
+            assert got[name] == want[name], name
+        assert want["sessions"] - got["sessions"] == skipped
+        assert want["unchanged_sessions"] - got["unchanged_sessions"] == skipped
+        assert want["messages"] - got["messages"] == 2 * skipped
+        assert want["bytes"] - got["bytes"] == 96 * skipped
+
+    def test_a_catch_up_after_a_new_archive_runs_a_session_and_delivers(self):
+        _, store, coordinator = build()
+        archive_batch(store, 5)
+        coordinator.run_until_converged()
+        archive_batch(store, 3)
+        before = coordinator.stats.snapshot()
+        result = coordinator.catch_up("Crete")
+        delta = coordinator.stats.since(before)
+        assert delta.sessions == 1 and result.converged
+        assert result.delivered == delta.entries_delivered == 3
+        assert_matches_archive(coordinator, store, ["Crete"])
+        # The converged session certified Crete: the next catch-up is free.
+        before = coordinator.stats.snapshot()
+        assert coordinator.catch_up("Crete").delivered == 0
+        assert coordinator.stats.since(before).messages == 0
+
+    def test_a_catch_up_after_set_online_on_a_distributed_store_runs_a_session(self):
+        network = Network(PEERS)
+        store = DistributedUpdateStore(
+            network, shard_count=4, replication_factor=2, segment_size=1
+        )
+        coordinator = GossipCoordinator(network, store, fanout=2)
+        for peer in PEERS:
+            coordinator.register_peer(peer)
+        archive_batch(store, 4)
+        coordinator.run_until_converged()
+        # A reachability change alone voids every certificate: the session
+        # runs, and only confirms equality.
+        network.set_online("Hanoi", False)
+        before = coordinator.stats.snapshot()
+        result = coordinator.catch_up("Alaska")
+        delta = coordinator.stats.since(before)
+        assert delta.sessions == delta.unchanged_sessions == 1
+        assert delta.messages == 2 and result.delivered == 0
+        # Hanoi misses two publications while offline; on its return the
+        # catch-up runs a session that delivers them.
+        archive_batch(store, 2, publisher="Beijing")
+        coordinator.run_until_converged()
+        network.set_online("Hanoi", True)
+        before = coordinator.stats.snapshot()
+        result = coordinator.catch_up("Hanoi")
+        delta = coordinator.stats.since(before)
+        assert delta.sessions == 1 and result.converged
+        assert result.delivered == 2
+        assert_matches_archive(coordinator, store, ["Hanoi"])
+        assert coordinator.cache("Hanoi").complete_until == store.latest_epoch()
+
+
 class TestReporting:
     def test_round_counters_add_up(self):
-        _, store, coordinator = build()
-        archive_batch(store, 7)
-        report = coordinator.run_until_converged()
-        assert report.stats.sessions == sum(r["sessions"] for r in report.rounds)
-        assert report.stats.bytes == sum(r["bytes"] for r in report.rounds)
-        assert report.stats.entries_delivered == sum(
-            r["entries_delivered"] for r in report.rounds
-        )
+        # Every counter, with and without offline peers (whose absence
+        # makes some rounds need repair sessions).
+        for offline in (0, 3):
+            network, store, coordinator = build()
+            archive_batch(store, 7)
+            for peer in PEERS[:offline]:
+                network.set_online(peer, False)
+            report = coordinator.run_until_converged()
+            assert report.rounds
+            for name, total in report.stats.to_dict().items():
+                assert sum(r[name] for r in report.rounds) == total, name
 
     def test_report_to_dict_carries_rounds_and_stats(self):
         _, store, coordinator = build()

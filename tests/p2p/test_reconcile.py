@@ -103,17 +103,21 @@ class TestStoreView:
         assert view.count == 1
 
 
+def divergent_caches(shared: int, extra_left: int, extra_right: int):
+    left = EntryCache("L")
+    right = EntryCache("R")
+    common = entries(shared)
+    left.add_entries(common)
+    right.add_entries(common)
+    left.add_entries(entries(extra_left, start=100, peer="Beijing"))
+    right.add_entries(entries(extra_right, start=200, peer="Crete"))
+    return left, right
+
+
 @pytest.mark.parametrize("algorithm", ["iblt", "bloom"])
 class TestSessions:
     def _caches(self, shared: int, extra_left: int, extra_right: int):
-        left = EntryCache("L")
-        right = EntryCache("R")
-        common = entries(shared)
-        left.add_entries(common)
-        right.add_entries(common)
-        left.add_entries(entries(extra_left, start=100, peer="Beijing"))
-        right.add_entries(entries(extra_right, start=200, peer="Crete"))
-        return left, right
+        return divergent_caches(shared, extra_left, extra_right)
 
     def test_converged_sides_exchange_two_messages(self, algorithm):
         left, right = self._caches(10, 0, 0)
@@ -202,6 +206,38 @@ class TestSessions:
         assert stats["per_peer"]["L"]["sent"] > 0
         assert stats["per_peer"]["R"]["received"] > 0
 
+    def test_a_session_is_accounted_in_one_flush(self, algorithm, monkeypatch):
+        """One ``record_messages`` call per session, carrying every message
+        in send order; the trace, the stats and the ``gossip.*`` series
+        agree with it."""
+        network = Network(["L", "R"])
+        flushes = []
+        real = network.record_messages
+
+        def counting(rows):
+            rows = tuple(rows)
+            flushes.append(rows)
+            real(rows)
+
+        monkeypatch.setattr(network, "record_messages", counting)
+        left, right = self._caches(5, 2, 1)
+        reconciler = SetReconciler(ReconcileConfig(algorithm=algorithm), network=network)
+        reconciler.reconcile(left, right)
+        (rows,) = flushes
+        trace = network.message_trace()
+        assert [(e.sender, e.receiver, e.kind, e.size) for e in trace] == list(rows)
+        assert [e.step for e in trace] == list(range(1, len(rows) + 1))
+        assert rows[0][2] == rows[1][2] == "challenge"
+        stats = reconciler.stats
+        assert stats.messages == len(rows)
+        assert stats.bytes == sum(row[3] for row in rows)
+        assert stats.sketch_bytes == sum(row[3] for row in rows if row[2] == "sketch")
+        assert stats.entry_bytes == sum(row[3] for row in rows if row[2] == "batch")
+        metrics = network.obs.metrics
+        assert metrics.counter_value("gossip.messages") == stats.messages
+        assert metrics.counter_value("gossip.bytes_entries") == stats.entry_bytes
+        assert metrics.counter_value("gossip.sessions") == 1
+
     def test_completeness_propagates_through_sessions(self, algorithm):
         left, right = self._caches(6, 0, 2)
         right.mark_complete(5)
@@ -217,6 +253,22 @@ class TestSessions:
         delta = reconciler.stats.since(before)
         assert delta.sessions == 1
         assert delta.to_dict()["entries_delivered"] == 1
+
+
+class TestMemos:
+    def test_seeds_and_cell_positions_are_memoized_per_reconciler(self):
+        left, right = divergent_caches(30, 4, 3)
+        first = SetReconciler(ReconcileConfig(algorithm="iblt"))
+        second = SetReconciler(ReconcileConfig(algorithm="iblt"))
+        assert first._iblt_positions is not second._iblt_positions
+        assert first.reconcile(left, right).converged
+        assert list(first._seeds) == [(0, 32)]
+        ((shape, memo),) = first._iblt_positions.items()
+        assert shape[0] == first._seeds[0, 32]
+        # No watermark: every digest either side held entered a table of
+        # the one shape, and after the session the left side holds them all.
+        assert set(memo) == {e.digest for e in left.entries()}
+        assert second._iblt_positions == {} and second._seeds == {}
 
 
 class TestGrowAndFallback:

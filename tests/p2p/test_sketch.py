@@ -376,6 +376,47 @@ class TestSparseMatchesDense:
             assert sparse.byte_size() == dense.byte_size()
         assert _decode_outcome(tables["sparse"][2]) == _decode_outcome(tables["dense"][2])
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        shared=st.sets(digests, max_size=30),
+        left_only=st.sets(digests, max_size=30),
+        right_only=st.sets(digests, max_size=30),
+        capacities=st.lists(st.integers(1, 40), min_size=1, max_size=3),
+        seed=st.integers(0, MASK64),
+    )
+    def test_tables_sharing_a_position_memo_agree_with_dense(
+        self, shared, left_only, right_only, capacities, seed
+    ):
+        """One memo for every table, several shapes, each shape built twice
+        (the second build reads every key from the memo): the cells, the
+        decode and the memo's own entries are the dense table's."""
+        positions: dict = {}
+        for capacity in [*capacities, *capacities]:
+            tables = {}
+            for name, cls in (("sparse", IBLTSketch), ("dense", DenseIBLTSketch)):
+                memo = {"positions": positions} if cls is IBLTSketch else {}
+                left = cls(capacity, seed=seed, **memo)
+                right = cls(capacity, seed=seed, **memo)
+                for key in shared | left_only:
+                    left.add(key)
+                for key in shared | right_only:
+                    right.add(key)
+                tables[name] = (left, right, left.subtract(right))
+            for sparse, dense in zip(tables["sparse"], tables["dense"]):
+                assert project(sparse) == dense.cells()
+            assert _decode_outcome(tables["sparse"][2]) == _decode_outcome(tables["dense"][2])
+        for (shape_seed, size), memo in positions.items():
+            dense = DenseIBLTSketch(1, seed=shape_seed, _cells=size)
+            for key, (check, cells) in memo.items():
+                assert (check, list(cells)) == (dense._check_of(key), dense._probes(key))
+
+    def test_a_position_memo_is_keyed_by_shape(self):
+        positions: dict = {}
+        for capacity, seed in ((8, 1), (8, 2), (7, 1), (64, 1)):
+            IBLTSketch(capacity, seed=seed, positions=positions).add(stable_hash("k"))
+        # Capacities 7 and 8 both round to 12 cells: one shape, one memo.
+        assert sorted(positions) == [(1, 12), (1, 96), (2, 12)]
+
     def test_a_forged_pure_cell_stalls_both_the_same_way(self):
         """A cell that looks pure but holds a key never added (what a
         check-hash collision produces) peels into cells nobody touched;

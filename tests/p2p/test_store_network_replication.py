@@ -290,6 +290,29 @@ class TestMessageAccounting:
         with pytest.raises(NetworkError):
             network.record_message("A", "B", "sketch", -1)
 
+    def test_a_batch_records_like_one_call_per_row(self):
+        rows = [
+            ("A", "B", "challenge", 48), ("B", "A", "challenge", 48),
+            ("A", "#archive", "sketch", 100), ("B", "A", "batch", 0),
+            ("A", "B", "clock", 40),
+        ]
+        batched, one_by_one = Network(["A", "B"]), Network(["A", "B"])
+        batched.record_message("B", "A", "clock", 7)
+        one_by_one.record_message("B", "A", "clock", 7)
+        batched.record_messages(rows)
+        for row in rows:
+            one_by_one.record_message(*row)
+        assert batched.message_trace() == one_by_one.message_trace()
+        assert batched.message_stats() == one_by_one.message_stats()
+        assert batched.obs.metrics.snapshot() == one_by_one.obs.metrics.snapshot()
+
+    def test_a_negative_size_rejects_the_whole_batch(self):
+        network = Network(["A", "B"])
+        with pytest.raises(NetworkError):
+            network.record_messages([("A", "B", "sketch", 10), ("B", "A", "batch", -1)])
+        assert network.message_trace() == []
+        assert network.message_stats()["messages"] == 0
+
     def test_trace_rolls_over_but_totals_keep_counting(self):
         network = Network(["A", "B"], trace_limit=5)
         for i in range(12):
