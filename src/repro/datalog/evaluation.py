@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Mapping, Optional
 
 from .ast import Fact, Program, Rule
 from .executor import ExecutionStats, fire_rule, run_program
-from .indexing import ColumnIndexes, build_column_index, index_discard, index_insert
+from .indexing import Bucket, ColumnIndexes, build_column_index, index_discard, index_insert
 from .plan import compile_program, compile_rule
 
 _EMPTY_SET: frozenset = frozenset()
@@ -43,7 +43,7 @@ class Database:
 
     def __init__(self, facts: Optional[Iterable[Fact]] = None) -> None:
         self._relations: dict[str, set[tuple]] = defaultdict(set)
-        #: predicate -> position -> value -> set of tuples.
+        #: predicate -> position -> value -> bucket of tuples (see :mod:`.indexing`).
         self._indexes: dict[str, ColumnIndexes] = {}
         if facts is not None:
             for fact in facts:
@@ -98,9 +98,8 @@ class Database:
     def remove(self, predicate: str, values: tuple) -> bool:
         """Remove a tuple; returns True when it was present.
 
-        Index buckets whose tuple set empties are dropped entirely, so
-        long delete-heavy runs do not accumulate empty ``value -> set()``
-        entries per historical key.
+        Index buckets it empties are dropped entirely, so long delete-heavy
+        runs do not accumulate empty buckets per historical key.
         """
         relation = self._relations.get(predicate)
         if relation is None:
@@ -114,7 +113,7 @@ class Database:
             index_discard(positions, values)
         return True
 
-    def _build_index(self, predicate: str, position: int) -> dict[object, set[tuple]]:
+    def _build_index(self, predicate: str, position: int) -> dict[object, Bucket]:
         buckets = build_column_index(self._relations.get(predicate, ()), position)
         self._indexes.setdefault(predicate, {})[position] = buckets
         return buckets
@@ -126,12 +125,14 @@ class Database:
             if positions is None or position not in positions:
                 self._build_index(predicate, position)
 
-    def probe(self, predicate: str, position: int, value: object) -> set[tuple]:
-        """Matching tuples for an index probe, *without* defensive copying.
+    def probe(self, predicate: str, position: int, value: object) -> Bucket:
+        """Matching tuples for an index probe: the index bucket itself.
 
-        Executor-internal: callers must not mutate the database while
-        iterating the returned set (rule firing materialises its results
-        before any insertion, so plan execution never does).
+        Executor-internal: the bucket is a tuple of rows or, past a small
+        bound, a set, so callers only iterate it.  It is not copied, so
+        callers must not mutate the database while iterating it (rule firing
+        materialises its results before any insertion, so plan execution
+        never does).
         """
         positions = self._indexes.get(predicate)
         if positions is None:

@@ -11,18 +11,25 @@ replicas are stored once.
 
 Storage is on dense integer tuple ids: ``(relation, values)`` is interned
 once through ``relation → values → id``; a tuple's relation, values, base
-variable and adjacency entries sit in id-indexed lists, and roots, dirty and
-unsupported sets and component ids are keyed by id.  A derivation is one flat
-record ``(mapping_id, target_id, *source_ids)`` in an insertion-ordered dict
-``record → rule variable`` that is also the duplicate check.  Recording is
-batched: the executors hand :meth:`ProvenanceGraph.add_derivations` every
-firing of one rule application at once, the relations' interning dicts are
-looked up once per batch, and a firing hashes each participating row once.
-A tuple's adjacency entry is the shared ``()`` until it has records, a tuple
-of up to eight records, and a list beyond, so the graph's many small entries
-are tuples, which the garbage collector can stop tracking, not lists.
-:class:`TupleNode` and :class:`DerivationNode` are values the inspection
-methods build on demand; none is stored.  The graph supports:
+variable and adjacency entries sit in id-indexed lists, and roots, explicit
+dirty entries, the unsupported set and component ids are keyed by id.  A
+derivation is one flat record ``(mapping_id, target_id, *source_ids)`` in an
+insertion-ordered dict ``record → rule variable`` that is also the duplicate
+check.  Recording is batched: the executors hand
+:meth:`ProvenanceGraph.add_derivations` every firing of one rule application
+at once, the relations' interning dicts are looked up once per batch, and a
+firing hashes each participating row once.
+
+Nothing is allocated per tuple beyond its slots in the id-indexed lists.  A
+tuple's adjacency entry is the shared ``()`` until it has records, the one
+record itself (a record is told from a tuple of records by its first field,
+the mapping id string), a tuple of up to eight records, and a list beyond,
+so the graph's many small entries are tuples the garbage collector can stop
+tracking, and most are no container at all.  Tuples created since the last
+flush are dirty by their id range, not by an entry each: only changes to
+older tuples are written down.  :class:`TupleNode` and
+:class:`DerivationNode` are values the inspection methods build on demand;
+none is stored.  The graph supports:
 
 * lazily expanding a tuple's provenance into an expression or polynomial
   (budget-bounded; kept for oracles and display),
@@ -63,18 +70,34 @@ _FIRST_SOURCE = 2
 _TUPLE_ADJACENCY = 8
 
 
+def _records(entry) -> Sequence[tuple]:
+    """The records of one adjacency entry (see :func:`_adjoin`).
+
+    The one normalization every reader applies; the flush, cone and compile
+    loops inline the same test.
+    """
+    return (entry,) if entry and entry[0].__class__ is str else entry
+
+
 def _adjoin(adjacency: list, tuple_id: int, record: tuple) -> None:
     """Append ``record`` to one tuple's adjacency entry.
 
-    Most tuples have one or two derivations and users, so an entry starts as
-    the shared ``()`` and grows as a tuple (which the garbage collector can
-    untrack, unlike a list); past ``_TUPLE_ADJACENCY`` records it turns into
-    a list once and is appended to in place, so a hub tuple with many users
-    still builds in linear time.
+    Most tuples have one derivation and one user, so an entry starts as the
+    shared ``()``, is the bare record while it is the only one (no wrapper
+    container at all), then grows as a tuple of records (which the garbage
+    collector can untrack, unlike a list).  A bare record and a tuple of
+    records differ in their first field: the mapping id string, or a record.
+    Past ``_TUPLE_ADJACENCY`` records the entry turns into a list once and is
+    appended to in place, so a hub tuple with many users still builds in
+    linear time.
     """
     records = adjacency[tuple_id]
-    if type(records) is list:
+    if records.__class__ is list:
         records.append(record)
+    elif not records:
+        adjacency[tuple_id] = record
+    elif records[0].__class__ is str:
+        adjacency[tuple_id] = (records, record)
     elif len(records) < _TUPLE_ADJACENCY:
         adjacency[tuple_id] = records + (record,)
     else:
@@ -170,16 +193,19 @@ class ProvenanceGraph:
         #: The interning table ``relation → values → tuple id``; ids are dense
         #: and never reused, and all other state is indexed or keyed by them.
         self._ids: dict[str, dict[tuple, int]] = {}
+        #: The number of tuples (``len`` of the id-indexed lists).
+        self._tuple_count = 0
         self._relations: list[str] = []
         self._values: list[tuple] = []
         self._variables: list[Optional[str]] = []  # None: derived-only
         #: ``(mapping_id, target_id, *source_ids) → rule variable``.
         self._derivations: dict[tuple, Optional[str]] = {}
         #: Per tuple, the records deriving it and the records using it as a
-        #: source (once each, however often a body repeats it): a tuple of up
-        #: to ``_TUPLE_ADJACENCY`` records, a list beyond (see :func:`_adjoin`).
-        self._by_target: list[Sequence[tuple]] = []
-        self._by_source: list[Sequence[tuple]] = []
+        #: source (once each, however often a body repeats it): ``()``, one
+        #: bare record, a tuple of up to ``_TUPLE_ADJACENCY`` records, a list
+        #: beyond (see :func:`_adjoin`; read through :func:`_records`).
+        self._by_target: list = []
+        self._by_source: list = []
         self._annotate_mappings = annotate_mappings
         self._store = store if store is not None else CircuitStore()
         #: Cached circuit root per tuple; invalidated transitively on change.
@@ -189,8 +215,17 @@ class ProvenanceGraph:
         #: evaluated (a new derived tuple): everything downstream is
         #: re-evaluated.  ``False`` marks added support (a new base tuple, a
         #: promotion, a new derivation), which can only revive tuples that
-        #: are unsupported now.
+        #: are unsupported now.  Every tuple id at or above ``_flushed`` (the
+        #: tuple count at the last flush) is new and dirty without an entry,
+        #: flagged as created: derived ``True``, base ``False``.  ``_dirty``
+        #: holds the explicit entries: changes to older tuples, and a new
+        #: tuple's demotion or promotion (both ``True``).
+        self._flushed = 0
         self._dirty: dict[int, bool] = {}
+        #: For each older tuple in ``_dirty``, in entry order, the tuple count
+        #: when it entered: where it sits among the new tuples, so a flush
+        #: visits the changes in the order they happened.
+        self._dirty_at: list[int] = []
         #: The tuples not derivable from any base tuple, as of the last
         #: flush, each with the serial at which it entered (insertion order).
         self._unsupported: dict[int, int] = {}
@@ -210,15 +245,25 @@ class ProvenanceGraph:
     # -- construction -----------------------------------------------------
     def _new_tuple(self, by_values: dict, relation: str, values: tuple, variable) -> int:
         """Give a never-seen tuple the next id (``by_values``: its relation's interning dict)."""
-        tuple_id = by_values[values] = len(self._relations)
+        tuple_id = by_values[values] = self._tuple_count
+        self._tuple_count = tuple_id + 1
         self._relations.append(relation)
         self._values.append(values)
         self._variables.append(variable)
         self._by_target.append(())
         self._by_source.append(())
-        # Derived: unsupported until a derivation says otherwise.  Base: adds support.
-        self._dirty[tuple_id] = variable is None
         return tuple_id
+
+    def _mark_dirty(self, tuple_id: int, may_lose_support: bool) -> None:
+        """Record an explicit change; ``True`` wins over ``False``."""
+        dirty = self._dirty
+        if tuple_id in dirty:
+            if may_lose_support:
+                dirty[tuple_id] = True
+            return
+        dirty[tuple_id] = may_lose_support
+        if tuple_id < self._flushed:
+            self._dirty_at.append(self._tuple_count)
 
     def _id_of(self, relation: str, values: tuple) -> Optional[int]:
         by_values = self._ids.get(relation)
@@ -237,9 +282,11 @@ class ProvenanceGraph:
                 tuple_id = self._new_tuple(by_values, relation, values, variable)
             else:
                 # A tuple previously known only as derived is now also asserted
-                # as base data: promote it, keeping its derivations.
+                # as base data: promote it, keeping its derivations.  A new
+                # one keeps the ``True`` it was created with: it was never
+                # evaluated.
                 self._variables[tuple_id] = variable
-                self._dirty.setdefault(tuple_id, False)
+                self._mark_dirty(tuple_id, tuple_id >= self._flushed)
         return self._tuple_node(tuple_id)
 
     def add_derived_tuple(self, relation: str, values: tuple) -> TupleNode:
@@ -285,6 +332,9 @@ class ProvenanceGraph:
         relations' interning dicts are looked up once per batch, and a firing
         costs one hash per participating row plus one for its record.
         """
+        if mapping_id.__class__ is not str:
+            # The adjacency entries tell a bare record by its mapping id.
+            raise ProvenanceError(f"a mapping id must be a str, not {mapping_id!r}")
         ids = self._ids
         columns = tuple((ids.setdefault(relation, {}), relation) for relation in predicates)
         if self._annotate_mappings and rule_variable is None:
@@ -318,6 +368,7 @@ class ProvenanceGraph:
         by_target = self._by_target
         by_source = self._by_source
         dirty = self._dirty
+        flushed = self._flushed
         derivations = self._derivations
         scc = self._scc
         recorded = False
@@ -330,16 +381,18 @@ class ProvenanceGraph:
             if by_target[target_id]:
                 _adjoin(by_target, target_id, record)
             else:
-                by_target[target_id] = (record,)
+                by_target[target_id] = record
             for source_id in record[_FIRST_SOURCE:]:
                 users = by_source[source_id]
                 if not users:
-                    by_source[source_id] = (record,)
-                # A body repeating a source finds this record on top: index it once.
-                elif users[-1] is not record:
+                    by_source[source_id] = record
+                # A body repeating a source finds this record on top (as the
+                # bare entry, or last): index it once.
+                elif users is not record and users[-1] is not record:
                     _adjoin(by_source, source_id, record)
-            if target_id not in dirty:
-                dirty[target_id] = False
+            # A new target is dirty by its id; an older one gains support.
+            if target_id < flushed and target_id not in dirty:
+                self._mark_dirty(target_id, False)
             if target_id in scc:
                 self._forget_components(target_id)
         if recorded and rule_variable:
@@ -357,7 +410,7 @@ class ProvenanceGraph:
         if tuple_id is None or self._variables[tuple_id] is None:
             return False
         self._variables[tuple_id] = None
-        self._dirty[tuple_id] = True
+        self._mark_dirty(tuple_id, True)
         return True
 
     # -- inspection (nodes are views, built when asked for) ------------------
@@ -374,7 +427,7 @@ class ProvenanceGraph:
 
     def _derivation_nodes(self, adjacency, relation, values) -> list[DerivationNode]:
         tuple_id = self._id_of(relation, values)
-        records = () if tuple_id is None else adjacency[tuple_id]
+        records = () if tuple_id is None else _records(adjacency[tuple_id])
         return [self._derivation_node(record) for record in records]
 
     def node(self, relation: str, values: tuple) -> Optional[TupleNode]:
@@ -431,9 +484,25 @@ class ProvenanceGraph:
         changed are re-evaluated.  Tuples outside the cone keep their roots
         and their status, so a flush costs what the change touches.
         """
-        if not self._dirty:
+        flushed, count = self._flushed, self._tuple_count
+        if not self._dirty and flushed == count:
             return
         dirty, self._dirty = self._dirty, {}
+        dirty_at, self._dirty_at = self._dirty_at, []
+        self._flushed = count
+        # The changed tuples in the order they changed: an older tuple's
+        # entry goes among the new tuples by the tuple count when it entered.
+        changed: list[int] = []
+        fresh = flushed
+        for key, at in zip([key for key in dirty if key < flushed], dirty_at):
+            if fresh < at:
+                changed += range(fresh, at)
+                fresh = at
+            changed += (key,)
+        changed += range(fresh, count)
+        # A new tuple's explicit entry (a demotion or promotion) is ``True``.
+        variables = self._variables
+        flags = [dirty[key] if key in dirty else variables[key] is None for key in changed]
         roots = self._roots
         by_source = self._by_source
         unsupported = self._unsupported
@@ -443,7 +512,9 @@ class ProvenanceGraph:
         # cone is re-evaluated whether or not it is unsupported now.
         for may_lose_support in (True, False):
             queue = [
-                key for key, flag in dirty.items() if flag is may_lose_support and key not in seen
+                key
+                for key, flag in zip(changed, flags)
+                if flag is may_lose_support and key not in seen
             ]
             seen.update(queue)
             while queue:
@@ -451,7 +522,10 @@ class ProvenanceGraph:
                 roots.pop(key, None)
                 if may_lose_support or key in unsupported:
                     recheck.append(key)
-                for record in by_source[key]:
+                users = by_source[key]
+                if users and users[0].__class__ is str:
+                    users = (users,)
+                for record in users:
                     target = record[1]
                     if target not in seen:
                         seen.add(target)
@@ -483,7 +557,10 @@ class ProvenanceGraph:
         by_source = self._by_source
         queue = [key]
         while queue:
-            for record in by_source[queue.pop()]:
+            users = by_source[queue.pop()]
+            if users and users[0].__class__ is str:
+                users = (users,)
+            for record in users:
                 target = record[1]
                 if scc.pop(target, None) is not None:
                     queue.append(target)
@@ -511,10 +588,13 @@ class ProvenanceGraph:
         counter = 0
 
         def successors(node: int):
+            records = by_target[node]
+            if records and records[0].__class__ is str:
+                records = (records,)
             return iter(
                 [
                     source
-                    for record in by_target[node]
+                    for record in records
                     for source in record[_FIRST_SOURCE:]
                     if source not in sccs
                 ]
@@ -610,7 +690,10 @@ class ProvenanceGraph:
             on_path[key] = depth
             scc_id = sccs.get(key)
             path_sccs[scc_id] = path_sccs.get(scc_id, 0) + 1
-            frames.append(_ExpandFrame(key, depth, scc_id, alternatives, by_target[key]))
+            records = by_target[key]
+            if records and records[0].__class__ is str:
+                records = (records,)
+            frames.append(_ExpandFrame(key, depth, scc_id, alternatives, records))
             return None
 
         immediate = resolve(start, 0)

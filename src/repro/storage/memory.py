@@ -23,8 +23,9 @@ class MemoryInstance:
     def __init__(self) -> None:
         self._relations: dict[str, set[tuple]] = {}
         self._arities: dict[str, int] = {}
-        #: relation -> position -> value -> set of tuples; built on the
-        #: first lookup of a column and maintained by insert/delete.
+        #: relation -> position -> value -> bucket of tuples (see
+        #: :mod:`repro.datalog.indexing`); built on the first lookup of a
+        #: column and maintained by insert/delete.
         self._indexes: dict[str, ColumnIndexes] = {}
 
     # -- schema -----------------------------------------------------------

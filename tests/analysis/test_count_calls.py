@@ -1,5 +1,5 @@
 """The call-count meter (``tools/count_calls.py``) is exact: two runs of the
-same checkout print the same bytes."""
+same checkout print the same bytes, in call mode and in ``--memory`` mode."""
 
 from __future__ import annotations
 
@@ -43,3 +43,34 @@ def test_an_unknown_workload_is_refused():
     done = count_calls("--workload", "no_such_workload", "--scale", "tiny")
     assert done.returncode == 2
     assert "unknown workload" in done.stderr
+
+
+def test_two_tiny_memory_runs_print_identical_bytes():
+    first = count_calls("--workload", "bulk_insert", "--scale", "tiny", "--memory")
+    second = count_calls("--workload", "bulk_insert", "--scale", "tiny", "--memory")
+    assert first.returncode == 0, first.stderr
+    assert first.stdout == second.stdout
+
+    lines = first.stdout.splitlines()
+    assert lines[0] == "workload bulk_insert scale tiny seed 20260928"
+    name, retained = lines[1].split()
+    assert name == "retained_bytes" and int(retained) > 0
+    assert lines[2].startswith("top 15 allocation sites by retained bytes")
+    sites = [line.split() for line in lines[3:]]
+    assert len(sites) == 15
+    sizes = [int(size) for size, _blocks, _site in sites]
+    assert sizes == sorted(sizes, reverse=True) and sum(sizes) <= int(retained)
+    # Sites are checkout-relative, so the output does not depend on its location.
+    assert all(not site.startswith("/") for _size, _blocks, site in sites)
+    assert any(site.startswith("src/repro/") for _size, _blocks, site in sites)
+
+
+def test_a_closed_stdout_ends_the_run_without_a_traceback():
+    """``count_calls.py ... | head -1``: the reader leaves before the report
+    is written, and the tool stops quietly."""
+    done = subprocess.run(
+        f"{sys.executable} {TOOL} --workload bulk_insert --scale tiny | head -c 0",
+        shell=True, cwd=REPO_ROOT, capture_output=True, text=True, check=False,
+    )  # fmt: skip
+    assert done.returncode == 0
+    assert "Traceback" not in done.stderr and "BrokenPipeError" not in done.stderr

@@ -15,10 +15,20 @@ bytes.  It prints:
   (1.0 means a step costs the same late in the run as early on);
 * the 20 functions with the most calls over the timed region.
 
+With ``--memory`` it meters memory instead of calls, over the same timed
+region and without the profiler: it runs the steps under
+:mod:`tracemalloc` and prints
+
+* ``retained_bytes`` -- what the timed region allocated and still holds
+  after ``gc.collect()`` at its end;
+* the 15 allocation sites (``path:line``, relative to the checkout) that
+  hold the most of it, with their block counts.
+
 Usage::
 
     python tools/count_calls.py --workload churn_gossip --scale tiny
     python tools/count_calls.py --workload star_sync --scale full
+    python tools/count_calls.py --workload bulk_insert --memory
 
 The workloads module is imported, never modified.  Standard library only.
 """
@@ -27,10 +37,12 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import gc
 import os
 import pstats
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -40,33 +52,78 @@ SAMPLED_STEPS = (10, 50, 90)
 EARLY = range(10, 30)
 LATE = range(80, 100)
 TOP = 20
+TOP_SITES = 15
 
 #: The benchmark's default seed (``benchmarks/e2e``), so the counts describe
 #: the runs ``BENCHMARK.json`` measures.
 SEED = 20260928
 
 
+def _path(filename: str) -> str:
+    """``filename`` relative to the checkout (or its bare name outside it),
+    so the output does not depend on where the checkout lives."""
+    path = Path(filename)
+    try:
+        return path.resolve().relative_to(ROOT).as_posix()
+    except ValueError:
+        return path.name
+
+
 def _label(function: tuple[str, int, str]) -> str:
-    """``path:line(name)`` with the path relative to the checkout, so the
-    output does not depend on where the checkout lives."""
+    """``path:line(name)`` with the path relative to the checkout."""
     filename, line, name = function
     if filename == "~":  # a builtin: cProfile names it in full already
         return name
-    path = Path(filename)
+    return f"{_path(filename)}:{line}({name})"
+
+
+def _set_up(workload_name: str, scale: str):
+    """The workload's set-up (its constructor), outside the timed region."""
+    from benchmarks.e2e.workloads import WORKLOADS
+    from repro.config import SystemConfig
+
+    workload_class = WORKLOADS[workload_name]
+    return workload_class(SEED, workload_class.sizes[scale], SystemConfig.default())
+
+
+def measure_memory(workload_name: str, scale: str) -> list[str]:
+    """Trace one workload's timed region; returns the report's lines."""
+    from benchmarks.e2e.workloads import STEPS
+
+    workload = _set_up(workload_name, scale)
+    gc.collect()
+    tracemalloc.start()
     try:
-        filename = path.resolve().relative_to(ROOT).as_posix()
-    except ValueError:
-        filename = path.name
-    return f"{filename}:{line}({name})"
+        for index in range(STEPS):
+            workload.step(index)
+        workload.finish()
+        gc.collect()
+        retained, _peak = tracemalloc.get_traced_memory()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    snapshot = snapshot.filter_traces([tracemalloc.Filter(False, tracemalloc.__file__)])
+    sites = sorted(
+        (
+            (-stat.size, f"{_path(stat.traceback[0].filename)}:{stat.traceback[0].lineno}",
+             stat.count)
+            for stat in snapshot.statistics("lineno")
+        )
+    )  # fmt: skip
+    lines = [
+        f"workload {workload_name} scale {scale} seed {SEED}",
+        f"retained_bytes {retained}",
+        f"top {TOP_SITES} allocation sites by retained bytes (bytes, blocks, site):",
+    ]
+    lines += [f"{-size:>12}  {count:>8}  {site}" for size, site, count in sites[:TOP_SITES]]
+    return lines
 
 
 def measure(workload_name: str, scale: str) -> list[str]:
     """Profile one workload's steps; returns the report's lines."""
-    from benchmarks.e2e.workloads import STEPS, WORKLOADS
-    from repro.config import SystemConfig
+    from benchmarks.e2e.workloads import STEPS
 
-    workload_class = WORKLOADS[workload_name]
-    workload = workload_class(SEED, workload_class.sizes[scale], SystemConfig.default())
+    workload = _set_up(workload_name, scale)
 
     per_step: list[int] = []
     totals: pstats.Stats | None = None
@@ -112,6 +169,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="python tools/count_calls.py")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--scale", choices=("full", "tiny"), default="full")
+    parser.add_argument(
+        "--memory", action="store_true",
+        help="report retained bytes and the top allocation sites instead of calls",
+    )  # fmt: skip
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
 
@@ -123,6 +184,7 @@ def main(argv: list[str] | None = None) -> int:
             [
                 sys.executable, str(Path(__file__).resolve()), "--child",
                 "--workload", args.workload, "--scale", args.scale,
+                *(["--memory"] if args.memory else []),
             ],
             env=environment, cwd=ROOT,
         )  # fmt: skip
@@ -133,7 +195,13 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.workload not in WORKLOADS:
         parser.error(f"unknown workload {args.workload!r} (one of {', '.join(WORKLOADS)})")
-    print("\n".join(measure(args.workload, args.scale)))
+    report = (measure_memory if args.memory else measure)(args.workload, args.scale)
+    try:
+        print("\n".join(report), flush=True)
+    except BrokenPipeError:
+        # The reader went away (``| head``): stop without a traceback, and
+        # point stdout at devnull so the interpreter's final flush is quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 
