@@ -503,9 +503,13 @@ class ProvenanceGraph:
                 fresh = at
             changed += (key,)
         changed += range(fresh, count)
-        # A new tuple's explicit entry (a demotion or promotion) is ``True``.
+        # A new tuple without an entry has the flag it was created with; its
+        # entry (a demotion or promotion) is ``True``.
         variables = self._variables
-        flags = [dirty[key] if key in dirty else variables[key] is None for key in changed]
+        lose = [key for key in changed if (dirty[key] if key in dirty else variables[key] is None)]
+        gain = [
+            key for key in changed if not (dirty[key] if key in dirty else variables[key] is None)
+        ]
         roots = self._roots
         by_source = self._by_source
         unsupported = self._unsupported
@@ -513,12 +517,8 @@ class ProvenanceGraph:
         recheck: list[int] = []
         # Cones that may have lost support first, so a tuple in both kinds of
         # cone is re-evaluated whether or not it is unsupported now.
-        for may_lose_support in (True, False):
-            queue = [
-                key
-                for key, flag in zip(changed, flags)
-                if flag is may_lose_support and key not in seen
-            ]
+        for may_lose_support, keys in ((True, lose), (False, gain)):
+            queue = [key for key in keys if key not in seen]
             seen.update(queue)
             while queue:
                 key = queue.pop()
