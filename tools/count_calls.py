@@ -39,10 +39,10 @@ import argparse
 import cProfile
 import gc
 import os
-import pstats
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -69,12 +69,24 @@ def _path(filename: str) -> str:
         return path.name
 
 
-def _label(function: tuple[str, int, str]) -> str:
-    """``path:line(name)`` with the path relative to the checkout."""
-    filename, line, name = function
-    if filename == "~":  # a builtin: cProfile names it in full already
-        return name
-    return f"{_path(filename)}:{line}({name})"
+def _calls_by_label(profile: cProfile.Profile) -> Counter:
+    """Calls per ``path:line(name)`` label (path relative to the checkout),
+    summed over the profiler's raw per-code-object entries.
+
+    :mod:`pstats` keeps one entry per label, and when several code objects
+    share one (every dataclass ``__init__`` is ``<string>:2``) the one it
+    keeps depends on memory addresses, so its totals vary between runs.
+    """
+    calls: Counter = Counter()
+    for entry in profile.getstats():
+        code = entry.code
+        if isinstance(code, str):  # a builtin: cProfile names it in full already
+            calls[code] += entry.callcount
+        else:
+            calls[f"{_path(code.co_filename)}:{code.co_firstlineno}({code.co_name})"] += (
+                entry.callcount
+            )
+    return calls
 
 
 def _set_up(workload_name: str, scale: str):
@@ -126,7 +138,7 @@ def measure(workload_name: str, scale: str) -> list[str]:
     workload = _set_up(workload_name, scale)
 
     per_step: list[int] = []
-    totals: pstats.Stats | None = None
+    totals: Counter = Counter()
     for index in range(STEPS + 1):
         profile = cProfile.Profile()
         profile.enable()
@@ -135,31 +147,22 @@ def measure(workload_name: str, scale: str) -> list[str]:
         else:
             workload.finish()
         profile.disable()
-        stats = pstats.Stats(profile)
+        calls = _calls_by_label(profile)
         if index < STEPS:
-            per_step.append(stats.total_calls)  # type: ignore[attr-defined]
-        if totals is None:
-            totals = stats
-        else:
-            totals.add(stats)
-    assert totals is not None
+            per_step.append(sum(calls.values()))
+        totals.update(calls)
 
     def mean(steps: range) -> float:
         return sum(per_step[index] for index in steps) / len(steps)
 
     lines = [
         f"workload {workload_name} scale {scale} seed {SEED}",
-        f"calls_total {totals.total_calls}",  # type: ignore[attr-defined]
+        f"calls_total {sum(totals.values())}",
     ]
     lines += [f"calls_step_{index} {per_step[index]}" for index in SAMPLED_STEPS]
     lines.append(f"growth {mean(LATE) / mean(EARLY):.3f}")
-    ranked = sorted(
-        (
-            (calls, _label(function))
-            for function, (_, calls, _, _, _) in totals.stats.items()  # type: ignore[attr-defined]
-        ),
-        key=lambda row: (-row[0], row[1]),
-    )
+    ranked = sorted(((calls, label) for label, calls in totals.items()),
+                    key=lambda row: (-row[0], row[1]))  # fmt: skip
     lines.append(f"top {TOP} by ncalls:")
     lines += [f"{calls:>10}  {label}" for calls, label in ranked[:TOP]]
     return lines
