@@ -141,7 +141,7 @@ class Database:
             buckets = positions.get(position)
             if buckets is None:
                 buckets = self._build_index(predicate, position)
-        return buckets.get(value, _EMPTY_SET)
+        return buckets.get(value, ())
 
     def rows(self, predicate: str) -> set[tuple]:
         """The live tuple set of ``predicate`` (executor-internal; do not mutate)."""
