@@ -14,8 +14,7 @@ Run with:  python examples/provenance_and_trust.py
 
 from __future__ import annotations
 
-from repro.provenance import BooleanSemiring, SecuritySemiring, TropicalSemiring, TrustLevel
-from repro.provenance.homomorphism import specialize_assignment
+from repro.provenance import SecuritySemiring, TropicalSemiring, TrustLevel
 from repro.workloads.bioinformatics import build_figure2_network
 
 
@@ -86,7 +85,9 @@ def main() -> None:
         peer: (1.0 / priority if priority else float("inf"))
         for peer, priority in priorities.items()
     }
-    assignment = specialize_assignment(by_peer, costs_by_peer, float("inf"))
+    assignment = {
+        variable: costs_by_peer.get(peer, float("inf")) for variable, peer in by_peer.items()
+    }
     crete_cost = graph.evaluate(TropicalSemiring(), assignment)[target]
     print(f"  cheapest derivation using only peers Crete trusts: {crete_cost}")
     assert crete_cost != float("inf")  # Beijing's copy alone supports it

@@ -21,7 +21,7 @@ from .mapping import Mapping, identity_mapping, join_mapping, split_mapping
 from .peer import Peer
 from .schema import PeerSchema, RelationSchema
 from .system import CDSS, ReconcileOutcome
-from .transactions import Transaction, TransactionBuilder, dependency_order
+from .transactions import Transaction, TransactionBuilder
 from .trust import TrustCondition, TrustPolicy
 from .updates import Update, UpdateKind
 
@@ -40,7 +40,6 @@ __all__ = [
     "TrustPolicy",
     "Update",
     "UpdateKind",
-    "dependency_order",
     "identity_mapping",
     "join_mapping",
     "split_mapping",

@@ -8,7 +8,7 @@ uses to compile its datalog program and which the reporting views display.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 from ..errors import MappingError, PeerError
 from .mapping import Mapping
@@ -79,25 +79,6 @@ class Catalog:
         for mapping in self._mappings.values():
             graph[mapping.source_peer].add(mapping.target_peer)
         return dict(graph)
-
-    def peers_reachable_from(self, peer: str) -> set[str]:
-        """Peers whose data can (transitively) flow into ``peer``.
-
-        Follows mapping edges backwards: a peer X is in the result when there
-        is a path of mappings X -> ... -> ``peer``.
-        """
-        incoming: dict[str, set[str]] = defaultdict(set)
-        for mapping in self._mappings.values():
-            incoming[mapping.target_peer].add(mapping.source_peer)
-        seen: set[str] = set()
-        frontier = [peer]
-        while frontier:
-            current = frontier.pop()
-            for source in incoming.get(current, ()):
-                if source not in seen and source != peer:
-                    seen.add(source)
-                    frontier.append(source)
-        return seen
 
     def __iter__(self) -> Iterator[Peer]:
         return iter(self._peers.values())

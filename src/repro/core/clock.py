@@ -9,7 +9,7 @@ next reconciliation only needs to consider newer publications.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass

@@ -24,7 +24,7 @@ from typing import Iterable, Optional, Sequence
 
 from ..analysis import codes as _codes
 from ..datalog.ast import Atom, Constant, SkolemTerm, Term, Variable
-from ..datalog.parser import parse_atom, parse_rule, parse_tgd
+from ..datalog.parser import parse_atom, parse_tgd
 from ..errors import MappingError, SourceSpan
 from .schema import PeerSchema, RelationSchema, split_qualified
 
@@ -245,22 +245,6 @@ def mapping_to_tgd(mapping: Mapping) -> str:
         _render_qualified_atom(mapping.source_peer, atom) for atom in mapping.body
     )
     return f"[{mapping.mapping_id}] {heads} :- {body}."
-
-
-def mapping_from_datalog(
-    mapping_id: str, source_peer: str, target_peer: str, text: str
-) -> Mapping:
-    """Build a mapping from datalog notation ``head1(...), ... :- body(...)``.
-
-    Only a single head atom is supported in this notation; use
-    :func:`split_mapping` or the :class:`Mapping` constructor directly for
-    multi-atom heads.
-    """
-    rule = parse_rule(text)
-    body_atoms = tuple(atom for atom in rule.body if isinstance(atom, Atom))
-    if len(body_atoms) != len(rule.body):
-        raise MappingError("mappings may not contain comparison atoms")
-    return Mapping(mapping_id, source_peer, target_peer, body_atoms, (rule.head,))
 
 
 def identity_mapping(

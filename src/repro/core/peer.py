@@ -13,7 +13,6 @@ Each participant of the CDSS is a :class:`Peer` holding:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from ..errors import PeerError, TransactionError

@@ -70,10 +70,6 @@ class RelationSchema:
                 f"relation {self.name!r} has no attribute {attribute!r}"
             ) from None
 
-    def key_positions(self) -> tuple[int, ...]:
-        """Positions of the key attributes within a tuple."""
-        return self._key_positions
-
     def key_of(self, values: Sequence[object]) -> tuple:
         """Project a tuple onto its key attributes."""
         self.check_arity(values)

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from ..config import SystemConfig
-from ..errors import ConfigurationError, MappingError, PeerError, PublicationError
+from ..errors import ConfigurationError, MappingError, PublicationError
 from ..exchange.engine import ExchangeEngine
 from ..exchange.migration import migrate_instance
 from ..exchange.rules import compile_mappings
@@ -45,7 +45,6 @@ from ..p2p.distributed import store_from_config
 from ..p2p.gossip import GossipCoordinator
 from ..p2p.network import Network
 from ..p2p.reconcile import ReconcileConfig
-from ..p2p.store import UpdateStore
 from ..reconcile.algorithm import ReconcileResult, Reconciler
 from ..reconcile.decisions import DeferredConflict, ReconciliationState
 from ..reconcile.resolution import ResolutionResult, resolve_conflict
@@ -318,13 +317,13 @@ class CDSS:
                 [(peer.name, peer.schema) for peer in self.catalog.peers()],
                 self.catalog.mappings(),
             )
-            self._engine = ExchangeEngine(
-                program, self.config.exchange, observability=self.obs
-            )
+            engine = ExchangeEngine(program, self.config.exchange, observability=self.obs)
             # Replay anything already archived so late schema changes keep the
-            # translated state consistent.
+            # translated state consistent.  Only a finished replay is kept: a
+            # fault part-way leaves no engine, and the next access replays again.
             for entry in self.store.all_entries():
-                self._engine.process_transaction(entry.transaction)
+                engine.process_transaction(entry.transaction)
+            self._engine = engine
         return self._engine
 
     def explain(self) -> str:
@@ -381,10 +380,17 @@ class CDSS:
             if self.gossip is not None:
                 self.gossip.record_published(peer_name, entries)
 
-            for entry in entries:
-                delta = engine.process_transaction(entry.transaction)
-                outcome.published.append(entry.txn_id)
-                outcome.translated_changes += delta.change_count()
+            try:
+                for entry in entries:
+                    delta = engine.process_transaction(entry.transaction)
+                    outcome.published.append(entry.txn_id)
+                    outcome.translated_changes += delta.change_count()
+            except BaseException:
+                # The batch is archived and the engine is a fold over the
+                # archive: drop the half-applied engine, and the next access
+                # replays every entry, this batch included.
+                self._invalidate_engine()
+                raise
         metrics = self.obs.metrics
         metrics.counter_add("sync.publications", 1, label=peer_name)
         metrics.counter_add(

@@ -11,12 +11,12 @@ antecedents are accepted, and must be rejected if any antecedent is rejected.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Optional, Sequence
 
 from ..errors import TransactionError
 from .hashing import stable_hash
-from .updates import Update, UpdateKind
+from .updates import Update
 
 
 @dataclass(frozen=True)
@@ -192,97 +192,3 @@ class TransactionBuilder:
                 transaction.antecedents,
             )
         return transaction
-
-
-# -- dependency graph utilities ------------------------------------------------------
-
-def dependency_order(transactions: Iterable[Transaction]) -> list[Transaction]:
-    """Topologically sort transactions so antecedents come before dependents.
-
-    Antecedents outside the given set are ignored (they are assumed to be
-    already applied or handled by reconciliation).  Raises
-    :class:`TransactionError` on a dependency cycle.
-    """
-    transactions = list(transactions)
-    by_id = {transaction.txn_id: transaction for transaction in transactions}
-    permanent: set[str] = set()
-    temporary: set[str] = set()
-    ordered: list[Transaction] = []
-
-    def visit(txn_id: str) -> None:
-        if txn_id in permanent:
-            return
-        if txn_id in temporary:
-            raise TransactionError(
-                f"cycle in transaction dependencies involving {txn_id!r}"
-            )
-        temporary.add(txn_id)
-        for antecedent in sorted(by_id[txn_id].antecedents):
-            if antecedent in by_id:
-                visit(antecedent)
-        temporary.discard(txn_id)
-        permanent.add(txn_id)
-        ordered.append(by_id[txn_id])
-
-    for transaction in sorted(transactions, key=lambda txn: txn.txn_id):
-        visit(transaction.txn_id)
-    return ordered
-
-
-def dependents_index(transactions: Iterable[Transaction]) -> dict[str, set[str]]:
-    """Map each transaction id to the ids of transactions that depend on it."""
-    index: dict[str, set[str]] = {}
-    for transaction in transactions:
-        for antecedent in transaction.antecedents:
-            index.setdefault(antecedent, set()).add(transaction.txn_id)
-    return index
-
-
-def transitive_dependents(
-    roots: Iterable[str], transactions: Iterable[Transaction]
-) -> set[str]:
-    """All transactions that (transitively) depend on any of ``roots``."""
-    index = dependents_index(transactions)
-    result: set[str] = set()
-    frontier = list(roots)
-    while frontier:
-        current = frontier.pop()
-        for dependent in index.get(current, ()):
-            if dependent not in result:
-                result.add(dependent)
-                frontier.append(dependent)
-    return result
-
-
-def transitive_antecedents(
-    transaction: Transaction, by_id: Mapping[str, Transaction]
-) -> set[str]:
-    """All antecedents of ``transaction``, following the graph transitively.
-
-    Antecedent ids missing from ``by_id`` are included in the result (the
-    caller decides how to treat unknown antecedents) but not expanded.
-    """
-    result: set[str] = set()
-    frontier = list(transaction.antecedents)
-    while frontier:
-        current = frontier.pop()
-        if current in result:
-            continue
-        result.add(current)
-        known = by_id.get(current)
-        if known is not None:
-            frontier.extend(known.antecedents)
-    return result
-
-
-def producers_index(transactions: Iterable[Transaction]) -> dict[tuple[str, tuple], str]:
-    """Map each produced ``(relation, tuple)`` to the transaction that produced it.
-
-    Later transactions overwrite earlier producers of the same tuple, which is
-    the behaviour :class:`TransactionBuilder` needs for antecedent inference.
-    """
-    index: dict[tuple[str, tuple], str] = {}
-    for transaction in transactions:
-        for relation, values in transaction.inserted_tuples():
-            index[(relation, values)] = transaction.txn_id
-    return index

@@ -173,11 +173,11 @@ class TrustPolicy:
         """The priority each peer's plain updates receive under this policy.
 
         Mirrors :meth:`trusts_peer` but keeps the magnitude, which is what
-        semiring-valued trust questions need: combined with
-        :func:`repro.provenance.homomorphism.specialize_assignment`, the
-        returned table turns a stored provenance DAG into, e.g., tropical
-        costs (cheapest trusted derivation) or counting weights — evaluated
-        once per shared sub-derivation through the memoized circuit.
+        semiring-valued trust questions need: assigned to each base variable
+        through its publishing peer, the returned table turns a stored
+        provenance DAG into, e.g., tropical costs (cheapest trusted
+        derivation) or counting weights — evaluated once per shared
+        sub-derivation through the memoized circuit.
         """
         priorities: dict[str, int] = {}
         for peer in all_peers:

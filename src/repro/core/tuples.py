@@ -9,7 +9,7 @@ know about the datalog representation.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ..datalog.ast import SkolemTerm
 
@@ -46,8 +46,3 @@ def render_value(value: object) -> str:
 def render_tuple(values: Sequence[object]) -> str:
     """Human-readable rendering of a whole tuple."""
     return "(" + ", ".join(render_value(value) for value in values) + ")"
-
-
-def freeze(values: Iterable[object]) -> tuple:
-    """Normalise an iterable of cell values into a hashable tuple."""
-    return tuple(values)

@@ -7,7 +7,6 @@ substrate from scratch:
 
 * :mod:`repro.datalog.ast` — terms, atoms, rules and programs,
 * :mod:`repro.datalog.parser` — a small textual syntax for rules and facts,
-* :mod:`repro.datalog.unification` — substitutions and atom matching,
 * :mod:`repro.datalog.plan` — one-time compilation of rules into executable
   join plans (greedy atom ordering, pre-resolved index probes, head
   projection closures), cached by structural identity,
@@ -23,7 +22,7 @@ substrate from scratch:
 """
 
 from .ast import Atom, Constant, Fact, Program, Rule, SkolemTerm, Variable
-from .evaluation import Database, evaluate_program, evaluate_rule_once
+from .evaluation import Database, evaluate_program
 from .executor import ExecutionStats, fire_rule, run_program, run_stratum
 from .incremental import IncrementalEngine
 from .parser import parse_atom, parse_fact, parse_program, parse_rule
@@ -31,7 +30,6 @@ from .plan import CompiledProgram, CompiledRule, compile_program, compile_rule
 from .provenance_eval import ProvenanceDatabase, evaluate_with_provenance
 from .skolem import SkolemFactory
 from .stratification import stratify
-from .unification import Substitution, match_atom, unify_terms
 
 __all__ = [
     "Atom",
@@ -47,15 +45,12 @@ __all__ = [
     "Rule",
     "SkolemFactory",
     "SkolemTerm",
-    "Substitution",
     "Variable",
     "compile_program",
     "compile_rule",
     "evaluate_program",
-    "evaluate_rule_once",
     "evaluate_with_provenance",
     "fire_rule",
-    "match_atom",
     "parse_atom",
     "parse_fact",
     "parse_program",
@@ -63,5 +58,4 @@ __all__ = [
     "run_program",
     "run_stratum",
     "stratify",
-    "unify_terms",
 ]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Union
 
 from ..errors import DatalogError, SourceSpan, UnsafeRuleError
 
@@ -199,9 +199,6 @@ class Comparison:
         return f"{self.left!r} {self.op} {self.right!r}"
 
 
-BodyLiteral = Union[Atom, Comparison]
-
-
 @dataclass(frozen=True)
 class Rule:
     """A datalog rule ``head :- body``.
@@ -283,43 +280,6 @@ class Rule:
             check(atom.variables(), f"negated atom {atom!r}")
         for comparison in self.comparisons:
             check(comparison.variables(), f"comparison {comparison!r}")
-
-    def rename_variables(self, suffix: str) -> "Rule":
-        """Return a copy of the rule with every variable renamed by ``suffix``.
-
-        Used when the same rule must be instantiated several times in a
-        larger program without variable capture.
-        """
-
-        def rename_term(term: Term) -> Term:
-            if isinstance(term, Variable):
-                return Variable(term.name + suffix)
-            if isinstance(term, SkolemTerm):
-                return SkolemTerm(
-                    term.function, tuple(rename_term(a) for a in term.arguments)
-                )
-            return term
-
-        def rename_atom(atom: Atom) -> Atom:
-            return Atom(
-                atom.predicate,
-                tuple(rename_term(t) for t in atom.terms),
-                negated=atom.negated,
-            )
-
-        new_body: list[BodyLiteral] = []
-        for literal in self.body:
-            if isinstance(literal, Atom):
-                new_body.append(rename_atom(literal))
-            else:
-                new_body.append(
-                    Comparison(
-                        literal.op,
-                        rename_term(literal.left),
-                        rename_term(literal.right),
-                    )
-                )
-        return Rule(rename_atom(self.head), tuple(new_body), label=self.label, span=self.span)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if not self.body:
@@ -405,24 +365,3 @@ class Program:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "\n".join(repr(rule) for rule in self.rules)
-
-
-def make_atom(predicate: str, *terms: object, negated: bool = False) -> Atom:
-    """Convenience constructor that wraps raw Python values as constants.
-
-    Strings that start with an uppercase letter or ``?`` are interpreted as
-    variables (mirroring the textual syntax); everything else becomes a
-    constant.  Pass explicit :class:`Variable`/:class:`Constant` instances to
-    avoid the heuristic.
-    """
-    converted: list[Term] = []
-    for term in terms:
-        if isinstance(term, (Variable, Constant, SkolemTerm)):
-            converted.append(term)
-        elif isinstance(term, str) and term.startswith("?"):
-            converted.append(Variable(term[1:]))
-        elif isinstance(term, str) and term[:1].isupper():
-            converted.append(Variable(term))
-        else:
-            converted.append(Constant(term))
-    return Atom(predicate, tuple(converted), negated=negated)

@@ -23,10 +23,10 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Iterable, Iterator, Mapping, Optional
 
-from .ast import Fact, Program, Rule
-from .executor import ExecutionStats, fire_rule, run_program
+from .ast import Fact, Program
+from .executor import ExecutionStats, run_program
 from .indexing import Bucket, ColumnIndexes, build_column_index, index_discard, index_insert
-from .plan import compile_program, compile_rule
+from .plan import compile_program
 
 _EMPTY_SET: frozenset = frozenset()
 
@@ -217,16 +217,6 @@ class Database:
             if rows
         ]
         return "Database(" + ", ".join(parts) + ")"
-
-
-def evaluate_rule_once(
-    rule: Rule,
-    database: Database,
-    delta: Optional[dict[str, set[tuple]]] = None,
-    delta_position: Optional[int] = None,
-) -> set[tuple]:
-    """Compute the set of head tuples derivable by one application of ``rule``."""
-    return fire_rule(compile_rule(rule), database, delta, delta_position)
 
 
 def evaluate_program(

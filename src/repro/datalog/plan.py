@@ -2,9 +2,9 @@
 
 Historically the repo carried three tuple-at-a-time evaluators (plain,
 incremental, provenance) that each re-planned joins on every rule
-application: every candidate tuple allocated a fresh
-:class:`~repro.datalog.unification.Substitution`, every probe re-derived
-which column index to use, and every semi-naive round re-sorted the body.
+application: every candidate tuple allocated a fresh substitution, every
+probe re-derived which column index to use, and every semi-naive round
+re-sorted the body.
 This module does all of that work **once per rule**:
 
 * **Variable slots** — every variable of a rule is assigned an integer slot
@@ -132,9 +132,9 @@ def _compile_skolem_matcher(
 ):
     """Structural matcher for a skolem term in a body position.
 
-    Mirrors :func:`repro.datalog.unification.match_term`: the candidate
-    value must be a skolem term with the same function and arity, and the
-    arguments match recursively (binding still-free variables).
+    The candidate value must be a skolem term with the same function and
+    arity, and the arguments match recursively (binding still-free
+    variables).
     """
     ops: list[tuple] = []
     for index, argument in enumerate(term.arguments):

@@ -14,7 +14,7 @@ trust policies afterwards.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 from ..provenance.graph import ProvenanceGraph
 from ..provenance.polynomial import Polynomial
@@ -116,16 +116,3 @@ def evaluate_with_provenance(
         max_iterations=max_iterations,
     )
     return ProvenanceDatabase(working, provenance_graph)
-
-
-def provenance_for_all(
-    result: ProvenanceDatabase, predicates: Iterable[str], max_depth: int = 16
-) -> dict[tuple[str, tuple], Polynomial]:
-    """Expand provenance polynomials for every tuple of the given predicates."""
-    polynomials: dict[tuple[str, tuple], Polynomial] = {}
-    for predicate in predicates:
-        for values in result.database.relation(predicate):
-            polynomials[(predicate, values)] = result.polynomial(
-                predicate, values, max_depth=max_depth
-            )
-    return polynomials

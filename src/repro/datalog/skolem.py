@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .ast import Atom, Rule, SkolemTerm, Term, Variable
+from .ast import Atom, SkolemTerm, Term, Variable
 
 
 @dataclass
@@ -124,23 +124,3 @@ def skolemize_head(
 def is_labelled_null(value: object) -> bool:
     """True when ``value`` is a labelled null (a ground skolem term)."""
     return isinstance(value, SkolemTerm) and value.is_ground
-
-
-def rules_with_skolemized_heads(
-    body: Sequence[Atom],
-    heads: Sequence[Atom],
-    mapping_id: str,
-    factory: SkolemFactory,
-    label: str | None = None,
-) -> list[Rule]:
-    """Compile a (body, heads) mapping into one rule per skolemized head atom."""
-    body_variables: set[Variable] = set()
-    for atom in body:
-        body_variables.update(atom.variables())
-    skolemized = skolemize_head(heads, body_variables, mapping_id, factory)
-    rules = []
-    for atom in skolemized:
-        rule = Rule(atom, tuple(body), label=label or mapping_id)
-        rule.validate()
-        rules.append(rule)
-    return rules

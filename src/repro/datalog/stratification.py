@@ -83,25 +83,3 @@ def is_stratifiable(program: Program) -> bool:
     except StratificationError:
         return False
     return True
-
-
-def is_recursive(program: Program) -> bool:
-    """True when some IDB predicate (transitively) depends on itself."""
-    graph: dict[str, set[str]] = defaultdict(set)
-    for head, body, _negated in program.dependency_edges():
-        graph[head].add(body)
-
-    idb = program.idb_predicates
-
-    def reachable(start: str) -> set[str]:
-        seen: set[str] = set()
-        frontier = [start]
-        while frontier:
-            node = frontier.pop()
-            for successor in graph.get(node, ()):
-                if successor not in seen:
-                    seen.add(successor)
-                    frontier.append(successor)
-        return seen
-
-    return any(predicate in reachable(predicate) for predicate in idb)

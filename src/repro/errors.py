@@ -27,21 +27,6 @@ class SourceSpan:
     end_column: Optional[int] = None
     source: Optional[str] = None
 
-    def shifted(self, line_offset: int, source: Optional[str] = None) -> "SourceSpan":
-        """Return a copy moved down by ``line_offset`` lines.
-
-        Used when a datalog fragment is embedded inside a larger document
-        (e.g. a ``mapping`` clause inside a network spec) and the fragment
-        parser counted lines from 1.
-        """
-        return SourceSpan(
-            line=self.line + line_offset,
-            column=self.column,
-            end_line=None if self.end_line is None else self.end_line + line_offset,
-            end_column=self.end_column,
-            source=source if source is not None else self.source,
-        )
-
     def __str__(self) -> str:
         origin = self.source or "<input>"
         return f"{origin}:{self.line}:{self.column}"

@@ -21,7 +21,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Collection, Iterator, Mapping
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 from ..config import ExchangeConfig
 from ..core.transactions import Transaction
@@ -196,11 +196,6 @@ class ExchangeEngine:
         """The closure executor firing the compiled plans."""
         return self._engine.backend
 
-    @property
-    def base_database(self):
-        """Only the published (extensional) facts currently asserted."""
-        return self._engine.base
-
     def reference_database(self):
         """From-scratch recomputation of the derived state (non-mutating).
 
@@ -315,11 +310,6 @@ class ExchangeEngine:
             metrics.counter_add("exchange.delta.deletions", deletions)
         self._mirror_execution_stats()
         return delta
-
-    def process_transactions(
-        self, transactions: Iterable[Transaction]
-    ) -> list[TranslationDelta]:
-        return [self.process_transaction(transaction) for transaction in transactions]
 
     @staticmethod
     def _collect(changes: dict[str, set[tuple]], accumulator: PeerChanges) -> None:

@@ -14,8 +14,8 @@ one tuple by another.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from ..core.schema import PeerSchema
 from ..core.transactions import Transaction
@@ -97,20 +97,6 @@ class UpdateTranslator:
             antecedents=transaction.antecedents,
             epoch=delta.epoch or transaction.epoch,
         )
-
-    def translate_many(
-        self,
-        transactions: Iterable[Transaction],
-        deltas_by_txn: dict[str, TranslationDelta],
-    ) -> list[CandidateTransaction]:
-        """Translate a batch of transactions (missing deltas are skipped)."""
-        candidates = []
-        for transaction in transactions:
-            delta = deltas_by_txn.get(transaction.txn_id)
-            if delta is None:
-                continue
-            candidates.append(self.translate(transaction, delta))
-        return candidates
 
     # -- helpers -------------------------------------------------------------
     def _assemble_updates(

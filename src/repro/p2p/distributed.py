@@ -155,16 +155,6 @@ class ShardReplica:
     def holds(self, sequence: int) -> bool:
         return sequence in self._by_sequence
 
-    def epoch_vector(self) -> dict[int, tuple[int, int]]:
-        """``{segment: (entry count, max sequence)}`` — the full per-shard
-        vector the anti-entropy rounds used to ship; kept for inspection,
-        superseded on the wire by the compact clocks below."""
-        return {
-            segment: (len(held), max(held))
-            for segment, held in sorted(self._segments.items())
-            if held
-        }
-
     def clock(self) -> CompactClock:
         """Constant-size summary of everything this replica holds.  Unlike
         ``(count, max sequence)``, the checksum detects interior holes: two

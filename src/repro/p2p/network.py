@@ -234,9 +234,6 @@ class Network:
     def peers(self) -> set[str]:
         return set(self._online)
 
-    def is_registered(self, peer: str) -> bool:
-        return peer in self._online
-
     # -- connectivity -----------------------------------------------------------
     def is_online(self, peer: str) -> bool:
         try:

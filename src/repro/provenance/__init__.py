@@ -10,25 +10,16 @@ per-peer trust policies:
   why-provenance, lineage),
 * :mod:`repro.provenance.polynomial` — provenance polynomials ``N[X]``, the
   most general (universal) annotation,
-* :mod:`repro.provenance.expressions` — compact provenance expression DAGs,
 * :mod:`repro.provenance.circuit` — the hash-consed circuit store (interned
   sum/product/variable nodes) with memoized semiring evaluators,
 * :mod:`repro.provenance.graph` — the provenance graph maintained during
   update exchange (tuples + mapping-rule derivations), compiled lazily into
-  the circuit store,
-* :mod:`repro.provenance.homomorphism` — evaluation of polynomials,
-  expressions, circuits and graphs into arbitrary commutative semirings.
+  the circuit store; evaluating it in a semiring under an assignment is the
+  homomorphic image of its ``N[X]`` provenance.
 """
 
 from .circuit import CircuitEvaluator, CircuitStore, MembershipAssignment
-from .expressions import ProvenanceExpression, prov_one, prov_plus, prov_times, prov_var, prov_zero
 from .graph import DerivationNode, ProvenanceGraph, TupleNode, reference_polynomial
-from .homomorphism import (
-    evaluate_circuit,
-    evaluate_expression,
-    evaluate_graph,
-    evaluate_polynomial,
-)
 from .polynomial import Monomial, Polynomial
 from .semiring import (
     BooleanSemiring,
@@ -55,7 +46,6 @@ __all__ = [
     "Monomial",
     "Polynomial",
     "PolynomialSemiring",
-    "ProvenanceExpression",
     "ProvenanceGraph",
     "SecuritySemiring",
     "Semiring",
@@ -63,14 +53,5 @@ __all__ = [
     "TropicalSemiring",
     "TupleNode",
     "WhySemiring",
-    "evaluate_circuit",
-    "evaluate_expression",
-    "evaluate_graph",
-    "evaluate_polynomial",
     "reference_polynomial",
-    "prov_one",
-    "prov_plus",
-    "prov_times",
-    "prov_var",
-    "prov_zero",
 ]

@@ -28,7 +28,6 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Optional
 
 from ..errors import ProvenanceError
-from .expressions import ProvenanceExpression, prov_one, prov_var, prov_zero
 from .polynomial import Polynomial
 
 #: Reserved node ids for the additive and multiplicative identities.
@@ -132,11 +131,6 @@ class CircuitStore:
         if self._kinds[node] in (KIND_SUM, KIND_PROD):
             return self._payloads[node]
         return ()
-
-    def variable_name(self, node: int) -> str:
-        if self._kinds[node] != KIND_VAR:
-            raise ProvenanceError(f"node {node} is not a variable node")
-        return self._payloads[node]
 
     def node_count(self) -> int:
         """Total interned nodes (including the two constants)."""
@@ -243,34 +237,6 @@ class CircuitStore:
         _check_budget(expanded.monomial_count(), max_monomials)
         return expanded
 
-    def to_expression(self, node: int) -> ProvenanceExpression:
-        """Convert a circuit node into a :class:`ProvenanceExpression` DAG."""
-        memo: dict[int, ProvenanceExpression] = {}
-        stack = [node]
-        while stack:
-            current = stack[-1]
-            if current in memo:
-                stack.pop()
-                continue
-            kind = self._kinds[current]
-            if kind == KIND_ZERO:
-                memo[current] = prov_zero()
-            elif kind == KIND_ONE:
-                memo[current] = prov_one()
-            elif kind == KIND_VAR:
-                memo[current] = prov_var(self._payloads[current])
-            else:
-                pending = [c for c in self._payloads[current] if c not in memo]
-                if pending:
-                    stack.extend(pending)
-                    continue
-                memo[current] = ProvenanceExpression(
-                    "plus" if kind == KIND_SUM else "times",
-                    children=tuple(memo[c] for c in self._payloads[current]),
-                )
-            stack.pop()
-        return memo[node]
-
     def describe(self, node: int) -> str:
         """Render a node as a (possibly exponentially smaller) nested term."""
         kind = self._kinds[node]
@@ -370,10 +336,6 @@ class CircuitEvaluator:
 
     def memo_size(self) -> int:
         return len(self._memo)
-
-    def cache_stats(self) -> dict[str, int]:
-        """Root-level memo telemetry (hits / lookups / table size)."""
-        return {"hits": self.hits, "lookups": self.lookups, "size": len(self._memo)}
 
     def value(self, node: int):
         """The semiring value of ``node`` under this evaluator's assignment."""

@@ -31,7 +31,7 @@ older tuples are written down.  :class:`TupleNode` and
 :class:`DerivationNode` are values the inspection methods build on demand;
 none is stored.  The graph supports:
 
-* lazily expanding a tuple's provenance into an expression or polynomial
+* lazily expanding a tuple's provenance into a polynomial
   (budget-bounded; kept for oracles and display),
 * evaluating annotations in any commutative semiring directly on the DAG
   with per-(semiring, assignment) memo tables — cycles in the derivation
@@ -54,7 +54,6 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from ..errors import ProvenanceError
 from .circuit import ZERO, CircuitEvaluator, CircuitStore, MembershipAssignment
-from .expressions import ProvenanceExpression
 from .polynomial import Polynomial
 from .semiring import BooleanSemiring
 
@@ -746,18 +745,6 @@ class ProvenanceGraph:
         return completed[0]
 
     # -- provenance expansion -------------------------------------------------
-    def expression_for(
-        self, relation: str, values: tuple, max_depth: int = 32
-    ) -> ProvenanceExpression:
-        """Expand a tuple's provenance into an expression DAG.
-
-        Cycles in the derivation graph are cut during circuit compilation,
-        yielding the sum over all *acyclic* derivations.  ``max_depth`` is
-        kept for API compatibility; the circuit expansion is exact and no
-        longer needs a depth bound.
-        """
-        return self._store.to_expression(self.root(relation, values))
-
     #: Default bound on expanded-polynomial size.  The pre-circuit expander
     #: was (weakly) bounded by a depth cutoff; with exact expansion the
     #: budget is the safety knob, on by default so a combinatorial
@@ -1010,22 +997,3 @@ def reference_polynomial(
         return total
 
     return check(expand((relation, tuple(values)), frozenset()))
-
-
-def merge_graphs(graphs: Iterable[ProvenanceGraph]) -> ProvenanceGraph:
-    """Union several provenance graphs into a new one."""
-    merged = ProvenanceGraph()
-    for graph in graphs:
-        for node in graph.tuples():
-            if node.is_base:
-                merged.add_base_tuple(node.relation, node.values, node.variable)
-            else:
-                merged.add_derived_tuple(node.relation, node.values)
-        for derivation in graph.derivations():
-            merged.add_derivation(
-                derivation.mapping_id,
-                derivation.target,
-                derivation.sources,
-                derivation.rule_variable,
-            )
-    return merged

@@ -197,19 +197,6 @@ class Polynomial:
             total = semiring.plus(total, summed)
         return total
 
-    def drop_variables(self, variables: set[str]) -> "Polynomial":
-        """Return the polynomial restricted to monomials not using ``variables``.
-
-        This models deleting the corresponding base tuples: any derivation
-        that used a deleted tuple no longer justifies the derived tuple.
-        """
-        kept = {
-            monomial: coefficient
-            for monomial, coefficient in self._terms.items()
-            if not (monomial.variables() & variables)
-        }
-        return Polynomial(kept)
-
     def __str__(self) -> str:
         if not self._terms:
             return "0"

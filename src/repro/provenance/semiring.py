@@ -18,7 +18,6 @@ are evaluated by mapping provenance into one of these semirings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
 from typing import Generic, Iterable, Protocol, TypeVar
 
@@ -283,26 +282,3 @@ class PolynomialSemiring(_BaseSemiring["Polynomial"]):
 
     def is_zero(self, value) -> bool:
         return value.is_zero()
-
-
-@dataclass(frozen=True)
-class NamedSemiringValue:
-    """A helper pairing a semiring with one of its values, for reporting."""
-
-    semiring_name: str
-    value: object
-
-
-def standard_semirings() -> dict[str, _BaseSemiring]:
-    """Return the catalogue of built-in semirings keyed by name."""
-    instances: list[_BaseSemiring] = [
-        BooleanSemiring(),
-        CountingSemiring(),
-        TropicalSemiring(),
-        FuzzySemiring(),
-        SecuritySemiring(),
-        LineageSemiring(),
-        WhySemiring(),
-        PolynomialSemiring(),
-    ]
-    return {semiring.name: semiring for semiring in instances}

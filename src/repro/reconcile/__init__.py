@@ -21,7 +21,6 @@ apply to its local instance:
 
 from .algorithm import Reconciler, ReconcileResult
 from .candidates import TransactionGroup, build_groups
-from .conflicts import conflicts_between, conflicts_with_state
 from .decisions import Decision, ReconciliationState
 from .priorities import group_priority
 from .resolution import ResolutionResult, resolve_conflict
@@ -34,8 +33,6 @@ __all__ = [
     "ResolutionResult",
     "TransactionGroup",
     "build_groups",
-    "conflicts_between",
-    "conflicts_with_state",
     "group_priority",
     "resolve_conflict",
 ]

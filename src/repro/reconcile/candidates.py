@@ -47,10 +47,6 @@ class TransactionGroup:
     def member_ids(self) -> set[str]:
         return {member.txn_id for member in self.members}
 
-    def all_updates(self):
-        for member in self.members:
-            yield from member.updates
-
     def describe(self) -> str:
         members = ", ".join(member.txn_id for member in self.members)
         return f"group[{self.candidate.txn_id}] members=({members}) priority={self.priority}"

@@ -11,7 +11,6 @@ depending on a rejected one is rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from ..core.peer import Peer
 from ..errors import ReconciliationError

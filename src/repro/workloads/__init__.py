@@ -5,8 +5,6 @@
   organism/protein/sequence data at configurable scale,
 * :mod:`repro.workloads.scenarios` scripts the five demonstration scenarios
   of Section 4 of the paper and returns structured outcomes,
-* :mod:`repro.workloads.generator` produces synthetic update/transaction
-  workloads with controllable conflict rates for the scaling benchmarks,
 * :mod:`repro.workloads.simulation` generates whole random networks
   (peers, schemas, acyclic mapping graphs, trust policies) from a seed,
   drives random workloads over them and checks differential oracles —
@@ -23,7 +21,6 @@ from .bioinformatics import (
     SIGMA1_RELATIONS,
     SIGMA2_RELATIONS,
 )
-from .generator import SyntheticWorkload, WorkloadConfig
 from .reporting import render_mappings, render_peer_state, render_reconciliation
 from .simulation import (
     CampaignResult,
@@ -57,8 +54,6 @@ __all__ = [
     "ScenarioOutcome",
     "SimulationConfig",
     "SimulationResult",
-    "SyntheticWorkload",
-    "WorkloadConfig",
     "build_figure2_network",
     "generate_network",
     "run_campaign",

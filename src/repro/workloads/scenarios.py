@@ -32,9 +32,6 @@ class ScenarioOutcome:
     observations: dict[str, object] = field(default_factory=dict)
     network: FigureTwoNetwork | None = None
 
-    def observation(self, key: str) -> object:
-        return self.observations[key]
-
 
 def _decision(cdss: CDSS, peer: str, txn_id: str) -> str:
     return cdss.reconciliation_state(peer).decision(txn_id).value

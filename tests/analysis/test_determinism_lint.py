@@ -6,8 +6,6 @@ import importlib.util
 import sys
 from pathlib import Path
 
-import pytest
-
 REPO_ROOT = Path(__file__).parents[2]
 TOOL = REPO_ROOT / "tools" / "lint_determinism.py"
 

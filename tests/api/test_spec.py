@@ -3,9 +3,9 @@
 import pytest
 
 from repro import CDSS, SpecError
-from repro.api.spec import NetworkSpec, parse_network_spec, spec_of
+from repro.api.spec import parse_network_spec
 from repro.core.mapping import mapping_from_tgd, mapping_to_tgd
-from repro.errors import DatalogParseError, MappingError
+from repro.errors import MappingError
 from repro.workloads.bioinformatics import FIGURE2_SPEC
 
 TWO_PEER_SPEC = """

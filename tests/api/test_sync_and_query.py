@@ -20,7 +20,6 @@ from repro.p2p.network import LatencyModel, Network, VirtualClock
 from repro.workloads.bioinformatics import (
     BioDataGenerator,
     FIGURE2_SPEC,
-    build_figure2_network,
     crete_trust_policy,
     sigma1_schema,
     sigma2_schema,

@@ -6,11 +6,9 @@ from repro.core.mapping import (
     Mapping,
     identity_mapping,
     join_mapping,
-    mapping_from_datalog,
     split_mapping,
 )
 from repro.core.schema import PeerSchema
-from repro.datalog.ast import Variable
 from repro.datalog.parser import parse_atom
 from repro.errors import MappingError
 
@@ -103,13 +101,6 @@ class TestValidation:
 
 
 class TestConstructors:
-    def test_mapping_from_datalog(self):
-        mapping = mapping_from_datalog(
-            "M_AC", "Alaska", "Crete",
-            "OPS(org, prot, seq) :- O(org, oid), P(prot, pid), S(oid, pid, seq).",
-        )
-        assert len(mapping.body) == 3
-        assert mapping.heads[0].predicate == "OPS"
 
     def test_identity_mapping_with_arities(self):
         mappings = identity_mapping("M", "A", "B", ["R"], arities={"R": 2})

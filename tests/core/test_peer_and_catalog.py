@@ -146,7 +146,7 @@ class TestCatalog:
         with pytest.raises(MappingError):
             catalog.mapping("Missing")
 
-    def test_mapping_graph_and_reachability(self):
+    def test_mapping_graph(self):
         catalog = Catalog()
         for name in ("A", "B", "C"):
             catalog.add_peer(Peer(name, SIGMA2))
@@ -154,8 +154,6 @@ class TestCatalog:
         catalog.add_mappings(identity_mapping("M_BC", "B", "C", SIGMA2.relations))
         graph = catalog.mapping_graph()
         assert graph["A"] == {"B"}
-        assert catalog.peers_reachable_from("C") == {"A", "B"}
-        assert catalog.peers_reachable_from("A") == set()
 
 
 class TestClocks:

@@ -1,16 +1,8 @@
-"""Unit tests for transactions, the builder, and dependency utilities."""
+"""Unit tests for transactions and the builder."""
 
 import pytest
 
-from repro.core.transactions import (
-    Transaction,
-    TransactionBuilder,
-    dependency_order,
-    dependents_index,
-    producers_index,
-    transitive_antecedents,
-    transitive_dependents,
-)
+from repro.core.transactions import Transaction, TransactionBuilder
 from repro.core.updates import Update
 from repro.errors import TransactionError
 
@@ -97,39 +89,3 @@ class TestTransactionBuilder:
         first = TransactionBuilder("Peer").txn_id
         second = TransactionBuilder("Peer").txn_id
         assert first != second
-
-
-class TestDependencyUtilities:
-    def test_dependency_order(self):
-        transactions = [txn("c", {"b"}), txn("b", {"a"}), txn("a")]
-        ordered = [t.txn_id for t in dependency_order(transactions)]
-        assert ordered.index("a") < ordered.index("b") < ordered.index("c")
-
-    def test_dependency_order_ignores_external_antecedents(self):
-        transactions = [txn("b", {"external"}), txn("a")]
-        assert len(dependency_order(transactions)) == 2
-
-    def test_dependency_cycle_rejected(self):
-        transactions = [txn("a", {"b"}), txn("b", {"a"})]
-        with pytest.raises(TransactionError):
-            dependency_order(transactions)
-
-    def test_dependents_index(self):
-        transactions = [txn("a"), txn("b", {"a"}), txn("c", {"a"})]
-        index = dependents_index(transactions)
-        assert index["a"] == {"b", "c"}
-
-    def test_transitive_dependents(self):
-        transactions = [txn("a"), txn("b", {"a"}), txn("c", {"b"}), txn("d")]
-        assert transitive_dependents(["a"], transactions) == {"b", "c"}
-
-    def test_transitive_antecedents(self):
-        transactions = {t.txn_id: t for t in [txn("a"), txn("b", {"a"}), txn("c", {"b", "x"})]}
-        result = transitive_antecedents(transactions["c"], transactions)
-        assert result == {"b", "a", "x"}
-
-    def test_producers_index_latest_wins(self):
-        first = Transaction("t1", "P", (Update.insert("R", (1,)),))
-        second = Transaction("t2", "P", (Update.modify("R", (1,), (1,)),))
-        index = producers_index([first, second])
-        assert index[("R", (1,))] == "t2"

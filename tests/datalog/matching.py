@@ -1,16 +1,19 @@
-"""Substitutions, term matching and unification.
+"""Tuple-at-a-time term matching: the reference matcher of the plan tests.
 
-Bottom-up datalog evaluation only needs *matching* (binding rule variables to
-ground fact values), but full unification of terms is also provided because
-the mapping composition utilities in :mod:`repro.exchange.rules` use it to
-detect overlapping rule heads.
+Before rules were compiled into join plans (:mod:`repro.datalog.plan`), the
+evaluators matched every candidate tuple through a fresh
+:class:`Substitution`.  That path is kept only as the oracle of
+``test_plan_executor.py``'s interpreted fixpoint, which the compiled
+executor must agree with.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
-from .ast import Atom, Constant, SkolemTerm, Term, Variable
+from repro.datalog.ast import Atom, Constant, SkolemTerm, Term, Variable
+
+_UNBOUND = object()
 
 
 class Substitution:
@@ -20,29 +23,6 @@ class Substitution:
 
     def __init__(self, bindings: Optional[Mapping[Variable, object]] = None) -> None:
         self._bindings: dict[Variable, object] = dict(bindings or {})
-
-    def get(self, variable: Variable) -> object:
-        return self._bindings.get(variable)
-
-    def __contains__(self, variable: Variable) -> bool:
-        return variable in self._bindings
-
-    def __len__(self) -> int:
-        return len(self._bindings)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Substitution):
-            return NotImplemented
-        return self._bindings == other._bindings
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._bindings.items()))
-
-    def items(self) -> Iterable[tuple[Variable, object]]:
-        return self._bindings.items()
-
-    def copy(self) -> "Substitution":
-        return Substitution(self._bindings)
 
     def bind(self, variable: Variable, value: object) -> Optional["Substitution"]:
         """Return a new substitution with ``variable`` bound to ``value``.
@@ -79,17 +59,6 @@ class Substitution:
             return self.apply_term(arg)
         return arg
 
-    def apply_atom(self, atom: Atom) -> Atom:
-        """Instantiate every term of ``atom`` and re-wrap ground values."""
-        new_terms: list[Term] = []
-        for term in atom.terms:
-            value = self.apply_term(term)
-            if isinstance(value, (Variable, SkolemTerm)):
-                new_terms.append(value)
-            else:
-                new_terms.append(Constant(value))
-        return Atom(atom.predicate, tuple(new_terms), negated=atom.negated)
-
     def ground_values(self, atom: Atom) -> tuple:
         """Return the tuple of ground values for ``atom`` under this substitution.
 
@@ -99,18 +68,9 @@ class Substitution:
         for term in atom.terms:
             value = self.apply_term(term)
             if isinstance(value, Variable):
-                raise ValueError(
-                    f"variable {value.name} of {atom!r} is unbound in {self!r}"
-                )
+                raise ValueError(f"variable {value.name} of {atom!r} is unbound")
             values.append(value)
         return tuple(values)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        inner = ", ".join(f"{v.name}={value!r}" for v, value in self._bindings.items())
-        return f"{{{inner}}}"
-
-
-_UNBOUND = object()
 
 
 def match_term(term: Term, value: object, subst: Substitution) -> Optional[Substitution]:
@@ -153,41 +113,3 @@ def match_atom(
         if current is None:
             return None
     return current
-
-
-def unify_terms(
-    left: Term, right: Term, subst: Optional[Substitution] = None
-) -> Optional[Substitution]:
-    """Unify two rule terms (both may contain variables).
-
-    This is standard syntactic unification without an occurs check over
-    constants; skolem terms unify structurally.  Used when composing mapping
-    rules, not during bottom-up evaluation.
-    """
-    current = subst if subst is not None else Substitution()
-    left_value = current.apply_term(left)
-    right_value = current.apply_term(right)
-
-    if isinstance(left_value, Variable):
-        return current.bind(left_value, right_value)
-    if isinstance(right_value, Variable):
-        return current.bind(right_value, left_value)
-    if isinstance(left_value, SkolemTerm) and isinstance(right_value, SkolemTerm):
-        if (
-            left_value.function != right_value.function
-            or len(left_value.arguments) != len(right_value.arguments)
-        ):
-            return None
-        result: Optional[Substitution] = current
-        for sub_left, sub_right in zip(left_value.arguments, right_value.arguments):
-            if result is None:
-                return None
-            left_term = sub_left if isinstance(
-                sub_left, (Variable, Constant, SkolemTerm)
-            ) else Constant(sub_left)
-            right_term = sub_right if isinstance(
-                sub_right, (Variable, Constant, SkolemTerm)
-            ) else Constant(sub_right)
-            result = unify_terms(left_term, right_term, result)
-        return result
-    return current if left_value == right_value else None

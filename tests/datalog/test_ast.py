@@ -11,7 +11,6 @@ from repro.datalog.ast import (
     Rule,
     SkolemTerm,
     Variable,
-    make_atom,
     term_variables,
 )
 from repro.errors import DatalogError, UnsafeRuleError
@@ -66,14 +65,6 @@ class TestAtoms:
         atom = Atom("R", (Constant(1),))
         assert atom.negate().negated
         assert not atom.negate().negate().negated
-
-    def test_make_atom_heuristics(self):
-        atom = make_atom("R", "X", "?y", 3, "lower")
-        assert isinstance(atom.terms[0], Variable)
-        assert isinstance(atom.terms[1], Variable)
-        assert atom.terms[1].name == "y"
-        assert isinstance(atom.terms[2], Constant)
-        assert isinstance(atom.terms[3], Constant)
 
 
 class TestComparison:
@@ -154,15 +145,6 @@ class TestRules:
     def test_is_fact(self):
         assert Rule(Atom("R", (Constant(1),)), ()).is_fact
         assert not Rule(Atom("R", (Variable("x"),)), (Atom("S", (Variable("x"),)),)).is_fact
-
-    def test_rename_variables(self):
-        rule = Rule(
-            Atom("T", (Variable("x"),)),
-            (Atom("R", (Variable("x"), Variable("y"))),),
-        )
-        renamed = rule.rename_variables("_1")
-        assert {v.name for v in renamed.head.variables()} == {"x_1"}
-        assert {v.name for v in renamed.body[0].variables()} == {"x_1", "y_1"}
 
 
 class TestProgram:

@@ -3,8 +3,10 @@
 import pytest
 
 from repro.datalog.ast import Fact
-from repro.datalog.evaluation import Database, derived_tuples, evaluate_program, evaluate_rule_once
+from repro.datalog.evaluation import Database, derived_tuples, evaluate_program
+from repro.datalog.executor import fire_rule
 from repro.datalog.parser import parse_program, parse_rule
+from repro.datalog.plan import compile_rule
 from repro.errors import DatalogError
 
 
@@ -107,31 +109,31 @@ class TestDatabase:
         assert db.lookup("R", 1, "a") == frozenset()
 
 
-class TestEvaluateRuleOnce:
+class TestFireRule:
     def test_projection(self):
         rule = parse_rule("T(x) :- R(x, y).")
         db = Database.from_dict({"R": [(1, 2), (1, 3), (4, 5)]})
-        assert evaluate_rule_once(rule, db) == {(1,), (4,)}
+        assert fire_rule(compile_rule(rule), db) == {(1,), (4,)}
 
     def test_join(self):
         rule = parse_rule("T(x, z) :- R(x, y), S(y, z).")
         db = Database.from_dict({"R": [(1, 2)], "S": [(2, 3), (9, 9)]})
-        assert evaluate_rule_once(rule, db) == {(1, 3)}
+        assert fire_rule(compile_rule(rule), db) == {(1, 3)}
 
     def test_comparison_filters(self):
         rule = parse_rule("T(x) :- R(x, y), x < y.")
         db = Database.from_dict({"R": [(1, 2), (3, 1)]})
-        assert evaluate_rule_once(rule, db) == {(1,)}
+        assert fire_rule(compile_rule(rule), db) == {(1,)}
 
     def test_constant_in_body(self):
         rule = parse_rule("T(y) :- R('key', y).")
         db = Database.from_dict({"R": [("key", 1), ("other", 2)]})
-        assert evaluate_rule_once(rule, db) == {(1,)}
+        assert fire_rule(compile_rule(rule), db) == {(1,)}
 
     def test_skolem_head_produces_labelled_null(self):
         rule = parse_rule("T(SK_id(x), y) :- R(x, y).")
         db = Database.from_dict({"R": [("a", 1)]})
-        results = evaluate_rule_once(rule, db)
+        results = fire_rule(compile_rule(rule), db)
         assert len(results) == 1
         (null, value), = results
         assert value == 1

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.datalog.ast import Fact
-from repro.datalog.evaluation import Database, evaluate_program
+from repro.datalog.evaluation import Database
 from repro.datalog.incremental import IncrementalEngine, full_recompute
 from repro.datalog.parser import parse_program
 

@@ -19,9 +19,11 @@ from pathlib import Path
 
 from repro.core.tuples import labelled_null
 from repro.datalog.ast import Fact, SkolemTerm
-from repro.datalog.evaluation import Database, evaluate_rule_once
+from repro.datalog.evaluation import Database
+from repro.datalog.executor import fire_rule
 from repro.datalog.incremental import IncrementalEngine
 from repro.datalog.parser import parse_fact, parse_program, parse_rule
+from repro.datalog.plan import compile_rule
 from repro.storage.sqlite_backend import SQLiteInstance
 
 SOURCE = Path(__file__).resolve().parents[2] / "src"
@@ -33,8 +35,9 @@ def _expected() -> SkolemTerm:
 
 def _built_every_way() -> dict[str, object]:
     (parsed,) = parse_fact("T(SK_f(7, 'seven')).").values
-    (projected,) = evaluate_rule_once(
-        parse_rule("T(SK_f(x, y)) :- R(x, y)."), Database.from_dict({"R": [(7, "seven")]})
+    (projected,) = fire_rule(
+        compile_rule(parse_rule("T(SK_f(x, y)) :- R(x, y).")),
+        Database.from_dict({"R": [(7, "seven")]}),
     )
     with SQLiteInstance(":memory:") as storage:
         storage.create_relation("N", 1)

@@ -4,7 +4,6 @@ import pytest
 
 from repro.datalog import plan as plan_module
 from repro.datalog.ast import Atom, Program, Rule, Variable
-from repro.datalog.evaluation import Database
 from repro.datalog.incremental import IncrementalEngine
 from repro.datalog.plan import (
     cached_program_count,

@@ -5,9 +5,9 @@ Two layers:
 * unit tests pinning down plan compilation — greedy atom ordering, probe
   selection, early guard placement, delta plans, cache sharing;
 * differential property tests: a naive tuple-at-a-time *interpreted*
-  evaluator (built on the original :mod:`repro.datalog.unification`
-  machinery, the pre-compilation execution path) is run against the
-  compiled executor over randomly generated CDSS networks from
+  evaluator (built on the reference matcher in ``matching.py``, the
+  pre-compilation execution path) is run against the compiled executor
+  over randomly generated CDSS networks from
   :mod:`repro.workloads.simulation`, asserting identical databases and
   identical provenance polynomials across plain, incremental, and
   provenance evaluation, plus hand-written edge-case programs checked the
@@ -21,8 +21,8 @@ import pytest
 
 from repro.core.system import CDSS
 from repro.datalog.ast import Atom, Comparison, Fact, SkolemTerm
-from repro.datalog.evaluation import Database, evaluate_program, evaluate_rule_once
-from repro.datalog.executor import ExecutionStats
+from repro.datalog.evaluation import Database, evaluate_program
+from repro.datalog.executor import ExecutionStats, fire_rule
 from repro.datalog.incremental import IncrementalEngine
 from repro.datalog.parser import parse_program, parse_rule
 from repro.datalog.plan import compile_program, compile_rule
@@ -31,7 +31,6 @@ from repro.datalog.provenance_eval import (
     evaluate_with_provenance,
 )
 from repro.datalog.stratification import stratify
-from repro.datalog.unification import Substitution, match_atom
 from repro.errors import DatalogError
 from repro.exchange.rules import published_relation
 from repro.provenance.graph import ProvenanceGraph
@@ -40,6 +39,8 @@ from repro.workloads.simulation import (
     SimulationConfig,
     generate_network,
 )
+
+from matching import Substitution, match_atom
 
 
 class TestPlanCompilation:
@@ -130,7 +131,7 @@ class TestExecutorSemantics:
                 ]
             }
         )
-        assert evaluate_rule_once(rule, db) == {("a",)}
+        assert fire_rule(compile_rule(rule), db) == {("a",)}
 
     def test_skolem_binding_feeds_later_plain_variable(self):
         # The skolem matcher at position 0 binds y; the plain occurrence of
@@ -144,17 +145,17 @@ class TestExecutorSemantics:
                 ]
             }
         )
-        assert evaluate_rule_once(rule, db) == {("a",)}
+        assert fire_rule(compile_rule(rule), db) == {("a",)}
 
     def test_repeated_variable_within_atom(self):
         rule = parse_rule("A(x) :- B(x, x).")
         db = Database.from_dict({"B": [(1, 1), (1, 2), (3, 3)]})
-        assert evaluate_rule_once(rule, db) == {(1,), (3,)}
+        assert fire_rule(compile_rule(rule), db) == {(1,), (3,)}
 
     def test_arity_mismatched_rows_are_skipped(self):
         rule = parse_rule("A(x) :- B(x, y).")
         db = Database.from_dict({"B": [(1, 2), (9,), (3, 4, 5)]})
-        assert evaluate_rule_once(rule, db) == {(1,)}
+        assert fire_rule(compile_rule(rule), db) == {(1,)}
 
     def test_stats_count_firings(self):
         stats = ExecutionStats()
@@ -416,21 +417,21 @@ class TestHeadProjection:
         rule = "T(z, x, x) :- R(x, y), S(y, z)."
         assert isinstance(self.project(rule), itemgetter)
         db = Database.from_dict({"R": [(1, 2)], "S": [(2, 3)]})
-        assert evaluate_rule_once(parse_rule(rule), db) == {(3, 1, 1)}
+        assert fire_rule(compile_rule(parse_rule(rule)), db) == {(3, 1, 1)}
 
     def test_one_column_head_still_yields_a_one_tuple(self):
         assert not isinstance(self.project("T(x) :- R(x, y)."), itemgetter)
         db = Database.from_dict({"R": [(1, 2), (4, 5)]})
-        assert evaluate_rule_once(parse_rule("T(x) :- R(x, y)."), db) == {(1,), (4,)}
+        assert fire_rule(compile_rule(parse_rule("T(x) :- R(x, y).")), db) == {(1,), (4,)}
 
     def test_zero_column_head_yields_the_empty_tuple(self):
         db = Database.from_dict({"R": [(1, 2)]})
-        assert evaluate_rule_once(parse_rule("T() :- R(x, y)."), db) == {()}
+        assert fire_rule(compile_rule(parse_rule("T() :- R(x, y).")), db) == {()}
 
     def test_skolem_and_constant_heads_are_unchanged(self):
         assert not isinstance(self.project("T(x, SK_f(x, y)) :- R(x, y)."), itemgetter)
         assert not isinstance(self.project("T(x, 'k') :- R(x, y)."), itemgetter)
         db = Database.from_dict({"R": [(1, 2)]})
-        assert evaluate_rule_once(parse_rule("T(x, SK_f(x, y), 'k') :- R(x, y)."), db) == {
+        assert fire_rule(compile_rule(parse_rule("T(x, SK_f(x, y), 'k') :- R(x, y).")), db) == {
             (1, SkolemTerm("SK_f", (1, 2)), "k")
         }

@@ -5,10 +5,8 @@ from repro.datalog.parser import parse_program
 from repro.datalog.provenance_eval import (
     default_variable_namer,
     evaluate_with_provenance,
-    provenance_for_all,
 )
-from repro.provenance import BooleanSemiring, CountingSemiring, TropicalSemiring
-from repro.provenance.polynomial import Monomial
+from repro.provenance import CountingSemiring, TropicalSemiring
 
 JOIN_PROGRAM = """
 OPS(org, prot, seq) :- O(org, oid), P(prot, pid), S(oid, pid, seq).
@@ -87,13 +85,6 @@ class TestProvenanceEvaluation:
         result = evaluate_with_provenance(program, db)
         polynomial = result.polynomial("Path", (1, 1), max_depth=8)
         assert not polynomial.is_zero()
-
-    def test_provenance_for_all(self):
-        program = parse_program(UNION_PROGRAM)
-        db = Database.from_dict({"R": [(1,), (2,)], "Q": [(1,)]})
-        result = evaluate_with_provenance(program, db)
-        polynomials = provenance_for_all(result, ["T"])
-        assert set(polynomials) == {("T", (1,)), ("T", (2,))}
 
     def test_base_fact_in_idb_relation_gets_variable(self):
         # A tuple asserted directly into a derived relation keeps its own

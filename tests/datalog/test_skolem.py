@@ -1,11 +1,10 @@
 """Unit tests for skolemisation of existential variables."""
 
-from repro.datalog.ast import Atom, SkolemTerm, Variable
+from repro.datalog.ast import SkolemTerm, Variable
 from repro.datalog.parser import parse_atom
 from repro.datalog.skolem import (
     SkolemFactory,
     is_labelled_null,
-    rules_with_skolemized_heads,
     skolemize_head,
 )
 
@@ -69,12 +68,3 @@ class TestLabelledNulls:
         assert is_labelled_null(SkolemTerm("SK_f", ("a",)))
         assert not is_labelled_null(SkolemTerm("SK_f", (Variable("x"),)))
         assert not is_labelled_null("plain value")
-
-    def test_rules_with_skolemized_heads(self):
-        body = [parse_atom("OPS(org, prot, seq)")]
-        heads = [parse_atom("O(org, oid)"), parse_atom("P(prot, pid)")]
-        rules = rules_with_skolemized_heads(body, heads, "M_CA", SkolemFactory())
-        assert len(rules) == 2
-        for rule in rules:
-            rule.validate()
-            assert rule.label == "M_CA"

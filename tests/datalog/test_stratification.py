@@ -5,7 +5,6 @@ import pytest
 from repro.datalog.parser import parse_program
 from repro.datalog.stratification import (
     dependency_graph,
-    is_recursive,
     is_stratifiable,
     stratify,
     stratum_numbers,
@@ -69,13 +68,3 @@ class TestGraphHelpers:
         graph = dependency_graph(program)
         assert ("R", False) in graph["T"]
         assert ("S", True) in graph["T"]
-
-    def test_is_recursive(self):
-        recursive = parse_program("P(x, z) :- P(x, y), E(y, z).\nP(x, y) :- E(x, y).")
-        flat = parse_program("T(x) :- R(x).")
-        assert is_recursive(recursive)
-        assert not is_recursive(flat)
-
-    def test_mutual_recursion_detected(self):
-        program = parse_program("A(x) :- B(x).\nB(x) :- A(x).\nA(x) :- E(x).")
-        assert is_recursive(program)

@@ -191,17 +191,6 @@ class TestUpdateTranslator:
         candidate = other_translator.translate(transaction, delta)
         assert candidate.is_empty
 
-    def test_translate_many_skips_missing_deltas(self):
-        engine = build_engine()
-        transaction = alaska_insert_txn()
-        delta = engine.process_transaction(transaction)
-        translator = UpdateTranslator("Crete", SIGMA2)
-        candidates = translator.translate_many(
-            [transaction, alaska_insert_txn("A-unprocessed")],
-            {transaction.txn_id: delta},
-        )
-        assert len(candidates) == 1
-
 
 class TestMigration:
     def test_migrate_instance_builds_initial_transaction(self):

@@ -9,7 +9,7 @@ from repro import CDSS, PeerSchema
 from repro.core.mapping import join_mapping, split_mapping
 from repro.core.tuples import has_labelled_nulls
 from repro.storage.sqlite_backend import SQLiteInstance
-from repro.workloads import SyntheticWorkload, WorkloadConfig, build_figure2_network
+from repro.workloads import build_figure2_network
 
 SIGMA1 = {
     "O": ["org", "oid"],
@@ -71,35 +71,55 @@ def test_sqlite_backed_peer_local_edits_publish(tmp_path):
     assert set(source.instance.scan("R")) == {(1, "b")}
 
 
+def _figure2_stream(network) -> list[dict]:
+    """Three orchestrated syncs over an explicit update stream: inserts, a
+    split-mapped insert whose translation carries labelled nulls, two
+    peers asserting different sequences for one key, a modification and a
+    deletion.  Returns each sync's report."""
+    cdss = network.cdss
+    alaska, crete, dresden = network.alaska, network.crete, network.dresden
+    reports = []
+    builder = alaska.new_transaction()
+    builder.insert("O", ("E. coli", 1))
+    builder.insert("P", ("recA", 11))
+    builder.insert("S", (1, 11, "ATGGCG"))
+    alaska.commit(builder)
+    crete.insert("OPS", ("H. sapiens", "BRCA1", "GGCT"))
+    reports.append(cdss.sync().to_dict())
+    crete.insert("OPS", ("M. musculus", "p53", "AAAA"))
+    dresden.insert("OPS", ("M. musculus", "p53", "CCCC"))
+    reports.append(cdss.sync().to_dict())
+    alaska.modify("S", (1, 11, "ATGGCG"), (1, 11, "ATGGCGTT"))
+    crete.delete("OPS", ("H. sapiens", "BRCA1", "GGCT"))
+    reports.append(cdss.sync().to_dict())
+    return reports
+
+
 def test_memory_and_sqlite_backends_agree_on_figure2(tmp_path):
-    """Backend parity on the full Figure-2 scenario: the same update-heavy
-    workload (inserts, modifications, deletions, deliberate conflicts) run
-    on an all-SQLite network and on the in-memory default must leave every
-    peer with an identical instance."""
-    config = WorkloadConfig(
-        transactions=24,
-        conflict_rate=0.2,
-        modify_fraction=0.3,
-        delete_fraction=0.15,
-        seed=77,
-    )
+    """Backend parity on the full Figure-2 network: the same update stream
+    (inserts, a modification, a deletion, a same-key conflict across peers)
+    run on an all-SQLite network and on the in-memory default must leave
+    every peer with an identical instance."""
     memory_network = build_figure2_network()
     sqlite_network = build_figure2_network(
         storage_factory=lambda name: SQLiteInstance(str(tmp_path / f"{name}.db"))
     )
 
-    reports = []
-    for network in (memory_network, sqlite_network):
-        workload = SyntheticWorkload(network, config)
-        workload.generate()
-        reports.append(network.cdss.sync())
-
     # The orchestration saw the same stream on both backends...
-    assert reports[0].to_dict() == reports[1].to_dict()
+    assert _figure2_stream(memory_network) == _figure2_stream(sqlite_network)
     # ...and every peer's instance (including labelled nulls from the split
     # mapping) is identical.
+    snapshots = {}
     for name in memory_network.peer_names():
-        assert memory_network.cdss.peer_snapshot(name) == sqlite_network.cdss.peer_snapshot(name)
+        snapshots[name] = memory_network.cdss.peer_snapshot(name)
+        assert snapshots[name] == sqlite_network.cdss.peer_snapshot(name)
+
+    # The stream reaches what it is meant to: a deferred same-key conflict
+    # and labelled nulls stored in an instance.
+    assert memory_network.cdss.reconciliation_state("Alaska").open_conflicts()
+    assert any(
+        has_labelled_nulls(values) for rows in snapshots["Beijing"].values() for values in rows
+    )
 
     # The SQLite instances are durable: reopening from disk shows the data.
     crete = sqlite_network.cdss.peer_snapshot("Crete")

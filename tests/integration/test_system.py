@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import CDSS, ExchangeConfig, PeerSchema, StoreConfig, SystemConfig, TrustPolicy
+from repro import CDSS, ExchangeConfig, PeerSchema, StoreConfig, SystemConfig
 from repro.core.mapping import join_mapping
 from repro.errors import NetworkError, PeerError
 from repro.reconcile.decisions import Decision

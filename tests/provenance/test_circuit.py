@@ -15,14 +15,12 @@ import random
 import pytest
 
 from repro.core.system import CDSS
-from repro.datalog.ast import Fact
 from repro.datalog.evaluation import Database
 from repro.datalog.provenance_eval import evaluate_with_provenance
 from repro.errors import ProvenanceError
 from repro.exchange.rules import published_relation
 from repro.provenance.circuit import ONE, ZERO, CircuitEvaluator, CircuitStore
-from repro.provenance.graph import ProvenanceGraph, merge_graphs, reference_polynomial
-from repro.provenance.homomorphism import evaluate_circuit
+from repro.provenance.graph import ProvenanceGraph, reference_polynomial
 from repro.provenance.polynomial import Polynomial
 from repro.provenance.semiring import (
     BooleanSemiring,
@@ -32,6 +30,8 @@ from repro.provenance.semiring import (
     TrustLevel,
 )
 from repro.workloads.simulation import RandomWorkload, SimulationConfig, generate_network
+
+from rebuild import merge_graphs
 
 
 class TestCircuitStore:
@@ -337,8 +337,8 @@ def test_dag_equals_expanded_on_generated_network(seed):
                 f"seed {seed}: {relation}{values!r} under {semiring.name}: "
                 f"dag={dag!r} expanded={expanded!r}"
             )
-            # The one-shot circuit entry point agrees with the memoized path.
-            assert evaluate_circuit(graph.circuit, root, semiring, assignment) == dag
+            # A cold evaluator on the shared store agrees with the memoized path.
+            assert CircuitEvaluator(graph.circuit, semiring, assignment).value(root) == dag
         checked += 1
     assert checked > 0
 

@@ -5,6 +5,7 @@ re-evaluating only the downstream cone of what changed, and recomputes
 component ids only inside that cone.  The two reference answers here do
 neither: ``scan_unsupported`` asks every tuple of the graph afresh (the
 full scan the graph used to run on every delete), and ``merge_graphs``
+(``rebuild.py``)
 replays the graph's current state into a new graph with cold caches.  All
 three must agree after any interleaving of insertions, deletions,
 re-insertions and promotions, whenever the graph happens to be flushed.
@@ -22,9 +23,11 @@ import pytest
 from repro.datalog.ast import Fact
 from repro.datalog.incremental import IncrementalEngine
 from repro.datalog.parser import parse_program
-from repro.provenance.graph import ProvenanceGraph, merge_graphs, reference_polynomial
+from repro.provenance.graph import ProvenanceGraph, reference_polynomial
 from repro.provenance.semiring import CountingSemiring
 from repro.workloads.bioinformatics import build_figure2_network
+
+from rebuild import merge_graphs
 
 
 def scan_unsupported(graph: ProvenanceGraph) -> set:

@@ -1,11 +1,17 @@
 """Unit tests for the update-exchange provenance graph."""
 
-import pytest
-
-from repro.errors import ProvenanceError
-from repro.provenance.graph import ProvenanceGraph, merge_graphs
+from repro.provenance.circuit import CircuitEvaluator
+from repro.provenance.graph import ProvenanceGraph
 from repro.provenance.polynomial import Polynomial
-from repro.provenance.semiring import BooleanSemiring, CountingSemiring, TropicalSemiring
+from repro.provenance.semiring import (
+    BooleanSemiring,
+    CountingSemiring,
+    SecuritySemiring,
+    TropicalSemiring,
+    TrustLevel,
+)
+
+from rebuild import merge_graphs
 
 
 def build_join_graph() -> ProvenanceGraph:
@@ -154,6 +160,26 @@ class TestEvaluation:
         # A has its base fact plus the derivation through B; B only the latter.
         assert annotations[("A", (1,))] == 2
         assert annotations[("B", (1,))] == 1
+
+    def test_evaluate_graph(self):
+        graph = ProvenanceGraph()
+        graph.add_base_tuple("R", (1,), "r")
+        graph.add_derivation("m", ("T", (1,)), [("R", (1,))])
+        annotations = graph.evaluate(BooleanSemiring(), {"r": True})
+        assert annotations[("T", (1,))] is True
+
+    def test_security_clearances_through_graph(self):
+        graph = ProvenanceGraph()
+        graph.add_base_tuple("R", (1,), "r")
+        graph.add_base_tuple("Q", (1,), "q")
+        graph.add_derivation("m1", ("T", (1,)), [("R", (1,)), ("Q", (1,))])
+        clearances = {"r": TrustLevel.PUBLIC, "q": TrustLevel.SECRET}
+        annotations = graph.evaluate(SecuritySemiring(), clearances)
+        # A joint derivation needs the *stricter* clearance.
+        assert annotations[("T", (1,))] == TrustLevel.SECRET
+        # The circuit evaluator answers the same for the tuple's root.
+        evaluator = CircuitEvaluator(graph.circuit, SecuritySemiring(), clearances)
+        assert evaluator.value(graph.root("T", (1,))) == TrustLevel.SECRET
 
 
 class TestDeletion:

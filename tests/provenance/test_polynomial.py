@@ -100,28 +100,16 @@ class TestPolynomialBasics:
         x, y = Polynomial.variable("x"), Polynomial.variable("y")
         assert (x * y * y + x).degree == 3
 
-    def test_drop_variables(self):
-        x, y = Polynomial.variable("x"), Polynomial.variable("y")
-        polynomial = x * y + x
-        assert polynomial.drop_variables({"y"}) == x
-        assert polynomial.drop_variables({"x"}).is_zero()
-
     def test_str_rendering(self):
         x, y = Polynomial.variable("x"), Polynomial.variable("y")
         assert str(Polynomial.zero()) == "0"
         assert "x" in str(x * y + x)
 
     def test_zero_coefficients_never_survive_normalisation(self):
-        x = Polynomial.variable("x")
         explicit = Polynomial({Monomial.from_variables(["x"]): 0})
         assert explicit.is_zero()
         assert explicit == Polynomial.zero()
         assert hash(explicit) == hash(Polynomial.zero())
-        # Subtract-style path: dropping a variable removes its monomials
-        # entirely instead of leaving zero-coefficient terms behind.
-        dropped = (x * Polynomial.variable("y") + x).drop_variables({"x"})
-        assert dropped.is_zero()
-        assert Monomial.from_variables(["x"]) not in dropped.terms()
 
     def test_equality_independent_of_construction_order(self):
         xy_then_x = Polynomial.variable("x") * Polynomial.variable("y") + Polynomial.variable("x")

@@ -1,15 +1,11 @@
-"""Unit tests for reconciliation state and conflict detection."""
+"""Unit tests for reconciliation state: decisions and deferred conflicts."""
 
 import pytest
 
-from repro.core.schema import PeerSchema
 from repro.core.updates import Update
 from repro.errors import ReconciliationError
 from repro.exchange.translation import CandidateTransaction
-from repro.reconcile.conflicts import conflicts_between, conflicts_with_state, updates_conflict
 from repro.reconcile.decisions import Decision, ReconciliationState
-
-SIGMA2 = PeerSchema.build("Sigma2", {"OPS": ["org", "prot", "seq"]}, {"OPS": ["org", "prot"]})
 
 
 def candidate(txn_id: str, seq: str = "AAA", origin: str = "Beijing", antecedents=()) -> CandidateTransaction:
@@ -95,27 +91,3 @@ class TestReconciliationState:
         vacuous.clear()
         assert state.decision("v1") is Decision.ACCEPTED
         assert state.decision("v2") is Decision.PENDING
-
-
-class TestConflictDetection:
-    def test_updates_conflict_same_key(self):
-        left = [Update.insert("OPS", ("E. coli", "recA", "AAA"))]
-        right = [Update.insert("OPS", ("E. coli", "recA", "BBB"))]
-        assert updates_conflict(left, right, SIGMA2)
-
-    def test_updates_do_not_conflict_on_unknown_relation(self):
-        left = [Update.insert("Unknown", (1,))]
-        right = [Update.insert("Unknown", (2,))]
-        assert not updates_conflict(left, right, SIGMA2)
-
-    def test_candidates_conflict(self):
-        assert conflicts_between(candidate("t1", "AAA"), candidate("t2", "BBB"), SIGMA2)
-        assert not conflicts_between(candidate("t1", "AAA"), candidate("t2", "AAA"), SIGMA2)
-
-    def test_same_transaction_never_conflicts(self):
-        assert not conflicts_between(candidate("t1", "AAA"), candidate("t1", "BBB"), SIGMA2)
-
-    def test_conflicts_with_state(self):
-        accepted = [Update.insert("OPS", ("E. coli", "recA", "AAA"))]
-        assert conflicts_with_state(candidate("t2", "BBB"), accepted, SIGMA2)
-        assert not conflicts_with_state(candidate("t2", "AAA"), accepted, SIGMA2)

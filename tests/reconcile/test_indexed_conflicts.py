@@ -20,13 +20,26 @@ from repro.config import ReconciliationConfig
 from repro.core.peer import Peer
 from repro.core.schema import PeerSchema
 from repro.core.trust import TrustPolicy
-from repro.core.updates import Update
+from repro.core.updates import Update, conflicting
 from repro.exchange.translation import CandidateTransaction
 from repro.reconcile.algorithm import Reconciler
 from repro.reconcile.candidates import antecedent_closure
-from repro.reconcile.conflicts import updates_conflict
 from repro.reconcile.decisions import Decision
 from repro.reconcile.resolution import resolve_conflict
+
+
+def updates_conflict(left, right, schema: PeerSchema) -> bool:
+    """Do any two updates from the two sequences conflict?"""
+    for left_update in left:
+        if not schema.has_relation(left_update.relation):
+            continue
+        relation_schema = schema.relation(left_update.relation)
+        for right_update in right:
+            if right_update.relation != left_update.relation:
+                continue
+            if conflicting(left_update, right_update, relation_schema):
+                return True
+    return False
 
 
 class ScanReconciler(Reconciler):
@@ -314,6 +327,43 @@ def test_group_whose_own_antecedents_conflict_is_rejected(reconciler_class):
     assert result.accepted == ["a1"]
     assert sorted(result.rejected) == ["a2", "c"]
     assert reconciler.peer.tuples("R") == {(1, 0)}
+
+
+@pytest.mark.parametrize("reconciler_class", [Reconciler, ScanReconciler])
+def test_a_transaction_never_conflicts_with_itself(reconciler_class):
+    """Two same-priority groups share a pending antecedent whose own updates
+    clash on one key (a delete and an insert of key 1).  The shared member
+    meets itself in the key index, and that is no conflict: both groups are
+    accepted, nothing is deferred."""
+    reconciler = reconciler_class(make_peer())
+    base = CandidateTransaction(
+        "w", "Alaska", "Crete", (Update.insert("R", (1, 0), origin="Alaska"),)
+    )
+    assert reconciler.reconcile([base]).accepted == ["w"]
+    rekey = CandidateTransaction(
+        "x",
+        "Alaska",
+        "Crete",
+        (
+            Update.delete("R", (1, 0), origin="Alaska"),
+            Update.insert("R", (1, 1), origin="Alaska"),
+        ),
+        antecedents=frozenset({"w"}),
+    )
+
+    def dependent(txn_id, origin, values):
+        return CandidateTransaction(
+            txn_id, origin, "Crete", (Update.insert("S", values, origin=origin),),
+            antecedents=frozenset({"x"}),
+        )
+
+    result = reconciler.reconcile(
+        [dependent("y", "Alaska", (1, 1, 1)), dependent("z", "Beijing", (2, 2, 2)), rekey]
+    )
+    assert sorted(result.accepted) == ["x", "y", "z"]
+    assert result.deferred == [] and result.rejected == []
+    assert reconciler.state.open_conflicts() == []
+    assert reconciler.peer.tuples("R") == {(1, 1)}
 
 
 def test_index_follows_a_changed_schema_and_a_re_recorded_accept():

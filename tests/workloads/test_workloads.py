@@ -1,16 +1,11 @@
-"""Unit tests for the workload builders, generator and reporting views."""
+"""Unit tests for the workload builders and reporting views."""
 
-import pytest
-
-from repro.errors import ConfigurationError
 from repro.workloads.bioinformatics import (
     BioDataGenerator,
-    build_figure2_network,
     crete_trust_policy,
     sigma1_schema,
     sigma2_schema,
 )
-from repro.workloads.generator import SyntheticWorkload, WorkloadConfig
 from repro.workloads.reporting import (
     render_decision_table,
     render_mappings,
@@ -80,58 +75,6 @@ class TestBioDataGenerator:
         txns2 = generator.insertion_transactions(figure2.dresden, 2)
         assert len(txns2) == 2
         assert figure2.dresden.instance.count("OPS") == 2
-
-
-class TestSyntheticWorkload:
-    def test_config_validation(self):
-        with pytest.raises(ConfigurationError):
-            WorkloadConfig(transactions=-1)
-        with pytest.raises(ConfigurationError):
-            WorkloadConfig(conflict_rate=1.5)
-        with pytest.raises(ConfigurationError):
-            WorkloadConfig(updates_per_transaction=0)
-
-    def test_fraction_sum_must_not_exceed_one(self):
-        # Individually valid fractions whose sum exceeds 1 used to be
-        # accepted silently, skewing the generated mix toward deletions.
-        with pytest.raises(ConfigurationError):
-            WorkloadConfig(modify_fraction=0.7, delete_fraction=0.6)
-        # The boundary is fine.
-        config = WorkloadConfig(modify_fraction=0.6, delete_fraction=0.4)
-        assert config.modify_fraction + config.delete_fraction == 1.0
-
-    def test_generates_requested_number(self, figure2):
-        workload = SyntheticWorkload(figure2, WorkloadConfig(transactions=20, seed=5))
-        generated = workload.generate()
-        assert len(generated) == 20
-        kinds = {item.kind for item in generated}
-        assert "insert" in kinds
-
-    def test_conflict_pairs_marked(self, figure2):
-        workload = SyntheticWorkload(
-            figure2, WorkloadConfig(transactions=20, conflict_rate=0.5, seed=5)
-        )
-        generated = workload.generate()
-        conflicts = [item for item in generated if item.kind == "conflict"]
-        assert conflicts
-        assert all(item.conflicts_with for item in conflicts)
-
-    def test_publish_and_reconcile_all(self, figure2):
-        workload = SyntheticWorkload(figure2, WorkloadConfig(transactions=6, seed=5))
-        workload.generate()
-        published = workload.publish_all()
-        assert published == 6
-        summaries = workload.reconcile_all()
-        assert set(summaries) == {"Alaska", "Beijing", "Crete", "Dresden"}
-        assert summaries["Dresden"]["accepted"] > 0
-
-    def test_deterministic_given_seed(self, figure2):
-        first = SyntheticWorkload(figure2, WorkloadConfig(transactions=10, seed=9))
-        ids_first = [item.transaction.txn_id for item in first.generate()]
-        second_network = build_figure2_network()
-        second = SyntheticWorkload(second_network, WorkloadConfig(transactions=10, seed=9))
-        ids_second = [item.transaction.txn_id for item in second.generate()]
-        assert len(ids_first) == len(ids_second)
 
 
 class TestReporting:
