@@ -29,10 +29,13 @@ def test_module_imports(name):
     importlib.import_module(name)
 
 
-def test_the_walk_finds_every_package():
-    packages = {name.split(".")[1] for name in MODULES}
-    expected = {path.parent.name for path in (ROOT / "src" / "repro").glob("*/__init__.py")}
-    assert expected and expected <= packages
+def test_the_walk_finds_every_module_file():
+    source = ROOT / "src"
+    files = {
+        ".".join(path.relative_to(source).with_suffix("").parts).removesuffix(".__init__")
+        for path in (source / "repro").rglob("*.py")
+    }
+    assert {"repro", *MODULES} == files
 
 
 @pytest.mark.parametrize("path", EXAMPLES, ids=[path.stem for path in EXAMPLES])
