@@ -160,7 +160,7 @@ def test_a_fault_in_a_schema_change_replay_leaves_no_engine(monkeypatch):
     network.cdss.add_peer("Eve", PeerSchema.build("Sigma2", {"OPS": ["org", "prot", "seq"]}))
     fault = FaultAfterInsertions(monkeypatch, {3})
     with pytest.raises(InjectedFault):
-        network.cdss.engine
+        _ = network.cdss.engine
     monkeypatch.undo()
     assert fault.raised == 1
     engine = network.cdss.engine
