@@ -26,7 +26,6 @@ from repro.core.transactions import Transaction
 from repro.core.updates import Update
 from repro.p2p.reconcile import (
     EntryCache,
-    ReconcileConfig,
     SetReconciler,
     StoreView,
     cursor_transfer_bytes,
@@ -111,7 +110,7 @@ def patchwork_rejoiner() -> None:
 
     view = StoreView(store)
     view.refresh()
-    reconciler = SetReconciler(ReconcileConfig(algorithm="iblt"))
+    reconciler = SetReconciler()
     result = reconciler.reconcile(cache, view)
     stats = reconciler.stats
 

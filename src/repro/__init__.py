@@ -66,7 +66,6 @@ from .api import (
 from .config import (
     ExchangeConfig,
     ObserveConfig,
-    ReconciliationConfig,
     StoreConfig,
     SyncConfig,
     SystemConfig,
@@ -107,7 +106,6 @@ __all__ = [
     "PublishOutcome",
     "QueryResult",
     "ReconcileOutcome",
-    "ReconciliationConfig",
     "RelationSchema",
     "ReproError",
     "SpecError",

@@ -66,7 +66,6 @@ def run_query(
     peer_name: str,
     text: str,
     provenance: bool = False,
-    max_depth: int = 16,
     max_monomials: Optional[int] = 10_000,
 ) -> QueryResult:
     """Evaluate ``text`` (one or more datalog rules) over a peer's instance.
@@ -104,9 +103,7 @@ def run_query(
         # expansion would exceed the budget raises a ProvenanceError naming
         # it instead of materialising a combinatorial polynomial.
         polynomials = {
-            row: result.polynomial(
-                answer, row, max_depth=max_depth, max_monomials=max_monomials
-            )
+            row: result.polynomial(answer, row, max_monomials=max_monomials)
             for row in rows
         }
         return QueryResult(peer_name, answer, rows, polynomials)

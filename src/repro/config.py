@@ -7,7 +7,10 @@ declarations into the table everything else is derived from: config
 validation (here), the spec language's sections (:mod:`repro.api.spec`), the
 builder methods, the analyzer's structure check, the simulator's mode flags
 and the README's "System options" table.  Removing an option is removing
-its field.
+its field, and a field stays only while the system reads it: a knob that
+no module outside this one reads off a config object is dead, and
+``tests/api/test_options.py`` fails it.  Sizes that no caller ever moved
+are constants where they are used, not rows.
 """
 
 from __future__ import annotations
@@ -69,7 +72,10 @@ class Option:
         if self.choices:
             if value not in self.choices:
                 words = [repr(choice) for choice in self.choices]
-                return f"must be {', '.join(words[:-1])} or {words[-1]}, got {value!r}"
+                listed = words[-1] if len(words) == 1 else (
+                    f"{', '.join(words[:-1])} or {words[-1]}"
+                )
+                return f"must be {listed}, got {value!r}"
         elif self.floor is not None:
             if not isinstance(value, int) or isinstance(value, bool):
                 return f"needs an integer, got {value!r}"
@@ -116,29 +122,9 @@ class ExchangeConfig(_OptionGroup):
 
     Attributes:
         track_provenance: Maintain provenance for derived tuples.
-        max_iterations: Safety bound on semi-naive iterations (0 = unbounded).
     """
 
     track_provenance: bool = _option(True)
-    max_iterations: int = _option(0, floor=0)
-
-
-@dataclass(frozen=True)
-class ReconciliationConfig(_OptionGroup):
-    """Configuration for the reconciliation algorithm.
-
-    Attributes:
-        default_priority: Priority assigned to transactions that match no
-            trust condition but are not distrusted either.  The paper treats
-            unmatched updates as untrusted; keeping the default at 0 rejects
-            them unless a condition grants a positive priority.
-        defer_on_ties: Defer mutually conflicting groups of equal priority to
-            the administrator (paper behaviour).  When ``False`` ties are
-            broken deterministically by transaction id (baseline ablation).
-    """
-
-    default_priority: int = _option(0, floor=0)
-    defer_on_ties: bool = _option(True)
 
 
 @dataclass(frozen=True)
@@ -157,9 +143,6 @@ class StoreConfig(_OptionGroup):
             a majority of the replication factor.
         read_quorum: Replicas consulted per shard on reads.
         segment_size: Epochs per log segment (the unit of shard placement).
-        require_online_to_publish: Publishing requires the peer to be online.
-        require_online_to_reconcile: Reconciling requires the peer to be
-            online (it must reach the archive).
     """
 
     backend: str = _option(
@@ -174,8 +157,6 @@ class StoreConfig(_OptionGroup):
         1, "store read_quorum", floor=1, at_most="replication_factor"
     )
     segment_size: int = _option(8, "store segment_size", floor=1)
-    require_online_to_publish: bool = _option(True)
-    require_online_to_reconcile: bool = _option(True)
 
 
 @dataclass(frozen=True)
@@ -189,20 +170,15 @@ class SyncConfig(_OptionGroup):
             :mod:`repro.p2p.gossip`).
         gossip_fanout: Partners each online peer reconciles with per gossip
             round (gossip mode only).
-        sketch: Which set-reconciliation sketch sessions use — ``"iblt"``
-            (subtractable invertible Bloom lookup table, decodes the exact
-            symmetric difference) or ``"bloom"`` (counting Bloom filter).
-        sketch_capacity: Initial sketch capacity in difference elements.
-        sketch_growth: Capacity multiplier applied on each decode failure.
-        sketch_attempts: Sketch attempts before falling back to cursor replay.
+        sketch: The set-reconciliation sketch sessions use.  ``"iblt"``
+            (a subtractable invertible Bloom lookup table that decodes the
+            exact symmetric difference) is the only one; the word stays
+            because specs spell ``sketch iblt``.
     """
 
     mode: str = _option("cursor", "sync <mode>", choices=("cursor", "gossip"))
     gossip_fanout: int = _option(2, "sync fanout", floor=1, under="gossip")
-    sketch: str = _option("iblt", "sync sketch", choices=("iblt", "bloom"), under="gossip")
-    sketch_capacity: int = _option(32, "sync capacity", floor=1, under="gossip")
-    sketch_growth: int = _option(4, "sync growth", floor=2, under="gossip")
-    sketch_attempts: int = _option(3, "sync attempts", floor=1, under="gossip")
+    sketch: str = _option("iblt", "sync sketch", choices=("iblt",), under="gossip")
 
 
 @dataclass(frozen=True)
@@ -233,7 +209,6 @@ class SystemConfig:
     store: StoreConfig = field(default_factory=StoreConfig)
     sync: SyncConfig = field(default_factory=SyncConfig)
     exchange: ExchangeConfig = field(default_factory=ExchangeConfig)
-    reconciliation: ReconciliationConfig = field(default_factory=ReconciliationConfig)
     observe: ObserveConfig = field(default_factory=ObserveConfig)
 
     @staticmethod

@@ -44,7 +44,6 @@ from ..obs import Tracer, write_chrome_trace
 from ..p2p.distributed import store_from_config
 from ..p2p.gossip import GossipCoordinator
 from ..p2p.network import Network
-from ..p2p.reconcile import ReconcileConfig
 from ..reconcile.algorithm import ReconcileResult, Reconciler
 from ..reconcile.decisions import DeferredConflict, ReconciliationState
 from ..reconcile.resolution import ResolutionResult, resolve_conflict
@@ -178,12 +177,6 @@ class CDSS:
             self.gossip = GossipCoordinator(
                 self.network,
                 self.store,
-                config=ReconcileConfig(
-                    algorithm=sync_config.sketch,
-                    capacity=sync_config.sketch_capacity,
-                    growth=sync_config.sketch_growth,
-                    max_attempts=sync_config.sketch_attempts,
-                ),
                 fanout=sync_config.gossip_fanout,
                 observability=self.obs,
             )
@@ -252,7 +245,7 @@ class CDSS:
             peer=name,
             implicit_rule=lambda txn_id: self._implicitly_accepted(peer, txn_id),
         )
-        self._reconcilers[name] = Reconciler(peer, state, self.config.reconciliation)
+        self._reconcilers[name] = Reconciler(peer, state)
         if self.gossip is not None:
             self.gossip.register_peer(name)
         self._invalidate_engine()
@@ -359,8 +352,7 @@ class CDSS:
     def publish(self, peer_name: str) -> PublishOutcome:
         """Publish a peer's unpublished transactions to the shared store."""
         peer = self.peer(peer_name)
-        if self.config.store.require_online_to_publish:
-            self.network.require_online(peer_name, "publish")
+        self.network.require_online(peer_name, "publish")
 
         pending = peer.log.unpublished()
         epoch = self.clock.tick()
@@ -418,8 +410,7 @@ class CDSS:
     def reconcile(self, peer_name: str) -> ReconcileOutcome:
         """Translate newly published transactions and reconcile them at a peer."""
         peer = self.peer(peer_name)
-        if self.config.store.require_online_to_reconcile:
-            self.network.require_online(peer_name, "reconcile")
+        self.network.require_online(peer_name, "reconcile")
 
         engine = self.engine
         watermark = peer.clock.last_reconciled_epoch
@@ -542,7 +533,6 @@ class CDSS:
         peer_name: str,
         text: str,
         provenance: bool = False,
-        max_depth: int = 16,
         max_monomials: Optional[int] = 10_000,
     ):
         """Evaluate an ad-hoc datalog query over one peer's local instance.
@@ -563,7 +553,6 @@ class CDSS:
             peer_name,
             text,
             provenance=provenance,
-            max_depth=max_depth,
             max_monomials=max_monomials,
         )
 

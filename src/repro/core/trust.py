@@ -92,6 +92,10 @@ class TrustPolicy:
     owner: str
     conditions: list[TrustCondition] = field(default_factory=list)
     peer_priorities: dict[str, int] = field(default_factory=dict)
+    #: The priority of an update that matches no condition and no peer in
+    #: the table: the one setting that governs such unmatched updates
+    #: (``trust * <priority>`` in a spec).  0 rejects them; the default 1
+    #: trusts them at the lowest positive priority.
     default_priority: int = 1
     own_priority: int = 1_000_000
     #: When True, an update is additionally required to be *derivable from

@@ -41,7 +41,6 @@ class ProvenanceDatabase:
         self,
         relation: str,
         values: tuple,
-        max_depth: int = 32,
         max_monomials: Optional[int] = ProvenanceGraph.DEFAULT_EXPANSION_BUDGET,
     ) -> Polynomial:
         """Provenance polynomial of one tuple (a lazy view over the circuit).
@@ -50,9 +49,7 @@ class ProvenanceDatabase:
         the circuit itself stays compact no matter how large the expanded
         polynomial would be.
         """
-        return self.graph.polynomial_for(
-            relation, values, max_depth=max_depth, max_monomials=max_monomials
-        )
+        return self.graph.polynomial_for(relation, values, max_monomials=max_monomials)
 
     def annotation(self, relation: str, values: tuple, semiring, assignment=None, default=None):
         """One tuple's annotation evaluated directly on the provenance DAG."""

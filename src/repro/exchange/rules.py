@@ -28,6 +28,7 @@ existing values only.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from ..core.mapping import Mapping
@@ -40,8 +41,15 @@ from ..datalog.skolem import SkolemFactory, skolemize_head
 PUBLISHED_SUFFIX = "!pub"
 
 
+@lru_cache(maxsize=None)
 def published_relation(peer: str, relation: str) -> str:
-    """Name of the extensional relation holding ``peer``'s published tuples."""
+    """Name of the extensional relation holding ``peer``'s published tuples.
+
+    Memoized: every published row names its relation, and the facts built
+    from them share one string per ``(peer, relation)`` instead of one copy
+    per row.  The memo holds one short string per pair the process has
+    named, as many as the schemas it has built.
+    """
     return f"{peer}.{relation}{PUBLISHED_SUFFIX}"
 
 

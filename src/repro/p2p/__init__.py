@@ -13,9 +13,8 @@ disconnects.  This package provides that substrate:
   archive: consistent hashing of epoch-ordered log segments onto peer-hosted
   shard servers, quorum reads/writes, re-replication, and gossip-based
   catch-up for reconnecting peers,
-* :mod:`repro.p2p.sketch` — process-stable content digests, counting Bloom
-  filters, invertible Bloom lookup tables and compact epoch clocks for
-  set reconciliation,
+* :mod:`repro.p2p.sketch` — process-stable content digests, invertible
+  Bloom lookup tables and compact epoch clocks for set reconciliation,
 * :mod:`repro.p2p.reconcile` — the challenge → sketch → diff → batch
   reconciliation protocol with per-message byte accounting and cursor-replay
   fallback,
@@ -33,7 +32,6 @@ from .gossip import GossipCoordinator, GossipReport
 from .network import ConnectivityEvent, MessageEvent, Network
 from .reconcile import (
     EntryCache,
-    ReconcileConfig,
     ReconcileStats,
     SessionResult,
     SetReconciler,
@@ -42,7 +40,6 @@ from .reconcile import (
 )
 from .sketch import (
     CompactClock,
-    CountingBloomSketch,
     IBLTSketch,
     PeerClock,
     entry_digest,
@@ -55,7 +52,6 @@ __all__ = [
     "CompactClock",
     "ConnectivityEvent",
     "ConsistentHashRing",
-    "CountingBloomSketch",
     "DistributedUpdateStore",
     "EntryCache",
     "EpochLog",
@@ -66,7 +62,6 @@ __all__ = [
     "Network",
     "PeerClock",
     "PublishedTransaction",
-    "ReconcileConfig",
     "ReconcileStats",
     "SessionResult",
     "SetReconciler",

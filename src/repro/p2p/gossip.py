@@ -50,7 +50,6 @@ from .network import Network
 from .reconcile import (
     ARCHIVE_NAME,
     EntryCache,
-    ReconcileConfig,
     ReconcileStats,
     SessionResult,
     SetReconciler,
@@ -89,7 +88,6 @@ class GossipCoordinator:
         self,
         network: Network,
         store,
-        config: ReconcileConfig = ReconcileConfig(),
         fanout: int = 2,
         observability=None,
     ) -> None:
@@ -99,9 +97,7 @@ class GossipCoordinator:
         self._network = network
         self._obs = observability if observability is not None else network.obs
         self._store_view = StoreView(store)
-        self._reconciler = SetReconciler(
-            config, network=network, observability=self._obs
-        )
+        self._reconciler = SetReconciler(network=network, observability=self._obs)
         self._caches: dict[str, EntryCache] = {}
         self._round = 0
         #: peer -> ``(store generation, cache count)`` at which its cache was

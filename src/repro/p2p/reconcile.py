@@ -7,18 +7,19 @@ their symmetric difference, not their size:
    checksum, latest epoch, completeness watermark: 48 bytes with the
    envelope, however many publishers or entries a side holds).  Equal count
    and checksum end the session after two messages: already converged.
-2. **sketch exchange** — one side ships a sketch of its entries *above the
-   shared completeness watermark* (everything below it is provably held by
-   both sides and cancels for free).  IBLT sketches are subtracted and
-   decoded into the exact symmetric difference; Bloom sketches let the
-   receiver enumerate what the sender is definitely missing.
+2. **sketch exchange** — one side ships an IBLT sketch of its entries
+   *above the shared completeness watermark* (everything below it is
+   provably held by both sides and cancels for free).  The receiver
+   subtracts its own sketch and decodes the exact symmetric difference.
 3. **diff transfer** — the decoded missing entries travel as explicit
    batches; a request message fetches the entries only the other side can
    supply.
 4. **verify / grow / fall back** — the session re-exchanges checksums.  If
-   the sets still differ (sketch capacity exceeded, Bloom false positives)
-   the sketch is regrown by ``growth``× with a fresh seed and the exchange
-   retried, up to ``max_attempts``; after that the session falls back to
+   the sets still differ (the difference overflowed the sketch, so decoding
+   failed) the sketch is regrown by :attr:`SetReconciler.GROWTH`× with a
+   fresh seed and the exchange retried, up to
+   :attr:`SetReconciler.ATTEMPTS` attempts in all, the first sized
+   :attr:`SetReconciler.CAPACITY`; after that the session falls back to
    cursor replay from the completeness watermark.  Fallback ships the whole
    log tail — the cost the sketches exist to avoid — but it is always
    correct: decode failure is a performance event, never a wrongness event.
@@ -35,9 +36,9 @@ would have left.
 
 Hashing is paid once per shape, not once per session: a
 :class:`SetReconciler` memoizes each attempt's seed per ``(attempt,
-capacity)`` and, for IBLT sketches, each digest's check and probe cells per
-``(seed, size)`` table shape.  The same few hundred digests enter tables of
-the same few shapes again and again.
+capacity)`` and each digest's check and probe cells per ``(seed, size)``
+table shape.  The same few hundred digests enter tables of the same few
+shapes again and again.
 
 Completeness watermarks make the fallback sound: ``complete_until`` is the
 epoch up to which a side provably holds *every* archived entry.  It starts
@@ -52,14 +53,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from operator import attrgetter
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from ..errors import SketchError
 from ..obs import Observability
 from .network import Network
 from .sketch import (
     CompactClock,
-    CountingBloomSketch,
     IBLTSketch,
     PeerClock,
     stable_hash,
@@ -98,7 +98,7 @@ class SketchMessage:
     algorithm: str
     capacity: int
     attempt: int
-    sketch: Union[IBLTSketch, CountingBloomSketch]
+    sketch: IBLTSketch
 
     def byte_size(self) -> int:
         return MESSAGE_HEADER_BYTES + 12 + self.sketch.byte_size()
@@ -370,18 +370,15 @@ class StoreView:
 
 # -- the reconciler ------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ReconcileConfig:
-    """Knobs of the sketch protocol (mirrored from ``SyncConfig``)."""
-
-    algorithm: str = "iblt"           # "iblt" | "bloom"
-    capacity: int = 32                # initial sketch capacity (diff elements)
-    growth: int = 4                   # capacity multiplier per retry
-    max_attempts: int = 3             # sketch attempts before cursor fallback
-
-
 class SetReconciler:
     """Runs reconciliation sessions and accounts every message."""
+
+    #: Initial sketch capacity, in difference elements.
+    CAPACITY = 32
+    #: Capacity multiplier applied on each decode failure.
+    GROWTH = 4
+    #: Sketch attempts before falling back to cursor replay.
+    ATTEMPTS = 3
 
     #: Registry series mirrored from :class:`ReconcileStats` after every
     #: session (satellite of the shared observability layer: the dataclass
@@ -407,12 +404,10 @@ class SetReconciler:
 
     def __init__(
         self,
-        config: ReconcileConfig = ReconcileConfig(),
         network: Optional[Network] = None,
         stats: Optional[ReconcileStats] = None,
         observability: Optional[Observability] = None,
     ) -> None:
-        self._config = config
         self._network = network
         if observability is not None:
             self._obs = observability
@@ -502,21 +497,15 @@ class SetReconciler:
 
         delivered_left = delivered_right = 0
         base_capacity = max(
-            self._config.capacity,
-            2 * abs(challenge_left.count - challenge_right.count),
+            self.CAPACITY, 2 * abs(challenge_left.count - challenge_right.count)
         )
         watermark = min(left.complete_until, right.complete_until)
-        for attempt in range(self._config.max_attempts):
-            capacity = base_capacity * (self._config.growth ** attempt)
+        for attempt in range(self.ATTEMPTS):
+            capacity = base_capacity * (self.GROWTH ** attempt)
             seed = self._seed(attempt, capacity)
-            if self._config.algorithm == "iblt":
-                got_left, got_right, converged = self._iblt_attempt(
-                    left, right, watermark, capacity, attempt, seed
-                )
-            else:
-                got_left, got_right, converged = self._bloom_attempt(
-                    left, right, watermark, capacity, attempt, seed
-                )
+            got_left, got_right, converged = self._iblt_attempt(
+                left, right, watermark, capacity, attempt, seed
+            )
             delivered_left += got_left
             delivered_right += got_right
             self.stats.entries_delivered += got_left + got_right
@@ -535,9 +524,7 @@ class SetReconciler:
         if converged:
             self.stats.converged_sessions += 1
             self._propagate_completeness(left, right)
-        return SessionResult(
-            converged, delivered_left, delivered_right, self._config.max_attempts, True
-        )
+        return SessionResult(converged, delivered_left, delivered_right, self.ATTEMPTS, True)
 
     # -- sketch attempts ---------------------------------------------------------
     def _iblt_attempt(
@@ -569,44 +556,6 @@ class SetReconciler:
         batch_to_right = EntryBatch(left.name, tuple(left.entries_for(request.digests)))
         self._send(left.name, right.name, batch_to_right)
         delivered_right = right.add_entries(batch_to_right.entries)
-        return delivered_left, delivered_right, self._verify(left, right)
-
-    def _bloom_attempt(
-        self, left, right, watermark: int, capacity: int, attempt: int, seed: int
-    ) -> tuple[int, int, bool]:
-        bloom_left = CountingBloomSketch(capacity, seed=seed)
-        for digest in left.digests_since(watermark):
-            bloom_left.add(digest)
-        self._send(
-            left.name, right.name,
-            SketchMessage(left.name, "bloom", capacity, attempt, bloom_left),
-        )
-        # The receiver answers with everything the sender definitely lacks,
-        # plus its own filter so the sender can reciprocate.
-        with self._obs.span(
-            "sketch.decode", algorithm="bloom", capacity=capacity, attempt=attempt
-        ):
-            missing_at_left = [
-                entry
-                for entry in right.entries_since(watermark)
-                if entry.digest not in bloom_left
-            ]
-        bloom_right = CountingBloomSketch(capacity, seed=seed)
-        for digest in right.digests_since(watermark):
-            bloom_right.add(digest)
-        self._send(right.name, left.name, EntryBatch(right.name, tuple(missing_at_left)))
-        self._send(
-            right.name, left.name,
-            SketchMessage(right.name, "bloom", capacity, attempt, bloom_right),
-        )
-        delivered_left = left.add_entries(missing_at_left)
-        missing_at_right = [
-            entry
-            for entry in left.entries_since(watermark)
-            if entry.digest not in bloom_right
-        ]
-        self._send(left.name, right.name, EntryBatch(left.name, tuple(missing_at_right)))
-        delivered_right = right.add_entries(missing_at_right)
         return delivered_left, delivered_right, self._verify(left, right)
 
     # -- fallback and verification -----------------------------------------------

@@ -7,11 +7,6 @@ module provides the data structures for that exchange:
 * :func:`transaction_digest` / :func:`entry_digest` — process-stable 64-bit
   content digests (built on :mod:`repro.core.hashing`; independent of
   ``PYTHONHASHSEED``, so both ends of a session agree on every digest).
-* :class:`CountingBloomSketch` — a counting Bloom filter over digests.  One
-  side ships its filter; the other sends back every entry whose digest the
-  filter does not contain.  False positives make the transfer incomplete
-  (never wrong), which the protocol detects by checksum and repairs by
-  retrying with a larger, differently-seeded filter.
 * :class:`IBLTSketch` — an invertible Bloom lookup table.  Subtracting two
   peers' tables cancels the shared elements, and peeling the difference
   *decodes* the exact symmetric difference when it fits the table's
@@ -26,15 +21,15 @@ module provides the data structures for that exchange:
   one tiny message each way; the distributed store's anti-entropy uses the
   same payload instead of shipping full per-shard epoch vectors.
 
-Sketch sizes are deliberate: a Bloom filter is ~8 counters per element of
-capacity, an IBLT ~1.5 cells of 14 bytes per element of *difference* — so
-the bytes a session moves scale with the diff, not the log.
+Sketch sizes are deliberate: an IBLT is ~1.5 cells of 14 bytes per element
+of *difference* — so the bytes a session moves scale with the diff, not the
+log.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from ..core.hashing import (
     MASK64,
@@ -53,7 +48,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 
 __all__ = [
     "CompactClock",
-    "CountingBloomSketch",
     "IBLTSketch",
     "PeerClock",
     "entry_digest",
@@ -167,66 +161,6 @@ class CompactClock:
             checksum=xor_checksum(materialized),
             latest=latest,
         )
-
-
-# -- counting Bloom filter -----------------------------------------------------------
-
-class CountingBloomSketch:
-    """Counting Bloom filter over 64-bit digests.
-
-    ``capacity`` is the number of elements the filter is sized for (about 8
-    counters and 5 probes per element, giving a ~2% false-positive rate at
-    capacity).  The ``seed`` salts the probe sequence so a retry with a new
-    seed sees an independent set of false positives.  Counters make the
-    filter subtractable (``remove``), which the protocol does not strictly
-    need but keeps the two sketch types interchangeable.
-    """
-
-    PROBES = 5
-    COUNTERS_PER_ELEMENT = 8
-
-    def __init__(self, capacity: int, seed: int = 0) -> None:
-        if capacity < 1:
-            raise SketchError("bloom sketch capacity must be positive")
-        self.capacity = capacity
-        self.seed = seed & MASK64
-        self._cells = [0] * max(16, capacity * self.COUNTERS_PER_ELEMENT)
-        self._count = 0
-
-    def _probes(self, key: int) -> Iterator[int]:
-        size = len(self._cells)
-        h1 = mix64(key ^ self.seed)
-        h2 = mix64(h1 ^ 0x9E3779B97F4A7C15) | 1
-        for i in range(self.PROBES):
-            yield (h1 + i * h2) % size
-
-    def add(self, key: int) -> None:
-        for index in self._probes(key):
-            self._cells[index] += 1
-        self._count += 1
-
-    def remove(self, key: int) -> None:
-        for index in self._probes(key):
-            if self._cells[index] <= 0:
-                raise SketchError("bloom counter underflow: key was never added")
-            self._cells[index] -= 1
-        self._count -= 1
-
-    def __contains__(self, key: int) -> bool:
-        return all(self._cells[index] > 0 for index in self._probes(key))
-
-    def __len__(self) -> int:
-        return self._count
-
-    def byte_size(self) -> int:
-        # one byte per counter (saturating-at-255 on a real wire)
-        return len(self._cells)
-
-    def missing_from(self, candidates: Iterable[tuple[int, object]]) -> list[object]:
-        """Of ``(digest, payload)`` candidates, the payloads whose digest is
-        definitely not in the filter (false positives are skipped — the
-        caller detects incompleteness by checksum and retries)."""
-        return [payload for digest, payload in candidates if digest not in self]
 
 
 # -- invertible Bloom lookup table ---------------------------------------------------

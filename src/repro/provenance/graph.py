@@ -755,7 +755,6 @@ class ProvenanceGraph:
         self,
         relation: str,
         values: tuple,
-        max_depth: int = 32,
         max_monomials: Optional[int] = DEFAULT_EXPANSION_BUDGET,
     ) -> Polynomial:
         """The provenance polynomial of a tuple (acyclic derivations only).
@@ -763,8 +762,6 @@ class ProvenanceGraph:
         The polynomial is a lazy view expanded from the hash-consed circuit;
         ``max_monomials`` bounds the expansion (exceeding it raises
         :class:`ProvenanceError`; pass ``None`` to lift the bound).
-        ``max_depth`` is kept for API compatibility and no longer limits the
-        (exact) expansion — the budget replaced it as the safety knob.
         """
         return self._store.to_polynomial(self.root(relation, values), max_monomials=max_monomials)
 
@@ -836,7 +833,6 @@ class ProvenanceGraph:
         semiring,
         assignment: Mapping[str, object],
         default: Optional[object] = None,
-        max_iterations: int = 1000,
     ) -> dict[TupleKey, object]:
         """Evaluate every tuple's annotation in ``semiring``.
 
@@ -846,9 +842,8 @@ class ProvenanceGraph:
         ``None``).  Each annotation is the tuple's acyclic-derivation
         provenance evaluated through the memoized circuit — identical to
         evaluating the tuple's expanded polynomial, but computed in one
-        shared pass over the DAG.  ``max_iterations`` is retained for API
-        compatibility; circuit evaluation always terminates, even for
-        non-idempotent semirings over cyclic derivation graphs.
+        shared pass over the DAG.  Circuit evaluation always terminates,
+        even for non-idempotent semirings over cyclic derivation graphs.
         """
         keys = range(len(self._relations))
         evaluator = self.evaluator(semiring, assignment, default)

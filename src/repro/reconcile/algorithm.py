@@ -24,7 +24,6 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Container, Iterable, Iterator, Mapping, Optional
 
-from ..config import ReconciliationConfig
 from ..core.peer import Peer
 from ..core.schema import PeerSchema
 from ..core.updates import Update, conflicting
@@ -79,11 +78,9 @@ class Reconciler:
         self,
         peer: Peer,
         state: Optional[ReconciliationState] = None,
-        config: Optional[ReconciliationConfig] = None,
     ) -> None:
         self._peer = peer
         self._state = state or ReconciliationState(peer=peer.name)
-        self._config = config or ReconciliationConfig()
 
     @property
     def state(self) -> ReconciliationState:
@@ -220,18 +217,14 @@ class Reconciler:
                 survivors.append(group)
 
             deferred_here: set[str] = set()
-            if self._config.defer_on_ties:
-                for conflict_set in self._same_priority_conflicts(survivors, memo):
-                    ids = sorted(group.txn_id for group in conflict_set)
-                    self._state.add_deferred_conflict(ids, priority)
-                    result.conflicts_deferred += 1
-                    for group in conflict_set:
-                        if group.txn_id not in deferred_here:
-                            self._defer_group(group, result, deferred_ids)
-                            deferred_here.add(group.txn_id)
-            else:
-                # Ablation baseline: break ties deterministically by txn id.
-                survivors = self._break_ties(survivors, memo, result)
+            for conflict_set in self._same_priority_conflicts(survivors, memo):
+                ids = sorted(group.txn_id for group in conflict_set)
+                self._state.add_deferred_conflict(ids, priority)
+                result.conflicts_deferred += 1
+                for group in conflict_set:
+                    if group.txn_id not in deferred_here:
+                        self._defer_group(group, result, deferred_ids)
+                        deferred_here.add(group.txn_id)
 
             for group in survivors:
                 if group.txn_id in deferred_here:
@@ -298,21 +291,6 @@ class Reconciler:
                 frontier.extend(conflict_edges[current] - seen)
             components.append([by_id[member] for member in sorted(component)])
         return components
-
-    def _break_ties(
-        self, groups: list[TransactionGroup], memo: _CallMemo, result: ReconcileResult
-    ) -> list[TransactionGroup]:
-        """Ablation: accept the lexicographically smallest of each conflict set."""
-        kept: list[TransactionGroup] = []
-        kept_index = _GroupIndex(memo)
-        for group in sorted(groups, key=lambda candidate: candidate.txn_id):
-            if kept_index.conflicts_with(group):
-                self._state.record_reject(group.txn_id)
-                result.rejected.append(group.txn_id)
-            else:
-                kept.append(group)
-                kept_index.add(group)
-        return kept
 
     def _defer_group(
         self,

@@ -21,8 +21,8 @@ workload over several replicas, and asserts after every epoch that
 * gossip sketch reconciliation produces reconcile outcomes and instances
   identical to scalar-cursor catch-up.
 
-Each mode flag (``--store``, ``--sync``, ``--sketch``: one
-per word-valued row of :data:`repro.config.OPTIONS`) chooses the word the
+Each mode flag (``--store``, ``--sync``: one per row of
+:data:`repro.config.OPTIONS` with two or more words) chooses the word the
 *primary* replica runs; the mirror that checks the option runs the other
 word (:data:`repro.workloads.simulation.MIRRORS`).
 

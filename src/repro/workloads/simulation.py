@@ -74,15 +74,18 @@ from ..storage.sqlite_backend import SQLiteInstance
 
 #: The modes a simulation can be run in, by the one word that names each on
 #: the command line (``--store distributed``): every option that chooses
-#: between alternative implementations.  A mirror replica flips one of them.
+#: between two or more alternative implementations.  A mirror replica flips
+#: one of them.
 MODE_OPTIONS: dict[str, Option] = {
-    option.flag: option for option in OPTIONS if option.choices and not option.levels
+    option.flag: option
+    for option in OPTIONS
+    if len(option.choices) >= 2 and not option.levels
 }
 
 
 def simulated_system(**modes: str) -> SystemConfig:
     """The primary replica's configuration for the given mode words
-    (``store="distributed", sketch="bloom"``), over the simulator's base: the
+    (``store="distributed", sync="gossip"``), over the simulator's base: the
     system defaults with a three-shard archive.
     """
     unknown = sorted(set(modes) - set(MODE_OPTIONS))

@@ -2,6 +2,7 @@
 driven through every spelling derived from it: spec text and dict, builder
 method, ``to_spec()``, config construction, the simulator's command line."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 from repro import CDSS, NetworkBuilder, SpecError
 from repro.analysis import analyze_network_spec
 from repro.api.spec import SectionSpec, parse_network_spec
+import repro
 from repro.config import OPTIONS, SECTIONS, SyncConfig, SystemConfig, configure
 from repro.errors import ConfigurationError
 from repro.simulate import build_parser
@@ -21,9 +23,11 @@ SPEC_ROWS = [option for option in OPTIONS if option.section]
 
 
 def values_for(option):
-    """A valid value off the row's default, and one outside its domain."""
+    """A valid value (off the row's default, unless the row has one word
+    only), and one outside its domain."""
     if option.choices:
-        return next(word for word in option.choices if word != option.default), "bogus"
+        others = [word for word in option.choices if word != option.default]
+        return (others or [option.default])[0], "bogus"
     return (option.default or option.floor) + 1, option.floor - 1
 
 
@@ -56,8 +60,10 @@ class TestSpecRow:
         assert cdss.config == configure(
             SystemConfig(), parse_network_spec(text).sections[option.section].pinned()
         )
-        # The recovered spec, the dict form and the builder call say the same.
-        assert line in cdss.to_spec().to_text()
+        # The recovered spec, the dict form and the builder call say the
+        # same; a rendered spec spells only what differs from the defaults.
+        if value != option.default:
+            assert line in cdss.to_spec().to_text()
         assert CDSS.from_spec(cdss.to_spec().to_text()).config == cdss.config
         assert CDSS.from_spec(parse_network_spec(text).to_dict()).config == cdss.config
         builder = NetworkBuilder("n").peer("P").relation("R", "a", "b", key=["a"])
@@ -106,11 +112,15 @@ def test_simulator_flag_is_generated_from_the_row(flag):
         build_parser().parse_args([f"--{flag}", bad])
 
 
-@pytest.mark.parametrize("knob, value", [("runtime", "async"), ("workers", 8)])
+@pytest.mark.parametrize(
+    "knob, value",
+    [("runtime", "async"), ("workers", 8), ("capacity", 64), ("growth", 2), ("attempts", 1)],
+)
 @pytest.mark.parametrize("mode", ["cursor", "gossip"])
 def test_the_deleted_scheduler_knobs_fail_closed(mode, knob, value):
-    """The sync scheduler options are gone; a spec or builder call that
-    still names one is a coded spec error, never a silent default."""
+    """The sync scheduler and sketch-sizing options are gone; a spec or
+    builder call that still names one is a coded spec error, never a
+    silent default."""
     with pytest.raises(SpecError, match=f"unknown sync knob '{knob}'") as caught:
         parse_network_spec(f"network n\nsync {mode} {knob} {value}\n{PEER}")
     assert caught.value.code == "CDSS014"
@@ -182,25 +192,64 @@ def test_a_flag_needs_a_boolean(option):
 
 
 def test_cursor_still_rejects_gossip_knobs():
-    for bad in ({"fanout": 2}, {"sketch": "bloom"}, {"attempts": 2}):
+    for bad in ({"fanout": 2}, {"sketch": "iblt"}):
         with pytest.raises(SpecError):
             SectionSpec("sync", {"mode": "cursor", **bad}).validate()
+
+
+def test_the_deleted_bloom_sketch_fails_closed():
+    """``iblt`` is the one sketch word; ``bloom`` is out of the domain."""
+    with pytest.raises(SpecError, match="'iblt'") as caught:
+        parse_network_spec(f"network n\nsync gossip sketch bloom\n{PEER}")
+    assert caught.value.code == "CDSS014"
+    with pytest.raises(ConfigurationError, match="^sketch must be 'iblt', got 'bloom'$"):
+        SyncConfig(sketch="bloom")
+
+
+def _config_reads() -> set[str]:
+    """Attributes that ``src/repro`` loads off a config object outside the
+    table itself: ``<...>.<group>.<field>`` or ``<...config>.<field>``."""
+    package = Path(repro.__file__).parent
+    groups = {option.group for option in OPTIONS}
+    reads = set()
+    for path in package.rglob("*.py"):
+        if path == package / "config.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)):
+                continue
+            receiver = node.value
+            name = (
+                receiver.attr if isinstance(receiver, ast.Attribute)
+                else receiver.id if isinstance(receiver, ast.Name) else ""
+            )
+            if name in groups or "config" in name:
+                reads.add(node.attr)
+    return reads
+
+
+CONFIG_READS = _config_reads()
+
+
+@pytest.mark.parametrize("option", OPTIONS, ids=lambda option: f"{option.group}-{option.field}")
+def test_every_row_is_read_by_the_system(option):
+    """A row earns its place by changing what the system does: some module
+    other than the table reads its field off a config object.  A row that
+    only the spec, builder and validation machinery see is dead."""
+    assert option.field in CONFIG_READS, (
+        f"{option.group}.{option.field} is declared but nothing in src/repro reads it"
+    )
 
 
 def test_every_config_field_is_a_row_and_config_only_ones_are_known():
     """A new field must say whether a spec can set it: it is either in a
     section or added to this list on purpose."""
-    assert len(OPTIONS) == 19
+    assert len(OPTIONS) == 11
     assert {f"{option.group}.{option.field}" for option in OPTIONS if not option.section} == {
-        "store.require_online_to_publish",
-        "store.require_online_to_reconcile",
         "exchange.track_provenance",
-        "exchange.max_iterations",
-        "reconciliation.default_priority",
-        "reconciliation.defer_on_ties",
     }
     assert list(SECTIONS) == ["store", "sync", "observe"]
-    assert list(MODE_OPTIONS) == ["store", "sync", "sketch"]
+    assert list(MODE_OPTIONS) == ["store", "sync"]
 
 
 def options_table() -> str:

@@ -2,38 +2,19 @@
 
 import pytest
 
-from repro.config import ExchangeConfig, ReconciliationConfig, StoreConfig, SystemConfig
+from repro.config import ExchangeConfig, StoreConfig, SystemConfig
 from repro.errors import ConfigurationError
 
 
 class TestExchangeConfig:
     def test_defaults(self):
-        config = ExchangeConfig()
-        assert config.track_provenance
-        assert config.max_iterations == 0
-
-    def test_negative_iterations_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ExchangeConfig(max_iterations=-1)
-
-
-class TestReconciliationConfig:
-    def test_defaults(self):
-        config = ReconciliationConfig()
-        assert config.defer_on_ties
-        assert config.default_priority == 0
-
-    def test_negative_priority_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ReconciliationConfig(default_priority=-1)
+        assert ExchangeConfig().track_provenance
 
 
 class TestStoreConfig:
     def test_defaults(self):
         config = StoreConfig()
         assert config.replication_factor == 2
-        assert config.require_online_to_publish
-        assert config.require_online_to_reconcile
 
     def test_invalid_replication_factor(self):
         with pytest.raises(ConfigurationError):
@@ -44,7 +25,6 @@ class TestSystemConfig:
     def test_default_factory(self):
         config = SystemConfig.default()
         assert isinstance(config.exchange, ExchangeConfig)
-        assert isinstance(config.reconciliation, ReconciliationConfig)
         assert isinstance(config.store, StoreConfig)
 
     def test_configs_are_frozen(self):

@@ -247,9 +247,9 @@ def _relation_map(database):
     }
 
 
-def _all_polynomials(database, graph, max_depth=24):
+def _all_polynomials(database, graph):
     return {
-        (predicate, values): graph.polynomial_for(predicate, values, max_depth=max_depth)
+        (predicate, values): graph.polynomial_for(predicate, values)
         for predicate in database.predicates()
         for values in database.relation(predicate)
     }

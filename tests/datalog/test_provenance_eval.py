@@ -83,7 +83,7 @@ class TestProvenanceEvaluation:
         )
         db = Database.from_dict({"Edge": [(1, 2), (2, 1)]})
         result = evaluate_with_provenance(program, db)
-        polynomial = result.polynomial("Path", (1, 1), max_depth=8)
+        polynomial = result.polynomial("Path", (1, 1))
         assert not polynomial.is_zero()
 
     def test_base_fact_in_idb_relation_gets_variable(self):

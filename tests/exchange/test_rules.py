@@ -30,6 +30,13 @@ class TestNaming:
         assert not is_published_relation("Alaska.O")
         assert split_derived("Crete.OPS") == ("Crete", "OPS")
 
+    def test_a_published_name_is_one_shared_string(self):
+        """Every fact of a published row names its relation: one string per
+        (peer, relation), not a fresh copy per row."""
+        name = published_relation("Alaska", "O")
+        assert published_relation("Alaska", "O") is name
+        assert published_relation("Alaska", "P") is not name
+
     def test_qualify_atom(self):
         from repro.datalog.parser import parse_atom
 

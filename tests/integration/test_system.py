@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import CDSS, ExchangeConfig, PeerSchema, StoreConfig, SystemConfig
+from repro import CDSS, ExchangeConfig, PeerSchema, SystemConfig
 from repro.core.mapping import join_mapping
 from repro.errors import NetworkError, PeerError
 from repro.reconcile.decisions import Decision
@@ -106,18 +106,6 @@ class TestConnectivity:
         cdss.set_online("Target", False)
         with pytest.raises(NetworkError):
             cdss.reconcile("Target")
-
-    def test_relaxed_connectivity_config(self):
-        config = SystemConfig(
-            store=StoreConfig(require_online_to_publish=False, require_online_to_reconcile=False)
-        )
-        cdss = CDSS(config)
-        cdss.add_peer("Source", PeerSchema.build("S", {"R": ["a", "b"]}, {"R": ["a"]}))
-        cdss.add_peer("Target", PeerSchema.build("T", {"R": ["a", "b"]}, {"R": ["a"]}))
-        cdss.add_mapping(join_mapping("M", "Source", "Target", "R(a, b)", ["R(a, b)"]))
-        cdss.set_online("Source", False)
-        cdss.peer("Source").insert("R", (1, "a"))
-        assert cdss.publish("Source").published
 
     def test_data_survives_publisher_disconnection(self, two_peer_system):
         cdss = two_peer_system

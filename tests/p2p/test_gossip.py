@@ -10,7 +10,7 @@ from repro.errors import SyncError
 from repro.p2p.distributed import DistributedUpdateStore
 from repro.p2p.gossip import GossipCoordinator, GossipReport
 from repro.p2p.network import Network
-from repro.p2p.reconcile import ARCHIVE_NAME, ReconcileConfig, SessionResult
+from repro.p2p.reconcile import ARCHIVE_NAME, SessionResult
 from repro.p2p.store import UpdateStore
 
 PEERS = ["Alaska", "Beijing", "Crete", "Dakar", "Essen", "Fiji", "Galway", "Hanoi"]
@@ -29,12 +29,10 @@ def archive_batch(store: UpdateStore, count: int, publisher: str = "Alaska") -> 
     return published
 
 
-def build(peers=PEERS, fanout=2, **config_knobs):
+def build(peers=PEERS, fanout=2):
     network = Network(peers)
     store = UpdateStore()
-    coordinator = GossipCoordinator(
-        network, store, config=ReconcileConfig(**config_knobs), fanout=fanout
-    )
+    coordinator = GossipCoordinator(network, store, fanout=fanout)
     for peer in peers:
         coordinator.register_peer(peer)
     return network, store, coordinator

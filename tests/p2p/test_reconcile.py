@@ -8,7 +8,6 @@ from repro.p2p.network import Network
 from repro.p2p.reconcile import (
     MESSAGE_HEADER_BYTES,
     EntryCache,
-    ReconcileConfig,
     ReconcileStats,
     SetReconciler,
     StoreView,
@@ -114,21 +113,20 @@ def divergent_caches(shared: int, extra_left: int, extra_right: int):
     return left, right
 
 
-@pytest.mark.parametrize("algorithm", ["iblt", "bloom"])
 class TestSessions:
     def _caches(self, shared: int, extra_left: int, extra_right: int):
         return divergent_caches(shared, extra_left, extra_right)
 
-    def test_converged_sides_exchange_two_messages(self, algorithm):
+    def test_converged_sides_exchange_two_messages(self):
         left, right = self._caches(10, 0, 0)
-        reconciler = SetReconciler(ReconcileConfig(algorithm=algorithm))
+        reconciler = SetReconciler()
         result = reconciler.reconcile(left, right)
         assert result.converged and result.delivered == 0
         assert reconciler.stats.messages == 2
         assert reconciler.stats.unchanged_sessions == 1
 
     @pytest.mark.parametrize("publishers", [1, 40])
-    def test_converged_session_costs_two_constant_size_messages(self, algorithm, publishers):
+    def test_converged_session_costs_two_constant_size_messages(self, publishers):
         """An idle session is priced by the protocol, not the population:
         the same 2 x 48 bytes whether the sides hold 1 publisher or 40."""
         common = [
@@ -140,16 +138,16 @@ class TestSessions:
         right.add_entries(common)
         assert len(left.clock().versions) == publishers
         network = Network(["L", "R"])
-        reconciler = SetReconciler(ReconcileConfig(algorithm=algorithm), network=network)
+        reconciler = SetReconciler(network=network)
         assert reconciler.reconcile(left, right).converged
         assert [event.size for event in network.message_trace()] == [
             MESSAGE_HEADER_BYTES + 32
         ] * 2
         assert reconciler.stats.bytes == 2 * (MESSAGE_HEADER_BYTES + 32)
 
-    def test_session_makes_both_sides_equal(self, algorithm):
+    def test_session_makes_both_sides_equal(self):
         left, right = self._caches(20, 3, 2)
-        reconciler = SetReconciler(ReconcileConfig(algorithm=algorithm))
+        reconciler = SetReconciler()
         result = reconciler.reconcile(left, right)
         assert result.converged
         assert result.delivered_left == 2 and result.delivered_right == 3
@@ -158,7 +156,7 @@ class TestSessions:
             e.txn_id for e in right.entries()
         )
 
-    def test_bytes_scale_with_diff_not_log(self, algorithm):
+    def test_bytes_scale_with_diff_not_log(self):
         """The same 5-entry diff over a 40-entry vs a 400-entry shared tail:
         watermarked sketch sessions move nearly identical byte counts, while
         a cursor replay of the tail grows ~10x."""
@@ -173,7 +171,7 @@ class TestSessions:
             left.mark_complete(shared)
             right.mark_complete(shared)
             left.add_entries(entries(5, start=shared + 100, peer="Beijing"))
-            reconciler = SetReconciler(ReconcileConfig(algorithm=algorithm))
+            reconciler = SetReconciler()
             assert reconciler.reconcile(left, right).converged
             return reconciler.stats.bytes
 
@@ -183,10 +181,10 @@ class TestSessions:
         baseline_large = cursor_transfer_bytes(entries(400))
         assert baseline_large > baseline_small * 8
 
-    def test_stats_account_every_message(self, algorithm):
+    def test_stats_account_every_message(self):
         left, right = self._caches(5, 2, 1)
         stats = ReconcileStats()
-        reconciler = SetReconciler(ReconcileConfig(algorithm=algorithm), stats=stats)
+        reconciler = SetReconciler(stats=stats)
         reconciler.reconcile(left, right)
         assert stats.sessions == 1
         assert stats.messages > 2
@@ -195,10 +193,10 @@ class TestSessions:
         assert stats.entry_bytes > 0
         assert stats.entries_delivered == 3
 
-    def test_network_message_stats_are_fed(self, algorithm):
+    def test_network_message_stats_are_fed(self):
         network = Network(["L", "R"])
         left, right = self._caches(5, 1, 1)
-        reconciler = SetReconciler(ReconcileConfig(algorithm=algorithm), network=network)
+        reconciler = SetReconciler(network=network)
         reconciler.reconcile(left, right)
         stats = network.message_stats()
         assert stats["messages"] == reconciler.stats.messages
@@ -206,7 +204,7 @@ class TestSessions:
         assert stats["per_peer"]["L"]["sent"] > 0
         assert stats["per_peer"]["R"]["received"] > 0
 
-    def test_a_session_is_accounted_in_one_flush(self, algorithm, monkeypatch):
+    def test_a_session_is_accounted_in_one_flush(self, monkeypatch):
         """One ``record_messages`` call per session, carrying every message
         in send order; the trace, the stats and the ``gossip.*`` series
         agree with it."""
@@ -221,7 +219,7 @@ class TestSessions:
 
         monkeypatch.setattr(network, "record_messages", counting)
         left, right = self._caches(5, 2, 1)
-        reconciler = SetReconciler(ReconcileConfig(algorithm=algorithm), network=network)
+        reconciler = SetReconciler(network=network)
         reconciler.reconcile(left, right)
         (rows,) = flushes
         trace = network.message_trace()
@@ -238,16 +236,16 @@ class TestSessions:
         assert metrics.counter_value("gossip.bytes_entries") == stats.entry_bytes
         assert metrics.counter_value("gossip.sessions") == 1
 
-    def test_completeness_propagates_through_sessions(self, algorithm):
+    def test_completeness_propagates_through_sessions(self):
         left, right = self._caches(6, 0, 2)
         right.mark_complete(5)
-        reconciler = SetReconciler(ReconcileConfig(algorithm=algorithm))
+        reconciler = SetReconciler()
         assert reconciler.reconcile(left, right).converged
         assert left.complete_until == 5
 
-    def test_snapshot_and_since_deltas(self, algorithm):
+    def test_snapshot_and_since_deltas(self):
         left, right = self._caches(4, 1, 0)
-        reconciler = SetReconciler(ReconcileConfig(algorithm=algorithm))
+        reconciler = SetReconciler()
         before = reconciler.stats.snapshot()
         reconciler.reconcile(left, right)
         delta = reconciler.stats.since(before)
@@ -258,8 +256,8 @@ class TestSessions:
 class TestMemos:
     def test_seeds_and_cell_positions_are_memoized_per_reconciler(self):
         left, right = divergent_caches(30, 4, 3)
-        first = SetReconciler(ReconcileConfig(algorithm="iblt"))
-        second = SetReconciler(ReconcileConfig(algorithm="iblt"))
+        first = SetReconciler()
+        second = SetReconciler()
         assert first._iblt_positions is not second._iblt_positions
         assert first.reconcile(left, right).converged
         assert list(first._seeds) == [(0, 32)]
@@ -272,36 +270,36 @@ class TestMemos:
 
 
 class TestGrowAndFallback:
-    def test_iblt_grows_after_decode_failure(self):
+    def test_iblt_grows_after_decode_failure(self, monkeypatch):
         """A symmetric diff keeps the observable count difference at zero, so
-        the sketch starts at the configured tiny capacity; the first attempts
-        must stall and the grown retries converge without falling back."""
+        the sketch starts at a tiny capacity; the first attempts must stall
+        and the grown retries converge without falling back."""
+        monkeypatch.setattr(SetReconciler, "CAPACITY", 4)
+        monkeypatch.setattr(SetReconciler, "GROWTH", 8)
         left = EntryCache("L")
         right = EntryCache("R")
         left.add_entries(entries(60, peer="Beijing"))
         right.add_entries(entries(60, start=1000, peer="Crete"))
-        reconciler = SetReconciler(
-            ReconcileConfig(algorithm="iblt", capacity=4, growth=8, max_attempts=3)
-        )
+        reconciler = SetReconciler()
         result = reconciler.reconcile(left, right)
         assert result.converged and not result.fell_back
         assert result.attempts > 1
         assert reconciler.stats.decode_failures >= 1
         assert left.count == right.count == 120
 
-    def test_exhausted_attempts_fall_back_to_cursor_replay(self):
-        """With growth pinned low enough that every sketch attempt fails,
-        the session must fall back to cursor replay and still converge —
+    def test_exhausted_attempts_fall_back_to_cursor_replay(self, monkeypatch):
+        """With one attempt at a capacity small enough that it fails, the
+        session must fall back to cursor replay and still converge —
         decode failure is a cost signal, never a correctness problem."""
+        monkeypatch.setattr(SetReconciler, "CAPACITY", 1)
+        monkeypatch.setattr(SetReconciler, "ATTEMPTS", 1)
         left = EntryCache("L")
         right = EntryCache("R")
         left.add_entries(entries(300, peer="Beijing"))
         # A symmetric diff keeps the count difference at zero, so the base
-        # capacity stays at the configured 1 and the sketch must stall.
+        # capacity stays at 1 and the sketch must stall.
         right.add_entries(entries(300, start=1000, peer="Crete"))
-        reconciler = SetReconciler(
-            ReconcileConfig(algorithm="iblt", capacity=1, growth=2, max_attempts=1)
-        )
+        reconciler = SetReconciler()
         result = reconciler.reconcile(left, right)
         assert result.fell_back
         assert result.converged
@@ -309,24 +307,6 @@ class TestGrowAndFallback:
         assert reconciler.stats.decode_failures >= 1
         assert left.compact_clock().agrees_with(right.compact_clock())
         assert left.count == right.count == 600
-
-    def test_bloom_false_positives_are_repaired(self):
-        """An undersized Bloom filter hides some diff entries behind false
-        positives on the first pass; retries (or fallback) must still end
-        with equal sets."""
-        left = EntryCache("L")
-        right = EntryCache("R")
-        shared = entries(50)
-        left.add_entries(shared)
-        right.add_entries(shared)
-        left.add_entries(entries(120, start=500, peer="Beijing"))
-        right.add_entries(entries(120, start=900, peer="Crete"))
-        reconciler = SetReconciler(
-            ReconcileConfig(algorithm="bloom", capacity=2, growth=4, max_attempts=3)
-        )
-        result = reconciler.reconcile(left, right)
-        assert result.converged
-        assert left.compact_clock().agrees_with(right.compact_clock())
 
     def test_fallback_replays_from_watermark_only(self):
         left = EntryCache("L")
@@ -337,9 +317,7 @@ class TestGrowAndFallback:
         left.mark_complete(10)
         right.mark_complete(10)
         right.add_entries(entries(3, start=20, peer="Crete"))
-        reconciler = SetReconciler(
-            ReconcileConfig(algorithm="iblt", capacity=1, growth=2, max_attempts=1)
-        )
+        reconciler = SetReconciler()
         before_bytes = reconciler.stats.bytes
         # Even a direct fallback ships only the tail above the watermark.
         got_left, got_right = reconciler._cursor_fallback(left, right)

@@ -24,7 +24,6 @@ from repro.core.updates import Update
 from repro.errors import SketchError, TransactionError
 from repro.p2p.sketch import (
     CompactClock,
-    CountingBloomSketch,
     IBLTSketch,
     PeerClock,
     entry_digest,
@@ -214,52 +213,6 @@ class TestCompactClock:
     def test_byte_size_is_constant(self):
         assert CompactClock.of_digests([]).byte_size() == CompactClock.BYTE_SIZE
         assert CompactClock.of_digests(range(1000)).byte_size() == CompactClock.BYTE_SIZE
-
-
-class TestCountingBloomSketch:
-    def test_membership(self):
-        sketch = CountingBloomSketch(capacity=32)
-        keys = [stable_hash(i) for i in range(32)]
-        for key in keys:
-            sketch.add(key)
-        assert all(key in sketch for key in keys)
-        assert len(sketch) == 32
-
-    def test_false_positive_rate_is_low_at_capacity(self):
-        sketch = CountingBloomSketch(capacity=128, seed=9)
-        members = [stable_hash(("m", i)) for i in range(128)]
-        for key in members:
-            sketch.add(key)
-        probes = [stable_hash(("p", i)) for i in range(2000)]
-        false_positives = sum(1 for key in probes if key in sketch)
-        assert false_positives / len(probes) < 0.08
-
-    def test_remove_and_underflow(self):
-        sketch = CountingBloomSketch(capacity=4)
-        key = stable_hash("x")
-        sketch.add(key)
-        sketch.remove(key)
-        assert key not in sketch
-        with pytest.raises(SketchError):
-            sketch.remove(stable_hash("never-added"))
-
-    def test_missing_from_skips_members(self):
-        sketch = CountingBloomSketch(capacity=16)
-        sketch.add(stable_hash("a"))
-        candidates = [(stable_hash("a"), "a"), (stable_hash("b"), "b")]
-        assert sketch.missing_from(candidates) == ["b"]
-
-    def test_seeds_give_independent_probe_sequences(self):
-        key = stable_hash("collide")
-        a = CountingBloomSketch(capacity=8, seed=1)
-        b = CountingBloomSketch(capacity=8, seed=2)
-        a.add(key)
-        b.add(key)
-        assert a._cells != b._cells
-
-    def test_capacity_is_validated(self):
-        with pytest.raises(SketchError):
-            CountingBloomSketch(capacity=0)
 
 
 class TestIBLTSketch:

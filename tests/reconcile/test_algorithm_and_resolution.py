@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.config import ReconciliationConfig
 from repro.core.peer import Peer
 from repro.core.schema import PeerSchema
 from repro.core.trust import TrustPolicy
@@ -119,20 +118,6 @@ class TestConflicts:
         assert result.conflicts_deferred == 1
         assert len(reconciler.state.open_conflicts()) == 1
         assert peer.instance.count("OPS") == 0
-
-    def test_tie_breaking_ablation_mode(self):
-        peer = make_peer()
-        reconciler = Reconciler(peer, config=ReconciliationConfig(defer_on_ties=False))
-        result = reconciler.reconcile(
-            [candidate("a", origin="Alaska", seq="AAA"),
-             candidate("b", origin="Beijing", seq="BBB")]
-        )
-        assert result.accepted == ["a"]
-        assert not result.deferred
-        # The tie loser is reported, not just recorded in the state.
-        assert result.rejected == ["b"]
-        assert result.summary()["rejected"] == 1
-        assert reconciler.state.decision("b") is Decision.REJECTED
 
     def test_non_conflicting_candidates_both_accepted(self):
         peer = make_peer()
