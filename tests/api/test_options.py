@@ -8,10 +8,10 @@ from pathlib import Path
 
 import pytest
 
+import repro
 from repro import CDSS, NetworkBuilder, SpecError
 from repro.analysis import analyze_network_spec
 from repro.api.spec import SectionSpec, parse_network_spec
-import repro
 from repro.config import OPTIONS, SECTIONS, SyncConfig, SystemConfig, configure
 from repro.errors import ConfigurationError
 from repro.simulate import build_parser
