@@ -206,6 +206,39 @@ def test_the_deleted_bloom_sketch_fails_closed():
         SyncConfig(sketch="bloom")
 
 
+@pytest.mark.parametrize(
+    "group, name",
+    [
+        ("ExchangeConfig", "max_iterations"),
+        ("ReconciliationConfig", "default_priority"),
+        ("ReconciliationConfig", "defer_on_ties"),
+        ("StoreConfig", "require_online_to_publish"),
+        ("StoreConfig", "require_online_to_reconcile"),
+        ("SyncConfig", "sketch_capacity"),
+        ("SyncConfig", "sketch_growth"),
+        ("SyncConfig", "sketch_attempts"),
+    ],
+)
+def test_the_deleted_config_fields_fail_closed(group, name):
+    """A deleted field is neither a row nor a keyword of its group: code
+    that still passes it gets a ``TypeError``, not a value nobody reads."""
+    assert name not in {option.field for option in OPTIONS}
+    cls = getattr(repro.config, group, None)
+    if cls is not None:
+        with pytest.raises(TypeError):
+            cls(**{name: 1})
+
+
+def test_the_reconciliation_group_is_gone():
+    """Unmatched updates follow ``TrustPolicy.default_priority`` and ties
+    always defer, so no reconciliation config group is left to pass."""
+    assert not hasattr(repro, "ReconciliationConfig")
+    assert not hasattr(repro.config, "ReconciliationConfig")
+    assert "reconciliation" not in {option.group for option in OPTIONS}
+    with pytest.raises(TypeError):
+        SystemConfig(reconciliation=None)
+
+
 def _config_reads() -> set[str]:
     """Attributes that ``src/repro`` loads off a config object outside the
     table itself: ``<...>.<group>.<field>`` or ``<...config>.<field>``."""

@@ -9,14 +9,19 @@ report, order-preserving ``SyncReport`` dedup, and the quiescent round
 skipping the gossip anti-entropy phase.
 """
 
+import inspect
+
 import pytest
 
 from repro import CDSS, PeerSchema, SyncError, TrustPolicy
+from repro.api.query import run_query
 from repro.api.sync import SyncReport, SyncRound
 from repro.config import SyncConfig, SystemConfig
 from repro.core.mapping import identity_mapping, join_mapping, split_mapping
+from repro.datalog.provenance_eval import ProvenanceDatabase
 from repro.errors import NetworkError, PeerError, UnknownRelationError
 from repro.p2p.network import LatencyModel, Network, VirtualClock
+from repro.provenance.graph import ProvenanceGraph, reference_polynomial
 from repro.workloads.bioinformatics import (
     BioDataGenerator,
     FIGURE2_SPEC,
@@ -441,3 +446,25 @@ class TestQuery:
     def test_query_unknown_peer_rejected(self, figure2):
         with pytest.raises(PeerError):
             figure2.cdss.query("Ghost", "Answer(x) :- OPS(x, y, z).")
+
+
+@pytest.mark.parametrize(
+    "function, name",
+    [
+        (CDSS.query, "max_depth"),
+        (run_query, "max_depth"),
+        (ProvenanceDatabase.polynomial, "max_depth"),
+        (ProvenanceGraph.polynomial_for, "max_depth"),
+        (ProvenanceGraph.evaluate, "max_iterations"),
+    ],
+    ids=lambda item: getattr(item, "__qualname__", item),
+)
+def test_the_ignored_limits_are_not_parameters(function, name):
+    """Polynomial expansion is bounded by ``max_monomials`` and circuit
+    evaluation always terminates, so a depth or iteration limit here would
+    be a parameter nothing reads: passing one is a ``TypeError``."""
+    parameters = inspect.signature(function).parameters.values()
+    assert name not in {parameter.name for parameter in parameters}
+    assert all(parameter.kind is not parameter.VAR_KEYWORD for parameter in parameters)
+    # The reference walk, unlike these, enforces its depth bound.
+    assert "max_depth" in inspect.signature(reference_polynomial).parameters

@@ -282,6 +282,17 @@ class TestIBLTSketch:
         key = stable_hash("only")
         assert len(set(sketch._probes(key))) == sketch.PROBES
 
+    def test_seeds_give_independent_probe_sequences(self):
+        """A retry uses a fresh seed so that keys which stalled together
+        land in different cells the next time."""
+        keys = [stable_hash(("k", i)) for i in range(200)]
+        first, second = IBLTSketch(32, seed=1), IBLTSketch(32, seed=2)
+        same = sum(first._probes(key) == second._probes(key) for key in keys)
+        assert same < 5
+        assert [first._probes(key) for key in keys] == [
+            IBLTSketch(32, seed=1)._probes(key) for key in keys
+        ]
+
     def test_byte_size_scales_with_capacity(self):
         assert IBLTSketch(8).byte_size() < IBLTSketch(64).byte_size()
 

@@ -244,7 +244,7 @@ def observable(reconciler: Reconciler) -> dict:
     }
 
 
-@pytest.mark.parametrize("seed", range(80))
+@pytest.mark.parametrize("seed", range(100))
 def test_indexed_decisions_equal_the_full_scan(seed):
     rng = random.Random(seed)
     indexed = Reconciler(make_peer())
