@@ -41,10 +41,9 @@ none is stored.  The graph supports:
 * deletion propagation: after removing base tuples, finding which derived
   tuples have lost all support.  A change touches only its *downstream
   cone* — the tuples that transitively depend on the changed ones: their
-  circuit roots are dropped, their component ids are recomputed on demand,
-  and only they are re-evaluated to keep the set of unsupported tuples up
-  to date.  Memoized node evaluations stay valid because circuit nodes are
-  immutable.
+  circuit roots are dropped, and support (the Boolean image of provenance)
+  is re-derived for them on the adjacency, so this path compiles no
+  circuit.  Circuits compile on demand, for the questions that need one.
 """
 
 from __future__ import annotations
@@ -72,7 +71,7 @@ _TUPLE_ADJACENCY = 8
 def _records(entry) -> Sequence[tuple]:
     """The records of one adjacency entry (see :func:`_adjoin`).
 
-    The one normalization every reader applies; the flush, cone and compile
+    The one normalization every reader applies; the component and compile
     loops inline the same test.
     """
     return (entry,) if entry and entry[0].__class__ is str else entry
@@ -212,10 +211,10 @@ class ProvenanceGraph:
         self._roots: dict[int, int] = {}
         #: Tuples changed since the last flush.  ``True`` marks a change that
         #: can take support away (a demoted base tuple) or a tuple never
-        #: evaluated (a new derived tuple): everything downstream is
-        #: re-evaluated.  ``False`` marks added support (a new base tuple, a
-        #: promotion, a new derivation), which can only revive tuples that
-        #: are unsupported now.  Every tuple id at or above ``_flushed`` (the
+        #: checked (a new derived tuple): everything downstream is rechecked.
+        #: ``False`` marks added support (a new base tuple, a promotion, a
+        #: new derivation), which can only revive tuples that are
+        #: unsupported now.  Every tuple id at or above ``_flushed`` (the
         #: tuple count at the last flush) is new and dirty without an entry,
         #: flagged as created: derived ``True``, base ``False``.  ``_dirty``
         #: holds the explicit entries: changes to older tuples, and a new
@@ -226,8 +225,9 @@ class ProvenanceGraph:
         #: when it entered: where it sits among the new tuples, so a flush
         #: visits the changes in the order they happened.
         self._dirty_at: list[int] = []
-        #: The tuples not derivable from any base tuple, as of the last
-        #: flush, each with the serial at which it entered (insertion order).
+        #: The tuples not derivable from any base tuple, as of the last flush
+        #: (kept on the adjacency, see :meth:`_rederive`), each with the
+        #: serial at which it entered (insertion order).
         self._unsupported: dict[int, int] = {}
         self._unsupported_serial = 0
         #: Strongly-connected-component id per tuple of the dependency graph
@@ -482,9 +482,11 @@ class ProvenanceGraph:
         """Bring roots and the unsupported set up to date with the changes.
 
         Walks the downstream cone of the changed tuples once: every member's
-        cached root is dropped, and the members whose derivability can have
-        changed are re-evaluated.  Tuples outside the cone keep their roots
-        and their status, so a flush costs what the change touches.
+        cached root is dropped (to compile again when asked), and the
+        members whose derivability can have changed are rechecked by
+        :meth:`_rederive`, in the order the walk reached them.  Tuples
+        outside the cone keep their roots and their status, so a flush costs
+        what the change touches and compiles no circuit.
         """
         flushed, count = self._flushed, self._tuple_count
         if not self._dirty and flushed == count:
@@ -515,7 +517,7 @@ class ProvenanceGraph:
         seen: set[int] = set()
         recheck: list[int] = []
         # Cones that may have lost support first, so a tuple in both kinds of
-        # cone is re-evaluated whether or not it is unsupported now.
+        # cone is rechecked whether or not it is unsupported now.
         for may_lose_support, keys in ((True, lose), (False, gain)):
             queue = [key for key in keys if key not in seen]
             seen.update(queue)
@@ -524,26 +526,62 @@ class ProvenanceGraph:
                 roots.pop(key, None)
                 if may_lose_support or key in unsupported:
                     recheck.append(key)
-                users = by_source[key]
-                if users and users[0].__class__ is str:
-                    users = (users,)
-                for record in users:
+                for record in _records(by_source[key]):
                     target = record[1]
                     if target not in seen:
                         seen.add(target)
                         queue.append(target)
         if not recheck:
             return
-        supported = self.evaluator(BooleanSemiring(), {}, default=True).value
+        dead = self._rederive(recheck, seen)
         for key in recheck:
-            root = roots.get(key)
-            if root is None:
-                root = self._compile_root(key)
-            if supported(root):
+            if key not in dead:
                 unsupported.pop(key, None)
             elif key not in unsupported:
                 self._unsupported_serial += 1
                 unsupported[key] = self._unsupported_serial
+
+    def _rederive(self, recheck: list[int], cone: set[int]) -> set[int]:
+        """The members of ``recheck`` that no derivation supports: support is
+        provenance in the Boolean semiring, the least fixpoint of "has a base
+        variable, or a derivation whose sources are all supported".
+
+        Every rechecked tuple starts unsupported and is re-derived from the
+        outside in (DRed within the cone), so a cycle whose only support runs
+        through itself stays dead; a tuple outside ``recheck`` keeps its
+        status.  A derivation's count of its sources still dead is made when
+        its first source is released, and releases its target at zero.
+        """
+        variables, by_target, by_source = self._variables, self._by_target, self._by_source
+        unsupported = self._unsupported
+        dead = set(recheck)  # not released yet: a tuple leaves when popped
+
+        def blocking(record: tuple) -> int:
+            # A self-join's repeated source counts once: it is released once.
+            return len({
+                source
+                for source in record[_FIRST_SOURCE:]
+                if source in dead or (source in unsupported and source not in cone)
+            })
+
+        released = [
+            key for key in recheck
+            if variables[key] is not None or not all(map(blocking, _records(by_target[key])))
+        ]
+        waiting: dict[tuple, int] = {}
+        while released:
+            key = released.pop()
+            if key not in dead:
+                continue
+            dead.remove(key)
+            for record in _records(by_source[key]):
+                if record[1] in dead:
+                    count = waiting.pop(record) - 1 if record in waiting else blocking(record)
+                    if count:
+                        waiting[record] = count
+                    else:
+                        released.append(record[1])
+        return dead
 
     def _forget_components(self, key: int) -> None:
         """Drop the component ids of ``key`` and of everything downstream.
@@ -889,8 +927,9 @@ class ProvenanceGraph:
 
         Used by deletion propagation: after base deletions, these are the
         derived tuples that must be removed from the target instances.  The
-        set is maintained, not recomputed: a call re-evaluates only the
-        downstream cone of the tuples changed since the last one.  Dead
+        set is maintained on the adjacency, not recomputed and with no
+        circuit: a call rechecks only the downstream cone of the tuples
+        changed since the last one.  Dead
         tuples stay in the graph (and in this answer) until support returns;
         ``since`` — a :meth:`support_mark` — narrows the answer to the tuples
         that entered the set after the mark was taken, at a cost proportional

@@ -5,16 +5,16 @@ block of ten steps: the same mix of inserts, modifies, deletes and one
 cross-peer conflict.  Reconciliation is incremental in the newly published
 transactions and deletion propagation follows provenance from the deleted
 tuples, so the late blocks may not cost more than the early ones.  Cost is
-counted, not timed: calls of ``conflicting()`` (conflict detection) and of
-``CircuitEvaluator.value`` (provenance evaluation) repeat exactly from run
-to run.
+counted, not timed: calls of ``conflicting()`` (conflict detection) and the
+tuples the support fixpoint rechecks (``ProvenanceGraph._rederive``, the
+deletion-propagation work of a flush) repeat exactly from run to run.
 """
 
 from __future__ import annotations
 
 import sys
 
-from repro.provenance.circuit import CircuitEvaluator
+from repro.provenance.graph import ProvenanceGraph
 from repro.workloads.bioinformatics import build_figure2_network
 
 #: What each of the two publishers commits in a step, by ``step % 10``:
@@ -26,29 +26,34 @@ PEERS = ("Alaska", "Beijing", "Crete", "Dresden")
 
 
 class CallCounter:
-    def __init__(self, function):
+    """Counts calls of ``function``, each weighted by ``cost`` of its arguments."""
+
+    def __init__(self, function, cost=lambda *args: 1):
         self.function = function
+        self.cost = cost
         self.calls = 0
 
     def __call__(self, *args, **kwargs):
-        self.calls += 1
+        self.calls += self.cost(*args, **kwargs)
         return self.function(*args, **kwargs)
 
 
 def count_calls(monkeypatch):
-    """Count ``conflicting()`` wherever ``repro`` imported it, and
-    ``CircuitEvaluator.value``."""
+    """Count ``conflicting()`` wherever ``repro`` imported it, and the
+    tuples each flush rechecks for support."""
     from repro.core.updates import conflicting
 
     conflicts = CallCounter(conflicting)
     for name, module in list(sys.modules.items()):
         if name.startswith("repro.") and getattr(module, "conflicting", None) is conflicting:
             monkeypatch.setattr(module, "conflicting", conflicts)
-    evaluations = CallCounter(CircuitEvaluator.value)
-    monkeypatch.setattr(
-        CircuitEvaluator, "value", lambda self, node: evaluations(self, node)
+    rechecks = CallCounter(
+        ProvenanceGraph._rederive, cost=lambda graph, recheck, cone: len(recheck)
     )
-    return conflicts, evaluations
+    monkeypatch.setattr(
+        ProvenanceGraph, "_rederive", lambda self, recheck, cone: rechecks(self, recheck, cone)
+    )
+    return conflicts, rechecks
 
 
 def run_stream(cdss, counters) -> list[tuple[int, ...]]:
@@ -99,4 +104,4 @@ def test_late_steps_cost_no_more_than_early_steps(monkeypatch):
     assert cdss.engine.provenance.unsupported_tuples()
     # ... and fifty steps of history make neither more expensive.
     assert late[0] <= early[0], f"conflicting() calls grew with history: {early[0]} -> {late[0]}"
-    assert late[1] <= early[1], f"circuit evaluations grew with history: {early[1]} -> {late[1]}"
+    assert late[1] <= early[1], f"support rechecks grew with history: {early[1]} -> {late[1]}"

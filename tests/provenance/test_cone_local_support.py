@@ -19,14 +19,18 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datalog.ast import Fact
 from repro.datalog.incremental import IncrementalEngine
 from repro.datalog.parser import parse_program
+from repro.provenance.circuit import ZERO
 from repro.provenance.graph import ProvenanceGraph, reference_polynomial
 from repro.provenance.semiring import CountingSemiring
 from repro.workloads.bioinformatics import build_figure2_network
 
+from circuit_support import CircuitSupportGraph
 from rebuild import merge_graphs
 
 
@@ -143,14 +147,14 @@ def test_a_tuple_revived_and_killed_between_two_deletes_is_removed_again():
     assert engine.database.relation("Path") == engine.reference_database().relation("Path")
 
 
-def test_figure2_cycle_stream_matches_references():
-    """Σ1 → Σ2 → Σ1: every S tuple derives an OPS tuple that derives it back."""
+def drive_figure2_stream(cdss, steps: int, check=None) -> dict[str, list]:
+    """Inserts, modifies, deletes and re-inserts of S tuples at Alaska and
+    Beijing, each published and reconciled everywhere; ``check(step)`` runs
+    every fourth step.  Returns the S tuples left deleted, per peer."""
     rng = random.Random(7)
-    network = build_figure2_network()
-    cdss = network.cdss
     live = {"Alaska": [], "Beijing": []}
     removed = {"Alaska": [], "Beijing": []}
-    for step in range(40):
+    for step in range(steps):
         name = ("Alaska", "Beijing")[step % 2]
         peer = cdss.peer(name)
         held = live[name]
@@ -176,9 +180,172 @@ def test_figure2_cycle_stream_matches_references():
         cdss.publish(name)
         for reconciling in ("Alaska", "Beijing", "Crete", "Dresden"):
             cdss.reconcile(reconciling)
-        if step % 4 == 3:
-            graph = cdss.engine.provenance
-            assert_matches_references(graph, step)
-            assert cdss.engine.database == cdss.engine.reference_database()
+        if check is not None and step % 4 == 3:
+            check(step)
+    return removed
+
+
+def test_figure2_cycle_stream_matches_references():
+    """Σ1 → Σ2 → Σ1: every S tuple derives an OPS tuple that derives it back."""
+    cdss = build_figure2_network().cdss
+
+    def check(step):
+        assert_matches_references(cdss.engine.provenance, step)
+        assert cdss.engine.database == cdss.engine.reference_database()
+
+    removed = drive_figure2_stream(cdss, 40, check)
     assert removed["Alaska"] or removed["Beijing"]
     assert cdss.engine.provenance.unsupported_tuples()
+
+
+def test_the_exchange_path_compiles_no_circuit(monkeypatch):
+    """Deletion propagation reads support off the adjacency; a circuit is
+    compiled only when a question needs one, and then answers as a cold
+    rebuild's does."""
+    compiled = []
+    compile_root = ProvenanceGraph._compile_root
+
+    def counted(graph, start):
+        compiled.append(start)
+        return compile_root(graph, start)
+
+    monkeypatch.setattr(ProvenanceGraph, "_compile_root", counted)
+    cdss = build_figure2_network().cdss
+    removed = drive_figure2_stream(cdss, 40)
+    graph = cdss.engine.provenance
+    dead = graph.unsupported_tuples()
+    assert dead and (removed["Alaska"] or removed["Beijing"])
+    assert compiled == []
+
+    fresh = merge_graphs([graph])
+    survivor = next(
+        node.key for node in graph.tuples() if not node.is_base and node.key not in dead
+    )
+    assert graph.root(*survivor) != ZERO
+    assert compiled
+    assert graph.polynomial_for(*survivor) == fresh.polynomial_for(*survivor)
+    assert graph.is_derivable(*survivor) and fresh.is_derivable(*survivor)
+    assert not graph.is_derivable(*dead[0]) and not fresh.is_derivable(*dead[0])
+
+
+def test_a_cycle_dies_with_its_one_external_entry():
+    graph, reference = ProvenanceGraph(), CircuitSupportGraph()
+    for edited in (graph, reference):
+        edited.add_base_tuple("E", (0,))
+        edited.add_derivation("in", ("A", (0,)), [("E", (0,))])
+        edited.add_derivation("ab", ("B", (0,)), [("A", (0,))])
+        edited.add_derivation("ba", ("A", (0,)), [("B", (0,))])
+        # A self-join over the cycle: one record, indexed once under B.
+        edited.add_derivation("bb", ("C", (0,)), [("B", (0,)), ("B", (0,))])
+    assert graph.unsupported_tuples() == reference.unsupported_tuples() == []
+    marks = (graph.support_mark(), reference.support_mark())
+    for edited in (graph, reference):
+        edited.remove_base_tuple("E", (0,))
+    expected = [("E", (0,)), ("A", (0,)), ("B", (0,)), ("C", (0,))]
+    assert set(graph.unsupported_tuples()) == set(expected)
+    assert graph.unsupported_tuples() == reference.unsupported_tuples()
+    assert graph.unsupported_tuples(since=marks[0]) == reference.unsupported_tuples(
+        since=marks[1]
+    )
+    # Support returning to one member of the cycle revives all of it.
+    for edited in (graph, reference):
+        edited.add_base_tuple("B", (0,))
+    assert graph.unsupported_tuples() == reference.unsupported_tuples() == [("E", (0,))]
+
+
+def test_a_self_join_waits_once_for_its_repeated_source():
+    """``T1 :- S, O, S`` and ``T2 :- O, S, O``, all re-derived in one flush:
+    whichever of S and O is released first, one join counts the other's
+    repeat while it still waits, and must count it once."""
+    graph, reference = ProvenanceGraph(), CircuitSupportGraph()
+    for edited in (graph, reference):
+        edited.add_base_tuple("E", (0,))
+        edited.add_derivation("o", ("O", (0,)), [("E", (0,))])
+        edited.add_derivation("x", ("X", (0,)), [("E", (0,))])
+        edited.add_derivation("s", ("S", (0,)), [("X", (0,))])
+        edited.add_derivation("j", ("T", (1,)), [("S", (0,)), ("O", (0,)), ("S", (0,))])
+        edited.add_derivation("j", ("T", (2,)), [("O", (0,)), ("S", (0,)), ("O", (0,))])
+    assert graph.unsupported_tuples() == reference.unsupported_tuples() == []
+    for edited in (graph, reference):
+        edited.remove_base_tuple("E", (0,))
+    assert len(graph.unsupported_tuples()) == 6
+    assert graph.unsupported_tuples() == reference.unsupported_tuples()
+    for edited in (graph, reference):
+        edited.add_base_tuple("E", (0,))
+    assert graph.unsupported_tuples() == reference.unsupported_tuples() == []
+
+
+KEYS = st.tuples(st.sampled_from("AB"), st.tuples(st.integers(0, 3)))
+#: ``(kind, *arguments)``: each kind is applied to both graphs by ``edit``.
+SUPPORT_EDITS = st.one_of(
+    st.tuples(st.just("base"), KEYS),
+    st.tuples(st.just("demote"), KEYS),
+    st.tuples(
+        st.just("derive"), st.sampled_from(["m1", "m2"]), KEYS, st.lists(KEYS, min_size=1, max_size=3)
+    ),
+    # A self-join that repeats one source around another.
+    st.tuples(st.just("self_join"), KEYS, KEYS, KEYS),
+    # A cycle through two or three tuples, with or without one external entry.
+    st.tuples(
+        st.just("cycle"), st.lists(KEYS, min_size=2, max_size=3, unique=True), st.none() | KEYS
+    ),
+    # A tuple created by a derivation and used by another, then promoted and
+    # perhaps demoted again, all before the next flush.
+    st.tuples(st.just("fresh"), KEYS, KEYS, st.booleans()),
+    st.tuples(st.just("flush")),
+    st.tuples(st.just("mark")),
+)
+
+
+def edit(graph: ProvenanceGraph, step: int, kind: str, *arguments) -> None:
+    if kind == "base":
+        graph.add_base_tuple(*arguments[0])
+    elif kind == "demote":
+        graph.remove_base_tuple(*arguments[0])
+    elif kind == "derive":
+        graph.add_derivation(*arguments)
+    elif kind == "self_join":
+        target, repeated, other = arguments
+        graph.add_derivation("j", target, [repeated, other, repeated])
+    elif kind == "cycle":
+        members, entry = arguments
+        for index, member in enumerate(members):
+            graph.add_derivation("c", members[index - 1], [member])
+        if entry is not None:
+            graph.add_derivation("e", members[0], [entry])
+    elif kind == "fresh":
+        source, user, demote = arguments
+        fresh = ("N", (step,))
+        graph.add_derivation("f", fresh, [source])
+        graph.add_derivation("g", user, [fresh])
+        graph.add_base_tuple(*fresh)
+        if demote:
+            graph.remove_base_tuple(*fresh)
+
+
+def assert_same_support(graph, reference, marks) -> None:
+    assert graph.unsupported_tuples() == reference.unsupported_tuples()
+    if marks is not None:
+        assert graph.unsupported_tuples(since=marks[0]) == reference.unsupported_tuples(
+            since=marks[1]
+        )
+
+
+@settings(max_examples=300, deadline=None)
+@given(edits=st.lists(SUPPORT_EDITS, max_size=25))
+def test_edit_sequences_match_the_circuit_recheck(edits):
+    """The support fixpoint against the circuit recheck it replaced: the same
+    unsupported tuples in the same order, and the same answers since a mark,
+    whenever the graphs are flushed."""
+    graph, reference = ProvenanceGraph(), CircuitSupportGraph()
+    marks = None
+    for step, (kind, *arguments) in enumerate(edits):
+        if kind == "flush":
+            assert_same_support(graph, reference, marks)
+        elif kind == "mark":
+            marks = (graph.support_mark(), reference.support_mark())
+            assert marks[0] == marks[1]
+        else:
+            edit(graph, step, kind, *arguments)
+            edit(reference, step, kind, *arguments)
+    assert_same_support(graph, reference, marks)
