@@ -929,11 +929,11 @@ class ProvenanceGraph:
         derived tuples that must be removed from the target instances.  The
         set is maintained on the adjacency, not recomputed and with no
         circuit: a call rechecks only the downstream cone of the tuples
-        changed since the last one.  Dead
-        tuples stay in the graph (and in this answer) until support returns;
-        ``since`` — a :meth:`support_mark` — narrows the answer to the tuples
-        that entered the set after the mark was taken, at a cost proportional
-        to their number.
+        changed since the last one.  Dead tuples stay in the graph (and in
+        this answer) until support returns; ``since`` — a
+        :meth:`support_mark` — narrows the answer to the tuples that entered
+        the set after the mark was taken, at a cost proportional to their
+        number.
         """
         self._flush_dirty()
         if not since:
