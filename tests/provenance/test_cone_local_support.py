@@ -11,7 +11,10 @@ three must agree after any interleaving of insertions, deletions,
 re-insertions and promotions, whenever the graph happens to be flushed.
 On graphs sparse enough to expand, ``reference_polynomial`` is a fourth
 answer that never touches the circuit: a tuple is supported exactly when
-its expanded polynomial is not zero.
+its expanded polynomial is not zero.  The graph reads support off its
+adjacency and compiles no circuit to do so; ``CircuitSupportGraph``
+(``circuit_support.py``) rechecks by evaluating each tuple's circuit, as
+the graph once did, and must report the same tuples in the same order.
 """
 
 from __future__ import annotations
