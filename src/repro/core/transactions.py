@@ -117,7 +117,9 @@ class TransactionBuilder:
     The builder computes the antecedent set automatically: whenever an update
     deletes or modifies a tuple, the builder looks up, in the supplied
     ``producers`` index, which earlier transaction produced that tuple and
-    records it as an antecedent.
+    records it as an antecedent.  The index is read at that moment, not
+    copied when the builder opens, so a transaction committed meanwhile is
+    seen.
 
     When no explicit ``txn_id`` is given the final id is *content-addressed*:
     ``{peer}-txn-{digest}`` where the digest is the process-stable hash of the
@@ -142,7 +144,7 @@ class TransactionBuilder:
         self._txn_id = txn_id or f"{peer}-txn-{self._nonce}"
         self._updates: list[Update] = []
         self._antecedents: set[str] = set()
-        self._producers = dict(producers or {})
+        self._producers = producers if producers is not None else {}
 
     @property
     def txn_id(self) -> str:

@@ -36,12 +36,7 @@ from .ast import Fact, Program
 from .evaluation import Database, evaluate_program
 from .executor import ExecutionStats, PythonExecutionBackend
 from .plan import CompiledProgram, compile_program, evict_program
-from .provenance_eval import (
-    ProvenanceDatabase,
-    default_variable_namer,
-    evaluate_with_provenance,
-    record_base_tuples,
-)
+from .provenance_eval import ProvenanceDatabase, evaluate_with_provenance, record_base_tuples
 
 
 @dataclass
@@ -68,7 +63,9 @@ class IncrementalEngine:
     maintained.  ``apply_insertions``/``apply_deletions`` update the database
     in place and report exactly which derived tuples changed.  ``backend``
     substitutes the executor object (tests pass instrumented subclasses of
-    :class:`PythonExecutionBackend`).
+    :class:`PythonExecutionBackend`).  ``variable_namer`` names base tuples'
+    provenance variables as in
+    :func:`~repro.datalog.provenance_eval.evaluate_with_provenance`.
     """
 
     def __init__(
@@ -76,7 +73,7 @@ class IncrementalEngine:
         program: Program,
         database: Optional[Database] = None,
         track_provenance: bool = True,
-        variable_namer=default_variable_namer,
+        variable_namer=None,
         backend: Optional[PythonExecutionBackend] = None,
         observability=None,
     ) -> None:
@@ -171,6 +168,7 @@ class IncrementalEngine:
         """Insert base facts and propagate them through the program."""
         inserted: dict[str, set[tuple]] = defaultdict(set)
         delta: dict[str, set[tuple]] = defaultdict(set)
+        namer = self._variable_namer
 
         for fact in facts:
             # Facts may be asserted into relations that mappings also derive
@@ -181,10 +179,8 @@ class IncrementalEngine:
                     delta[fact.predicate].add(fact.values)
                     inserted[fact.predicate].add(fact.values)
                 if self._graph is not None:
-                    self._graph.add_base_tuple(
-                        fact.predicate,
-                        fact.values,
-                        self._variable_namer(fact.predicate, fact.values),
+                    self._graph.record_base(
+                        fact.predicate, fact.values, namer and namer(fact.predicate, fact.values)
                     )
 
         if not delta:

@@ -17,17 +17,12 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..provenance.graph import ProvenanceGraph
+from ..provenance.graph import default_variable_namer as default_variable_namer
 from ..provenance.polynomial import Polynomial
 from .ast import Program
 from .evaluation import Database
 from .executor import ExecutionStats, run_program
 from .plan import compile_program
-
-
-def default_variable_namer(relation: str, values: tuple) -> str:
-    """Default provenance-variable naming scheme for base tuples."""
-    rendered = ",".join(str(value) for value in values)
-    return f"{relation}({rendered})"
 
 
 @dataclass
@@ -67,21 +62,21 @@ class ProvenanceDatabase:
 def record_base_tuples(
     graph: ProvenanceGraph,
     database: Database,
-    namer,
+    namer=None,
 ) -> None:
     # Every tuple present before evaluation is extensional: peers assert
     # facts directly into relations that mappings also derive into, so the
     # IDB/EDB split is per-tuple, not per-predicate.
     for predicate in database.predicates():
         for values in database.relation(predicate):
-            graph.add_base_tuple(predicate, values, namer(predicate, values))
+            graph.record_base(predicate, values, namer and namer(predicate, values))
 
 
 def evaluate_with_provenance(
     program: Program,
     database: Database,
     graph: Optional[ProvenanceGraph] = None,
-    variable_namer=default_variable_namer,
+    variable_namer=None,
     max_iterations: int = 0,
     stats: Optional[ExecutionStats] = None,
 ) -> ProvenanceDatabase:
@@ -93,7 +88,8 @@ def evaluate_with_provenance(
         graph: An existing provenance graph to extend (used by the incremental
             exchange engine); a fresh one is created when omitted.
         variable_namer: Function ``(relation, values) -> str`` naming the
-            provenance variable of each base tuple.
+            provenance variable of each base tuple; when omitted the graph
+            gives :func:`default_variable_namer`'s names, rendered when read.
         max_iterations: Optional safety bound on fixpoint rounds per stratum.
         stats: Optional :class:`ExecutionStats` accumulating firing counters.
 

@@ -37,19 +37,20 @@ from .rules import derived_relation, published_relation, split_derived, is_publi
 class PeerChanges(Mapping):
     """One side of a :class:`TranslationDelta`: ``peer → [(relation, values)]``.
 
-    The engine adds each relation's change set unsorted.  A peer's list —
-    every relation's tuples in ``repr`` order, relations in the order they
-    were added — is built the first time that peer is read, and the
-    unsorted chunks are then dropped, so peers nobody reads (every peer of a
-    publish-only run) are never sorted.  Iterating peers and counting
-    changes never sort.
+    The engine adds each relation's change set unsorted, kept as a tuple
+    (the engine's set is not held: a tuple is a fraction of its size).  A
+    peer's list — every relation's tuples in ``repr`` order, relations in
+    the order they were added — is built the first time that peer is read,
+    and the unsorted chunks are then dropped, so peers nobody reads (every
+    peer of a publish-only run) are never sorted.  Iterating peers and
+    counting changes never sort.
     """
 
     __slots__ = ("_chunks", "_lists", "_sizes")
 
     def __init__(self) -> None:
         #: Per peer, the ``(relation, rows)`` chunks not yet sorted.
-        self._chunks: dict[str, list[tuple[str, Collection[tuple]]]] = {}
+        self._chunks: dict[str, list[tuple[str, tuple[tuple, ...]]]] = {}
         #: Per peer, its sorted list once read.
         self._lists: dict[str, list[tuple[str, tuple]]] = {}
         #: Per peer, its number of changes; also the peers' order.
@@ -58,7 +59,7 @@ class PeerChanges(Mapping):
     def add(self, peer: str, relation: str, rows: Collection[tuple]) -> None:
         """Record that ``rows`` of ``relation`` changed at ``peer``."""
         if rows:
-            self._chunks.setdefault(peer, []).append((relation, rows))
+            self._chunks.setdefault(peer, []).append((relation, tuple(rows)))
             self._sizes[peer] = self._sizes.get(peer, 0) + len(rows)
 
     def count(self, peer: Optional[str] = None) -> int:

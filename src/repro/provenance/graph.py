@@ -13,23 +13,27 @@ Storage is on dense integer tuple ids: ``(relation, values)`` is interned
 once through ``relation → values → id``; a tuple's relation, values, base
 variable and adjacency entries sit in id-indexed lists, and roots, explicit
 dirty entries, the unsupported set and component ids are keyed by id.  A
-derivation is one flat record ``(mapping_id, target_id, *source_ids)`` in an
-insertion-ordered dict ``record → rule variable`` that is also the duplicate
-check.  Recording is batched: the executors hand
+derivation is one flat record ``(mapping_id, target_id, *source_ids)``, kept
+in an insertion-ordered list; only the records that carry a rule variable
+are keyed in a map.  A firing can repeat a record only when its target
+already has records, so the duplicate check looks in the target's adjacency
+entry (or, for a hub target, in its first source's, when that is shorter).
+Recording is batched: the executors hand
 :meth:`ProvenanceGraph.add_derivations` every firing of one rule application
 at once, the relations' interning dicts are looked up once per batch, and a
 firing hashes each participating row once.
 
-Nothing is allocated per tuple beyond its slots in the id-indexed lists.  A
-tuple's adjacency entry is the shared ``()`` until it has records, the one
-record itself (a record is told from a tuple of records by its first field,
-the mapping id string), a tuple of up to eight records, and a list beyond,
-so the graph's many small entries are tuples the garbage collector can stop
-tracking, and most are no container at all.  Tuples created since the last
-flush are dirty by their id range, not by an entry each: only changes to
-older tuples are written down.  :class:`TupleNode` and
-:class:`DerivationNode` are values the inspection methods build on demand;
-none is stored.  The graph supports:
+Nothing is allocated per tuple beyond its slots in the id-indexed lists: a
+base tuple named by default holds a shared marker, and its name
+``relation(v1,…)`` is rendered when read.  A tuple's adjacency entry is the
+shared ``()`` until it has records, the one record itself (a record is told
+from a tuple of records by its first field, the mapping id string), a tuple
+of up to eight records, and a list beyond, so the graph's many small
+entries are tuples the garbage collector can stop tracking, and most are no
+container at all.  Tuples created since the last flush are dirty by their
+id range, not by an entry each: only changes to older tuples are written
+down.  :class:`TupleNode` and :class:`DerivationNode` are values the
+inspection methods build on demand; none is stored.  The graph supports:
 
 * lazily expanding a tuple's provenance into a polynomial
   (budget-bounded; kept for oracles and display),
@@ -66,6 +70,15 @@ _FIRST_SOURCE = 2
 
 #: Adjacency entries stay tuples up to this many records, then become lists.
 _TUPLE_ADJACENCY = 8
+
+#: The variable slot of a base tuple named by default (see :func:`default_variable_namer`).
+_NAMED_BY_DEFAULT = object()
+
+
+def default_variable_namer(relation: str, values: tuple) -> str:
+    """Default provenance-variable naming scheme for base tuples."""
+    rendered = ",".join(str(value) for value in values)
+    return f"{relation}({rendered})"
 
 
 def _records(entry) -> Sequence[tuple]:
@@ -196,9 +209,13 @@ class ProvenanceGraph:
         self._tuple_count = 0
         self._relations: list[str] = []
         self._values: list[tuple] = []
-        self._variables: list[Optional[str]] = []  # None: derived-only
-        #: ``(mapping_id, target_id, *source_ids) → rule variable``.
-        self._derivations: dict[tuple, Optional[str]] = {}
+        #: A base tuple's variable, ``_NAMED_BY_DEFAULT`` for a default name
+        #: (rendered when read), None for a derived-only tuple.
+        self._variables: list = []
+        #: The records ``(mapping_id, target_id, *source_ids)`` in the order
+        #: first recorded, and the rule variable of those that carry one.
+        self._derivations: list[tuple] = []
+        self._rule_variable_of: dict[tuple, str] = {}
         #: Per tuple, the records deriving it and the records using it as a
         #: source (once each, however often a body repeats it): ``()``, one
         #: bare record, a tuple of up to ``_TUPLE_ADJACENCY`` records, a list
@@ -274,12 +291,19 @@ class ProvenanceGraph:
     def add_base_tuple(
         self, relation: str, values: tuple, variable: Optional[str] = None
     ) -> TupleNode:
-        """Register a base (peer-inserted) tuple and give it a provenance variable."""
+        """Register a base (peer-inserted) tuple and give it a provenance
+        variable (:func:`default_variable_namer`'s name when none is given)."""
+        values = tuple(values)
+        self.record_base(relation, values, variable)
+        return self._tuple_node(self._ids[relation][values])
+
+    def record_base(self, relation: str, values: tuple, variable: Optional[str] = None) -> None:
+        """:meth:`add_base_tuple` without building the node (the engines' path)."""
         values = tuple(values)
         by_values = self._ids.setdefault(relation, {})
         tuple_id = by_values.get(values)
         if tuple_id is None or self._variables[tuple_id] is None:
-            variable = variable or f"{relation}({','.join(str(value) for value in values)})"
+            variable = variable or _NAMED_BY_DEFAULT
             if tuple_id is None:
                 tuple_id = self._new_tuple(by_values, relation, values, variable)
             else:
@@ -289,7 +313,6 @@ class ProvenanceGraph:
                 # evaluated.
                 self._variables[tuple_id] = variable
                 self._mark_dirty(tuple_id, tuple_id >= self._flushed)
-        return self._tuple_node(tuple_id)
 
     def add_derived_tuple(self, relation: str, values: tuple) -> TupleNode:
         """Register a derived tuple (no variable of its own)."""
@@ -332,58 +355,68 @@ class ProvenanceGraph:
         tuples; a firing already recorded changes nothing.  This is the only
         interning loop of the graph and the hot path of update exchange: the
         relations' interning dicts are looked up once per batch, and a firing
-        costs one hash per participating row plus one for its record.
+        costs one hash per participating row (and one for its record when it
+        carries a rule variable).
         """
         if mapping_id.__class__ is not str:
             # The adjacency entries tell a bare record by its mapping id.
             raise ProvenanceError(f"a mapping id must be a str, not {mapping_id!r}")
         ids = self._ids
         columns = tuple((ids.setdefault(relation, {}), relation) for relation in predicates)
+        # A copy rule's ``(head, row)`` firings take a path without the
+        # per-column loop.
+        copy_rule = len(columns) == 2
+        if copy_rule:
+            (targets, target_relation), (sources, source_relation) = columns
         if self._annotate_mappings and rule_variable is None:
             rule_variable = f"m:{mapping_id}"
         # A row never registered becomes a derived placeholder (until
         # asserted as base data), numbered in firing order, target first.
         new_tuple = self._new_tuple
-
-        def records():
-            if len(columns) == 2:
-                # A copy rule's ``(head, row)`` firings: no per-column loop.
-                (targets, target_relation), (sources, source_relation) = columns
-                for target, source in firings:
-                    target_id = targets.get(target)
-                    if target_id is None:
-                        target_id = new_tuple(targets, target_relation, target, None)
-                    source_id = sources.get(source)
-                    if source_id is None:
-                        source_id = new_tuple(sources, source_relation, source, None)
-                    yield (mapping_id, target_id, source_id)
-                return
-            for firing in firings:
+        by_target = self._by_target
+        by_source = self._by_source
+        dirty = self._dirty
+        flushed = self._flushed
+        derivations = self._derivations
+        rule_variable_of = self._rule_variable_of
+        scc = self._scc
+        recorded = len(derivations)
+        for firing in firings:
+            if copy_rule:
+                target, source = firing
+                target_id = targets.get(target)
+                if target_id is None:
+                    target_id = new_tuple(targets, target_relation, target, None)
+                source_id = sources.get(source)
+                if source_id is None:
+                    source_id = new_tuple(sources, source_relation, source, None)
+                record = (mapping_id, target_id, source_id)
+            else:
                 fields = [mapping_id]
                 for (by_values, relation), values in zip(columns, firing):
                     tuple_id = by_values.get(values)
                     if tuple_id is None:
                         tuple_id = new_tuple(by_values, relation, values, None)
                     fields.append(tuple_id)
-                yield tuple(fields)
-
-        by_target = self._by_target
-        by_source = self._by_source
-        dirty = self._dirty
-        flushed = self._flushed
-        derivations = self._derivations
-        scc = self._scc
-        recorded = False
-        for record in records():
-            if record in derivations:
-                continue
-            derivations[record] = rule_variable
-            recorded = True
-            target_id = record[1]
-            if by_target[target_id]:
+                record = tuple(fields)
+                target_id = record[1]
+            entry = by_target[target_id]
+            if entry:
+                # A repeat is among the target's records.  A hub target's
+                # list is long: look among the first source's users instead
+                # when those are fewer.
+                if entry.__class__ is list and len(record) > _FIRST_SOURCE:
+                    users = by_source[record[_FIRST_SOURCE]]
+                    if users.__class__ is not list:
+                        entry = users
+                if entry == record or (entry and entry[0].__class__ is not str and record in entry):
+                    continue
                 _adjoin(by_target, target_id, record)
             else:
                 by_target[target_id] = record
+            derivations.append(record)
+            if rule_variable:
+                rule_variable_of[record] = rule_variable
             for source_id in record[_FIRST_SOURCE:]:
                 users = by_source[source_id]
                 if not users:
@@ -397,7 +430,7 @@ class ProvenanceGraph:
                 self._mark_dirty(target_id, False)
             if target_id in scc:
                 self._forget_components(target_id)
-        if recorded and rule_variable:
+        if rule_variable and len(derivations) > recorded:
             self._rule_variables.add(rule_variable)
 
     def remove_base_tuple(self, relation: str, values: tuple) -> bool:
@@ -419,13 +452,22 @@ class ProvenanceGraph:
     def _key(self, tuple_id: int) -> TupleKey:
         return (self._relations[tuple_id], self._values[tuple_id])
 
-    def _tuple_node(self, tuple_id: int) -> TupleNode:
+    def _variable(self, tuple_id: int) -> Optional[str]:
+        """A tuple's base variable (None for a derived-only tuple)."""
         variable = self._variables[tuple_id]
+        if variable is _NAMED_BY_DEFAULT:
+            return default_variable_namer(self._relations[tuple_id], self._values[tuple_id])
+        return variable
+
+    def _tuple_node(self, tuple_id: int) -> TupleNode:
+        variable = self._variable(tuple_id)
         return TupleNode(*self._key(tuple_id), variable is not None, variable)
 
     def _derivation_node(self, record: tuple) -> DerivationNode:
         sources = tuple(self._key(source_id) for source_id in record[_FIRST_SOURCE:])
-        return DerivationNode(record[0], self._key(record[1]), sources, self._derivations[record])
+        return DerivationNode(
+            record[0], self._key(record[1]), sources, self._rule_variable_of.get(record)
+        )
 
     def _derivation_nodes(self, adjacency, relation, values) -> list[DerivationNode]:
         tuple_id = self._id_of(relation, values)
@@ -451,7 +493,7 @@ class ProvenanceGraph:
     def base_variables(self) -> dict[str, TupleKey]:
         """Map each provenance variable to the base tuple it annotates."""
         return {
-            variable: self._key(tuple_id)
+            self._variable(tuple_id): self._key(tuple_id)
             for tuple_id, variable in enumerate(self._variables)
             if variable is not None
         }
@@ -705,7 +747,7 @@ class ProvenanceGraph:
         sccs = self._assign_components(start)
         store = self._store
         variables = self._variables
-        derivations = self._derivations
+        rule_variable_of = self._rule_variable_of
         by_target = self._by_target
         roots = self._roots
         on_path: dict[int, int] = {}
@@ -718,15 +760,15 @@ class ProvenanceGraph:
             cached = roots.get(key)
             if cached is not None and sccs.get(key) not in path_sccs:
                 return (cached, _UNREACHED)
-            variable = variables[key]
+            is_base = variables[key] is not None
             path_depth = on_path.get(key)
             if path_depth is not None:
-                if variable is not None:
-                    return (store.var(variable), path_depth)
+                if is_base:
+                    return (store.var(self._variable(key)), path_depth)
                 return (ZERO, path_depth)
             alternatives: list[int] = []
-            if variable is not None:
-                alternatives.append(store.var(variable))
+            if is_base:
+                alternatives.append(store.var(self._variable(key)))
             on_path[key] = depth
             scc_id = sccs.get(key)
             path_sccs[scc_id] = path_sccs.get(scc_id, 0) + 1
@@ -760,7 +802,7 @@ class ProvenanceGraph:
                     continue
                 # Every source matched: close out this derivation.
                 factors = frame.factors
-                rule_variable = derivations[record]
+                rule_variable = rule_variable_of.get(record)
                 if rule_variable:
                     factors.append(store.var(rule_variable))
                 frame.alternatives.append(store.product_of(factors))

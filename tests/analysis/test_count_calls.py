@@ -55,8 +55,10 @@ def test_two_tiny_memory_runs_print_identical_bytes():
     assert lines[0] == "workload bulk_insert scale tiny seed 20260928"
     name, retained = lines[1].split()
     assert name == "retained_bytes" and int(retained) > 0
-    assert lines[2].startswith("top 15 allocation sites by retained bytes")
-    sites = [line.split() for line in lines[3:]]
+    name, peak = lines[2].split()
+    assert name == "peak_bytes" and int(peak) >= int(retained)
+    assert lines[3].startswith("top 15 allocation sites by retained bytes")
+    sites = [line.split() for line in lines[4:]]
     assert len(sites) == 15
     sizes = [int(size) for size, _blocks, _site in sites]
     assert sizes == sorted(sizes, reverse=True) and sum(sizes) <= int(retained)

@@ -1,5 +1,7 @@
 """Unit tests for peers, the catalogue, and the logical clock."""
 
+import tracemalloc
+
 import pytest
 
 from repro.core.catalog import Catalog
@@ -61,6 +63,37 @@ class TestPeer:
         third = peer.delete("S", (1, 10, "BBB"))
         assert second.txn_id in third.antecedents
         assert peer.producer_of("S", (1, 10, "BBB")) is None
+
+    def test_an_open_builder_sees_a_later_commit_as_antecedent(self):
+        """A builder reads the producers when it deletes or modifies, not when
+        it opens: a tuple another local commit inserted meanwhile still
+        names that commit as an antecedent."""
+        peer = Peer("Alaska", SIGMA1)
+        deleting, modifying = peer.new_transaction(), peer.new_transaction()
+        first = peer.insert("S", (1, 10, "AAA"))
+        second = peer.insert("S", (2, 20, "CCC"))
+        deleting.delete("S", (1, 10, "AAA"))
+        modifying.modify("S", (2, 20, "CCC"), (2, 20, "GGG"))
+        assert peer.commit(deleting).antecedents == frozenset({first.txn_id})
+        assert peer.commit(modifying).antecedents == frozenset({second.txn_id})
+
+    def test_opening_a_transaction_does_not_copy_the_producers(self):
+        """Opening a builder at a peer holding 10 000 tuples allocates a few
+        hundred bytes, not a copy of the producer map (about 300 KB)."""
+        peer = Peer("Alaska", SIGMA1)
+        builder = peer.new_transaction()
+        for index in range(10_000):
+            builder.insert("O", ("E. coli", index))
+        peer.commit(builder)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            opened = peer.new_transaction()
+            _retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert opened.txn_id
+        assert peak <= 10_000
 
     def test_snapshot_and_tuples(self):
         peer = Peer("Alaska", SIGMA1)

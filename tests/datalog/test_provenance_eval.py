@@ -1,6 +1,7 @@
 """Unit tests for provenance-annotated datalog evaluation."""
 
 from repro.datalog.evaluation import Database, evaluate_program
+from repro.datalog.incremental import IncrementalEngine
 from repro.datalog.parser import parse_program
 from repro.datalog.provenance_eval import (
     default_variable_namer,
@@ -94,3 +95,25 @@ class TestProvenanceEvaluation:
         result = evaluate_with_provenance(program, db)
         polynomial = result.polynomial("T", (2,))
         assert polynomial.variables() == {default_variable_namer("T", (2,))}
+
+    def test_a_custom_namer_names_are_kept_verbatim(self):
+        """Given a namer, evaluation and the incremental engine store its
+        names as they are, even one the default scheme would also render;
+        without one, the default names are rendered when read."""
+        program = parse_program(UNION_PROGRAM)
+        db = Database.from_dict({"R": [(1,)], "Q": [(1,)]})
+        names = {("R", (1,)): "alpha", ("Q", (1,)): "Q(1)"}
+
+        def namer(relation, values):
+            return names[(relation, values)]
+
+        result = evaluate_with_provenance(program, db, variable_namer=namer)
+        assert result.graph.base_variables() == {"alpha": ("R", (1,)), "Q(1)": ("Q", (1,))}
+        assert result.polynomial("T", (1,)).variables() == {"alpha", "Q(1)"}
+        engine = IncrementalEngine(program, db, variable_namer=namer)
+        assert engine.graph.base_variables() == result.graph.base_variables()
+        assert engine.graph.node("R", (1,)).variable == "alpha"
+        unnamed = IncrementalEngine(program, db)
+        assert unnamed.graph.base_variables() == {
+            default_variable_namer(*key): key for key in names
+        }

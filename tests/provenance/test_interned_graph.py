@@ -8,10 +8,15 @@ when asked.  Three things are pinned here:
   at drawn checkpoints so unflushed edits pile up) the inspection API, the
   unsupported set and every polynomial agree with ``ModelGraph`` — the old
   dict-of-nodes representation, kept here as the oracle — expanded by
-  ``reference_polynomial``, which never touches the graph's storage; one
-  tuple's adjacency entries walk through every shape they have;
+  ``reference_polynomial``, which never touches the graph's storage.  The
+  edits include batches that draw earlier firings again (in the same batch,
+  after the firing that created their target, and in later batches), and
+  default-named base tuples answer as a twin given the same names
+  explicitly; one tuple's adjacency entries walk through every shape they
+  have;
 * mechanism: recording a firing hashes each participating row once;
-* memory: bytes retained per derivation on a fixed chain.
+* memory: bytes retained per derivation on a fixed chain, and per
+  default-named base tuple.
 """
 
 from __future__ import annotations
@@ -30,8 +35,10 @@ from repro.provenance.graph import (
     DerivationNode,
     ProvenanceGraph,
     TupleNode,
+    default_variable_namer,
     reference_polynomial,
 )
+from repro.provenance.semiring import CountingSemiring
 
 
 class ModelGraph:
@@ -67,6 +74,10 @@ class ModelGraph:
             for source in dict.fromkeys(sources):
                 self.by_source[source].append(firing)
 
+    def add_derivations(self, mapping_id, predicates, firings) -> None:
+        for target, *sources in firings:
+            self.add_derivation(mapping_id, (predicates[0], target), list(zip(predicates[1:], sources)))
+
     def remove_base_tuple(self, relation, values) -> bool:
         node = self.nodes.get((relation, values))
         if node is None or not node.is_base:
@@ -99,6 +110,43 @@ EDITS = st.one_of(
 )
 
 
+def draw_batch(data, fired: list) -> tuple:
+    """An ``add_derivations`` edit: a batch of one rule's firings.
+
+    It draws firings of an earlier batch again (``fired`` holds every batch
+    so far) or starts a new rule, adds fresh firings, and then repeats some
+    of its own firings after the ones they repeat, whose target an earlier
+    firing of the batch may have created.
+    """
+    if fired and data.draw(st.booleans()):
+        mapping_id, predicates, earlier = data.draw(st.sampled_from(fired))
+        firings = data.draw(st.lists(st.sampled_from(earlier), min_size=1, max_size=2))
+    else:
+        mapping_id = data.draw(st.sampled_from(["m1", "m2"]))
+        predicates = tuple(data.draw(st.lists(RELATIONS, min_size=2, max_size=3)))
+        firings = []
+    firings += data.draw(st.lists(st.tuples(*[VALUES] * len(predicates)), max_size=3))
+    if firings:
+        firings += data.draw(st.lists(st.sampled_from(firings), max_size=2))
+        fired.append((mapping_id, predicates, firings))
+    return ("add_derivations", mapping_id, predicates, firings)
+
+
+def draw_edit(data, fired: list) -> tuple:
+    return draw_batch(data, fired) if data.draw(st.booleans()) else data.draw(EDITS)
+
+
+def apply_edit(edit: tuple, graph: ProvenanceGraph, named: ProvenanceGraph, model) -> None:
+    """Apply one edit to the graph, the model and ``named``, which is given
+    every default name explicitly."""
+    name, *arguments = edit
+    assert getattr(graph, name)(*arguments) == getattr(model, name)(*arguments)
+    if name == "add_base_tuple" and arguments[2] is None:
+        relation, values, _ = arguments
+        arguments[2] = default_variable_namer(relation, values)
+    getattr(named, name)(*arguments)
+
+
 def assert_same(graph: ProvenanceGraph, model: ModelGraph) -> None:
     assert list(graph.tuples()) == list(model.nodes.values())
     assert list(graph.derivations()) == list(model.firings.values())
@@ -119,31 +167,88 @@ def assert_same(graph: ProvenanceGraph, model: ModelGraph) -> None:
     assert graph.node("Z", (0,)) is None and graph.derivations_from("Z", (0,)) == []
 
 
+def assert_same_names(graph: ProvenanceGraph, named: ProvenanceGraph) -> None:
+    """Names rendered when read answer as names stored up front."""
+    variables = named.base_variables()
+    assert graph.base_variables() == variables
+    counts = {variable: index + 2 for index, variable in enumerate(sorted(variables))}
+    for node in named.tuples():
+        assert graph.node(*node.key).variable == node.variable
+        assert graph.polynomial_for(*node.key) == named.polynomial_for(*node.key)
+        assert graph.annotation(*node.key, CountingSemiring(), counts) == named.annotation(
+            *node.key, CountingSemiring(), counts
+        )
+
+
 @settings(max_examples=150, deadline=None)
-@given(annotate=st.booleans(), edits=st.lists(EDITS, max_size=14))
-def test_edit_sequences_match_the_model_graph(annotate, edits):
+@given(annotate=st.booleans(), data=st.data())
+def test_edit_sequences_match_the_model_graph(annotate, data):
     graph = ProvenanceGraph(annotate_mappings=annotate)
+    named = ProvenanceGraph(annotate_mappings=annotate)
     model = ModelGraph(annotate)
-    for name, *arguments in edits:
-        assert getattr(graph, name)(*arguments) == getattr(model, name)(*arguments)
+    fired: list = []
+    for _ in range(data.draw(st.integers(0, 14))):
+        apply_edit(draw_edit(data, fired), graph, named, model)
         assert_same(graph, model)
+        assert_same_names(graph, named)
 
 
 @settings(max_examples=150, deadline=None)
-@given(
-    annotate=st.booleans(),
-    edits=st.lists(st.tuples(EDITS, st.booleans()), max_size=20),
-)
-def test_edit_sequences_match_the_model_graph_at_checkpoints(annotate, edits):
+@given(annotate=st.booleans(), data=st.data())
+def test_edit_sequences_match_the_model_graph_at_checkpoints(annotate, data):
     """As above, but compared (and so flushed) only at drawn checkpoints and
     at the end: the state a run of unflushed edits leaves is checked too."""
     graph = ProvenanceGraph(annotate_mappings=annotate)
+    named = ProvenanceGraph(annotate_mappings=annotate)
     model = ModelGraph(annotate)
-    for (name, *arguments), checkpoint in edits:
-        assert getattr(graph, name)(*arguments) == getattr(model, name)(*arguments)
-        if checkpoint:
+    fired: list = []
+    for _ in range(data.draw(st.integers(0, 20))):
+        apply_edit(draw_edit(data, fired), graph, named, model)
+        if data.draw(st.booleans()):
             assert_same(graph, model)
     assert_same(graph, model)
+    assert_same_names(graph, named)
+
+
+def test_firings_drawn_again_are_recorded_once():
+    """The three ways a firing repeats: later in its own batch, later in the
+    same batch after an earlier firing created its target, and in a later
+    batch; with rule variables on and off, the records, their order and
+    their rule variables are the first firings'."""
+    for annotate in (False, True):
+        graph = ProvenanceGraph(annotate_mappings=annotate)
+        model = ModelGraph(annotate)
+        batches = [
+            [((0,), (1,)), ((0,), (1,))],  # a repeat of a firing whose target it created
+            [((1,), (1,)), ((0,), (2,)), ((1,), (1,)), ((0,), (2,))],
+            [((0,), (2,)), ((2,), (2,)), ((0,), (1,))],  # two repeats of earlier batches
+        ]
+        for firings in batches:
+            graph.add_derivations("m", ("T", "R"), firings)
+            model.add_derivations("m", ("T", "R"), firings)
+            assert_same(graph, model)
+        assert graph.size() == (5, 4)
+        variables = {derivation.rule_variable for derivation in graph.derivations()}
+        assert variables == ({"m:m"} if annotate else {None})
+
+
+def test_a_hub_target_repeat_is_found_among_its_source_users():
+    """A target with more records than a tuple entry holds (a list) looks a
+    repeat up among its first source's users; both kinds of lookup, and a
+    source that is a hub too, find it."""
+    graph = ProvenanceGraph()
+    width = 3 * _TUPLE_ADJACENCY
+    firings = [((0,), (source,)) for source in range(width)]
+    firings += [((1,), (0,)) for _ in range(width)]  # source 0 becomes a hub too
+    graph.add_derivations("m", ("T", "R"), firings)
+    assert graph.size() == (width + 2, width + 1)
+    for repeat in (firings, [*reversed(firings)]):
+        graph.add_derivations("m", ("T", "R"), repeat)
+        assert graph.size() == (width + 2, width + 1)
+    assert len(graph.derivations_of("T", (0,))) == width
+    assert len(graph.derivations_from("R", (0,))) == 2
+    graph.add_derivations("m", ("T", "R"), [((0,), (width,))])
+    assert graph.size() == (width + 3, width + 2)
 
 
 def test_one_tuple_walks_every_adjacency_shape():
@@ -268,11 +373,12 @@ def test_a_firing_hashes_each_participating_row_once():
 
 def test_retained_bytes_per_derivation_on_a_chain():
     """60k tuples, each derived from the one before: the graph keeps at most
-    300 B per derivation.  On CPython 3.11 the dict-of-nodes representation
-    kept about 860 B, the dense-id one 360 B, and with bare one-record
-    adjacency entries and new tuples dirty by id range 221 B; the bound
-    leaves about 35% for other interpreter versions.  The rows are the
-    caller's."""
+    210 B per derivation.  On CPython 3.11 the dict-of-nodes representation
+    kept about 860 B, the dense-id one 360 B, with bare one-record
+    adjacency entries and new tuples dirty by id range 221 B, and with the
+    records in a list instead of a ``record → rule variable`` dict and
+    default names rendered when read 186 B; the bound leaves about 13% for
+    other interpreter versions.  The rows are the caller's."""
     length = 60_000
     rows = [(index,) for index in range(length + 1)]
     gc.collect()
@@ -287,4 +393,27 @@ def test_retained_bytes_per_derivation_on_a_chain():
     finally:
         tracemalloc.stop()
     assert graph.size() == (length + 1, length)
-    assert retained / length <= 300
+    assert retained / length <= 210
+
+
+def test_retained_bytes_per_default_named_base_tuple():
+    """60k base tuples without a given name keep at most 140 B each: their
+    slots in the id-indexed lists and their interning entry, no name string
+    (a name is rendered when read).  On CPython 3.11 a rendered name per
+    tuple kept about 170 B and the shared marker 113 B.  The rows are the
+    caller's."""
+    length = 60_000
+    rows = [(index,) for index in range(length)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        graph = ProvenanceGraph()
+        for row in rows:
+            graph.add_base_tuple("T", row)
+        gc.collect()
+        retained, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert graph.size() == (length, 0)
+    assert graph.node("T", rows[-1]).variable == f"T({length - 1})"
+    assert retained / length <= 140

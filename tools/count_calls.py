@@ -21,6 +21,9 @@ region and without the profiler: it runs the steps under
 
 * ``retained_bytes`` -- what the timed region allocated and still holds
   after ``gc.collect()`` at its end;
+* ``peak_bytes`` -- the most the timed region held at any moment (the
+  :mod:`tracemalloc` peak): transient allocations such as a dict's resize
+  or a per-transaction copy move peak RSS but leave ``retained_bytes``;
 * the 15 allocation sites (``path:line``, relative to the checkout) that
   hold the most of it, with their block counts.
 
@@ -110,7 +113,7 @@ def measure_memory(workload_name: str, scale: str) -> list[str]:
             workload.step(index)
         workload.finish()
         gc.collect()
-        retained, _peak = tracemalloc.get_traced_memory()
+        retained, peak = tracemalloc.get_traced_memory()
         snapshot = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
@@ -125,6 +128,7 @@ def measure_memory(workload_name: str, scale: str) -> list[str]:
     lines = [
         f"workload {workload_name} scale {scale} seed {SEED}",
         f"retained_bytes {retained}",
+        f"peak_bytes {peak}",
         f"top {TOP_SITES} allocation sites by retained bytes (bytes, blocks, site):",
     ]
     lines += [f"{-size:>12}  {count:>8}  {site}" for size, site, count in sites[:TOP_SITES]]
@@ -174,7 +178,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--scale", choices=("full", "tiny"), default="full")
     parser.add_argument(
         "--memory", action="store_true",
-        help="report retained bytes and the top allocation sites instead of calls",
+        help="report retained and peak bytes and the top allocation sites instead of calls",
     )  # fmt: skip
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
