@@ -75,8 +75,9 @@ class ModelGraph:
                 self.by_source[source].append(firing)
 
     def add_derivations(self, mapping_id, predicates, firings) -> None:
-        for target, *sources in firings:
-            self.add_derivation(mapping_id, (predicates[0], target), list(zip(predicates[1:], sources)))
+        for target, *rows in firings:
+            sources = list(zip(predicates[1:], rows))
+            self.add_derivation(mapping_id, (predicates[0], target), sources)
 
     def remove_base_tuple(self, relation, values) -> bool:
         node = self.nodes.get((relation, values))
@@ -208,28 +209,6 @@ def test_edit_sequences_match_the_model_graph_at_checkpoints(annotate, data):
             assert_same(graph, model)
     assert_same(graph, model)
     assert_same_names(graph, named)
-
-
-def test_firings_drawn_again_are_recorded_once():
-    """The three ways a firing repeats: later in its own batch, later in the
-    same batch after an earlier firing created its target, and in a later
-    batch; with rule variables on and off, the records, their order and
-    their rule variables are the first firings'."""
-    for annotate in (False, True):
-        graph = ProvenanceGraph(annotate_mappings=annotate)
-        model = ModelGraph(annotate)
-        batches = [
-            [((0,), (1,)), ((0,), (1,))],  # a repeat of a firing whose target it created
-            [((1,), (1,)), ((0,), (2,)), ((1,), (1,)), ((0,), (2,))],
-            [((0,), (2,)), ((2,), (2,)), ((0,), (1,))],  # two repeats of earlier batches
-        ]
-        for firings in batches:
-            graph.add_derivations("m", ("T", "R"), firings)
-            model.add_derivations("m", ("T", "R"), firings)
-            assert_same(graph, model)
-        assert graph.size() == (5, 4)
-        variables = {derivation.rule_variable for derivation in graph.derivations()}
-        assert variables == ({"m:m"} if annotate else {None})
 
 
 def test_a_hub_target_repeat_is_found_among_its_source_users():
