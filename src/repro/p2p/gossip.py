@@ -37,6 +37,15 @@ archive, so :meth:`GossipCoordinator.run_until_converged` terminates within
 its round budget deterministically.  Those repair sessions are counted in
 the row of the round that needed them, so the rows of a
 :class:`GossipReport` add up to its totals.
+
+A round's sessions are accounted together (:meth:`SetReconciler.batched`):
+their message rows reach the network in one ``record_messages`` call and
+their ``gossip.*``/``sketch.*`` moves reach the registry in one
+``counters_add``, when the round ends; its repair sessions are a second
+such batch.  Nothing else sends between the sessions of a round, so the
+trace steps and counters are those of one flush per session.  A catch-up
+session is accounted on its own, as the sync loop prices other traffic
+between catch-ups.
 """
 
 from __future__ import annotations
@@ -186,7 +195,7 @@ class GossipCoordinator:
         before = self.stats.snapshot()
         with self._obs.span(
             "gossip.round", index=self._round, participants=len(online)
-        ):
+        ), self._reconciler.batched():
             for peer in online:
                 for partner in self._partners(peer, online):
                     self._session(peer, partner)
@@ -233,8 +242,9 @@ class GossipCoordinator:
                 # Deterministic repair: rumor-mongering made no progress, so
                 # put every stale peer directly in front of the archive.
                 before_repair = self.stats.snapshot()
-                for peer in stale:
-                    self._session(peer, ARCHIVE_NAME)
+                with self._reconciler.batched():
+                    for peer in stale:
+                        self._session(peer, ARCHIVE_NAME)
                 for name, value in self.stats.since(before_repair).to_dict().items():
                     round_info[name] += value
                 round_info["repair_sessions"] = len(stale)

@@ -10,7 +10,8 @@ their symmetric difference, not their size:
 2. **sketch exchange** — one side ships an IBLT sketch of its entries
    *above the shared completeness watermark* (everything below it is
    provably held by both sides and cancels for free).  The receiver
-   subtracts its own sketch and decodes the exact symmetric difference.
+   removes its own entries above the watermark from the table it received
+   and decodes the exact symmetric difference.
 3. **diff transfer** — the decoded missing entries travel as explicit
    batches; a request message fetches the entries only the other side can
    supply.
@@ -24,15 +25,18 @@ their symmetric difference, not their size:
    log tail — the cost the sketches exist to avoid — but it is always
    correct: decode failure is a performance event, never a wrongness event.
 
-Every message is an explicit dataclass with a ``byte_size()``, and every
-send is accounted in :class:`ReconcileStats` (and, when a
-:class:`~repro.p2p.network.Network` is attached, in its per-peer
-``message_stats()``), so benchmarks report bytes moved rather than just
-wall-clock latency.  A session collects its ``(sender, receiver, kind,
-size)`` rows and flushes them once when it ends: one network call, one
-registry call for the moved ``gossip.*``/``sketch.*`` series.  The trace
-rows, their step numbers and every counter are what one call per message
-would have left.
+Every message is a ``(sender, receiver, kind, size)`` row, its size the
+wire size of its fields (the ``*_BYTES`` constants below, and each shipped
+entry's ``wire_size``).  Every send is accounted in :class:`ReconcileStats`
+(and, when a :class:`~repro.p2p.network.Network` is attached, in its
+per-peer ``message_stats()``), so benchmarks report bytes moved rather than
+just wall-clock latency.  Sends wait in an outbox that one flush accounts:
+one network call, one registry call for the moved ``gossip.*``/``sketch.*``
+series.  A session flushes when it ends, unless it runs inside
+:meth:`SetReconciler.batched` (a gossip round, or that round's repair
+sessions), which flushes once when its block ends.  The trace rows, their
+step numbers and every counter are what one call per message would have
+left.
 
 Hashing is paid once per shape, not once per session: a
 :class:`SetReconciler` memoizes each attempt's seed per ``(attempt,
@@ -51,9 +55,10 @@ partner's log tail from that watermark misses nothing.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from operator import attrgetter
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from ..errors import SketchError
 from ..obs import Observability
@@ -72,84 +77,26 @@ MESSAGE_HEADER_BYTES = 16
 ARCHIVE_NAME = "#archive"
 
 
-# -- protocol messages ---------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SessionChallenge:
-    """Opening summary: enough to detect convergence in one round trip."""
-
-    kind = "challenge"
-    sender: str
-    count: int
-    checksum: int
-    latest_epoch: int
-    complete_until: int
-
-    def byte_size(self) -> int:
-        return MESSAGE_HEADER_BYTES + 32  # four 64-bit slots
+#: Opening summary: count, XOR checksum, latest epoch and completeness
+#: watermark, four 64-bit slots.
+CHALLENGE_BYTES = MESSAGE_HEADER_BYTES + 32
+#: A sketch message's algorithm, capacity and attempt fields; the table's
+#: own ``byte_size()`` comes on top.
+SKETCH_FIELDS_BYTES = MESSAGE_HEADER_BYTES + 12
+#: Fallback request: replay everything after the sender's watermark.
+CURSOR_BYTES = MESSAGE_HEADER_BYTES + 8
+#: Post-transfer verification: a :class:`CompactClock` set summary.
+CLOCK_BYTES = MESSAGE_HEADER_BYTES + CompactClock.BYTE_SIZE
 
 
-@dataclass(frozen=True)
-class SketchMessage:
-    """One side's sketch of its entries above the shared watermark."""
-
-    kind = "sketch"
-    sender: str
-    algorithm: str
-    capacity: int
-    attempt: int
-    sketch: IBLTSketch
-
-    def byte_size(self) -> int:
-        return MESSAGE_HEADER_BYTES + 12 + self.sketch.byte_size()
+def _batch_bytes(entries: Iterable[PublishedTransaction]) -> int:
+    """An entry batch: archived entries in their canonical encoding."""
+    return MESSAGE_HEADER_BYTES + sum(entry.wire_size for entry in entries)
 
 
-@dataclass(frozen=True)
-class EntryRequest:
+def _request_bytes(digests: set[int]) -> int:
     """Digests of entries the sender wants shipped back."""
-
-    kind = "request"
-    sender: str
-    digests: tuple[int, ...]
-
-    def byte_size(self) -> int:
-        return MESSAGE_HEADER_BYTES + 8 * len(self.digests)
-
-
-@dataclass(frozen=True)
-class EntryBatch:
-    """The actual transaction transfer: archived entries, canonical encoding."""
-
-    kind = "batch"
-    sender: str
-    entries: tuple[PublishedTransaction, ...]
-
-    def byte_size(self) -> int:
-        return MESSAGE_HEADER_BYTES + sum(entry.wire_size for entry in self.entries)
-
-
-@dataclass(frozen=True)
-class CursorRequest:
-    """Fallback: replay everything after the sender's completeness watermark."""
-
-    kind = "cursor"
-    sender: str
-    since_epoch: int
-
-    def byte_size(self) -> int:
-        return MESSAGE_HEADER_BYTES + 8
-
-
-@dataclass(frozen=True)
-class ClockMessage:
-    """Post-transfer verification: a constant-size set summary."""
-
-    kind = "clock"
-    sender: str
-    clock: CompactClock
-
-    def byte_size(self) -> int:
-        return MESSAGE_HEADER_BYTES + self.clock.byte_size()
+    return MESSAGE_HEADER_BYTES + 8 * len(digests)
 
 
 # -- traffic accounting --------------------------------------------------------------
@@ -380,8 +327,8 @@ class SetReconciler:
     #: Sketch attempts before falling back to cursor replay.
     ATTEMPTS = 3
 
-    #: Registry series mirrored from :class:`ReconcileStats` after every
-    #: session (satellite of the shared observability layer: the dataclass
+    #: Registry series mirrored from :class:`ReconcileStats` at every
+    #: flush (satellite of the shared observability layer: the dataclass
     #: keeps its exact shape for reports, the registry gets the same counts
     #: under stable dotted names).
     _METRIC_NAMES = (
@@ -398,7 +345,7 @@ class SetReconciler:
     )
     _METRIC_KEYS = tuple(metric for _, metric in _METRIC_NAMES)
     #: ``stats -> (sessions, unchanged_sessions, ...)`` in ``_METRIC_NAMES``
-    #: order: one tuple per reading, so a session's delta is ten subtractions
+    #: order: one tuple per reading, so a flush's delta is ten subtractions
     #: however many publishers, entries or peers exist.
     _read_stats = staticmethod(attrgetter(*(name for name, _ in _METRIC_NAMES)))
 
@@ -416,22 +363,40 @@ class SetReconciler:
         else:
             self._obs = Observability()
         self.stats = stats if stats is not None else ReconcileStats()
-        #: The running session's ``(sender, receiver, kind, size)`` rows,
-        #: accounted in one flush when the session ends.
+        #: ``(sender, receiver, kind, size)`` rows sent since the last
+        #: flush, accounted in one flush.
         self._outbox: list[tuple[str, str, str, int]] = []
+        #: Successful decodes since the last flush.
+        self._decodes = 0
+        #: Inside :meth:`batched`: sessions leave their rows for its flush.
+        self._batching = False
         #: ``(attempt, capacity) -> seed``: a handful of distinct values.
         self._seeds: dict[tuple[int, int], int] = {}
         #: The IBLT ``{(seed, size): {digest: (check, cells)}}`` memo shared
         #: by every table this reconciler builds.
         self._iblt_positions: dict[tuple[int, int], dict] = {}
 
-    # -- transport ---------------------------------------------------------------
-    def _send(self, sender: str, receiver: str, message) -> None:
-        self._outbox.append((sender, receiver, message.kind, message.byte_size()))
+    # -- accounting --------------------------------------------------------------
+    @contextmanager
+    def batched(self) -> Iterator[None]:
+        """Account every session run inside the block in one flush when it
+        ends: one network call for all their rows, one registry call for
+        all their ``gossip.*``/``sketch.*`` deltas.  Only for sessions with
+        no other traffic between them: a message another layer records
+        inside the block would take its trace step ahead of rows sent
+        before it."""
+        before = self._read_stats(self.stats)
+        self._batching = True
+        try:
+            yield
+        finally:
+            self._batching = False
+            self._flush(before)
 
-    def _flush(self) -> None:
-        """Account the session's messages in the stats and, with one call,
-        in the network's trace and ``net.*`` series."""
+    def _flush(self, before: tuple) -> None:
+        """Account the outbox in the stats and, with one call, in the
+        network's trace and ``net.*`` series; then add the stats' moves
+        since ``before`` (a ``_read_stats`` reading) to the registry."""
         rows = self._outbox
         self._outbox = []
         stats = self.stats
@@ -444,6 +409,17 @@ class SetReconciler:
                 stats.entry_bytes += size
         if self._network is not None:
             self._network.record_messages(rows)
+        keys = []
+        values = []
+        for key, was, now in zip(self._METRIC_KEYS, before, self._read_stats(stats)):
+            if now != was:
+                keys.append(key)
+                values.append(now - was)
+        if self._decodes:
+            keys.append("sketch.decode.successes")
+            values.append(self._decodes)
+            self._decodes = 0
+        self._obs.metrics.counters_add(keys, values)
 
     def _seed(self, attempt: int, capacity: int) -> int:
         seed = self._seeds.get((attempt, capacity))
@@ -453,52 +429,34 @@ class SetReconciler:
             )
         return seed
 
-    def _challenge(self, side) -> SessionChallenge:
-        return SessionChallenge(
-            sender=side.name,
-            count=side.count,
-            checksum=side.checksum,
-            latest_epoch=side.latest_epoch(),
-            complete_until=side.complete_until,
-        )
-
     # -- session -----------------------------------------------------------------
     def reconcile(self, left, right) -> SessionResult:
         """Make ``left`` and ``right`` hold the same entries; returns what
         the session delivered and how it got there."""
-        before = self._read_stats(self.stats)
         with self._obs.span("gossip.session", left=left.name, right=right.name):
+            if self._batching:
+                return self._run_session(left, right)
+            before = self._read_stats(self.stats)
             try:
-                result = self._run_session(left, right)
+                return self._run_session(left, right)
             finally:
-                self._flush()
-        keys = []
-        values = []
-        for key, was, now in zip(self._METRIC_KEYS, before, self._read_stats(self.stats)):
-            if now != was:
-                keys.append(key)
-                values.append(now - was)
-        self._obs.metrics.counters_add(keys, values)
-        return result
+                self._flush(before)
 
     def _run_session(self, left, right) -> SessionResult:
-        self.stats.sessions += 1
-        challenge_left = self._challenge(left)
-        self._send(left.name, right.name, challenge_left)
-        challenge_right = self._challenge(right)
-        self._send(right.name, left.name, challenge_right)
-        if (
-            challenge_left.count == challenge_right.count
-            and challenge_left.checksum == challenge_right.checksum
-        ):
-            self.stats.unchanged_sessions += 1
+        stats = self.stats
+        stats.sessions += 1
+        send = self._outbox.append
+        send((left.name, right.name, "challenge", CHALLENGE_BYTES))
+        send((right.name, left.name, "challenge", CHALLENGE_BYTES))
+        count_left = left.count
+        count_right = right.count
+        if count_left == count_right and left.checksum == right.checksum:
+            stats.unchanged_sessions += 1
             self._propagate_completeness(left, right)
             return SessionResult(True, 0, 0, 0, False)
 
         delivered_left = delivered_right = 0
-        base_capacity = max(
-            self.CAPACITY, 2 * abs(challenge_left.count - challenge_right.count)
-        )
+        base_capacity = max(self.CAPACITY, 2 * abs(count_left - count_right))
         watermark = min(left.complete_until, right.complete_until)
         for attempt in range(self.ATTEMPTS):
             capacity = base_capacity * (self.GROWTH ** attempt)
@@ -508,21 +466,21 @@ class SetReconciler:
             )
             delivered_left += got_left
             delivered_right += got_right
-            self.stats.entries_delivered += got_left + got_right
+            stats.entries_delivered += got_left + got_right
             if converged:
-                self.stats.converged_sessions += 1
+                stats.converged_sessions += 1
                 self._propagate_completeness(left, right)
                 return SessionResult(True, delivered_left, delivered_right, attempt + 1, False)
-            self.stats.decode_failures += 1
+            stats.decode_failures += 1
 
-        self.stats.fallbacks += 1
+        stats.fallbacks += 1
         got_left, got_right = self._cursor_fallback(left, right)
         delivered_left += got_left
         delivered_right += got_right
-        self.stats.entries_delivered += got_left + got_right
+        stats.entries_delivered += got_left + got_right
         converged = self._verify(left, right)
         if converged:
-            self.stats.converged_sessions += 1
+            stats.converged_sessions += 1
             self._propagate_completeness(left, right)
         return SessionResult(converged, delivered_left, delivered_right, self.ATTEMPTS, True)
 
@@ -530,32 +488,30 @@ class SetReconciler:
     def _iblt_attempt(
         self, left, right, watermark: int, capacity: int, attempt: int, seed: int
     ) -> tuple[int, int, bool]:
-        sketch_left = IBLTSketch(capacity, seed=seed, positions=self._iblt_positions)
+        send = self._outbox.append
+        sketch = IBLTSketch(capacity, seed=seed, positions=self._iblt_positions)
         for digest in left.digests_since(watermark):
-            sketch_left.add(digest)
-        self._send(
-            left.name, right.name,
-            SketchMessage(left.name, "iblt", capacity, attempt, sketch_left),
-        )
-        sketch_right = IBLTSketch(capacity, seed=seed, positions=self._iblt_positions)
+            sketch.add(digest)
+        send((left.name, right.name, "sketch", SKETCH_FIELDS_BYTES + sketch.byte_size()))
+        # The receiver takes its own digests out of the table it received,
+        # leaving the cells of ``left's sketch.subtract(right's sketch)``.
         for digest in right.digests_since(watermark):
-            sketch_right.add(digest)
+            sketch.remove(digest)
         with self._obs.span(
             "sketch.decode", algorithm="iblt", capacity=capacity, attempt=attempt
         ):
             try:
-                only_left, only_right = sketch_left.subtract(sketch_right).decode()
+                only_left, only_right = sketch.decode()
             except SketchError:
                 return 0, 0, False
-        self._obs.metrics.counter_add("sketch.decode.successes", 1)
-        batch_to_left = EntryBatch(right.name, tuple(right.entries_for(only_right)))
-        self._send(right.name, left.name, batch_to_left)
-        request = EntryRequest(right.name, tuple(sorted(only_left)))
-        self._send(right.name, left.name, request)
-        delivered_left = left.add_entries(batch_to_left.entries)
-        batch_to_right = EntryBatch(left.name, tuple(left.entries_for(request.digests)))
-        self._send(left.name, right.name, batch_to_right)
-        delivered_right = right.add_entries(batch_to_right.entries)
+        self._decodes += 1
+        to_left = right.entries_for(only_right)
+        send((right.name, left.name, "batch", _batch_bytes(to_left)))
+        send((right.name, left.name, "request", _request_bytes(only_left)))
+        delivered_left = left.add_entries(to_left)
+        to_right = left.entries_for(only_left)
+        send((left.name, right.name, "batch", _batch_bytes(to_right)))
+        delivered_right = right.add_entries(to_right)
         return delivered_left, delivered_right, self._verify(left, right)
 
     # -- fallback and verification -----------------------------------------------
@@ -563,28 +519,24 @@ class SetReconciler:
         """Cursor replay: each side ships its whole tail above the *other*
         side's completeness watermark.  O(tail) bytes, unconditionally
         correct (see the module docstring)."""
-        request_left = CursorRequest(left.name, left.complete_until)
-        self._send(left.name, right.name, request_left)
-        batch_to_left = EntryBatch(
-            right.name, tuple(right.entries_since(request_left.since_epoch))
-        )
-        self._send(right.name, left.name, batch_to_left)
-        delivered_left = left.add_entries(batch_to_left.entries)
-        request_right = CursorRequest(right.name, right.complete_until)
-        self._send(right.name, left.name, request_right)
-        batch_to_right = EntryBatch(
-            left.name, tuple(left.entries_since(request_right.since_epoch))
-        )
-        self._send(left.name, right.name, batch_to_right)
-        delivered_right = right.add_entries(batch_to_right.entries)
+        send = self._outbox.append
+        send((left.name, right.name, "cursor", CURSOR_BYTES))
+        to_left = right.entries_since(left.complete_until)
+        send((right.name, left.name, "batch", _batch_bytes(to_left)))
+        delivered_left = left.add_entries(to_left)
+        send((right.name, left.name, "cursor", CURSOR_BYTES))
+        to_right = left.entries_since(right.complete_until)
+        send((left.name, right.name, "batch", _batch_bytes(to_right)))
+        delivered_right = right.add_entries(to_right)
         return delivered_left, delivered_right
 
     def _verify(self, left, right) -> bool:
-        clock_left = left.compact_clock()
-        clock_right = right.compact_clock()
-        self._send(left.name, right.name, ClockMessage(left.name, clock_left))
-        self._send(right.name, left.name, ClockMessage(right.name, clock_right))
-        return clock_left.agrees_with(clock_right)
+        """Both sides send their set summary; equal count and checksum mean
+        equal sets (64-bit-whp)."""
+        send = self._outbox.append
+        send((left.name, right.name, "clock", CLOCK_BYTES))
+        send((right.name, left.name, "clock", CLOCK_BYTES))
+        return left.count == right.count and left.checksum == right.checksum
 
     def _propagate_completeness(self, left, right) -> None:
         # The sides now hold equal sets; each is complete at least as far as
@@ -597,5 +549,4 @@ class SetReconciler:
 def cursor_transfer_bytes(entries: Iterable[PublishedTransaction]) -> int:
     """Bytes a plain cursor replay of ``entries`` would move (request +
     batch), for baseline comparisons in benchmarks and examples."""
-    batch = MESSAGE_HEADER_BYTES + sum(entry.wire_size for entry in entries)
-    return (MESSAGE_HEADER_BYTES + 8) + batch
+    return CURSOR_BYTES + _batch_bytes(entries)

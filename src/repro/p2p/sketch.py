@@ -173,7 +173,8 @@ class IBLTSketch:
     """Invertible Bloom lookup table over 64-bit digests.
 
     Sized at ~1.5 cells per element of expected *difference*; 3 probes per
-    key.  ``subtract`` cancels elements present in both tables, and
+    key.  ``subtract`` cancels elements present in both tables (as does
+    :meth:`remove` of the other side's keys, cell for cell), and
     :meth:`decode` peels the remainder into the two one-sided difference
     sets, raising :class:`SketchError` when the difference exceeded what the
     table can peel.
@@ -283,7 +284,8 @@ class IBLTSketch:
 
     def decode(self) -> tuple[set[int], set[int]]:
         """Peel a subtracted table into ``(only_left, only_right)`` digest
-        sets, where *left* is the minuend of :meth:`subtract`.
+        sets, where *left* is the minuend of :meth:`subtract` (the keys
+        added, when the other side's keys were removed instead).
 
         Raises :class:`SketchError` when peeling stalls (difference larger
         than capacity, or a check-hash collision) — the caller grows the

@@ -205,14 +205,22 @@ class TestDisabledOverhead:
         return compiled, base
 
     @staticmethod
-    def _time(backend, compiled, base, repeats=7):
-        best = float("inf")
-        for _ in range(repeats):
-            database = base.copy()
-            database.ensure_indexes(compiled.demanded_indexes)
-            started = time.perf_counter()
-            backend.run_program(compiled, database)
-            best = min(best, time.perf_counter() - started)
+    def _time(backends, compiled, base, repeats=7):
+        """Each backend's best run of ``repeats``.  The backends take turns
+        inside every repeat, first in one order and then in the other, so a
+        slow spell of the machine lands on all of them rather than on
+        whichever was being timed then."""
+        best = [float("inf")] * len(backends)
+        for repeat in range(repeats):
+            turns = list(enumerate(backends))
+            if repeat % 2:
+                turns.reverse()
+            for slot, backend in turns:
+                database = base.copy()
+                database.ensure_indexes(compiled.demanded_indexes)
+                started = time.perf_counter()
+                backend.run_program(compiled, database)
+                best[slot] = min(best[slot], time.perf_counter() - started)
         return best
 
     def test_disabled_tracer_is_allocation_free(self):
@@ -290,16 +298,14 @@ class TestDisabledOverhead:
         observed.observability = Observability()  # registry, no tracer
 
         # Warm both (plan caches, interning) before timing.
-        self._time(bare, compiled, base, repeats=1)
-        self._time(observed, compiled, base, repeats=1)
+        self._time((bare, observed), compiled, base, repeats=1)
 
         # Nominal budget is 2%; min-of-k interleaved timings are stable,
         # but leave headroom for scheduler noise on shared CI runners.
         # Three attempts, pass on the first that lands under the ceiling.
         ratio = float("inf")
         for _ in range(3):
-            bare_best = self._time(bare, compiled, base)
-            observed_best = self._time(observed, compiled, base)
+            bare_best, observed_best = self._time((bare, observed), compiled, base)
             ratio = min(ratio, observed_best / bare_best)
             if ratio < 1.05:
                 break

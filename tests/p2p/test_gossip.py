@@ -1,5 +1,6 @@
 """The epidemic gossip scheduler: convergence, determinism, repair."""
 
+import hashlib
 import random
 
 import pytest
@@ -373,6 +374,15 @@ class TestPinnedTraffic:
         # and 195 * 96 bytes are gone; everything that moves data is equal
         # (test_certified_catch_up_differs_only_by_skipped_challenges).
         assert coordinator.rounds_run == 36
+        # Every message in order, as the trace holds it (2 009 rows, none
+        # dropped): a change to how messages are built or accounted must
+        # leave each row and its step where it was.
+        rows = [(e.step, e.sender, e.receiver, e.kind, e.size)
+                for e in coordinator._network.message_trace()]
+        assert len(rows) == 2009
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+            "9512f583bd47e4386c2f87e08627898679a828ed408b41bcc281f894e3a1bf66"
+        )
         assert coordinator.stats.to_dict() == {
             "sessions": 476,
             "unchanged_sessions": 300,
@@ -499,3 +509,70 @@ class TestReporting:
         summary = coordinator.summary(since=before, rounds_before=rounds_before)
         assert summary["rounds"] >= 1
         assert summary["entries_delivered"] >= 2 * len(PEERS)
+
+
+
+def flushed_phase(rigged: bool):
+    """One ``run_until_converged`` after seven publications, recording every
+    ``record_messages`` call and how many of them each ``run_round`` made.
+    ``rigged`` pairs four equally stale peers among themselves, so the one
+    round delivers nothing and a batch of repair sessions follows it."""
+    network, store, coordinator = build(peers=PEERS[:4] if rigged else PEERS)
+    flushes: list = []
+    per_round: list = []
+    record = network.record_messages
+    run_round = coordinator.run_round
+
+    def counting(rows):
+        rows = tuple(rows)
+        flushes.append(rows)
+        record(rows)
+
+    def counted_round():
+        before = len(flushes)
+        row = run_round()
+        per_round.append(len(flushes) - before)
+        return row
+
+    network.record_messages = counting
+    coordinator.run_round = counted_round
+    if rigged:
+        coordinator._partners = lambda peer, online: [
+            other for other in online if other != peer
+        ][:1]
+    archive_batch(store, 7)
+    report = coordinator.run_until_converged()
+    return network, coordinator, report, flushes, per_round
+
+
+def test_a_round_is_accounted_in_one_flush():
+    """Each ``run_round`` hands its sessions' rows to the network in one
+    ``record_messages`` call (and its repair sessions in one more), in send
+    order and with consecutive trace steps; the report's rows add up to its
+    stats, and the stats equal the registry's ``gossip.*`` and ``net.*``
+    series.  A session run on its own is one flush too
+    (``test_reconcile.py::test_a_session_is_accounted_in_one_flush``)."""
+    for rigged in (False, True):
+        network, coordinator, report, flushes, per_round = flushed_phase(rigged)
+        assert per_round == [1] * report.round_count
+        repairs = sum(1 for row in report.rounds if row["repair_sessions"])
+        assert repairs == rigged
+        assert len(flushes) == report.round_count + repairs
+        # A flush carries whole sessions, several of them.
+        assert all(rows[0][2] == rows[1][2] == "challenge" for rows in flushes)
+        assert all(sum(row[2] == "challenge" for row in rows) > 2 for rows in flushes)
+        sent = [row for rows in flushes for row in rows]
+        trace = network.message_trace()
+        assert [(e.sender, e.receiver, e.kind, e.size) for e in trace] == sent
+        assert [e.step for e in trace] == list(range(1, len(sent) + 1))
+
+        stats = report.stats.to_dict()
+        for name, total in stats.items():
+            assert sum(row[name] for row in report.rounds) == total, name
+        assert stats == coordinator.stats.to_dict()
+        metrics = network.obs.metrics
+        for name, key in coordinator._reconciler._METRIC_NAMES:
+            assert metrics.counter_value(key) == stats[name], key
+        assert metrics.counter_value("net.messages.sent") == stats["messages"] == len(sent)
+        assert metrics.counter_value("net.bytes.sent") == stats["bytes"]
+        assert metrics.counter_value("net.bytes.received") == sum(row[3] for row in sent)

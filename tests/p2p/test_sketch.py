@@ -409,3 +409,46 @@ class TestSparseMatchesDense:
             sketch.add(stable_hash(key))
         assert len(sketch._cells) <= 5 * sketch.PROBES
         assert sketch.byte_size() == DenseIBLTSketch(1000, seed=1).byte_size()
+
+
+class TestRemovalMatchesSubtract:
+    """A session builds one table per attempt: the sender's sketch, from
+    which the receiver removes its own digests.  ``subtract`` of two
+    separately built tables is the reference: the same cells, in the same
+    order, and the same decode or the same stall."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        shared=st.sets(digests, max_size=30),
+        left_only=st.sets(digests, max_size=30),
+        right_only=st.sets(digests, max_size=30),
+        capacity=st.integers(1, 40),
+        seed=st.integers(0, MASK64),
+        shared_memo=st.booleans(),
+    )
+    @example(
+        shared=set(), left_only=set(range(100, 160)), right_only=set(range(7)),
+        capacity=4, seed=0, shared_memo=False,
+    )
+    @example(
+        shared={1, 2, 3}, left_only=set(), right_only=set(), capacity=1, seed=7,
+        shared_memo=True,
+    )
+    def test_removing_the_right_digests_equals_subtracting_the_right_table(
+        self, shared, left_only, right_only, capacity, seed, shared_memo
+    ):
+        positions: dict = {}
+        memo = {"positions": positions} if shared_memo else {}
+        left = IBLTSketch(capacity, seed=seed, **memo)
+        right = IBLTSketch(capacity, seed=seed, **memo)
+        received = IBLTSketch(capacity, seed=seed, **memo)
+        for key in shared | left_only:
+            left.add(key)
+            received.add(key)
+        for key in shared | right_only:
+            right.add(key)
+            received.remove(key)
+        subtracted = left.subtract(right)
+        assert list(received._cells.items()) == list(subtracted._cells.items())
+        assert received.byte_size() == subtracted.byte_size()
+        assert _decode_outcome(received) == _decode_outcome(subtracted)

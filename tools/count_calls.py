@@ -27,11 +27,26 @@ region and without the profiler: it runs the steps under
 * the 15 allocation sites (``path:line``, relative to the checkout) that
   hold the most of it, with their block counts.
 
+With ``--protocol`` it fingerprints what the run said on the simulated
+network instead, over the whole run (set-up, steps and ``finish()``) and
+without the profiler, so a change to how messages are built or accounted
+can show that it sends the same messages.  It prints
+
+* ``rows`` and ``rows_sha256`` -- how many ``(sender, receiver, kind,
+  size)`` rows reached ``Network.record_messages``, and the sha256 of all
+  of them in the order they were recorded;
+* ``counters`` and ``counters_sha256`` -- how many ``net.*``, ``gossip.*``
+  and ``sketch.*`` counters the run left, and the sha256 of them sorted by
+  key;
+* the session, sketch-byte, decode-failure and fallback counts, the
+  virtual clock and the benchmark's ``state_digest`` of the final state.
+
 Usage::
 
     python tools/count_calls.py --workload churn_gossip --scale tiny
     python tools/count_calls.py --workload star_sync --scale full
     python tools/count_calls.py --workload bulk_insert --memory
+    python tools/count_calls.py --workload churn_gossip --protocol
 
 The workloads module is imported, never modified.  Standard library only.
 """
@@ -41,6 +56,7 @@ from __future__ import annotations
 import argparse
 import cProfile
 import gc
+import hashlib
 import os
 import subprocess
 import sys
@@ -135,6 +151,61 @@ def measure_memory(workload_name: str, scale: str) -> list[str]:
     return lines
 
 
+#: Counter families ``--protocol`` fingerprints: what the network and the
+#: reconciliation sessions account.
+PROTOCOL_COUNTERS = ("net.", "gossip.", "sketch.")
+
+
+def measure_protocol(workload_name: str, scale: str) -> list[str]:
+    """Run one workload whole, fingerprinting every message row it records;
+    returns the report's lines."""
+    from benchmarks.e2e.child import state_digest
+    from benchmarks.e2e.workloads import STEPS
+    from repro.p2p.network import Network
+
+    rows = hashlib.sha256()
+    count = 0
+    record = Network.record_messages
+
+    def recording(network, batch):
+        nonlocal count
+        batch = tuple(batch)
+        for row in batch:
+            rows.update(f"{row!r}\n".encode())
+        count += len(batch)
+        record(network, batch)
+
+    Network.record_messages = recording
+    try:
+        workload = _set_up(workload_name, scale)
+        for index in range(STEPS):
+            workload.step(index)
+        workload.finish()
+    finally:
+        Network.record_messages = record
+    cdss = workload.cdss
+    counters = sorted(
+        (key, value)
+        for key, value in cdss.obs.metrics.snapshot().items()
+        if key.startswith(PROTOCOL_COUNTERS)
+    )
+    value = dict(counters).get
+    return [
+        f"workload {workload_name} scale {scale} seed {SEED}",
+        f"rows {count}",
+        f"rows_sha256 {rows.hexdigest()}",
+        f"counters {len(counters)}",
+        f"counters_sha256 {hashlib.sha256(repr(counters).encode()).hexdigest()}",
+        f"sessions {value('gossip.sessions', 0)}",
+        f"sessions_unchanged {value('gossip.sessions_unchanged', 0)}",
+        f"sketch_bytes {value('gossip.bytes_sketch', 0)}",
+        f"decode_failures {value('sketch.decode.failures', 0)}",
+        f"fallbacks {value('gossip.fallbacks', 0)}",
+        f"virtual_clock_s {cdss.network.clock.now:.3f}",
+        f"state_digest {state_digest(cdss)}",
+    ]
+
+
 def measure(workload_name: str, scale: str) -> list[str]:
     """Profile one workload's steps; returns the report's lines."""
     from benchmarks.e2e.workloads import STEPS
@@ -180,8 +251,14 @@ def main(argv: list[str] | None = None) -> int:
         "--memory", action="store_true",
         help="report retained and peak bytes and the top allocation sites instead of calls",
     )  # fmt: skip
+    parser.add_argument(
+        "--protocol", action="store_true",
+        help="fingerprint the message rows, the traffic counters and the final state instead",
+    )  # fmt: skip
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    if args.memory and args.protocol:
+        parser.error("--memory and --protocol are separate reports; pass one")
 
     if not args.child:
         # The counts depend on set and dict iteration orders of strings, so
@@ -192,6 +269,7 @@ def main(argv: list[str] | None = None) -> int:
                 sys.executable, str(Path(__file__).resolve()), "--child",
                 "--workload", args.workload, "--scale", args.scale,
                 *(["--memory"] if args.memory else []),
+                *(["--protocol"] if args.protocol else []),
             ],
             env=environment, cwd=ROOT,
         )  # fmt: skip
@@ -202,7 +280,10 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.workload not in WORKLOADS:
         parser.error(f"unknown workload {args.workload!r} (one of {', '.join(WORKLOADS)})")
-    report = (measure_memory if args.memory else measure)(args.workload, args.scale)
+    if args.protocol:
+        report = measure_protocol(args.workload, args.scale)
+    else:
+        report = (measure_memory if args.memory else measure)(args.workload, args.scale)
     try:
         print("\n".join(report), flush=True)
     except BrokenPipeError:
