@@ -94,11 +94,6 @@ def _batch_bytes(entries: Iterable[PublishedTransaction]) -> int:
     return MESSAGE_HEADER_BYTES + sum(entry.wire_size for entry in entries)
 
 
-def _request_bytes(digests: set[int]) -> int:
-    """Digests of entries the sender wants shipped back."""
-    return MESSAGE_HEADER_BYTES + 8 * len(digests)
-
-
 # -- traffic accounting --------------------------------------------------------------
 
 @dataclass
@@ -507,7 +502,8 @@ class SetReconciler:
         self._decodes += 1
         to_left = right.entries_for(only_right)
         send((right.name, left.name, "batch", _batch_bytes(to_left)))
-        send((right.name, left.name, "request", _request_bytes(only_left)))
+        # The digests the right side wants shipped back, 8 bytes each.
+        send((right.name, left.name, "request", MESSAGE_HEADER_BYTES + 8 * len(only_left)))
         delivered_left = left.add_entries(to_left)
         to_right = left.entries_for(only_left)
         send((left.name, right.name, "batch", _batch_bytes(to_right)))
