@@ -40,12 +40,11 @@ def main() -> None:
     polynomial = graph.polynomial_for(*target)
     print("provenance polynomial of Dresden's OPS('E. coli', 'recA', ...):")
     print(f"  {polynomial}")
-    nodes, edges = graph.dag_size(*target)
-    store_nodes, store_edges = graph.circuit_size()
+    tuples, derivations = graph.size()
     print(
         f"  distinct derivations (monomials): {polynomial.monomial_count()}  "
-        f"|  stored DAG: {nodes} nodes / {edges} edges "
-        f"(whole store: {store_nodes} / {store_edges}, shared across tuples)"
+        f"|  stored graph: {tuples} tuples / {derivations} derivations "
+        "(shared across tuples)"
     )
 
     # Boolean trust: derivable from Alaska alone?  From Beijing alone?

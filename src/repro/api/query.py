@@ -99,7 +99,7 @@ def run_query(
         result = evaluate_with_provenance(program, database)
         rows = result.database.relation(answer)
         # The expansion budget keeps the per-row polynomial view bounded:
-        # provenance is stored as a compact hash-consed DAG, and a row whose
+        # provenance is stored as a compact derivation graph, and a row whose
         # expansion would exceed the budget raises a ProvenanceError naming
         # it instead of materialising a combinatorial polynomial.
         polynomials = {

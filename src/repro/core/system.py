@@ -539,8 +539,8 @@ class CDSS:
 
         The head predicate of the first rule in ``text`` is the answer
         relation; with ``provenance=True`` every answer row is annotated
-        with its provenance polynomial over the peer's base tuples (expanded
-        lazily from the hash-consed provenance DAG; ``max_monomials`` bounds
+        with its provenance polynomial over the peer's base tuples (evaluated
+        in ``N[X]`` on the provenance graph; ``max_monomials`` bounds
         the expansion and a row exceeding it raises
         :class:`~repro.errors.ProvenanceError` rather than materialising a
         combinatorial polynomial — pass ``None`` to lift the budget).

@@ -179,9 +179,9 @@ class TrustPolicy:
         Mirrors :meth:`trusts_peer` but keeps the magnitude, which is what
         semiring-valued trust questions need: assigned to each base variable
         through its publishing peer, the returned table turns a stored
-        provenance DAG into, e.g., tropical costs (cheapest trusted
+        provenance graph into, e.g., tropical costs (cheapest trusted
         derivation) or counting weights — evaluated once per shared
-        sub-derivation through the memoized circuit.
+        sub-derivation on the graph.
         """
         priorities: dict[str, int] = {}
         for peer in all_peers:

@@ -16,9 +16,9 @@ What differs between them is only the *firing hook*:
   firings)`` call, each firing ``(head_values, *source_rows)`` — the head
   and the matched positive body rows in body order.  The recorder is
   :meth:`repro.provenance.graph.ProvenanceGraph.add_derivations`, which
-  interns the whole batch as derivation hyper-edges and later compiles them
-  into the hash-consed provenance circuit (:mod:`repro.provenance.circuit`)
-  instead of multiplying out polynomials per derived tuple.
+  interns the whole batch as derivation hyper-edges; semiring questions are
+  evaluated on that graph later instead of multiplying out polynomials per
+  derived tuple.
 
 The semi-naive fixpoint loop itself (:func:`run_stratum` /
 :func:`run_program`) is likewise shared, so the firing semantics of a whole

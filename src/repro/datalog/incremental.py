@@ -287,9 +287,7 @@ class IncrementalEngine:
     def recompute(self) -> Database:
         """Recompute the fixpoint from scratch (used for ablation benchmarks)."""
         if self._graph is not None:
-            # Reuse the circuit store: sub-derivations interned by earlier
-            # epochs are shared with the rebuilt graph instead of re-stored.
-            self._graph = ProvenanceGraph(store=self._graph.circuit)
+            self._graph = ProvenanceGraph()
             if self._observability is not None:
                 self._graph.observability = self._observability
         self._database = self._fixpoint(self._graph)

@@ -38,21 +38,17 @@ class ProvenanceDatabase:
         values: tuple,
         max_monomials: Optional[int] = ProvenanceGraph.DEFAULT_EXPANSION_BUDGET,
     ) -> Polynomial:
-        """Provenance polynomial of one tuple (a lazy view over the circuit).
+        """Provenance polynomial of one tuple (its evaluation in ``N[X]``).
 
         ``max_monomials`` bounds the expansion (``None`` lifts the bound);
-        the circuit itself stays compact no matter how large the expanded
+        the graph itself stays compact no matter how large the expanded
         polynomial would be.
         """
         return self.graph.polynomial_for(relation, values, max_monomials=max_monomials)
 
     def annotation(self, relation: str, values: tuple, semiring, assignment=None, default=None):
-        """One tuple's annotation evaluated directly on the provenance DAG."""
+        """One tuple's annotation evaluated directly on the provenance graph."""
         return self.graph.annotation(relation, values, semiring, assignment, default)
-
-    def dag_size(self, relation: str, values: tuple) -> tuple[int, int]:
-        """``(nodes, edges)`` of one tuple's hash-consed provenance DAG."""
-        return self.graph.dag_size(relation, values)
 
     def trusted(self, relation: str, values: tuple, trusted_variables: set[str]) -> bool:
         """Is the tuple derivable using only trusted base tuples?"""

@@ -353,27 +353,18 @@ class ExchangeEngine:
         """
         graph = self._engine.graph
         tuple_nodes, derivation_nodes = graph.size() if graph is not None else (0, 0)
-        circuit_nodes, circuit_edges = (
-            graph.circuit_size() if graph is not None else (0, 0)
-        )
         self._mirror_execution_stats()
         metrics = self._obs.metrics
         metrics.gauge_set("exchange.database_tuples", len(self._engine.database))
-        metrics.gauge_set("provenance.circuit.nodes", circuit_nodes)
-        metrics.gauge_set("provenance.circuit.edges", circuit_edges)
-        lookups = metrics.counter_value("provenance.circuit.memo_lookups")
-        if lookups:
-            metrics.gauge_set(
-                "provenance.circuit.memo_hit_rate",
-                metrics.counter_value("provenance.circuit.memo_hits") / lookups,
-            )
         return {
             "processed_transactions": len(self._processed_order),
             "database_tuples": len(self._engine.database),
             "provenance_tuple_nodes": tuple_nodes,
             "provenance_derivations": derivation_nodes,
-            "provenance_circuit_nodes": circuit_nodes,
-            "provenance_circuit_edges": circuit_edges,
+            # The graph stores no circuit; the keys stay, at 0, because
+            # benchmarks/e2e/layers.py reads them.
+            "provenance_circuit_nodes": 0,
+            "provenance_circuit_edges": 0,
             "rules_fired": int(
                 metrics.counter_value("exchange.rules_fired")
                 - self._registry_baseline["rules_fired"]

@@ -2,7 +2,7 @@
 
 Every subsystem (sync orchestration, update exchange, both datalog
 executors, the distributed store, gossip reconciliation, provenance
-circuits) emits into one :class:`Observability` holder:
+evaluation) emits into one :class:`Observability` holder:
 
 * :class:`MetricsRegistry` — counters / gauges / histograms under stable
   dotted-lowercase names, flattened to a deterministic ``snapshot()``
@@ -11,7 +11,7 @@ circuits) emits into one :class:`Observability` holder:
 * :class:`Tracer` — nested spans (``sync.round`` → ``publish`` /
   ``reconcile`` → ``exchange.stratum`` → ``rule.fire``,
   ``store.quorum_read``/``store.quorum_write``, ``gossip.session``,
-  ``sketch.decode``, ``circuit.evaluate``) stamped from the network's
+  ``sketch.decode``, ``provenance.evaluate``) stamped from the network's
   :class:`~repro.p2p.network.VirtualClock`, so two runs of the same seed
   produce **byte-identical** Chrome-trace JSON;
 * :data:`NULL_SPAN` / :class:`NullTracer` — the disabled path: a single

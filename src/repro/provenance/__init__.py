@@ -10,15 +10,12 @@ per-peer trust policies:
   why-provenance, lineage),
 * :mod:`repro.provenance.polynomial` — provenance polynomials ``N[X]``, the
   most general (universal) annotation,
-* :mod:`repro.provenance.circuit` — the hash-consed circuit store (interned
-  sum/product/variable nodes) with memoized semiring evaluators,
 * :mod:`repro.provenance.graph` — the provenance graph maintained during
-  update exchange (tuples + mapping-rule derivations), compiled lazily into
-  the circuit store; evaluating it in a semiring under an assignment is the
+  update exchange (tuples + mapping-rule derivations); evaluating it in a
+  semiring under an assignment, directly on its adjacency, is the
   homomorphic image of its ``N[X]`` provenance.
 """
 
-from .circuit import CircuitEvaluator, CircuitStore, MembershipAssignment
 from .graph import DerivationNode, ProvenanceGraph, TupleNode, reference_polynomial
 from .polynomial import Monomial, Polynomial
 from .semiring import (
@@ -36,11 +33,8 @@ from .semiring import (
 
 __all__ = [
     "BooleanSemiring",
-    "CircuitEvaluator",
-    "CircuitStore",
     "CountingSemiring",
     "DerivationNode",
-    "MembershipAssignment",
     "FuzzySemiring",
     "LineageSemiring",
     "Monomial",

@@ -3,16 +3,14 @@
 During update exchange ORCHESTRA does not materialise provenance polynomials
 for every derived tuple; it maintains a *provenance graph* whose nodes are
 tuples and whose hyper-edges are mapping-rule firings connecting the source
-tuples of a firing to the tuple it derives.  Internally each tuple's
-provenance is compiled — lazily, and cached — into a hash-consed circuit
-(:mod:`repro.provenance.circuit`): sum/product/variable nodes interned by
-structural identity, so sub-derivations shared across tuples, epochs and
-replicas are stored once.
+tuples of a firing to the tuple it derives.  The graph is the provenance:
+every question is answered by evaluating it in a semiring on its adjacency,
+and nothing compiled from it outlives the call that asked.
 
 Storage is on dense integer tuple ids: ``(relation, values)`` is interned
 once through ``relation → values → id``; a tuple's relation, values, base
-variable and adjacency entries sit in id-indexed lists, and roots, explicit
-dirty entries, the unsupported set and component ids are keyed by id.  A
+variable and adjacency entries sit in id-indexed lists, and explicit dirty
+entries and the unsupported set are keyed by id.  A
 derivation is one flat record ``(mapping_id, target_id, *source_ids)``, kept
 in an insertion-ordered list; only the records that carry a rule variable
 are keyed in a map.  A firing can repeat a record only when its target
@@ -35,30 +33,29 @@ id range, not by an entry each: only changes to older tuples are written
 down.  :class:`TupleNode` and :class:`DerivationNode` are values the
 inspection methods build on demand; none is stored.  The graph supports:
 
-* lazily expanding a tuple's provenance into a polynomial
-  (budget-bounded; kept for oracles and display),
-* evaluating annotations in any commutative semiring directly on the DAG
-  with per-(semiring, assignment) memo tables — cycles in the derivation
-  graph (e.g. the Figure-2 network maps Σ1 → Σ2 → Σ1) are cut so every
-  tuple's annotation is the sum over its *acyclic* derivations, matching
-  the expanded-polynomial semantics exactly, and
+* evaluating a tuple's annotation in any commutative semiring under an
+  assignment of its variables, directly on the adjacency by one iterative
+  walk whose memo lives for one call — cycles in the derivation graph (e.g.
+  the Figure-2 network maps Σ1 → Σ2 → Σ1) are cut so every tuple's
+  annotation is the sum over its *acyclic* derivations, matching the
+  expanded-polynomial semantics exactly, for non-idempotent semirings too;
+  the provenance polynomial itself is that evaluation in ``N[X]``
+  (budget-bounded), and
 * deletion propagation: after removing base tuples, finding which derived
   tuples have lost all support.  A change touches only its *downstream
-  cone* — the tuples that transitively depend on the changed ones: their
-  circuit roots are dropped, and support (the Boolean image of provenance)
-  is re-derived for them on the adjacency, so this path compiles no
-  circuit.  Circuits compile on demand, for the questions that need one.
+  cone* — the tuples that transitively depend on the changed ones — and
+  support (the Boolean image of provenance) is re-derived for them on the
+  adjacency and kept as the unsupported set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Container, Iterable, Mapping, Optional, Sequence
 
 from ..errors import ProvenanceError
-from .circuit import ZERO, CircuitEvaluator, CircuitStore, MembershipAssignment
 from .polynomial import Polynomial
-from .semiring import BooleanSemiring
+from .semiring import BooleanSemiring, PolynomialSemiring
 
 #: A tuple node is identified by its relation name and its ground values.
 TupleKey = tuple[str, tuple]
@@ -73,6 +70,12 @@ _TUPLE_ADJACENCY = 8
 
 #: The variable slot of a base tuple named by default (see :func:`default_variable_namer`).
 _NAMED_BY_DEFAULT = object()
+
+#: The evaluator's value for a tuple with no acyclic derivation at all (a
+#: semiring value may be anything, ``None`` included), and for a derivation
+#: with no factor folded in yet.
+_ABSENT = object()
+_UNIT = object()
 
 
 def default_variable_namer(relation: str, values: tuple) -> str:
@@ -115,37 +118,55 @@ def _adjoin(adjacency: list, tuple_id: int, record: tuple) -> None:
         adjacency[tuple_id] = [*records, record]
 
 
-class _ExpandFrame:
-    """One in-progress tuple expansion of the iterative circuit compiler."""
+class _Frame:
+    """One in-progress tuple of the iterative evaluator."""
 
-    __slots__ = (
-        "key", "depth", "scc_id", "alternatives", "derivations",
-        "d_index", "s_index", "factors", "low",
-    )
+    __slots__ = ("key", "depth", "scc_id", "total", "derivations", "d_index", "s_index",
+                 "product", "low")
 
-    def __init__(self, key, depth, scc_id, alternatives, derivations) -> None:
+    def __init__(self, key, depth, scc_id, total, derivations) -> None:
         self.key = key
         self.depth = depth
         self.scc_id = scc_id
-        self.alternatives = alternatives
+        #: The sum of the alternatives closed so far (``_ABSENT`` for none).
+        self.total = total
         self.derivations = derivations
         self.d_index = 0
         self.s_index = _FIRST_SOURCE
-        #: Circuit nodes of the current derivation's matched sources; None
-        #: between derivations (and after a dead branch).
-        self.factors = None
+        #: The product of the current derivation's sources matched so far.
+        self.product = _UNIT
         self.low = _UNREACHED
 
-    def absorb(self, child: int, child_low: float) -> None:
-        """Fold one source's compiled ``(node, low)`` into the frame."""
-        if child_low < self.low:
-            self.low = child_low
-        if child == ZERO:  # the whole derivation branch is dead
-            self.factors = None
-            self.d_index += 1
-        else:
-            self.factors.append(child)
-            self.s_index += 1
+    def next_derivation(self) -> None:
+        self.d_index += 1
+        self.s_index = _FIRST_SOURCE
+        self.product = _UNIT
+
+
+class _BudgetedPolynomials(PolynomialSemiring):
+    """``N[X]`` whose folds raise before building more than ``max_monomials``
+    monomials (checked against the worst-case size of the result, so a
+    combinatorial product raises instead of materialising first; ``None``
+    lifts the bound)."""
+
+    def __init__(self, max_monomials: Optional[int]) -> None:
+        self._max_monomials = max_monomials
+
+    def check(self, monomials: int) -> None:
+        if self._max_monomials is not None and monomials > self._max_monomials:
+            raise ProvenanceError(
+                f"polynomial expansion exceeded the budget of {self._max_monomials} "
+                f"monomials (needed up to {monomials}); evaluate the provenance in a "
+                "semiring directly or raise max_monomials"
+            )
+
+    def plus(self, left: Polynomial, right: Polynomial) -> Polynomial:
+        self.check(left.monomial_count() + right.monomial_count())
+        return left + right
+
+    def times(self, left: Polynomial, right: Polynomial) -> Polynomial:
+        self.check(left.monomial_count() * right.monomial_count())
+        return left * right
 
 
 @dataclass(frozen=True)
@@ -176,31 +197,33 @@ class DerivationNode:
         return (self.mapping_id, self.target, self.sources)
 
 
+def _lookup(semiring, assignment: Optional[Mapping[str, object]], default) -> Callable:
+    """A variable's value under ``assignment``: ``default`` when missing, or
+    the semiring's one if ``default`` is ``None``."""
+    get = (assignment or {}).get
+    default = semiring.one() if default is None else default
+    return lambda name: get(name, default)
+
+
+def _trust_rule(name: str) -> bool:
+    """Trust questions count every mapping-rule variable as trusted."""
+    return True
+
+
 class ProvenanceGraph:
     """A mutable provenance graph for one peer's (or the whole system's) data.
 
     Args:
         annotate_mappings: Give each mapping rule its own provenance variable
             (``m:<mapping_id>``) so trust policies can discount mapping hops.
-        store: An existing :class:`CircuitStore` to intern circuit nodes in;
-            sharing one store across graphs (e.g. across epochs or replicas
-            of the same network) maximises structural sharing.  A fresh store
-            is created when omitted.
     """
-
-    #: Bound on cached per-(semiring, assignment) evaluators (FIFO evicted).
-    _EVALUATOR_CACHE_LIMIT = 64
 
     #: Installed (as an instance attribute) by IncrementalEngine when the
     #: owning system carries an Observability holder; annotation queries
-    #: then emit ``circuit.evaluate`` spans and memo-hit-rate counters.
+    #: then emit ``provenance.evaluate`` spans and count evaluations.
     observability = None
 
-    def __init__(
-        self,
-        annotate_mappings: bool = False,
-        store: Optional[CircuitStore] = None,
-    ) -> None:
+    def __init__(self, annotate_mappings: bool = False) -> None:
         #: The interning table ``relation → values → tuple id``; ids are dense
         #: and never reused, and all other state is indexed or keyed by them.
         self._ids: dict[str, dict[tuple, int]] = {}
@@ -223,9 +246,6 @@ class ProvenanceGraph:
         self._by_target: list = []
         self._by_source: list = []
         self._annotate_mappings = annotate_mappings
-        self._store = store if store is not None else CircuitStore()
-        #: Cached circuit root per tuple; invalidated transitively on change.
-        self._roots: dict[int, int] = {}
         #: Tuples changed since the last flush.  ``True`` marks a change that
         #: can take support away (a demoted base tuple) or a tuple never
         #: checked (a new derived tuple): everything downstream is rechecked.
@@ -247,17 +267,6 @@ class ProvenanceGraph:
         #: serial at which it entered (insertion order).
         self._unsupported: dict[int, int] = {}
         self._unsupported_serial = 0
-        #: Strongly-connected-component id per tuple of the dependency graph
-        #: (targets depend on sources).  Ids are assigned on demand and the
-        #: tuples holding one are closed under "depends on"; a new derivation
-        #: drops the ids downstream of its target, the only ones it can merge.
-        self._scc: dict[int, int] = {}
-        self._scc_counter = 0
-        #: Cached evaluators keyed by (semiring, assignment, default).
-        self._evaluators: dict[tuple, CircuitEvaluator] = {}
-        #: Every rule variable ever attached to a derivation (trust questions
-        #: treat them as unconditionally trusted unless assigned explicitly).
-        self._rule_variables: set[str] = set()
 
     # -- construction -----------------------------------------------------
     def _new_tuple(self, by_values: dict, relation: str, values: tuple, variable) -> int:
@@ -379,8 +388,6 @@ class ProvenanceGraph:
         flushed = self._flushed
         derivations = self._derivations
         rule_variable_of = self._rule_variable_of
-        scc = self._scc
-        recorded = len(derivations)
         for firing in firings:
             if copy_rule:
                 target, source = firing
@@ -428,10 +435,6 @@ class ProvenanceGraph:
             # A new target is dirty by its id; an older one gains support.
             if target_id < flushed and target_id not in dirty:
                 self._mark_dirty(target_id, False)
-            if target_id in scc:
-                self._forget_components(target_id)
-        if rule_variable and len(derivations) > recorded:
-            self._rule_variables.add(rule_variable)
 
     def remove_base_tuple(self, relation: str, values: tuple) -> bool:
         """Demote a base tuple to derived-only (it was deleted at its origin).
@@ -502,33 +505,15 @@ class ProvenanceGraph:
         """Return ``(tuple nodes, derivation nodes)``."""
         return (len(self._relations), len(self._derivations))
 
-    # -- circuit compilation --------------------------------------------------
-    @property
-    def circuit(self) -> CircuitStore:
-        """The hash-consed circuit store backing this graph."""
-        return self._store
-
-    def circuit_size(self) -> tuple[int, int]:
-        """``(interned nodes, child edges)`` of the backing circuit store."""
-        return (self._store.node_count(), self._store.edge_count())
-
-    def dag_size(self, relation: str, values: tuple) -> tuple[int, int]:
-        """``(nodes, edges)`` of one tuple's provenance sub-DAG."""
-        return self._store.reachable_size([self.root(relation, values)])
-
-    def root(self, relation: str, values: tuple) -> int:
-        """The circuit node denoting a tuple's provenance (``ZERO`` if unknown)."""
-        return self._root_for(self._id_of(relation, values))
-
+    # -- support ---------------------------------------------------------------
     def _flush_dirty(self) -> None:
-        """Bring roots and the unsupported set up to date with the changes.
+        """Bring the unsupported set up to date with the changes.
 
-        Walks the downstream cone of the changed tuples once: every member's
-        cached root is dropped (to compile again when asked), and the
-        members whose derivability can have changed are rechecked by
+        Walks the downstream cone of the changed tuples once: the members
+        whose derivability can have changed are rechecked by
         :meth:`_rederive`, in the order the walk reached them.  Tuples
-        outside the cone keep their roots and their status, so a flush costs
-        what the change touches and compiles no circuit.
+        outside the cone keep their status, so a flush costs what the change
+        touches.
         """
         flushed, count = self._flushed, self._tuple_count
         if not self._dirty and flushed == count:
@@ -553,7 +538,6 @@ class ProvenanceGraph:
         gain = [
             key for key in changed if not (dirty[key] if key in dirty else variables[key] is None)
         ]
-        roots = self._roots
         by_source = self._by_source
         unsupported = self._unsupported
         seen: set[int] = set()
@@ -565,7 +549,6 @@ class ProvenanceGraph:
             seen.update(queue)
             while queue:
                 key = queue.pop()
-                roots.pop(key, None)
                 if may_lose_support or key in unsupported:
                     recheck.append(key)
                 for record in _records(by_source[key]):
@@ -625,43 +608,21 @@ class ProvenanceGraph:
                         released.append(record[1])
         return dead
 
-    def _forget_components(self, key: int) -> None:
-        """Drop the component ids of ``key`` and of everything downstream.
-
-        A new derivation of ``key`` can only merge components on a cycle
-        through ``key``, and those lie in its downstream cone.  Because the
-        tuples holding an id are closed under "depends on", a tuple without
-        one has nothing with an id downstream and the walk stops there (the
-        caller skips the call for a target without an id, the common case).
-        """
-        scc = self._scc
-        del scc[key]
-        by_source = self._by_source
-        queue = [key]
-        while queue:
-            users = by_source[queue.pop()]
-            if users and users[0].__class__ is str:
-                users = (users,)
-            for record in users:
-                target = record[1]
-                if scc.pop(target, None) is not None:
-                    queue.append(target)
-
-    def _assign_components(self, start: int) -> dict[int, int]:
-        """Give ``start`` and everything it depends on a component id
-        (iterative Tarjan from ``start``).
+    # -- semiring evaluation --------------------------------------------------
+    def _components(self, start: int, sccs: dict[int, int]) -> None:
+        """Give ``start`` and everything it depends on a component id in
+        ``sccs`` (iterative Tarjan from ``start``).
 
         Two tuples share an id exactly when each (transitively) derives the
-        other; the circuit compiler uses this to decide when a cached root is
-        safe to reuse mid-expansion.  A tuple's component lies inside what it
+        other; the evaluator uses this to decide when a memoized value is
+        safe to reuse mid-walk.  A tuple's component lies inside what it
         reaches, and tuples that already hold an id reach only tuples that
         hold one, so they count as finished and the walk covers just the part
-        without ids.  New ids come from a monotone counter and never collide
-        with the ones kept.
+        without ids.  A component's id is the id of the tuple at its root,
+        so ids never collide.
         """
-        sccs = self._scc
         if start in sccs:
-            return sccs
+            return
         by_target = self._by_target
         index: dict[int, int] = {}
         low: dict[int, int] = {}
@@ -712,123 +673,123 @@ class ProvenanceGraph:
                 while True:
                     member = component_stack.pop()
                     on_stack.discard(member)
-                    sccs[member] = self._scc_counter
+                    sccs[member] = node
                     if member == node:
                         break
-                self._scc_counter += 1
-        return sccs
 
-    def _root_for(self, key: Optional[int]) -> int:
-        self._flush_dirty()
-        if key is None:  # not in the graph
-            return ZERO
-        cached = self._roots.get(key)
-        if cached is not None:
-            return cached
-        return self._compile_root(key)
+    def _evaluator(
+        self,
+        semiring,
+        variable_value: Callable[[str], object],
+        rule_value: Callable[[str], object],
+    ) -> Callable[[Optional[int]], object]:
+        """A function giving a tuple's value in ``semiring``: its base
+        variable's ``variable_value``, plus for each derivation the product
+        of its sources' values and its rule variable's ``rule_value``.
 
-    def _compile_root(self, start: int) -> int:
-        """Compile one tuple's acyclic provenance into the circuit store.
-
-        Explicit-frame depth-first expansion (no Python recursion, so
-        arbitrarily deep derivation chains compile without hitting the
-        interpreter's recursion limit).  Each frame tracks ``low``, the
-        smallest on-path depth its expansion touched (Tarjan-style): an
-        expansion is only memoized in ``self._roots`` when it did not depend
-        on any tuple *above* it on the current path, i.e. when the result is
-        path-independent.  A cached root is only *reused* when no member of
-        its strongly connected component sits on the current path — a root
-        cached for one entry point of a cycle sums over paths through the
-        other members, which must stay cut while those members are being
-        expanded.  Tuples already on the current path contribute only their
-        base variable (cycle cut), which yields the sum over all acyclic
-        derivations — the finite part of the least fixpoint.
+        Explicit-frame depth-first walk (no Python recursion, so arbitrarily
+        deep derivation chains evaluate without hitting the interpreter's
+        recursion limit).  A tuple already on the current path contributes
+        only its base variable (cycle cut), which yields the sum over all
+        acyclic derivations — the finite part of the least fixpoint.  Each
+        frame tracks ``low``, the smallest on-path depth its walk touched
+        (Tarjan-style): a value is memoized only when it did not depend on
+        any tuple *above* it on the current path, i.e. when it is
+        path-independent.  A memoized value is only *reused* when no member
+        of its strongly connected component sits on the current path — a
+        value memoized for one entry point of a cycle sums over paths
+        through the other members, which must stay cut while those members
+        are being walked.  Folding assumes only the identity laws (a
+        derivation with a source that has no acyclic derivation contributes
+        nothing), so the value is the tuple's ``N[X]`` provenance evaluated
+        in ``semiring``, for non-idempotent semirings too.  The memo and the
+        component ids live as long as the returned function.
         """
-        sccs = self._assign_components(start)
-        store = self._store
+        plus, times = semiring.plus, semiring.times
         variables = self._variables
         rule_variable_of = self._rule_variable_of
         by_target = self._by_target
-        roots = self._roots
+        sccs: dict[int, int] = {}
+        memo: dict[int, object] = {}
         on_path: dict[int, int] = {}
-        path_sccs: dict = {}
-        frames: list[_ExpandFrame] = []
+        path_sccs: dict[int, int] = {}
+        frames: list[_Frame] = []
 
         def resolve(key: int, depth: int):
-            """Immediate ``(node, low)`` when no descent is needed, else
+            """Immediate ``(value, low)`` when no descent is needed, else
             ``None`` after pushing a frame for the tuple."""
-            cached = roots.get(key)
-            if cached is not None and sccs.get(key) not in path_sccs:
-                return (cached, _UNREACHED)
-            is_base = variables[key] is not None
+            if key in memo and sccs[key] not in path_sccs:
+                return (memo[key], _UNREACHED)
+            total = _ABSENT if variables[key] is None else variable_value(self._variable(key))
             path_depth = on_path.get(key)
             if path_depth is not None:
-                if is_base:
-                    return (store.var(self._variable(key)), path_depth)
-                return (ZERO, path_depth)
-            alternatives: list[int] = []
-            if is_base:
-                alternatives.append(store.var(self._variable(key)))
+                return (total, path_depth)
             on_path[key] = depth
-            scc_id = sccs.get(key)
+            scc_id = sccs[key]
             path_sccs[scc_id] = path_sccs.get(scc_id, 0) + 1
             records = by_target[key]
             if records and records[0].__class__ is str:
                 records = (records,)
-            frames.append(_ExpandFrame(key, depth, scc_id, alternatives, records))
+            frames.append(_Frame(key, depth, scc_id, total, records))
             return None
 
-        immediate = resolve(start, 0)
-        if immediate is not None:
-            return immediate[0]
-        completed = None  # (node, low) of the frame that just finished
-        while frames:
-            frame = frames[-1]
-            if completed is not None:
-                frame.absorb(*completed)
-                completed = None
-            descended = False
-            while frame.d_index < len(frame.derivations):
-                record = frame.derivations[frame.d_index]
-                if frame.factors is None:
-                    frame.factors = []
-                    frame.s_index = _FIRST_SOURCE
-                if frame.s_index < len(record):
-                    value = resolve(record[frame.s_index], frame.depth + 1)
-                    if value is None:
-                        descended = True
-                        break
-                    frame.absorb(*value)
-                    continue
-                # Every source matched: close out this derivation.
-                factors = frame.factors
-                rule_variable = rule_variable_of.get(record)
-                if rule_variable:
-                    factors.append(store.var(rule_variable))
-                frame.alternatives.append(store.product_of(factors))
-                frame.factors = None
-                frame.d_index += 1
-            if descended:
-                continue
-            frames.pop()
-            del on_path[frame.key]
-            if path_sccs[frame.scc_id] == 1:
-                del path_sccs[frame.scc_id]
+        def absorb(frame: _Frame, child, child_low: float) -> None:
+            """Fold one source's ``(value, low)`` into the frame."""
+            if child_low < frame.low:
+                frame.low = child_low
+            if child is _ABSENT:  # the whole derivation is dead
+                frame.next_derivation()
             else:
-                path_sccs[frame.scc_id] -= 1
-            result = store.sum_of(frame.alternatives)
-            if frame.low >= frame.depth:
-                # The expansion depended on nothing above this tuple on the
-                # path, so it is path-independent and safe to cache.
-                roots[frame.key] = result
-            completed = (result, frame.low)
-        return completed[0]
+                frame.product = child if frame.product is _UNIT else times(frame.product, child)
+                frame.s_index += 1
 
-    # -- provenance expansion -------------------------------------------------
-    #: Default bound on expanded-polynomial size.  The pre-circuit expander
-    #: was (weakly) bounded by a depth cutoff; with exact expansion the
-    #: budget is the safety knob, on by default so a combinatorial
-    #: provenance raises instead of silently exhausting memory.
+        def value(start: Optional[int]):
+            if start is None:  # not in the graph
+                return semiring.zero()
+            self._components(start, sccs)
+            completed = resolve(start, 0)  # (value, low) of the frame that just finished
+            while frames:
+                frame = frames[-1]
+                if completed is not None:
+                    absorb(frame, *completed)
+                derivations = frame.derivations
+                while frame.d_index < len(derivations):
+                    record = derivations[frame.d_index]
+                    if frame.s_index < len(record):
+                        completed = resolve(record[frame.s_index], frame.depth + 1)
+                        if completed is None:
+                            break
+                        absorb(frame, *completed)
+                        continue
+                    # Every source matched: close out this derivation.
+                    product = frame.product
+                    rule_variable = rule_variable_of.get(record)
+                    if rule_variable:
+                        factor = rule_value(rule_variable)
+                        product = factor if product is _UNIT else times(product, factor)
+                    if product is _UNIT:
+                        product = semiring.one()
+                    frame.total = product if frame.total is _ABSENT else plus(frame.total, product)
+                    frame.next_derivation()
+                else:
+                    frames.pop()
+                    del on_path[frame.key]
+                    if path_sccs[frame.scc_id] == 1:
+                        del path_sccs[frame.scc_id]
+                    else:
+                        path_sccs[frame.scc_id] -= 1
+                    if frame.low >= frame.depth:
+                        # The value depended on nothing above this tuple on
+                        # the path, so it is path-independent and kept.
+                        memo[frame.key] = frame.total
+                    completed = (frame.total, frame.low)
+            result = completed[0]
+            return semiring.zero() if result is _ABSENT else result
+
+        return value
+
+    #: Default bound on expanded-polynomial size, on by default so a
+    #: combinatorial provenance raises instead of silently exhausting memory.
     DEFAULT_EXPANSION_BUDGET = 100_000
 
     def polynomial_for(
@@ -837,52 +798,18 @@ class ProvenanceGraph:
         values: tuple,
         max_monomials: Optional[int] = DEFAULT_EXPANSION_BUDGET,
     ) -> Polynomial:
-        """The provenance polynomial of a tuple (acyclic derivations only).
+        """The provenance polynomial of a tuple (acyclic derivations only):
+        its evaluation in ``N[X]``, every variable standing for itself.
 
-        The polynomial is a lazy view expanded from the hash-consed circuit;
-        ``max_monomials`` bounds the expansion (exceeding it raises
-        :class:`ProvenanceError`; pass ``None`` to lift the bound).
+        ``max_monomials`` bounds every fold of the evaluation (exceeding it
+        raises :class:`ProvenanceError` before the fold is built; pass
+        ``None`` to lift the bound).
         """
-        return self._store.to_polynomial(self.root(relation, values), max_monomials=max_monomials)
-
-    # -- semiring evaluation --------------------------------------------------
-    def _evaluator_cache_key(self, semiring, assignment, default) -> Optional[tuple]:
-        if isinstance(assignment, MembershipAssignment):
-            signature: object = assignment.cache_key
-        else:
-            try:
-                signature = frozenset((assignment or {}).items())
-            except TypeError:
-                return None
-        key = (semiring, signature, default)
-        try:
-            hash(key)  # unhashable semiring/assignment values/default
-        except TypeError:
-            return None
-        return key
-
-    def evaluator(
-        self,
-        semiring,
-        assignment: Optional[Mapping[str, object]] = None,
-        default: Optional[object] = None,
-    ) -> CircuitEvaluator:
-        """A memoized circuit evaluator for ``semiring`` under ``assignment``.
-
-        Evaluators are cached per (semiring, assignment, default) so repeated
-        trust questions share memo tables; node memo entries stay valid
-        across insertions and deletions because circuit nodes are immutable.
-        """
-        key = self._evaluator_cache_key(semiring, assignment, default)
-        if key is None:
-            return CircuitEvaluator(self._store, semiring, assignment, default)
-        evaluator = self._evaluators.get(key)
-        if evaluator is None:
-            evaluator = CircuitEvaluator(self._store, semiring, assignment, default)
-            if len(self._evaluators) >= self._EVALUATOR_CACHE_LIMIT:
-                self._evaluators.pop(next(iter(self._evaluators)))
-            self._evaluators[key] = evaluator
-        return evaluator
+        polynomials = _BudgetedPolynomials(max_monomials)
+        value = self._evaluator(polynomials, Polynomial.variable, Polynomial.variable)
+        polynomial = value(self._id_of(relation, values))
+        polynomials.check(polynomial.monomial_count())
+        return polynomial
 
     def annotation(
         self,
@@ -892,20 +819,17 @@ class ProvenanceGraph:
         assignment: Optional[Mapping[str, object]] = None,
         default: Optional[object] = None,
     ):
-        """One tuple's annotation in ``semiring`` under ``assignment``."""
+        """One tuple's annotation in ``semiring`` under ``assignment`` (see
+        :meth:`evaluate`)."""
+        lookup = _lookup(semiring, assignment, default)
+        value = self._evaluator(semiring, lookup, lookup)
         key = self._id_of(relation, values)
         obs = self.observability
-        evaluator = self.evaluator(semiring, assignment, default)
         if obs is None:
-            return evaluator.value(self._root_for(key))
-        hits_before = evaluator.hits
-        with obs.span("circuit.evaluate", mode="circuit", relation=relation):
-            result = evaluator.value(self._root_for(key))
-        metrics = obs.metrics
-        metrics.counter_add("provenance.circuit.evaluations", 1)
-        metrics.counter_add("provenance.circuit.memo_lookups", 1)
-        if evaluator.hits > hits_before:
-            metrics.counter_add("provenance.circuit.memo_hits", 1)
+            return value(key)
+        with obs.span("provenance.evaluate", relation=relation):
+            result = value(key)
+        obs.metrics.counter_add("provenance.evaluations", 1)
         return result
 
     def evaluate(
@@ -920,37 +844,35 @@ class ProvenanceGraph:
         enabled, mapping rules) to semiring values; variables missing from the
         assignment take ``default`` (or the semiring's one if ``default`` is
         ``None``).  Each annotation is the tuple's acyclic-derivation
-        provenance evaluated through the memoized circuit — identical to
-        evaluating the tuple's expanded polynomial, but computed in one
-        shared pass over the DAG.  Circuit evaluation always terminates,
-        even for non-idempotent semirings over cyclic derivation graphs.
+        provenance evaluated on the graph — identical to evaluating the
+        tuple's expanded polynomial, but computed in one pass that shares
+        every path-independent value.  Evaluation always terminates, even
+        for non-idempotent semirings over cyclic derivation graphs.
         """
-        keys = range(len(self._relations))
-        evaluator = self.evaluator(semiring, assignment, default)
-        return {self._key(key): evaluator.value(self._root_for(key)) for key in keys}
+        lookup = _lookup(semiring, assignment, default)
+        value = self._evaluator(semiring, lookup, lookup)
+        return {self._key(key): value(key) for key in range(self._tuple_count)}
 
     def is_derivable(
         self,
         relation: str,
         values: tuple,
-        trusted_variables: Optional[set[str]] = None,
+        trusted_variables: Optional[Container[str]] = None,
     ) -> bool:
         """True when the tuple is derivable from base tuples.
 
-        When ``trusted_variables`` is given, only base tuples whose provenance
-        variable is in the set count as support (the boolean-semiring trust
-        evaluation of the paper).
+        Without ``trusted_variables`` this reads the unsupported set (see
+        :meth:`unsupported_tuples`).  With it — any container of variable
+        names — only base tuples whose variable is in it count as support
+        (the boolean-semiring trust evaluation of the paper, over the
+        tuple's upstream cone); mapping-rule variables always count.
         """
         key = self._id_of(relation, values)
-        boolean = BooleanSemiring()
         if trusted_variables is None:
-            assignment: Mapping[str, object] = {}
-            default: object = True
-        else:
-            assignment = MembershipAssignment(trusted_variables, self._rule_variables)
-            default = False
-        evaluator = self.evaluator(boolean, assignment, default)
-        return bool(evaluator.value(self._root_for(key)))
+            self._flush_dirty()
+            return key is not None and key not in self._unsupported
+        trusted = self._evaluator(BooleanSemiring(), trusted_variables.__contains__, _trust_rule)
+        return bool(trusted(key))
 
     def support_mark(self) -> int:
         """A mark for the ``since`` of :meth:`unsupported_tuples`: tuples
@@ -969,9 +891,8 @@ class ProvenanceGraph:
 
         Used by deletion propagation: after base deletions, these are the
         derived tuples that must be removed from the target instances.  The
-        set is maintained on the adjacency, not recomputed and with no
-        circuit: a call rechecks only the downstream cone of the tuples
-        changed since the last one.  Dead tuples stay in the graph (and in
+        set is maintained on the adjacency, not recomputed: a call rechecks
+        only the downstream cone of the tuples changed since the last one.  Dead tuples stay in the graph (and in
         this answer) until support returns; ``since`` — a
         :meth:`support_mark` — narrows the answer to the tuples that entered
         the set after the mark was taken, at a cost proportional to their
@@ -990,11 +911,7 @@ class ProvenanceGraph:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         tuples, derivations = self.size()
-        nodes, edges = self.circuit_size()
-        return (
-            f"ProvenanceGraph(tuples={tuples}, derivations={derivations}, "
-            f"circuit_nodes={nodes}, circuit_edges={edges})"
-        )
+        return f"ProvenanceGraph(tuples={tuples}, derivations={derivations})"
 
 
 def reference_polynomial(
@@ -1007,12 +924,12 @@ def reference_polynomial(
 ) -> Polynomial:
     """Expand a tuple's provenance by walking the derivation hyper-graph.
 
-    This is the *independent reference implementation*: it never touches the
-    hash-consed circuit store, so differential oracles can pit circuit
-    compilation and memoized evaluation against it.  Cycles are cut exactly
-    as in circuit compilation (a tuple already being expanded on the current
-    path contributes only its base variable), yielding the sum over all
-    acyclic derivations.
+    This is the *independent reference implementation*: it shares no memo,
+    no component ids and no code with the graph's evaluator, so differential
+    oracles can pit the evaluator against it.  Cycles are cut exactly as in
+    the evaluator (a tuple already being expanded on the current path
+    contributes only its base variable), yielding the sum over all acyclic
+    derivations.
 
     The walk shares nothing, so it can revisit shared sub-derivations
     exponentially often; ``max_visits`` bounds the traversal,
@@ -1038,12 +955,12 @@ def reference_polynomial(
         if visits[0] > max_visits:
             raise ProvenanceError(
                 f"reference expansion exceeded {max_visits} node visits; "
-                "use the circuit representation for provenance this shared"
+                "evaluate provenance this shared on the graph"
             )
         if len(on_path) >= max_depth:
             raise ProvenanceError(
                 f"reference expansion exceeded the depth bound of {max_depth} "
-                "derivation hops; use the circuit representation for chains this deep"
+                "derivation hops; evaluate chains this deep on the graph"
             )
         node = graph.node(*key)
         if node is None:

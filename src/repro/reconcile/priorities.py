@@ -15,7 +15,7 @@ been trusted (defence against relayed data).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Container, Optional
 
 from ..core.schema import PeerSchema
 from ..core.trust import TrustPolicy
@@ -29,19 +29,11 @@ def group_priority(
     schema: PeerSchema,
     provenance: Optional[ProvenanceGraph] = None,
     trusted_peers: Optional[set[str]] = None,
-    trusted_variables: Optional[set[str]] = None,
 ) -> int:
-    """Compute and return the priority of a group (also stored on the group).
-
-    ``trusted_variables`` is :func:`trusted_variable_set` of ``trusted_peers``,
-    a scan of the graph's base tuples: a caller ranking many groups computes
-    it once and passes it; it is computed here when omitted.
-    """
+    """Compute and return the priority of a group (also stored on the group)."""
     priority = policy.priority_for_updates(group.candidate.updates, schema)
     if priority > 0 and provenance is not None and trusted_peers is not None:
-        if trusted_variables is None:
-            trusted_variables = trusted_variable_set(provenance, trusted_peers)
-        if not _supported_by_trusted_peers(group, provenance, trusted_variables):
+        if not _supported_by_trusted_peers(group, provenance, _PublishedBy(trusted_peers)):
             priority = 0
     group.priority = priority
     return priority
@@ -50,18 +42,13 @@ def group_priority(
 def _supported_by_trusted_peers(
     group: TransactionGroup,
     provenance: ProvenanceGraph,
-    trusted_variables: set[str],
+    trusted_variables: Container[str],
 ) -> bool:
     """Is every inserted tuple of the candidate derivable from trusted data?
 
-    Base provenance variables are named after published relations
-    (``Peer.R!pub(values)``), so the set of trusted variables is exactly the
-    variables of trusted peers' contributions.  Deletions are not checked:
-    removing data never requires trusting its content.
-
-    Derivability is answered on the provenance DAG: repeated checks against
-    the same trusted set share one memoized boolean evaluator, so only the
-    first question per sub-derivation pays for evaluation.
+    Deletions are not checked: removing data never requires trusting its
+    content.  Each check evaluates the tuple's upstream cone in the boolean
+    semiring, so its cost follows the tuple's provenance, not the graph.
     """
     target = group.candidate.target_peer
     for update in group.candidate.updates:
@@ -75,19 +62,18 @@ def _supported_by_trusted_peers(
     return True
 
 
-def _variable_peer(published_name: str) -> str:
-    """Extract the publishing peer from a published relation name."""
-    peer, _, _rest = published_name.partition(".")
-    return peer
+class _PublishedBy:
+    """The provenance variables published by ``peers``, as a container.
 
+    Base provenance variables are named after published relations
+    (``Peer.R!pub(values)``), so a variable's publishing peer is the prefix
+    of its name before the first dot.
+    """
 
-def trusted_variable_set(
-    provenance: ProvenanceGraph, trusted_peers: set[str]
-) -> set[str]:
-    """All provenance variables contributed by the given peers (one pass over
-    the graph's base tuples)."""
-    return {
-        variable
-        for variable, (relation, _values) in provenance.base_variables().items()
-        if _variable_peer(relation) in trusted_peers
-    }
+    __slots__ = ("_peers",)
+
+    def __init__(self, peers: set[str]) -> None:
+        self._peers = peers
+
+    def __contains__(self, variable: str) -> bool:
+        return variable.partition(".")[0] in self._peers

@@ -142,12 +142,12 @@ class SimulationConfig:
     domain_size: int = 6
     max_sync_rounds: int = 30
     #: Per-epoch sample bound for the dag-vs-expanded oracle (0 disables);
-    #: the oracle compares DAG evaluation with expanded-polynomial evaluation
+    #: the oracle compares graph evaluation with expanded-polynomial evaluation
     #: for sampled derived tuples under several semirings.
     provenance_oracle_samples: int = 25
     #: Expansion budget for the oracle's polynomial side; sampled tuples
-    #: whose expansion exceeds it are skipped (the DAG is the whole point
-    #: for those).
+    #: whose expansion exceeds it are skipped (evaluating on the graph is
+    #: the whole point for those).
     provenance_oracle_max_monomials: int = 4096
     #: Configuration of the primary replica (see :func:`simulated_system`).
     #: Each flipping row of :data:`MIRRORS` runs the same configuration with
@@ -888,14 +888,14 @@ class SimulationRun:
             )
 
     def _check_dag_vs_expanded(self, epoch: int) -> None:
-        """Sampled derived tuples: DAG evaluation == expanded-polynomial evaluation.
+        """Sampled derived tuples: graph evaluation == expanded-polynomial evaluation.
 
-        Checks the hash-consed circuit (memoized semiring evaluation, after
-        whatever insertions/deletions/invalidations this epoch performed)
-        against :func:`~repro.provenance.graph.reference_polynomial`, which
-        expands by walking the derivation hyper-graph directly and never
-        touches the circuit — a genuinely independent implementation — under
-        a boolean, a counting, and a tropical assignment.
+        Checks the graph's semiring evaluator (after whatever insertions and
+        deletions this epoch performed) against
+        :func:`~repro.provenance.graph.reference_polynomial`, which expands by
+        walking the derivation hyper-graph with no memo and no component ids
+        — a genuinely independent implementation — under a boolean, a
+        counting, and a tropical assignment.
         """
         if self.config.provenance_oracle_samples == 0:
             return
@@ -933,11 +933,9 @@ class SimulationRun:
                     max_monomials=self.config.provenance_oracle_max_monomials,
                 )
             except ProvenanceError:
-                continue  # expansion over budget: exactly what the DAG avoids
+                continue  # expansion over budget: what evaluating on the graph avoids
             for semiring, assignment in semirings:
-                dag_value = graph.evaluator(semiring, assignment).value(
-                    graph.root(relation, values)
-                )
+                dag_value = graph.annotation(relation, values, semiring, assignment)
                 completed = {
                     variable: assignment.get(variable, semiring.one())
                     for variable in polynomial.variables()

@@ -460,8 +460,8 @@ class TestQuery:
     ids=lambda item: getattr(item, "__qualname__", item),
 )
 def test_the_ignored_limits_are_not_parameters(function, name):
-    """Polynomial expansion is bounded by ``max_monomials`` and circuit
-    evaluation always terminates, so a depth or iteration limit here would
+    """Polynomial expansion is bounded by ``max_monomials`` and semiring
+    evaluation on the graph always terminates, so a depth or iteration limit here would
     be a parameter nothing reads: passing one is a ``TypeError``."""
     parameters = inspect.signature(function).parameters.values()
     assert name not in {parameter.name for parameter in parameters}

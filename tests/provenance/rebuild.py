@@ -1,8 +1,8 @@
 """The fresh-rebuild oracle of the provenance-graph tests.
 
 :func:`merge_graphs` replays graphs' current tuples and derivations into a
-new :class:`~repro.provenance.graph.ProvenanceGraph`, whose circuit store,
-roots and memo tables start cold.  A graph maintained incrementally must
+new :class:`~repro.provenance.graph.ProvenanceGraph`, whose unsupported set
+and dirty entries start from nothing.  A graph maintained incrementally must
 answer every question exactly as its rebuild does.
 """
 

@@ -1,20 +1,19 @@
 """Differential test: the maintained unsupported set vs full re-evaluation.
 
 ``ProvenanceGraph`` keeps the set of unsupported tuples up to date by
-re-evaluating only the downstream cone of what changed, and recomputes
-component ids only inside that cone.  The two reference answers here do
-neither: ``scan_unsupported`` asks every tuple of the graph afresh (the
-full scan the graph used to run on every delete), and ``merge_graphs``
-(``rebuild.py``)
-replays the graph's current state into a new graph with cold caches.  All
+re-deriving support only in the downstream cone of what changed.  The two
+reference answers here do neither: ``scan_unsupported`` evaluates every
+tuple of the graph afresh in the Boolean semiring (the full scan the graph
+used to run on every delete), and ``merge_graphs`` (``rebuild.py``)
+replays the graph's current state into a new graph.  All
 three must agree after any interleaving of insertions, deletions,
 re-insertions and promotions, whenever the graph happens to be flushed.
 On graphs sparse enough to expand, ``reference_polynomial`` is a fourth
-answer that never touches the circuit: a tuple is supported exactly when
-its expanded polynomial is not zero.  The graph reads support off its
-adjacency and compiles no circuit to do so; ``CircuitSupportGraph``
-(``circuit_support.py``) rechecks by evaluating each tuple's circuit, as
-the graph once did, and must report the same tuples in the same order.
+answer that shares nothing with the evaluator: a tuple is supported exactly
+when its expanded polynomial is not zero.  The graph reads support off its
+adjacency with no semiring evaluation; ``EvaluatorSupportGraph``
+(``evaluator_support.py``) rechecks each tuple with the evaluator's Boolean
+value instead, and must report the same tuples in the same order.
 """
 
 from __future__ import annotations
@@ -28,18 +27,22 @@ from hypothesis import strategies as st
 from repro.datalog.ast import Fact
 from repro.datalog.incremental import IncrementalEngine
 from repro.datalog.parser import parse_program
-from repro.provenance.circuit import ZERO
 from repro.provenance.graph import ProvenanceGraph, reference_polynomial
-from repro.provenance.semiring import CountingSemiring
+from repro.provenance.semiring import BooleanSemiring, CountingSemiring
 from repro.workloads.bioinformatics import build_figure2_network
 
-from circuit_support import CircuitSupportGraph
+from evaluator_support import EvaluatorSupportGraph
 from rebuild import merge_graphs
 
 
 def scan_unsupported(graph: ProvenanceGraph) -> set:
-    """Reference oracle: evaluate every tuple of the graph."""
-    return {node.key for node in list(graph.tuples()) if not graph.is_derivable(*node.key)}
+    """Reference oracle: evaluate every tuple of the graph in the Boolean
+    semiring (not ``is_derivable``, which reads the set under test)."""
+    return {
+        node.key
+        for node in list(graph.tuples())
+        if not graph.annotation(*node.key, BooleanSemiring())
+    }
 
 
 def assert_matches_references(graph: ProvenanceGraph, context, expand: bool = False) -> None:
@@ -48,9 +51,8 @@ def assert_matches_references(graph: ProvenanceGraph, context, expand: bool = Fa
     assert set(maintained) == scan_unsupported(graph), context
     fresh = merge_graphs([graph])
     assert set(maintained) == set(fresh.unsupported_tuples()), context
-    # Component ids are recomputed cone by cone; a stale id would let the
-    # compiler reuse a root across a cycle and change the number of acyclic
-    # derivations (counted on the circuit, so dense graphs stay cheap).
+    # A value reused across a cycle would change the number of acyclic
+    # derivations (counted by the evaluator, so dense graphs stay cheap).
     ones = {variable: 1 for variable in graph.base_variables()}
     assert graph.evaluate(CountingSemiring(), ones) == fresh.evaluate(
         CountingSemiring(), ones
@@ -65,7 +67,7 @@ def assert_matches_references(graph: ProvenanceGraph, context, expand: bool = Fa
 
 #: (tuple pool size, edits, also check against expanded polynomials).
 #: Expansion materialises every acyclic derivation, so it gets a sparser graph.
-SHAPES = {"circuit": (7, 100, False), "expanded": (12, 40, True)}
+SHAPES = {"dense": (7, 100, False), "expanded": (12, 40, True)}
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
@@ -126,7 +128,7 @@ def test_a_cycle_does_not_support_itself():
     graph.add_derivation("ab", ("B", (1,)), [("A", (1,))])
     graph.add_derivation("ba", ("A", (1,)), [("B", (1,))])
     assert graph.unsupported_tuples() == []
-    # A new derivation that closes a second cycle through compiled tuples.
+    # A new derivation that closes a second cycle through checked tuples.
     graph.add_derivation("bc", ("C", (1,)), [("B", (1,))])
     graph.add_derivation("cb", ("B", (1,)), [("C", (1,))])
     assert graph.unsupported_tuples() == []
@@ -202,37 +204,37 @@ def test_figure2_cycle_stream_matches_references():
 
 
 def test_the_exchange_path_compiles_no_circuit(monkeypatch):
-    """Deletion propagation reads support off the adjacency; a circuit is
-    compiled only when a question needs one, and then answers as a cold
+    """Deletion propagation reads support off the adjacency; the semiring
+    evaluator runs only when a question needs one, and then answers as a
     rebuild's does."""
-    compiled = []
-    compile_root = ProvenanceGraph._compile_root
+    evaluated = []
+    evaluator = ProvenanceGraph._evaluator
 
-    def counted(graph, start):
-        compiled.append(start)
-        return compile_root(graph, start)
+    def counted(graph, *arguments):
+        evaluated.append(arguments[0])
+        return evaluator(graph, *arguments)
 
-    monkeypatch.setattr(ProvenanceGraph, "_compile_root", counted)
+    monkeypatch.setattr(ProvenanceGraph, "_evaluator", counted)
     cdss = build_figure2_network().cdss
     removed = drive_figure2_stream(cdss, 40)
     graph = cdss.engine.provenance
     dead = graph.unsupported_tuples()
     assert dead and (removed["Alaska"] or removed["Beijing"])
-    assert compiled == []
+    assert evaluated == []
 
     fresh = merge_graphs([graph])
     survivor = next(
         node.key for node in graph.tuples() if not node.is_base and node.key not in dead
     )
-    assert graph.root(*survivor) != ZERO
-    assert compiled
+    assert not graph.polynomial_for(*survivor).is_zero()
+    assert evaluated
     assert graph.polynomial_for(*survivor) == fresh.polynomial_for(*survivor)
     assert graph.is_derivable(*survivor) and fresh.is_derivable(*survivor)
     assert not graph.is_derivable(*dead[0]) and not fresh.is_derivable(*dead[0])
 
 
 def test_a_cycle_dies_with_its_one_external_entry():
-    graph, reference = ProvenanceGraph(), CircuitSupportGraph()
+    graph, reference = ProvenanceGraph(), EvaluatorSupportGraph()
     for edited in (graph, reference):
         edited.add_base_tuple("E", (0,))
         edited.add_derivation("in", ("A", (0,)), [("E", (0,))])
@@ -260,7 +262,7 @@ def test_a_self_join_waits_once_for_its_repeated_source():
     """``T1 :- S, O, S`` and ``T2 :- O, S, O``, all re-derived in one flush:
     whichever of S and O is released first, one join counts the other's
     repeat while it still waits, and must count it once."""
-    graph, reference = ProvenanceGraph(), CircuitSupportGraph()
+    graph, reference = ProvenanceGraph(), EvaluatorSupportGraph()
     for edited in (graph, reference):
         edited.add_base_tuple("E", (0,))
         edited.add_derivation("o", ("O", (0,)), [("E", (0,))])
@@ -336,11 +338,11 @@ def assert_same_support(graph, reference, marks) -> None:
 
 @settings(max_examples=300, deadline=None)
 @given(edits=st.lists(SUPPORT_EDITS, max_size=25))
-def test_edit_sequences_match_the_circuit_recheck(edits):
-    """The support fixpoint against the circuit recheck it replaced: the same
+def test_edit_sequences_match_the_evaluator_recheck(edits):
+    """The support fixpoint against the evaluator's Boolean recheck: the same
     unsupported tuples in the same order, and the same answers since a mark,
     whenever the graphs are flushed."""
-    graph, reference = ProvenanceGraph(), CircuitSupportGraph()
+    graph, reference = ProvenanceGraph(), EvaluatorSupportGraph()
     marks = None
     for step, (kind, *arguments) in enumerate(edits):
         if kind == "flush":

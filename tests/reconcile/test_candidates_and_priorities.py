@@ -9,7 +9,7 @@ from repro.provenance.graph import ProvenanceGraph
 from repro.reconcile.algorithm import Reconciler
 from repro.reconcile.candidates import TransactionGroup, antecedent_closure, build_groups
 from repro.reconcile.decisions import ReconciliationState
-from repro.reconcile.priorities import group_priority, trusted_variable_set
+from repro.reconcile.priorities import group_priority
 
 SIGMA2 = PeerSchema.build("Sigma2", {"OPS": ["org", "prot", "seq"]}, {"OPS": ["org", "prot"]})
 
@@ -119,7 +119,7 @@ class TestGroupPriority:
     def test_provenance_requirement_keeps_supported(self):
         policy = TrustPolicy.trust_only("Crete", {"Beijing": 2}, others=0)
         graph = ProvenanceGraph()
-        graph.add_base_tuple("Beijing.OPS!pub", ("E. coli", "t1", "AAA"), "v")
+        graph.add_base_tuple("Beijing.OPS!pub", ("E. coli", "t1", "AAA"))
         graph.add_derivation(
             "M", ("Crete.OPS", ("E. coli", "t1", "AAA")), [("Beijing.OPS!pub", ("E. coli", "t1", "AAA"))]
         )
@@ -128,11 +128,25 @@ class TestGroupPriority:
         )
         assert group_priority(group, policy, SIGMA2, graph, {"Beijing", "Crete"}) == 2
 
-    def test_trusted_variable_set(self):
+    def test_provenance_requirement_reads_the_peer_off_each_variable(self):
+        """A tuple both Alaska and Beijing published stays supported when
+        either is trusted, through a join with a trusted peer's tuple."""
+        policy = TrustPolicy.trust_only("Crete", {"Beijing": 2, "Alaska": 1}, others=0)
+        row = ("E. coli", "t1", "AAA")
         graph = ProvenanceGraph()
-        graph.add_base_tuple("Beijing.OPS!pub", ("a", "b", "c"), "v1")
-        graph.add_base_tuple("Alaska.OPS!pub", ("d", "e", "f"), "v2")
-        assert trusted_variable_set(graph, {"Beijing"}) == {"v1"}
+        for publisher in ("Alaska", "Beijing"):
+            graph.add_base_tuple(f"{publisher}.OPS!pub", row)
+            graph.add_derivation("M", ("Crete.OPS", row), [(f"{publisher}.OPS!pub", row)])
+        graph.add_base_tuple("Dresden.K!pub", (1,))
+        graph.add_derivation("J", ("Crete.OPS", ("E. coli", "t2", "AAA")), [
+            ("Alaska.OPS!pub", row), ("Dresden.K!pub", (1,))
+        ])
+        for trusted, expected in (({"Alaska"}, 2), ({"Beijing"}, 2), ({"Dresden"}, 0)):
+            group = TransactionGroup(candidate=candidate("t1"), members=(candidate("t1"),))
+            assert group_priority(group, policy, SIGMA2, graph, trusted) == expected, trusted
+        joined = TransactionGroup(candidate=candidate("t2"), members=(candidate("t2"),))
+        assert group_priority(joined, policy, SIGMA2, graph, {"Alaska"}) == 0
+        assert group_priority(joined, policy, SIGMA2, graph, {"Alaska", "Dresden"}) == 2
 
 
 class ScanCountingGraph(ProvenanceGraph):
@@ -150,8 +164,9 @@ class ScanCountingGraph(ProvenanceGraph):
 
 
 def test_reconcile_scans_the_graph_once_for_many_groups():
-    """With ``require_trusted_provenance`` the trusted variables come from one
-    pass over the graph per ``reconcile`` call, whatever the number of groups."""
+    """With ``require_trusted_provenance`` each check evaluates its tuple's
+    upstream cone; no ``reconcile`` call walks the whole graph, whatever the
+    number of groups."""
     policy = TrustPolicy.trust_only("Crete", {"Beijing": 2}, others=0)
     policy.require_trusted_provenance = True
     graph = ScanCountingGraph()
@@ -167,8 +182,8 @@ def test_reconcile_scans_the_graph_once_for_many_groups():
 
     result = reconciler.reconcile(batch, provenance=graph)
 
-    assert graph.scans == 1
+    assert graph.scans == 0
     assert sorted(result.accepted) == sorted(f"t{index}" for index in range(1, 12, 2))
     assert sorted(result.rejected) == sorted(f"t{index}" for index in range(0, 12, 2))
     reconciler.reconcile([], provenance=graph)
-    assert graph.scans == 1  # nothing to rank, nothing scanned
+    assert graph.scans == 0
