@@ -72,9 +72,9 @@ _TUPLE_ADJACENCY = 8
 _NAMED_BY_DEFAULT = object()
 
 #: The evaluator's value for a tuple with no acyclic derivation at all (a
-#: semiring value may be anything, ``None`` included), and for a derivation
-#: with no factor folded in yet.
+#: semiring value may be anything, ``None`` included, so none can mark it).
 _ABSENT = object()
+#: The product of a derivation before its first factor is folded in.
 _UNIT = object()
 
 
@@ -892,11 +892,11 @@ class ProvenanceGraph:
         Used by deletion propagation: after base deletions, these are the
         derived tuples that must be removed from the target instances.  The
         set is maintained on the adjacency, not recomputed: a call rechecks
-        only the downstream cone of the tuples changed since the last one.  Dead tuples stay in the graph (and in
-        this answer) until support returns; ``since`` — a
-        :meth:`support_mark` — narrows the answer to the tuples that entered
-        the set after the mark was taken, at a cost proportional to their
-        number.
+        only the downstream cone of the tuples changed since the last one.
+        Dead tuples stay in the graph (and in this answer) until support
+        returns; ``since`` — a :meth:`support_mark` — narrows the answer to
+        the tuples that entered the set after the mark was taken, at a cost
+        proportional to their number.
         """
         self._flush_dirty()
         if not since:

@@ -478,7 +478,8 @@ def test_every_semiring_is_covered():
         for value in vars(module).values()
         if isinstance(value, type) and issubclass(value, module._BaseSemiring)
     }
-    assert defined - {module._BaseSemiring} == {type(semiring) for semiring, _ in SEMIRINGS.values()}
+    covered = {type(semiring) for semiring, _ in SEMIRINGS.values()}
+    assert defined - {module._BaseSemiring} == covered
 
 
 NETWORK_SEEDS = range(1, 9)
@@ -507,7 +508,10 @@ def test_dag_equals_expanded_on_generated_network(seed):
     derived = [node.key for node in graph.tuples() if not node.is_base]
     assert derived, f"seed {seed} derived nothing"
     variables = graph.base_variables()
-    cases = [(name, semiring, _assignment(name, variables)) for name, (semiring, _) in SEMIRINGS.items()]
+    cases = [
+        (name, semiring, _assignment(name, variables))
+        for name, (semiring, _) in SEMIRINGS.items()
+    ]
     whole = {name: graph.evaluate(semiring, assignment) for name, semiring, assignment in cases}
     checked = 0
     for key in derived:
