@@ -320,8 +320,8 @@ class CDSS:
         return self._engine
 
     def explain(self) -> str:
-        """The mapping program's execution plan: the compiled join-plan
-        pipeline of each rule, one line per rule."""
+        """The mapping program's execution plan: per rule, one line with
+        its plan's steps, then the source of its generated kernel."""
         engine = self.engine
         return "\n".join(engine.backend.explain(engine.compiled_program))
 

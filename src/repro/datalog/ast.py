@@ -87,6 +87,27 @@ class SkolemTerm:
         return f"{self.function}({args})"
 
 
+_new_object = object.__new__
+_set_function = SkolemTerm.function.__set__  # type: ignore[attr-defined]
+_set_arguments = SkolemTerm.arguments.__set__  # type: ignore[attr-defined]
+_set_hash = SkolemTerm._hash.__set__  # type: ignore[attr-defined]
+
+
+def ground_term(function: str, arguments: tuple) -> SkolemTerm:
+    """``SkolemTerm(function, arguments)`` for an ``arguments`` tuple, built
+    without the dataclass ``__init__``/``__post_init__``: a labelled null.
+
+    It sets the same three fields, and the cached hash to the same value, by
+    writing the slots directly; compiled rule plans build every labelled
+    null of a rule head through it.
+    """
+    term = _new_object(SkolemTerm)
+    _set_function(term, function)
+    _set_arguments(term, arguments)
+    _set_hash(term, hash((function, arguments)))
+    return term
+
+
 #: A term is anything that can appear as an argument of an atom in a rule.
 Term = Union[Variable, Constant, SkolemTerm]
 

@@ -11,7 +11,7 @@ Negation is handled by stratifying the program first
 a negated atom is only ever evaluated against a fully computed relation.
 
 Since the compiled-execution refactor, this module no longer interprets rule
-bodies itself: rules are compiled once into join plans
+bodies itself: rules are compiled once into generated kernels
 (:mod:`repro.datalog.plan`) and executed by the shared engine
 (:mod:`repro.datalog.executor`) that also powers incremental maintenance and
 provenance recording.  :class:`Database` pre-builds the column indexes a
@@ -121,27 +121,23 @@ class Database:
     def ensure_indexes(self, demanded: Iterable[tuple[str, int]]) -> None:
         """Pre-build the column indexes a compiled program's plans will probe."""
         for predicate, position in demanded:
-            positions = self._indexes.get(predicate)
-            if positions is None or position not in positions:
-                self._build_index(predicate, position)
+            self.column_index(predicate, position)
 
-    def probe(self, predicate: str, position: int, value: object) -> Bucket:
-        """Matching tuples for an index probe: the index bucket itself.
+    def column_index(self, predicate: str, position: int) -> dict[object, Bucket]:
+        """The live index of ``predicate``'s column ``position``: value ->
+        bucket of tuples, built the first time it is asked for.
 
-        Executor-internal: the bucket is a tuple of rows or, past a small
-        bound, a set, so callers only iterate it.  It is not copied, so
-        callers must not mutate the database while iterating it (rule firing
-        materialises its results before any insertion, so plan execution
-        never does).
+        Executor-internal: a kernel fetches each index it probes once per
+        call.  A bucket is a tuple of rows or, past a small bound, a set, so
+        callers only iterate it; nothing is copied, so callers must not
+        mutate the database while reading it (rule firing materialises its
+        results before any insertion, so plan execution never does).
         """
         positions = self._indexes.get(predicate)
-        if positions is None:
+        buckets = positions.get(position) if positions is not None else None
+        if buckets is None:
             buckets = self._build_index(predicate, position)
-        else:
-            buckets = positions.get(position)
-            if buckets is None:
-                buckets = self._build_index(predicate, position)
-        return buckets.get(value, ())
+        return buckets
 
     def rows(self, predicate: str) -> set[tuple]:
         """The live tuple set of ``predicate`` (executor-internal; do not mutate)."""
@@ -153,7 +149,7 @@ class Database:
         Builds (and afterwards maintains) a hash index on that column the
         first time it is probed.
         """
-        return frozenset(self.probe(predicate, position, value))
+        return frozenset(self.column_index(predicate, position).get(value, ()))
 
     def contains(self, predicate: str, values: tuple) -> bool:
         relation = self._relations.get(predicate)
@@ -232,7 +228,7 @@ def evaluate_program(
     supported through stratification; an unstratifiable program raises
     :class:`~repro.errors.StratificationError`.  The program is compiled
     once (cached across calls by structural identity) and executed through
-    the closure executor in :mod:`repro.datalog.executor`.
+    the executor in :mod:`repro.datalog.executor`.
     """
     compiled = compile_program(program)
     working = database.copy() if copy else database

@@ -20,11 +20,17 @@ What differs between them is only the *firing hook*:
   evaluated on that graph later instead of multiplying out polynomials per
   derived tuple.
 
+A rule application is one call of a generated kernel: the plan's
+``heads`` (plain and delta derivation) or ``firings`` (provenance
+recording), straight-line loops that :mod:`repro.datalog.plan` writes once
+per rule shape, with the rule's names and constants passed in as values
+and never written into the source.
+
 The semi-naive fixpoint loop itself (:func:`run_stratum` /
 :func:`run_program`) is likewise shared, so the firing semantics of a whole
 evaluation is chosen by passing (or omitting) a ``recorder``.
 
-:class:`PythonExecutionBackend` is the closure executor the incremental
+:class:`PythonExecutionBackend` is the executor the incremental
 engine holds: a stateless wrapper over :func:`run_program` plus the
 delta-propagation loop, with its counters in :class:`ExecutionStats`.
 """
@@ -32,6 +38,7 @@ delta-propagation loop, with its counters in :class:`ExecutionStats`.
 from __future__ import annotations
 
 from collections import defaultdict
+from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 from ..errors import DatalogError
@@ -49,6 +56,8 @@ from .plan import (
 #: its firings, each ``(head_values, *source_rows)``: the derived head tuple
 #: and the matched positive body rows in original body order.
 Recorder = Callable[[str, tuple[str, ...], list[tuple]], object]
+
+_HEAD = itemgetter(0)
 
 
 class ExecutionStats:
@@ -100,7 +109,7 @@ def fire_rule(
         firings = plan.firings(database, delta)
         if firings:
             recorder(compiled.label, compiled.signature, firings)
-        fired, derived = len(firings), {firing[0] for firing in firings}
+        fired, derived = len(firings), set(map(_HEAD, firings))
     if stats is not None:
         stats.rules_fired += fired
     return derived
@@ -230,7 +239,7 @@ def run_program(
 
 
 class PythonExecutionBackend:
-    """The closure executor behind :class:`~repro.datalog.incremental.IncrementalEngine`.
+    """The executor behind :class:`~repro.datalog.incremental.IncrementalEngine`.
 
     A thin, stateless wrapper over this module's :func:`run_program` plus the
     semi-naive delta-propagation loop.
@@ -317,10 +326,12 @@ class PythonExecutionBackend:
         return dict(inserted)
 
     def explain(self, compiled: CompiledProgram) -> list[str]:
-        """Human-readable join-plan dump, one line per compiled rule."""
+        """Human-readable plan dump: per compiled rule, one line with its
+        plain plan's steps, then that plan's kernel source, indented."""
         lines = []
         for rule in compiled.rules:
             plan = rule.plan_for(None)
-            lines.append(f"{rule.rule}  --  {plan.kind}: " + " -> ".join(plan.description))
+            lines.append(f"{rule.rule}  --  " + " -> ".join(plan.description))
+            lines += [f"    {line}" if line else "" for line in plan.source.splitlines()]
         return lines
 

@@ -17,9 +17,9 @@ scratch.  This module implements:
     depending on the deleted facts, then re-derive what still has an
     alternative derivation.  Used as the non-provenance ablation baseline.
 
-Both paths fire rules through the closure executor
+Both paths fire rules through the executor
 (:class:`~repro.datalog.executor.PythonExecutionBackend`): the program is
-compiled to join plans once at engine construction (cached by structural
+compiled to rule kernels once at engine construction (cached by structural
 identity, so every engine over the same mapping program shares the plans),
 and provenance recording is just a different firing hook on the same plans.
 """
@@ -127,7 +127,7 @@ class IncrementalEngine:
 
     @property
     def compiled(self) -> CompiledProgram:
-        """The compiled join plans this engine executes.
+        """The compiled rule plans this engine executes.
 
         ``Program`` is deliberately mutable (rules can be added after
         construction), so the compilation is refreshed whenever the rule

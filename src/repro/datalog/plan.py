@@ -1,37 +1,43 @@
-"""Compilation of datalog rules into executable join plans.
+"""Compilation of datalog rules into generated Python kernels.
 
 Historically the repo carried three tuple-at-a-time evaluators (plain,
 incremental, provenance) that each re-planned joins on every rule
-application: every candidate tuple allocated a fresh substitution, every
-probe re-derived which column index to use, and every semi-naive round
-re-sorted the body.
-This module does all of that work **once per rule**:
+application, and then a chain of continuation closures per rule that still
+interpreted each candidate row (a match loop over op tuples, a getter
+lambda per head term).  This module plans each rule **once** and writes
+every plan out as straight-line Python source:
 
-* **Variable slots** — every variable of a rule is assigned an integer slot
-  in a flat environment list, so binding/checking a variable is a list
-  access instead of a dict copy.
 * **Greedy bound-variable atom ordering** — body atoms are ordered so that
   each atom shares as many already-bound variables as possible with the
   prefix before it (the delta atom, when compiling a semi-naive variant,
   always comes first).
 * **Pre-resolved index probes** — for each atom the compiler picks the
   first position that is statically ground (a constant, an already-bound
-  variable, or a skolem term over bound variables) and emits a
-  ``(predicate, position)`` probe against the database's column index; the
-  set of all probes a plan can issue is exported as
+  variable, or a skolem term over bound variables) and probes the
+  database's column index on it; the set of all ``(predicate, position)``
+  probes a plan can issue is exported as
   :attr:`CompiledProgram.demanded_indexes` so databases can pre-build them.
 * **Early guard placement** — comparisons and negated atoms run at the
   earliest point where all their variables are bound, instead of trailing
   the whole join.
-* **Head projection closure** — the head atom compiles to a closure from
-  the environment to the ground output tuple (building labelled nulls for
-  skolem terms); a head of two or more plain variables compiles to an
-  ``operator.itemgetter`` over their slots.
-* **Copy plans** — a rule ``H(x̄) :- B(ȳ)`` with one positive body atom over
-  distinct plain variables and a head of plain variables (the mappings'
-  identity copies and the publication rules) skips the closure chain: it
-  fires as one comprehension over the delta or relation rows, handing the
-  row itself or an ``itemgetter`` pick of it over, with an arity check.
+* **One kernel per plan** — a plan is two generated functions,
+  ``heads(database, delta)`` and ``firings(database, delta)``: nested
+  ``for`` loops over the delta rows, index buckets or relation rows, one
+  per positive atom in plan order, with the arity, constant,
+  bound-variable, repeated-variable and nested-skolem checks inlined as
+  ``if``\\ s and the guards where the ordering puts them.  Variables are
+  locals; each kernel fetches the column indexes it probes once per call.
+  The head is a tuple display (labelled nulls built through
+  :func:`~repro.datalog.ast.ground_term`), or the matched row itself
+  when the head repeats an atom whose columns it binds, as the mappings'
+  identity copies do.
+* **Kernels keyed by shape** — no spec text enters generated source:
+  predicate names, constants, skolem function names and comparison
+  operators are arguments of a generated factory ``make(...)``, and
+  variables are numbered in binding order.  The source is therefore a
+  function of the rule's shape alone and is the cache key of its compiled
+  factory, so one ``compile()`` serves every rule of a shape (the 201 copy
+  rules of a star network share two).  :attr:`RulePlan.source` shows it.
 * **Exact delta plans** — the delta plan for body position *i* reads the
   relation *minus the current delta* at every positive position *j < i*
   (ΔRᵢ ⋈ R_old for j < i, ΔRᵢ ⋈ R_new for j > i, as in pydbsp's
@@ -42,8 +48,7 @@ This module does all of that work **once per rule**:
   plans.  A rule whose head predicate is also in its body keeps full
   relations (see :meth:`CompiledRule._build_plan`).
 
-Join plans compile to chains of continuation closures; every plan exposes
-``heads`` and ``firings``, which :mod:`repro.datalog.executor` calls with
+:mod:`repro.datalog.executor` calls a plan's ``heads`` or ``firings`` with
 the database and delta of a rule application, so plain derivation,
 delta-substitution and provenance recording share this single backbone.
 
@@ -54,9 +59,10 @@ mapping program share one plan), bounded by a FIFO eviction policy.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import chain
 from operator import itemgetter
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from ..errors import DatalogError
 from .ast import (
@@ -67,46 +73,10 @@ from .ast import (
     Rule,
     SkolemTerm,
     Variable,
+    ground_term,
     term_variables,
 )
 from .stratification import stratify
-
-#: Sentinel stored in environment slots that carry no binding yet.
-UNBOUND = object()
-
-_EMPTY: tuple = ()
-
-
-# ---------------------------------------------------------------------------
-# Value getters: env -> ground value (for probes, guards, head projection)
-# ---------------------------------------------------------------------------
-
-def _value_getter(term, slots: dict[Variable, int], bound: set[Variable]):
-    """Compile ``term`` to a closure ``env -> ground value``.
-
-    Every variable the term mentions must already be in ``bound``; rule
-    safety (checked at compile time) guarantees this for heads and guards.
-    """
-    if isinstance(term, Constant):
-        value = term.value
-        return lambda env: value
-    if isinstance(term, Variable):
-        if term not in bound:
-            raise DatalogError(
-                f"variable {term.name} used before it is bound by a positive atom"
-            )
-        slot = slots[term]
-        return lambda env: env[slot]
-    if isinstance(term, SkolemTerm):
-        getters = tuple(
-            _value_getter(argument, slots, bound)
-            if isinstance(argument, (Constant, Variable, SkolemTerm))
-            else (lambda raw: (lambda env: raw))(argument)
-            for argument in term.arguments
-        )
-        function = term.function
-        return lambda env: SkolemTerm(function, tuple(g(env) for g in getters))
-    raise DatalogError(f"cannot compile term {term!r}")
 
 
 def _term_is_ground(term, bound: set[Variable]) -> bool:
@@ -120,299 +90,233 @@ def _term_is_ground(term, bound: set[Variable]) -> bool:
     return False
 
 
+def _is_term(value) -> bool:
+    return isinstance(value, (Constant, Variable, SkolemTerm))
+
+
+def _occurrences(terms, counts: Counter) -> None:
+    """Count every variable occurrence in ``terms`` (recursing into skolems)."""
+    for term in terms:
+        counts.update(term_variables(term))
+
+
+def _display(items: Sequence[str]) -> str:
+    """A Python tuple display of ``items``."""
+    if len(items) == 1:
+        return f"({items[0]},)"
+    return f"({', '.join(items)})"
+
+
 # ---------------------------------------------------------------------------
-# Atom matching: row x env -> bool (binding fresh slots in place)
+# Kernel source
 # ---------------------------------------------------------------------------
 
-def _compile_skolem_matcher(
-    term: SkolemTerm,
-    slots: dict[Variable, int],
-    bound: set[Variable],
-    fresh: list[int],
-):
-    """Structural matcher for a skolem term in a body position.
+#: The globals every kernel runs with; nothing else is in scope.
+_KERNEL_GLOBALS = {"SkolemTerm": SkolemTerm, "ground_term": ground_term}
 
-    The candidate value must be a skolem term with the same function and
-    arity, and the arguments match recursively (binding still-free
-    variables).
+
+class _KernelWriter:
+    """Writes the loop nest of one plan.
+
+    Spec values are never written into the source: each becomes a factory
+    parameter (``p`` predicates, ``c`` constants, ``f`` skolem functions,
+    ``e`` comparison evaluators) whose value is kept in :attr:`arguments`.
     """
-    ops: list[tuple] = []
-    for index, argument in enumerate(term.arguments):
-        if isinstance(argument, Constant):
-            ops.append(("const", index, argument.value))
-        elif isinstance(argument, Variable):
-            if argument in bound:
-                ops.append(("check", index, slots[argument]))
-            else:
-                bound.add(argument)
-                fresh.append(slots[argument])
-                ops.append(("bind", index, slots[argument]))
-        elif isinstance(argument, SkolemTerm):
-            ops.append(
-                ("skolem", index, _compile_skolem_matcher(argument, slots, bound, fresh))
-            )
-        else:  # raw pre-ground value inside a skolem term
-            ops.append(("const", index, argument))
-    function = term.function
-    arity = len(term.arguments)
 
-    def matcher(value, env) -> bool:
-        if (
-            not isinstance(value, SkolemTerm)
-            or value.function != function
-            or len(value.arguments) != arity
-        ):
-            return False
-        arguments = value.arguments
-        for kind, index, payload in ops:
-            if kind == "const":
-                if payload != arguments[index]:
-                    return False
-            elif kind == "check":
-                if env[payload] != arguments[index]:
-                    return False
-            elif kind == "bind":
-                env[payload] = arguments[index]
-            else:  # nested skolem
-                if not payload(arguments[index], env):
-                    return False
-        return True
+    def __init__(self, used: Counter) -> None:
+        #: How often each variable occurs; one occurrence is never read back.
+        self.used = used
+        self.parameters: list[str] = []
+        self.arguments: list[object] = []
+        self.prologue: list[str] = []
+        self.body: list[str] = []
+        self.depth = 0
+        self.locals: dict[Variable, str] = {}
+        self.temps = 0
 
-    return matcher
+    def argument(self, kind: str, value) -> str:
+        name = f"{kind}{len(self.arguments)}"
+        self.parameters.append(name)
+        self.arguments.append(value)
+        return name
 
+    def temp(self, kind: str) -> str:
+        self.temps += 1
+        return f"{kind}{self.temps}"
 
-def _compile_atom_match(
-    atom: Atom,
-    slots: dict[Variable, int],
-    bound: set[Variable],
-    skip_position: Optional[int],
-):
-    """Compile the per-row match test of one positive atom.
+    def line(self, text: str) -> None:
+        self.body.append("    " * self.depth + text)
 
-    Returns ``(match, fresh_slots)`` where ``match(row, env)`` extends the
-    environment in place and ``fresh_slots`` lists the slots this atom may
-    bind (they are reset by the executor after each candidate).  The probed
-    position, if any, is skipped: the index bucket already guarantees it.
-    """
-    arity = len(atom.terms)
-    const_checks: list[tuple[int, object]] = []
-    slot_checks: list[tuple[int, int]] = []  # against slots bound before this atom
-    post_checks: list[tuple[int, int]] = []  # against slots this atom binds
-    binds: list[tuple[int, int]] = []
-    ordered: list[tuple] = []  # generic path preserving position order
-    fresh: list[int] = []
-    fresh_variables: set[Variable] = set()
-    needs_order = False
+    def reject(self, condition: str) -> None:
+        """Skip the current candidate when ``condition`` holds (before any
+        loop there is no candidate yet, so the kernel returns)."""
+        self.line(f"if {condition}: {'continue' if self.depth else 'return found'}")
 
-    for position, term in enumerate(atom.terms):
-        if position == skip_position:
-            continue
+    def bind(self, variable: Variable) -> str:
+        """The local a first occurrence of ``variable`` is stored in
+        (``_`` when nothing reads it back)."""
+        if self.used[variable] < 2:
+            self.locals[variable] = "_"
+            return "_"
+        name = self.locals[variable] = f"v{len(self.locals)}"
+        return name
+
+    def value(self, term) -> str:
+        """An expression for a term whose variables are all bound."""
+        if isinstance(term, Variable):
+            return self.locals[term]
         if isinstance(term, Constant):
-            const_checks.append((position, term.value))
-            ordered.append(("const", position, term.value))
-        elif isinstance(term, Variable):
-            if term in fresh_variables:
-                # Repeated variable within this atom: its binding happens at
-                # an earlier position, so the check must run after the binds.
-                post_checks.append((position, slots[term]))
-                ordered.append(("check", position, slots[term]))
-            elif term in bound:
-                slot_checks.append((position, slots[term]))
-                ordered.append(("check", position, slots[term]))
-            else:
-                bound.add(term)
-                fresh_variables.add(term)
-                fresh.append(slots[term])
-                binds.append((position, slots[term]))
-                ordered.append(("bind", position, slots[term]))
+            return self.argument("c", term.value)
+        if isinstance(term, SkolemTerm):
+            arguments = [
+                self.value(argument) if _is_term(argument) else self.argument("c", argument)
+                for argument in term.arguments
+            ]
+            function = self.argument("f", term.function)
+            return f"ground_term({function}, {_display(arguments)})"
+        raise DatalogError(f"cannot compile term {term!r}")
+
+    def match(self, term, held: str) -> None:
+        """Check (and bind from) the value ``held`` (a local or a subscript)
+        against a term that is not a first plain-variable occurrence."""
+        if isinstance(term, Variable):
+            if term in self.locals:
+                self.reject(f"{self.locals[term]} != {held}")
+            elif (name := self.bind(term)) != "_":
+                self.line(f"{name} = {held}")
         elif isinstance(term, SkolemTerm):
-            # A later plain-variable check may depend on a slot this matcher
-            # binds, so the generic ordered path must be used.
-            needs_order = True
-            before = set(bound)
-            matcher = _compile_skolem_matcher(term, slots, bound, fresh)
-            fresh_variables |= bound - before
-            ordered.append(("skolem", position, matcher))
+            function = self.argument("f", term.function)
+            self.reject(
+                f"not isinstance({held}, SkolemTerm) or {held}.function != {function}"
+                f" or len({held}.arguments) != {len(term.arguments)}"
+            )
+            arguments = self.temp("a")
+            self.line(f"{arguments} = {held}.arguments")
+            for index, argument in enumerate(term.arguments):
+                item = f"{arguments}[{index}]"
+                if isinstance(argument, SkolemTerm):
+                    nested, item = item, self.temp("h")
+                    self.line(f"{item} = {nested}")
+                self.match(argument, item)
+        else:  # a constant, or a raw value inside a skolem term
+            value = term.value if isinstance(term, Constant) else term
+            self.reject(f"{self.argument('c', value)} != {held}")
+
+    def atom(self, atom: Atom, position: int, mode: str, describe: list[str]):
+        """Open the loop of one positive atom; returns its probe, if any.
+
+        ``mode`` says which rows the atom reads: ``"delta"`` the current
+        delta, ``"full"`` the whole relation, ``"old"`` the relation minus
+        the current delta (the atoms before the delta atom of an exact delta
+        plan).
+        """
+        predicate = self.argument("p", atom.predicate)
+        probe: Optional[int] = None
+        if mode != "delta":
+            bound = set(self.locals)
+            probe = next(
+                (index for index, term in enumerate(atom.terms) if _term_is_ground(term, bound)),
+                None,
+            )
+        row = f"r{position}"
+        if mode == "delta":
+            self.prologue.append(f"d{position} = delta.get({predicate}, ())")
+            rows = f"d{position}"
+            describe.append(f"delta {atom.predicate}")
+        elif probe is not None:
+            self.prologue.append(f"x{position} = database.column_index({predicate}, {probe})")
+            rows = f"x{position}.get({self.value(atom.terms[probe])}, ())"
+            describe.append(f"probe {atom.predicate}[{probe}]")
         else:
-            raise DatalogError(f"cannot compile body term {term!r} of {atom!r}")
+            self.prologue.append(f"t{position} = database.rows({predicate})")
+            rows = f"t{position}"
+            describe.append(f"scan {atom.predicate}")
+        self.line(f"for {row} in {rows}:")
+        self.depth += 1
+        if mode == "old":
+            describe[-1] += " \\ delta"
+            self.prologue.append(f"s{position} = delta.get({predicate}, ())")
+            self.reject(f"{row} in s{position}")
+        self.reject(f"len({row}) != {len(atom.terms)}")
 
-    if needs_order:
-        steps = tuple(ordered)
+        # A variable is bound where it first occurs in column order (skolem
+        # arguments included).  A first occurrence as a plain column unpacks
+        # straight into its local; every other column is held in a
+        # temporary and matched, in column order, after the unpacking.
+        targets: list[str] = []
+        later: list[tuple[object, str]] = []
+        in_skolems: set[Variable] = set()
+        for index, term in enumerate(atom.terms):
+            if index == probe:  # the index bucket already guarantees it
+                targets.append("_")
+            elif (
+                isinstance(term, Variable)
+                and term not in self.locals
+                and term not in in_skolems
+            ):
+                targets.append(self.bind(term))
+            else:
+                held = self.temp("h")
+                targets.append(held)
+                later.append((term, held))
+                if isinstance(term, SkolemTerm):
+                    in_skolems.update(term_variables(term))
+        named = [(index, name) for index, name in enumerate(targets) if name != "_"]
+        if len(named) == 1:
+            index, name = named[0]
+            self.line(f"{name} = {row}[{index}]")
+        elif named:
+            self.line(f"{', '.join(targets)} = {row}")
+        for term, held in later:
+            self.match(term, held)
+        return (atom.predicate, probe) if probe is not None else None
 
-        def match(row, env) -> bool:
-            if len(row) != arity:
-                return False
-            for kind, position, payload in steps:
-                if kind == "const":
-                    if payload != row[position]:
-                        return False
-                elif kind == "check":
-                    if env[payload] != row[position]:
-                        return False
-                elif kind == "bind":
-                    env[payload] = row[position]
-                else:
-                    if not payload(row[position], env):
-                        return False
-            return True
+    def comparison(self, comparison: Comparison, describe: list[str]) -> None:
+        left, right = self.value(comparison.left), self.value(comparison.right)
+        self.reject(f"not {self.argument('e', comparison.evaluate)}({left}, {right})")
+        describe.append(f"compare {comparison.op}")
 
-        return match, tuple(fresh)
+    def negation(self, atom: Atom, position: int, describe: list[str]) -> None:
+        self.prologue.append(f"n{position} = database.rows({self.argument('p', atom.predicate)})")
+        values = [self.value(term) for term in atom.terms]
+        self.reject(f"{_display(values)} in n{position}")
+        describe.append(f"negation {atom.predicate}")
 
-    consts = tuple(const_checks)
-    checks = tuple(slot_checks)
-    bind_ops = tuple(binds)
-    late_checks = tuple(post_checks)
-
-    def match(row, env) -> bool:
-        if len(row) != arity:
-            return False
-        for position, value in consts:
-            if value != row[position]:
-                return False
-        for position, slot in checks:
-            if env[slot] != row[position]:
-                return False
-        for position, slot in bind_ops:
-            env[slot] = row[position]
-        for position, slot in late_checks:
-            if env[slot] != row[position]:
-                return False
-        return True
-
-    return match, tuple(fresh)
-
-
-# ---------------------------------------------------------------------------
-# Step continuations
-# ---------------------------------------------------------------------------
-#
-# Each ``_make_*_step`` compiles one literal in plan order (so the bound
-# variable set and the description evolve forward) and returns a *linker*:
-# ``link(next_step) -> step``.  The plan links the steps back to front, so
-# every step calls its successor directly.
-
-def _terminal(database, delta, env, regs, emit) -> None:
-    emit(env, regs)
-
-
-def _make_atom_step(
-    atom: Atom,
-    slots: dict[Variable, int],
-    bound: set[Variable],
-    reg: int,
-    mode: str,
-    describe: list[str],
-):
-    """Compile one positive body atom into a candidate-enumeration step.
-
-    ``mode`` says which rows the atom reads: ``"delta"`` the current delta,
-    ``"full"`` the whole relation, ``"old"`` the relation minus the current
-    delta (the atoms before the delta atom of an exact delta plan).
-    Returns ``(link, probe)`` with ``probe`` the ``(predicate, position)``
-    index the step probes, if any.
-    """
-    predicate = atom.predicate
-
-    probe_position: Optional[int] = None
-    probe_getter = None
-    if mode != "delta":
-        for position, term in enumerate(atom.terms):
-            if _term_is_ground(term, bound):
-                probe_position = position
-                probe_getter = _value_getter(term, slots, bound)
-                break
-
-    match, reset = _compile_atom_match(atom, slots, bound, probe_position)
-    # ``reset``: the slots this step binds; statically unbound before it.
-
-    if mode == "delta":
-        describe.append(f"delta {predicate}")
-
-        def rows_of(database, delta, env):
-            return delta.get(predicate, _EMPTY)
-
-    elif probe_position is not None:
-        describe.append(f"probe {predicate}[{probe_position}]")
-        position = probe_position
-        getter = probe_getter
-
-        def rows_of(database, delta, env):
-            return database.probe(predicate, position, getter(env))
-
-    else:
-        describe.append(f"scan {predicate}")
-
-        def rows_of(database, delta, env):
-            return database.rows(predicate)
-
-    if mode == "old":
-        describe[-1] += " \\ delta"
-
-        def link(next_step):
-            def step(database, delta, env, regs, emit):
-                skip = delta.get(predicate)
-                for row in rows_of(database, delta, env):
-                    if skip and row in skip:
-                        continue
-                    if match(row, env):
-                        regs[reg] = row
-                        next_step(database, delta, env, regs, emit)
-                    for slot in reset:
-                        env[slot] = UNBOUND
-            return step
-
-    else:
-
-        def link(next_step):
-            def step(database, delta, env, regs, emit):
-                for row in rows_of(database, delta, env):
-                    if match(row, env):
-                        regs[reg] = row
-                        next_step(database, delta, env, regs, emit)
-                    for slot in reset:
-                        env[slot] = UNBOUND
-            return step
-
-    return link, (predicate, probe_position) if probe_position is not None else None
+    def source(self, head: str, sources: Sequence[int]) -> str:
+        """The factory ``make(...)`` returning the ``(heads, firings)`` pair."""
+        firing = _display([head, *(f"r{position}" for position in sources)])
+        lines = [f"def make({', '.join(self.parameters)}):"]
+        for name, emitted in (("heads", head), ("firings", firing)):
+            lines += [
+                f"    def {name}(database, delta):",
+                *(f"        {line}" for line in self.prologue),
+                "        found = []",
+                "        append = found.append",
+                *(f"        {line}" for line in self.body),
+                f"        {'    ' * self.depth}append({emitted})",
+                "        return found",
+                "",
+            ]
+        lines.append("    return heads, firings")
+        return "\n".join(lines) + "\n"
 
 
-def _make_comparison_step(
-    comparison: Comparison,
-    slots: dict[Variable, int],
-    bound: set[Variable],
-    describe: list[str],
-):
-    left = _value_getter(comparison.left, slots, bound)
-    right = _value_getter(comparison.right, slots, bound)
-    evaluate = comparison.evaluate
-    describe.append(f"compare {comparison.op}")
-
-    def link(next_step):
-        def step(database, delta, env, regs, emit):
-            if evaluate(left(env), right(env)):
-                next_step(database, delta, env, regs, emit)
-        return step
-
-    return link
+_FACTORIES: dict[str, Callable] = {}
+_FACTORY_LIMIT = 4096
 
 
-def _make_negation_step(
-    atom: Atom,
-    slots: dict[Variable, int],
-    bound: set[Variable],
-    describe: list[str],
-):
-    getters = tuple(_value_getter(term, slots, bound) for term in atom.terms)
-    predicate = atom.predicate
-    describe.append(f"negation {predicate}")
-
-    def link(next_step):
-        def step(database, delta, env, regs, emit):
-            if not database.contains(predicate, tuple(g(env) for g in getters)):
-                next_step(database, delta, env, regs, emit)
-        return step
-
-    return link
+def _factory(source: str) -> Callable:
+    """The compiled ``make`` of a kernel source, shared by every plan of its
+    shape."""
+    make = _FACTORIES.get(source)
+    if make is None:
+        namespace = dict(_KERNEL_GLOBALS)
+        exec(compile(source, "<kernel>", "exec"), namespace)
+        make = namespace["make"]
+        if len(_FACTORIES) >= _FACTORY_LIMIT:
+            _FACTORIES.pop(next(iter(_FACTORIES)))
+        _FACTORIES[source] = make
+    return make
 
 
 # ---------------------------------------------------------------------------
@@ -492,123 +396,43 @@ class RulePlan:
     firing order (a head derived twice is listed twice);
     ``firings(database, delta)`` lists every firing as ``(head, *source
     rows)``, the matched positive body rows in body order, for provenance.
-    ``kind`` is ``"copy"`` for a copy plan and ``"join"`` for a closure plan;
-    ``project`` is the head projection (``env -> head`` for a join plan,
-    ``row -> head`` for a copy plan, ``None`` for an identity copy).
+    :attr:`source` is the generated kernel both come from.
     """
 
-    __slots__ = ("kind", "heads", "firings", "project", "probes", "description")
+    __slots__ = ("heads", "firings", "probes", "description", "_source")
 
-    def __init__(self, kind, heads, firings, project, probes, description) -> None:
-        self.kind = kind
+    def __init__(self, heads, firings, probes, description, source: str) -> None:
         self.heads = heads
         self.firings = firings
-        self.project = project
         self.probes = probes
         self.description = description
+        self._source = source
+
+    @property
+    def source(self) -> str:
+        """The kernel's Python source, shared by every plan of the same shape
+        (it names no predicate, constant or skolem function)."""
+        return self._source
 
 
-def _copy_columns(rule: Rule) -> Optional[tuple[int, ...]]:
-    """The head as column positions of the body atom, for a copy rule.
+def _identity_position(rule: Rule, ordered) -> Optional[int]:
+    """The body position whose matched row *is* the head, if any.
 
-    A copy rule ``H(x̄) :- B(ȳ)`` has one positive body atom over distinct
-    plain variables and a head of plain variables (each bound by the atom,
-    by rule safety); anything else returns ``None`` and keeps a join plan.
+    That is the first positive atom (in plan order) whose terms are the
+    head's, all distinct plain variables, none bound before it: every column
+    binds its variable, so the tuple display of the head would rebuild the
+    row with the same values.
     """
-    if len(rule.body) != 1:
+    terms = rule.head.terms
+    if len(set(terms)) != len(terms) or not all(isinstance(term, Variable) for term in terms):
         return None
-    atom = rule.body[0]
-    if not isinstance(atom, Atom) or atom.negated:
-        return None
-    terms = atom.terms
-    if len(set(terms)) != len(terms) or not all(
-        isinstance(term, Variable) for term in (*terms, *rule.head.terms)
-    ):
-        return None
-    column = {variable: index for index, variable in enumerate(terms)}
-    return tuple(column[variable] for variable in rule.head.terms)
-
-
-def _copy_plan(atom: Atom, columns: tuple[int, ...], use_delta: bool) -> RulePlan:
-    """A copy rule fired as one comprehension over the delta or relation rows.
-
-    The head is the row itself (identity), an ``itemgetter`` pick of its
-    columns (permutation or projection), or a one-column/empty tuple; rows
-    of another arity match nothing, as in a join plan.
-    """
-    predicate = atom.predicate
-    arity = len(atom.terms)
-    if use_delta:
-        def rows_of(database, delta):
-            return delta.get(predicate, _EMPTY)
-    else:
-        def rows_of(database, delta):
-            return database.rows(predicate)
-
-    if columns == tuple(range(arity)):
-        project = None
-
-        def heads(database, delta):
-            return [row for row in rows_of(database, delta) if len(row) == arity]
-
-        def firings(database, delta):
-            return [(row, row) for row in rows_of(database, delta) if len(row) == arity]
-
-    else:
-        if len(columns) > 1:
-            project = itemgetter(*columns)
-        elif columns:
-            column = columns[0]
-            project = lambda row: (row[column],)
-        else:
-            project = lambda row: ()
-
-        def heads(database, delta):
-            return [project(row) for row in rows_of(database, delta) if len(row) == arity]
-
-        def firings(database, delta):
-            return [
-                (project(row), row) for row in rows_of(database, delta) if len(row) == arity
-            ]
-
-    description = (f"{'delta' if use_delta else 'scan'} {predicate}",)
-    return RulePlan("copy", heads, firings, project, frozenset(), description)
-
-
-def _join_plan(run, project, num_slots: int, reg_count: int, sources: tuple[int, ...]):
-    """``(heads, firings)`` of a closure plan: ``run`` enumerates every
-    satisfying environment and the per-call ``emit`` collects it."""
-
-    def heads(database, delta):
-        found: list = []
-        append = found.append
-
-        def emit(env, regs):
-            append(project(env))
-
-        run(database, delta, [UNBOUND] * num_slots, [None] * reg_count, emit)
-        return found
-
-    pick = itemgetter(*sources) if len(sources) > 1 else None
-    source = sources[0] if len(sources) == 1 else None
-
-    def firings(database, delta):
-        found: list = []
-        append = found.append
-        if pick is not None:
-            def emit(env, regs):
-                append((project(env), *pick(regs)))
-        elif source is not None:
-            def emit(env, regs):
-                append((project(env), regs[source]))
-        else:
-            def emit(env, regs):
-                append((project(env),))
-
-        run(database, delta, [UNBOUND] * num_slots, [None] * reg_count, emit)
-        return found
-
-    return heads, firings
+    bound: set[Variable] = set()
+    for position, literal, _ in ordered:
+        if isinstance(literal, Atom) and not literal.negated:
+            if literal.terms == terms and bound.isdisjoint(terms):
+                return position
+            bound |= literal.variables()
+    return None
 
 
 class CompiledRule:
@@ -619,25 +443,12 @@ class CompiledRule:
     firing a plan's ``firings`` lists.
     """
 
-    __slots__ = (
-        "rule", "label", "signature", "num_slots", "reg_count",
-        "positive_positions", "_plans",
-    )
+    __slots__ = ("rule", "label", "signature", "positive_positions", "_plans")
 
     def __init__(self, rule: Rule) -> None:
         rule.validate()
         self.rule = rule
         self.label = rule.label or f"rule:{rule.head.predicate}"
-        variables: set[Variable] = set()
-        variables.update(rule.head.variables())
-        for literal in rule.body:
-            variables.update(literal.variables())
-        slots = {
-            variable: index
-            for index, variable in enumerate(sorted(variables, key=lambda v: v.name))
-        }
-        self.num_slots = len(slots)
-        self.reg_count = len(rule.body)
         self.positive_positions = tuple(
             position
             for position, literal in enumerate(rule.body)
@@ -647,21 +458,12 @@ class CompiledRule:
             rule.head.predicate,
             *(rule.body[position].predicate for position in self.positive_positions),
         )
-        columns = _copy_columns(rule)
-        if columns is not None:
-            self._plans: dict[Optional[int], RulePlan] = {
-                None: _copy_plan(rule.body[0], columns, False),
-                0: _copy_plan(rule.body[0], columns, True),
-            }
-            return
-        self._plans = {None: self._build_plan(slots, None)}
+        self._plans: dict[Optional[int], RulePlan] = {None: self._build_plan(None)}
         for position in self.positive_positions:
-            self._plans[position] = self._build_plan(slots, position)
+            self._plans[position] = self._build_plan(position)
 
-    def _build_plan(
-        self, slots: dict[Variable, int], delta_position: Optional[int]
-    ) -> RulePlan:
-        """The closure plan for one delta position (``None``: the plain plan).
+    def _build_plan(self, delta_position: Optional[int]) -> RulePlan:
+        """The kernel for one delta position (``None``: the plain plan).
 
         A delta plan is exact: atoms before the delta position read their
         relation minus the current delta, so a combination whose rows all
@@ -675,16 +477,24 @@ class CompiledRule:
         rule = self.rule
         ordered = _order_literals(rule, delta_position)
         recursive = self.signature[0] in self.signature[1:]
-        bound: set[Variable] = set()
+        identity = _identity_position(rule, ordered)
+        used: Counter = Counter()
+        for literal in rule.body:
+            _occurrences(
+                literal.terms if isinstance(literal, Atom) else (literal.left, literal.right),
+                used,
+            )
+        if identity is None:
+            _occurrences(rule.head.terms, used)
+
+        writer = _KernelWriter(used)
         probes: set[tuple[str, int]] = set()
         description: list[str] = []
-
-        links: list = []
         for position, literal, use_delta in ordered:
             if isinstance(literal, Comparison):
-                links.append(_make_comparison_step(literal, slots, bound, description))
+                writer.comparison(literal, description)
             elif literal.negated:
-                links.append(_make_negation_step(literal, slots, bound, description))
+                writer.negation(literal, position, description)
             else:
                 if use_delta:
                     mode = "delta"
@@ -696,34 +506,16 @@ class CompiledRule:
                     mode = "old"
                 else:
                     mode = "full"
-                link, probe = _make_atom_step(
-                    literal, slots, bound, position, mode, description
-                )
+                probe = writer.atom(literal, position, mode, description)
                 if probe is not None:
                     probes.add(probe)
-                links.append(link)
-        run = _terminal
-        for link in reversed(links):
-            run = link(run)
-
-        head_terms = rule.head.terms
-        project_getters = tuple(_value_getter(term, slots, bound) for term in head_terms)
-        if len(head_terms) > 1 and all(isinstance(term, Variable) for term in head_terms):
-            # A head of plain variables is a pick of env slots (compiling the
-            # getters above has checked that each is bound).  With one index
-            # itemgetter returns a scalar, not a 1-tuple; constants and skolem
-            # terms need the getters.
-            project = itemgetter(*(slots[term] for term in head_terms))
+        if identity is not None:
+            head = f"r{identity}"
         else:
-            def project(env) -> tuple:
-                return tuple(getter(env) for getter in project_getters)
-
-        heads, firings = _join_plan(
-            run, project, self.num_slots, self.reg_count, self.positive_positions
-        )
-        return RulePlan(
-            "join", heads, firings, project, frozenset(probes), tuple(description)
-        )
+            head = _display([writer.value(term) for term in rule.head.terms])
+        source = writer.source(head, self.positive_positions)
+        heads, firings = _factory(source)(*writer.arguments)
+        return RulePlan(heads, firings, frozenset(probes), tuple(description), source)
 
     def plan_for(self, delta_position: Optional[int] = None) -> RulePlan:
         try:
@@ -878,3 +670,4 @@ def clear_plan_caches() -> None:
     """Drop all cached compilations (test isolation helper)."""
     _RULE_CACHE.clear()
     _PROGRAM_CACHE.clear()
+    _FACTORIES.clear()

@@ -184,7 +184,7 @@ class ExchangeEngine:
 
     @property
     def compiled_program(self):
-        """The compiled join plans the engine executes (shared via the plan cache)."""
+        """The compiled rule plans the engine executes (shared via the plan cache)."""
         return self._engine.compiled
 
     @property
@@ -194,7 +194,7 @@ class ExchangeEngine:
 
     @property
     def backend(self):
-        """The closure executor firing the compiled plans."""
+        """The executor firing the compiled plans."""
         return self._engine.backend
 
     def reference_database(self):

@@ -2,8 +2,9 @@
 
 ``SkolemTerm`` computes its hash once, in the constructor, so a term built
 around the constructor would carry no hash.  Each construction site — the
-parser, plan head projection, ``labelled_null``, an incremental engine run
-and the SQLite storage round trip — must hand back terms that are
+parser, a rule kernel's head, ``labelled_null``, ``ground_term`` (the
+direct constructor kernels call), an incremental engine run and the SQLite
+storage round trip — must hand back terms that are
 equal, hash equal and interchangeable as dict keys; pickling rebuilds the
 term through the constructor, so an unpickled term carries the hash of the
 process that unpickled it.
@@ -18,7 +19,7 @@ import sys
 from pathlib import Path
 
 from repro.core.tuples import labelled_null
-from repro.datalog.ast import Fact, SkolemTerm
+from repro.datalog.ast import Fact, SkolemTerm, ground_term
 from repro.datalog.evaluation import Database
 from repro.datalog.executor import fire_rule
 from repro.datalog.incremental import IncrementalEngine
@@ -50,6 +51,7 @@ def _built_every_way() -> dict[str, object]:
         "parser": parsed,
         "plan projection": projected[0],
         "labelled_null": labelled_null("SK_f", 7, "seven"),
+        "ground_term": ground_term("SK_f", (7, "seven")),
         "sqlite storage": stored,
         "incremental engine run": derived,
     }
@@ -74,6 +76,8 @@ def test_nested_terms_decode_with_their_hash():
         ((decoded,),) = list(storage.scan("N"))
     assert decoded == outer and hash(decoded) == hash(outer)
     assert hash(decoded.arguments[0]) == hash(inner)
+    direct = ground_term("SK_f", (ground_term("SK_g", ("x",)), 2**70, None, 1.5))
+    assert direct == outer and hash(direct) == hash(outer) and repr(direct) == repr(outer)
 
 
 def test_arguments_are_normalised_to_a_tuple_before_hashing():

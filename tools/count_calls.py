@@ -41,12 +41,22 @@ can show that it sends the same messages.  It prints
 * the session, sketch-byte, decode-failure and fallback counts, the
   virtual clock and the benchmark's ``state_digest`` of the final state.
 
+With ``--gc`` it reports the cyclic garbage collector instead, over the
+same timed region and without the profiler: a :data:`gc.callbacks` hook
+times every collection, and it prints
+
+* ``timed_s`` -- the wall seconds of the timed region;
+* per generation, ``gc_gen<N>`` with its collection count and seconds;
+* ``gc_s`` and ``gc_share`` -- all collections' seconds, and their share of
+  ``timed_s``.
+
 Usage::
 
     python tools/count_calls.py --workload churn_gossip --scale tiny
     python tools/count_calls.py --workload star_sync --scale full
     python tools/count_calls.py --workload bulk_insert --memory
     python tools/count_calls.py --workload churn_gossip --protocol
+    python tools/count_calls.py --workload bulk_insert --gc
 
 The workloads module is imported, never modified.  Standard library only.
 """
@@ -60,6 +70,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -148,6 +159,44 @@ def measure_memory(workload_name: str, scale: str) -> list[str]:
         f"top {TOP_SITES} allocation sites by retained bytes (bytes, blocks, site):",
     ]
     lines += [f"{-size:>12}  {count:>8}  {site}" for size, site, count in sites[:TOP_SITES]]
+    return lines
+
+
+def measure_gc(workload_name: str, scale: str) -> list[str]:
+    """Time every garbage collection of one workload's timed region; returns
+    the report's lines."""
+    from benchmarks.e2e.workloads import STEPS
+
+    workload = _set_up(workload_name, scale)
+    collections = [0, 0, 0]
+    seconds = [0.0, 0.0, 0.0]
+    started = 0.0
+
+    def timing(phase: str, info: dict) -> None:
+        nonlocal started
+        if phase == "start":
+            started = time.perf_counter()
+        else:
+            collections[info["generation"]] += 1
+            seconds[info["generation"]] += time.perf_counter() - started
+
+    gc.collect()
+    gc.callbacks.append(timing)
+    try:
+        begin = time.perf_counter()
+        for index in range(STEPS):
+            workload.step(index)
+        workload.finish()
+        timed = time.perf_counter() - begin
+    finally:
+        gc.callbacks.remove(timing)
+    lines = [f"workload {workload_name} scale {scale} seed {SEED}", f"timed_s {timed:.3f}"]
+    lines += [
+        f"gc_gen{generation} collections {collections[generation]} seconds "
+        f"{seconds[generation]:.3f}"
+        for generation in range(3)
+    ]
+    lines += [f"gc_s {sum(seconds):.3f}", f"gc_share {sum(seconds) / timed:.3f}"]
     return lines
 
 
@@ -255,10 +304,14 @@ def main(argv: list[str] | None = None) -> int:
         "--protocol", action="store_true",
         help="fingerprint the message rows, the traffic counters and the final state instead",
     )  # fmt: skip
+    parser.add_argument(
+        "--gc", action="store_true",
+        help="time the garbage collector's collections per generation instead",
+    )  # fmt: skip
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.memory and args.protocol:
-        parser.error("--memory and --protocol are separate reports; pass one")
+    if args.memory + args.protocol + args.gc > 1:
+        parser.error("--memory, --protocol and --gc are separate reports; pass one")
 
     if not args.child:
         # The counts depend on set and dict iteration orders of strings, so
@@ -270,6 +323,7 @@ def main(argv: list[str] | None = None) -> int:
                 "--workload", args.workload, "--scale", args.scale,
                 *(["--memory"] if args.memory else []),
                 *(["--protocol"] if args.protocol else []),
+                *(["--gc"] if args.gc else []),
             ],
             env=environment, cwd=ROOT,
         )  # fmt: skip
@@ -282,6 +336,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"unknown workload {args.workload!r} (one of {', '.join(WORKLOADS)})")
     if args.protocol:
         report = measure_protocol(args.workload, args.scale)
+    elif args.gc:
+        report = measure_gc(args.workload, args.scale)
     else:
         report = (measure_memory if args.memory else measure)(args.workload, args.scale)
     try:
