@@ -9,7 +9,7 @@ substrate from scratch:
 * :mod:`repro.datalog.parser` — a small textual syntax for rules and facts,
 * :mod:`repro.datalog.plan` — one-time compilation of rules into generated
   Python kernels (greedy atom ordering, pre-resolved index probes, checks
-  inlined as ``if``\ s), cached by structural identity and by shape,
+  inlined as ``if`` tests), cached by structural identity and by shape,
 * :mod:`repro.datalog.executor` — the shared execution engine driving the
   compiled plans with pluggable firing hooks,
 * :mod:`repro.datalog.evaluation` — naive and semi-naive bottom-up evaluation,

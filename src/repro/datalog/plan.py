@@ -25,7 +25,7 @@ every plan out as straight-line Python source:
   ``for`` loops over the delta rows, index buckets or relation rows, one
   per positive atom in plan order, with the arity, constant,
   bound-variable, repeated-variable and nested-skolem checks inlined as
-  ``if``\\ s and the guards where the ordering puts them.  Variables are
+  ``if`` tests and the guards where the ordering puts them.  Variables are
   locals; each kernel fetches the column indexes it probes once per call.
   The head is a tuple display (labelled nulls built through
   :func:`~repro.datalog.ast.ground_term`), or the matched row itself
@@ -59,10 +59,9 @@ mapping program share one plan), bounded by a FIFO eviction policy.
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import chain
 from operator import itemgetter
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Collection, Iterable, Optional, Sequence
 
 from ..errors import DatalogError
 from .ast import (
@@ -79,7 +78,7 @@ from .ast import (
 from .stratification import stratify
 
 
-def _term_is_ground(term, bound: set[Variable]) -> bool:
+def _term_is_ground(term, bound: Collection[Variable]) -> bool:
     """Can ``term`` be evaluated to a ground value given ``bound``?"""
     if isinstance(term, Constant):
         return True
@@ -94,10 +93,13 @@ def _is_term(value) -> bool:
     return isinstance(value, (Constant, Variable, SkolemTerm))
 
 
-def _occurrences(terms, counts: Counter) -> None:
+def _occurrences(terms, counts: dict[Variable, int]) -> None:
     """Count every variable occurrence in ``terms`` (recursing into skolems)."""
     for term in terms:
-        counts.update(term_variables(term))
+        if isinstance(term, Variable):
+            counts[term] = counts.get(term, 0) + 1
+        elif isinstance(term, SkolemTerm):
+            _occurrences(term.arguments, counts)
 
 
 def _display(items: Sequence[str]) -> str:
@@ -123,7 +125,7 @@ class _KernelWriter:
     ``e`` comparison evaluators) whose value is kept in :attr:`arguments`.
     """
 
-    def __init__(self, used: Counter) -> None:
+    def __init__(self, used: dict[Variable, int]) -> None:
         #: How often each variable occurs; one occurrence is never read back.
         self.used = used
         self.parameters: list[str] = []
@@ -155,7 +157,7 @@ class _KernelWriter:
     def bind(self, variable: Variable) -> str:
         """The local a first occurrence of ``variable`` is stored in
         (``_`` when nothing reads it back)."""
-        if self.used[variable] < 2:
+        if self.used.get(variable, 0) < 2:
             self.locals[variable] = "_"
             return "_"
         name = self.locals[variable] = f"v{len(self.locals)}"
@@ -213,9 +215,12 @@ class _KernelWriter:
         predicate = self.argument("p", atom.predicate)
         probe: Optional[int] = None
         if mode != "delta":
-            bound = set(self.locals)
             probe = next(
-                (index for index, term in enumerate(atom.terms) if _term_is_ground(term, bound)),
+                (
+                    index
+                    for index, term in enumerate(atom.terms)
+                    if _term_is_ground(term, self.locals)
+                ),
                 None,
             )
         row = f"r{position}"
@@ -285,20 +290,17 @@ class _KernelWriter:
     def source(self, head: str, sources: Sequence[int]) -> str:
         """The factory ``make(...)`` returning the ``(heads, firings)`` pair."""
         firing = _display([head, *(f"r{position}" for position in sources)])
-        lines = [f"def make({', '.join(self.parameters)}):"]
-        for name, emitted in (("heads", head), ("firings", firing)):
-            lines += [
-                f"    def {name}(database, delta):",
-                *(f"        {line}" for line in self.prologue),
-                "        found = []",
-                "        append = found.append",
-                *(f"        {line}" for line in self.body),
-                f"        {'    ' * self.depth}append({emitted})",
-                "        return found",
-                "",
-            ]
-        lines.append("    return heads, firings")
-        return "\n".join(lines) + "\n"
+        body = "".join(
+            f"        {line}\n"
+            for line in (*self.prologue, "found = []", "append = found.append", *self.body)
+        )
+        emit = f"        {'    ' * self.depth}append("
+        return (
+            f"def make({', '.join(self.parameters)}):\n"
+            f"    def heads(database, delta):\n{body}{emit}{head})\n        return found\n\n"
+            f"    def firings(database, delta):\n{body}{emit}{firing})\n        return found\n\n"
+            "    return heads, firings\n"
+        )
 
 
 _FACTORIES: dict[str, Callable] = {}
@@ -370,7 +372,7 @@ def _order_literals(
             )
             return (len(atom.variables() & bound), ground_positions, -position)
 
-        best = max(positives, key=score)
+        best = max(positives, key=score) if len(positives) > 1 else positives[0]
         positives.remove(best)
         ordered.append((best[0], best[1], False))
         bound |= best[1].variables()
@@ -415,21 +417,27 @@ class RulePlan:
         return self._source
 
 
-def _identity_position(rule: Rule, ordered) -> Optional[int]:
-    """The body position whose matched row *is* the head, if any.
-
-    That is the first positive atom (in plan order) whose terms are the
-    head's, all distinct plain variables, none bound before it: every column
-    binds its variable, so the tuple display of the head would rebuild the
-    row with the same values.
-    """
+def _copies(rule: Rule, positives: Sequence[int]) -> tuple[int, ...]:
+    """The positive body positions whose terms are the head's, when those
+    are distinct plain variables (an identity copy of that atom)."""
     terms = rule.head.terms
     if len(set(terms)) != len(terms) or not all(isinstance(term, Variable) for term in terms):
-        return None
+        return ()
+    return tuple(position for position in positives if rule.body[position].terms == terms)
+
+
+def _identity_position(ordered, copies: tuple[int, ...]) -> Optional[int]:
+    """The body position whose matched row *is* the head in this plan, if any.
+
+    That is the first positive atom in plan order, among ``copies``, with
+    none of its variables bound before it: every column binds its variable,
+    so the tuple display of the head would rebuild the row with the same
+    values.
+    """
     bound: set[Variable] = set()
     for position, literal, _ in ordered:
         if isinstance(literal, Atom) and not literal.negated:
-            if literal.terms == terms and bound.isdisjoint(terms):
+            if position in copies and bound.isdisjoint(literal.terms):
                 return position
             bound |= literal.variables()
     return None
@@ -458,11 +466,28 @@ class CompiledRule:
             rule.head.predicate,
             *(rule.body[position].predicate for position in self.positive_positions),
         )
-        self._plans: dict[Optional[int], RulePlan] = {None: self._build_plan(None)}
-        for position in self.positive_positions:
-            self._plans[position] = self._build_plan(position)
+        # How often each variable occurs, without and with the head (a head
+        # that is the matched row itself reads no variable).
+        uses: dict[Variable, int] = {}
+        for literal in rule.body:
+            _occurrences(
+                literal.terms if isinstance(literal, Atom) else (literal.left, literal.right),
+                uses,
+            )
+        head_uses = dict(uses)
+        _occurrences(rule.head.terms, head_uses)
+        copies = _copies(rule, self.positive_positions)
+        self._plans: dict[Optional[int], RulePlan] = {}
+        for position in (None, *self.positive_positions):
+            self._plans[position] = self._build_plan(position, copies, uses, head_uses)
 
-    def _build_plan(self, delta_position: Optional[int]) -> RulePlan:
+    def _build_plan(
+        self,
+        delta_position: Optional[int],
+        copies: tuple[int, ...],
+        uses: dict[Variable, int],
+        head_uses: dict[Variable, int],
+    ) -> RulePlan:
         """The kernel for one delta position (``None``: the plain plan).
 
         A delta plan is exact: atoms before the delta position read their
@@ -477,17 +502,8 @@ class CompiledRule:
         rule = self.rule
         ordered = _order_literals(rule, delta_position)
         recursive = self.signature[0] in self.signature[1:]
-        identity = _identity_position(rule, ordered)
-        used: Counter = Counter()
-        for literal in rule.body:
-            _occurrences(
-                literal.terms if isinstance(literal, Atom) else (literal.left, literal.right),
-                used,
-            )
-        if identity is None:
-            _occurrences(rule.head.terms, used)
-
-        writer = _KernelWriter(used)
+        identity = _identity_position(ordered, copies) if copies else None
+        writer = _KernelWriter(head_uses if identity is None else uses)
         probes: set[tuple[str, int]] = set()
         description: list[str] = []
         for position, literal, use_delta in ordered:
