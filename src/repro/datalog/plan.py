@@ -89,10 +89,6 @@ def _term_is_ground(term, bound: Collection[Variable]) -> bool:
     return False
 
 
-def _is_term(value) -> bool:
-    return isinstance(value, (Constant, Variable, SkolemTerm))
-
-
 def _occurrences(terms, counts: dict[Variable, int]) -> None:
     """Count every variable occurrence in ``terms`` (recursing into skolems)."""
     for term in terms:
@@ -171,7 +167,9 @@ class _KernelWriter:
             return self.argument("c", term.value)
         if isinstance(term, SkolemTerm):
             arguments = [
-                self.value(argument) if _is_term(argument) else self.argument("c", argument)
+                self.value(argument)
+                if isinstance(argument, (Constant, Variable, SkolemTerm))
+                else self.argument("c", argument)
                 for argument in term.arguments
             ]
             function = self.argument("f", term.function)
