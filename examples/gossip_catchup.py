@@ -24,11 +24,13 @@ Run with ``PYTHONPATH=src python examples/gossip_catchup.py``.
 from repro import CDSS
 from repro.core.transactions import Transaction
 from repro.core.updates import Update
+from repro.obs import Observability
 from repro.p2p.reconcile import (
     EntryCache,
     SetReconciler,
     StoreView,
     cursor_transfer_bytes,
+    session_counts,
 )
 from repro.p2p.store import UpdateStore
 
@@ -110,18 +112,18 @@ def patchwork_rejoiner() -> None:
 
     view = StoreView(store)
     view.refresh()
-    reconciler = SetReconciler()
-    result = reconciler.reconcile(cache, view)
-    stats = reconciler.stats
+    obs = Observability()
+    result = SetReconciler(observability=obs).reconcile(cache, view)
+    session = session_counts(obs.metrics)
 
     print(f"  log length / holes  : {log_length} / {len(missing)}")
     print(f"  cursor replay       : {cursor_bytes} B (tail from epoch {cursor})")
     print(
-        f"  sketch session      : {stats.bytes} B "
-        f"({stats.sketch_bytes} B sketches + {stats.entry_bytes} B entries)"
+        f"  sketch session      : {session['bytes']} B "
+        f"({session['sketch_bytes']} B sketches + {session['entry_bytes']} B entries)"
     )
     print(f"  delivered / converged: {result.delivered} entries / {result.converged}")
-    print(f"  cursor/sketch ratio : {cursor_bytes / stats.bytes:.1f}x")
+    print(f"  cursor/sketch ratio : {cursor_bytes / session['bytes']:.1f}x")
 
 
 def main() -> None:

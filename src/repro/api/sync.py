@@ -338,8 +338,7 @@ def synchronize(
         peers=names, latency=cdss.network.latency, link_sequences=cdss.network.link_sequences()
     )
     gossip = getattr(cdss, "gossip", None)
-    gossip_before = gossip.stats.snapshot() if gossip is not None else None
-    gossip_rounds_before = gossip.rounds_run if gossip is not None else 0
+    gossip_before = gossip.summary() if gossip is not None else None
     metrics_before = cdss.obs.metrics.snapshot() if metrics_enabled(cdss) else None
     for index in range(1, max_rounds + 1):
         round_ = _run_round(cdss, names, index)
@@ -348,18 +347,16 @@ def synchronize(
             report.converged = True
             break
     else:
-        finalize_report(cdss, report, gossip_before, gossip_rounds_before, metrics_before)
+        finalize_report(cdss, report, gossip_before, metrics_before)
         raise SyncError(
             f"synchronization did not reach quiescence within {max_rounds} rounds",
             report=report,
         )
-    finalize_report(cdss, report, gossip_before, gossip_rounds_before, metrics_before)
+    finalize_report(cdss, report, gossip_before, metrics_before)
     return report
 
 
-def finalize_report(
-    cdss, report: SyncReport, gossip_before, gossip_rounds_before: int, metrics_before
-) -> SyncReport:
+def finalize_report(cdss, report: SyncReport, gossip_before, metrics_before) -> SyncReport:
     """Fill in the post-loop sections of a report (conflicts, health, gossip).
 
     Shared by the convergent and non-convergent exits of :func:`synchronize`
@@ -380,9 +377,7 @@ def finalize_report(
             "sketch": sync_config.sketch,
             "fanout": sync_config.gossip_fanout,
         }
-        report.gossip.update(
-            gossip.summary(since=gossip_before, rounds_before=gossip_rounds_before)
-        )
+        report.gossip.update(gossip.summary(since=gossip_before))
     if metrics_before is not None and metrics_enabled(cdss):
         report.metrics = cdss.obs.metrics.since(metrics_before)
     return report

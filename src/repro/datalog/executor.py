@@ -61,7 +61,9 @@ _HEAD = itemgetter(0)
 
 
 class ExecutionStats:
-    """Counters accumulated across executor calls (cheap enough to always keep)."""
+    """Counters one evaluation or maintenance step accumulates across its
+    executor calls (an incremental step returns them on its
+    :class:`~repro.datalog.incremental.MaintenanceResult`)."""
 
     __slots__ = ("rules_fired", "tuples_derived", "rounds")
 

@@ -27,7 +27,7 @@ and provenance recording is just a different firing hook on the same plans.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from ..errors import DatalogError
@@ -41,10 +41,12 @@ from .provenance_eval import ProvenanceDatabase, evaluate_with_provenance, recor
 
 @dataclass
 class MaintenanceResult:
-    """Summary of one incremental maintenance step."""
+    """Summary of one incremental maintenance step: what changed, and what
+    the executor fired to change it."""
 
     inserted: dict[str, set[tuple]]
     deleted: dict[str, set[tuple]]
+    stats: ExecutionStats = field(default_factory=ExecutionStats)
 
     @property
     def inserted_count(self) -> int:
@@ -98,7 +100,6 @@ class IncrementalEngine:
         self._database = Database()
         self._database.ensure_indexes(self._compiled.demanded_indexes)
         self._base = Database()
-        self._stats = ExecutionStats()
         if database is not None:
             self.apply_insertions(
                 Fact(predicate, values)
@@ -149,11 +150,6 @@ class IncrementalEngine:
         return self._compiled
 
     @property
-    def stats(self) -> ExecutionStats:
-        """Cumulative executor counters (rule firings across all maintenance)."""
-        return self._stats
-
-    @property
     def backend(self) -> PythonExecutionBackend:
         """The executor firing this engine's compiled plans."""
         return self._backend
@@ -186,19 +182,15 @@ class IncrementalEngine:
         if not delta:
             return MaintenanceResult({}, {})
 
-        self._propagate_insertions(delta, inserted)
-        return MaintenanceResult(dict(inserted), {})
-
-    def _propagate_insertions(
-        self, delta: dict[str, set[tuple]], inserted: dict[str, set[tuple]]
-    ) -> None:
-        """Semi-naive propagation of a batch of new tuples across all strata."""
+        # Semi-naive propagation of the new tuples across all strata.
+        stats = ExecutionStats()
         recorder = self._graph.add_derivations if self._graph is not None else None
         derived = self._backend.propagate(
-            self.compiled, self._database, delta, recorder=recorder, stats=self._stats
+            self.compiled, self._database, delta, recorder=recorder, stats=stats
         )
         for predicate, values in derived.items():
             inserted[predicate].update(values)
+        return MaintenanceResult(dict(inserted), {}, stats)
 
     # -- deletions -------------------------------------------------------------
     def apply_deletions(self, facts: Iterable[Fact]) -> MaintenanceResult:
@@ -211,11 +203,12 @@ class IncrementalEngine:
         if not removed_base:
             return MaintenanceResult({}, {})
 
+        stats = ExecutionStats()
         if self._graph is not None:
             deleted = self._delete_with_provenance(removed_base)
         else:
-            deleted = self._delete_with_dred(removed_base)
-        return MaintenanceResult({}, deleted)
+            deleted = self._delete_with_dred(removed_base, stats)
+        return MaintenanceResult({}, deleted, stats)
 
     def _delete_with_provenance(
         self, removed_base: dict[str, set[tuple]]
@@ -240,7 +233,7 @@ class IncrementalEngine:
         return dict(deleted)
 
     def _delete_with_dred(
-        self, removed_base: dict[str, set[tuple]]
+        self, removed_base: dict[str, set[tuple]], stats: ExecutionStats
     ) -> dict[str, set[tuple]]:
         """Delete-and-rederive without provenance (the ablation baseline)."""
         # Over-delete: remove the base facts and anything transitively
@@ -251,7 +244,7 @@ class IncrementalEngine:
                 self._database.remove(predicate, values)
 
         before = self._database.copy()
-        recomputed = self._fixpoint()
+        recomputed = self._fixpoint(stats=stats)
         deleted: dict[str, set[tuple]] = defaultdict(set)
         for predicate in before.predicates():
             for values in before.relation(predicate):
@@ -293,21 +286,24 @@ class IncrementalEngine:
         self._database = self._fixpoint(self._graph)
         return self._database
 
-    def _fixpoint(self, graph: Optional[ProvenanceGraph] = None) -> Database:
+    def _fixpoint(
+        self,
+        graph: Optional[ProvenanceGraph] = None,
+        stats: Optional[ExecutionStats] = None,
+    ) -> Database:
         """Evaluate the program from scratch over a copy of the base facts.
 
         Fires through this engine's backend (so tracing and instrumented
-        backends see the rules) and, given a ``graph``, records the base
-        tuples and every derivation into it.
+        backends see the rules), counting into ``stats`` when given, and,
+        given a ``graph``, records the base tuples and every derivation
+        into it.
         """
         working = self._base.copy()
         recorder = None
         if graph is not None:
             record_base_tuples(graph, working, self._variable_namer)
             recorder = graph.add_derivations
-        self._backend.run_program(
-            self.compiled, working, recorder=recorder, stats=self._stats
-        )
+        self._backend.run_program(self.compiled, working, recorder=recorder, stats=stats)
         return working
 
 

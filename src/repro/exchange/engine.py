@@ -146,22 +146,13 @@ class ExchangeEngine:
         self._touching: dict[
             str, tuple[list[int], list[tuple[Transaction, TranslationDelta]]]
         ] = {}
-        # High-water marks of the executor counters already mirrored into
-        # the metrics registry (the ``exchange.*`` series); the executor's
-        # ``ExecutionStats`` are cumulative, so each mirror pass adds only
-        # the movement since the last one.
-        self._mirrored_stats: dict[str, int] = {
-            "rules_fired": 0,
-            "tuples_derived": 0,
-            "rounds": 0,
-        }
         # The registry outlives engine rebuilds (CDSS recreates the engine
         # on schema changes); remembering the counters at construction
         # keeps ``statistics()`` scoped to *this* engine's work while the
         # registry stays cumulative system-wide.
         self._registry_baseline: dict[str, float] = {
             name: self._obs.metrics.counter_value(f"exchange.{name}")
-            for name in self._mirrored_stats
+            for name in ("rules_fired", "tuples_derived")
         }
 
     # -- accessors ---------------------------------------------------------
@@ -186,11 +177,6 @@ class ExchangeEngine:
     def compiled_program(self):
         """The compiled rule plans the engine executes (shared via the plan cache)."""
         return self._engine.compiled
-
-    @property
-    def execution_stats(self):
-        """Cumulative executor counters (rule firings, derived tuples, rounds)."""
-        return self._engine.stats
 
     @property
     def backend(self):
@@ -275,6 +261,7 @@ class ExchangeEngine:
 
         inserted = PeerChanges()
         deleted = PeerChanges()
+        executed = []
 
         with self._obs.span(
             "exchange.txn", txn=transaction.txn_id, origin=origin
@@ -282,9 +269,11 @@ class ExchangeEngine:
             if delete_facts:
                 result = self._engine.apply_deletions(delete_facts)
                 self._collect(result.deleted, deleted)
+                executed.append(result.stats)
             if insert_facts:
                 result = self._engine.apply_insertions(insert_facts)
                 self._collect(result.inserted, inserted)
+                executed.append(result.stats)
 
         delta = TranslationDelta(
             txn_id=transaction.txn_id,
@@ -303,13 +292,15 @@ class ExchangeEngine:
                 touching.append((transaction, delta))
         metrics = self._obs.metrics
         metrics.counter_add("exchange.transactions", 1, label=origin)
-        insertions = inserted.count()
-        deletions = deleted.count()
-        if insertions:
-            metrics.counter_add("exchange.delta.insertions", insertions)
-        if deletions:
-            metrics.counter_add("exchange.delta.deletions", deletions)
-        self._mirror_execution_stats()
+        for name, count in (
+            ("exchange.delta.insertions", inserted.count()),
+            ("exchange.delta.deletions", deleted.count()),
+            ("exchange.rules_fired", sum(stats.rules_fired for stats in executed)),
+            ("exchange.tuples_derived", sum(stats.tuples_derived for stats in executed)),
+            ("exchange.rounds", sum(stats.rounds for stats in executed)),
+        ):
+            if count:
+                metrics.counter_add(name, count)
         return delta
 
     @staticmethod
@@ -326,36 +317,16 @@ class ExchangeEngine:
         """Recompute the derived state from scratch (ablation baseline)."""
         self._engine.recompute()
 
-    def _mirror_execution_stats(self) -> None:
-        """Fold executor-counter movement into the ``exchange.*`` metrics.
-
-        The executor accounts into one cumulative
-        :class:`~repro.datalog.executor.ExecutionStats`; this mirrors the
-        movement since the last call into the metrics registry.
-        """
-        stats = self._engine.stats
-        metrics = self._obs.metrics
-        mirrored = self._mirrored_stats
-        for name in ("rules_fired", "tuples_derived", "rounds"):
-            current = getattr(stats, name)
-            moved = current - mirrored[name]
-            if moved:
-                metrics.counter_add(f"exchange.{name}", moved)
-                mirrored[name] = current
-
     def statistics(self) -> dict[str, int]:
         """Engine-level counters used by the benchmarks.
 
-        The executor counters are served from the shared metrics registry
-        (the ``exchange.*`` series) — a thin view kept in lockstep with the
-        raw :class:`~repro.datalog.executor.ExecutionStats` by
-        :meth:`_mirror_execution_stats`.
+        The executor counters are this engine's share of the shared metrics
+        registry's ``exchange.*`` series, which :meth:`process_transaction`
+        adds to.  Reading them writes nothing.
         """
         graph = self._engine.graph
         tuple_nodes, derivation_nodes = graph.size() if graph is not None else (0, 0)
-        self._mirror_execution_stats()
         metrics = self._obs.metrics
-        metrics.gauge_set("exchange.database_tuples", len(self._engine.database))
         return {
             "processed_transactions": len(self._processed_order),
             "database_tuples": len(self._engine.database),

@@ -64,7 +64,7 @@ class MetricsRegistry:
     """Counters, gauges, and histograms under stable dotted names.
 
     * counters are monotonic sums (``counter_add``);
-    * gauges are last-write-wins values (``gauge_set`` / ``gauge_max``);
+    * gauges are last-write-wins values (``gauge_set``);
     * histograms keep deterministic aggregates only — count, total, min,
       max — flattened as ``name.count`` / ``name.total`` / ``name.min`` /
       ``name.max`` in the snapshot.
@@ -119,16 +119,6 @@ class MetricsRegistry:
             _check_name(name)
         key = name if label is None else f"{name}[{label}]"
         self._gauges[key] = value
-
-    def gauge_max(
-        self, name: str, value: float, label: Optional[str] = None
-    ) -> None:
-        if name not in self._gauges:
-            _check_name(name)
-        key = name if label is None else f"{name}[{label}]"
-        current = self._gauges.get(key)
-        if current is None or value > current:
-            self._gauges[key] = value
 
     def observe(
         self, name: str, value: float, label: Optional[str] = None

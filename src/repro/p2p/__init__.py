@@ -8,7 +8,7 @@ disconnects.  This package provides that substrate:
   transactions, ordered by epoch and indexed for the reconcile hot path,
 * :mod:`repro.p2p.network` — per-peer connectivity (peers are intermittently
   connected; offline peers can neither publish nor reconcile), with
-  listeners, a bounded availability trace, and churn statistics,
+  listeners and churn statistics,
 * :mod:`repro.p2p.distributed` — the sharded, k-way-replicated distributed
   archive: consistent hashing of epoch-ordered log segments onto peer-hosted
   shard servers, quorum reads/writes, re-replication, and gossip-based
@@ -29,10 +29,9 @@ from .distributed import (
     store_from_config,
 )
 from .gossip import GossipCoordinator, GossipReport
-from .network import ConnectivityEvent, MessageEvent, Network
+from .network import ConnectivityEvent, Network
 from .reconcile import (
     EntryCache,
-    ReconcileStats,
     SessionResult,
     SetReconciler,
     StoreView,
@@ -58,11 +57,9 @@ __all__ = [
     "GossipCoordinator",
     "GossipReport",
     "IBLTSketch",
-    "MessageEvent",
     "Network",
     "PeerClock",
     "PublishedTransaction",
-    "ReconcileStats",
     "SessionResult",
     "SetReconciler",
     "ShardReplica",

@@ -40,12 +40,14 @@ the row of the round that needed them, so the rows of a
 
 A round's sessions are accounted together (:meth:`SetReconciler.batched`):
 their message rows reach the network in one ``record_messages`` call and
-their ``gossip.*``/``sketch.*`` moves reach the registry in one
+their ``gossip.*``/``sketch.*`` counts reach the registry in one
 ``counters_add``, when the round ends; its repair sessions are a second
 such batch.  Nothing else sends between the sessions of a round, so the
-trace steps and counters are those of one flush per session.  A catch-up
+message order and counters are those of one flush per session.  A catch-up
 session is accounted on its own, as the sync loop prices other traffic
-between catch-ups.
+between catch-ups.  Round rows, phase reports and :meth:`summary` read
+those series back (:func:`~repro.p2p.reconcile.session_counts`) before and
+after; the registry is the only place the counts live.
 """
 
 from __future__ import annotations
@@ -59,10 +61,10 @@ from .network import Network
 from .reconcile import (
     ARCHIVE_NAME,
     EntryCache,
-    ReconcileStats,
     SessionResult,
     SetReconciler,
     StoreView,
+    session_counts,
 )
 from .store import PublishedTransaction
 
@@ -73,7 +75,8 @@ class GossipReport:
 
     rounds: list[dict] = field(default_factory=list)
     converged: bool = True
-    stats: Optional[ReconcileStats] = None
+    #: The phase's session counters (:func:`session_counts`).
+    stats: Optional[dict[str, int]] = None
 
     @property
     def round_count(self) -> int:
@@ -86,7 +89,7 @@ class GossipReport:
             "converged": self.converged,
         }
         if self.stats is not None:
-            payload.update(self.stats.to_dict())
+            payload.update(self.stats)
         return payload
 
 
@@ -131,19 +134,15 @@ class GossipCoordinator:
 
     # -- observability -----------------------------------------------------------
     @property
-    def stats(self) -> ReconcileStats:
-        return self._reconciler.stats
-
-    @property
     def rounds_run(self) -> int:
         return self._round
 
-    def summary(
-        self, since: Optional[ReconcileStats] = None, rounds_before: int = 0
-    ) -> dict:
-        stats = self.stats if since is None else self.stats.since(since)
-        payload = {"rounds": self._round - rounds_before}
-        payload.update(stats.to_dict())
+    def summary(self, since: Optional[dict[str, int]] = None) -> dict[str, int]:
+        """Rounds run and the session counters (:func:`session_counts`), in
+        all or since ``since`` (an earlier summary)."""
+        payload = {"rounds": self._round, **session_counts(self._obs.metrics)}
+        if since is not None:
+            return {name: value - since[name] for name, value in payload.items()}
         return payload
 
     # -- scheduling --------------------------------------------------------------
@@ -187,23 +186,24 @@ class GossipCoordinator:
     def run_round(self) -> dict:
         """One epidemic round: every online peer sessions with ``fanout``
         deterministically chosen partners.  Returns the round's counters:
-        every :class:`ReconcileStats` field, plus ``repair_sessions`` (the
+        every :func:`session_counts` field, plus ``repair_sessions`` (the
         direct archive sessions :meth:`run_until_converged` folds in)."""
         self._round += 1
         self._store_view.refresh()
         online = self._online_members()
-        before = self.stats.snapshot()
+        metrics = self._obs.metrics
+        before = session_counts(metrics)
         with self._obs.span(
             "gossip.round", index=self._round, participants=len(online)
         ), self._reconciler.batched():
             for peer in online:
                 for partner in self._partners(peer, online):
                     self._session(peer, partner)
-        self._obs.metrics.counter_add("gossip.rounds", 1)
+        metrics.counter_add("gossip.rounds", 1)
         return {
             "round": self._round,
             "participants": len(online),
-            **self.stats.since(before).to_dict(),
+            **session_counts(metrics, since=before),
             "repair_sessions": 0,
         }
 
@@ -219,10 +219,11 @@ class GossipCoordinator:
         """
         self._store_view.refresh()
         online = self._online_members()
-        before = self.stats.snapshot()
+        metrics = self._obs.metrics
+        before = session_counts(metrics)
         report = GossipReport()
         if not online:
-            report.stats = self.stats.since(before)
+            report.stats = session_counts(metrics, since=before)
             return report
         if max_rounds is None:
             budget = 8
@@ -241,16 +242,16 @@ class GossipCoordinator:
             if stale and round_info["entries_delivered"] == 0:
                 # Deterministic repair: rumor-mongering made no progress, so
                 # put every stale peer directly in front of the archive.
-                before_repair = self.stats.snapshot()
+                before_repair = session_counts(metrics)
                 with self._reconciler.batched():
                     for peer in stale:
                         self._session(peer, ARCHIVE_NAME)
-                for name, value in self.stats.since(before_repair).to_dict().items():
+                for name, value in session_counts(metrics, since=before_repair).items():
                     round_info[name] += value
                 round_info["repair_sessions"] = len(stale)
                 stale = self._stale_peers(online)
         report.converged = not stale
-        report.stats = self.stats.since(before)
+        report.stats = session_counts(metrics, since=before)
         if not report.converged:
             raise SyncError(
                 f"gossip anti-entropy failed to converge within {max_rounds} rounds "

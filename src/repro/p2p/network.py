@@ -2,12 +2,13 @@
 
 Peers operate autonomously and are only intermittently connected.  The
 network tracks which peers are currently online, refuses store operations
-from offline peers (configurable), and records an availability trace used by
-the benchmarks to report behaviour under churn.
+from offline peers (configurable), and counts connects and disconnects per
+peer (:meth:`Network.churn_stats`).  It keeps no event history: the
+traffic it accounts lives in the shared metrics registry's ``net.*``
+series (:meth:`Network.message_stats` is a view of them), and a caller
+that wants the messages themselves wraps :meth:`Network.record_messages`,
+which every message passes through in send order.
 
-The trace is bounded (``trace_limit``, default 4096 events) so long fuzz
-campaigns don't grow memory linearly with connectivity events; aggregate
-churn statistics (:meth:`Network.churn_stats`) keep counting past the cap.
 Subsystems that must react to churn — the distributed update store's
 re-replication and anti-entropy passes — register listeners with
 :meth:`Network.subscribe` and are invoked synchronously on every state
@@ -27,16 +28,12 @@ transfers as overlapped traffic from the per-link counters
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from ..core.hashing import prefix_hasher, stable_hash
 from ..errors import NetworkError
 from ..obs import Observability
-
-#: Default bound on the in-memory connectivity trace.
-DEFAULT_TRACE_LIMIT = 4096
 
 #: The per-participant traffic series, in the order of a participant's
 #: cached labelled keys (``Network._traffic_keys``).
@@ -131,49 +128,26 @@ class LatencyModel:
 
 @dataclass
 class ConnectivityEvent:
-    """One connect/disconnect event in the availability trace."""
+    """One connect/disconnect event, as :meth:`Network.subscribe`'s
+    listeners receive it."""
 
     step: int
     peer: str
     online: bool
 
 
-@dataclass
-class MessageEvent:
-    """One point-to-point message recorded by the reconciliation layer."""
-
-    step: int
-    sender: str
-    receiver: str
-    kind: str
-    size: int
-
-
 class Network:
     """Tracks online/offline state of every registered peer."""
 
-    def __init__(
-        self,
-        peers: Iterable[str] = (),
-        trace_limit: Optional[int] = DEFAULT_TRACE_LIMIT,
-    ) -> None:
-        if trace_limit is not None and trace_limit < 0:
-            raise NetworkError("trace_limit must be None (unbounded) or >= 0")
+    def __init__(self, peers: Iterable[str] = ()) -> None:
         self._online: dict[str, bool] = {}
         self._step = 0
-        self._trace: deque[ConnectivityEvent] = deque(maxlen=trace_limit)
         self._listeners: list[Callable[[ConnectivityEvent], None]] = []
-        # Rolling churn counters, unaffected by the trace cap.
         self._connects: dict[str, int] = {}
         self._disconnects: dict[str, int] = {}
-        # Message accounting, fed by the reconciliation layer.  The event
-        # trace is bounded like the connectivity trace; the aggregate
-        # counters live on the shared metrics registry (``net.*`` series,
-        # labelled per participant) and keep counting past the cap.
-        self._message_step = 0
-        # ``(step, sender, receiver, kind, size)`` rows; message_trace()
-        # builds the MessageEvents only when someone reads them.
-        self._message_trace: deque[tuple[int, str, str, str, int]] = deque(maxlen=trace_limit)
+        # Message accounting, fed by the reconciliation layer, lives on the
+        # shared metrics registry (``net.*`` series, labelled per
+        # participant).
         #: participant -> its labelled ``_TRAFFIC_SERIES`` keys, built once.
         self._traffic_keys: dict[str, tuple[str, ...]] = {}
         self.obs = Observability()
@@ -251,7 +225,6 @@ class Network:
         self._online[peer] = online
         self._step += 1
         event = ConnectivityEvent(self._step, peer, online)
-        self._trace.append(event)
         counters = self._connects if online else self._disconnects
         counters[peer] = counters.get(peer, 0) + 1
         for listener in self._listeners:
@@ -276,13 +249,9 @@ class Network:
         if listener in self._listeners:
             self._listeners.remove(listener)
 
-    # -- tracing ---------------------------------------------------------------
-    def trace(self) -> list[ConnectivityEvent]:
-        """The most recent connectivity events (bounded by ``trace_limit``)."""
-        return list(self._trace)
-
+    # -- churn -----------------------------------------------------------------
     def churn_stats(self) -> dict:
-        """Aggregate churn counters; these keep counting past the trace cap."""
+        """Connectivity changes, in all and per peer."""
         connects = sum(self._connects.values())
         disconnects = sum(self._disconnects.values())
         per_peer = {
@@ -296,8 +265,6 @@ class Network:
             "events": self._step,
             "connects": connects,
             "disconnects": disconnects,
-            "trace_retained": len(self._trace),
-            "trace_dropped": self._step - len(self._trace),
             "per_peer": per_peer,
         }
 
@@ -315,23 +282,17 @@ class Network:
     def record_messages(self, rows: Sequence[tuple[str, str, str, int]]) -> None:
         """Record ``(sender, receiver, kind, size)`` messages in order.
 
-        Each row gets the next step number in :meth:`message_trace`, exactly
-        as one :meth:`record_message` per row would; the ``net.*`` counters
-        are summed per ``(sender, receiver)`` link first and added with one
-        registry call per link, so a reconciliation session that sends a
-        dozen messages between the same two participants pays for two
-        links, not a dozen rows.  A negative size rejects the whole batch
-        before anything is recorded.
+        The registry ends as one :meth:`record_message` per row would leave
+        it: the ``net.*`` counters are summed per ``(sender, receiver)``
+        link first and added with one registry call per link, so a
+        reconciliation session that sends a dozen messages between the
+        same two participants pays for two links, not a dozen rows.  A
+        negative size rejects the whole batch before anything is recorded.
         """
-        for row in rows:
-            if row[3] < 0:
-                raise NetworkError("message size cannot be negative")
-        step = self._message_step
-        append = self._message_trace.append
         links: dict[tuple[str, str], list[int]] = {}
-        for sender, receiver, kind, size in rows:
-            step += 1
-            append((step, sender, receiver, kind, size))
+        for sender, receiver, _, size in rows:
+            if size < 0:
+                raise NetworkError("message size cannot be negative")
             link = (sender, receiver)
             if link in links:
                 totals = links[link]
@@ -339,7 +300,6 @@ class Network:
                 totals[1] += size
             else:
                 links[link] = [1, size]
-        self._message_step = step
         keys = self._traffic_keys
         counters_add = self.obs.metrics.counters_add
         for (sender, receiver), (messages, size) in links.items():
@@ -359,19 +319,9 @@ class Network:
         )
         return keys
 
-    def message_trace(self) -> list[MessageEvent]:
-        """The most recent messages (bounded by ``trace_limit``)."""
-        return [MessageEvent(*row) for row in self._message_trace]
-
     def message_stats(self) -> dict:
-        """Aggregate per-peer message/byte counters.
-
-        Like :meth:`churn_stats`, the totals keep counting after the bounded
-        event trace rolls over; ``trace_dropped`` says how many events the
-        cap discarded.  This is a thin view over the shared metrics
-        registry's ``net.*`` series — the registry is the single source of
-        truth for traffic accounting.
-        """
+        """Messages and bytes sent, in all and per participant: a view of
+        the shared metrics registry's ``net.*`` series."""
         metrics = self.obs.metrics
         messages_sent = metrics.labelled_counters("net.messages.sent")
         messages_received = metrics.labelled_counters("net.messages.received")
@@ -390,8 +340,6 @@ class Network:
         return {
             "messages": int(metrics.counter_value("net.messages.sent")),
             "bytes": int(metrics.counter_value("net.bytes.sent")),
-            "trace_retained": len(self._message_trace),
-            "trace_dropped": self._message_step - len(self._message_trace),
             "per_peer": per_peer,
         }
 

@@ -27,16 +27,16 @@ their symmetric difference, not their size:
 
 Every message is a ``(sender, receiver, kind, size)`` row, its size the
 wire size of its fields (the ``*_BYTES`` constants below, and each shipped
-entry's ``wire_size``).  Every send is accounted in :class:`ReconcileStats`
-(and, when a :class:`~repro.p2p.network.Network` is attached, in its
-per-peer ``message_stats()``), so benchmarks report bytes moved rather than
-just wall-clock latency.  Sends wait in an outbox that one flush accounts:
-one network call, one registry call for the moved ``gossip.*``/``sketch.*``
-series.  A session flushes when it ends, unless it runs inside
+entry's ``wire_size``).  Every send is accounted in the metrics registry's
+``gossip.*``/``sketch.*`` series (read back by field name with
+:func:`session_counts`) and, when a :class:`~repro.p2p.network.Network` is
+attached, in its ``net.*`` series, so benchmarks report bytes moved rather
+than just wall-clock latency.  Sends wait in an outbox, and session
+outcomes in plain counts, that one flush accounts: one network call, one
+registry call.  A session flushes when it ends, unless it runs inside
 :meth:`SetReconciler.batched` (a gossip round, or that round's repair
-sessions), which flushes once when its block ends.  The trace rows, their
-step numbers and every counter are what one call per message would have
-left.
+sessions), which flushes once when its block ends.  The rows, their order
+and every counter are what one call per message would have left.
 
 Hashing is paid once per shape, not once per session: a
 :class:`SetReconciler` memoizes each attempt's seed per ``(attempt,
@@ -56,12 +56,11 @@ partner's log tail from that watermark misses nothing.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
-from operator import attrgetter
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from ..errors import SketchError
-from ..obs import Observability
+from ..obs import MetricsRegistry, Observability
 from .network import Network
 from .sketch import (
     CompactClock,
@@ -96,35 +95,31 @@ def _batch_bytes(entries: Iterable[PublishedTransaction]) -> int:
 
 # -- traffic accounting --------------------------------------------------------------
 
-@dataclass
-class ReconcileStats:
-    """Cumulative traffic/outcome counters across reconciliation sessions."""
+#: The session counters' registry series, under the field names round rows,
+#: gossip reports and sync reports carry them by.
+_SESSION_SERIES = (
+    ("sessions", "gossip.sessions"),
+    ("unchanged_sessions", "gossip.sessions_unchanged"),
+    ("converged_sessions", "gossip.sessions_converged"),
+    ("messages", "gossip.messages"),
+    ("bytes", "gossip.bytes"),
+    ("sketch_bytes", "gossip.bytes_sketch"),
+    ("entry_bytes", "gossip.bytes_entries"),
+    ("entries_delivered", "gossip.entries_delivered"),
+    ("decode_failures", "sketch.decode.failures"),
+    ("fallbacks", "gossip.fallbacks"),
+)
 
-    sessions: int = 0
-    unchanged_sessions: int = 0
-    converged_sessions: int = 0
-    messages: int = 0
-    bytes: int = 0
-    sketch_bytes: int = 0
-    entry_bytes: int = 0
-    entries_delivered: int = 0
-    decode_failures: int = 0
-    fallbacks: int = 0
 
-    def snapshot(self) -> "ReconcileStats":
-        return ReconcileStats(**self.to_dict())
-
-    def since(self, earlier: "ReconcileStats") -> "ReconcileStats":
-        """Counter deltas accumulated after ``earlier`` was snapshotted."""
-        return ReconcileStats(
-            **{
-                item.name: getattr(self, item.name) - getattr(earlier, item.name)
-                for item in fields(self)
-            }
-        )
-
-    def to_dict(self) -> dict:
-        return {item.name: getattr(self, item.name) for item in fields(self)}
+def session_counts(
+    metrics: MetricsRegistry, since: Optional[dict[str, int]] = None
+) -> dict[str, int]:
+    """The session counters by field name: the registry's values, or their
+    moves since ``since`` (an earlier reading)."""
+    counts = {name: metrics.counter_value(series) for name, series in _SESSION_SERIES}
+    if since is not None:
+        return {name: value - since[name] for name, value in counts.items()}
+    return counts
 
 
 @dataclass(frozen=True)
@@ -322,32 +317,9 @@ class SetReconciler:
     #: Sketch attempts before falling back to cursor replay.
     ATTEMPTS = 3
 
-    #: Registry series mirrored from :class:`ReconcileStats` at every
-    #: flush (satellite of the shared observability layer: the dataclass
-    #: keeps its exact shape for reports, the registry gets the same counts
-    #: under stable dotted names).
-    _METRIC_NAMES = (
-        ("sessions", "gossip.sessions"),
-        ("unchanged_sessions", "gossip.sessions_unchanged"),
-        ("converged_sessions", "gossip.sessions_converged"),
-        ("messages", "gossip.messages"),
-        ("bytes", "gossip.bytes"),
-        ("sketch_bytes", "gossip.bytes_sketch"),
-        ("entry_bytes", "gossip.bytes_entries"),
-        ("entries_delivered", "gossip.entries_delivered"),
-        ("decode_failures", "sketch.decode.failures"),
-        ("fallbacks", "gossip.fallbacks"),
-    )
-    _METRIC_KEYS = tuple(metric for _, metric in _METRIC_NAMES)
-    #: ``stats -> (sessions, unchanged_sessions, ...)`` in ``_METRIC_NAMES``
-    #: order: one tuple per reading, so a flush's delta is ten subtractions
-    #: however many publishers, entries or peers exist.
-    _read_stats = staticmethod(attrgetter(*(name for name, _ in _METRIC_NAMES)))
-
     def __init__(
         self,
         network: Optional[Network] = None,
-        stats: Optional[ReconcileStats] = None,
         observability: Optional[Observability] = None,
     ) -> None:
         self._network = network
@@ -357,11 +329,16 @@ class SetReconciler:
             self._obs = network.obs
         else:
             self._obs = Observability()
-        self.stats = stats if stats is not None else ReconcileStats()
         #: ``(sender, receiver, kind, size)`` rows sent since the last
         #: flush, accounted in one flush.
         self._outbox: list[tuple[str, str, str, int]] = []
-        #: Successful decodes since the last flush.
+        # Session outcomes since the last flush.
+        self._sessions = 0
+        self._unchanged = 0
+        self._converged = 0
+        self._delivered = 0
+        self._decode_failures = 0
+        self._fallbacks = 0
         self._decodes = 0
         #: Inside :meth:`batched`: sessions leave their rows for its flush.
         self._batching = False
@@ -376,44 +353,47 @@ class SetReconciler:
     def batched(self) -> Iterator[None]:
         """Account every session run inside the block in one flush when it
         ends: one network call for all their rows, one registry call for
-        all their ``gossip.*``/``sketch.*`` deltas.  Only for sessions with
+        all their ``gossip.*``/``sketch.*`` counts.  Only for sessions with
         no other traffic between them: a message another layer records
-        inside the block would take its trace step ahead of rows sent
-        before it."""
-        before = self._read_stats(self.stats)
+        inside the block would reach the network ahead of rows sent before
+        it."""
         self._batching = True
         try:
             yield
         finally:
             self._batching = False
-            self._flush(before)
+            self._flush()
 
-    def _flush(self, before: tuple) -> None:
-        """Account the outbox in the stats and, with one call, in the
-        network's trace and ``net.*`` series; then add the stats' moves
-        since ``before`` (a ``_read_stats`` reading) to the registry."""
+    def _flush(self) -> None:
+        """Account the outbox, with one call, in the network's ``net.*``
+        series; then add it and the session counts since the last flush
+        to the registry with one more, leaving out counts that are zero."""
         rows = self._outbox
         self._outbox = []
-        stats = self.stats
-        stats.messages += len(rows)
-        for _, _, kind, size in rows:
-            stats.bytes += size
-            if kind == "sketch":
-                stats.sketch_bytes += size
-            elif kind == "batch":
-                stats.entry_bytes += size
         if self._network is not None:
             self._network.record_messages(rows)
+        total = sketch = entries = 0
+        for _, _, kind, size in rows:
+            total += size
+            if kind == "sketch":
+                sketch += size
+            elif kind == "batch":
+                entries += size
+        counts = (
+            self._sessions, self._unchanged, self._converged, len(rows), total,
+            sketch, entries, self._delivered, self._decode_failures, self._fallbacks,
+        )
         keys = []
         values = []
-        for key, was, now in zip(self._METRIC_KEYS, before, self._read_stats(stats)):
-            if now != was:
+        for (_, key), count in zip(_SESSION_SERIES, counts):
+            if count:
                 keys.append(key)
-                values.append(now - was)
+                values.append(count)
         if self._decodes:
             keys.append("sketch.decode.successes")
             values.append(self._decodes)
-            self._decodes = 0
+        self._sessions = self._unchanged = self._converged = self._delivered = 0
+        self._decode_failures = self._fallbacks = self._decodes = 0
         self._obs.metrics.counters_add(keys, values)
 
     def _seed(self, attempt: int, capacity: int) -> int:
@@ -431,22 +411,20 @@ class SetReconciler:
         with self._obs.span("gossip.session", left=left.name, right=right.name):
             if self._batching:
                 return self._run_session(left, right)
-            before = self._read_stats(self.stats)
             try:
                 return self._run_session(left, right)
             finally:
-                self._flush(before)
+                self._flush()
 
     def _run_session(self, left, right) -> SessionResult:
-        stats = self.stats
-        stats.sessions += 1
+        self._sessions += 1
         send = self._outbox.append
         send((left.name, right.name, "challenge", CHALLENGE_BYTES))
         send((right.name, left.name, "challenge", CHALLENGE_BYTES))
         count_left = left.count
         count_right = right.count
         if count_left == count_right and left.checksum == right.checksum:
-            stats.unchanged_sessions += 1
+            self._unchanged += 1
             self._propagate_completeness(left, right)
             return SessionResult(True, 0, 0, 0, False)
 
@@ -461,21 +439,21 @@ class SetReconciler:
             )
             delivered_left += got_left
             delivered_right += got_right
-            stats.entries_delivered += got_left + got_right
+            self._delivered += got_left + got_right
             if converged:
-                stats.converged_sessions += 1
+                self._converged += 1
                 self._propagate_completeness(left, right)
                 return SessionResult(True, delivered_left, delivered_right, attempt + 1, False)
-            stats.decode_failures += 1
+            self._decode_failures += 1
 
-        stats.fallbacks += 1
+        self._fallbacks += 1
         got_left, got_right = self._cursor_fallback(left, right)
         delivered_left += got_left
         delivered_right += got_right
-        stats.entries_delivered += got_left + got_right
+        self._delivered += got_left + got_right
         converged = self._verify(left, right)
         if converged:
-            stats.converged_sessions += 1
+            self._converged += 1
             self._propagate_completeness(left, right)
         return SessionResult(converged, delivered_left, delivered_right, self.ATTEMPTS, True)
 

@@ -372,7 +372,7 @@ class TestGossipPhaseSkip:
         # anti-entropy phase is skipped outright — no epidemic round runs
         # and reconcile's per-peer catch-up sends nothing.
         before = cdss.network.message_stats()
-        sessions_before = cdss.gossip.stats.sessions
+        sessions_before = cdss.gossip.summary()["sessions"]
         round_ = cdss.sync_round()
         after = cdss.network.message_stats()
         assert round_.is_quiescent()
@@ -384,7 +384,7 @@ class TestGossipPhaseSkip:
         # catch-up is settled without a session: no message, no byte.
         assert after["messages"] - before["messages"] == 0
         assert after["bytes"] - before["bytes"] == 0
-        assert cdss.gossip.stats.sessions == sessions_before
+        assert cdss.gossip.summary()["sessions"] == sessions_before
 
     def test_stale_reconnected_peer_still_catches_up(self):
         cdss = build_chain(sync_mode="gossip")

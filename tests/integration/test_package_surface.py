@@ -38,6 +38,25 @@ def test_the_walk_finds_every_module_file():
     assert {"repro", *MODULES} == files
 
 
+#: Output lines pinned per example: the traffic and churn figures they read
+#: from the metrics registry.  Both outputs are the same under any
+#: ``PYTHONHASHSEED``.
+GOLDEN_LINES = {
+    "gossip_catchup": [
+        "  gossip rounds       : 0",
+        "  sessions / messages : 3 / 24",
+        "  entries delivered   : 36",
+        "  total bytes moved   : 6525",
+        "  archive's share     : 6525 of 6525 bytes",
+        "  Aarhus     received 3195 B in 17 messages",
+        "  Bergen     received 2264 B in 11 messages",
+        "  Cadiz      received 3704 B in 14 messages",
+        "  sketch session      : 2308 B (700 B sketches + 1416 B entries)",
+    ],
+    "distributed_store": ["Connectivity churn: 2 events"],
+}
+
+
 @pytest.mark.parametrize("path", EXAMPLES, ids=[path.stem for path in EXAMPLES])
 def test_example_runs(path, tmp_path):
     # Examples may write files (trace_sync.py writes its trace into the
@@ -55,3 +74,6 @@ def test_example_runs(path, tmp_path):
         timeout=120,
     )
     assert completed.returncode == 0, completed.stderr[-2000:]
+    printed = completed.stdout.splitlines()
+    for line in GOLDEN_LINES.get(path.stem, ()):
+        assert line in printed, line

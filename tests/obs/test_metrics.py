@@ -80,14 +80,11 @@ class TestCounters:
 
 
 class TestGaugesAndHistograms:
-    def test_gauge_set_overwrites_gauge_max_keeps_peak(self):
+    def test_gauge_set_overwrites(self):
         registry = MetricsRegistry()
         registry.gauge_set("q.depth", 4)
         registry.gauge_set("q.depth", 2)
         assert registry.gauge_value("q.depth") == 2
-        registry.gauge_max("q.peak", 4)
-        registry.gauge_max("q.peak", 2)
-        assert registry.gauge_value("q.peak") == 4
 
     def test_histogram_snapshot_keys(self):
         registry = MetricsRegistry()

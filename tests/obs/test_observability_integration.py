@@ -1,9 +1,9 @@
-"""End-to-end observability: parity views, determinism, overhead guard.
+"""End-to-end observability: registry views, determinism, overhead guard.
 
-* Satellite parity: the legacy accessors (`Network.message_stats`,
-  `ExchangeEngine.statistics`) are thin views over the shared metrics
-  registry and must agree with it exactly, and `report.pipelined()` replays
-  exactly the traffic the registry counted.
+* Views: `Network.message_stats` and `ExchangeEngine.statistics` read the
+  shared metrics registry, the only place the counts live, and reading
+  them writes nothing; `report.pipelined()` replays exactly the traffic
+  the registry counted.
 * Determinism: two same-seed Figure-2 runs produce byte-identical Chrome
   trace JSON and identical metrics snapshots.
 * Overhead: with no tracer installed, the instrumented executor path stays
@@ -22,6 +22,7 @@ import pytest
 from repro.api.builder import NetworkBuilder
 from repro.datalog.evaluation import Database
 from repro.datalog.executor import PythonExecutionBackend
+from repro.datalog.incremental import IncrementalEngine
 from repro.datalog.parser import parse_program
 from repro.datalog.plan import compile_program
 from repro.obs import NULL_SPAN, MetricsRegistry, Observability, validate_metric_keys
@@ -61,18 +62,31 @@ class TestMessageStatsParity:
             )
 
 
-class TestEngineStatisticsParity:
-    def test_view_agrees_with_execution_stats(self):
+class TestEngineStatistics:
+    def test_each_maintenance_step_reaches_the_registry_once(self, monkeypatch):
+        # The executor's counts travel on each step's MaintenanceResult and
+        # process_transaction adds them to the ``exchange.*`` series.
+        steps = []
+        apply_insertions = IncrementalEngine.apply_insertions
+
+        def counted(self, facts):
+            result = apply_insertions(self, facts)
+            steps.append(result.stats)
+            return result
+
+        monkeypatch.setattr(IncrementalEngine, "apply_insertions", counted)
         cdss = _pair()
         for index in range(3):
             cdss.peer("Source").insert("R", (index, f"v{index}"))
         cdss.sync()
-        engine = cdss.engine
-        statistics = engine.statistics()
-        assert statistics["rules_fired"] == engine.execution_stats.rules_fired
-        assert statistics["tuples_derived"] == engine.execution_stats.tuples_derived
-        assert statistics["rules_fired"] > 0
-        assert statistics["tuples_derived"] > 0
+        metrics = cdss.obs.metrics
+        statistics = cdss.engine.statistics()
+        for name in ("rules_fired", "tuples_derived", "rounds"):
+            total = sum(getattr(stats, name) for stats in steps)
+            assert total > 0, name
+            assert metrics.counter_value(f"exchange.{name}") == total, name
+        assert statistics["rules_fired"] == metrics.counter_value("exchange.rules_fired")
+        assert statistics["tuples_derived"] == metrics.counter_value("exchange.tuples_derived")
 
     def test_registry_survives_engine_rebuild(self):
         # CDSS rebuilds the exchange engine on schema changes and replays
@@ -85,10 +99,34 @@ class TestEngineStatisticsParity:
         assert fired_before > 0
         cdss._invalidate_engine()
         engine = cdss.engine  # rebuild + replay
-        assert engine.statistics()["rules_fired"] == engine.execution_stats.rules_fired
-        assert (
-            cdss.obs.metrics.counter_value("exchange.rules_fired") >= fired_before
-        )
+        fired_after = cdss.obs.metrics.counter_value("exchange.rules_fired")
+        # The replay fires what the first engine fired, and only that is
+        # the rebuilt engine's.
+        assert fired_after == 2 * fired_before
+        assert engine.statistics()["rules_fired"] == fired_after - fired_before
+
+    def test_statistics_writes_nothing(self):
+        cdss = _pair()
+        cdss.peer("Source").insert("R", (1, "a"))
+        cdss.sync()
+        before = cdss.metrics_snapshot()
+        assert cdss.statistics()["database_tuples"] > 0
+        assert cdss.metrics_snapshot() == before
+
+    def test_a_read_between_syncs_leaves_the_next_report_alone(self):
+        # Two identical systems; one is read between its syncs.  Reading
+        # must not put a series into the next report's metrics.
+        reports = []
+        for read in (False, True):
+            cdss = _pair()
+            cdss.peer("Source").insert("R", (1, "a"))
+            cdss.sync()
+            if read:
+                cdss.statistics()
+            cdss.peer("Source").insert("R", (2, "b"))
+            reports.append(cdss.sync().metrics)
+        assert reports[0] == reports[1]
+        assert "exchange.database_tuples" not in reports[1]
 
 
 class TestPipelinedParity:

@@ -14,6 +14,8 @@ from repro.p2p.network import Network
 from repro.p2p.reconcile import ARCHIVE_NAME, SessionResult
 from repro.p2p.store import UpdateStore
 
+from message_rows import recorded_rows
+
 PEERS = ["Alaska", "Beijing", "Crete", "Dakar", "Essen", "Fiji", "Galway", "Hanoi"]
 
 
@@ -57,10 +59,12 @@ class SessionEveryCatchUp(GossipCoordinator):
 def seeded_churn(coordinator_class=GossipCoordinator):
     """Twelve peers, seeded on/off churn, an 8-shard replicated archive; a
     converge and a catch-up of every online peer after each publication.
-    Returns the coordinator and how many catch-ups ran no session."""
+    Returns the coordinator, how many catch-ups ran no session, and every
+    message row the network accounted."""
     rng = random.Random(17)
     names = [f"P{index:02d}" for index in range(12)]
     network = Network(names)
+    rows = recorded_rows(network)
     store = DistributedUpdateStore(
         network, shard_count=8, replication_factor=2, segment_size=1
     )
@@ -84,10 +88,10 @@ def seeded_churn(coordinator_class=GossipCoordinator):
         coordinator.record_published(publisher, store.archive(batch, epoch, publisher))
         coordinator.run_until_converged()
         for name in sorted(network.online_peers()):
-            sessions = coordinator.stats.sessions
+            sessions = coordinator.summary()["sessions"]
             coordinator.catch_up(name)
-            sessionless += coordinator.stats.sessions == sessions
-    return coordinator, sessionless
+            sessionless += coordinator.summary()["sessions"] == sessions
+    return coordinator, sessionless, rows
 
 
 class TestScheduling:
@@ -195,7 +199,7 @@ class TestScheduling:
                     drawn.append(
                         {peer: coordinator._partners(peer, online) for peer in online}
                     )
-            return drawn, coordinator.stats.to_dict()
+            return drawn, coordinator.summary()
 
         centralized = schedule(lambda network: UpdateStore())
         distributed = schedule(
@@ -247,7 +251,7 @@ class TestConvergence:
         report = coordinator.run_until_converged()
         assert report.converged
         assert_matches_archive(coordinator, store, PEERS)
-        assert report.stats.entries_delivered >= 15 * len(offline)
+        assert report.stats["entries_delivered"] >= 15 * len(offline)
 
     def test_offline_peers_are_left_alone(self):
         network, store, coordinator = build()
@@ -272,7 +276,7 @@ class TestConvergence:
             for peer in PEERS[:3]:
                 network.set_online(peer, False)
             report = coordinator.run_until_converged()
-            return report.rounds, report.stats.to_dict()
+            return report.rounds, report.stats
 
         assert campaign() == campaign()
 
@@ -306,8 +310,8 @@ class TestRepairAndFailure:
         (row,) = report.rounds
         assert row["repair_sessions"] == 4
         assert row["sessions"] == 8
-        assert row["entries_delivered"] == 24 == report.stats.entries_delivered
-        for name, total in report.stats.to_dict().items():
+        assert row["entries_delivered"] == 24 == report.stats["entries_delivered"]
+        for name, total in report.stats.items():
             assert sum(r[name] for r in report.rounds) == total, name
 
     def test_unconverged_budget_raises_sync_error(self):
@@ -325,16 +329,16 @@ class TestRepairAndFailure:
         _, store, coordinator = build()
         archive_batch(store, 8)
         coordinator.run_until_converged()
-        before = coordinator.stats.snapshot()
+        before = coordinator.summary()
         result = coordinator.catch_up("Beijing")
-        delta = coordinator.stats.since(before)
+        delta = coordinator.summary(since=before)
         assert result.converged and result.delivered == 0
         # Re-recorded for the certified catch-up.  This read 2 messages, the
         # challenge both ways of an unchanged session.  The converged phase
         # certified Beijing at the store's generation and nothing was
         # archived since, so no session runs and nothing is sent.
-        assert delta.messages == 0
-        assert delta.sessions == 0
+        assert delta["messages"] == 0
+        assert delta["sessions"] == 0
 
     def test_entries_since_matches_store_cursor_after_catch_up(self):
         _, store, coordinator = build()
@@ -353,7 +357,7 @@ class TestPinnedTraffic:
         the sessions run, what they decode and what they deliver are pinned,
         so a cheaper scheduler or store read cannot quietly change a
         decision."""
-        coordinator, _ = seeded_churn()
+        coordinator, _, sent = seeded_churn()
         # Re-recorded for the O(fanout) partner draw (see
         # test_partner_schedule_is_pinned).  The ranked draw read 37 rounds,
         # 697 sessions (521 unchanged), 2 451 messages and 271 336 bytes; the
@@ -374,16 +378,16 @@ class TestPinnedTraffic:
         # and 195 * 96 bytes are gone; everything that moves data is equal
         # (test_certified_catch_up_differs_only_by_skipped_challenges).
         assert coordinator.rounds_run == 36
-        # Every message in order, as the trace holds it (2 009 rows, none
-        # dropped): a change to how messages are built or accounted must
-        # leave each row and its step where it was.
-        rows = [(e.step, e.sender, e.receiver, e.kind, e.size)
-                for e in coordinator._network.message_trace()]
+        # Every message in order, numbered from 1 as it reached the network
+        # (2 009 rows): a change to how messages are built or accounted
+        # must leave each row and its place where it was.
+        rows = [(step, *row) for step, row in enumerate(sent, 1)]
         assert len(rows) == 2009
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
             "9512f583bd47e4386c2f87e08627898679a828ed408b41bcc281f894e3a1bf66"
         )
-        assert coordinator.stats.to_dict() == {
+        assert coordinator.summary() == {
+            "rounds": 36,
             "sessions": 476,
             "unchanged_sessions": 300,
             "converged_sessions": 176,
@@ -404,8 +408,8 @@ class TestCertifiedCatchUp:
         and entry bytes, decode failures and fallbacks.  The certified run
         differs only by the two 48-byte challenges of each skipped
         catch-up, which were unchanged sessions in the oracle."""
-        certified, skipped = seeded_churn()
-        oracle, oracle_skipped = seeded_churn(SessionEveryCatchUp)
+        certified, skipped, _ = seeded_churn()
+        oracle, oracle_skipped, _ = seeded_churn(SessionEveryCatchUp)
         assert skipped > 0 and oracle_skipped == 0
         for name in sorted(oracle._caches):
             mine, theirs = certified.cache(name), oracle.cache(name)
@@ -413,7 +417,7 @@ class TestCertifiedCatchUp:
             assert mine.complete_until == theirs.complete_until
         assert certified._store_view.complete_until == oracle._store_view.complete_until
         assert certified.rounds_run == oracle.rounds_run
-        got, want = certified.stats.to_dict(), oracle.stats.to_dict()
+        got, want = certified.summary(), oracle.summary()
         for name in (
             "converged_sessions", "sketch_bytes", "entry_bytes",
             "entries_delivered", "decode_failures", "fallbacks",
@@ -429,16 +433,16 @@ class TestCertifiedCatchUp:
         archive_batch(store, 5)
         coordinator.run_until_converged()
         archive_batch(store, 3)
-        before = coordinator.stats.snapshot()
+        before = coordinator.summary()
         result = coordinator.catch_up("Crete")
-        delta = coordinator.stats.since(before)
-        assert delta.sessions == 1 and result.converged
-        assert result.delivered == delta.entries_delivered == 3
+        delta = coordinator.summary(since=before)
+        assert delta["sessions"] == 1 and result.converged
+        assert result.delivered == delta["entries_delivered"] == 3
         assert_matches_archive(coordinator, store, ["Crete"])
         # The converged session certified Crete: the next catch-up is free.
-        before = coordinator.stats.snapshot()
+        before = coordinator.summary()
         assert coordinator.catch_up("Crete").delivered == 0
-        assert coordinator.stats.since(before).messages == 0
+        assert coordinator.summary(since=before)["messages"] == 0
 
     def test_a_catch_up_after_set_online_on_a_distributed_store_runs_a_session(self):
         network = Network(PEERS)
@@ -453,20 +457,20 @@ class TestCertifiedCatchUp:
         # A reachability change alone voids every certificate: the session
         # runs, and only confirms equality.
         network.set_online("Hanoi", False)
-        before = coordinator.stats.snapshot()
+        before = coordinator.summary()
         result = coordinator.catch_up("Alaska")
-        delta = coordinator.stats.since(before)
-        assert delta.sessions == delta.unchanged_sessions == 1
-        assert delta.messages == 2 and result.delivered == 0
+        delta = coordinator.summary(since=before)
+        assert delta["sessions"] == delta["unchanged_sessions"] == 1
+        assert delta["messages"] == 2 and result.delivered == 0
         # Hanoi misses two publications while offline; on its return the
         # catch-up runs a session that delivers them.
         archive_batch(store, 2, publisher="Beijing")
         coordinator.run_until_converged()
         network.set_online("Hanoi", True)
-        before = coordinator.stats.snapshot()
+        before = coordinator.summary()
         result = coordinator.catch_up("Hanoi")
-        delta = coordinator.stats.since(before)
-        assert delta.sessions == 1 and result.converged
+        delta = coordinator.summary(since=before)
+        assert delta["sessions"] == 1 and result.converged
         assert result.delivered == 2
         assert_matches_archive(coordinator, store, ["Hanoi"])
         assert coordinator.cache("Hanoi").complete_until == store.latest_epoch()
@@ -483,7 +487,7 @@ class TestReporting:
                 network.set_online(peer, False)
             report = coordinator.run_until_converged()
             assert report.rounds
-            for name, total in report.stats.to_dict().items():
+            for name, total in report.stats.items():
                 assert sum(r[name] for r in report.rounds) == total, name
 
     def test_report_to_dict_carries_rounds_and_stats(self):
@@ -502,13 +506,13 @@ class TestReporting:
         _, store, coordinator = build()
         archive_batch(store, 4)
         coordinator.run_until_converged()
-        before = coordinator.stats.snapshot()
-        rounds_before = coordinator.rounds_run
+        before = coordinator.summary()
         archive_batch(store, 2)
-        coordinator.run_until_converged()
-        summary = coordinator.summary(since=before, rounds_before=rounds_before)
-        assert summary["rounds"] >= 1
+        report = coordinator.run_until_converged()
+        summary = coordinator.summary(since=before)
+        assert summary["rounds"] == report.round_count >= 1
         assert summary["entries_delivered"] >= 2 * len(PEERS)
+        assert summary == {"rounds": report.round_count, **report.stats}
 
 
 
@@ -548,9 +552,9 @@ def flushed_phase(rigged: bool):
 def test_a_round_is_accounted_in_one_flush():
     """Each ``run_round`` hands its sessions' rows to the network in one
     ``record_messages`` call (and its repair sessions in one more), in send
-    order and with consecutive trace steps; the report's rows add up to its
-    stats, and the stats equal the registry's ``gossip.*`` and ``net.*``
-    series.  A session run on its own is one flush too
+    order; the report's rows add up to its stats, and the stats equal the
+    registry's ``gossip.*`` and ``net.*`` series.  A session run on its own
+    is one flush too
     (``test_reconcile.py::test_a_session_is_accounted_in_one_flush``)."""
     for rigged in (False, True):
         network, coordinator, report, flushes, per_round = flushed_phase(rigged)
@@ -562,17 +566,14 @@ def test_a_round_is_accounted_in_one_flush():
         assert all(rows[0][2] == rows[1][2] == "challenge" for rows in flushes)
         assert all(sum(row[2] == "challenge" for row in rows) > 2 for rows in flushes)
         sent = [row for rows in flushes for row in rows]
-        trace = network.message_trace()
-        assert [(e.sender, e.receiver, e.kind, e.size) for e in trace] == sent
-        assert [e.step for e in trace] == list(range(1, len(sent) + 1))
 
-        stats = report.stats.to_dict()
+        stats = report.stats
         for name, total in stats.items():
             assert sum(row[name] for row in report.rounds) == total, name
-        assert stats == coordinator.stats.to_dict()
+        assert coordinator.summary() == {"rounds": report.round_count, **stats}
         metrics = network.obs.metrics
-        for name, key in coordinator._reconciler._METRIC_NAMES:
-            assert metrics.counter_value(key) == stats[name], key
+        assert stats["sessions"] == metrics.counter_value("gossip.sessions")
+        assert stats["decode_failures"] == metrics.counter_value("sketch.decode.failures")
         assert metrics.counter_value("net.messages.sent") == stats["messages"] == len(sent)
         assert metrics.counter_value("net.bytes.sent") == stats["bytes"]
         assert metrics.counter_value("net.bytes.received") == sum(row[3] for row in sent)

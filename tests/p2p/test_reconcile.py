@@ -4,16 +4,19 @@ import pytest
 
 from repro.core.transactions import Transaction
 from repro.core.updates import Update
+from repro.obs import Observability
 from repro.p2p.network import Network
 from repro.p2p.reconcile import (
     MESSAGE_HEADER_BYTES,
     EntryCache,
-    ReconcileStats,
     SetReconciler,
     StoreView,
     cursor_transfer_bytes,
+    session_counts,
 )
 from repro.p2p.store import PublishedTransaction, UpdateStore
+
+from message_rows import recorded_rows
 
 
 def entry(txn_id: str, epoch: int, sequence: int, peer: str = "Alaska") -> PublishedTransaction:
@@ -102,6 +105,13 @@ class TestStoreView:
         assert view.count == 1
 
 
+def counted(network=None):
+    """A reconciler, and a reading of the session counters it adds to the
+    registry it shares with ``network`` (its own one without)."""
+    obs = network.obs if network is not None else Observability()
+    return SetReconciler(network=network, observability=obs), lambda: session_counts(obs.metrics)
+
+
 def divergent_caches(shared: int, extra_left: int, extra_right: int):
     left = EntryCache("L")
     right = EntryCache("R")
@@ -119,11 +129,11 @@ class TestSessions:
 
     def test_converged_sides_exchange_two_messages(self):
         left, right = self._caches(10, 0, 0)
-        reconciler = SetReconciler()
+        reconciler, counts = counted()
         result = reconciler.reconcile(left, right)
         assert result.converged and result.delivered == 0
-        assert reconciler.stats.messages == 2
-        assert reconciler.stats.unchanged_sessions == 1
+        assert counts()["messages"] == 2
+        assert counts()["unchanged_sessions"] == 1
 
     @pytest.mark.parametrize("publishers", [1, 40])
     def test_converged_session_costs_two_constant_size_messages(self, publishers):
@@ -138,12 +148,11 @@ class TestSessions:
         right.add_entries(common)
         assert len(left.clock().versions) == publishers
         network = Network(["L", "R"])
-        reconciler = SetReconciler(network=network)
+        rows = recorded_rows(network)
+        reconciler, counts = counted(network)
         assert reconciler.reconcile(left, right).converged
-        assert [event.size for event in network.message_trace()] == [
-            MESSAGE_HEADER_BYTES + 32
-        ] * 2
-        assert reconciler.stats.bytes == 2 * (MESSAGE_HEADER_BYTES + 32)
+        assert [row[3] for row in rows] == [MESSAGE_HEADER_BYTES + 32] * 2
+        assert counts()["bytes"] == 2 * (MESSAGE_HEADER_BYTES + 32)
 
     def test_session_makes_both_sides_equal(self):
         left, right = self._caches(20, 3, 2)
@@ -171,9 +180,9 @@ class TestSessions:
             left.mark_complete(shared)
             right.mark_complete(shared)
             left.add_entries(entries(5, start=shared + 100, peer="Beijing"))
-            reconciler = SetReconciler()
+            reconciler, counts = counted()
             assert reconciler.reconcile(left, right).converged
-            return reconciler.stats.bytes
+            return counts()["bytes"]
 
         small, large = session_bytes(40), session_bytes(400)
         assert large <= small * 2
@@ -181,33 +190,45 @@ class TestSessions:
         baseline_large = cursor_transfer_bytes(entries(400))
         assert baseline_large > baseline_small * 8
 
-    def test_stats_account_every_message(self):
+    def test_the_registry_accounts_every_message(self):
         left, right = self._caches(5, 2, 1)
-        stats = ReconcileStats()
-        reconciler = SetReconciler(stats=stats)
+        reconciler, counts = counted()
         reconciler.reconcile(left, right)
-        assert stats.sessions == 1
-        assert stats.messages > 2
-        assert stats.bytes >= stats.messages * MESSAGE_HEADER_BYTES
-        assert stats.sketch_bytes > 0
-        assert stats.entry_bytes > 0
-        assert stats.entries_delivered == 3
+        stats = counts()
+        assert stats["sessions"] == 1
+        assert stats["messages"] > 2
+        assert stats["bytes"] >= stats["messages"] * MESSAGE_HEADER_BYTES
+        assert stats["sketch_bytes"] > 0
+        assert stats["entry_bytes"] > 0
+        assert stats["entries_delivered"] == 3
+
+    def test_a_flush_adds_no_zero_count(self):
+        """A count that did not move creates no series: an unchanged session
+        leaves exactly its four moved counters in the registry."""
+        left, right = self._caches(3, 0, 0)
+        obs = Observability()
+        SetReconciler(observability=obs).reconcile(left, right)
+        assert obs.metrics.snapshot() == {
+            "gossip.bytes": 2 * (MESSAGE_HEADER_BYTES + 32),
+            "gossip.messages": 2,
+            "gossip.sessions": 1,
+            "gossip.sessions_unchanged": 1,
+        }
 
     def test_network_message_stats_are_fed(self):
         network = Network(["L", "R"])
         left, right = self._caches(5, 1, 1)
-        reconciler = SetReconciler(network=network)
+        reconciler, counts = counted(network)
         reconciler.reconcile(left, right)
         stats = network.message_stats()
-        assert stats["messages"] == reconciler.stats.messages
-        assert stats["bytes"] == reconciler.stats.bytes
+        assert stats["messages"] == counts()["messages"]
+        assert stats["bytes"] == counts()["bytes"]
         assert stats["per_peer"]["L"]["sent"] > 0
         assert stats["per_peer"]["R"]["received"] > 0
 
     def test_a_session_is_accounted_in_one_flush(self, monkeypatch):
         """One ``record_messages`` call per session, carrying every message
-        in send order; the trace, the stats and the ``gossip.*`` series
-        agree with it."""
+        in send order; the ``gossip.*`` series agree with it."""
         network = Network(["L", "R"])
         flushes = []
         real = network.record_messages
@@ -219,22 +240,18 @@ class TestSessions:
 
         monkeypatch.setattr(network, "record_messages", counting)
         left, right = self._caches(5, 2, 1)
-        reconciler = SetReconciler(network=network)
+        reconciler, counts = counted(network)
         reconciler.reconcile(left, right)
         (rows,) = flushes
-        trace = network.message_trace()
-        assert [(e.sender, e.receiver, e.kind, e.size) for e in trace] == list(rows)
-        assert [e.step for e in trace] == list(range(1, len(rows) + 1))
         assert rows[0][2] == rows[1][2] == "challenge"
-        stats = reconciler.stats
-        assert stats.messages == len(rows)
-        assert stats.bytes == sum(row[3] for row in rows)
-        assert stats.sketch_bytes == sum(row[3] for row in rows if row[2] == "sketch")
-        assert stats.entry_bytes == sum(row[3] for row in rows if row[2] == "batch")
-        metrics = network.obs.metrics
-        assert metrics.counter_value("gossip.messages") == stats.messages
-        assert metrics.counter_value("gossip.bytes_entries") == stats.entry_bytes
-        assert metrics.counter_value("gossip.sessions") == 1
+        assert rows[-2:] == (("L", "R", "clock", rows[-1][3]), ("R", "L", "clock", rows[-1][3]))
+        stats = counts()
+        assert stats["sessions"] == 1
+        assert stats["messages"] == len(rows)
+        assert stats["bytes"] == sum(row[3] for row in rows)
+        assert stats["sketch_bytes"] == sum(row[3] for row in rows if row[2] == "sketch")
+        assert stats["entry_bytes"] == sum(row[3] for row in rows if row[2] == "batch")
+        assert network.message_stats()["bytes"] == stats["bytes"]
 
     def test_completeness_propagates_through_sessions(self):
         left, right = self._caches(6, 0, 2)
@@ -243,14 +260,18 @@ class TestSessions:
         assert reconciler.reconcile(left, right).converged
         assert left.complete_until == 5
 
-    def test_snapshot_and_since_deltas(self):
+    def test_session_counts_since_an_earlier_reading(self):
         left, right = self._caches(4, 1, 0)
-        reconciler = SetReconciler()
-        before = reconciler.stats.snapshot()
+        obs = Observability()
+        reconciler = SetReconciler(observability=obs)
+        reconciler.reconcile(*self._caches(2, 0, 0))
+        before = session_counts(obs.metrics)
         reconciler.reconcile(left, right)
-        delta = reconciler.stats.since(before)
-        assert delta.sessions == 1
-        assert delta.to_dict()["entries_delivered"] == 1
+        delta = session_counts(obs.metrics, since=before)
+        assert delta["sessions"] == 1
+        assert delta["unchanged_sessions"] == 0
+        assert delta["entries_delivered"] == 1
+        assert session_counts(obs.metrics)["sessions"] == 2
 
 
 class TestMemos:
@@ -280,11 +301,11 @@ class TestGrowAndFallback:
         right = EntryCache("R")
         left.add_entries(entries(60, peer="Beijing"))
         right.add_entries(entries(60, start=1000, peer="Crete"))
-        reconciler = SetReconciler()
+        reconciler, counts = counted()
         result = reconciler.reconcile(left, right)
         assert result.converged and not result.fell_back
         assert result.attempts > 1
-        assert reconciler.stats.decode_failures >= 1
+        assert counts()["decode_failures"] == result.attempts - 1
         assert left.count == right.count == 120
 
     def test_exhausted_attempts_fall_back_to_cursor_replay(self, monkeypatch):
@@ -299,12 +320,12 @@ class TestGrowAndFallback:
         # A symmetric diff keeps the count difference at zero, so the base
         # capacity stays at 1 and the sketch must stall.
         right.add_entries(entries(300, start=1000, peer="Crete"))
-        reconciler = SetReconciler()
+        reconciler, counts = counted()
         result = reconciler.reconcile(left, right)
         assert result.fell_back
         assert result.converged
-        assert reconciler.stats.fallbacks == 1
-        assert reconciler.stats.decode_failures >= 1
+        assert counts()["fallbacks"] == 1
+        assert counts()["decode_failures"] >= 1
         assert left.compact_clock().agrees_with(right.compact_clock())
         assert left.count == right.count == 600
 
@@ -317,13 +338,13 @@ class TestGrowAndFallback:
         left.mark_complete(10)
         right.mark_complete(10)
         right.add_entries(entries(3, start=20, peer="Crete"))
-        reconciler = SetReconciler()
-        before_bytes = reconciler.stats.bytes
+        reconciler, counts = counted()
         # Even a direct fallback ships only the tail above the watermark.
         got_left, got_right = reconciler._cursor_fallback(left, right)
         assert got_left == 3 and got_right == 0
-        moved = reconciler.stats.bytes - before_bytes
-        assert moved < cursor_transfer_bytes(shared + entries(3, start=20, peer="Crete"))
+        reconciler._flush()
+        moved = counts()["bytes"]
+        assert 0 < moved < cursor_transfer_bytes(shared + entries(3, start=20, peer="Crete"))
 
 
 class TestCursorTransferBytes:

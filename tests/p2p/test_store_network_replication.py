@@ -9,8 +9,10 @@ from repro.core.updates import Update
 from repro.errors import NetworkError, PublicationError
 from repro.obs import MetricsRegistry, validate_metric_keys
 from repro.p2p.gossip import GossipCoordinator
-from repro.p2p.network import Network
+from repro.p2p.network import LatencyModel, Network
 from repro.p2p.store import EpochLog, PublishedTransaction, UpdateStore
+
+from message_rows import recorded_rows
 
 
 def txn(txn_id: str, peer: str = "Alaska") -> Transaction:
@@ -155,39 +157,36 @@ class TestNetwork:
         with pytest.raises(NetworkError):
             network.require_online("A", "publish")
 
-    def test_trace_records_changes_only(self):
+    def test_only_changes_are_events(self):
         network = Network(["A"])
         network.connect("A")  # already online: no event
         network.disconnect("A")
         network.disconnect("A")  # no change: no event
-        assert len(network.trace()) == 1
+        assert network.churn_stats()["events"] == 1
         assert network.availability() == {"A": False}
 
-    def test_trace_is_bounded_but_churn_stats_keep_counting(self):
-        network = Network(["A", "B"], trace_limit=3)
+    def test_churn_stats_count_every_change(self):
+        network = Network(["A", "B"])
         for _ in range(5):
             network.disconnect("A")
             network.connect("A")
         network.disconnect("B")
-        assert len(network.trace()) == 3  # only the most recent events
-        stats = network.churn_stats()
-        assert stats["events"] == 11
-        assert stats["connects"] == 5
-        assert stats["disconnects"] == 6
-        assert stats["trace_retained"] == 3
-        assert stats["trace_dropped"] == 8
-        assert stats["per_peer"]["A"] == {"connects": 5, "disconnects": 5}
-        assert stats["per_peer"]["B"] == {"connects": 0, "disconnects": 1}
+        assert network.churn_stats() == {
+            "events": 11,
+            "connects": 5,
+            "disconnects": 6,
+            "per_peer": {
+                "A": {"connects": 5, "disconnects": 5},
+                "B": {"connects": 0, "disconnects": 1},
+            },
+        }
 
-    def test_trace_limit_is_validated(self):
-        with pytest.raises(NetworkError):
-            Network(trace_limit=-1)
-        # None means unbounded.
-        network = Network(["A"], trace_limit=None)
-        for _ in range(10):
-            network.disconnect("A")
-            network.connect("A")
-        assert len(network.trace()) == 20
+    def test_the_network_keeps_no_event_trace(self):
+        with pytest.raises(TypeError):
+            Network(["A"], trace_limit=4)  # type: ignore[call-arg]
+        network = Network(["A"])
+        assert not hasattr(network, "trace")
+        assert not hasattr(network, "message_trace")
 
     def test_listeners_observe_connectivity_changes(self):
         network = Network(["A", "B"])
@@ -264,20 +263,32 @@ class TestEpochLogSince:
 
 
 class TestMessageAccounting:
-    """Bounded message trace + unbounded aggregate counters."""
+    """Traffic counters on the metrics registry; rows through the recorder."""
 
-    def test_counters_and_trace(self):
+    def test_counters_and_rows(self):
         network = Network(["A", "B"])
+        rows = recorded_rows(network)
         network.record_message("A", "B", "sketch", 100)
         network.record_message("B", "A", "entries", 40)
         stats = network.message_stats()
-        assert stats["messages"] == 2
-        assert stats["bytes"] == 140
-        assert stats["per_peer"]["A"] == {
-            "sent": 1, "received": 1, "bytes_sent": 100, "bytes_received": 40,
+        assert stats == {
+            "messages": 2,
+            "bytes": 140,
+            "per_peer": {
+                "A": {"sent": 1, "received": 1, "bytes_sent": 100, "bytes_received": 40},
+                "B": {"sent": 1, "received": 1, "bytes_sent": 40, "bytes_received": 100},
+            },
         }
-        kinds = [event.kind for event in network.message_trace()]
-        assert kinds == ["sketch", "entries"]
+        assert rows == [("A", "B", "sketch", 100), ("B", "A", "entries", 40)]
+
+    def test_transmit_is_accounted_through_record_messages(self):
+        network = Network(["A", "B"])
+        network.set_latency_model(LatencyModel(seed=1))
+        rows = recorded_rows(network)
+        delay = network.transmit("A", "B", "batch", 500)
+        assert rows == [("A", "B", "batch", 500)]
+        assert delay > 0 and network.clock.now == delay
+        assert network.message_stats()["bytes"] == 500
 
     def test_unregistered_participants_are_allowed(self):
         # The archive is a store, not a peer, but its traffic is accounted.
@@ -302,7 +313,6 @@ class TestMessageAccounting:
         batched.record_messages(rows)
         for row in rows:
             one_by_one.record_message(*row)
-        assert batched.message_trace() == one_by_one.message_trace()
         assert batched.message_stats() == one_by_one.message_stats()
         assert batched.obs.metrics.snapshot() == one_by_one.obs.metrics.snapshot()
 
@@ -310,37 +320,26 @@ class TestMessageAccounting:
         network = Network(["A", "B"])
         with pytest.raises(NetworkError):
             network.record_messages([("A", "B", "sketch", 10), ("B", "A", "batch", -1)])
-        assert network.message_trace() == []
+        assert network.obs.metrics.snapshot() == {}
         assert network.message_stats()["messages"] == 0
 
-    def test_trace_rolls_over_but_totals_keep_counting(self):
-        network = Network(["A", "B"], trace_limit=5)
-        for i in range(12):
+    def test_totals_count_every_message(self):
+        network = Network(["A", "B"])
+        for _ in range(12):
             network.record_message("A", "B", "entries", 10)
         stats = network.message_stats()
         assert stats["messages"] == 12
         assert stats["bytes"] == 120
-        assert stats["trace_retained"] == 5
-        assert stats["trace_dropped"] == 7
-        # The trace keeps the most recent events, not the oldest.
-        assert [event.step for event in network.message_trace()] == [8, 9, 10, 11, 12]
+        assert stats["per_peer"]["B"]["received"] == 12
 
-    def test_zero_trace_limit_keeps_no_events(self):
-        network = Network(["A", "B"], trace_limit=0)
-        network.record_message("A", "B", "clock", 24)
-        stats = network.message_stats()
-        assert stats["trace_retained"] == 0
-        assert stats["trace_dropped"] == 1
-        assert stats["messages"] == 1
-
-    def test_message_and_connectivity_traces_are_independent(self):
-        network = Network(["A", "B"], trace_limit=3)
+    def test_message_and_connectivity_counts_are_independent(self):
+        network = Network(["A", "B"])
         network.disconnect("A")
         network.connect("A")
         for _ in range(4):
             network.record_message("A", "B", "entries", 5)
-        assert network.churn_stats()["trace_retained"] == 2
-        assert network.message_stats()["trace_retained"] == 3
+        assert network.churn_stats()["events"] == 2
+        assert network.message_stats()["messages"] == 4
 
     def test_a_seeded_gossip_run_accounts_like_per_series_adds(self):
         """After a seeded gossip run: totals are the sums of the per-peer
@@ -350,7 +349,8 @@ class TestMessageAccounting:
         would have left."""
         rng = random.Random(5)
         names = [f"P{index}" for index in range(6)]
-        network = Network(names, trace_limit=None)
+        network = Network(names)
+        sent = recorded_rows(network)
         store = UpdateStore()
         coordinator = GossipCoordinator(network, store, fanout=2)
         for name in names:
@@ -371,11 +371,11 @@ class TestMessageAccounting:
         assert all(isinstance(name, str) for name in network._traffic_keys)
 
         replayed = MetricsRegistry()
-        for event in network.message_trace():
-            replayed.counter_add("net.messages.sent", 1, label=event.sender)
-            replayed.counter_add("net.bytes.sent", event.size, label=event.sender)
-            replayed.counter_add("net.messages.received", 1, label=event.receiver)
-            replayed.counter_add("net.bytes.received", event.size, label=event.receiver)
+        for sender, receiver, _, size in sent:
+            replayed.counter_add("net.messages.sent", 1, label=sender)
+            replayed.counter_add("net.bytes.sent", size, label=sender)
+            replayed.counter_add("net.messages.received", 1, label=receiver)
+            replayed.counter_add("net.bytes.received", size, label=receiver)
         snapshot = network.obs.metrics.snapshot()
         traffic = {key: value for key, value in snapshot.items() if key.startswith("net.")}
         assert traffic == replayed.snapshot()
