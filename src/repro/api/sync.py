@@ -122,8 +122,8 @@ class SyncReport:
     #: entry bytes), entries delivered, decode failures, cursor fallbacks.
     gossip: Optional[dict] = None
     #: Per-run view of the shared metrics registry (:mod:`repro.obs`):
-    #: counters moved during this sync plus current gauges, under stable
-    #: dotted names.  ``None`` unless ``config.observe.mode`` is
+    #: counters moved during this sync, and the current min/max of each
+    #: histogram, under stable dotted names.  ``None`` unless ``config.observe.mode`` is
     #: ``"metrics"``/``"trace"`` or a tracer was installed via
     #: ``cdss.sync(trace=...)``.
     metrics: Optional[dict] = None

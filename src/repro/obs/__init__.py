@@ -4,7 +4,7 @@ Every subsystem (sync orchestration, update exchange, both datalog
 executors, the distributed store, gossip reconciliation, provenance
 evaluation) emits into one :class:`Observability` holder:
 
-* :class:`MetricsRegistry` — counters / gauges / histograms under stable
+* :class:`MetricsRegistry` — counters and histograms under stable
   dotted-lowercase names, flattened to a deterministic ``snapshot()``
   dict that is merged into ``SyncReport.metrics`` and the benchmark
   reporting tables;

@@ -1,4 +1,4 @@
-"""Shared metrics registry: counters, gauges, and histograms.
+"""Shared metrics registry: counters and histograms.
 
 Naming contract (linted in CI): every metric name is dotted lowercase —
 ``^[a-z][a-z0-9_]*(\\.[a-z][a-z0-9_]*)+$`` — and no dotted component may
@@ -61,10 +61,9 @@ def _check_name(name: str) -> str:
 
 
 class MetricsRegistry:
-    """Counters, gauges, and histograms under stable dotted names.
+    """Counters and histograms under stable dotted names.
 
     * counters are monotonic sums (``counter_add``);
-    * gauges are last-write-wins values (``gauge_set``);
     * histograms keep deterministic aggregates only — count, total, min,
       max — flattened as ``name.count`` / ``name.total`` / ``name.min`` /
       ``name.max`` in the snapshot.
@@ -75,11 +74,10 @@ class MetricsRegistry:
     figure and ``snapshot()["net.bytes.sent[Alaska]"]`` one peer's share.
     """
 
-    __slots__ = ("_counters", "_gauges", "_histograms")
+    __slots__ = ("_counters", "_histograms")
 
     def __init__(self) -> None:
         self._counters: Dict[str, float] = {}
-        self._gauges: Dict[str, float] = {}
         # name -> [count, total, minimum, maximum]
         self._histograms: Dict[str, List[float]] = {}
 
@@ -112,14 +110,6 @@ class MetricsRegistry:
                 _check_name(key.partition("[")[0])
                 counters[key] = value
 
-    def gauge_set(
-        self, name: str, value: float, label: Optional[str] = None
-    ) -> None:
-        if name not in self._gauges:
-            _check_name(name)
-        key = name if label is None else f"{name}[{label}]"
-        self._gauges[key] = value
-
     def observe(
         self, name: str, value: float, label: Optional[str] = None
     ) -> None:
@@ -144,10 +134,6 @@ class MetricsRegistry:
         key = name if label is None else f"{name}[{label}]"
         return self._counters.get(key, 0)
 
-    def gauge_value(self, name: str, label: Optional[str] = None) -> float:
-        key = name if label is None else f"{name}[{label}]"
-        return self._gauges.get(key, 0)
-
     def labelled_counters(self, name: str) -> Dict[str, float]:
         """``{label: value}`` for every labelled series under ``name``."""
         prefix = f"{name}["
@@ -161,7 +147,6 @@ class MetricsRegistry:
         """Flat, deterministically-ordered view of every series."""
         flat: Dict[str, float] = {}
         flat.update(self._counters)
-        flat.update(self._gauges)
         for name, (count, total, minimum, maximum) in self._histograms.items():
             flat[f"{name}.count"] = count
             flat[f"{name}.total"] = total
@@ -173,15 +158,14 @@ class MetricsRegistry:
         """Per-run view: cumulative series diffed against ``before``.
 
         Counters and histogram count/total aggregates subtract the prior
-        snapshot; gauges and histogram min/max report their current value
-        (a high-water mark has no meaningful difference).  Series absent
+        snapshot; histogram min/max report their current value (a
+        high-water mark has no meaningful difference).  Series absent
         from the diff (no movement since ``before``) are dropped.
         """
         current = self.snapshot()
-        gauges = self._gauges
         view: Dict[str, float] = {}
         for key, value in current.items():
-            if key in gauges or key.endswith((".min", ".max")):
+            if key.endswith((".min", ".max")):
                 view[key] = value
             else:
                 delta = value - before.get(key, 0)

@@ -5,7 +5,9 @@ distributed database so that a peer's updates remain retrievable after it
 disconnects.  This package provides that substrate:
 
 * :mod:`repro.p2p.store` — the centralized, append-only archive of published
-  transactions, ordered by epoch and indexed for the reconcile hot path,
+  transactions, and :class:`EpochLog`, the one entry set (epoch order,
+  indexes, count/checksum summary) behind the archive, the gossip caches
+  and the shard replicas,
 * :mod:`repro.p2p.network` — per-peer connectivity (peers are intermittently
   connected; offline peers can neither publish nor reconcile), with
   listeners and churn statistics,
@@ -14,7 +16,7 @@ disconnects.  This package provides that substrate:
   shard servers, quorum reads/writes, re-replication, and gossip-based
   catch-up for reconnecting peers,
 * :mod:`repro.p2p.sketch` — process-stable content digests, invertible
-  Bloom lookup tables and compact epoch clocks for set reconciliation,
+  Bloom lookup tables and the compact set summary for set reconciliation,
 * :mod:`repro.p2p.reconcile` — the challenge → sketch → diff → batch
   reconciliation protocol with per-message byte accounting and cursor-replay
   fallback,
@@ -40,7 +42,6 @@ from .reconcile import (
 from .sketch import (
     CompactClock,
     IBLTSketch,
-    PeerClock,
     entry_digest,
     entry_wire_size,
     transaction_digest,
@@ -58,7 +59,6 @@ __all__ = [
     "GossipReport",
     "IBLTSketch",
     "Network",
-    "PeerClock",
     "PublishedTransaction",
     "SessionResult",
     "SetReconciler",

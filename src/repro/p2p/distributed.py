@@ -12,7 +12,9 @@ but physically partitions the epoch-ordered log:
   ``segment_size`` epochs; each segment is mapped onto one of ``shard_count``
   shards by consistent hashing (:class:`ConsistentHashRing`), and each shard
   is hosted as :class:`ShardReplica` copies on ``replication_factor`` peers
-  chosen by rendezvous hashing among the registered participants.
+  chosen by rendezvous hashing among the registered participants.  A
+  replica is an :class:`~repro.p2p.store.EpochLog`, the package's one
+  entry set, plus its host.
 * **Writes** — ``archive`` validates the whole batch atomically (the same
   contract as the centralized store), then sends every entry to **all**
   reachable replicas of its shard.  Success requires at least one ack;
@@ -30,10 +32,15 @@ but physically partitions the epoch-ordered log:
   :class:`~repro.p2p.network.Network` connectivity events.  When a hosting
   peer disconnects, a re-replication pass copies the shard from a surviving
   replica onto the best-ranked online peer, restoring the replication
-  factor.  When a peer reconnects, a gossip/anti-entropy round exchanges
-  per-shard epoch vectors and back-fills whatever its replicas missed while
-  offline; fully caught-up surplus replicas are then pruned back to the
-  replication factor.
+  factor.  When a peer reconnects, an anti-entropy round compares the
+  shard replicas' compact clocks (count and checksum of their entry
+  digests) and, where they disagree, copies each replica the entries it
+  lacks, by digest; fully caught-up surplus replicas are then pruned back
+  to the replication factor.
+
+Repairs, anti-entropy rounds, entries copied and degraded writes are
+counted in the metrics registry where they happen (``store.*`` counters);
+:meth:`DistributedUpdateStore.health` only reads them.
 
 Because writes fan out to every reachable replica (not just a quorum),
 losing up to ``replication_factor - 1`` replicas of a shard never loses a
@@ -44,13 +51,13 @@ degrades below the replication factor while enough peers remain online.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from typing import Iterable, Optional
 
-from ..core.hashing import mix64, stable_text_hash
+from ..core.hashing import stable_text_hash
 from ..core.transactions import Transaction
 from ..errors import ConfigurationError, PublicationError, QuorumError
 from .network import ConnectivityEvent, Network
-from .sketch import CompactClock
 from .store import (
     EpochLog,
     PublishedTransaction,
@@ -63,9 +70,14 @@ from .store import (
 # in repro.core.hashing.
 _hash = stable_text_hash
 
-#: Offset fed to :func:`mix64` when hashing sequences into replica clock
-#: checksums — mix64(0) == 0 would make sequence 0 invisible to the XOR.
-_SEQUENCE_SALT = 0x9E3779B97F4A7C15
+#: The counters :meth:`DistributedUpdateStore.health` reports, under its
+#: field names.
+_HEALTH_SERIES = (
+    ("degraded_writes", "store.quorum.degraded_writes"),
+    ("re_replications", "store.replication.repairs"),
+    ("anti_entropy_rounds", "store.anti_entropy.rounds"),
+    ("entries_transferred", "store.anti_entropy.entries_transferred"),
+)
 
 
 class ConsistentHashRing:
@@ -103,76 +115,17 @@ class ConsistentHashRing:
         return self._shards[position]
 
 
-class ShardReplica:
-    """One peer-hosted copy of a shard: an epoch-ordered log plus cursors.
+class ShardReplica(EpochLog):
+    """One peer-hosted copy of a shard: an :class:`EpochLog` (whose compact
+    clock is what anti-entropy compares) plus its host and the anti-entropy
+    round it last took part in."""
 
-    The replica tracks which global sequences it holds per segment and
-    maintains incremental :class:`~repro.p2p.sketch.CompactClock` summaries
-    (count + XOR checksum of sequence digests) at replica and segment
-    granularity — the constant-size payloads anti-entropy rounds exchange
-    before deciding whether any entries need to move.
-    """
-
-    def __init__(self, shard: int, host: str) -> None:
-        self.shard = shard
+    def __init__(self, host: str) -> None:
+        super().__init__()
         self.host = host
-        self.log = EpochLog()
-        self._segments: dict[int, set[int]] = {}
-        self._by_sequence: dict[int, PublishedTransaction] = {}
-        self._checksum = 0
-        self._segment_checksums: dict[int, int] = {}
         #: Value of the store's anti-entropy clock when this replica last
         #: took part in a round; the store's health() reports the age.
         self.last_anti_entropy_round = 0
-
-    def add(self, entry: PublishedTransaction, segment: int) -> bool:
-        """Store one entry; returns False when it was already held."""
-        held = self._segments.setdefault(segment, set())
-        if entry.sequence in held:
-            return False
-        held.add(entry.sequence)
-        self._by_sequence[entry.sequence] = entry
-        self.log.add(entry)
-        digest = mix64(entry.sequence + _SEQUENCE_SALT)
-        self._checksum ^= digest
-        self._segment_checksums[segment] = (
-            self._segment_checksums.get(segment, 0) ^ digest
-        )
-        return True
-
-    def __len__(self) -> int:
-        return len(self.log)
-
-    def sequences(self, segment: int) -> set[int]:
-        return set(self._segments.get(segment, ()))
-
-    def segments(self) -> list[int]:
-        return sorted(self._segments)
-
-    def entry_for(self, sequence: int) -> Optional[PublishedTransaction]:
-        return self._by_sequence.get(sequence)
-
-    def holds(self, sequence: int) -> bool:
-        return sequence in self._by_sequence
-
-    def clock(self) -> CompactClock:
-        """Constant-size summary of everything this replica holds.  Unlike
-        ``(count, max sequence)``, the checksum detects interior holes: two
-        replicas with the same count and max but different sequence sets
-        get different clocks."""
-        return CompactClock(
-            count=len(self._by_sequence),
-            checksum=self._checksum,
-            latest=max(self._by_sequence, default=-1),
-        )
-
-    def segment_clock(self, segment: int) -> CompactClock:
-        held = self._segments.get(segment, ())
-        return CompactClock(
-            count=len(held),
-            checksum=self._segment_checksums.get(segment, 0),
-            latest=max(held, default=-1),
-        )
 
 
 class DistributedUpdateStore:
@@ -223,15 +176,17 @@ class DistributedUpdateStore:
         self._ids: set[str] = set()
         self._next_sequence = 0
         self._latest_epoch = 0
-        self._degraded_writes = 0
-        self._re_replications = 0
-        self._anti_entropy_rounds = 0
         #: Monotone per-shard-pass clock; replicas record its value when they
         #: take part in a round, and health() reports each replica's age.
         self._anti_entropy_clock = 0
-        self._entries_transferred = 0
         self._generation = 0
         self._obs = network.obs
+        #: The health counters' values when this store was built: its share
+        #: of a registry that may have counted before it.
+        self._registry_baseline = {
+            series: self._obs.metrics.counter_value(series)
+            for _, series in _HEALTH_SERIES
+        }
         network.subscribe(self._on_connectivity)
 
     # -- knobs -------------------------------------------------------------------
@@ -289,7 +244,7 @@ class DistributedUpdateStore:
         if not candidates:
             candidates = sorted(self._network.peers(), key=lambda p: self._rank(shard, p))
         hosts = candidates[: self._replication_factor]
-        replicas = [ShardReplica(shard, host) for host in hosts]
+        replicas = [ShardReplica(host) for host in hosts]
         self._replicas[shard] = replicas
         return replicas
 
@@ -332,8 +287,10 @@ class DistributedUpdateStore:
             self._repair_shard(shard)
 
     def _is_complete(self, shard: int, replica: ShardReplica) -> bool:
-        assigned = self._shard_sequences.get(shard, set())
-        return all(replica.holds(sequence) for sequence in assigned)
+        # A replica only ever holds entries assigned to its shard (archive
+        # writes them there, repair and anti-entropy copy them between the
+        # shard's replicas), so holding as many is holding all of them.
+        return len(replica) == len(self._shard_sequences.get(shard, ()))
 
     def _repair_shard(self, shard: int) -> None:
         """Re-replicate from surviving copies until enough replicas are online."""
@@ -356,17 +313,18 @@ class DistributedUpdateStore:
             self._network.online_peers() - hosts,
             key=lambda peer: self._rank(shard, peer),
         )
-        for peer in candidates[: target - len(online)]:
-            replica = ShardReplica(shard, peer)
-            for segment in donor.segments():
-                for sequence in sorted(donor.sequences(segment)):
-                    entry = donor.entry_for(sequence)
-                    if entry is not None and replica.add(entry, segment):
-                        self._entries_transferred += 1
+        added = [ShardReplica(peer) for peer in candidates[: target - len(online)]]
+        for replica in added:
+            for entry in donor:
+                replica.add(entry)
             # A freshly copied replica is as caught-up as a round would make it.
             replica.last_anti_entropy_round = self._anti_entropy_clock
-            replicas.append(replica)
-            self._re_replications += 1
+        if added:
+            replicas.extend(added)
+            self._obs.metrics.counters_add(
+                ("store.replication.repairs", "store.anti_entropy.entries_transferred"),
+                (len(added), len(added) * len(donor)),
+            )
         self._prune_shard(shard)
 
     def _prune_shard(self, shard: int) -> None:
@@ -395,14 +353,11 @@ class DistributedUpdateStore:
     def _anti_entropy_shard(self, shard: int) -> int:
         """One gossip round among the shard's reachable replicas.
 
-        Replicas first exchange whole-replica compact clocks (24 bytes each
-        — the reconciliation subsystem's epoch-clock payload, replacing the
-        full per-shard epoch vectors this round used to ship); only when
-        those disagree do they compare per-segment clocks, and only segments
-        whose clocks disagree exchange actual entries.  The checksums also
-        catch same-count/same-max divergence (interior holes) that the old
-        ``(count, max)`` vectors were blind to.  Returns the number of
-        entries transferred.
+        Replicas first exchange their compact clocks (24 bytes each: count
+        and XOR checksum of their entry digests), which also catch
+        same-count divergence (interior holes).  Only when those disagree
+        does any entry move: every replica is given, by digest, the entries
+        of the union it lacks.  Returns the number of entries transferred.
         """
         self._anti_entropy_clock += 1
         replicas = [
@@ -414,34 +369,23 @@ class DistributedUpdateStore:
             replica.last_anti_entropy_round = self._anti_entropy_clock
         if len(replicas) < 2:
             return 0
-        clocks = [replica.clock() for replica in replicas]
+        clocks = [replica.compact_clock() for replica in replicas]
         if all(clock.agrees_with(clocks[0]) for clock in clocks[1:]):
             return 0
+        union = EpochLog()
+        for replica in replicas:
+            for entry in replica:
+                union.add(entry)
         transferred = 0
-        segments = sorted({
-            segment for replica in replicas for segment in replica.segments()
-        })
-        for segment in segments:
-            segment_clocks = [replica.segment_clock(segment) for replica in replicas]
-            if all(clock.agrees_with(segment_clocks[0]) for clock in segment_clocks[1:]):
-                continue
-            union: dict[int, PublishedTransaction] = {}
-            for replica in replicas:
-                for sequence in replica.sequences(segment):
-                    entry = replica.entry_for(sequence)
-                    if entry is not None:
-                        union[sequence] = entry
-            for replica in replicas:
-                missing = set(union) - replica.sequences(segment)
-                for sequence in sorted(missing):
-                    if replica.add(union[sequence], segment):
-                        transferred += 1
-        self._entries_transferred += transferred
+        for replica in replicas:
+            for entry in union:
+                transferred += replica.add(entry)
+        self._obs.metrics.counter_add("store.anti_entropy.entries_transferred", transferred)
         return transferred
 
     def anti_entropy(self) -> int:
         """Run a gossip round over every shard; returns entries transferred."""
-        self._anti_entropy_rounds += 1
+        self._obs.metrics.counter_add("store.anti_entropy.rounds", 1)
         self._generation += 1
         return sum(
             self._anti_entropy_shard(shard) for shard in sorted(self._replicas)
@@ -462,8 +406,7 @@ class DistributedUpdateStore:
         validate_publication_batch(
             batch, epoch, publisher, self._latest_epoch, self._ids.__contains__
         )
-        segment = self._segment_of(epoch)
-        shard = self._ring.shard_for(segment)
+        shard = self.shard_of_epoch(epoch)
         metrics = self._obs.metrics
         # Before any replica is touched: a batch that fails part-way with a
         # QuorumError has still changed what reads serve.
@@ -488,7 +431,7 @@ class DistributedUpdateStore:
                 )
                 acks = 0
                 for replica in replicas:
-                    if self._reachable(replica) and replica.add(entry, segment):
+                    if self._reachable(replica) and replica.add(entry):
                         acks += 1
                 if acks == 0:
                     raise QuorumError(
@@ -497,7 +440,6 @@ class DistributedUpdateStore:
                     )
                 metrics.counter_add("store.quorum.writes", 1)
                 if acks < self._write_quorum:
-                    self._degraded_writes += 1
                     metrics.counter_add("store.quorum.degraded_writes", 1)
                 self._next_sequence += 1
                 self._latest_epoch = max(self._latest_epoch, epoch)
@@ -520,12 +462,7 @@ class DistributedUpdateStore:
         )
         return ordered[: self._read_quorum]
 
-    def _read_shard(
-        self,
-        shard: int,
-        epoch: int = -1,
-        exclude_publisher: Optional[str] = None,
-    ) -> list[PublishedTransaction]:
+    def _read_shard(self, shard: int, epoch: int = -1) -> list[PublishedTransaction]:
         """Quorum read of one shard's entries published after ``epoch``."""
         replicas = self._replicas.get(shard, [])
         if not replicas:
@@ -545,16 +482,14 @@ class DistributedUpdateStore:
             self._obs.metrics.counter_add("store.quorum.reads", 1)
             merged: dict[int, PublishedTransaction] = {}
             for replica in self._read_quorum_of(shard, reachable):
-                for entry in replica.log.since(epoch, exclude_publisher):
+                for entry in replica.since(epoch):
                     merged[entry.sequence] = entry
         return list(merged.values())
 
-    def _read_all_shards(
-        self, epoch: int = -1, exclude_publisher: Optional[str] = None
-    ) -> list[PublishedTransaction]:
+    def _read_all_shards(self, epoch: int = -1) -> list[PublishedTransaction]:
         entries: list[PublishedTransaction] = []
         for shard in sorted(self._replicas):
-            entries.extend(self._read_shard(shard, epoch, exclude_publisher))
+            entries.extend(self._read_shard(shard, epoch))
         entries.sort(key=lambda entry: entry.sequence)
         return entries
 
@@ -575,7 +510,7 @@ class DistributedUpdateStore:
             for replica in self._replicas[shard]:
                 if not self._reachable(replica):
                     continue
-                found = replica.log.get(txn_id)
+                found = replica.get(txn_id)
                 if found is not None:
                     return found
         raise QuorumError(
@@ -593,29 +528,14 @@ class DistributedUpdateStore:
     def retrievable(self, txn_id: str) -> bool:
         """Is the transaction's data reachable on some online replica now?"""
         return any(
-            self._reachable(replica) and txn_id in replica.log
+            self._reachable(replica) and txn_id in replica
             for replicas in self._replicas.values()
             for replica in replicas
         )
 
-    def published_since(
-        self, epoch: int, exclude_publisher: Optional[str] = None
-    ) -> list[PublishedTransaction]:
+    def published_since(self, epoch: int) -> list[PublishedTransaction]:
         """Quorum read of everything published strictly after ``epoch``."""
-        return self._read_all_shards(epoch, exclude_publisher)
-
-    def published_by(self, publisher: str) -> list[PublishedTransaction]:
-        entries: dict[int, PublishedTransaction] = {}
-        for shard in sorted(self._replicas):
-            reachable = [
-                replica
-                for replica in self._replicas[shard]
-                if self._reachable(replica)
-            ]
-            for replica in self._read_quorum_of(shard, reachable):
-                for entry in replica.log.by_publisher(publisher):
-                    entries[entry.sequence] = entry
-        return [entries[sequence] for sequence in sorted(entries)]
+        return self._read_all_shards(epoch)
 
     def latest_epoch(self) -> int:
         return self._latest_epoch
@@ -637,18 +557,20 @@ class DistributedUpdateStore:
         target = min(self._replication_factor, len(self._network.peers()))
         problems: dict[int, list[int]] = {}
         for shard, assigned in self._shard_sequences.items():
-            replicas = self._replicas.get(shard, [])
-            short = [
-                sequence
-                for sequence in sorted(assigned)
-                if sum(1 for replica in replicas if replica.entry_for(sequence)) < target
-            ]
+            holders = Counter(
+                entry.sequence
+                for replica in self._replicas.get(shard, [])
+                for entry in replica
+            )
+            short = [sequence for sequence in sorted(assigned) if holders[sequence] < target]
             if short:
                 problems[shard] = short
         return problems
 
     def health(self) -> dict:
-        """Shard/replica health counters for reports and benchmarks."""
+        """Shard/replica health for reports and benchmarks.  The event
+        counts are this store's share of the registry's ``store.*``
+        counters; reading them writes nothing."""
         per_shard = []
         for shard in sorted(self._replicas):
             replicas = self._replicas[shard]
@@ -671,14 +593,7 @@ class DistributedUpdateStore:
                     },
                 }
             )
-        under = self.under_replicated()
         metrics = self._obs.metrics
-        metrics.gauge_set("store.replication.repairs", self._re_replications)
-        metrics.gauge_set("store.anti_entropy.rounds", self._anti_entropy_rounds)
-        metrics.gauge_set(
-            "store.anti_entropy.entries_transferred", self._entries_transferred
-        )
-        metrics.gauge_set("store.shards.under_replicated", len(under))
         return {
             "backend": "distributed",
             "shards": self.shard_count,
@@ -688,11 +603,11 @@ class DistributedUpdateStore:
             "read_quorum": self._read_quorum,
             "segment_size": self._segment_size,
             "transactions": self._next_sequence,
-            "degraded_writes": self._degraded_writes,
-            "re_replications": self._re_replications,
-            "anti_entropy_rounds": self._anti_entropy_rounds,
-            "entries_transferred": self._entries_transferred,
-            "under_replicated_shards": len(under),
+            **{
+                name: metrics.counter_value(series) - self._registry_baseline[series]
+                for name, series in _HEALTH_SERIES
+            },
+            "under_replicated_shards": len(self.under_replicated()),
             "per_shard": per_shard,
         }
 

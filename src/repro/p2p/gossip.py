@@ -264,7 +264,7 @@ class GossipCoordinator:
     # -- catch-up for the reconcile path ----------------------------------------
     def _certify(self, peer: str) -> None:
         """Record that ``peer``'s cache now equals the archive mirror."""
-        self._certified[peer] = (self._store_view.generation, self._caches[peer].count)
+        self._certified[peer] = (self._store_view.generation, len(self._caches[peer]))
 
     def catch_up(self, peer: str) -> SessionResult:
         """Bring one peer's cache fully up to date with the archive.
@@ -283,7 +283,7 @@ class GossipCoordinator:
         view = self._store_view
         view.refresh()
         cache = self._caches[peer]
-        if self._certified.get(peer) == (view.generation, cache.count):
+        if self._certified.get(peer) == (view.generation, len(cache)):
             cache.mark_complete(view.complete_until)
             return SessionResult(True, 0, 0, 0, False)
         result = self._reconciler.reconcile(cache, view)
@@ -295,4 +295,4 @@ class GossipCoordinator:
         """The peer-local answer to ``store.published_since`` — identical to
         it once :meth:`catch_up` has run (the sketch-vs-cursor oracle checks
         exactly this equivalence end to end)."""
-        return self._caches[peer].entries_since(epoch)
+        return self._caches[peer].since(epoch)

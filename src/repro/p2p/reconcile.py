@@ -44,6 +44,13 @@ capacity)`` and each digest's check and probe cells per ``(seed, size)``
 table shape.  The same few hundred digests enter tables of the same few
 shapes again and again.
 
+The two sides of a session are entry sets: :class:`EntryCache`, a peer's
+gossip cache, and :class:`StoreView`, the archive's mirror.  Both are an
+:class:`~repro.p2p.store.EpochLog` (the one entry set of the package, which
+keeps the canonical order, the digest index and the count/checksum summary
+a session reads) plus a completeness watermark; the mirror adds only its
+refresh from the store and ignores the entries a session offers it.
+
 Completeness watermarks make the fallback sound: ``complete_until`` is the
 epoch up to which a side provably holds *every* archived entry.  It starts
 at a side's last verified session against the authoritative archive and
@@ -62,12 +69,7 @@ from typing import Iterable, Iterator, Optional
 from ..errors import SketchError
 from ..obs import MetricsRegistry, Observability
 from .network import Network
-from .sketch import (
-    CompactClock,
-    IBLTSketch,
-    PeerClock,
-    stable_hash,
-)
+from .sketch import CompactClock, IBLTSketch, stable_hash
 from .store import EpochLog, PublishedTransaction
 
 #: Fixed per-message envelope cost (sender/receiver/kind framing).
@@ -139,98 +141,46 @@ class SessionResult:
 
 # -- entry sets ----------------------------------------------------------------------
 
-class EntryCache:
-    """A peer's local set of archived entries, indexed for reconciliation.
-
-    Keeps the entries in canonical ``(epoch, sequence)`` order (the same
-    total order every store backend serves), a digest index, an incremental
-    XOR checksum, a per-publisher epoch clock (inspection only — it never
-    goes on the wire), and the completeness watermark ``complete_until``
-    documented in the module docstring.
-    """
+class EntryCache(EpochLog):
+    """A peer's local set of archived entries: an :class:`EpochLog` (which
+    keeps the order, the indexes and the summary a session reads) plus the
+    completeness watermark ``complete_until`` documented in the module
+    docstring."""
 
     def __init__(self, name: str) -> None:
+        super().__init__()
         self.name = name
-        self._log = EpochLog()
-        self._by_digest: dict[int, PublishedTransaction] = {}
-        self._checksum = 0
-        self._clock = PeerClock()
         self._complete_until = 0
-
-    # -- summaries ---------------------------------------------------------------
-    @property
-    def count(self) -> int:
-        return len(self._by_digest)
-
-    @property
-    def checksum(self) -> int:
-        return self._checksum
 
     @property
     def complete_until(self) -> int:
         return self._complete_until
 
-    def latest_epoch(self) -> int:
-        return self._log.latest_epoch()
-
-    def clock(self) -> PeerClock:
-        return self._clock
-
-    def compact_clock(self) -> CompactClock:
-        return CompactClock(self.count, self._checksum, self.latest_epoch())
-
-    # -- content -----------------------------------------------------------------
-    def digests(self) -> Iterable[int]:
-        return self._by_digest.keys()
-
-    def digests_since(self, epoch: int) -> list[int]:
-        return [entry.digest for entry in self._log.since(epoch)]
-
-    def entries(self) -> list[PublishedTransaction]:
-        return self._log.entries()
-
-    def entries_since(self, epoch: int) -> list[PublishedTransaction]:
-        return self._log.since(epoch)
-
-    def entries_for(self, digests: Iterable[int]) -> list[PublishedTransaction]:
-        found = (self._by_digest.get(digest) for digest in sorted(digests))
-        return [entry for entry in found if entry is not None]
-
-    # -- mutation ----------------------------------------------------------------
-    def add_entries(self, entries: Iterable[PublishedTransaction]) -> int:
-        added = 0
-        for entry in entries:
-            digest = entry.digest
-            if digest in self._by_digest:
-                continue
-            self._by_digest[digest] = entry
-            self._log.add(entry)
-            self._checksum ^= digest
-            self._clock.observe(entry.publisher, entry.epoch)
-            added += 1
-        return added
-
     def mark_complete(self, epoch: int) -> None:
         if epoch > self._complete_until:
             self._complete_until = epoch
 
+    def add_entries(self, entries: Iterable[PublishedTransaction]) -> int:
+        """Take the entries a session delivers; returns how many were new."""
+        return sum(map(self.add, entries))
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"EntryCache({self.name!r}, {self.count} entries, "
+            f"{type(self).__name__}({self.name!r}, {len(self)} entries, "
             f"complete<={self._complete_until})"
         )
 
 
-class StoreView:
+class StoreView(EntryCache):
     """The authoritative archive as a reconciliation participant.
 
-    Mirrors the store into an :class:`EntryCache` incrementally (pulling only
-    epochs at or above the mirror's latest on each :meth:`refresh`) so
-    sketch sessions against the store cost O(tail), not O(log).  The store
-    is the source of truth: it never accepts entries from peers — every
-    entry reaches it through ``archive()`` at publication — so
-    :meth:`add_entries` ignores its input, and the view is complete through
-    the store's latest epoch by definition.
+    Mirrors the store incrementally (pulling only epochs at or above the
+    mirror's latest on each :meth:`refresh`) so sketch sessions against the
+    store cost O(tail), not O(log).  The store is the source of truth: it
+    never accepts entries from peers (every entry reaches it through
+    ``archive()`` at publication), so :meth:`add_entries` ignores what a
+    session offers, and the view is complete through the store's latest
+    epoch by definition.
 
     A refresh re-reads the store only when its ``generation`` moved since the
     last refresh that succeeded: nothing was archived and no replica became
@@ -241,21 +191,20 @@ class StoreView:
     """
 
     def __init__(self, store, name: str = ARCHIVE_NAME) -> None:
+        super().__init__(name)
         self._store = store
-        self._cache = EntryCache(name)
         self._generation: Optional[int] = None
-        self.name = name
 
     def refresh(self) -> None:
         generation = self._store.generation
         if generation == self._generation:
             return
         # Re-pull from one epoch below the mirror's latest: a second batch
-        # archived at the same epoch would otherwise be missed.  add_entries
-        # dedupes the refetched overlap by digest.
-        fresh = self._store.published_since(self._cache.latest_epoch() - 1)
-        self._cache.add_entries(fresh)
-        self._cache.mark_complete(self._store.latest_epoch())
+        # archived at the same epoch would otherwise be missed.  add()
+        # drops the refetched overlap by digest.
+        for entry in self._store.published_since(self.latest_epoch() - 1):
+            self.add(entry)
+        self.mark_complete(self._store.latest_epoch())
         self._generation = generation
 
     @property
@@ -264,45 +213,8 @@ class StoreView:
         before the first successful refresh)."""
         return self._generation
 
-    # -- EntryCache protocol, delegated to the mirror ----------------------------
-    @property
-    def count(self) -> int:
-        return self._cache.count
-
-    @property
-    def checksum(self) -> int:
-        return self._cache.checksum
-
-    @property
-    def complete_until(self) -> int:
-        return self._cache.complete_until
-
-    def latest_epoch(self) -> int:
-        return self._cache.latest_epoch()
-
-    def clock(self) -> PeerClock:
-        return self._cache.clock()
-
-    def compact_clock(self) -> CompactClock:
-        return self._cache.compact_clock()
-
-    def digests(self) -> Iterable[int]:
-        return self._cache.digests()
-
-    def digests_since(self, epoch: int) -> list[int]:
-        return self._cache.digests_since(epoch)
-
-    def entries_since(self, epoch: int) -> list[PublishedTransaction]:
-        return self._cache.entries_since(epoch)
-
-    def entries_for(self, digests: Iterable[int]) -> list[PublishedTransaction]:
-        return self._cache.entries_for(digests)
-
     def add_entries(self, entries: Iterable[PublishedTransaction]) -> int:
         return 0
-
-    def mark_complete(self, epoch: int) -> None:
-        self._cache.mark_complete(epoch)
 
 
 # -- the reconciler ------------------------------------------------------------------
@@ -421,8 +333,8 @@ class SetReconciler:
         send = self._outbox.append
         send((left.name, right.name, "challenge", CHALLENGE_BYTES))
         send((right.name, left.name, "challenge", CHALLENGE_BYTES))
-        count_left = left.count
-        count_right = right.count
+        count_left = len(left)
+        count_right = len(right)
         if count_left == count_right and left.checksum == right.checksum:
             self._unchanged += 1
             self._propagate_completeness(left, right)
@@ -463,13 +375,13 @@ class SetReconciler:
     ) -> tuple[int, int, bool]:
         send = self._outbox.append
         sketch = IBLTSketch(capacity, seed=seed, positions=self._iblt_positions)
-        for digest in left.digests_since(watermark):
-            sketch.add(digest)
+        for entry in left.since(watermark):
+            sketch.add(entry.digest)
         send((left.name, right.name, "sketch", SKETCH_FIELDS_BYTES + sketch.byte_size()))
         # The receiver takes its own digests out of the table it received,
         # leaving the cells of ``left's sketch.subtract(right's sketch)``.
-        for digest in right.digests_since(watermark):
-            sketch.remove(digest)
+        for entry in right.since(watermark):
+            sketch.remove(entry.digest)
         with self._obs.span(
             "sketch.decode", algorithm="iblt", capacity=capacity, attempt=attempt
         ):
@@ -495,11 +407,11 @@ class SetReconciler:
         correct (see the module docstring)."""
         send = self._outbox.append
         send((left.name, right.name, "cursor", CURSOR_BYTES))
-        to_left = right.entries_since(left.complete_until)
+        to_left = right.since(left.complete_until)
         send((right.name, left.name, "batch", _batch_bytes(to_left)))
         delivered_left = left.add_entries(to_left)
         send((right.name, left.name, "cursor", CURSOR_BYTES))
-        to_right = left.entries_since(right.complete_until)
+        to_right = left.since(right.complete_until)
         send((left.name, right.name, "batch", _batch_bytes(to_right)))
         delivered_right = right.add_entries(to_right)
         return delivered_left, delivered_right
@@ -510,7 +422,7 @@ class SetReconciler:
         send = self._outbox.append
         send((left.name, right.name, "clock", CLOCK_BYTES))
         send((right.name, left.name, "clock", CLOCK_BYTES))
-        return left.count == right.count and left.checksum == right.checksum
+        return len(left) == len(right) and left.checksum == right.checksum
 
     def _propagate_completeness(self, left, right) -> None:
         # The sides now hold equal sets; each is complete at least as far as

@@ -12,14 +12,13 @@ module provides the data structures for that exchange:
   *decodes* the exact symmetric difference when it fits the table's
   capacity; overflow raises :class:`~repro.errors.SketchError` and the
   protocol grows the table and retries.
-* :class:`PeerClock` — a per-publisher epoch vector ("I have seen publisher
-  P through epoch e").  An inspection aid (``EntryCache.clock()``): its size
-  grows with the population, so it never travels in a session.
-* :class:`CompactClock` — a constant-size (count, checksum, latest) summary
-  of an entry set.  Two equal clocks mean equal sets (64-bit-whp), which
-  short-circuits sessions between already-converged peers at the cost of
-  one tiny message each way; the distributed store's anti-entropy uses the
-  same payload instead of shipping full per-shard epoch vectors.
+* :class:`CompactClock` — a constant-size (count, checksum, latest epoch)
+  summary of an entry set, the one every
+  :class:`~repro.p2p.store.EpochLog` keeps as entries arrive.  Two equal
+  clocks mean equal sets (64-bit-whp), which short-circuits sessions
+  between already-converged peers at the cost of one tiny message each
+  way; the distributed store's anti-entropy compares its replicas' clocks
+  the same way before it moves any entry.
 
 Sketch sizes are deliberate: an IBLT is ~1.5 cells of 14 bytes per element
 of *difference* — so the bytes a session moves scale with the diff, not the
@@ -28,8 +27,8 @@ log.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Optional
 
 from ..core.hashing import (
     MASK64,
@@ -49,7 +48,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 __all__ = [
     "CompactClock",
     "IBLTSketch",
-    "PeerClock",
     "entry_digest",
     "entry_wire_size",
     "transaction_digest",
@@ -88,57 +86,17 @@ def entry_wire_size(entry: "PublishedTransaction") -> int:
     return len(canonical_encode(entry_payload(entry)))
 
 
-# -- per-publisher epoch clocks ------------------------------------------------------
-
-@dataclass
-class PeerClock:
-    """Per-publisher epoch vector: publisher name -> highest epoch at which
-    this side holds one of that publisher's transactions.  Kept for
-    inspection and tests; sessions exchange the constant-size
-    :class:`CompactClock` summary instead."""
-
-    versions: dict[str, int] = field(default_factory=dict)
-
-    def observe(self, publisher: str, epoch: int) -> None:
-        if epoch > self.versions.get(publisher, -1):
-            self.versions[publisher] = epoch
-
-    def merge(self, other: "PeerClock") -> "PeerClock":
-        merged = dict(self.versions)
-        for publisher, epoch in other.versions.items():
-            if epoch > merged.get(publisher, -1):
-                merged[publisher] = epoch
-        return PeerClock(merged)
-
-    def dominates(self, other: "PeerClock") -> bool:
-        """Does this clock know at least as much as ``other`` everywhere?"""
-        return all(
-            self.versions.get(publisher, -1) >= epoch
-            for publisher, epoch in other.versions.items()
-        )
-
-    def behind(self, other: "PeerClock") -> list[str]:
-        """Publishers for which ``other`` has seen newer epochs than us."""
-        return sorted(
-            publisher
-            for publisher, epoch in other.versions.items()
-            if self.versions.get(publisher, -1) < epoch
-        )
-
-    def byte_size(self) -> int:
-        # name bytes + one varint-ish epoch slot per publisher
-        return sum(len(name.encode("utf-8")) + 8 for name in self.versions)
-
+# -- set summaries -----------------------------------------------------------------
 
 @dataclass(frozen=True)
 class CompactClock:
     """Constant-size summary of an entry set: element count, XOR-of-digests
-    checksum, and the latest epoch (or sequence) held.
+    checksum, and the latest epoch held.
 
     Equal clocks mean equal sets with 64-bit-whp confidence, so exchanging
     two of these (24 bytes each) is enough to skip a full session between
-    converged peers — and enough for the distributed store's anti-entropy to
-    notice divergence without shipping per-segment epoch vectors.
+    converged peers, and enough for the distributed store's anti-entropy to
+    notice that two replicas diverge.
     """
 
     count: int
@@ -152,15 +110,6 @@ class CompactClock:
 
     def agrees_with(self, other: "CompactClock") -> bool:
         return self.count == other.count and self.checksum == other.checksum
-
-    @staticmethod
-    def of_digests(digests: Iterable[int], latest: int = -1) -> "CompactClock":
-        materialized = list(digests)
-        return CompactClock(
-            count=len(materialized),
-            checksum=xor_checksum(materialized),
-            latest=latest,
-        )
 
 
 # -- invertible Bloom lookup table ---------------------------------------------------

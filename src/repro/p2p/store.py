@@ -1,4 +1,4 @@
-"""The shared archive of published transactions.
+"""The shared archive of published transactions, and the entry set it is made of.
 
 The update store is append-only and totally ordered by publication epoch.
 Publishing archives a peer's transactions so they stay available to everyone
@@ -9,15 +9,17 @@ reconciled at.
 Publication of a batch is atomic: the whole batch is validated (ownership,
 duplicate ids, epoch monotonicity) before the first entry is appended, so a
 :class:`~repro.errors.PublicationError` never leaves a partially archived
-batch behind.  Retrieval is indexed — ``published_since`` bisects on the
-epoch-ordered log instead of scanning it, and ``published_by`` answers from a
-per-publisher index — because the reconcile hot path calls both once per
-peer per epoch.
+batch behind.  Retrieval is indexed: ``published_since`` bisects on the
+epoch-ordered log instead of scanning it, because the reconcile hot path
+calls it once per peer per epoch.
 
-:class:`EpochLog` is the reusable epoch-ordered indexed log; the distributed
-store (:mod:`repro.p2p.distributed`) hosts one per shard replica, so the
-centralized archive and every peer-hosted shard server share one storage
-idiom.
+:class:`EpochLog` is the one set of archived entries in :mod:`repro.p2p`.
+It decides how entries are stored (canonical ``(epoch, sequence)`` order,
+id and digest indexes) and summarised (entry count and XOR of the entry
+digests, :meth:`EpochLog.compact_clock`).  The centralized archive is one;
+so are a peer's gossip cache and the archive's mirror
+(:mod:`repro.p2p.reconcile`) and every shard replica of the distributed
+store (:mod:`repro.p2p.distributed`).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Iterable, Iterator, Optional
 from ..core.hashing import canonical_encode, hash_encoded
 from ..core.transactions import Transaction
 from ..errors import PublicationError
-from .sketch import entry_payload
+from .sketch import CompactClock, entry_payload
 
 
 @dataclass(frozen=True)
@@ -78,23 +80,31 @@ class PublishedTransaction:
 
 
 class EpochLog:
-    """An epoch-ordered, sequence-keyed log of published transactions.
+    """An epoch-ordered set of published transactions with its summary.
 
-    Entries are kept sorted by ``(epoch, sequence)`` — the canonical total
-    order of the archive — with a parallel epoch array for ``since`` bisection
-    and per-publisher/per-id indexes.  Entries normally arrive in order
-    (appends are O(1)); out-of-order arrival (anti-entropy back-fill on a
-    stale shard replica) degrades gracefully to an O(n) insort.
+    Entries are kept sorted by ``(epoch, sequence)`` (the canonical total
+    order of the archive) with a parallel key array for ``since``
+    bisection, an id index and a digest index.  An entry is identified by
+    its :attr:`~PublishedTransaction.digest`: adding one already held
+    changes nothing.  Entries normally arrive in order (appends are O(1));
+    out-of-order arrival (anti-entropy back-fill on a stale shard replica)
+    degrades gracefully to an O(n) insort.  The summary (count and XOR
+    checksum of the digests) is kept as entries arrive.
     """
 
     def __init__(self) -> None:
         self._entries: list[PublishedTransaction] = []
         self._order: list[tuple[int, int]] = []  # (epoch, sequence), sorted
         self._by_id: dict[str, PublishedTransaction] = {}
-        self._by_publisher: dict[str, list[PublishedTransaction]] = {}
+        self._by_digest: dict[int, PublishedTransaction] = {}
+        self._checksum = 0
 
     # -- mutation -----------------------------------------------------------
-    def add(self, entry: PublishedTransaction) -> None:
+    def add(self, entry: PublishedTransaction) -> bool:
+        """Hold ``entry``; False when it was already held."""
+        digest = entry.digest
+        if digest in self._by_digest:
+            return False
         key = (entry.epoch, entry.sequence)
         if self._order and key < self._order[-1]:
             position = bisect_right(self._order, key)
@@ -104,7 +114,21 @@ class EpochLog:
             self._order.append(key)
             self._entries.append(entry)
         self._by_id[entry.txn_id] = entry
-        self._by_publisher.setdefault(entry.publisher, []).append(entry)
+        self._by_digest[digest] = entry
+        self._checksum ^= digest
+        return True
+
+    # -- summary ------------------------------------------------------------
+    @property
+    def checksum(self) -> int:
+        """XOR of every held entry's digest."""
+        return self._checksum
+
+    def latest_epoch(self) -> int:
+        return self._order[-1][0] if self._order else 0
+
+    def compact_clock(self) -> CompactClock:
+        return CompactClock(len(self._entries), self._checksum, self.latest_epoch())
 
     # -- lookup -------------------------------------------------------------
     def __len__(self) -> int:
@@ -122,23 +146,16 @@ class EpochLog:
     def entries(self) -> list[PublishedTransaction]:
         return list(self._entries)
 
-    def since(
-        self, epoch: int, exclude_publisher: Optional[str] = None
-    ) -> list[PublishedTransaction]:
+    def since(self, epoch: int) -> list[PublishedTransaction]:
         """Entries published strictly after ``epoch``, in canonical order."""
         # Every sequence is > -1, so this finds the first entry with a
         # strictly greater epoch.
-        start = bisect_right(self._order, (epoch, float("inf")))
-        tail = self._entries[start:]
-        if exclude_publisher is None:
-            return tail
-        return [entry for entry in tail if entry.publisher != exclude_publisher]
+        return self._entries[bisect_right(self._order, (epoch, float("inf"))):]
 
-    def by_publisher(self, publisher: str) -> list[PublishedTransaction]:
-        return list(self._by_publisher.get(publisher, ()))
-
-    def latest_epoch(self) -> int:
-        return self._order[-1][0] if self._order else 0
+    def entries_for(self, digests: Iterable[int]) -> list[PublishedTransaction]:
+        """The held entries among ``digests``, in digest order."""
+        found = (self._by_digest.get(digest) for digest in sorted(digests))
+        return [entry for entry in found if entry is not None]
 
 
 def validate_publication_batch(
@@ -237,14 +254,9 @@ class UpdateStore:
 
     __contains__ = contains
 
-    def published_since(
-        self, epoch: int, exclude_publisher: Optional[str] = None
-    ) -> list[PublishedTransaction]:
-        """Entries published strictly after ``epoch`` (optionally excluding a peer)."""
-        return self._log.since(epoch, exclude_publisher)
-
-    def published_by(self, publisher: str) -> list[PublishedTransaction]:
-        return self._log.by_publisher(publisher)
+    def published_since(self, epoch: int) -> list[PublishedTransaction]:
+        """Entries published strictly after ``epoch``."""
+        return self._log.since(epoch)
 
     def latest_epoch(self) -> int:
         return self._log.latest_epoch()

@@ -355,8 +355,8 @@ def test_a_read_that_misses_an_entry_offers_what_the_store_served():
     class ShortReads(UpdateStore):
         hidden: frozenset = frozenset()
 
-        def published_since(self, epoch, exclude_publisher=None):
-            served = super().published_since(epoch, exclude_publisher)
+        def published_since(self, epoch):
+            served = super().published_since(epoch)
             return [entry for entry in served if entry.txn_id not in self.hidden]
 
     spec = build_chain().to_spec()

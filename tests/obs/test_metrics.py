@@ -35,7 +35,7 @@ class TestNameLint:
         with pytest.raises(ValueError):
             registry.counter_add("BadName", 1)
         with pytest.raises(ValueError):
-            registry.gauge_set("cdss007.things", 1)
+            registry.observe("cdss007.things", 1)
 
 
 class TestCounters:
@@ -79,13 +79,7 @@ class TestCounters:
         assert registry.counter_value("net.bytes.sent", label="weird name") == 1
 
 
-class TestGaugesAndHistograms:
-    def test_gauge_set_overwrites(self):
-        registry = MetricsRegistry()
-        registry.gauge_set("q.depth", 4)
-        registry.gauge_set("q.depth", 2)
-        assert registry.gauge_value("q.depth") == 2
-
+class TestHistograms:
     def test_histogram_snapshot_keys(self):
         registry = MetricsRegistry()
         registry.observe("delta.size", 3)
@@ -108,12 +102,16 @@ class TestSince:
         assert delta["a.b"] == 3
         assert "c.d" not in delta  # unchanged counters drop out
 
-    def test_gauges_pass_through(self):
+    def test_histogram_extremes_pass_through(self):
+        """count/total diff like counters; min/max are high-water marks and
+        report their current value."""
         registry = MetricsRegistry()
-        registry.gauge_set("g.v", 1)
+        registry.observe("h.v", 3)
         before = registry.snapshot()
-        registry.gauge_set("g.v", 7)
-        assert registry.since(before)["g.v"] == 7
+        registry.observe("h.v", 7)
+        delta = registry.since(before)
+        assert (delta["h.v.count"], delta["h.v.total"]) == (1, 7)
+        assert (delta["h.v.min"], delta["h.v.max"]) == (3, 7)
 
     def test_new_series_appear_whole(self):
         registry = MetricsRegistry()

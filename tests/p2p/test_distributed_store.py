@@ -6,10 +6,13 @@ degraded writes, re-replication after hosts disconnect, gossip catch-up for
 reconnecting peers, and the k-1 replica-loss durability guarantee.
 """
 
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 
+from repro import CDSS
 from repro.config import StoreConfig
 from repro.core.transactions import Transaction
 from repro.core.updates import Update
@@ -17,12 +20,15 @@ from repro.errors import ConfigurationError, PublicationError, QuorumError
 from repro.p2p.distributed import (
     ConsistentHashRing,
     DistributedUpdateStore,
+    ShardReplica,
     store_from_config,
 )
 from repro.p2p.gossip import GossipCoordinator
 from repro.p2p.network import Network
 from repro.p2p.reconcile import StoreView
 from repro.p2p.store import UpdateStore
+
+from replica_census import census_problems
 
 
 def txn(txn_id: str, peer: str = "A") -> Transaction:
@@ -88,9 +94,6 @@ class TestApiParity:
         assert distributed.antecedents_map() == centralized.antecedents_map()
         for probe in range(0, epoch + 1):
             assert distributed.published_since(probe) == centralized.published_since(probe)
-            assert distributed.published_since(probe, "A") == centralized.published_since(probe, "A")
-        for peer in peers:
-            assert distributed.published_by(peer) == centralized.published_by(peer)
         sample = centralized.all_entries()[len(centralized) // 2]
         assert distributed.contains(sample.txn_id)
         assert distributed.entry(sample.txn_id) == sample
@@ -220,7 +223,7 @@ class TestCatchUpReads:
             store.archive([txn(f"t{epoch}")], epoch=epoch, publisher="A")
         view = StoreView(store)
         view.refresh()
-        assert view.count == len(store)
+        assert len(view) == len(store)
         return network, store, view
 
     def test_idle_refresh_reads_at_most_the_newest_shards(self):
@@ -234,7 +237,7 @@ class TestCatchUpReads:
         _, store, view = self.mirrored(replication_factor=2)
         store.archive([txn("late")], epoch=store.latest_epoch(), publisher="A")
         view.refresh()
-        assert view.count == len(store)
+        assert len(view) == len(store)
 
     def test_idle_refresh_still_fails_on_a_wholly_unreachable_old_shard(self):
         """The cursor is past everything the lost shard holds, and the read
@@ -304,7 +307,7 @@ class TestCatchUpReads:
         assert len(reads) == 1
         store.archive([txn("late")], epoch=store.latest_epoch(), publisher="A")
         view.refresh()
-        assert len(reads) == 2 and view.count == len(store)
+        assert len(reads) == 2 and len(view) == len(store)
 
     def test_anti_entropy_moves_the_generation(self):
         _, store = make_store(["A", "B"], shard_count=1, segment_size=1)
@@ -338,11 +341,14 @@ class TestChurnTolerance:
         store.archive([txn("t3")], epoch=3, publisher="A")
         # B's replica is stale while offline.
         assert store.under_replicated() != {}
+        assert census_problems(store) == []
         network.connect("B")
-        # The reconnect listener ran a gossip round: vectors agree again.
+        # The reconnect listener ran a gossip round: clocks agree again.
         assert store.under_replicated() == {}
         first, *others = store._replicas[0]
-        assert others and all(first.clock().agrees_with(other.clock()) for other in others)
+        assert others and all(
+            first.compact_clock().agrees_with(other.compact_clock()) for other in others
+        )
         assert len(store.all_entries()) == 3
 
     def test_losing_k_minus_one_replicas_loses_nothing(self):
@@ -422,6 +428,52 @@ class TestHealth:
             assert len(info["hosts"]) == 2
 
 
+class TestRegistryCounts:
+    """Repairs, rounds and copies are counted when they happen; health()
+    only reads them."""
+
+    @staticmethod
+    def example_network():
+        """The network of examples/distributed_store.py, synced once."""
+        path = Path(__file__).resolve().parents[2] / "examples" / "distributed_store.py"
+        spec = importlib.util.spec_from_file_location("distributed_store_example", path)
+        example = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(example)
+        cdss = CDSS.from_spec(example.SPEC)
+        for index in range(8):
+            cdss.peer("Athens").insert("Measurement", (index, 20 + index))
+        cdss.sync()
+        return cdss
+
+    def test_the_snapshot_is_current_without_a_health_call(self):
+        cdss = self.example_network()
+        victim = next(peer for peer in ("Berlin", "Cairo") if cdss.store.host_shards(peer))
+        cdss.set_online(victim, False)
+        snapshot = cdss.metrics_snapshot()
+        assert snapshot["store.replication.repairs"] == 1
+        assert snapshot["store.anti_entropy.entries_transferred"] == 8
+        health = cdss.store.health()
+        assert cdss.store.health() == health
+        assert cdss.metrics_snapshot() == snapshot
+        assert (health["re_replications"], health["entries_transferred"]) == (1, 8)
+
+    def test_a_store_reports_only_what_it_counted(self):
+        """A store built on a registry that already counted another store's
+        events starts its health counts at zero."""
+        network, first = make_store(["A", "B", "C"], shard_count=1, replication_factor=2)
+        first.archive([txn("t1")], epoch=1, publisher="A")
+        network.disconnect(first.replica_hosts(0)[0])
+        first.anti_entropy()
+        assert first.health()["re_replications"] == 1
+        second = DistributedUpdateStore(network, shard_count=1, replication_factor=2)
+        health = second.health()
+        assert [health[key] for key in (
+            "degraded_writes", "re_replications", "anti_entropy_rounds", "entries_transferred"
+        )] == [0, 0, 0, 0]
+        second.anti_entropy()
+        assert second.health()["anti_entropy_rounds"] == 1
+
+
 class TestAntiEntropyClocks:
     """Compact-clock anti-entropy: cheap agreement, hole detection, ages."""
 
@@ -436,48 +488,39 @@ class TestAntiEntropyClocks:
         assert store.anti_entropy() == 0
 
     def test_replica_clock_detects_interior_holes(self):
-        """Two replicas with equal counts and equal max sequence but
+        """Two replicas with equal counts and equal latest epoch but
         different members must disagree — the blind spot of the old
         (count, max) epoch vectors."""
         _, store = self._filled(
             ["A", "B"], count=6, shard_count=1, replication_factor=2, segment_size=2
         )
-        replicas = store._replicas[next(iter(store._replicas))]
-        left, right = replicas[0], replicas[1]
-        assert left.clock().agrees_with(right.clock())
-        # Knock a *different* interior sequence out of each replica, then
-        # rebuild the incremental checksums from scratch for the surgery.
-        def drop(replica, sequence):
-            for segment in replica.segments():
-                if sequence in replica.sequences(segment):
-                    replica._segments[segment].discard(sequence)
-                    del replica._by_sequence[sequence]
-            from repro.p2p.distributed import _SEQUENCE_SALT
-            from repro.core.hashing import mix64
-            replica._checksum = 0
-            replica._segment_checksums = {}
-            for segment in replica.segments():
-                for seq in replica.sequences(segment):
-                    d = mix64(seq + _SEQUENCE_SALT)
-                    replica._checksum ^= d
-                    replica._segment_checksums[segment] = (
-                        replica._segment_checksums.get(segment, 0) ^ d
-                    )
+        shard = next(iter(store._replicas))
+        replicas = store._replicas[shard]
+        assert replicas[0].compact_clock().agrees_with(replicas[1].compact_clock())
 
-        drop(left, 2)
-        drop(right, 3)
-        assert len(left) != 0 and left.clock().count == right.clock().count
-        assert left.clock().latest == right.clock().latest
-        assert not left.clock().agrees_with(right.clock())
-        transferred = store.anti_entropy()
-        assert transferred == 2
-        assert left.clock().agrees_with(right.clock())
+        def without(replica, sequence):
+            # The same host's copy, missing one interior entry.
+            rebuilt = ShardReplica(replica.host)
+            for entry in replica:
+                if entry.sequence != sequence:
+                    rebuilt.add(entry)
+            return rebuilt
+
+        left, right = without(replicas[0], 2), without(replicas[1], 3)
+        store._replicas[shard] = [left, right]
+        left_clock, right_clock = left.compact_clock(), right.compact_clock()
+        assert len(left) != 0 and left_clock.count == right_clock.count
+        assert left_clock.latest == right_clock.latest
+        assert not left_clock.agrees_with(right_clock)
+        assert store.anti_entropy() == 2
+        assert left.compact_clock().agrees_with(right.compact_clock())
+        assert census_problems(store) == []
 
     def test_compact_clock_counts_every_entry(self):
         _, store = self._filled(["A", "B"], count=4, shard_count=1, segment_size=2)
         replica = store._replicas[next(iter(store._replicas))][0]
-        assert replica.clock().count == len(replica)
-        assert replica.clock().byte_size() == 24
+        assert replica.compact_clock().count == len(replica)
+        assert replica.compact_clock().byte_size() == 24
 
     def test_health_reports_anti_entropy_age(self):
         network, store = self._filled(

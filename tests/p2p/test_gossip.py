@@ -219,7 +219,7 @@ class TestScheduling:
         published = archive_batch(store, 2)
         coordinator.record_published("Alaska", published)
         coordinator.record_published("Nowhere", published)
-        assert coordinator.cache("Alaska").count == 2
+        assert len(coordinator.cache("Alaska")) == 2
 
 
 class TestConvergence:
@@ -259,7 +259,7 @@ class TestConvergence:
         archive_batch(store, 4)
         report = coordinator.run_until_converged()
         assert report.converged
-        assert coordinator.cache("Hanoi").count == 0
+        assert len(coordinator.cache("Hanoi")) == 0
 
     def test_empty_network_converges_trivially(self):
         network, store, coordinator = build()

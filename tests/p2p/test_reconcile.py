@@ -14,6 +14,7 @@ from repro.p2p.reconcile import (
     cursor_transfer_bytes,
     session_counts,
 )
+from repro.p2p.sketch import CompactClock
 from repro.p2p.store import PublishedTransaction, UpdateStore
 
 from message_rows import recorded_rows
@@ -38,7 +39,7 @@ class TestEntryCache:
         batch = entries(3)
         assert cache.add_entries(batch) == 3
         assert cache.add_entries(batch) == 0
-        assert cache.count == 3
+        assert len(cache) == 3
 
     def test_checksum_is_incremental_xor(self):
         cache = EntryCache("A")
@@ -49,15 +50,17 @@ class TestEntryCache:
             expected ^= item.digest
         assert cache.checksum == expected
 
-    def test_entries_since_matches_epoch_order(self):
+    def test_since_matches_epoch_order(self):
         cache = EntryCache("A")
         cache.add_entries(entries(5))
-        assert [e.epoch for e in cache.entries_since(2)] == [3, 4, 5]
+        assert [e.epoch for e in cache.since(2)] == [3, 4, 5]
 
-    def test_clock_tracks_publishers(self):
+    def test_compact_clock_summarises_every_publisher(self):
         cache = EntryCache("A")
-        cache.add_entries(entries(2, peer="Alaska") + entries(1, start=5, peer="Beijing"))
-        assert cache.clock().versions == {"Alaska": 2, "Beijing": 6}
+        batch = entries(2, peer="Alaska") + entries(1, start=5, peer="Beijing")
+        cache.add_entries(batch)
+        checksum = batch[0].digest ^ batch[1].digest ^ batch[2].digest
+        assert cache.compact_clock() == CompactClock(3, checksum, 6)
 
     def test_mark_complete_is_monotone(self):
         cache = EntryCache("A")
@@ -85,7 +88,7 @@ class TestStoreView:
         store = self._store_with(3)
         view = StoreView(store)
         view.refresh()
-        assert view.count == 3
+        assert len(view) == 3
         assert view.complete_until == store.latest_epoch()
 
     def test_refresh_is_incremental_and_catches_same_epoch_batches(self):
@@ -96,13 +99,13 @@ class TestStoreView:
         txn = Transaction("late", "Alaska", (Update.insert("R", ("late",), origin="Alaska"),))
         store.archive([txn], epoch=store.latest_epoch(), publisher="Alaska")
         view.refresh()
-        assert view.count == 3
+        assert len(view) == 3
 
     def test_store_view_never_accepts_entries(self):
         view = StoreView(self._store_with(1))
         view.refresh()
         assert view.add_entries(entries(2, start=10)) == 0
-        assert view.count == 1
+        assert len(view) == 1
 
 
 def counted(network=None):
@@ -146,7 +149,7 @@ class TestSessions:
         left, right = EntryCache("L"), EntryCache("R")
         left.add_entries(common)
         right.add_entries(common)
-        assert len(left.clock().versions) == publishers
+        assert len({e.publisher for e in left}) == publishers
         network = Network(["L", "R"])
         rows = recorded_rows(network)
         reconciler, counts = counted(network)
@@ -306,7 +309,7 @@ class TestGrowAndFallback:
         assert result.converged and not result.fell_back
         assert result.attempts > 1
         assert counts()["decode_failures"] == result.attempts - 1
-        assert left.count == right.count == 120
+        assert len(left) == len(right) == 120
 
     def test_exhausted_attempts_fall_back_to_cursor_replay(self, monkeypatch):
         """With one attempt at a capacity small enough that it fails, the
@@ -327,7 +330,7 @@ class TestGrowAndFallback:
         assert counts()["fallbacks"] == 1
         assert counts()["decode_failures"] >= 1
         assert left.compact_clock().agrees_with(right.compact_clock())
-        assert left.count == right.count == 600
+        assert len(left) == len(right) == 600
 
     def test_fallback_replays_from_watermark_only(self):
         left = EntryCache("L")

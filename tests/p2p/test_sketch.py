@@ -25,12 +25,11 @@ from repro.errors import SketchError, TransactionError
 from repro.p2p.sketch import (
     CompactClock,
     IBLTSketch,
-    PeerClock,
     entry_digest,
     entry_wire_size,
     transaction_digest,
 )
-from repro.p2p.store import PublishedTransaction
+from repro.p2p.store import EpochLog, PublishedTransaction
 
 from dense_iblt import DenseIBLTSketch, project
 
@@ -164,55 +163,35 @@ class TestDigests:
         assert len(encodings) == 1
 
 
-class TestPeerClock:
-    def test_observe_keeps_maximum(self):
-        clock = PeerClock()
-        clock.observe("A", 3)
-        clock.observe("A", 1)
-        assert clock.versions == {"A": 3}
-
-    def test_merge_and_dominates(self):
-        left = PeerClock({"A": 2, "B": 5})
-        right = PeerClock({"A": 4, "C": 1})
-        merged = left.merge(right)
-        assert merged.versions == {"A": 4, "B": 5, "C": 1}
-        assert merged.dominates(left) and merged.dominates(right)
-        assert not left.dominates(right)
-
-    def test_behind_names_stale_publishers(self):
-        left = PeerClock({"A": 2})
-        right = PeerClock({"A": 4, "B": 1})
-        assert left.behind(right) == ["A", "B"]
-        assert right.behind(left) == []
-
-    def test_byte_size_scales_with_publishers(self):
-        clock = PeerClock({"A": 1})
-        bigger = PeerClock({"A": 1, "Beijing": 2})
-        assert 0 < clock.byte_size() < bigger.byte_size()
-
-
 class TestCompactClock:
+    """The summary every entry set keeps (:meth:`EpochLog.compact_clock`)."""
+
+    @staticmethod
+    def clock_of(entries) -> CompactClock:
+        log = EpochLog()
+        for item in entries:
+            log.add(item)
+        return log.compact_clock()
+
     def test_equal_sets_agree(self):
-        digests = [stable_hash(i) for i in range(10)]
-        shuffled = list(digests)
+        entries = [entry(f"t{i}", i + 1, i) for i in range(10)]
+        shuffled = list(entries)
         random.Random(3).shuffle(shuffled)
-        assert CompactClock.of_digests(digests).agrees_with(
-            CompactClock.of_digests(shuffled)
-        )
+        assert self.clock_of(entries) == self.clock_of(shuffled)
 
     def test_detects_interior_holes_count_and_max_miss(self):
-        # Two sets with equal size and equal max element but different
+        # Two sets with equal size and equal latest epoch but different
         # members — a (count, max) vector cannot tell them apart.
-        base = [stable_hash(i) for i in range(6)]
-        holed = base[:2] + [stable_hash(100), stable_hash(101)] + base[4:]
-        assert len(base) == len(holed)
-        assert not CompactClock.of_digests(base).agrees_with(
-            CompactClock.of_digests(holed)
-        )
+        base = [entry(f"t{i}", i + 1, i) for i in range(6)]
+        holed = base[:2] + [entry("u2", 3, 2), entry("u3", 4, 3)] + base[4:]
+        left, right = self.clock_of(base), self.clock_of(holed)
+        assert (left.count, left.latest) == (right.count, right.latest)
+        assert not left.agrees_with(right)
 
     def test_byte_size_is_constant(self):
-        assert CompactClock.of_digests([]).byte_size() == CompactClock.BYTE_SIZE
-        assert CompactClock.of_digests(range(1000)).byte_size() == CompactClock.BYTE_SIZE
+        assert self.clock_of([]).byte_size() == CompactClock.BYTE_SIZE
+        many = [entry(f"t{i}", i + 1, i) for i in range(200)]
+        assert self.clock_of(many).byte_size() == CompactClock.BYTE_SIZE
 
 
 class TestIBLTSketch:

@@ -3,7 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.hashing import xor_checksum
 from repro.core.transactions import Transaction
 from repro.core.updates import Update
 from repro.errors import NetworkError, PublicationError
@@ -47,14 +50,6 @@ class TestUpdateStore:
         store.archive([txn("t3")], epoch=3, publisher="Alaska")
         since_one = store.published_since(1)
         assert [entry.txn_id for entry in since_one] == ["t2", "t3"]
-        excluding = store.published_since(0, exclude_publisher="Alaska")
-        assert [entry.txn_id for entry in excluding] == ["t2"]
-
-    def test_published_by(self):
-        store = UpdateStore()
-        store.archive([txn("t1")], epoch=1, publisher="Alaska")
-        store.archive([txn("t2", "Beijing")], epoch=2, publisher="Beijing")
-        assert [entry.txn_id for entry in store.published_by("Beijing")] == ["t2"]
 
     def test_unknown_entry(self):
         store = UpdateStore()
@@ -100,8 +95,8 @@ class TestUpdateStore:
         store.archive([txn("t3")], epoch=5, publisher="Alaska")
 
     def test_indexed_queries_match_naive_scans(self):
-        """Parity: the bisect/per-publisher indexes answer exactly like the
-        original O(n) list scans, across a randomized archive."""
+        """Parity: the bisect index answers exactly like the original O(n)
+        list scan, across a randomized archive."""
         import random
 
         rng = random.Random(7)
@@ -118,16 +113,7 @@ class TestUpdateStore:
             entries.extend(store.archive(batch_txns, epoch=epoch, publisher=publisher))
         assert [e.txn_id for e in store.all_entries()] == [e.txn_id for e in entries]
         for probe in range(-1, epoch + 2):
-            for exclude in [None, *publishers]:
-                naive = [
-                    e for e in entries
-                    if e.epoch > probe and (exclude is None or e.publisher != exclude)
-                ]
-                assert store.published_since(probe, exclude) == naive
-        for publisher in publishers:
-            assert store.published_by(publisher) == [
-                e for e in entries if e.publisher == publisher
-            ]
+            assert store.published_since(probe) == [e for e in entries if e.epoch > probe]
 
 
 class TestNetwork:
@@ -260,6 +246,42 @@ class TestEpochLogSince:
             for cursor in range(0, 14):
                 expected = [e for e in entries if e.epoch > cursor]
                 assert log.since(cursor) == expected
+
+
+class TestEpochLogSet:
+    """The one entry set of the p2p layer under any arrival order."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        epochs=st.lists(st.integers(1, 6), max_size=24).map(sorted),
+        data=st.data(),
+    )
+    def test_random_arrival_keeps_canonical_order_and_summary(self, epochs, data):
+        """Entries arrive in random order, some twice, some at epochs older
+        than the log's latest (the anti-entropy back-fill path); the log
+        serves every cursor in canonical order, counts each entry once, and
+        keeps the summary a log built fresh from the same entries has."""
+        # Sequences follow epochs, as in the archive.
+        entries = [published(f"t{i}", epoch, i) for i, epoch in enumerate(epochs)]
+        arrival = data.draw(
+            st.lists(st.sampled_from(entries), max_size=3 * len(entries))
+            if entries else st.just([])
+        )
+        log = EpochLog()
+        added = [log.add(entry) for entry in arrival]
+        held = sorted(set(arrival), key=lambda entry: (entry.epoch, entry.sequence))
+        assert sum(added) == len(log) == len(held)
+        fresh = EpochLog()
+        for entry in held:
+            fresh.add(entry)
+        assert log.compact_clock() == fresh.compact_clock()
+        assert log.checksum == xor_checksum(entry.digest for entry in held)
+        assert log.entries() == held
+        for cursor in range(0, 8):
+            assert log.since(cursor) == [entry for entry in held if entry.epoch > cursor]
+        assert log.entries_for(entry.digest for entry in held) == sorted(
+            held, key=lambda entry: entry.digest
+        )
 
 
 class TestMessageAccounting:

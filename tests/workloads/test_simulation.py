@@ -9,10 +9,13 @@ determinism, validation) and the oracles' sensitivity (a deliberately
 injected divergence is reported with its seed and first failing epoch).
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.api.spec import parse_network_spec
 from repro.errors import ConfigurationError
+from repro.p2p.distributed import DistributedUpdateStore, ShardReplica
 from repro.simulate import main as simulate_main
 from repro.workloads.simulation import (
     MIRRORS,
@@ -23,6 +26,8 @@ from repro.workloads.simulation import (
     run_simulation,
     simulated_system,
 )
+
+from replica_census import census_problems
 
 #: The tier-1 fuzz slice: 25 seeds, every oracle, every epoch.
 SLICE_SEEDS = list(range(1, 26))
@@ -129,6 +134,46 @@ def test_differential_oracles_hold_with_distributed_primary(seed):
     """The whole oracle suite also passes with a distributed-store primary."""
     result = run_simulation(seed, slice_config(offline=0.5, store="distributed"))
     assert result.ok, "\n".join(failure.describe() for failure in result.failures)
+
+
+#: ``python -m repro.simulate --store distributed``: the CLI's defaults with
+#: a distributed-store primary.
+DISTRIBUTED_CLI_CONFIG = SimulationConfig(
+    epochs=4,
+    max_peers=4,
+    transactions_per_epoch=(2, 6),
+    system=simulated_system(store="distributed"),
+)
+
+
+@pytest.mark.parametrize("seed", SLICE_SEEDS)
+def test_under_replicated_matches_a_replica_census(seed, monkeypatch):
+    """The 25-seed ``--store distributed`` campaign: after every archive,
+    every connectivity change and every epoch, ``under_replicated()`` equals
+    a brute-force count of each sequence's holders over what the replicas
+    hold (:func:`census_problems`)."""
+    problems: list[str] = []
+    checks: Counter = Counter()
+
+    def check_after(owner, name, store_of=lambda store: store):
+        method = getattr(owner, name)
+
+        def checked(target, *args, **kwargs):
+            result = method(target, *args, **kwargs)
+            checks[name] += 1
+            problems.extend(census_problems(store_of(target)))
+            return result
+
+        monkeypatch.setattr(owner, name, checked)
+
+    check_after(DistributedUpdateStore, "archive")
+    check_after(DistributedUpdateStore, "_on_connectivity")
+    check_after(SimulationRun, "run_epoch", lambda run: run._distributed_replica().store)
+    result = run_simulation(seed, DISTRIBUTED_CLI_CONFIG)
+    assert result.ok, "\n".join(failure.describe() for failure in result.failures)
+    assert problems == []
+    assert checks["run_epoch"] == result.epochs_run == DISTRIBUTED_CLI_CONFIG.epochs
+    assert checks["archive"] > 0
 
 
 @pytest.mark.parametrize("seed", range(1, 51))
@@ -248,7 +293,10 @@ class TestOracleSensitivity:
         # data but lost the bytes, which anti-entropy cannot repair.
         shard = next(iter(store._shard_sequences))
         victim = store._replicas[shard][0]
-        victim._by_sequence.clear()
+        claimed = victim.compact_clock()
+        emptied = ShardReplica(victim.host)
+        emptied.compact_clock = lambda: claimed
+        store._replicas[shard][0] = emptied
         run._check_replica_durability(epoch=2)
         failure = run.failures[-1]
         assert failure.oracle == "replica-durability"
