@@ -14,7 +14,7 @@ module provides the data structures for that exchange:
   protocol grows the table and retries.
 * :class:`CompactClock` — a constant-size (count, checksum, latest epoch)
   summary of an entry set, the one every
-  :class:`~repro.p2p.store.EpochLog` keeps as entries arrive.  Two equal
+  :class:`~repro.p2p.store.EpochLog` keeps.  Two equal
   clocks mean equal sets (64-bit-whp), which short-circuits sessions
   between already-converged peers at the cost of one tiny message each
   way; the distributed store's anti-entropy compares its replicas' clocks

@@ -85,11 +85,15 @@ class EpochLog:
     Entries are kept sorted by ``(epoch, sequence)`` (the canonical total
     order of the archive) with a parallel key array for ``since``
     bisection, an id index and a digest index.  An entry is identified by
-    its :attr:`~PublishedTransaction.digest`: adding one already held
+    its transaction id, unique within an archive: adding one already held
     changes nothing.  Entries normally arrive in order (appends are O(1));
     out-of-order arrival (anti-entropy back-fill on a stale shard replica)
-    degrades gracefully to an O(n) insort.  The summary (count and XOR
-    checksum of the digests) is kept as entries arrive.
+    degrades gracefully to an O(n) insort.
+
+    The summary (count and XOR checksum of the entry digests) and the
+    digest index take in the entries added since they were last read when
+    they are next read: a log nobody reconciles by sketch, such as the
+    centralized archive under cursor sync, never computes a digest.
     """
 
     def __init__(self) -> None:
@@ -98,12 +102,13 @@ class EpochLog:
         self._by_id: dict[str, PublishedTransaction] = {}
         self._by_digest: dict[int, PublishedTransaction] = {}
         self._checksum = 0
+        #: Entries not yet in ``_by_digest`` and ``_checksum``.
+        self._unsummarised: list[PublishedTransaction] = []
 
     # -- mutation -----------------------------------------------------------
     def add(self, entry: PublishedTransaction) -> bool:
         """Hold ``entry``; False when it was already held."""
-        digest = entry.digest
-        if digest in self._by_digest:
+        if entry.txn_id in self._by_id:
             return False
         key = (entry.epoch, entry.sequence)
         if self._order and key < self._order[-1]:
@@ -114,21 +119,32 @@ class EpochLog:
             self._order.append(key)
             self._entries.append(entry)
         self._by_id[entry.txn_id] = entry
-        self._by_digest[digest] = entry
-        self._checksum ^= digest
+        self._unsummarised.append(entry)
         return True
 
     # -- summary ------------------------------------------------------------
+    def _digest_index(self) -> dict[int, PublishedTransaction]:
+        """The digest index, after taking in the unsummarised entries (and
+        their digests into the checksum)."""
+        if self._unsummarised:
+            for entry in self._unsummarised:
+                digest = entry.digest
+                self._by_digest[digest] = entry
+                self._checksum ^= digest
+            self._unsummarised = []
+        return self._by_digest
+
     @property
     def checksum(self) -> int:
         """XOR of every held entry's digest."""
+        self._digest_index()
         return self._checksum
 
     def latest_epoch(self) -> int:
         return self._order[-1][0] if self._order else 0
 
     def compact_clock(self) -> CompactClock:
-        return CompactClock(len(self._entries), self._checksum, self.latest_epoch())
+        return CompactClock(len(self._entries), self.checksum, self.latest_epoch())
 
     # -- lookup -------------------------------------------------------------
     def __len__(self) -> int:
@@ -154,7 +170,8 @@ class EpochLog:
 
     def entries_for(self, digests: Iterable[int]) -> list[PublishedTransaction]:
         """The held entries among ``digests``, in digest order."""
-        found = (self._by_digest.get(digest) for digest in sorted(digests))
+        index = self._digest_index()
+        found = (index.get(digest) for digest in sorted(digests))
         return [entry for entry in found if entry is not None]
 
 

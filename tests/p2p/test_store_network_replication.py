@@ -258,9 +258,10 @@ class TestEpochLogSet:
     )
     def test_random_arrival_keeps_canonical_order_and_summary(self, epochs, data):
         """Entries arrive in random order, some twice, some at epochs older
-        than the log's latest (the anti-entropy back-fill path); the log
-        serves every cursor in canonical order, counts each entry once, and
-        keeps the summary a log built fresh from the same entries has."""
+        than the log's latest (the anti-entropy back-fill path), with the
+        summary read at random points between them; the log serves every
+        cursor in canonical order, counts each entry once, and keeps the
+        summary a log built fresh from the same entries has."""
         # Sequences follow epochs, as in the archive.
         entries = [published(f"t{i}", epoch, i) for i, epoch in enumerate(epochs)]
         arrival = data.draw(
@@ -268,7 +269,11 @@ class TestEpochLogSet:
             if entries else st.just([])
         )
         log = EpochLog()
-        added = [log.add(entry) for entry in arrival]
+        added = []
+        for entry in arrival:
+            added.append(log.add(entry))
+            if data.draw(st.booleans()):
+                log.compact_clock()  # a read between adds folds in what came
         held = sorted(set(arrival), key=lambda entry: (entry.epoch, entry.sequence))
         assert sum(added) == len(log) == len(held)
         fresh = EpochLog()

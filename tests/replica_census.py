@@ -1,6 +1,20 @@
 """A distributed store's replication state, counted from the replicas."""
 
+from collections import Counter
+
 from repro.p2p.distributed import DistributedUpdateStore
+
+
+def copy_target(store: DistributedUpdateStore) -> int:
+    """How many copies of each entry the store must keep."""
+    return min(store.replication_factor, len(store._network.peers()))
+
+
+def holders(store: DistributedUpdateStore, shard: int) -> Counter:
+    """``{sequence: replicas holding it}`` over the shard's replicas."""
+    return Counter(
+        entry.sequence for replica in store._replicas.get(shard, []) for entry in replica
+    )
 
 
 def census_problems(store: DistributedUpdateStore) -> list[str]:
@@ -11,19 +25,16 @@ def census_problems(store: DistributedUpdateStore) -> list[str]:
     assigned sequence, ``_is_complete`` against set inclusion, and that no
     replica holds a sequence its shard was never assigned.
     """
-    target = min(store.replication_factor, len(store._network.peers()))
+    target = copy_target(store)
     expected: dict[int, list[int]] = {}
     problems = []
     for shard, assigned in store._shard_sequences.items():
-        held = [{entry.sequence for entry in replica} for replica in store._replicas.get(shard, [])]
-        short = [
-            sequence
-            for sequence in sorted(assigned)
-            if sum(sequence in sequences for sequences in held) < target
-        ]
+        copies = holders(store, shard)
+        short = [sequence for sequence in sorted(assigned) if copies[sequence] < target]
         if short:
             expected[shard] = short
-        for replica, sequences in zip(store._replicas.get(shard, []), held):
+        for replica in store._replicas.get(shard, []):
+            sequences = {entry.sequence for entry in replica}
             if not sequences <= assigned:
                 problems.append(f"shard {shard} replica on {replica.host} holds foreign entries")
             if store._is_complete(shard, replica) != (assigned <= sequences):
@@ -31,3 +42,17 @@ def census_problems(store: DistributedUpdateStore) -> list[str]:
     if store.under_replicated() != expected:
         problems.append(f"under_replicated() {store.under_replicated()} != census {expected}")
     return problems
+
+
+def prune_problems(
+    store: DistributedUpdateStore, shard: int, before: Counter
+) -> list[str]:
+    """Sequences a prune left with fewer copies than both the target and
+    what they had ``before`` it."""
+    target = copy_target(store)
+    after = holders(store, shard)
+    return [
+        f"pruning shard {shard} left sequence {sequence} with {after[sequence]} copies"
+        for sequence, copies in sorted(before.items())
+        if after[sequence] < min(copies, target)
+    ]

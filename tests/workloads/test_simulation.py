@@ -27,7 +27,7 @@ from repro.workloads.simulation import (
     simulated_system,
 )
 
-from replica_census import census_problems
+from replica_census import census_problems, holders, prune_problems
 
 #: The tier-1 fuzz slice: 25 seeds, every oracle, every epoch.
 SLICE_SEEDS = list(range(1, 26))
@@ -151,7 +151,8 @@ def test_under_replicated_matches_a_replica_census(seed, monkeypatch):
     """The 25-seed ``--store distributed`` campaign: after every archive,
     every connectivity change and every epoch, ``under_replicated()`` equals
     a brute-force count of each sequence's holders over what the replicas
-    hold (:func:`census_problems`)."""
+    hold (:func:`census_problems`), and no prune takes an entry below the
+    copies it must keep (:func:`prune_problems`)."""
     problems: list[str] = []
     checks: Counter = Counter()
 
@@ -169,6 +170,15 @@ def test_under_replicated_matches_a_replica_census(seed, monkeypatch):
     check_after(DistributedUpdateStore, "archive")
     check_after(DistributedUpdateStore, "_on_connectivity")
     check_after(SimulationRun, "run_epoch", lambda run: run._distributed_replica().store)
+    prune = DistributedUpdateStore._prune_shard
+
+    def checked_prune(store, shard):
+        before = holders(store, shard)
+        prune(store, shard)
+        checks["_prune_shard"] += 1
+        problems.extend(prune_problems(store, shard, before))
+
+    monkeypatch.setattr(DistributedUpdateStore, "_prune_shard", checked_prune)
     result = run_simulation(seed, DISTRIBUTED_CLI_CONFIG)
     assert result.ok, "\n".join(failure.describe() for failure in result.failures)
     assert problems == []
