@@ -35,8 +35,8 @@ but physically partitions the epoch-ordered log:
   factor.  When a peer reconnects, an anti-entropy round compares the
   shard replicas' compact clocks (count and checksum of their entry
   digests) and, where they disagree, copies each replica the entries it
-  lacks, by digest; fully caught-up surplus replicas are then pruned back
-  to the replication factor.
+  lacks; fully caught-up surplus replicas are then pruned back to the
+  replication factor.
 
 Repairs, anti-entropy rounds, entries copied and degraded writes are
 counted in the metrics registry where they happen (``store.*`` counters);
@@ -356,8 +356,8 @@ class DistributedUpdateStore:
         Replicas first exchange their compact clocks (24 bytes each: count
         and XOR checksum of their entry digests), which also catch
         same-count divergence (interior holes).  Only when those disagree
-        does any entry move: every replica is given, by digest, the entries
-        of the union it lacks.  Returns the number of entries transferred.
+        does any entry move: every replica is given the entries of the union
+        it lacks.  Returns the number of entries transferred.
         """
         self._anti_entropy_clock += 1
         replicas = [

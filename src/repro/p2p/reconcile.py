@@ -201,7 +201,7 @@ class StoreView(EntryCache):
             return
         # Re-pull from one epoch below the mirror's latest: a second batch
         # archived at the same epoch would otherwise be missed.  add()
-        # drops the refetched overlap by digest.
+        # drops the refetched overlap by transaction id.
         for entry in self._store.published_since(self.latest_epoch() - 1):
             self.add(entry)
         self.mark_complete(self._store.latest_epoch())
